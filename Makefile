@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race check leakcheck serve-check reopt-check bench-join bench-columnar bench-matrix bench-serve bench-guard lint-deprecated fuzz cover
+.PHONY: build test vet race check leakcheck serve-check reopt-check bench-smoke bench-join bench-columnar bench-matrix bench-serve bench-guard lint-deprecated fuzz cover
 
 build:
 	$(GO) build ./...
@@ -82,20 +82,29 @@ cover:
 # on a machine comparable to the one that recorded BENCH_join.json (and
 # are pure noise on loaded CI runners).
 # The mid-query re-optimization gate: the differential suite (whose
-# reopt / reopt-morsel modes force restructurings over all generated
-# plans and dual-oracle-check every one), then the restructure timing
-# and barrier tests — concurrent RequestReopt hammering, monitor
-# refresh during restructure, public-API label stability — twice each
-# under the race detector.
+# reopt / reopt-morsel / reopt-columnar modes force restructurings over
+# all generated plans and dual-oracle-check every one), then the
+# restructure timing and barrier tests — concurrent RequestReopt
+# hammering, monitor refresh during restructure, public-API label
+# stability — twice each under the race detector.
 reopt-check:
 	$(GO) test -timeout 180s -run TestDifferentialSuite ./internal/difftest/
 	$(GO) test -race -count=2 -timeout 300s -run 'Reopt|Robust|MonitorRefresh' \
 		./internal/plan/ ./internal/progress/ .
 
+# The repository benchmark is a module of its own (benchmark/go.mod), so
+# `go test ./...` at the root never sees it. Its tests hold the route
+# users reach (Engine.Compile: columnar) to the route the traced run
+# wires by hand from the internal packages (tuple): same rows and
+# bit-identical final estimates (TestRoutesAgree), and every workload
+# run once in both modes on half-size data (TestSmoke).
+bench-smoke:
+	cd benchmark && $(GO) test -timeout 300s ./...
+
 ifeq ($(BENCH_GUARD),1)
-check: vet lint-deprecated test race cover fuzz reopt-check bench-guard
+check: vet lint-deprecated test race cover fuzz reopt-check bench-smoke bench-guard
 else
-check: vet lint-deprecated test race cover fuzz reopt-check
+check: vet lint-deprecated test race cover fuzz reopt-check bench-smoke
 endif
 
 # Measure the join execution modes (tuple / serial batch / columnar /

@@ -187,11 +187,11 @@ func (n *Node) Limit(k int64) *Node {
 	return &Node{op: exec.NewLimit(n.op, k), eng: n.eng}
 }
 
-// Parallel enables batch-at-a-time partition passes with the given number
-// of scatter workers (GOMAXPROCS-capped) on every hash join in the node's
-// subtree — the per-plan-fragment form of the WithBatchExecution compile
-// option. It returns the node for chaining. Call before Compile so the
-// estimators attach in sharded mode.
+// Parallel moves every hash join in the node's subtree off the default
+// columnar engine onto row-batch partition passes with the given number
+// of scatter workers (GOMAXPROCS-capped) — the per-plan-fragment form of
+// the WithBatchExecution compile option. It returns the node for
+// chaining. Call before Compile so the estimators attach in sharded mode.
 func (n *Node) Parallel(workers int) *Node {
 	exec.Walk(n.op, func(op exec.Operator) {
 		if j, ok := op.(*exec.HashJoin); ok {

@@ -792,12 +792,37 @@ func (cb *ColBatch) Release() {
 // across operators; see GetColBatch/PutColBatch.
 var colBatchPool = sync.Pool{New: func() any { return new(ColBatch) }}
 
+// poolSlack bounds what the pool retains. Lanes keep the capacity they
+// grew to and the pool hands a batch to whoever asks next, so without a
+// bound one oversized user (the hot partition of a skewed join) ends up
+// sizing every pooled batch. A batch is pooled while its lanes have room
+// for no more than poolSlack times the rows its last user filled; beyond
+// that it is left to the collector. A single batch's worth of room is
+// always kept: every lane reserves that much on first growth, so it says
+// nothing about who used it. The slack is wide because the two sides of
+// one join share the pool and differ by the ratio of their inputs.
+const poolSlack = 16
+
+// laneCap returns the largest row capacity any lane of the batch has.
+func (cb *ColBatch) laneCap() int {
+	n := 0
+	for c := range cb.Cols {
+		v := &cb.Cols[c]
+		n = max(n, cap(v.Ints), cap(v.Floats), cap(v.Strs))
+	}
+	return n
+}
+
 // GetColBatch takes a cleared batch from the pool.
 func GetColBatch() *ColBatch { return colBatchPool.Get().(*ColBatch) }
 
 // PutColBatch releases cb (clearing row and string references, see
-// Release) and returns it to the pool.
+// Release) and returns it to the pool, unless its lanes have outgrown
+// what it was last used for (see poolSlack).
 func PutColBatch(cb *ColBatch) {
+	if cb.laneCap() > max(BatchSize(), poolSlack*cb.NRows) {
+		return
+	}
 	cb.Release()
 	colBatchPool.Put(cb)
 }

@@ -2,8 +2,8 @@
 // runs every qgen-generated plan through all execution modes of the real
 // engine (tuple-at-a-time, batch, batch-parallel, forced-spill,
 // parallel-spill, columnar, columnar-spill, morsel-driven row and
-// columnar scans, forced mid-query re-optimization in serial and morsel
-// flavors, and mid-query cancel/re-run)
+// columnar scans, forced mid-query re-optimization in serial, morsel and
+// columnar flavors, and mid-query cancel/re-run)
 // and checks each run against the exact oracle
 // and the paper's estimator invariants:
 //
@@ -89,10 +89,30 @@ const (
 	// ModeReoptMorsel is ModeReopt over morsel-driven parallel partition
 	// passes: the restructure window races 3 scan workers.
 	ModeReoptMorsel
+	// ModeReoptColumnar is ModeReopt over a plan compiled columnar — what
+	// WithReoptimization, a run option, always meets on the public API:
+	// restructured joins keep their lane-native partitions, their span
+	// hooks are re-attached, and the Reorder wrapper passes lanes through.
+	ModeReoptColumnar
 )
 
 // AllModes is every execution mode, in suite order.
-var AllModes = []Mode{ModeTuple, ModeBatch, ModeParallel, ModeSpill, ModeParallelSpill, ModeColumnar, ModeColumnarSpill, ModeMorsel, ModeColMorsel, ModeReopt, ModeReoptMorsel, ModeCancelRerun}
+var AllModes = []Mode{ModeTuple, ModeBatch, ModeParallel, ModeSpill, ModeParallelSpill, ModeColumnar, ModeColumnarSpill, ModeMorsel, ModeColMorsel, ModeReopt, ModeReoptMorsel, ModeReoptColumnar, ModeCancelRerun}
+
+// columnar reports whether the mode compiles the plan columnar and
+// drains it through NextColBatch.
+func (m Mode) columnar() bool {
+	switch m {
+	case ModeColumnar, ModeColumnarSpill, ModeColMorsel, ModeReoptColumnar:
+		return true
+	}
+	return false
+}
+
+// reopt reports whether the mode runs under a forced re-optimizer.
+func (m Mode) reopt() bool {
+	return m == ModeReopt || m == ModeReoptMorsel || m == ModeReoptColumnar
+}
 
 func (m Mode) String() string {
 	switch m {
@@ -118,6 +138,8 @@ func (m Mode) String() string {
 		return "reopt"
 	case ModeReoptMorsel:
 		return "reopt-morsel"
+	case ModeReoptColumnar:
+		return "reopt-columnar"
 	default:
 		return "tuple"
 	}
@@ -135,16 +157,17 @@ const ciSampleAt = 8
 // floors on them so the harness cannot silently degrade into checking
 // nothing.
 type SuiteStats struct {
-	Cases         int
-	Runs          int
-	ChainsChecked int // joins verified against the once-exact invariant
-	AggsChecked   int // aggregations verified against the chooser invariants
-	CISamples     int
-	CICovered     int
-	Cancelled     int   // runs that observed a real mid-query cancellation
-	SpillFiles    int64 // spill files created across ModeSpill runs
-	PlanChanges   int   // restructurings applied across the re-opt modes
-	ReoptRuns     int   // re-opt runs whose executed plan actually changed
+	Cases               int
+	Runs                int
+	ChainsChecked       int // joins verified against the once-exact invariant
+	AggsChecked         int // aggregations verified against the chooser invariants
+	CISamples           int
+	CICovered           int
+	Cancelled           int   // runs that observed a real mid-query cancellation
+	SpillFiles          int64 // spill files created across ModeSpill runs
+	PlanChanges         int   // restructurings applied across the re-opt modes
+	ColumnarPlanChanges int   // the share of PlanChanges applied to columnar plans
+	ReoptRuns           int   // re-opt runs whose executed plan actually changed
 }
 
 // CheckCase generates the case for (seed, opts), evaluates the oracle and
@@ -190,23 +213,18 @@ func runMode(c *qgen.Case, want *oracle.Result, m Mode, st *SuiteStats) error {
 	case ModeParallelSpill:
 		setParallelism(b.Root, 3)
 		setBudget(b.Root, spillBudget)
-	case ModeColumnar:
-		setColumnar(b.Root)
 	case ModeColumnarSpill:
-		setColumnar(b.Root)
 		setBudget(b.Root, spillBudget)
-	case ModeMorsel:
+	case ModeMorsel, ModeColMorsel, ModeReoptMorsel:
 		setMorsel(b.Root)
-	case ModeColMorsel:
+	}
+	if m.columnar() {
 		setColumnar(b.Root)
-		setMorsel(b.Root)
-	case ModeReoptMorsel:
-		setMorsel(b.Root)
 	}
 	att := core.Attach(b.Root)
 	mon := progress.NewMonitorWith(b.Root, progress.ModeOnce, att)
 	var ro *plan.Reoptimizer
-	if m == ModeReopt || m == ModeReoptMorsel {
+	if m.reopt() {
 		rc := plan.DefaultReoptConfig()
 		rc.Force = true
 		ro = plan.NewReoptimizer(rc, att)
@@ -216,10 +234,12 @@ func runMode(c *qgen.Case, want *oracle.Result, m Mode, st *SuiteStats) error {
 	}
 	st.Runs++
 
-	// gnm invariants, sampled at work-based ticks on the execution path.
+	// gnm invariants, sampled at work-based ticks on the execution path
+	// (span-granular where the mode drains columnar, so those modes run
+	// the lane-native output paths a per-tuple hook would switch off).
 	var lastC float64
 	var progErr error
-	progress.InstallTicker(b.Root, 5, func() {
+	progress.NewTicker(5, func() {
 		if progErr != nil {
 			return
 		}
@@ -231,7 +251,7 @@ func runMode(c *qgen.Case, want *oracle.Result, m Mode, st *SuiteStats) error {
 		if rep.Progress < -1e-9 || rep.Progress > 1+1e-6 {
 			progErr = fmt.Errorf("gnm progress %g outside [0,1]", rep.Progress)
 		}
-	})
+	}).Install(b.Root, m.columnar())
 
 	// Mid-probe CI snapshots (serial probe observation only: sharded
 	// chains fire OnProbeObserved at the pass barrier, not per tuple).
@@ -305,9 +325,13 @@ func runMode(c *qgen.Case, want *oracle.Result, m Mode, st *SuiteStats) error {
 	// result multiset is still checked against the ORIGINAL oracle below —
 	// the Reorder wrapper must have restored the root schema exactly.
 	if ro != nil {
+		before := st.PlanChanges
 		var roErr error
 		if want, roErr = reoptWant(c, b, ro, want, st); roErr != nil {
 			return roErr
+		}
+		if m == ModeReoptColumnar {
+			st.ColumnarPlanChanges += st.PlanChanges - before
 		}
 	}
 
@@ -519,11 +543,11 @@ func drain(root exec.Operator, m Mode) ([]data.Tuple, error) {
 	}
 	var rows []data.Tuple
 	var err error
-	switch m {
-	case ModeBatch, ModeParallel, ModeParallelSpill, ModeMorsel, ModeReoptMorsel:
-		rows, err = exec.DrainBatch(exec.AsBatch(root))
-	case ModeColumnar, ModeColumnarSpill, ModeColMorsel:
+	switch {
+	case m.columnar():
 		rows, err = exec.DrainCol(exec.AsColOperator(root))
+	case m == ModeBatch, m == ModeParallel, m == ModeParallelSpill, m == ModeMorsel, m == ModeReoptMorsel:
+		rows, err = exec.DrainBatch(exec.AsBatch(root))
 	default:
 		rows, err = exec.Drain(root)
 	}

@@ -73,6 +73,9 @@ func TestDifferentialSuite(t *testing.T) {
 		t.Errorf("re-opt modes applied %d plan changes, want >= %d — the harness is checking nothing",
 			st.PlanChanges, suiteCases/20)
 	}
+	if st.ColumnarPlanChanges == 0 {
+		t.Error("no plan compiled columnar was ever restructured")
+	}
 	if st.ReoptRuns < suiteCases/20 {
 		t.Errorf("only %d re-opt runs changed their executed plan, want >= %d",
 			st.ReoptRuns, suiteCases/20)

@@ -8,7 +8,7 @@ import (
 // This file is the columnar execution layer, stacked on the batch layer
 // the way batch.go stacks on Volcano: operators that can serve typed
 // column vectors implement ColOperator natively (Scan, Filter, Project,
-// Limit, HashJoin, HashAgg); everything else composes through
+// Limit, Reorder, HashJoin, HashAgg); everything else composes through
 // AsColOperator, which wraps the operator's batch path and exposes the
 // rows as a lazily-pivoted ColBatch. Selection vectors flow through
 // filters without copying tuples, and the join's columnar output path
@@ -58,6 +58,30 @@ func (a *colAdapter) NextColBatch() (*data.ColBatch, error) {
 
 // Unwrap exposes the adapted operator.
 func (a *colAdapter) Unwrap() Operator { return a.Operator }
+
+// WalkColumnar visits op and its descendants in pre-order like Walk,
+// telling visit whether each operator is pulled through its own
+// NextColBatch, given that the root is drained through AsColOperator
+// (columnar) or through Next. An operator without a native columnar path
+// sits behind an adapter and pulls its children tuple-at-a-time; a native
+// one hands the choice down, except that a hash join's partition passes
+// and a sort's input pass follow the operator's own SetColumnar setting
+// however the operator itself is pulled.
+func WalkColumnar(op Operator, columnar bool, visit func(op Operator, columnar bool)) {
+	if _, native := op.(ColOperator); !native {
+		columnar = false
+	}
+	visit(op, columnar)
+	switch o := op.(type) {
+	case *HashJoin:
+		columnar = o.colMode
+	case *Sort:
+		columnar = o.columnarInput() != nil
+	}
+	for _, c := range op.Children() {
+		WalkColumnar(c, columnar, visit)
+	}
+}
 
 // emitColBatch counts a columnar emission; nil or empty-selection
 // batches mark the operator done.
@@ -184,6 +208,31 @@ func (p *Project) NextColBatch() (*data.ColBatch, error) {
 		expr.EvalVec(e, in, out.OwnCol(i))
 	}
 	return p.emitColBatch(out)
+}
+
+// NextColBatch implements ColOperator for Reorder: every output column
+// shares the child's vector, so a restructured join segment stays
+// lane-native up to the join that probes it.
+func (r *Reorder) NextColBatch() (*data.ColBatch, error) {
+	if r.cchild == nil {
+		r.cchild = AsColOperator(r.child)
+	}
+	in, err := r.cchild.NextColBatch()
+	if err != nil {
+		return nil, err
+	}
+	if in == nil {
+		return r.emitColBatch(nil)
+	}
+	out := &r.colOut
+	out.EnsureWidth(len(r.perm))
+	out.NRows = in.NRows
+	out.Sel = in.Sel
+	out.Rows = nil
+	for i, p := range r.perm {
+		out.ShareCol(i, in.Col(p))
+	}
+	return r.emitColBatch(out)
 }
 
 // NextColBatch implements ColOperator for Limit, truncating the final

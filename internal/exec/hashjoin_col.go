@@ -661,16 +661,16 @@ func (j *HashJoin) releaseColParts() {
 
 // NextColBatch implements ColOperator: the join (second) pass gathers
 // output values directly into reused column lanes, one typed copy per
-// column per pair buffer. When a per-tuple output hook is attached
-// (progress monitors) or the parallel join phase is active, output falls
-// back to the row batch path — hooks see materialized tuples, parallel
-// drains stay row-oriented — and the rows are re-exposed columnar
-// without copying.
+// column per pair buffer. A join whose partitions are row-major (not
+// SetColumnar), a per-tuple output hook or an active parallel join phase
+// send output through the row batch path — hooks see materialized tuples,
+// parallel drains stay row-oriented — and the rows are re-exposed
+// columnar without copying.
 func (j *HashJoin) NextColBatch() (*data.ColBatch, error) {
 	if err := j.ensurePartitioned(); err != nil {
 		return nil, err
 	}
-	if j.joinPar != nil || j.OnOutput != nil {
+	if !j.colMode || j.joinPar != nil || j.OnOutput != nil {
 		b, err := j.NextBatch()
 		if err != nil {
 			return nil, err

@@ -22,6 +22,9 @@ type Reorder struct {
 	bchild BatchOperator
 	buf    data.Batch
 	arena  []data.Value
+
+	cchild ColOperator
+	colOut data.ColBatch
 }
 
 // NewReorder creates a column permutation over child. perm must be a

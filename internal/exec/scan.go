@@ -25,6 +25,11 @@ type Scan struct {
 
 	// OnTuple fires for every emitted tuple, before it is returned.
 	OnTuple func(data.Tuple)
+	// OnBatch fires once per batch on the batch and columnar paths, after
+	// the batch's rows are counted in Stats: a span boundary, where no
+	// operator of the plan is midway through a batch. The tuple path
+	// (Next) never fires it.
+	OnBatch func(rows int)
 	// OnSampleEnd fires once, after the last tuple of the random sample.
 	OnSampleEnd func()
 
@@ -174,6 +179,8 @@ func (s *Scan) NextBatch() (data.Batch, error) {
 	bt, err := s.emitBatch(b)
 	if bt == nil && err == nil {
 		s.endSpan()
+	} else if s.OnBatch != nil {
+		s.OnBatch(len(bt))
 	}
 	return bt, err
 }

@@ -79,6 +79,18 @@ func (s *Sort) SetColumnar(on bool) *Sort {
 // Columnar reports whether the columnar input pass is selected.
 func (s *Sort) Columnar() bool { return s.colMode }
 
+// columnarInput returns the child as the input pass will pull it
+// column-at-a-time, or nil when the pass reads tuples: not selected, a
+// memory budget (run spilling is row-oriented), or a child without a
+// native columnar path.
+func (s *Sort) columnarInput() ColOperator {
+	if !s.colMode || s.memBudget > 0 {
+		return nil
+	}
+	in, _ := s.child.(ColOperator)
+	return in
+}
+
 // Name implements Operator.
 func (s *Sort) Name() string { return fmt.Sprintf("Sort(%v)", s.keys) }
 
@@ -95,10 +107,7 @@ func (s *Sort) Next() (data.Tuple, error) {
 	}
 	if !s.sorted {
 		s.traceBegin("input")
-		var colIn ColOperator
-		if s.colMode && s.memBudget <= 0 {
-			colIn, _ = s.child.(ColOperator)
-		}
+		colIn := s.columnarInput()
 		if colIn != nil {
 			if err := s.readInputColumnar(colIn); err != nil {
 				return nil, err

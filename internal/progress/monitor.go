@@ -21,7 +21,6 @@ import (
 	"sync/atomic"
 
 	"qpi/internal/core"
-	"qpi/internal/data"
 	"qpi/internal/exec"
 	"qpi/internal/obs"
 	"qpi/internal/plan"
@@ -489,42 +488,4 @@ func (r Report) String() string {
 		fmt.Fprintf(&b, "  P%d %-8s C=%-10.0f T=%-10.0f %s\n", p.ID, state, p.C, p.T, p.Root)
 	}
 	return b.String()
-}
-
-// InstallTicker arranges for f to be called once every `every` units of
-// work (tuples flowing through scans, join phases and blocking input
-// passes). Progress experiments use it to sample the monitor at evenly
-// spaced points of actual work without a second goroutine.
-func InstallTicker(root exec.Operator, every int64, f func()) {
-	var counter int64
-	tick := func() {
-		counter++
-		if counter%every == 0 {
-			f()
-		}
-	}
-	hook := func(prev func(data.Tuple)) func(data.Tuple) {
-		return func(t data.Tuple) {
-			if prev != nil {
-				prev(t)
-			}
-			tick()
-		}
-	}
-	exec.Walk(root, func(op exec.Operator) {
-		switch o := op.(type) {
-		case *exec.Scan:
-			o.OnTuple = hook(o.OnTuple)
-		case *exec.HashJoin:
-			o.OnBuildTuple = hook(o.OnBuildTuple)
-			o.OnProbeTuple = hook(o.OnProbeTuple)
-			o.OnOutput = hook(o.OnOutput)
-		case *exec.MergeJoin:
-			o.OnOutput = hook(o.OnOutput)
-		case *exec.Sort:
-			o.OnInput = hook(o.OnInput)
-		case *exec.HashAgg:
-			o.OnInput = hook(o.OnInput)
-		}
-	})
 }

@@ -11,8 +11,8 @@ type Metrics struct {
 	Status
 	// Tuples is Σ K_i: getnext() calls satisfied across all operators.
 	Tuples int64
-	// Batches counts batches emitted in batch-at-a-time execution (0 in
-	// tuple mode).
+	// Batches counts the batches operators emitted (an operator behind a
+	// tuple-at-a-time adapter, such as a merge join, emits none).
 	Batches int64
 	// SpillFiles and SpillBytes count spill files created and bytes
 	// written by grace hash joins and external sorts under a memory

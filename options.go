@@ -59,9 +59,12 @@ func newRunCfg(opts []RunOption) runCfg {
 }
 
 // WithProgress invokes onProgress with a progress snapshot approximately
-// every `every` units of work (tuples moved anywhere in the plan), plus
-// once with the terminal snapshot when execution finishes. every < 1
-// defaults to every unit of work.
+// every `every` units of work (tuples moved anywhere in the plan), at
+// most once per batch, plus once with the terminal snapshot when
+// execution finishes. The engine moves ~1024-row batches and publishes
+// between them, where every operator's counters describe the same
+// instant, so an interval below the batch size yields one snapshot per
+// batch. every < 1 defaults to every unit of work.
 func WithProgress(onProgress func(Report), every int64) RunOption {
 	return func(c *runCfg) {
 		c.onProgress = onProgress

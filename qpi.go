@@ -12,6 +12,11 @@
 // groups of aggregations. A progress monitor combines the estimates under
 // the getnext() model of query progress.
 //
+// Compiled plans execute column-at-a-time: operators exchange batches of
+// typed column lanes, hash joins partition, build and probe on the lanes,
+// and the estimators observe a batch at a time. Rows are built only where
+// a caller asks for them (Query.Rows).
+//
 // Quick start:
 //
 //	eng := qpi.New()

@@ -96,7 +96,7 @@ func TestStartCancelMidFlight(t *testing.T) {
 		name string
 		opts []CompileOption
 	}{
-		{"tuple", nil},
+		{"default", nil},
 		{"batched", []CompileOption{WithBatchExecution(1)}},
 		{"batched-parallel", []CompileOption{WithBatchExecution(4)}},
 		{"spilling", []CompileOption{WithMemoryBudget(64 * 1024)}},

@@ -125,15 +125,15 @@ func WithSpillFS(fs SpillFS) CompileOption {
 	return func(c *compileCfg) { c.spillFS = fs }
 }
 
-// WithBatchExecution switches the plan to batch-at-a-time execution:
-// operators move ~1024-tuple batches per call, hash joins run their grace
-// partition passes over whole batches with `workers` parallel scatter
-// workers (capped at GOMAXPROCS; 1 = batched but serial), and the online
-// estimators observe through per-worker histogram shards merged at the
-// pass barriers. Results and converged estimates are identical to the
-// default tuple-at-a-time mode; under a memory budget the passes stay
-// serial so spill accounting is single-threaded. workers < 1 is treated
-// as 1.
+// WithBatchExecution switches the plan from the default columnar engine
+// to row-batch execution: operators move ~1024-tuple row batches per
+// call, hash joins run their grace partition passes over whole batches
+// with `workers` parallel scatter workers (capped at GOMAXPROCS; 1 =
+// batched but serial), and the online estimators observe through
+// per-worker histogram shards merged at the pass barriers. Results and
+// converged estimates are identical to the default; under a memory budget
+// the passes stay serial so spill accounting is single-threaded.
+// workers < 1 is treated as 1.
 func WithBatchExecution(workers int) CompileOption {
 	if workers < 1 {
 		workers = 1
@@ -160,6 +160,11 @@ type Query struct {
 	// WithReoptimization (nil otherwise).
 	reopt *plan.Reoptimizer
 
+	// ticker publishes progress at work-based intervals; installed per run
+	// when a callback, metrics destination or subscriber wants snapshots
+	// (nil otherwise). The drain loop reports the root's output to it.
+	ticker *progress.Ticker
+
 	// Subscriber channels (Subscribe) receive progress snapshots from the
 	// execution goroutine; final holds the terminal report once subsDone.
 	subMu    sync.Mutex
@@ -177,11 +182,11 @@ func (q *Query) claim() error {
 	return nil
 }
 
-// execRun drives a query's plan to completion (shared by Run and Start),
-// through the batch path when batch execution was compiled in. The
-// context is bound to every operator before Open, so cancellation or
-// deadline expiry unwinds the plan within one batch of work; the monitor
-// is left in the matching terminal state.
+// execRun drives a query's plan to completion (shared by Run and Start):
+// column-at-a-time, or through the row-batch path when batch execution
+// was compiled in. The context is bound to every operator before Open, so
+// cancellation or deadline expiry unwinds the plan within one batch of
+// work; the monitor is left in the matching terminal state.
 func execRun(ctx context.Context, q *Query) (int64, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -196,11 +201,41 @@ func execRun(ctx context.Context, q *Query) (int64, error) {
 		if q.cfg.batchWorkers > 0 {
 			n, err = exec.RunBatch(exec.AsBatch(q.root))
 		} else {
-			n, err = exec.Run(q.root)
+			n, err = q.drain(nil)
 		}
 	}
 	q.monitor.Finish(err)
 	return n, err
+}
+
+// drain opens the plan, pulls it to exhaustion column-at-a-time and
+// closes it, returning the live row count. Each batch is handed to sink
+// (nil discards it) and then reported to the ticker: the end of a root
+// batch is a span boundary like any other.
+func (q *Query) drain(sink func(*data.ColBatch)) (int64, error) {
+	root := exec.AsColOperator(q.root)
+	if err := root.Open(); err != nil {
+		return 0, err
+	}
+	var n int64
+	for {
+		cb, err := root.NextColBatch()
+		if err != nil {
+			root.Close()
+			return n, err
+		}
+		if cb == nil {
+			return n, root.Close()
+		}
+		live := int64(cb.Live())
+		n += live
+		if sink != nil {
+			sink(cb)
+		}
+		if q.ticker != nil {
+			q.ticker.Add(live)
+		}
+	}
 }
 
 // Compile seeds optimizer estimates, attaches the online estimation
@@ -244,15 +279,22 @@ func (e *Engine) Compile(n *Node, opts ...CompileOption) (*Query, error) {
 			}
 		})
 	}
-	if cfg.batchWorkers > 0 {
-		// Before Attach, so the estimators see the batched joins and
-		// install sharded batch hooks instead of per-tuple hooks.
-		exec.Walk(n.op, func(op exec.Operator) {
-			if j, ok := op.(*exec.HashJoin); ok {
-				j.SetParallelism(cfg.batchWorkers)
+	// Execution mode, chosen before Attach so the estimators install the
+	// hooks of the passes that will run: lane-native columnar by default,
+	// row-batch where WithBatchExecution or Node.Parallel asked for it.
+	rowBatch := cfg.batchWorkers > 0
+	exec.Walk(n.op, func(op exec.Operator) {
+		switch o := op.(type) {
+		case *exec.HashJoin:
+			if rowBatch {
+				o.SetParallelism(cfg.batchWorkers)
+			} else if !o.Batched() {
+				o.SetColumnar(true)
 			}
-		})
-	}
+		case *exec.Sort:
+			o.SetColumnar(!rowBatch)
+		}
+	})
 	plan.EstimateCardinalities(n.op, e.cat)
 	q := &Query{root: n.op, cfg: cfg, labels: map[exec.Operator]string{}}
 	if !cfg.noEstimators && (cfg.mode == Once || cfg.mode == Robust) {
@@ -358,8 +400,9 @@ func (q *Query) Progress() float64 { return q.monitor.Progress() }
 // Report returns a full progress snapshot.
 func (q *Query) Report() Report { return toReport(q.monitor.Report()) }
 
-// Run executes the query to completion, discarding result rows, and
-// returns the output row count. Observability is composed from options:
+// Run executes the query to completion on the columnar engine, discarding
+// result rows, and returns the output row count. Observability is
+// composed from options:
 //
 //	n, err := q.Run(ctx,
 //	    qpi.WithProgress(func(r qpi.Report) { ... }, 10000),
@@ -421,9 +464,8 @@ func (q *Query) installObservability(cfg *runCfg) {
 	if cfg.onProgress == nil && cfg.metrics == nil && !hasSubs {
 		return
 	}
-	progress.InstallTicker(q.root, cfg.every, func() {
-		q.publishTick(cfg)
-	})
+	q.ticker = progress.NewTicker(cfg.every, func() { q.publishTick(cfg) })
+	q.ticker.Install(q.root, q.cfg.batchWorkers == 0)
 }
 
 // publishTick runs on the execution goroutine at ticker boundaries.
@@ -473,35 +515,12 @@ func (q *Query) RowsContext(ctx context.Context) ([][]any, error) {
 	return out, err
 }
 
+// collectRows drains the plan column-at-a-time and converts each batch
+// to rows at the client boundary (see rows.go).
 func (q *Query) collectRows() ([][]any, error) {
-	if err := q.root.Open(); err != nil {
-		return nil, err
-	}
-	defer q.root.Close()
 	var out [][]any
-	for {
-		t, err := q.root.Next()
-		if err != nil {
-			return out, err
-		}
-		if t == nil {
-			return out, nil
-		}
-		row := make([]any, len(t))
-		for i, v := range t {
-			switch v.Kind {
-			case data.KindInt:
-				row[i] = v.I
-			case data.KindFloat:
-				row[i] = v.F
-			case data.KindString:
-				row[i] = v.S
-			default:
-				row[i] = nil
-			}
-		}
-		out = append(out, row)
-	}
+	_, err := q.drain(func(cb *data.ColBatch) { out = appendRows(out, cb) })
+	return out, err
 }
 
 // Columns returns the output column names.
