@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race check leakcheck serve-check reopt-check bench-smoke bench-join bench-columnar bench-matrix bench-serve bench-guard lint-deprecated fuzz cover
+.PHONY: build test vet fmt race check leakcheck serve-check reopt-check bench-smoke bench-join bench-columnar bench-matrix bench-serve bench-guard lint-deprecated fuzz cover
 
 build:
 	$(GO) build ./...
@@ -12,6 +12,10 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# Formatting gate: any file gofmt would rewrite fails the build.
+fmt:
+	@test -z "$$(gofmt -l .)" || { echo "gofmt needed:"; gofmt -l .; exit 1; }
 
 # The parallel grace partition passes, the morsel-driven scan workers
 # and the data.BatchSize knob writes (TestBatchSizeKnobStartRace) all run
@@ -102,9 +106,9 @@ bench-smoke:
 	cd benchmark && $(GO) test -timeout 300s ./...
 
 ifeq ($(BENCH_GUARD),1)
-check: vet lint-deprecated test race cover fuzz reopt-check bench-smoke bench-guard
+check: vet fmt lint-deprecated test race cover fuzz reopt-check bench-smoke bench-guard
 else
-check: vet lint-deprecated test race cover fuzz reopt-check bench-smoke
+check: vet fmt lint-deprecated test race cover fuzz reopt-check bench-smoke
 endif
 
 # Measure the join execution modes (tuple / serial batch / columnar /

@@ -1,6 +1,9 @@
 package data
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // This file is the columnar (SoA) counterpart of Batch: a ColBatch holds
 // one typed vector per column plus a selection vector, so the vectorized
@@ -361,72 +364,74 @@ func (cb *ColBatch) Col(c int) *ColVec {
 	return v
 }
 
-// materialize pivots column c from the row cache.
+// materialize pivots column c from the row cache in one pass over all
+// rows (selection independent, so a narrowed view shares the pivot): the
+// column's kind is that of its first non-NULL value, and the typed copy
+// runs until a row of another kind shows the column to be mixed, which
+// redoes it value by value into the tagged form.
 func (cb *ColBatch) materialize(c int) {
 	if cb.Rows == nil {
 		panic("data: ColBatch.Col: column not built and no row cache")
 	}
 	v := &cb.Cols[c]
 	v.reset()
-	n := cb.NRows
-	// Detect the column's kind profile over all rows (selection
-	// independent, so a narrowed view shares the pivot).
-	kind := KindNull
+	rows := cb.Rows[:cb.NRows]
+	for _, t := range rows {
+		if v.Kind = t[c].Kind; v.Kind != KindNull {
+			break
+		}
+	}
 	mixed := false
-	for i := 0; i < n; i++ {
-		k := cb.Rows[i][c].Kind
-		if k == KindNull || k == kind {
-			continue
-		}
-		if kind == KindNull {
-			kind = k
-			continue
-		}
-		mixed = true
-		break
-	}
-	if mixed {
-		for i := 0; i < n; i++ {
-			v.appendVal(i, cb.Rows[i][c])
-		}
-		return
-	}
-	v.Kind = kind
-	switch kind {
+	switch kind := v.Kind; kind {
 	case KindInt:
-		v.Ints = growLane(v.Ints, n)
-		for i := 0; i < n; i++ {
-			if val := cb.Rows[i][c]; val.Kind == KindNull {
+		v.Ints = growLane(v.Ints, len(rows))
+		for i, t := range rows {
+			if val := &t[c]; val.Kind == kind {
+				v.Ints[i] = val.I
+			} else if val.Kind == KindNull {
 				v.Ints[i] = 0
 				v.Nulls.Set(i)
 			} else {
-				v.Ints[i] = val.I
+				mixed = true
+				break
 			}
 		}
 	case KindFloat:
-		v.Floats = growLane(v.Floats, n)
-		for i := 0; i < n; i++ {
-			if val := cb.Rows[i][c]; val.Kind == KindNull {
+		v.Floats = growLane(v.Floats, len(rows))
+		for i, t := range rows {
+			if val := &t[c]; val.Kind == kind {
+				v.Floats[i] = val.F
+			} else if val.Kind == KindNull {
 				v.Floats[i] = 0
 				v.Nulls.Set(i)
 			} else {
-				v.Floats[i] = val.F
+				mixed = true
+				break
 			}
 		}
 	case KindString:
-		v.Strs = growLane(v.Strs, n)
-		for i := 0; i < n; i++ {
-			if val := cb.Rows[i][c]; val.Kind == KindNull {
+		v.Strs = growLane(v.Strs, len(rows))
+		for i, t := range rows {
+			if val := &t[c]; val.Kind == kind {
+				v.Strs[i] = val.S
+			} else if val.Kind == KindNull {
 				v.Strs[i] = ""
 				v.Nulls.Set(i)
 			} else {
-				v.Strs[i] = val.S
+				mixed = true
+				break
 			}
 		}
 	default:
 		// All-NULL column: no lane, ValueAt returns NULL for every row.
-		for i := 0; i < n; i++ {
+		for i := range rows {
 			v.Nulls.Set(i)
+		}
+	}
+	if mixed {
+		v.reset()
+		for i, t := range rows {
+			v.appendVal(i, t[c])
 		}
 	}
 }
@@ -565,8 +570,9 @@ func (cb *ColBatch) AppendRow2(a, b Tuple) {
 	cb.NRows++
 }
 
-// appendFrom appends src's row i as row index row of v — the lane-to-lane
-// copy primitive behind the columnar partition scatter and gather. The
+// appendFrom appends src's row i as row index row of v — the per-row
+// lane-to-lane copy: what a budgeted join's partition append and the
+// spill frame buffer use, and what appendRowsFrom falls back to. The
 // fast path is a matching-kind typed push straight from src's lane, no
 // Value construction; NULLs, kind adoption and mixed sources fall back to
 // the appendVal cold tail, which reproduces row-major appends exactly.
@@ -624,24 +630,94 @@ func (cb *ColBatch) AppendFrom(src *ColBatch, i int) {
 }
 
 // AppendBatchFrom appends every live row of src to cb in selection
-// order — the pass-barrier merge of worker-local lane buffers. Equivalent
-// to AppendFrom row by row.
+// order — how the spill reader reassembles a build partition from its
+// frames and a morselized build pass folds worker-local buffers into one.
+// Equivalent to AppendFrom row by row.
 func (cb *ColBatch) AppendBatchFrom(src *ColBatch) {
-	if cb.Cols == nil && src.Width() > 0 {
-		cb.ensureWidth(src.Width())
-		for c := range cb.Cols {
-			cb.Cols[c].reset()
-		}
+	if src.Sel != nil {
+		cb.AppendRowsFrom(src, src.Sel)
+		return
 	}
-	if src.Sel == nil {
-		for i := 0; i < src.NRows; i++ {
-			cb.AppendFrom(src, i)
+	for i := 0; i < src.NRows; i++ {
+		cb.AppendFrom(src, i)
+	}
+}
+
+// AppendRowsFrom appends src's rows idx (unselected row indexes) to cb in
+// idx order, a column at a time — the kernel of the join's partition
+// scatter, which groups a batch's row indexes by partition and moves each
+// group with one call. Equivalent to AppendFrom row by row.
+func (cb *ColBatch) AppendRowsFrom(src *ColBatch, idx []int32) {
+	for c := range cb.Cols {
+		cb.Cols[c].appendRowsFrom(src.Col(c), idx, cb.NRows)
+	}
+	cb.NRows += len(idx)
+}
+
+// appendRowsFrom appends src's rows idx as rows base+k of v. A NULL-free
+// single-kind source landing in a lane of its own kind — or in a vector
+// that is all NULL so far, which adopts the kind exactly as appendVal
+// does on its first non-NULL value — reserves the lane once and copies
+// it in one typed loop. NULL-bearing, mixed-kind and kind-conflicting
+// columns go through appendFrom row by row, so the vector ends up in the
+// state the row-major append leaves it in either way.
+func (v *ColVec) appendRowsFrom(src *ColVec, idx []int32, base int) {
+	if len(idx) == 0 {
+		return
+	}
+	if v.Tags != nil || src.Tags != nil || src.Kind == KindNull || src.Nulls.Any() ||
+		(v.Kind != src.Kind && v.Kind != KindNull) {
+		for k, i := range idx {
+			v.appendFrom(src, int(i), base+k)
 		}
 		return
 	}
-	for _, i := range src.Sel {
-		cb.AppendFrom(src, int(i))
+	v.Kind = src.Kind
+	v.gatherLanes(src, idx, base, false)
+}
+
+// gatherLanes appends src's rows idx to v's active lane as rows base+k
+// (src homogeneous of v's kind). With nulls set, a negative index or a
+// NULL source row becomes a NULL row; without, idx and src hold neither.
+func (v *ColVec) gatherLanes(src *ColVec, idx []int32, base int, nulls bool) {
+	v.padTo(base)
+	var mark *Bitmap
+	if nulls {
+		mark = &v.Nulls
 	}
+	switch v.Kind {
+	case KindInt:
+		v.Ints = gatherLane(v.Ints, src.Ints, idx, src.Nulls, mark)
+	case KindFloat:
+		v.Floats = gatherLane(v.Floats, src.Floats, idx, src.Nulls, mark)
+	case KindString:
+		v.Strs = gatherLane(v.Strs, src.Strs, idx, src.Nulls, mark)
+	}
+}
+
+// gatherLane appends src[i] for every i of idx to dst, growing it at most
+// once. A non-nil mark gets the appended rows that are NULL — a negative
+// index or a row set in srcNulls — and those rows append the zero value.
+func gatherLane[T any](dst, src []T, idx []int32, srcNulls Bitmap, mark *Bitmap) []T {
+	base := len(dst)
+	dst = reserveLane(dst, base+len(idx))[:base+len(idx)]
+	out := dst[base:]
+	if mark == nil {
+		for k, i := range idx {
+			out[k] = src[i]
+		}
+		return dst
+	}
+	var zero T
+	for k, i := range idx {
+		if i < 0 || srcNulls.Get(int(i)) {
+			mark.Set(base + k)
+			out[k] = zero
+		} else {
+			out[k] = src[i]
+		}
+	}
+	return dst
 }
 
 // GatherFrom appends src's rows idx[0..n) as rows base+k of v — the
@@ -671,69 +747,11 @@ func (v *ColVec) GatherFrom(src *ColVec, idx []int32, base int) {
 	if v.Kind == KindNull {
 		v.Kind = src.Kind // adoption: every prior row of v is NULL
 	}
-	v.padTo(base)
-	clean := !src.Nulls.Any()
-	if clean {
-		for _, i := range idx {
-			if i < 0 {
-				clean = false
-				break
-			}
-		}
+	nulls := src.Nulls.Any()
+	for k := 0; !nulls && k < len(idx); k++ {
+		nulls = idx[k] < 0 // an outer join's NULL pad
 	}
-	switch v.Kind {
-	case KindInt:
-		lane := reserveLane(v.Ints, base+n)
-		if clean {
-			for _, i := range idx {
-				lane = append(lane, src.Ints[i])
-			}
-		} else {
-			for k, i := range idx {
-				if i < 0 || src.Nulls.Get(int(i)) {
-					v.Nulls.Set(base + k)
-					lane = append(lane, 0)
-				} else {
-					lane = append(lane, src.Ints[i])
-				}
-			}
-		}
-		v.Ints = lane
-	case KindFloat:
-		lane := reserveLane(v.Floats, base+n)
-		if clean {
-			for _, i := range idx {
-				lane = append(lane, src.Floats[i])
-			}
-		} else {
-			for k, i := range idx {
-				if i < 0 || src.Nulls.Get(int(i)) {
-					v.Nulls.Set(base + k)
-					lane = append(lane, 0)
-				} else {
-					lane = append(lane, src.Floats[i])
-				}
-			}
-		}
-		v.Floats = lane
-	case KindString:
-		lane := reserveLane(v.Strs, base+n)
-		if clean {
-			for _, i := range idx {
-				lane = append(lane, src.Strs[i])
-			}
-		} else {
-			for k, i := range idx {
-				if i < 0 || src.Nulls.Get(int(i)) {
-					v.Nulls.Set(base + k)
-					lane = append(lane, "")
-				} else {
-					lane = append(lane, src.Strs[i])
-				}
-			}
-		}
-		v.Strs = lane
-	}
+	v.gatherLanes(src, idx, base, nulls)
 }
 
 // reserveLane grows s's capacity to at least n without changing its
@@ -794,13 +812,15 @@ var colBatchPool = sync.Pool{New: func() any { return new(ColBatch) }}
 
 // poolSlack bounds what the pool retains. Lanes keep the capacity they
 // grew to and the pool hands a batch to whoever asks next, so without a
-// bound one oversized user (the hot partition of a skewed join) ends up
-// sizing every pooled batch. A batch is pooled while its lanes have room
-// for no more than poolSlack times the rows its last user filled; beyond
-// that it is left to the collector. A single batch's worth of room is
-// always kept: every lane reserves that much on first growth, so it says
-// nothing about who used it. The slack is wide because the two sides of
-// one join share the pool and differ by the ratio of their inputs.
+// bound one oversized user ends up sizing every pooled batch. The
+// remaining such user is the build side of a hash join: a build partition
+// is one batch that grows to the partition's size, and under skew one
+// partition is most of the table (probe partitions are lists of chunks of
+// BatchSize() rows and never outgrow anything). A batch is pooled while
+// its lanes have room for no more than poolSlack times the rows its last
+// user filled; beyond that it is left to the collector. A single batch's
+// worth of room is always kept: every lane reserves that much on first
+// growth, so it says nothing about who used it.
 const poolSlack = 16
 
 // laneCap returns the largest row capacity any lane of the batch has.
@@ -813,13 +833,26 @@ func (cb *ColBatch) laneCap() int {
 	return n
 }
 
+// colBatchesOut counts batches taken from the pool and not handed back.
+var colBatchesOut atomic.Int64
+
+// ColBatchesOut returns how many pooled batches are currently held by
+// their users. An operator returns every batch it took by the time it is
+// closed, however it ended; the leak tests hold the count level across a
+// query.
+func ColBatchesOut() int64 { return colBatchesOut.Load() }
+
 // GetColBatch takes a cleared batch from the pool.
-func GetColBatch() *ColBatch { return colBatchPool.Get().(*ColBatch) }
+func GetColBatch() *ColBatch {
+	colBatchesOut.Add(1)
+	return colBatchPool.Get().(*ColBatch)
+}
 
 // PutColBatch releases cb (clearing row and string references, see
 // Release) and returns it to the pool, unless its lanes have outgrown
 // what it was last used for (see poolSlack).
 func PutColBatch(cb *ColBatch) {
+	colBatchesOut.Add(-1)
 	if cb.laneCap() > max(BatchSize(), poolSlack*cb.NRows) {
 		return
 	}

@@ -131,8 +131,8 @@ func TestColBatchSelectionFastPath(t *testing.T) {
 	for i := range sel {
 		sel[i] = int32(i)
 	}
-	view := cb            // shallow copy per the ownership contract
-	view.Sel = sel        // explicit all-rows selection
+	view := cb     // shallow copy per the ownership contract
+	view.Sel = sel // explicit all-rows selection
 	explicit := view.ToTuples(nil)
 	if !reflect.DeepEqual(all, explicit) {
 		t.Fatal("nil selection and explicit all-rows selection disagree")

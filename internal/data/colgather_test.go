@@ -85,3 +85,112 @@ func TestGatherFromMatchesRowMajor(t *testing.T) {
 		}
 	}
 }
+
+// Property test of the partition scatter's column kernel: AppendRowsFrom
+// over a batch's row indexes grouped by partition must leave every
+// partition exactly as appending the same rows one at a time with
+// AppendFrom does — same values, same kind, same homogeneous/tagged form
+// — for all three kinds, NULL runs, all-NULL and mixed-kind columns,
+// kinds that first appear after a partition already holds rows, every
+// selection shape (none, empty, sparse), 1–256 partitions, lane- and
+// row-backed sources, and batch sizes around BatchSize().
+
+// scatterTestRows draws n rows whose columns each follow their own kind
+// profile; a quarter of the columns also get one long run of NULLs.
+func scatterTestRows(rng *rand.Rand, n, w int) []Tuple {
+	profiles := [][]Kind{
+		{KindInt}, {KindFloat}, {KindString},
+		{KindInt, KindNull}, {KindFloat, KindNull}, {KindString, KindNull},
+		{KindNull},
+		{KindInt, KindFloat, KindString, KindNull},
+	}
+	rows := make([]Tuple, n)
+	for i := range rows {
+		rows[i] = make(Tuple, w)
+	}
+	for c := 0; c < w; c++ {
+		profile := profiles[rng.Intn(len(profiles))]
+		for i := range rows {
+			rows[i][c] = randColValue(rng, profile)
+		}
+		if n > 0 && rng.Intn(4) == 0 {
+			lo := rng.Intn(n)
+			hi := min(n, lo+1+rng.Intn(n))
+			for i := lo; i < hi; i++ {
+				rows[i][c] = Null()
+			}
+		}
+	}
+	return rows
+}
+
+func TestAppendRowsFromMatchesRowMajor(t *testing.T) {
+	rng := rand.New(rand.NewSource(78))
+	sizes := []int{0, 1, 37, BatchSize() - 1, BatchSize(), BatchSize() + 1}
+	for trial := 0; trial < 150; trial++ {
+		w := 1 + rng.Intn(4)
+		parts := 1 + rng.Intn(256)
+		got, want := make([]ColBatch, parts), make([]ColBatch, parts)
+		for p := range got {
+			got[p].BeginBuild(w)
+			want[p].BeginBuild(w)
+		}
+		// Consecutive input batches draw fresh column profiles, so a
+		// partition meets new kinds (and kind conflicts) after it has rows.
+		for batches := 1 + rng.Intn(4); batches > 0; batches-- {
+			n := sizes[rng.Intn(len(sizes))]
+			rows := scatterTestRows(rng, n, w)
+			// Two images of the same rows: the kernel must not depend on
+			// which columns the reference happened to pivot.
+			var src, ref ColBatch
+			ref.FromTuples(rows, w)
+			if rng.Intn(2) == 0 {
+				src.FromTuples(rows, w)
+			} else {
+				src.SetRows(rows, w)
+			}
+			live := make([]int32, 0, n)
+			switch rng.Intn(3) {
+			case 0: // no selection
+				for i := 0; i < n; i++ {
+					live = append(live, int32(i))
+				}
+			case 1: // sparse selection
+				for i := 0; i < n; i++ {
+					if rng.Intn(3) == 0 {
+						live = append(live, int32(i))
+					}
+				}
+				src.Sel = live
+			default: // empty selection
+				src.Sel = live
+			}
+			groups := make([][]int32, parts)
+			for _, i := range live {
+				p := rng.Intn(parts)
+				groups[p] = append(groups[p], i)
+				want[p].AppendFrom(&ref, int(i))
+			}
+			for p, idx := range groups {
+				got[p].AppendRowsFrom(&src, idx)
+			}
+		}
+		for p := range got {
+			if got[p].NRows != want[p].NRows {
+				t.Fatalf("trial %d partition %d: %d rows, row-major append has %d", trial, p, got[p].NRows, want[p].NRows)
+			}
+			for c := 0; c < w; c++ {
+				g, x := got[p].Col(c), want[p].Col(c)
+				if g.Kind != x.Kind || g.Homogeneous() != x.Homogeneous() {
+					t.Fatalf("trial %d partition %d col %d: kind %v homogeneous %v, row-major append has %v %v",
+						trial, p, c, g.Kind, g.Homogeneous(), x.Kind, x.Homogeneous())
+				}
+				for r := 0; r < got[p].NRows; r++ {
+					if gv, xv := g.ValueAt(r), x.ValueAt(r); gv != xv {
+						t.Fatalf("trial %d partition %d col %d row %d: AppendRowsFrom=%v AppendFrom=%v", trial, p, c, r, gv, xv)
+					}
+				}
+			}
+		}
+	}
+}

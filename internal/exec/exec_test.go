@@ -304,7 +304,7 @@ func TestHashJoinOutputClusteredByPartition(t *testing.T) {
 	seen := map[int]bool{}
 	cur := -1
 	for _, r := range rows {
-		p := int(hashValue(r[0]) % 8)
+		p := partitionOf(hashValue(r[0]), 8)
 		if p != cur {
 			if seen[p] {
 				t.Fatalf("partition %d revisited", p)

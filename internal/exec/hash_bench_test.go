@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"qpi/internal/data"
+	"qpi/internal/hashtab"
 	"qpi/internal/storage"
 )
 
@@ -75,6 +76,23 @@ func BenchmarkHashValue(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			hashSink = hashValue(benchKeys[i%len(benchKeys)])
+		}
+	})
+	// Integer keys: the struct hash they used to take against the mixer
+	// they take now, boxed (hashValue) and straight off a lane (hashInt).
+	b.Run("int-comparable-old", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			hashSink = maphash.Comparable(hashSeed, data.Int(int64(i)))
+		}
+	})
+	b.Run("int-value", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			hashSink = hashValue(data.Int(int64(i)))
+		}
+	})
+	b.Run("int-lane", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			hashSink = hashInt(int64(i))
 		}
 	})
 }
@@ -281,7 +299,8 @@ func TestColumnarJoinAllocsPooled(t *testing.T) {
 
 // TestHashValueDistinguishesKinds guards the property both implementations
 // share: values of different kinds (or different payloads) hash apart with
-// overwhelming probability, and equal values hash equal.
+// overwhelming probability, and equal values hash equal — and the lane
+// fast path agrees with the boxed one.
 func TestHashValueDistinguishesKinds(t *testing.T) {
 	vals := []data.Value{
 		data.Null(), data.Int(0), data.Int(1), data.Float(0), data.Float(1),
@@ -295,6 +314,64 @@ func TestHashValueDistinguishesKinds(t *testing.T) {
 			}
 			if i != k && ha == hb {
 				t.Errorf("hashValue collision: %v vs %v", a, b)
+			}
+		}
+	}
+	for _, k := range []int64{0, 1, -1, 1 << 40, -1 << 63} {
+		if hashValue(data.Int(k)) != hashInt(k) {
+			t.Errorf("hashValue(Int(%d)) disagrees with hashInt", k)
+		}
+	}
+	t.Run("partition-bits-independent-of-table-bits", testPartitionHashIndependentOfTableHash)
+}
+
+// testPartitionHashIndependentOfTableHash pins the requirement on the
+// integer mixer: the partition id must not share bits with the slot index
+// hashtab.I64Map derives from the same key, or the keys of one partition
+// pile into 1/parts of that partition's join table and histogram. For
+// sequential keys (surrogate join keys) and Zipf-drawn ones, every
+// partition must be balanced, and its keys must spread over an I64Map
+// with a mean probe run no worse than a same-sized set of keys picked
+// without regard to partition.
+func testPartitionHashIndependentOfTableHash(t *testing.T) {
+	const parts, n = 16, 1 << 16
+	sequential := make([]int64, n)
+	for i := range sequential {
+		sequential[i] = int64(i)
+	}
+	zipf := rand.NewZipf(rand.New(rand.NewSource(5)), 1.3, 1, 1<<30)
+	seen := map[int64]bool{}
+	var skewed []int64
+	for len(skewed) < n {
+		if k := int64(zipf.Uint64()); !seen[k] {
+			seen[k] = true
+			skewed = append(skewed, k)
+		}
+	}
+	meanProbe := func(keys []int64) float64 {
+		var m hashtab.I64Map[int32]
+		for _, k := range keys {
+			*m.Ref(k)++
+		}
+		return m.MeanProbe()
+	}
+	for name, keys := range map[string][]int64{"sequential": sequential, "zipf": skewed} {
+		byPart := make([][]int64, parts)
+		for _, k := range keys {
+			p := partitionOf(hashInt(k), parts)
+			byPart[p] = append(byPart[p], k)
+		}
+		for p, pk := range byPart {
+			if len(pk) < n/parts*3/4 || len(pk) > n/parts*5/4 {
+				t.Errorf("%s keys: partition %d holds %d of %d keys, want about %d", name, p, len(pk), n, n/parts)
+			}
+			// The yardstick: as many keys, taken at a fixed stride.
+			var ref []int64
+			for i := p; len(ref) < len(pk); i = (i + parts + 1) % len(keys) {
+				ref = append(ref, keys[i])
+			}
+			if got, want := meanProbe(pk), meanProbe(ref); got > 1.25*want {
+				t.Errorf("%s keys: partition %d probes %.2f slots per key in an I64Map, unpartitioned keys %.2f", name, p, got, want)
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/maphash"
 	"runtime"
+	"sync"
 	"sync/atomic"
 
 	"qpi/internal/data"
@@ -12,19 +13,47 @@ import (
 	"qpi/internal/vfs"
 )
 
-// hashSeed is the process-wide seed for partitioning hashes.
-var hashSeed = maphash.MakeSeed()
+// hashSeed is the process-wide seed for partitioning hashes; intSeed is
+// the same seed in the form hashInt folds into integer keys.
+var (
+	hashSeed = maphash.MakeSeed()
+	intSeed  = maphash.Comparable(hashSeed, uint64(0))
+)
 
-// hashValue hashes a join key for partitioning. maphash.Comparable hashes
-// the Value struct directly with the runtime's AES-backed hash — no
-// per-tuple maphash.Hash state, no re-seeding, no hand-rolled kind-tagged
-// byte serialization, and partition assignment agrees with map-key
-// equality by construction (the join tables key maps on the same struct).
-// BenchmarkHashValue compares it against the seed implementation;
-// BenchmarkJoinTable measures the companion win, keying integer join keys
-// by bare int64 instead of the 40-byte struct.
+// hashValue hashes a join key for partitioning. Integer keys — the
+// dominant case — mix the bare int64 (hashInt), so the passes that read a
+// flat key lane never box a Value; everything else hashes the Value
+// struct with maphash.Comparable. Every pass of every mode goes through
+// this one function (or hashInt directly), which is what keeps partition
+// layouts, and with them the join's partition-clustered output order,
+// identical across modes.
 func hashValue(v data.Value) uint64 {
+	if v.Kind == data.KindInt {
+		return hashInt(v.I)
+	}
 	return maphash.Comparable(hashSeed, v)
+}
+
+// hashInt is the seeded 64-bit mixer behind integer join keys (the
+// murmur3 finalizer). It shares neither constants nor seed with the
+// splitmix64 inside hashtab.I64Map, and partitionOf reads its high bits
+// where the map reads low ones: the keys of one partition must still
+// spread over the whole of that partition's join table and histogram.
+func hashInt(k int64) uint64 {
+	x := uint64(k) ^ intSeed
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	x ^= x >> 33
+	return x
+}
+
+// partitionOf maps a key hash to one of parts grace partitions by
+// scaling its high 32 bits — no division, and no bit shared with a
+// low-bits table index.
+func partitionOf(h uint64, parts int) int {
+	return int((h >> 32) * uint64(parts) >> 32)
 }
 
 // HashJoin is a grace hash join: it fully partitions the build input, then
@@ -38,8 +67,16 @@ func hashValue(v data.Value) uint64 {
 // data (§5.1.2 / Figure 4).
 type HashJoin struct {
 	base
+	// linkMu guards the child links, key lists and schema for the readers
+	// that may run on another goroutine (Children, Name, Schema: a
+	// progress monitor walks the plan while the query runs) against
+	// SwapSides/Relink/ReplaceProbe. Those mutators run on the executor
+	// goroutine before partStarted flips, so the executor's own reads of
+	// the same fields need no lock.
+	linkMu               sync.Mutex
 	build, probe         Operator
 	buildKeys, probeKeys []int
+	name                 string
 	parts                int
 
 	// OnBuildTuple fires for every build-input tuple during the build
@@ -153,12 +190,14 @@ type HashJoin struct {
 	// passes scatter lane-to-lane, the join table indexes rows of the
 	// partition's lanes, and the join phase gathers output lane-to-lane.
 	// See hashjoin_col.go.
-	buildColParts []*data.ColBatch
-	probeColParts []*data.ColBatch
+	buildColParts []colPart
+	probeColParts []colPart
+	colScat       colScatter // scatter scratch of the serial pass; its key tuple also serves the join phase
 	colTab        colJoinTable
 	colBuild      *data.ColBatch // current partition's build lanes (gather source)
 	colProbe      *data.ColBatch // current probe chunk (partition lanes or a decoded spill frame)
-	colProbePart  *data.ColBatch // the in-memory probe partition batch being served (owned)
+	colProbePart  *data.ColBatch // the in-memory probe chunk being served (owned)
+	colProbeRest  colPart        // the current partition's in-memory chunks still to serve (owned)
 	colProbeRow   int            // next probe row index within colProbe
 	colProbeCur   int32          // probe row whose matches are streaming
 	colProbeKey   *data.ColVec   // cached int key lane of the current probe chunk (nil = generic keys)
@@ -172,10 +211,9 @@ type HashJoin struct {
 	colPairP      []int32
 	colGatherB    *data.ColBatch // gather sources snapshotted when the first
 	colGatherP    *data.ColBatch // pair of a fill appends (stable across a source switch)
-	colPendB      int32 // pair produced after a source switch, served first next fill
+	colPendB      int32          // pair produced after a source switch, served first next fill
 	colPendP      int32
 	colPendSet    bool
-	colKeyScratch data.Tuple
 	colRowArena   []data.Value
 	// joinedProbes counts probe tuples consumed in the join (second)
 	// pass. Atomic: the parallel join phase folds in per-partition counts
@@ -313,11 +351,9 @@ func (jt *colJoinTable) build(cb *data.ColBatch, keys []int, scratch *data.Tuple
 	}
 	n := cb.NRows
 	nInt := 0
-	var kv *data.ColVec
-	if len(keys) == 1 {
-		if v := cb.Col(keys[0]); v.Homogeneous() && v.Kind == data.KindInt && !v.Nulls.Any() {
-			kv = v
-		}
+	kv := intKeyLane(cb, keys)
+	if kv != nil && kv.Nulls.Any() {
+		kv = nil
 	}
 	if kv != nil {
 		for _, k := range kv.Ints[:n] {
@@ -394,6 +430,20 @@ func (jt *colJoinTable) lookup(k data.Value) []int32 {
 func (jt *colJoinTable) clear() {
 	jt.ints.Reset()
 	jt.flat, jt.other = nil, nil
+}
+
+// intKeyLane returns the key column when the join key is one homogeneous
+// integer column — the precondition of every flat-lane fast path
+// (scatter, table build, probe lookup) — and nil otherwise. The lane may
+// still hold NULLs.
+func intKeyLane(cb *data.ColBatch, keys []int) *data.ColVec {
+	if len(keys) != 1 {
+		return nil
+	}
+	if v := cb.Col(keys[0]); v.Homogeneous() && v.Kind == data.KindInt {
+		return v
+	}
+	return nil
 }
 
 // colJoinKeyAt is JoinKeyOf evaluated off column lanes: the single key
@@ -483,6 +533,7 @@ func NewHashJoinMulti(build, probe Operator, buildKeys, probeKeys []int, t JoinT
 		probe:     probe,
 		buildKeys: buildKeys,
 		probeKeys: probeKeys,
+		name:      joinLabel(t, build, probe, buildKeys, probeKeys),
 		parts:     16,
 		joinType:  t,
 	}
@@ -664,25 +715,50 @@ func (j *HashJoin) BuildKeys() []int { return j.buildKeys }
 // ProbeKeys returns the probe-side join column indexes.
 func (j *HashJoin) ProbeKeys() []int { return j.probeKeys }
 
-// Name implements Operator.
+// Name implements Operator. The label is rendered when the join is
+// linked, not on demand: mid-restructure a child's schema and this join's
+// key indexes into it change in separate steps, and a monitor may ask for
+// the name between them.
 func (j *HashJoin) Name() string {
+	j.linkMu.Lock()
+	defer j.linkMu.Unlock()
+	return j.name
+}
+
+// joinLabel renders a hash join's EXPLAIN label from its links.
+func joinLabel(t JoinType, build, probe Operator, buildKeys, probeKeys []int) string {
 	kind := ""
-	if j.joinType != InnerJoin {
-		kind = j.joinType.String() + " "
+	if t != InnerJoin {
+		kind = t.String() + " "
 	}
 	conds := ""
-	for i := range j.buildKeys {
+	for i := range buildKeys {
 		if i > 0 {
 			conds += " AND "
 		}
-		conds += j.build.Schema().Cols[j.buildKeys[i]].Qualified() + " = " +
-			j.probe.Schema().Cols[j.probeKeys[i]].Qualified()
+		conds += build.Schema().Cols[buildKeys[i]].Qualified() + " = " +
+			probe.Schema().Cols[probeKeys[i]].Qualified()
 	}
 	return fmt.Sprintf("HashJoin(%s%s)", kind, conds)
 }
 
 // Children implements Operator.
-func (j *HashJoin) Children() []Operator { return []Operator{j.build, j.probe} }
+func (j *HashJoin) Children() []Operator {
+	j.linkMu.Lock()
+	defer j.linkMu.Unlock()
+	return []Operator{j.build, j.probe}
+}
+
+// Schema implements Operator. Once the partition pass has started the
+// links are frozen, and parents that ask per row skip the lock.
+func (j *HashJoin) Schema() *data.Schema {
+	if j.partStarted.Load() {
+		return j.schema
+	}
+	j.linkMu.Lock()
+	defer j.linkMu.Unlock()
+	return j.schema
+}
 
 // Open implements Operator.
 func (j *HashJoin) Open() error {
@@ -887,8 +963,8 @@ func (j *HashJoin) advance(concat func(a, b data.Tuple) data.Tuple) (data.Tuple,
 // instead of the row-major slices.
 func (j *HashJoin) initPartitions() {
 	if j.colMode {
-		j.buildColParts = make([]*data.ColBatch, j.parts)
-		j.probeColParts = make([]*data.ColBatch, j.parts)
+		j.buildColParts = make([]colPart, j.parts)
+		j.probeColParts = make([]colPart, j.parts)
 	} else {
 		j.buildParts = make([][]data.Tuple, j.parts)
 		j.probeParts = make([][]data.Tuple, j.parts)
@@ -925,7 +1001,7 @@ func (j *HashJoin) partitionPhases() error {
 		if k.IsNull() {
 			continue // NULL keys never join
 		}
-		p := int(hashValue(k) % uint64(j.parts))
+		p := partitionOf(hashValue(k), j.parts)
 		if err := j.partitionAppend(j.buildParts, j.buildSpill, j.buildBytes, p, t, buildWidth); err != nil {
 			return err
 		}
@@ -958,7 +1034,7 @@ func (j *HashJoin) partitionPhases() error {
 			}
 			continue
 		}
-		p := int(hashValue(k) % uint64(j.parts))
+		p := partitionOf(hashValue(k), j.parts)
 		if err := j.partitionAppend(j.probeParts, j.probeSpill, j.probeBytes, p, t, probeWidth); err != nil {
 			return err
 		}
@@ -1097,9 +1173,13 @@ func (j *HashJoin) SwapSides() {
 	if j.joinType != InnerJoin {
 		panic(fmt.Sprintf("exec: SwapSides on a %s join %s", j.joinType, j.Name()))
 	}
+	schema := j.probe.Schema().Concat(j.build.Schema())
+	name := joinLabel(j.joinType, j.probe, j.build, j.probeKeys, j.buildKeys)
+	j.linkMu.Lock()
+	defer j.linkMu.Unlock()
 	j.build, j.probe = j.probe, j.build
 	j.buildKeys, j.probeKeys = j.probeKeys, j.buildKeys
-	j.schema = j.build.Schema().Concat(j.probe.Schema())
+	j.schema, j.name = schema, name
 }
 
 // Relink replaces the probe child (and its key columns) of a
@@ -1112,14 +1192,16 @@ func (j *HashJoin) Relink(newProbe Operator, probeKeys []int) {
 		panic(fmt.Sprintf("exec: Relink key arity %d vs %d on %s",
 			len(probeKeys), len(j.buildKeys), j.Name()))
 	}
+	schema := newProbe.Schema()
+	if j.joinType != SemiJoin && j.joinType != AntiJoin {
+		schema = j.build.Schema().Concat(schema)
+	}
+	name := joinLabel(j.joinType, j.build, newProbe, j.buildKeys, probeKeys)
+	j.linkMu.Lock()
+	defer j.linkMu.Unlock()
 	j.probe = newProbe
 	j.probeKeys = probeKeys
-	switch j.joinType {
-	case SemiJoin, AntiJoin:
-		j.schema = newProbe.Schema()
-	default:
-		j.schema = j.build.Schema().Concat(newProbe.Schema())
-	}
+	j.schema, j.name = schema, name
 }
 
 // ReplaceProbe swaps in a schema-identical probe child of a
@@ -1150,6 +1232,8 @@ func (j *HashJoin) ReplaceProbe(newProbe Operator) {
 				i, newCols[i].Qualified(), want[i].Qualified()))
 		}
 	}
+	j.linkMu.Lock()
+	defer j.linkMu.Unlock()
 	j.probe = newProbe
 }
 

@@ -118,7 +118,7 @@ func (j *HashJoin) partitionPassBatched(cfg *passConfig) error {
 					continue
 				}
 			} else {
-				p = int(hashValue(k) % uint64(j.parts))
+				p = partitionOf(hashValue(k), j.parts)
 			}
 			if err := j.partitionAppend(cfg.parts, cfg.spill, cfg.bytes, p, t, cfg.width); err != nil {
 				return err

@@ -18,11 +18,25 @@ import (
 // stream back as lane chunks — no FromTuples/ToTuples pivot anywhere on
 // the columnar path.
 //
-// Partition assignment hashes the identical data.Value either way, so
-// the partition layout — and therefore the join's partition-clustered
-// output order — is byte-identical to the row passes. Estimator hooks
-// (per-tuple, span, worker-indexed) fire on the input batches before the
-// scatter, exactly as before, so estimates are bit-identical too.
+// The scatter is a radix-style pass: per input batch, one sweep over the
+// key lane groups the live row indexes by partition (colScatter.group),
+// then each partition's group moves a column at a time through one typed
+// copy (data.ColBatch.AppendRowsFrom). Partition assignment goes through
+// the same hashValue/partitionOf as the row passes, so the partition
+// layout — and therefore the join's partition-clustered output order — is
+// byte-identical to theirs. Estimator hooks (per-tuple, span,
+// worker-indexed) fire on the input batches before the scatter, exactly
+// as before, so estimates are bit-identical too.
+
+// colPart is one side of one grace partition in memory: pooled lane
+// batches holding the partition's rows in arrival order. The probe side
+// of an unbudgeted join is a list of chunks of at most BatchSize() rows —
+// a full chunk is never grown, the next rows start a fresh one — so every
+// chunk has the capacity the pool hands out and goes back to it intact,
+// however skewed the partition. The build side, and both sides under a
+// memory budget, keep a single batch that grows: the join table indexes
+// one batch, and spill accounting dumps one.
+type colPart []*data.ColBatch
 
 // SetColumnar selects the columnar partition passes, columnar spill
 // frames, and the columnar join output (NextColBatch). The passes are
@@ -49,7 +63,7 @@ type colPassConfig struct {
 	// under a morselized pass, by the single pass goroutine as worker 0
 	// otherwise.
 	colBatchHook func(worker int, cb *data.ColBatch)
-	colParts     []*data.ColBatch
+	colParts     []colPart
 	spill        []*spillFile
 	bytes        []int64
 	width        int
@@ -57,6 +71,9 @@ type colPassConfig struct {
 	// keepNull routes NULL-key tuples to partition 0 instead of dropping
 	// them (probe side of the probe-preserving join types).
 	keepNull bool
+	// chunked makes the side's partitions chunk lists (see colPart): the
+	// probe side of a join without a memory budget.
+	chunked bool
 }
 
 // partitionPhasesColumnar is partitionPhases driven ColBatch-at-a-time.
@@ -94,6 +111,7 @@ func (j *HashJoin) partitionPhasesColumnar() error {
 		width:        j.probe.Schema().Len(),
 		rows:         &j.probeRows,
 		keepNull:     j.joinType == ProbeOuterJoin || j.joinType == AntiJoin,
+		chunked:      j.memBudget <= 0,
 	}
 	j.traceBegin("probe")
 	if err := j.partitionPassColumnar(&probe); err != nil {
@@ -145,101 +163,132 @@ func (j *HashJoin) partitionPassColumnar(cfg *colPassConfig) error {
 		if cfg.colBatchHook != nil {
 			cfg.colBatchHook(0, cb)
 		}
-		if err := j.scatterColBatch(cfg, cb); err != nil {
+		if err := j.scatterColBatch(cfg, &j.colScat, cfg.colParts, cb); err != nil {
 			return err
 		}
 	}
 }
 
-// scatterColBatch partitions one batch's live rows lane-to-lane. Single
-// homogeneous integer keys partition straight off the flat Ints lane;
-// everything else extracts the key off the lanes per row.
-func (j *HashJoin) scatterColBatch(cfg *colPassConfig, cb *data.ColBatch) error {
-	if len(cfg.keys) == 1 {
-		kv := cb.Col(cfg.keys[0])
-		if kv.Homogeneous() && kv.Kind == data.KindInt {
-			return j.scatterIntKey(cfg, cb, kv)
+// colScatter is the scratch of the radix scatter, reused from batch to
+// batch: one per pass goroutine (the serial pass uses the join's, each
+// morsel worker owns one).
+type colScatter struct {
+	rows [][]int32  // rows[p]: the current batch's live row indexes bound for partition p, ascending
+	key  data.Tuple // multi-column key staging for colJoinKeyAt
+}
+
+// group sorts cb's live row indexes into s.rows by partition. A NULL-free
+// single integer key partitions straight off the flat lane; every other
+// key shape extracts the key per row. NULL keys are dropped, or sent to
+// partition 0 under keepNull.
+func (s *colScatter) group(cb *data.ColBatch, keys []int, keepNull bool, parts int) {
+	if len(s.rows) != parts {
+		// One backing array with room for twice an even share each; only a
+		// skewed batch's hot partition outgrows its window and reallocates.
+		s.rows = make([][]int32, parts)
+		room := 2*data.BatchSize()/parts + 1
+		buf := make([]int32, parts*room)
+		for p := range s.rows {
+			s.rows[p] = buf[p*room : p*room : (p+1)*room]
 		}
 	}
-	scatter := func(i int) error {
-		k := colJoinKeyAt(cb, cfg.keys, i, &j.colKeyScratch)
+	rows := s.rows
+	for p := range rows {
+		rows[p] = rows[p][:0]
+	}
+	if kv := intKeyLane(cb, keys); kv != nil && !kv.Nulls.Any() {
+		if cb.Sel == nil {
+			for i, k := range kv.Ints[:cb.NRows] {
+				p := partitionOf(hashInt(k), parts)
+				rows[p] = append(rows[p], int32(i))
+			}
+			return
+		}
+		for _, i := range cb.Sel {
+			p := partitionOf(hashInt(kv.Ints[i]), parts)
+			rows[p] = append(rows[p], i)
+		}
+		return
+	}
+	place := func(i int32) {
 		p := 0
-		if k.IsNull() {
-			if !cfg.keepNull {
-				return nil
-			}
-		} else {
-			p = int(hashValue(k) % uint64(j.parts))
+		if k := colJoinKeyAt(cb, keys, int(i), &s.key); !k.IsNull() {
+			p = partitionOf(hashValue(k), parts)
+		} else if !keepNull {
+			return
 		}
-		return j.colPartitionAppend(cfg, p, cb, i)
+		rows[p] = append(rows[p], i)
 	}
 	if cb.Sel == nil {
 		for i := 0; i < cb.NRows; i++ {
-			if err := scatter(i); err != nil {
-				return err
-			}
+			place(int32(i))
 		}
-		return nil
+		return
 	}
 	for _, i := range cb.Sel {
-		if err := scatter(int(i)); err != nil {
-			return err
+		place(i)
+	}
+}
+
+// scatterColBatch partitions one batch's live rows into parts (the side's
+// shared partitions, or a morsel worker's private ones): grouped by
+// partition, then each group appended a column at a time. Under a memory
+// budget the groups go row by row through colPartitionAppend instead,
+// which checks the partition's budget share after every row.
+func (j *HashJoin) scatterColBatch(cfg *colPassConfig, s *colScatter, parts []colPart, cb *data.ColBatch) error {
+	s.group(cb, cfg.keys, cfg.keepNull, j.parts)
+	for p, idx := range s.rows {
+		if j.memBudget <= 0 {
+			parts[p] = appendColRows(parts[p], cb, idx, cfg.width, cfg.chunked)
+			continue
+		}
+		for _, i := range idx {
+			if err := j.colPartitionAppend(cfg, p, cb, int(i)); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
-// scatterIntKey is the vectorized scatter for a single homogeneous
-// integer key column: partition assignment reads the flat int64 lane and
-// hashes data.Int(v) — the exact Value JoinKeyOf would produce — so the
-// layout matches the row passes bit for bit.
-func (j *HashJoin) scatterIntKey(cfg *colPassConfig, cb *data.ColBatch, kv *data.ColVec) error {
-	nparts := uint64(j.parts)
-	scatter := func(i int) error {
-		if kv.Nulls.Get(i) {
-			if !cfg.keepNull {
-				return nil
-			}
-			return j.colPartitionAppend(cfg, 0, cb, i)
+// appendColRows appends src's rows idx to a partition and returns it. A
+// chunked partition fills its last chunk to BatchSize() rows and carries
+// on in fresh ones; otherwise its single batch grows.
+func appendColRows(part colPart, src *data.ColBatch, idx []int32, width int, chunked bool) colPart {
+	limit := data.BatchSize()
+	for len(idx) > 0 {
+		n := len(part)
+		if n == 0 || chunked && part[n-1].NRows >= limit {
+			dst := data.GetColBatch()
+			dst.BeginBuild(width)
+			part = append(part, dst)
+			n++
 		}
-		p := int(hashValue(data.Int(kv.Ints[i])) % nparts)
-		return j.colPartitionAppend(cfg, p, cb, i)
-	}
-	if cb.Sel == nil {
-		for i := 0; i < cb.NRows; i++ {
-			if err := scatter(i); err != nil {
-				return err
-			}
+		dst, take := part[n-1], len(idx)
+		if chunked {
+			take = min(take, limit-dst.NRows)
 		}
-		return nil
+		dst.AppendRowsFrom(src, idx[:take])
+		idx = idx[take:]
 	}
-	for _, i := range cb.Sel {
-		if err := scatter(int(i)); err != nil {
-			return err
-		}
-	}
-	return nil
+	return part
 }
 
-// colPartitionAppend appends src's row i to partition p lane-to-lane,
-// spilling the partition's lanes when they exceed their budget share —
-// the columnar mirror of partitionAppend. Partition buffers come from
-// the ColBatch pool and keep their lane capacity across reuse.
+// colPartitionAppend appends src's row i to partition p of a join under a
+// memory budget, spilling the partition's lanes when they exceed their
+// budget share — the columnar mirror of partitionAppend.
 func (j *HashJoin) colPartitionAppend(cfg *colPassConfig, p int, src *data.ColBatch, i int) error {
 	if cfg.spill[p] != nil {
 		j.stats.SpillBytes.Add(int64(src.RowBytes(i)))
 		return cfg.spill[p].appendColRow(src, i)
 	}
-	dst := cfg.colParts[p]
-	if dst == nil {
-		dst = data.GetColBatch()
+	if len(cfg.colParts[p]) == 0 {
+		dst := data.GetColBatch()
 		dst.BeginBuild(cfg.width)
-		cfg.colParts[p] = dst
+		cfg.colParts[p] = colPart{dst}
 	}
+	dst := cfg.colParts[p][0]
 	dst.AppendFrom(src, i)
-	if j.memBudget <= 0 {
-		return nil
-	}
 	cfg.bytes[p] += int64(src.RowBytes(i))
 	if cfg.bytes[p] <= j.memBudget/int64(2*j.parts) {
 		return nil
@@ -282,7 +331,10 @@ func (j *HashJoin) loadColPartition(p int) error {
 		j.traceBegin(fmt.Sprintf("join[%d]", p))
 		j.partProbes = j.joinedProbes.Load()
 	}
-	cp := j.buildColParts[p]
+	var cp *data.ColBatch
+	if bp := j.buildColParts[p]; len(bp) > 0 {
+		cp = bp[0]
+	}
 	j.buildColParts[p] = nil
 	if f := j.buildSpill[p]; f != nil {
 		cp = data.GetColBatch()
@@ -297,7 +349,7 @@ func (j *HashJoin) loadColPartition(p int) error {
 			return err
 		}
 	}
-	j.colTab.build(cp, j.buildKeys, &j.colKeyScratch)
+	j.colTab.build(cp, j.buildKeys, &j.colScat.key)
 	j.colBuild = cp
 	j.probeFile = nil
 	j.colProbePart = nil
@@ -314,12 +366,26 @@ func (j *HashJoin) loadColPartition(p int) error {
 		j.probeFile = f
 		return nil
 	}
-	if pp := j.probeColParts[p]; pp != nil {
-		j.probeColParts[p] = nil
-		j.colProbePart = pp
-		j.setColProbeChunk(pp)
-	}
+	j.colProbeRest = j.probeColParts[p]
+	j.probeColParts[p] = nil
+	j.nextProbeChunk()
 	return nil
+}
+
+// nextProbeChunk retires the in-memory probe chunk just served (it stays
+// gatherable until the caller's next pair fill) and moves the cursor to
+// the partition's next one, reporting whether there was one.
+func (j *HashJoin) nextProbeChunk() bool {
+	if j.colProbePart != nil {
+		j.colRetire = append(j.colRetire, j.colProbePart)
+		j.colProbePart = nil
+	}
+	if len(j.colProbeRest) == 0 {
+		return false
+	}
+	j.colProbePart, j.colProbeRest = j.colProbeRest[0], j.colProbeRest[1:]
+	j.setColProbeChunk(j.colProbePart)
+	return true
 }
 
 // setColProbeChunk points the probe cursor at a new chunk (partition
@@ -328,13 +394,8 @@ func (j *HashJoin) loadColPartition(p int) error {
 func (j *HashJoin) setColProbeChunk(cb *data.ColBatch) {
 	j.colProbe = cb
 	j.colProbeRow = 0
-	j.colProbeKey = nil
+	j.colProbeKey = intKeyLane(cb, j.probeKeys)
 	j.colGen++
-	if cb != nil && len(j.probeKeys) == 1 {
-		if kv := cb.Col(j.probeKeys[0]); kv.Homogeneous() && kv.Kind == data.KindInt {
-			j.colProbeKey = kv
-		}
-	}
 }
 
 // nextProbeFrame decodes the next spilled probe frame into the decode
@@ -434,7 +495,7 @@ func (j *HashJoin) nextColPair() (br, pr int32, ok bool, err error) {
 					matches = j.colTab.lookupInt(kv.Ints[i])
 				}
 			} else {
-				k := colJoinKeyAt(j.colProbe, j.probeKeys, i, &j.colKeyScratch)
+				k := colJoinKeyAt(j.colProbe, j.probeKeys, i, &j.colScat.key)
 				if !k.IsNull() {
 					matches = j.colTab.lookup(k)
 				}
@@ -459,7 +520,8 @@ func (j *HashJoin) nextColPair() (br, pr int32, ok bool, err error) {
 			j.colMatchPos = 0
 			continue
 		}
-		// Chunk exhausted: next spill frame, else next partition.
+		// Chunk exhausted: next in-memory chunk or spill frame, else next
+		// partition.
 		if j.probeFile != nil {
 			next, err := j.nextProbeFrame()
 			if err != nil {
@@ -469,6 +531,8 @@ func (j *HashJoin) nextColPair() (br, pr int32, ok bool, err error) {
 				j.setColProbeChunk(next)
 				continue
 			}
+		} else if j.nextProbeChunk() {
+			continue
 		}
 		if err := j.endColPartition(); err != nil {
 			return 0, 0, false, err
@@ -623,34 +687,19 @@ func (j *HashJoin) colRowAlloc(n int) data.Tuple {
 // releaseColParts returns every columnar partition buffer and decode
 // buffer to the pool (Close path; also safe mid-join).
 func (j *HashJoin) releaseColParts() {
-	for i, cb := range j.buildColParts {
-		if cb != nil {
-			data.PutColBatch(cb)
-			j.buildColParts[i] = nil
+	for _, side := range [][]colPart{j.buildColParts, j.probeColParts, {j.colProbeRest}} {
+		for _, part := range side {
+			for _, cb := range part {
+				data.PutColBatch(cb)
+			}
 		}
 	}
-	for i, cb := range j.probeColParts {
-		if cb != nil {
-			data.PutColBatch(cb)
-			j.probeColParts[i] = nil
+	j.buildColParts, j.probeColParts, j.colProbeRest = nil, nil, nil
+	for _, cb := range []**data.ColBatch{&j.colBuild, &j.colProbePart, &j.colDecA, &j.colDecB} {
+		if *cb != nil {
+			data.PutColBatch(*cb)
+			*cb = nil
 		}
-	}
-	j.buildColParts, j.probeColParts = nil, nil
-	if j.colBuild != nil {
-		data.PutColBatch(j.colBuild)
-		j.colBuild = nil
-	}
-	if j.colProbePart != nil {
-		data.PutColBatch(j.colProbePart)
-		j.colProbePart = nil
-	}
-	if j.colDecA != nil {
-		data.PutColBatch(j.colDecA)
-		j.colDecA = nil
-	}
-	if j.colDecB != nil {
-		data.PutColBatch(j.colDecB)
-		j.colDecB = nil
 	}
 	j.drainColRetire()
 	j.colProbe, j.colProbeKey = nil, nil

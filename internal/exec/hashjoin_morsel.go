@@ -84,7 +84,7 @@ func (j *HashJoin) scatterBatchLocal(local [][]data.Tuple, b data.Batch, keys []
 				continue
 			}
 		} else {
-			p = int(hashValue(k) % uint64(j.parts))
+			p = partitionOf(hashValue(k), j.parts)
 		}
 		local[p] = append(local[p], t)
 	}
@@ -187,10 +187,10 @@ func (j *HashJoin) partitionPassMorsel(cfg *passConfig, sc *Scan) error {
 }
 
 // colMorselPassState carries the per-worker lane accumulators of one
-// columnar morsel pass: each worker scatters into private per-partition
-// ColBatch lane buffers, merged lane-to-lane at the barrier.
+// columnar morsel pass: each worker scatters into private partitions,
+// folded into the shared ones at the barrier.
 type colMorselPassState struct {
-	locals [][]*data.ColBatch
+	locals [][]colPart
 	rows   []int64
 	errs   []error
 	hookMu sync.Mutex
@@ -199,43 +199,43 @@ type colMorselPassState struct {
 
 func newColMorselPassState(workers, parts int) *colMorselPassState {
 	st := &colMorselPassState{
-		locals: make([][]*data.ColBatch, workers),
+		locals: make([][]colPart, workers),
 		rows:   make([]int64, workers),
 		errs:   make([]error, workers),
 	}
 	for w := range st.locals {
-		st.locals[w] = make([]*data.ColBatch, parts)
+		st.locals[w] = make([]colPart, parts)
 	}
 	return st
 }
 
-// mergeColLocals folds the worker-private partition lanes into the
-// shared partition buffers, in fixed worker order so the merged row
-// order is deterministic. The first buffer seen for a partition is
-// adopted wholesale — no copy — and later workers' rows append
-// lane-to-lane before their buffers return to the pool.
-func (j *HashJoin) mergeColLocals(parts []*data.ColBatch, locals [][]*data.ColBatch) {
-	for p := 0; p < j.parts; p++ {
+// mergeColLocals folds the worker-private partitions into the shared
+// ones, in fixed worker order so the merged row order is deterministic.
+// Chunk lists concatenate without copying a row; a single-batch side
+// adopts the first worker's batch and appends the others' rows
+// lane-to-lane before their batches return to the pool.
+func (j *HashJoin) mergeColLocals(cfg *colPassConfig, locals [][]colPart) {
+	parts := cfg.colParts
+	for p := range parts {
 		for w := range locals {
 			l := locals[w][p]
-			if l == nil {
-				continue
-			}
 			locals[w][p] = nil
-			if parts[p] == nil {
-				parts[p] = l
+			if cfg.chunked || len(parts[p]) == 0 {
+				parts[p] = append(parts[p], l...)
 				continue
 			}
-			parts[p].AppendBatchFrom(l)
-			data.PutColBatch(l)
+			for _, cb := range l {
+				parts[p][0].AppendBatchFrom(cb)
+				data.PutColBatch(cb)
+			}
 		}
 	}
 }
 
 // partitionPassColMorsel is the columnar morsel pass: each worker pivots
 // its batches into a worker-private ColBatch, fires the worker-indexed
-// columnar hook lock-free, and scatters lane-to-lane off the flat key
-// lane into worker-private partition lanes.
+// columnar hook lock-free, and runs the same scatter as the serial pass
+// into worker-private partitions.
 func (j *HashJoin) partitionPassColMorsel(cfg *colPassConfig, sc *Scan) error {
 	workers := j.Workers()
 	src := sc.beginMorselPass(j.morselBlocks)
@@ -244,9 +244,8 @@ func (j *HashJoin) partitionPassColMorsel(cfg *colPassConfig, sc *Scan) error {
 		st.wg.Add(1)
 		go func(w int) {
 			defer st.wg.Done()
-			local := st.locals[w]
 			var cb data.ColBatch
-			var scratch data.Tuple // per-worker multi-key extraction scratch
+			var scat colScatter
 			st.errs[w] = sc.drainMorsels(src, func(b data.Batch) error {
 				st.rows[w] += int64(len(b))
 				if sc.OnTuple != nil || cfg.tupleHook != nil {
@@ -274,12 +273,14 @@ func (j *HashJoin) partitionPassColMorsel(cfg *colPassConfig, sc *Scan) error {
 				if cfg.colBatchHook != nil {
 					cfg.colBatchHook(w, &cb)
 				}
-				j.scatterColLocal(local, &cb, cfg.keys, cfg.keepNull, cfg.width, &scratch)
-				return nil
+				return j.scatterColBatch(cfg, &scat, st.locals[w], &cb)
 			})
 		}(w)
 	}
 	st.wg.Wait()
+	// Merge before looking at errors: a cancelled pass hands its batches
+	// to the shared partitions too, where Close returns them to the pool.
+	j.mergeColLocals(cfg, st.locals)
 	for _, err := range st.errs {
 		if err != nil {
 			return err
@@ -289,51 +290,5 @@ func (j *HashJoin) partitionPassColMorsel(cfg *colPassConfig, sc *Scan) error {
 	for _, n := range st.rows {
 		cfg.rows.Add(n)
 	}
-	j.mergeColLocals(cfg.colParts, st.locals)
 	return nil
-}
-
-// scatterColLocal scatters one batch's rows lane-to-lane into the
-// worker-private partition lanes. A single homogeneous integer key
-// column partitions straight off the flat Ints lane, hashing the exact
-// Value JoinKeyOf would produce, so the partition layout matches the row
-// scatter bit for bit; other key shapes extract the key off the lanes
-// per row via the worker's scratch tuple.
-func (j *HashJoin) scatterColLocal(local []*data.ColBatch, cb *data.ColBatch, keys []int, keepNull bool, width int, scratch *data.Tuple) {
-	appendTo := func(p, i int) {
-		dst := local[p]
-		if dst == nil {
-			dst = data.GetColBatch()
-			dst.BeginBuild(width)
-			local[p] = dst
-		}
-		dst.AppendFrom(cb, i)
-	}
-	if len(keys) == 1 {
-		if kv := cb.Col(keys[0]); kv.Homogeneous() && kv.Kind == data.KindInt {
-			nparts := uint64(j.parts)
-			for i := 0; i < cb.NRows; i++ {
-				if kv.Nulls.Get(i) {
-					if keepNull {
-						appendTo(0, i)
-					}
-					continue
-				}
-				appendTo(int(hashValue(data.Int(kv.Ints[i]))%nparts), i)
-			}
-			return
-		}
-	}
-	for i := 0; i < cb.NRows; i++ {
-		k := colJoinKeyAt(cb, keys, i, scratch)
-		p := 0
-		if k.IsNull() {
-			if !keepNull {
-				continue
-			}
-		} else {
-			p = int(hashValue(k) % uint64(j.parts))
-		}
-		appendTo(p, i)
-	}
 }

@@ -176,11 +176,7 @@ func (j *HashJoin) joinOnePartition(p int, jt *joinTable, arena *[]data.Value,
 		// row tuples for the row-oriented parallel drain (a difftest-only
 		// crossing — the perf-gated columnar path runs the serial join
 		// phase's lane-to-lane gather).
-		if cp := j.buildColParts[p]; cp != nil {
-			j.buildColParts[p] = nil
-			buildTuples = cp.ToTuples(nil)
-			data.PutColBatch(cp)
-		}
+		buildTuples = drainColPart(&j.buildColParts[p])
 	} else {
 		buildTuples = j.buildParts[p]
 	}
@@ -199,11 +195,7 @@ func (j *HashJoin) joinOnePartition(p int, jt *joinTable, arena *[]data.Value,
 	jt.build(buildTuples, j.buildKeys)
 	var memProbe []data.Tuple
 	if j.colMode {
-		if pp := j.probeColParts[p]; pp != nil {
-			j.probeColParts[p] = nil
-			memProbe = pp.ToTuples(nil)
-			data.PutColBatch(pp)
-		}
+		memProbe = drainColPart(&j.probeColParts[p])
 	} else {
 		j.buildParts[p] = nil
 		memProbe = j.probeParts[p]
@@ -335,6 +327,18 @@ func (j *HashJoin) joinOnePartition(p int, jt *joinTable, arena *[]data.Value,
 		putBatch(batch)
 	}
 	return nil
+}
+
+// drainColPart materializes a lane partition's rows as tuples and returns
+// its batches to the pool.
+func drainColPart(part *colPart) []data.Tuple {
+	var out []data.Tuple
+	for _, cb := range *part {
+		out = cb.ToTuples(out)
+		data.PutColBatch(cb)
+	}
+	*part = nil
+	return out
 }
 
 // nextParallelBatch returns the next non-empty output batch in partition

@@ -262,6 +262,14 @@ func FuzzJoinModes(f *testing.F) {
 	f.Add(int64(5), 25, 40, 6, uint8(0), uint8(1))
 	f.Add(int64(13), 60, 12, 3, uint8(2), uint8(1))
 	f.Add(int64(21), 10, 90, 20, uint8(3), uint8(1))
+	// NULL probe keys under the probe-preserving types: the scatter's
+	// keepNull route into partition 0, off the key lane and generically.
+	f.Add(int64(33), 40, 120, 4, uint8(3), uint8(0))
+	f.Add(int64(35), 40, 120, 4, uint8(2), uint8(0))
+	f.Add(int64(39), 16, 120, 2, uint8(2), uint8(1))
+	// String keys, inner: per-row key extraction feeding the chunked
+	// probe partitions.
+	f.Add(int64(41), 30, 120, 7, uint8(0), uint8(1))
 	f.Fuzz(func(t *testing.T, seed int64, nb, np, dom int, jti, flags uint8) {
 		if nb < 1 || nb > 120 || np < 1 || np > 120 || dom < 1 || dom > 64 {
 			t.Skip("out of bounds")

@@ -30,12 +30,12 @@ func TestEvalSelStringKernelsMatchScalar(t *testing.T) {
 		Compare(GE, Col{Index: 0}, Lit(data.Str("cust-001"))),
 		Compare(EQ, Col{Index: 0}, Col{Index: 1}),
 		Compare(LE, Col{Index: 0}, Col{Index: 1}),
-		mkLike("abc", false),     // exact
-		mkLike("ab%", false),     // prefix
-		mkLike("ab%", true),      // NOT LIKE prefix
-		mkLike("%b%", false),     // generic regexp
-		mkLike("a_c", false),     // generic regexp (underscore)
-		mkLike("", false),        // exact empty
+		mkLike("abc", false), // exact
+		mkLike("ab%", false), // prefix
+		mkLike("ab%", true),  // NOT LIKE prefix
+		mkLike("%b%", false), // generic regexp
+		mkLike("a_c", false), // generic regexp (underscore)
+		mkLike("", false),    // exact empty
 		AndOf(mkLike("c%", false), Compare(LE, Col{Index: 0}, Lit(data.Str("cust-001")))),
 	}
 	for trial := 0; trial < 60; trial++ {

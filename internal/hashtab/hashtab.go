@@ -172,6 +172,24 @@ func (m *I64Map[V]) Reset() {
 // accounting.
 func (m *I64Map[V]) Slots() int { return len(m.keys) }
 
+// MeanProbe returns the mean number of slots a lookup of a stored key
+// inspects: 1 when every key sits in its home slot, large when keys pile
+// up in one region of the table. Callers that pre-select keys by a hash
+// of their own (a grace join's partitions) test with it that their bits
+// are independent of the table's.
+func (m *I64Map[V]) MeanProbe() float64 {
+	if m.n == 0 {
+		return 1
+	}
+	var total uint64
+	for i, k := range m.keys {
+		if k != emptyKey {
+			total += (uint64(i)-hash(k))&m.mask + 1
+		}
+	}
+	return float64(total) / float64(m.n)
+}
+
 // grow rehashes into a table of newCap slots (a power of two ≥ 8).
 func (m *I64Map[V]) grow(newCap int) {
 	if newCap < 8 {

@@ -190,6 +190,41 @@ func TestI64MapConcurrentReads(t *testing.T) {
 	}
 }
 
+// TestMeanProbe: an empty map and a map whose keys all sit in their home
+// slots report 1; sequential keys at the table's usual load stay close to
+// it; keys forced into one run report the run.
+func TestMeanProbe(t *testing.T) {
+	var m I64Map[int]
+	if got := m.MeanProbe(); got != 1 {
+		t.Fatalf("empty map: MeanProbe = %v, want 1", got)
+	}
+	m.Set(7, 1)
+	if got := m.MeanProbe(); got != 1 {
+		t.Fatalf("one key: MeanProbe = %v, want 1", got)
+	}
+	for k := int64(0); k < 10000; k++ {
+		m.Set(k, 1)
+	}
+	if got := m.MeanProbe(); got < 1 || got > 3 {
+		t.Errorf("sequential keys: MeanProbe = %v, want a short run", got)
+	}
+	// Keys sharing a home slot of a 64-slot table: the k-th one inserted
+	// sits k slots on, so a lookup inspects (1+...+n)/n slots on average.
+	var c I64Map[int]
+	c.grow(64)
+	home := hash(0) & c.mask
+	n := 0
+	for k := int64(0); n < 8; k++ {
+		if hash(k)&c.mask == home {
+			c.Set(k, 1)
+			n++
+		}
+	}
+	if got, want := c.MeanProbe(), 4.5; got != want {
+		t.Errorf("8 keys in one run: MeanProbe = %v, want %v", got, want)
+	}
+}
+
 func BenchmarkI64MapVsGoMap(b *testing.B) {
 	const n = 4096
 	keys := make([]int64, n)

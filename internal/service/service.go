@@ -198,18 +198,18 @@ type ExecRequest struct {
 // parse/plan failures are returned as Go errors instead and produce no
 // ExecResult.
 type ExecResult struct {
-	Session  string        `json:"session"`
-	State    string        `json:"state"`
-	Error    string        `json:"error,omitempty"`
-	Rows     int64         `json:"rows"`
-	Columns  []string      `json:"columns,omitempty"`
-	Data     [][]any       `json:"data,omitempty"`
-	CacheHit bool          `json:"cache_hit"`
-	Budget   int64         `json:"budget_bytes"`
-	Queued   time.Duration `json:"-"`
-	Elapsed  time.Duration `json:"-"`
-	QueuedMs  float64      `json:"queued_ms"`
-	ElapsedMs float64      `json:"elapsed_ms"`
+	Session   string        `json:"session"`
+	State     string        `json:"state"`
+	Error     string        `json:"error,omitempty"`
+	Rows      int64         `json:"rows"`
+	Columns   []string      `json:"columns,omitempty"`
+	Data      [][]any       `json:"data,omitempty"`
+	CacheHit  bool          `json:"cache_hit"`
+	Budget    int64         `json:"budget_bytes"`
+	Queued    time.Duration `json:"-"`
+	Elapsed   time.Duration `json:"-"`
+	QueuedMs  float64       `json:"queued_ms"`
+	ElapsedMs float64       `json:"elapsed_ms"`
 }
 
 // Execute runs one query end to end: plan-cache lookup, admission,

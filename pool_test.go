@@ -3,24 +3,59 @@ package qpi
 import (
 	"runtime"
 	"testing"
+
+	"qpi/internal/data"
+	"qpi/internal/exec"
+	"qpi/internal/tpch"
 )
 
 // TestSkewedJoinsDoNotGrowTheHeap runs the same skewed columnar join ten
-// times. Under Zipf(2) one grace partition holds most of lineitem; the
-// ColBatch pool hands its buffer to whichever partition asks next, and a
-// pool that kept every buffer at the capacity it grew to would end with
-// all of them sized for the hot partition — tens of megabytes more after
-// every query (the tenth query left twice the third's heap). With
-// retention bounded by what a buffer's last user filled, the heap that
-// survives a collection stays where the third query left it, give or
-// take the hot partition's own buffers waiting in the pool.
+// times. Under Zipf(2) one grace partition holds most of lineitem, here
+// on the probe side. When a partition was one buffer, the ColBatch pool
+// handed the hot one to whichever partition asked next, and a pool that
+// kept every buffer at the capacity it grew to ended with all of them
+// sized for the hot partition — tens of megabytes more after every query
+// (the tenth query left twice the third's heap). A probe partition is now
+// a list of chunks of one size, so whatever the pool hands out fits
+// whoever asks, and the heap that survives a collection stays where the
+// third query left it.
 func TestSkewedJoinsDoNotGrowTheHeap(t *testing.T) {
 	e := New()
 	e.MustLoadTPCH(TPCHConfig{SF: 0.02, Seed: 7, Skew: 2, Tables: []string{"orders", "lineitem", "part"}})
 	const sql = "SELECT o.orderkey, l.partkey FROM orders o JOIN lineitem l ON o.orderkey = l.orderkey JOIN part p ON p.partkey = l.partkey"
+	heapStaysLevel(t, func() (int64, error) { return e.MustQuery(sql).Run(nil) })
+}
+
+// TestSkewedBuildSideDoesNotGrowTheHeap is the same check with the skewed
+// relation on the build side, which is what still needs the pool's
+// retention bound: probe partitions are lists of equal chunks, but a
+// build partition is one batch that grows to its partition's size (the
+// join table indexes one batch), and under Zipf(2) one of them is the
+// size of the table. Without the bound this ran 41 -> 141 MB.
+func TestSkewedBuildSideDoesNotGrowTheHeap(t *testing.T) {
+	cat, err := tpch.Generate(tpch.Config{SF: 0.02, Seed: 7, Skew: 2, Tables: []string{"orders", "lineitem", "part"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scan := func(name string) *exec.Scan { return exec.NewScan(cat.MustLookup(name).Table, "") }
+	heapStaysLevel(t, func() (int64, error) {
+		l, o, p := scan("lineitem"), scan("orders"), scan("part")
+		lo := exec.NewHashJoin(l, o,
+			l.Schema().MustResolve("lineitem", "orderkey"),
+			o.Schema().MustResolve("orders", "orderkey")).SetColumnar(true)
+		return exec.RunCol(exec.NewHashJoin(lo, p,
+			lo.Schema().MustResolve("lineitem", "partkey"),
+			p.Schema().MustResolve("part", "partkey")).SetColumnar(true))
+	})
+}
+
+// heapStaysLevel runs the query ten times and holds the heap that
+// survives a collection after the tenth to 1.2x the third's.
+func heapStaysLevel(t *testing.T, query func() (int64, error)) {
+	t.Helper()
 	live := make([]float64, 10)
 	for i := range live {
-		n, err := e.MustQuery(sql).Run(nil)
+		n, err := query()
 		if err != nil || n == 0 {
 			t.Fatalf("query %d: %d rows, %v", i+1, n, err)
 		}
@@ -32,5 +67,47 @@ func TestSkewedJoinsDoNotGrowTheHeap(t *testing.T) {
 	t.Logf("live heap after each query (MB): %.1f", live)
 	if third, tenth := live[2], live[9]; tenth > 1.2*third {
 		t.Errorf("live heap grew from %.1f MB after the third query to %.1f MB after the tenth", third, tenth)
+	}
+}
+
+// TestSkewedJoinAllocatesLikeUniform pins what the chunked probe
+// partitions bought: the same two-join query over the same number of rows
+// allocates about as much per warm run whether the keys are uniform or
+// Zipf(2). While a probe partition was one buffer grown by doubling, the
+// hot partition outgrew what the pool would keep and was reallocated —
+// lane by lane, doubling by doubling — in most queries: ten times the
+// uniform run's bytes. Chunks all have the capacity the pool hands out,
+// so the skewed run reuses them like the uniform one. Every pooled batch
+// must also be back by the time Run returns.
+func TestSkewedJoinAllocatesLikeUniform(t *testing.T) {
+	const sql = "SELECT o.orderkey, l.partkey FROM orders o JOIN lineitem l ON o.orderkey = l.orderkey JOIN part p ON p.partkey = l.partkey"
+	perRun := func(skew float64) float64 {
+		e := New()
+		e.MustLoadTPCH(TPCHConfig{SF: 0.02, Seed: 7, Skew: skew, Tables: []string{"orders", "lineitem", "part"}})
+		run := func() {
+			pooled := data.ColBatchesOut()
+			if n, err := e.MustQuery(sql).Run(nil); err != nil || n == 0 {
+				t.Fatalf("skew %g: %d rows, %v", skew, n, err)
+			}
+			if out := data.ColBatchesOut(); out != pooled {
+				t.Fatalf("skew %g: pooled batches held: %d before the query, %d after", skew, pooled, out)
+			}
+		}
+		for i := 0; i < 3; i++ { // warm the pool
+			run()
+		}
+		const runs = 5
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / runs / (1 << 20)
+	}
+	uniform, skewed := perRun(0), perRun(2)
+	t.Logf("allocated per warm run: uniform %.2f MB, Zipf(2) %.2f MB", uniform, skewed)
+	if skewed > 1.5*uniform {
+		t.Errorf("the skewed join allocates %.2f MB per warm run, the uniform one %.2f MB", skewed, uniform)
 	}
 }

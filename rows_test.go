@@ -192,10 +192,10 @@ func TestRowsMatchesPerTupleDrain(t *testing.T) {
 
 // TestRowsContextCancelMidDrain cancels while result rows are being
 // collected from a spilling join: the call returns context.Canceled with
-// the rows it had, the query ends "cancelled", and neither a goroutine
-// nor a spill descriptor outlives it.
+// the rows it had, the query ends "cancelled", and neither a goroutine,
+// a spill descriptor nor a pooled batch outlives it.
 func TestRowsContextCancelMidDrain(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before, pooled := runtime.NumGoroutine(), data.ColBatchesOut()
 	fs := vfs.NewFaultFS(nil)
 	q := bigJoinEngine(t).MustQuery("SELECT r.k FROM r JOIN s ON r.k = s.k",
 		WithMemoryBudget(64*1024), WithSpillFS(fs))
@@ -229,6 +229,9 @@ func TestRowsContextCancelMidDrain(t *testing.T) {
 	}
 	if n := fs.OpenFiles(); n != 0 {
 		t.Errorf("%d spill files still open", n)
+	}
+	if out := data.ColBatchesOut(); out != pooled {
+		t.Errorf("pooled batches held: %d before the query, %d after", pooled, out)
 	}
 	deadline := time.Now().Add(3 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
