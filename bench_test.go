@@ -115,38 +115,29 @@ func BenchmarkJoinBaseline(b *testing.B) {
 	}
 }
 
-// BenchmarkHashJoinThroughput compares the execution modes of the grace
-// hash join on the same orders ⋈ lineitem workload as BenchmarkJoinBaseline:
-// the seed tuple-at-a-time path, the batched serial path (1 worker), and
-// the batched path with parallel scatter workers. tuples/sec counts every
-// tuple moved (build + probe inputs and join output).
+// BenchmarkHashJoinThroughput compares the two execution paths of the
+// grace hash join on the same orders ⋈ lineitem workload as
+// BenchmarkJoinBaseline: the tuple-at-a-time reference and the lane-native
+// columnar path every compiled plan runs. tuples/sec counts every tuple
+// moved (build + probe inputs and join output).
 func BenchmarkHashJoinThroughput(b *testing.B) {
-	modes := []struct {
-		name    string
-		workers int
-	}{
-		{"tuple", 0},
-		{"batch", 1},
-		{"batch-parallel", 4},
-	}
-	for _, m := range modes {
-		b.Run(m.name, func(b *testing.B) {
-			// Workers are GOMAXPROCS-capped: on a single-CPU machine the
-			// batch-parallel mode degrades gracefully to the serial batched
-			// pass instead of paying goroutine overhead for no parallelism.
+	for _, columnar := range []bool{false, true} {
+		name := "tuple"
+		if columnar {
+			name = "columnar"
+		}
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			var tuples int64
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				j, _ := buildJoin(b, false)
-				if m.workers > 0 {
-					j.SetParallelism(m.workers)
-				}
+				j.SetColumnar(columnar)
 				b.StartTimer()
 				var n int64
 				var err error
-				if m.workers > 0 {
-					n, err = exec.RunBatch(j)
+				if columnar {
+					n, err = exec.RunCol(j)
 				} else {
 					n, err = exec.Run(j)
 				}

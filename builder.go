@@ -187,20 +187,6 @@ func (n *Node) Limit(k int64) *Node {
 	return &Node{op: exec.NewLimit(n.op, k), eng: n.eng}
 }
 
-// Parallel moves every hash join in the node's subtree off the default
-// columnar engine onto row-batch partition passes with the given number
-// of scatter workers (GOMAXPROCS-capped) — the per-plan-fragment form of
-// the WithBatchExecution compile option. It returns the node for
-// chaining. Call before Compile so the estimators attach in sharded mode.
-func (n *Node) Parallel(workers int) *Node {
-	exec.Walk(n.op, func(op exec.Operator) {
-		if j, ok := op.(*exec.HashJoin); ok {
-			j.SetParallelism(workers)
-		}
-	})
-	return n
-}
-
 // HashJoin joins build ⋈ probe with a grace hash join on buildCol =
 // probeCol. The output columns are the build columns followed by the
 // probe columns. The probe side streams through the join, so chains of

@@ -9,8 +9,8 @@ import (
 
 // End-to-end mode equivalence at the public API: the same SQL over the
 // same tables must return the result an independent evaluation of the
-// inserted rows gives, whether it runs on the default columnar engine,
-// row-batched, row-batched with parallel partition passes, or spilling.
+// inserted rows gives, whether it runs in memory, spilling, or without
+// the estimators attached.
 // This is the user-visible face of the differential suite in
 // internal/difftest.
 
@@ -119,9 +119,8 @@ func checkQueryModes(t *testing.T, seed int64, rows, dom int, sql string, oracle
 		co   []CompileOption
 	}{
 		{"default", nil},
-		{"batch", []CompileOption{WithBatchExecution(0)}},
-		{"parallel", []CompileOption{WithBatchExecution(2)}},
 		{"spill", []CompileOption{WithMemoryBudget(128)}},
+		{"no-estimators", []CompileOption{WithoutEstimators()}},
 	} {
 		got := rowsMultiset(t, e.MustQuery(sql, opt.co...))
 		if len(got) != len(want) {

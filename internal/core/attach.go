@@ -166,9 +166,9 @@ func (a *Attachment) attachHashChain(top *exec.HashJoin) {
 	a.record(pe, joinsToOps(joins))
 }
 
-// hashLinkHooks fills a ChainLink's hook setters for one hash join,
-// including the batched setters when the join runs batched partition
-// passes (the estimator shards only if every link of the chain does).
+// hashLinkHooks fills a ChainLink's hook setters for one hash join: the
+// per-tuple setter always, the span setters when the join runs columnar
+// partition passes.
 func hashLinkHooks(l *ChainLink, j *exec.HashJoin) {
 	l.SetBuildHook = func(f func(data.Tuple)) {
 		j.OnBuildTuple = compose(j.OnBuildTuple, f)
@@ -191,24 +191,13 @@ func hashLinkHooks(l *ChainLink, j *exec.HashJoin) {
 				j.OnBuildEnd = compose0(j.OnBuildEnd, f)
 			}
 		}
-		return
-	}
-	if !j.Batched() {
-		return
-	}
-	l.Workers = j.Workers()
-	l.SetBuildBatchHook = func(f func(worker int, b data.Batch)) {
-		j.OnBuildBatch = composeBatch(j.OnBuildBatch, f)
-	}
-	l.SetBuildEndHook = func(f func()) {
-		j.OnBuildEnd = compose0(j.OnBuildEnd, f)
 	}
 }
 
-// wireHashProbe feeds the bottom probe stream to the estimator: sharded
-// batch observation when the whole chain is batched, per-tuple hooks
-// otherwise (per-tuple hooks fire on the reader goroutine even under a
-// batched pass, so a mixed chain stays correct, just unsharded).
+// wireHashProbe feeds the bottom probe stream to the estimator in the
+// shape its build observers took: worker-sharded spans, serial spans, or
+// per-tuple hooks (which a columnar pass still fires, in row order, so a
+// chain mixing columnar and tuple joins stays correct).
 func wireHashProbe(pe *PipelineEstimator, bottom *exec.HashJoin) {
 	if bottom.Columnar() && pe.ColShardAttached() {
 		bottom.OnProbeColBatch = composeColW(bottom.OnProbeColBatch, pe.ObserveProbeColShard)
@@ -218,11 +207,6 @@ func wireHashProbe(pe *PipelineEstimator, bottom *exec.HashJoin) {
 	if bottom.Columnar() && pe.ColAttached() {
 		bottom.OnProbeCol = composeCol(bottom.OnProbeCol, pe.ObserveProbeCol)
 		bottom.OnProbeEnd = compose0(bottom.OnProbeEnd, pe.MarkConverged)
-		return
-	}
-	if pe.BatchAttached() {
-		bottom.OnProbeBatch = composeBatch(bottom.OnProbeBatch, pe.ObserveProbeBatch)
-		bottom.OnProbeEnd = compose0(bottom.OnProbeEnd, pe.FinishProbe)
 		return
 	}
 	bottom.OnProbeTuple = compose(bottom.OnProbeTuple, pe.ObserveProbe)
@@ -440,7 +424,7 @@ func (a *Attachment) attachAgg(agg exec.Operator, input exec.Operator, groupBy [
 					pe.OnProbeObserved = compose1(pe.OnProbeObserved, func(int64) {
 						est.pushdownTick()
 					})
-					if pe.BatchAttached() || pe.ColShardAttached() {
+					if pe.ColShardAttached() {
 						// Sharded probe observation publishes only at the
 						// pass barrier; publish the final aggregation
 						// estimate there too.
@@ -524,20 +508,6 @@ func compose0(prev, next func()) func() {
 	return func() {
 		prev()
 		next()
-	}
-}
-
-// composeBatch chains two worker-batch hooks.
-func composeBatch(prev, next func(int, data.Batch)) func(int, data.Batch) {
-	if prev == nil {
-		return next
-	}
-	if next == nil {
-		return prev
-	}
-	return func(w int, b data.Batch) {
-		prev(w, b)
-		next(w, b)
 	}
 }
 

@@ -7,22 +7,42 @@ import (
 
 // This file is the sharded columnar attachment mode of the pipeline
 // estimator, backing the executor's morsel-driven columnar partition
-// passes: the intersection of the batched (sharded) mode of shard.go and
-// the span-at-a-time columnar mode of colhooks.go. Under a morselized
-// columnar pass K scan workers deliver ColBatches concurrently, so the
-// estimator gives every worker a private shard — per-relation frequency-
-// histogram shards for the build passes, probeShard moment shards for the
-// bottom probe pass — and walks the flat key lanes inside the shard.
-// Shards merge single-threaded at the pass barriers (the build-end hook,
-// FinishProbe on probe end), exactly as in the batched row mode.
+// passes: the span-at-a-time observation of colhooks.go, sharded per
+// worker. Under a morselized columnar pass K scan workers deliver
+// ColBatches concurrently, so the estimator gives every worker a private
+// shard — per-relation frequency-histogram shards for the build passes,
+// probeShard moment shards for the bottom probe pass — and walks the flat
+// key lanes inside the shard. Shards merge single-threaded at the pass
+// barriers (the build-end hook, FinishProbe on probe end), which the
+// executor fires on the coordinating goroutine after its workers have
+// joined.
 //
-// The bit-identical-to-serial argument is the union of the two parent
-// modes': every histogram mutation is an integer AddN into a private
-// FreqHistogram shard, merged in fixed worker order (counts commute);
-// probe moment deltas are integer-valued float64 sums accumulated per
-// shard and folded at the barrier (exact below 2^53, order-independent);
-// build weights and probe deltas read only histograms frozen at earlier
-// barriers. Estimates publish only at barriers, on the coordinator.
+// Correctness of lock-free shard updates rests on the chain's execution
+// order: relation R_0 is built first, then R_1, ..., R_{m-1}, then the
+// bottom stream C is observed. A build-pass worker for relation j folds
+// in histogram counts only of relations f.join < j — all fully built and
+// merged at earlier barriers — and a probe-pass worker reads only the
+// finished build histograms. Every mutation goes to worker-private state.
+// The §4.1.1 convergence guarantee is preserved: after the probe-end
+// merge the estimator has observed exactly the same multiset of tuples as
+// the serial mode, so MarkConverged publishes the same exact
+// cardinalities.
+//
+// Bit-identical to serial: every histogram mutation is an integer AddN
+// into a private FreqHistogram shard, merged in fixed worker order
+// (counts commute); probe moment deltas are integer-valued float64 sums
+// accumulated per shard and folded at the barrier (exact below 2^53,
+// order-independent). Estimates publish only at barriers (the serial
+// modes publish every publishEvery probe tuples): Stats writes stay on
+// the coordinator, never on workers.
+
+// probeShard is one worker's private share of the probe-pass moments.
+type probeShard struct {
+	t       int64
+	sums    []float64
+	sumSqs  []float64
+	outDist *FreqHistogram
+}
 
 // ColShardAttached reports whether the estimator observes its chain
 // through worker-indexed columnar span hooks.
@@ -121,14 +141,31 @@ func (p *PipelineEstimator) ObserveProbeColShard(w int, cb *data.ColBatch) {
 	}
 }
 
+// observeProbeShard accumulates one bottom-stream tuple into a worker's
+// probe shard: the shard-local body of ObserveProbe.
+func (p *PipelineEstimator) observeProbeShard(sh *probeShard, c data.Tuple) {
+	sh.t++
+	for k := 0; k < p.m; k++ {
+		delta := p.probeDelta(c, k)
+		sh.sums[k] += delta
+		sh.sumSqs[k] += delta * delta
+		if k == 0 && p.outDistHist != nil {
+			if sh.outDist == nil {
+				sh.outDist = NewFreqHistogram()
+			}
+			sh.outDist.AddN(c[p.outDistCol], int64(delta))
+		}
+	}
+}
+
 // observeProbeColShardFast is the vectorizable probe case of the sharded
 // columnar mode: a single inner join whose probe key is one homogeneous
 // integer column and no output-distribution accumulation. Each live row
 // performs t++, one CountInt lookup (0 for NULL keys) and the moment
 // accumulation into the worker's shard — the same arithmetic the serial
 // fast path performs, minus the publish check (sharded mode publishes at
-// the barrier). OnProbeObserved does not bail the fast path: as in the
-// batched row mode it fires once from FinishProbe with the merged count.
+// the barrier). OnProbeObserved does not bail the fast path: it fires
+// once from FinishProbe with the merged count.
 func (p *PipelineEstimator) observeProbeColShardFast(sh *probeShard, cb *data.ColBatch) bool {
 	if p.m != 1 || p.outDistHist != nil || p.links[0].Mult != nil {
 		return false
@@ -164,4 +201,33 @@ func (p *PipelineEstimator) observeProbeColShardFast(sh *probeShard, cb *data.Co
 		}
 	}
 	return true
+}
+
+// FinishProbe merges the per-worker probe shards and freezes the
+// estimator — the sharded mode's MarkConverged, composed onto the bottom
+// join's OnProbeEnd. It runs on the execution goroutine after the pass
+// barrier.
+func (p *PipelineEstimator) FinishProbe() {
+	for i := range p.probeShards {
+		sh := &p.probeShards[i]
+		p.t += sh.t
+		for k := 0; k < p.m; k++ {
+			p.sums[k] += sh.sums[k]
+			p.sumSqs[k] += sh.sumSqs[k]
+		}
+		if sh.outDist != nil && p.outDistHist != nil {
+			sh.outDist.Each(func(v data.Value, n int64) bool {
+				p.outDistHist.AddN(v, n)
+				return true
+			})
+		}
+	}
+	p.probeShards = nil
+	if p.OnProbeObserved != nil {
+		p.OnProbeObserved(p.t)
+	}
+	p.MarkConverged()
+	for _, f := range p.afterConverge {
+		f()
+	}
 }

@@ -17,15 +17,74 @@ import (
 // integer AddN into a worker shard merged in fixed order, and every probe
 // moment delta is an integer-valued float64 (exact below 2^53), the
 // converged estimator state must be BIT-IDENTICAL to the serial columnar
-// run — asserted here with ==, not a tolerance.
+// run — asserted here with ==, not a tolerance. The chain shapes are the
+// ones the paper's §4.1.4 evaluation exercises: Figure 3's binary joins,
+// Figure 5's same-attribute chains, Figure 6's Case 1/Case 2
+// different-attribute chains.
+
+// chainJoins collects a probe-linked hash-join chain top-down.
+func chainJoins(top *exec.HashJoin) []*exec.HashJoin {
+	var joins []*exec.HashJoin
+	cur := top
+	for {
+		joins = append(joins, cur)
+		next, ok := cur.Probe().(*exec.HashJoin)
+		if !ok {
+			break
+		}
+		cur = next
+	}
+	return joins
+}
+
+// fig3Plan is the Figure 3 shape: one binary join on a shared domain.
+func fig3Plan(seed int64) *exec.HashJoin {
+	rng := rand.New(rand.NewSource(seed))
+	a := table("a", []string{"k"}, randCol(rng, 300, 20))
+	b := table("b", []string{"k"}, randCol(rng, 400, 20))
+	return exec.NewHashJoinOn(exec.NewScan(a, ""), exec.NewScan(b, ""), "a", "k", "b", "k")
+}
+
+// fig5Plan is the Figure 5 shape: A ⋈x (B ⋈x C), same attribute at both
+// levels.
+func fig5Plan(seed int64) *exec.HashJoin {
+	rng := rand.New(rand.NewSource(seed))
+	a := table("a", []string{"x"}, randCol(rng, 100, 10))
+	b := table("b", []string{"x"}, randCol(rng, 120, 10))
+	c := table("c", []string{"x"}, randCol(rng, 150, 10))
+	lower := exec.NewHashJoinOn(exec.NewScan(b, ""), exec.NewScan(c, ""), "b", "x", "c", "x")
+	return exec.NewHashJoin(exec.NewScan(a, ""), lower,
+		0, lower.Schema().MustResolve("c", "x"))
+}
+
+// fig6Plan builds the Figure 6 shapes: A ⋈y (B ⋈x C) with the upper key
+// from the lower probe relation (Case 1) or the lower build relation
+// (Case 2, the derived-histogram path).
+func fig6Plan(seed int64, case2 bool) *exec.HashJoin {
+	rng := rand.New(rand.NewSource(seed))
+	a := table("a", []string{"y"}, randCol(rng, 90, 8))
+	var upperKeyTable string
+	var lower *exec.HashJoin
+	if case2 {
+		b := table("b", []string{"x", "y"}, randCol(rng, 110, 12), randCol(rng, 110, 8))
+		c := table("c", []string{"x"}, randCol(rng, 130, 12))
+		lower = exec.NewHashJoinOn(exec.NewScan(b, ""), exec.NewScan(c, ""), "b", "x", "c", "x")
+		upperKeyTable = "b"
+	} else {
+		b := table("b", []string{"x"}, randCol(rng, 110, 12))
+		c := table("c", []string{"x", "y"}, randCol(rng, 130, 12), randCol(rng, 130, 8))
+		lower = exec.NewHashJoinOn(exec.NewScan(b, ""), exec.NewScan(c, ""), "b", "x", "c", "x")
+		upperKeyTable = "c"
+	}
+	return exec.NewHashJoin(exec.NewScan(a, ""), lower,
+		0, lower.Schema().MustResolve(upperKeyTable, "y"))
+}
 
 // morselizeCol marks every hash join in the plan columnar + morselized
 // with k workers and single-block morsels. Must run before Attach.
 func morselizeCol(op exec.Operator, k int) {
 	if j, ok := op.(*exec.HashJoin); ok {
-		j.SetParallelism(k)
-		j.SetColumnar(true)
-		j.SetMorsel(true).SetMorselBlocks(1)
+		j.SetColumnar(true).SetMorselWorkers(k).SetMorselBlocks(1)
 	}
 	for _, c := range op.Children() {
 		morselizeCol(c, k)
@@ -58,6 +117,27 @@ func drainColPlan(t *testing.T, top exec.Operator) int64 {
 	return int64(len(rows))
 }
 
+// requireChainExact checks the converged estimates and published Stats of
+// every join of the chain under top against the true cardinalities.
+func requireChainExact(t *testing.T, pe *PipelineEstimator, top *exec.HashJoin) {
+	t.Helper()
+	if !pe.Converged() {
+		t.Fatal("estimator did not converge")
+	}
+	for k, j := range chainJoins(top) {
+		truth := float64(j.Stats().Emitted.Load())
+		if got := pe.Estimate(k); math.Abs(got-truth) > 1e-6 {
+			t.Errorf("level %d: converged estimate %g != true cardinality %g", k, got, truth)
+		}
+		if j.Stats().Source() != "once-exact" {
+			t.Errorf("level %d: est source = %q", k, j.Stats().Source())
+		}
+		if math.Abs(j.Stats().Estimate()-truth) > 1e-6 {
+			t.Errorf("level %d: stats estimate %g != %g", k, j.Stats().Estimate(), truth)
+		}
+	}
+}
+
 func TestColShardChainsExactOnPaperShapes(t *testing.T) {
 	shapes := []struct {
 		name string
@@ -81,18 +161,7 @@ func TestColShardChainsExactOnPaperShapes(t *testing.T) {
 				t.Fatal("morselized columnar chain did not attach sharded")
 			}
 			drainColPlan(t, top)
-			if !pe.Converged() {
-				t.Fatal("estimator did not converge")
-			}
-			for k, j := range chainJoins(top) {
-				truth := float64(j.Stats().Emitted.Load())
-				if got := pe.Estimate(k); math.Abs(got-truth) > 1e-6 {
-					t.Errorf("level %d: converged estimate %g != true cardinality %g", k, got, truth)
-				}
-				if j.Stats().Source() != "once-exact" {
-					t.Errorf("level %d: est source = %q", k, j.Stats().Source())
-				}
-			}
+			requireChainExact(t, pe, top)
 		})
 	}
 }
@@ -153,6 +222,59 @@ func TestColShardBitIdenticalToSerialColumnar(t *testing.T) {
 	}
 }
 
+// TestColumnarBitIdenticalToTuple: the serial span-at-a-time attachment —
+// what every compiled plan runs — must leave the estimator in exactly the
+// state (==) the per-tuple hooks of the reference path leave it in, lane
+// fast paths and row fallbacks alike, and a hash aggregation's tracker
+// must read the same from group-count spans as from per-row counts.
+func TestColumnarBitIdenticalToTuple(t *testing.T) {
+	shapes := []func() *exec.HashJoin{
+		func() *exec.HashJoin { return fig3Plan(70) },
+		func() *exec.HashJoin { return fig5Plan(71) },
+		func() *exec.HashJoin { return fig6Plan(72, false) },
+		func() *exec.HashJoin { return fig6Plan(73, true) },
+		func() *exec.HashJoin { return strKeyPlan(74) },
+	}
+	for si, mk := range shapes {
+		run := func(columnar bool) (state []float64) {
+			top := mk()
+			agg := exec.NewHashAgg(top, []int{0, top.Schema().Len() - 1},
+				[]exec.AggSpec{{Func: exec.CountStar, Name: "c"}})
+			if columnar {
+				columnarize(top)
+			}
+			att := Attach(agg)
+			pe := att.ChainOf[top]
+			if pe.ColAttached() != columnar {
+				t.Fatalf("shape %d: ColAttached = %v, want %v", si, pe.ColAttached(), columnar)
+			}
+			var rows int64
+			if columnar {
+				rows = drainColPlan(t, agg)
+			} else {
+				var err error
+				if rows, err = exec.Run(agg); err != nil {
+					t.Fatal(err)
+				}
+			}
+			requireChainExact(t, pe, top)
+			state = append(state, float64(rows), float64(pe.ProbeTuplesSeen()), att.Aggs[agg].Estimate())
+			for k := range chainJoins(top) {
+				lo, hi := pe.ConfidenceInterval(k, 0.95)
+				state = append(state, pe.Estimate(k), lo, hi)
+			}
+			return state
+		}
+		tup, col := run(false), run(true)
+		for i := range tup {
+			if tup[i] != col[i] {
+				t.Errorf("shape %d: state[%d] = %v on the tuple path, %v columnar (must be bit-identical)",
+					si, i, tup[i], col[i])
+			}
+		}
+	}
+}
+
 // strKeyTable builds a single string-key-column table over an integer
 // domain (same equality classes as randCol, rendered as strings).
 func strKeyTable(name string, keys []int64) *storage.Table {
@@ -182,8 +304,7 @@ func TestColShardMixedChainFallsBackToSerialColHooks(t *testing.T) {
 	top := fig5Plan(60)
 	columnarize(top)
 	lower := top.Probe().(*exec.HashJoin)
-	lower.SetParallelism(3)
-	lower.SetMorsel(true).SetMorselBlocks(1)
+	lower.SetMorselWorkers(3).SetMorselBlocks(1)
 	att := Attach(top)
 	pe := att.ChainOf[top]
 	if pe.ColShardAttached() {
@@ -193,15 +314,42 @@ func TestColShardMixedChainFallsBackToSerialColHooks(t *testing.T) {
 		t.Fatal("columnar chain did not attach span hooks")
 	}
 	drainColPlan(t, top)
-	if !pe.Converged() {
-		t.Fatal("estimator did not converge")
+	requireChainExact(t, pe, top)
+}
+
+// TestMixedChainFallsBackToTupleHooks: if only part of a chain is
+// columnar the estimator must keep the per-tuple hooks — which a columnar
+// pass still fires, in row order — and stay exact; span observation
+// requires every link columnar.
+func TestMixedChainFallsBackToTupleHooks(t *testing.T) {
+	top := fig5Plan(30)
+	top.Probe().(*exec.HashJoin).SetColumnar(true)
+	att := Attach(top)
+	pe := att.ChainOf[top]
+	if pe.ColAttached() || pe.ColShardAttached() {
+		t.Fatal("partially columnar chain attached span hooks")
 	}
-	for k, j := range chainJoins(top) {
-		truth := float64(j.Stats().Emitted.Load())
-		if got := pe.Estimate(k); math.Abs(got-truth) > 1e-6 {
-			t.Errorf("level %d: converged estimate %g != %g", k, got, truth)
-		}
+	if _, err := exec.Run(top); err != nil {
+		t.Fatal(err)
 	}
+	requireChainExact(t, pe, top)
+}
+
+// TestColShardSemiJoinTopExact: non-inner top joins root their own chains;
+// the sharded mode must honor their multiplicity transforms too.
+func TestColShardSemiJoinTopExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	a := table("a", []string{"k"}, randCol(rng, 200, 15))
+	b := table("b", []string{"k"}, randCol(rng, 260, 15))
+	j := exec.NewHashJoinMulti(exec.NewScan(a, ""), exec.NewScan(b, ""),
+		[]int{0}, []int{0}, exec.SemiJoin)
+	morselizeCol(j, 4)
+	pe := Attach(j).ChainOf[j]
+	if pe == nil || !pe.ColShardAttached() {
+		t.Fatal("morselized semi join did not attach sharded")
+	}
+	drainColPlan(t, j)
+	requireChainExact(t, pe, j)
 }
 
 // TestColShardAggPushdownExact: GROUP BY over a morselized columnar chain
@@ -222,10 +370,7 @@ func TestColShardAggPushdownExact(t *testing.T) {
 	if !att.ChainOf[j].ColShardAttached() {
 		t.Fatal("chain should attach col-sharded")
 	}
-	rows, err := exec.RunBatch(exec.AsBatch(agg))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := drainColPlan(t, agg)
 	if got := est.Estimate(); math.Abs(got-float64(rows)) > 1e-6 {
 		t.Errorf("pushdown estimate %g != true group count %d", got, rows)
 	}

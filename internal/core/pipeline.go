@@ -57,17 +57,11 @@ type ChainLink struct {
 	// SetBuildHook installs f to run for every build-input tuple during
 	// the join's preprocessing pass.
 	SetBuildHook func(f func(data.Tuple))
-	// SetBuildBatchHook installs f to run once per build-input batch
-	// during a batched preprocessing pass, on the scatter worker that owns
-	// the batch. Nil when the physical operator has no batched pass.
-	SetBuildBatchHook func(f func(worker int, b data.Batch))
 	// SetBuildEndHook installs the build-pass barrier callback (fires on
-	// the reader goroutine after all batch hooks of the pass completed).
+	// the coordinating goroutine after every hook of the pass completed).
 	SetBuildEndHook func(f func())
-	// Workers is the number of scatter workers the batched pass uses
-	// (0 when the pass is tuple-at-a-time). When every link of a chain is
-	// batched, the estimator shards its histograms per worker instead of
-	// installing per-tuple hooks.
+	// Workers is the number of scan workers a morselized columnar pass
+	// uses (0 when the pass is serial); it sizes the per-worker shards.
 	Workers int
 	// SetBuildColHook installs f to run once per build-input ColBatch
 	// during a columnar preprocessing pass (serial, at batch boundaries).
@@ -162,24 +156,18 @@ type PipelineEstimator struct {
 	outDistCol  int
 	outDistHist *FreqHistogram
 
-	// Batched (sharded) attachment state — see shard.go. batchInstalled
-	// reports that build observation runs through per-worker histogram
-	// shards and probe observation through ObserveProbeBatch/FinishProbe;
-	// afterConverge hooks fire after the probe-end merge has frozen the
-	// estimator (aggregation push-down publishes its final estimate
-	// there).
-	batchInstalled bool
-	probeShards    []probeShard
-	afterConverge  []func()
-
 	// Columnar attachment state — see colhooks.go. colInstalled reports
 	// that build observation runs through span-at-a-time ColBatch hooks
 	// and probe observation through ObserveProbeCol. colShardInstalled
 	// (see colshard.go) is the sharded variant backing morselized columnar
 	// passes: worker-indexed ColBatch hooks into per-worker shards, probe
-	// observation through ObserveProbeColShard/FinishProbe.
+	// observation through ObserveProbeColShard/FinishProbe; afterConverge
+	// hooks fire after the probe-end merge has frozen the estimator
+	// (aggregation push-down publishes its final estimate there).
 	colInstalled      bool
 	colShardInstalled bool
+	probeShards       []probeShard
+	afterConverge     []func()
 
 	// Observability (see internal/obs): the tracer receives one
 	// EstimateRefined event per level at every publish boundary plus
@@ -397,13 +385,12 @@ func (p *PipelineEstimator) buildWeight(tu data.Tuple, j, level int) int64 {
 	return w
 }
 
-// installHooks attaches the build-pass observers: per-tuple hooks in the
-// default mode, per-worker sharded batch hooks (see shard.go) when every
-// link runs a batched preprocessing pass, span-at-a-time columnar hooks
-// (colhooks.go) when every link is columnar — sharded per worker
-// (colshard.go) when the columnar passes are morselized. The sharded
-// columnar check runs first: a morselized chain also satisfies
-// chainColumnar, and the serial hooks would race under concurrent scans.
+// installHooks attaches the build-pass observers: per-tuple hooks on the
+// tuple path, span-at-a-time columnar hooks (colhooks.go) when every link
+// is columnar — sharded per worker (colshard.go) when the columnar passes
+// are morselized. The sharded check runs first: a morselized chain also
+// satisfies chainColumnar, and the serial hooks would race under
+// concurrent scans.
 func (p *PipelineEstimator) installHooks() {
 	if p.chainColSharded() {
 		p.installColShardHooks()
@@ -411,10 +398,6 @@ func (p *PipelineEstimator) installHooks() {
 	}
 	if p.chainColumnar() {
 		p.installColHooks()
-		return
-	}
-	if p.chainBatched() {
-		p.installBatchHooks()
 		return
 	}
 	for j := 0; j < p.m; j++ {
@@ -447,17 +430,6 @@ func (p *PipelineEstimator) chainColumnar() bool {
 func (p *PipelineEstimator) chainColSharded() bool {
 	for _, l := range p.links {
 		if !l.Columnar || l.Workers < 1 || l.SetBuildColBatchHook == nil || l.SetBuildEndHook == nil {
-			return false
-		}
-	}
-	return true
-}
-
-// chainBatched reports whether every link of the chain runs a batched
-// preprocessing pass (and therefore supports sharded observation).
-func (p *PipelineEstimator) chainBatched() bool {
-	for _, l := range p.links {
-		if l.Workers < 1 || l.SetBuildBatchHook == nil || l.SetBuildEndHook == nil {
 			return false
 		}
 	}

@@ -12,7 +12,7 @@ import (
 // partition passes the estimation framework already observes: every
 // hash join's build pass and probe pass feed one ColumnSketch each,
 // span-at-a-time where the pass is columnar and sharded per worker
-// where the pass is parallel — sketching costs one hash per key and no
+// where the pass is morselized — sketching costs one hash per key and no
 // extra scan. The resulting single-table sketches merge into multi-join
 // cardinality estimates through SketchSet.JoinSizeEstimate, which is
 // what the mid-query re-optimizer consumes for pipelines whose inputs
@@ -115,13 +115,11 @@ func (s *SketchSet) wire(j *exec.HashJoin) {
 	s.wireProbe(j, js.Probe)
 }
 
-// wireBuild mirrors hashLinkHooks' mode dispatch: worker-sharded hooks
-// when the pass is parallel (morselized columnar or batched — the pass
-// barrier OnBuildEnd merges the shards), serial span or tuple hooks
-// otherwise. Exactly one hook kind is installed per pass, matching
-// which callbacks that pass mode actually fires, so keys are never
-// double-counted. The tuple-mode partition pass fires no OnBuildEnd,
-// which is why the serial modes sketch into the destination directly.
+// wireBuild mirrors hashLinkHooks' mode dispatch: worker-sharded span
+// hooks when the pass is morselized (the pass barrier OnBuildEnd merges
+// the shards), serial span or tuple hooks otherwise, sketching into the
+// destination directly. Exactly one hook kind is installed per pass, so
+// keys are never double-counted.
 func (s *SketchSet) wireBuild(j *exec.HashJoin, cs *sketch.ColumnSketch) {
 	keys := j.BuildKeys()
 	switch {
@@ -135,14 +133,6 @@ func (s *SketchSet) wireBuild(j *exec.HashJoin, cs *sketch.ColumnSketch) {
 		j.OnBuildCol = composeCol(j.OnBuildCol, func(cb *data.ColBatch) {
 			observeColKey(cs, cb, keys)
 		})
-	case j.Batched():
-		shards := s.newShards(j.Workers())
-		j.OnBuildBatch = composeBatch(j.OnBuildBatch, func(w int, b data.Batch) {
-			for _, t := range b {
-				observeTupleKey(shards[w], t, keys)
-			}
-		})
-		j.OnBuildEnd = compose0(j.OnBuildEnd, s.merger(cs, shards))
 	default:
 		j.OnBuildTuple = compose(j.OnBuildTuple, func(t data.Tuple) {
 			observeTupleKey(cs, t, keys)
@@ -165,14 +155,6 @@ func (s *SketchSet) wireProbe(j *exec.HashJoin, cs *sketch.ColumnSketch) {
 		j.OnProbeCol = composeCol(j.OnProbeCol, func(cb *data.ColBatch) {
 			observeColKey(cs, cb, keys)
 		})
-	case j.Batched():
-		shards := s.newShards(j.Workers())
-		j.OnProbeBatch = composeBatch(j.OnProbeBatch, func(w int, b data.Batch) {
-			for _, t := range b {
-				observeTupleKey(shards[w], t, keys)
-			}
-		})
-		j.OnProbeEnd = compose0(j.OnProbeEnd, s.merger(cs, shards))
 	default:
 		j.OnProbeTuple = compose(j.OnProbeTuple, func(t data.Tuple) {
 			observeTupleKey(cs, t, keys)

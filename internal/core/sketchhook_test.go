@@ -65,11 +65,10 @@ func TestSketchRideAlongPairwiseAccuracy(t *testing.T) {
 }
 
 // TestSketchModesBitIdentical asserts the mode independence of the
-// ride-along sketches: tuple, batched, columnar and morselized-columnar
-// partition passes produce bit-identical counters, because per-worker
-// shards merge by integer addition into exactly the serial sketch.
+// ride-along sketches: tuple, columnar and morselized-columnar partition
+// passes produce bit-identical counters, because per-worker shards merge
+// by integer addition into exactly the serial sketch.
 func TestSketchModesBitIdentical(t *testing.T) {
-	raiseProcs(t, 4)
 	type snapshot struct {
 		buildCells, probeCells []int64
 		buildRows, probeRows   int64
@@ -77,25 +76,18 @@ func TestSketchModesBitIdentical(t *testing.T) {
 	run := func(mode string) []snapshot {
 		top := fig6Plan(64, true)
 		switch mode {
-		case "batched":
-			parallelize(top, 3)
 		case "columnar":
 			columnarize(top)
 		case "colshard":
 			morselizeCol(top, 3)
 		}
 		s := AttachSketches(top)
-		switch mode {
-		case "batched":
-			if _, err := exec.RunBatch(exec.AsBatch(top)); err != nil {
-				t.Fatal(err)
-			}
-		case "columnar", "colshard":
-			drainColPlan(t, top)
-		default:
+		if mode == "tuple" {
 			if _, err := exec.Run(top); err != nil {
 				t.Fatal(err)
 			}
+		} else {
+			drainColPlan(t, top)
 		}
 		var snaps []snapshot
 		for _, j := range chainJoins(top) {
@@ -110,7 +102,7 @@ func TestSketchModesBitIdentical(t *testing.T) {
 		return snaps
 	}
 	want := run("tuple")
-	for _, mode := range []string{"batched", "columnar", "colshard"} {
+	for _, mode := range []string{"columnar", "colshard"} {
 		got := run(mode)
 		if len(got) != len(want) {
 			t.Fatalf("%s: %d joins, want %d", mode, len(got), len(want))

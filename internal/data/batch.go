@@ -2,21 +2,20 @@ package data
 
 import "sync/atomic"
 
-// DefaultBatchSize is the number of tuples moved per NextBatch call in the
-// batch-at-a-time executor. 1024 keeps a batch of slice headers around
-// 24 KiB — small enough to stay cache-resident, large enough to amortize
-// the per-call interface dispatch the tuple-at-a-time path pays per row.
-// The qpi-bench -batchsize sweep (recorded in BENCH_join.json) justifies
-// the choice empirically; SetBatchSize overrides it for such sweeps.
+// DefaultBatchSize is the number of rows moved per NextColBatch call.
+// 1024 keeps a batch of slice headers around 24 KiB — small enough to
+// stay cache-resident, large enough to amortize the per-call interface
+// dispatch the tuple-at-a-time path pays per row. SetBatchSize overrides
+// it for sweeps.
 const DefaultBatchSize = 1024
 
 // batchSize is the live batch size used by producers that size their
 // buffers at runtime. It exists so benchmarks can sweep batch sizes.
-// Atomic: sweeps may flip it while unrelated plans execute (qpi-bench
-// runs next to a live registry; tests run queries concurrently with knob
-// writes). A plan that straddles a change may size successive buffers
-// differently — harmless, since every consumer handles short batches —
-// but no read tears. Zero means "unset" so the default needs no init().
+// Atomic: sweeps may flip it while unrelated plans execute (tests run
+// queries concurrently with knob writes). A plan that straddles a change
+// may size successive buffers differently — harmless, since every
+// consumer handles short batches — but no read tears. Zero means "unset"
+// so the default needs no init().
 var batchSize atomic.Int64
 
 // BatchSize returns the current batch size (DefaultBatchSize unless
@@ -39,11 +38,12 @@ func SetBatchSize(n int) {
 	batchSize.Store(int64(n))
 }
 
-// Batch is a slice of tuples moved through the executor in one step.
+// Batch is a slice of tuples moved through the executor in one step: the
+// row cache behind a row-backed ColBatch.
 //
-// Ownership contract: a Batch returned by NextBatch (and the slice header
-// only, not the tuples it references) is valid until the next NextBatch
-// call on the same operator — producers reuse the backing array. Consumers
+// Ownership contract: a Batch handed out by a producer (and the slice
+// header only, not the tuples it references) is valid until the next pull
+// on the same operator — producers reuse the backing array. Consumers
 // that need the batch beyond that point must copy the slice (the tuples
 // themselves are immutable and may be retained).
 //

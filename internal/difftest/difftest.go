@@ -1,11 +1,9 @@
 // Package difftest is the randomized differential-testing harness: it
 // runs every qgen-generated plan through all execution modes of the real
-// engine (tuple-at-a-time, batch, batch-parallel, forced-spill,
-// parallel-spill, columnar, columnar-spill, morsel-driven row and
-// columnar scans, forced mid-query re-optimization in serial, morsel and
-// columnar flavors, and mid-query cancel/re-run)
-// and checks each run against the exact oracle
-// and the paper's estimator invariants:
+// engine (tuple-at-a-time, forced-spill, columnar, columnar-spill,
+// morsel-driven columnar scans, forced mid-query re-optimization on
+// tuple and columnar plans, and mid-query cancel/re-run) and checks each
+// run against the exact oracle and the paper's estimator invariants:
 //
 //   - result-set equivalence: the run's output multiset equals the
 //     oracle's, and every join emits exactly its true cardinality;
@@ -45,20 +43,10 @@ type Mode int
 
 // Execution modes.
 const (
-	// ModeTuple is the default tuple-at-a-time executor.
+	// ModeTuple is the tuple-at-a-time reference executor.
 	ModeTuple Mode = iota
-	// ModeBatch moves batches with serial partition passes.
-	ModeBatch
-	// ModeParallel runs batched partition passes with 3 scatter workers.
-	ModeParallel
 	// ModeSpill forces grace-join and sort spills with a tiny budget.
 	ModeSpill
-	// ModeParallelSpill combines both stressors: a tiny budget forces every
-	// partition to disk (and keeps the scatter passes serial), while 3-way
-	// parallelism sends the grace joins through the partition-parallel join
-	// phase — concurrent workers reading spilled partitions back under the
-	// oracle's eye.
-	ModeParallelSpill
 	// ModeCancelRerun cancels the context after the first bottom-stream
 	// tuple, verifies the terminal state, then re-runs a fresh build to
 	// completion with full checks.
@@ -70,14 +58,11 @@ const (
 	// ModeColumnarSpill combines the columnar passes with a tiny budget,
 	// forcing partitions through the columnar spill frame codec.
 	ModeColumnarSpill
-	// ModeMorsel runs the row partition passes morsel-driven: 3 scan
-	// workers claim single-block morsels (forcing many claims even on tiny
-	// qgen tables) and scatter concurrently, exercising the sharded
-	// estimator observation and the hook serialization under real
-	// concurrency.
-	ModeMorsel
-	// ModeColMorsel is ModeMorsel over the columnar partition passes, with
-	// worker-sharded span-at-a-time estimator observation.
+	// ModeColMorsel runs the columnar partition passes morsel-driven: 3
+	// scan workers claim single-block morsels (forcing many claims even on
+	// tiny qgen tables) and scatter concurrently, exercising the
+	// worker-sharded span-at-a-time estimator observation and the hook
+	// serialization under real concurrency.
 	ModeColMorsel
 	// ModeReopt runs with a Force-mode sketch-backed re-optimizer: every
 	// eligible unstarted join segment is re-ordered (or side-swapped) at
@@ -86,9 +71,6 @@ const (
 	// spec (recovered from the executed tree) for per-join cardinalities
 	// and once-exactness of the re-attached chain estimators.
 	ModeReopt
-	// ModeReoptMorsel is ModeReopt over morsel-driven parallel partition
-	// passes: the restructure window races 3 scan workers.
-	ModeReoptMorsel
 	// ModeReoptColumnar is ModeReopt over a plan compiled columnar — what
 	// WithReoptimization, a run option, always meets on the public API:
 	// restructured joins keep their lane-native partitions, their span
@@ -97,7 +79,7 @@ const (
 )
 
 // AllModes is every execution mode, in suite order.
-var AllModes = []Mode{ModeTuple, ModeBatch, ModeParallel, ModeSpill, ModeParallelSpill, ModeColumnar, ModeColumnarSpill, ModeMorsel, ModeColMorsel, ModeReopt, ModeReoptMorsel, ModeReoptColumnar, ModeCancelRerun}
+var AllModes = []Mode{ModeTuple, ModeSpill, ModeColumnar, ModeColumnarSpill, ModeColMorsel, ModeReopt, ModeReoptColumnar, ModeCancelRerun}
 
 // columnar reports whether the mode compiles the plan columnar and
 // drains it through NextColBatch.
@@ -111,33 +93,23 @@ func (m Mode) columnar() bool {
 
 // reopt reports whether the mode runs under a forced re-optimizer.
 func (m Mode) reopt() bool {
-	return m == ModeReopt || m == ModeReoptMorsel || m == ModeReoptColumnar
+	return m == ModeReopt || m == ModeReoptColumnar
 }
 
 func (m Mode) String() string {
 	switch m {
-	case ModeBatch:
-		return "batch"
-	case ModeParallel:
-		return "parallel"
 	case ModeSpill:
 		return "spill"
-	case ModeParallelSpill:
-		return "parallel-spill"
 	case ModeCancelRerun:
 		return "cancel-rerun"
 	case ModeColumnar:
 		return "columnar"
 	case ModeColumnarSpill:
 		return "columnar-spill"
-	case ModeMorsel:
-		return "morsel"
 	case ModeColMorsel:
 		return "columnar-morsel"
 	case ModeReopt:
 		return "reopt"
-	case ModeReoptMorsel:
-		return "reopt-morsel"
 	case ModeReoptColumnar:
 		return "reopt-columnar"
 	default:
@@ -204,18 +176,9 @@ func runMode(c *qgen.Case, want *oracle.Result, m Mode, st *SuiteStats) error {
 		return err
 	}
 	switch m {
-	case ModeBatch:
-		setParallelism(b.Root, 1)
-	case ModeParallel:
-		setParallelism(b.Root, 3)
-	case ModeSpill:
+	case ModeSpill, ModeColumnarSpill:
 		setBudget(b.Root, spillBudget)
-	case ModeParallelSpill:
-		setParallelism(b.Root, 3)
-		setBudget(b.Root, spillBudget)
-	case ModeColumnarSpill:
-		setBudget(b.Root, spillBudget)
-	case ModeMorsel, ModeColMorsel, ModeReoptMorsel:
+	case ModeColMorsel:
 		setMorsel(b.Root)
 	}
 	if m.columnar() {
@@ -344,7 +307,7 @@ func runMode(c *qgen.Case, want *oracle.Result, m Mode, st *SuiteStats) error {
 		if got := j.Stats().Emitted.Load(); got != want.JoinCards[i] {
 			return fmt.Errorf("join %d (%s) emitted %d, oracle says %d", i, j.Name(), got, want.JoinCards[i])
 		}
-		if m == ModeSpill || m == ModeParallelSpill || m == ModeColumnarSpill {
+		if m == ModeSpill || m == ModeColumnarSpill {
 			st.SpillFiles += j.Stats().SpillFiles.Load()
 		}
 	}
@@ -543,12 +506,9 @@ func drain(root exec.Operator, m Mode) ([]data.Tuple, error) {
 	}
 	var rows []data.Tuple
 	var err error
-	switch {
-	case m.columnar():
+	if m.columnar() {
 		rows, err = exec.DrainCol(exec.AsColOperator(root))
-	case m == ModeBatch, m == ModeParallel, m == ModeParallelSpill, m == ModeMorsel, m == ModeReoptMorsel:
-		rows, err = exec.DrainBatch(exec.AsBatch(root))
-	default:
+	} else {
 		rows, err = exec.Drain(root)
 	}
 	if cerr := root.Close(); err == nil {
@@ -557,22 +517,13 @@ func drain(root exec.Operator, m Mode) ([]data.Tuple, error) {
 	return rows, err
 }
 
-func setParallelism(root exec.Operator, workers int) {
-	exec.Walk(root, func(op exec.Operator) {
-		if j, ok := op.(*exec.HashJoin); ok {
-			j.SetParallelism(workers)
-		}
-	})
-}
-
 // setMorsel enables morsel-driven scans with 3 workers and single-block
 // morsels, so even the smallest qgen tables split into many concurrent
 // claims.
 func setMorsel(root exec.Operator) {
 	exec.Walk(root, func(op exec.Operator) {
 		if j, ok := op.(*exec.HashJoin); ok {
-			j.SetParallelism(3)
-			j.SetMorsel(true)
+			j.SetMorselWorkers(3)
 			j.SetMorselBlocks(1)
 		}
 	})

@@ -262,42 +262,11 @@ func (a *HashAgg) consume() error {
 	return nil
 }
 
-// consumeBatched is consume driven through the child's batch path. The
-// per-tuple hooks still fire for every input tuple, on this goroutine, so
-// estimator behaviour is identical in both modes.
-func (a *HashAgg) consumeBatched() error {
-	a.initGroups()
-	a.traceBegin("input")
-	in := AsBatch(a.child)
-	for {
-		if err := a.ctxErr(); err != nil {
-			return err
-		}
-		b, err := in.NextBatch()
-		if err != nil {
-			return err
-		}
-		if len(b) == 0 {
-			break
-		}
-		for _, t := range b {
-			a.observe(t)
-		}
-	}
-	a.traceEnd("input", a.inputRows, 0, 0)
-	a.traceBegin("emit")
-	if a.OnInputEnd != nil {
-		a.OnInputEnd()
-	}
-	a.computed = true
-	return nil
-}
-
 // consumeColumnar is consume driven through the child's columnar path.
 // When the group key is a single homogeneous int64 column and no
 // per-row input hook is attached, grouping runs vectorized over the
 // flat key lane (see observeKeyVector); otherwise each live row is
-// observed exactly as in the row passes. Group-count observations are
+// observed exactly as in the tuple pass. Group-count observations are
 // delivered span-at-a-time through OnInputGroupCounts when set; the
 // span preserves row order so consumers stay state-identical with the
 // per-row hook.
@@ -460,31 +429,6 @@ func (a *HashAgg) observe(t data.Tuple) {
 		}
 		gs.states[i].add(spec.Func, v)
 	}
-}
-
-// NextBatch implements BatchOperator: the blocking input read pulls whole
-// batches from the child and the group emission phase fills whole output
-// batches.
-func (a *HashAgg) NextBatch() (data.Batch, error) {
-	if !a.computed {
-		if err := a.consumeBatched(); err != nil {
-			return nil, err
-		}
-	}
-	if a.buf == nil {
-		a.buf = make(data.Batch, 0, data.BatchSize())
-	}
-	out := a.buf[:0]
-	for len(out) < cap(out) && a.pos < len(a.order) {
-		out = append(out, a.groupTuple(a.order[a.pos]))
-		a.pos++
-	}
-	a.buf = out
-	bt, err := a.emitBatch(out)
-	if bt == nil && err == nil {
-		a.endEmitSpan()
-	}
-	return bt, err
 }
 
 // GroupsSeen returns the number of distinct groups observed so far during

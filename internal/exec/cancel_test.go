@@ -79,11 +79,13 @@ func TestCancelDeadlineExceeded(t *testing.T) {
 	}
 }
 
-// cancelJoin builds a budgeted (spilling) hash join whose ctx is cancelled
-// by the phase hook configured in arm, runs it, and asserts cancellation
-// plus descriptor-clean shutdown.
-func cancelJoin(t *testing.T, budget int64, workers int, arm func(j *HashJoin, cancel func())) {
+// cancelJoin runs a hash join (spilling when budget > 0) on the tuple path
+// or the columnar path, with its ctx cancelled by the phase hook arm
+// installs, and asserts the cancellation surfaces with every spill
+// descriptor closed, no goroutine left and every pooled batch returned.
+func cancelJoin(t *testing.T, budget int64, columnar bool, arm func(j *HashJoin, cancel func())) {
 	t.Helper()
+	goroutines, pooled := runtime.NumGoroutine(), data.ColBatchesOut()
 	a := randTable("a", 3000, 100, 14)
 	b := randTable("b", 4000, 100, 15)
 	fs := vfs.NewFaultFS(nil)
@@ -91,18 +93,14 @@ func cancelJoin(t *testing.T, budget int64, workers int, arm func(j *HashJoin, c
 		NewScan(makeTable("a", a), ""),
 		NewScan(makeTable("b", b), ""),
 		"a", "k", "b", "k")
-	if budget > 0 {
-		j.SetMemoryBudget(budget)
-	}
-	j.SetSpillFS(fs)
+	j.SetMemoryBudget(budget).SetSpillFS(fs).SetColumnar(columnar)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	arm(j, cancel)
 	Bind(j, ctx)
 	var err error
-	if workers > 0 {
-		j.SetParallelism(workers)
-		_, err = RunBatch(j)
+	if columnar {
+		_, err = RunCol(j)
 	} else {
 		_, err = Run(j)
 	}
@@ -110,103 +108,66 @@ func cancelJoin(t *testing.T, budget int64, workers int, arm func(j *HashJoin, c
 	if open := fs.OpenFiles(); open != 0 {
 		t.Errorf("%d spill files still open after cancelled run", open)
 	}
+	expectNoExtraGoroutines(t, goroutines)
+	expectPooledBalance(t, pooled)
 }
 
-func TestCancelMidBuild(t *testing.T) {
-	cancelJoin(t, 0, 0, func(j *HashJoin, cancel func()) {
-		n := 0
-		j.OnBuildTuple = func(data.Tuple) {
-			if n++; n == 700 {
-				cancel()
+// cancelInPass cancels a join `at` rows into its build or probe partition
+// pass: on the tuple path armed through the per-tuple hook, on the
+// columnar path through the span hook's row counts.
+func cancelInPass(t *testing.T, budget int64, build bool, at int) {
+	t.Run("tuple", func(t *testing.T) {
+		cancelJoin(t, budget, false, func(j *HashJoin, cancel func()) {
+			n := 0
+			hook := func(data.Tuple) {
+				if n++; n == at {
+					cancel()
+				}
 			}
-		}
+			if build {
+				j.OnBuildTuple = hook
+			} else {
+				j.OnProbeTuple = hook
+			}
+		})
+	})
+	t.Run("columnar", func(t *testing.T) {
+		cancelJoin(t, budget, true, func(j *HashJoin, cancel func()) {
+			n := 0
+			hook := func(cb *data.ColBatch) {
+				if n < at && n+cb.Live() >= at {
+					cancel()
+				}
+				n += cb.Live()
+			}
+			if build {
+				j.OnBuildCol = hook
+			} else {
+				j.OnProbeCol = hook
+			}
+		})
 	})
 }
 
-func TestCancelMidProbe(t *testing.T) {
-	cancelJoin(t, 0, 0, func(j *HashJoin, cancel func()) {
-		n := 0
-		j.OnProbeTuple = func(data.Tuple) {
-			if n++; n == 700 {
-				cancel()
-			}
-		}
-	})
-}
+func TestCancelMidBuild(t *testing.T)      { cancelInPass(t, 0, true, 700) }
+func TestCancelMidProbe(t *testing.T)      { cancelInPass(t, 0, false, 700) }
+func TestCancelMidSpillBuild(t *testing.T) { cancelInPass(t, 16*1024, true, 2500) }
+func TestCancelMidSpillProbe(t *testing.T) { cancelInPass(t, 16*1024, false, 2000) }
 
-func TestCancelMidSpillBuild(t *testing.T) {
-	cancelJoin(t, 16*1024, 0, func(j *HashJoin, cancel func()) {
-		n := 0
-		j.OnBuildTuple = func(data.Tuple) {
-			if n++; n == 2500 {
-				cancel()
-			}
-		}
-	})
-}
-
-func TestCancelMidSpillProbe(t *testing.T) {
-	cancelJoin(t, 16*1024, 0, func(j *HashJoin, cancel func()) {
-		n := 0
-		j.OnProbeTuple = func(data.Tuple) {
-			if n++; n == 2000 {
-				cancel()
-			}
-		}
-	})
-}
-
+// TestCancelMidOutput cancels from the output hook, which on the columnar
+// path sends emission through the row fallback; TestCancelColumnarJoin-
+// ReturnsChunks cancels the lane-to-lane join phase.
 func TestCancelMidOutput(t *testing.T) {
-	cancelJoin(t, 16*1024, 0, func(j *HashJoin, cancel func()) {
-		n := 0
-		j.OnOutput = func(data.Tuple) {
-			if n++; n == 1000 {
-				cancel()
+	for _, columnar := range []bool{false, true} {
+		cancelJoin(t, 16*1024, columnar, func(j *HashJoin, cancel func()) {
+			n := 0
+			j.OnOutput = func(data.Tuple) {
+				if n++; n == 1000 {
+					cancel()
+				}
 			}
-		}
-	})
-}
-
-func TestCancelBatchedSpillJoin(t *testing.T) {
-	// The budget keeps the batched passes serial, exercising the
-	// per-batch ctx check in partitionPassBatched.
-	cancelJoin(t, 16*1024, 4, func(j *HashJoin, cancel func()) {
-		n := 0
-		j.OnProbeTuple = func(data.Tuple) {
-			if n++; n == 2000 {
-				cancel()
-			}
-		}
-	})
-}
-
-// TestCancelParallelPass cancels during the parallel scatter: the reader
-// stops, closes the work channel, and the workers must all exit — the
-// hand-rolled goroutine check catches any that linger.
-func TestCancelParallelPass(t *testing.T) {
-	before := runtime.NumGoroutine()
-	cancelJoin(t, 0, 4, func(j *HashJoin, cancel func()) {
-		n := 0
-		j.OnBuildTuple = func(data.Tuple) {
-			if n++; n == 1500 {
-				cancel()
-			}
-		}
-	})
-	expectNoExtraGoroutines(t, before)
-}
-
-func TestCancelParallelProbePass(t *testing.T) {
-	before := runtime.NumGoroutine()
-	cancelJoin(t, 0, 4, func(j *HashJoin, cancel func()) {
-		n := 0
-		j.OnProbeTuple = func(data.Tuple) {
-			if n++; n == 1500 {
-				cancel()
-			}
-		}
-	})
-	expectNoExtraGoroutines(t, before)
+		})
+	}
 }
 
 func TestCancelMidSortInput(t *testing.T) {

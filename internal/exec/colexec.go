@@ -5,14 +5,15 @@ import (
 	"qpi/internal/expr"
 )
 
-// This file is the columnar execution layer, stacked on the batch layer
-// the way batch.go stacks on Volcano: operators that can serve typed
+// This file is the columnar execution layer, the second of the engine's
+// two pull contracts (Next is the other): operators that can serve typed
 // column vectors implement ColOperator natively (Scan, Filter, Project,
-// Limit, Reorder, HashJoin, HashAgg); everything else composes through
-// AsColOperator, which wraps the operator's batch path and exposes the
-// rows as a lazily-pivoted ColBatch. Selection vectors flow through
-// filters without copying tuples, and the join's columnar output path
-// gathers values straight into pooled lanes (see hashjoin_col.go).
+// Limit, Reorder, HashJoin, HashAgg); everything else (Sort, MergeJoin,
+// NestedLoopsJoin, SortAgg) composes through AsColOperator, which pulls
+// the operator's Next and exposes the rows as a lazily-pivoted ColBatch.
+// Selection vectors flow through filters without copying tuples, and the
+// join's columnar output path gathers values straight into pooled lanes
+// (see hashjoin_col.go).
 
 // ColOperator is the columnar executor contract. NextColBatch returns
 // the next batch in columnar form, or nil at end of stream. The batch
@@ -25,8 +26,8 @@ type ColOperator interface {
 }
 
 // AsColOperator returns op as a ColOperator: native implementations are
-// returned as-is, anything else is wrapped in an adapter over the batch
-// path whose ColBatch carries the rows and pivots columns on demand.
+// returned as-is, anything else is wrapped in an adapter over Next whose
+// ColBatch carries the rows and pivots columns on demand.
 func AsColOperator(op Operator) ColOperator {
 	if c, ok := op.(ColOperator); ok {
 		return c
@@ -37,22 +38,30 @@ func AsColOperator(op Operator) ColOperator {
 // colAdapter lifts a row-producing operator to the columnar contract.
 type colAdapter struct {
 	Operator
-	bchild BatchOperator
-	buf    data.ColBatch
+	rows data.Batch
+	buf  data.ColBatch
 }
 
 func (a *colAdapter) NextColBatch() (*data.ColBatch, error) {
-	if a.bchild == nil {
-		a.bchild = AsBatch(a.Operator)
+	if a.rows == nil {
+		a.rows = make(data.Batch, 0, data.BatchSize())
 	}
-	b, err := a.bchild.NextBatch()
-	if err != nil {
-		return nil, err
+	rows := a.rows[:0]
+	for len(rows) < cap(rows) {
+		t, err := a.Operator.Next()
+		if err != nil {
+			return nil, err
+		}
+		if t == nil {
+			break
+		}
+		rows = append(rows, t)
 	}
-	if len(b) == 0 {
+	a.rows = rows
+	if len(rows) == 0 {
 		return nil, nil
 	}
-	a.buf.SetRows(b, a.Operator.Schema().Len())
+	a.buf.SetRows(rows, a.Operator.Schema().Len())
 	return &a.buf, nil
 }
 
@@ -113,8 +122,8 @@ func DrainCol(op ColOperator) ([]data.Tuple, error) {
 }
 
 // RunCol opens, drains and closes an operator through its columnar path,
-// returning the live row count — the columnar counterpart of Run and
-// RunBatch. No tuples are materialized at the root.
+// returning the live row count — the columnar counterpart of Run. No
+// tuples are materialized at the root.
 func RunCol(op ColOperator) (int64, error) {
 	if err := op.Open(); err != nil {
 		return 0, err

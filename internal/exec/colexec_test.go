@@ -1,0 +1,454 @@
+package exec
+
+import (
+	"fmt"
+	"math/rand"
+	"sort"
+	"sync/atomic"
+	"testing"
+
+	"qpi/internal/data"
+	"qpi/internal/expr"
+	"qpi/internal/storage"
+)
+
+// Equivalence of the two pull contracts, operator by operator: the same
+// plan drained through NextColBatch and through Next must produce the
+// same rows in the same order, leave the same counters on every operator
+// and fire the same hooks. internal/difftest checks whole generated plans
+// against an oracle; these tests pin the cases a generator reaches only
+// by luck — punctuation mid-batch, a limit cutting a selection vector,
+// row-major operators behind the adapter, a columnar join under a tuple
+// parent.
+
+// fingerprints renders rows into comparable strings.
+func fingerprints(rows []data.Tuple) []string {
+	out := make([]string, len(rows))
+	for i, r := range rows {
+		out[i] = fmt.Sprint(r)
+	}
+	return out
+}
+
+// requireSameRows asserts two result sets are identical; ordered compares
+// row-by-row, unordered compares sorted multisets (a morselized pass
+// interleaves tuples within a partition nondeterministically).
+func requireSameRows(t *testing.T, want, got []data.Tuple, ordered bool, label string) {
+	t.Helper()
+	w, g := fingerprints(want), fingerprints(got)
+	if !ordered {
+		sort.Strings(w)
+		sort.Strings(g)
+	}
+	if len(w) != len(g) {
+		t.Fatalf("%s: %d rows vs %d", label, len(w), len(g))
+	}
+	for i := range w {
+		if w[i] != g[i] {
+			t.Fatalf("%s: row %d differs: %s vs %s", label, i, w[i], g[i])
+		}
+	}
+}
+
+// requireSameStats asserts the final counters of every operator agree
+// between two runs of structurally identical plans.
+func requireSameStats(t *testing.T, a, b Operator, label string) {
+	t.Helper()
+	var as, bs []Operator
+	Walk(a, func(op Operator) { as = append(as, op) })
+	Walk(b, func(op Operator) { bs = append(bs, op) })
+	if len(as) != len(bs) {
+		t.Fatalf("%s: plans differ: %d operators vs %d", label, len(as), len(bs))
+	}
+	for i := range as {
+		sa, sb := as[i].Stats(), bs[i].Stats()
+		if sa.Emitted.Load() != sb.Emitted.Load() {
+			t.Errorf("%s: %s Emitted %d vs %d", label, as[i].Name(), sa.Emitted.Load(), sb.Emitted.Load())
+		}
+		if sa.IsDone() != sb.IsDone() {
+			t.Errorf("%s: %s Done %v vs %v", label, as[i].Name(), sa.IsDone(), sb.IsDone())
+		}
+	}
+}
+
+// markColumnar does to a hand-built plan what Engine.Compile does to
+// every plan.
+func markColumnar(root Operator) {
+	Walk(root, func(op Operator) {
+		switch o := op.(type) {
+		case *HashJoin:
+			o.SetColumnar(true)
+		case *Sort:
+			o.SetColumnar(true)
+		}
+	})
+}
+
+// requireColumnarMatchesTuple builds the plan twice, drains one copy
+// through Next and the other, marked columnar, through NextColBatch, and
+// requires the same ordered rows and the same counters on every operator.
+func requireColumnarMatchesTuple(t *testing.T, label string, mk func() Operator) {
+	t.Helper()
+	tup, col := mk(), mk()
+	markColumnar(col)
+	requireSameRows(t, drainMode(t, tup, false), drainMode(t, col, true), true, label)
+	requireSameStats(t, tup, col, label)
+}
+
+// TestScanBatchEquivalence: a sampled scan whose punctuation lands in the
+// middle of a batch fires OnSampleEnd once, after the same tuple on both
+// paths, and counts every row exactly once.
+func TestScanBatchEquivalence(t *testing.T) {
+	vals := make([]int64, 23*storage.BlockSize+17) // partial last batch + partial block
+	for i := range vals {
+		vals[i] = int64(i)
+	}
+	type run struct {
+		sc         *Scan
+		rows       []data.Tuple
+		seen       int
+		sampleEnds []int // tuples seen at each OnSampleEnd
+	}
+	drain := func(columnar bool) *run {
+		r := &run{sc: NewScan(makeTable("t", vals), "")}
+		r.sc.SampleFraction = 0.3
+		r.sc.Seed = 7
+		r.sc.OnTuple = func(data.Tuple) { r.seen++ }
+		r.sc.OnSampleEnd = func() { r.sampleEnds = append(r.sampleEnds, r.seen) }
+		r.rows = drainMode(t, r.sc, columnar)
+		return r
+	}
+	tup, col := drain(false), drain(true)
+	requireSameRows(t, tup.rows, col.rows, true, "scan")
+	requireSameStats(t, tup.sc, col.sc, "scan")
+	if got, want := col.sc.Stats().Emitted.Load(), col.sc.Stats().InputTotal; got != want {
+		t.Errorf("columnar scan emitted %d of %d rows", got, want)
+	}
+	if len(tup.sampleEnds) != 1 || len(col.sampleEnds) != 1 || tup.sampleEnds[0] != col.sampleEnds[0] {
+		t.Fatalf("sample punctuation: tuple path at %v, columnar path at %v", tup.sampleEnds, col.sampleEnds)
+	}
+	if at := col.sampleEnds[0]; at == 0 || at%data.BatchSize() == 0 {
+		t.Fatalf("punctuation at tuple %d is not mid-batch; the test lost its point", at)
+	}
+}
+
+// TestFilterProjectLimitBatchEquivalence: a filter that empties whole
+// batches and narrows the others to selection vectors, a projection that
+// shares and computes columns, and a limit that lands inside a selection
+// vector. Operators under the limit see whole batches on the columnar
+// path, so only the limit's own counters are comparable there; the
+// pipeline without the limit is compared operator by operator.
+func TestFilterProjectLimitBatchEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	bs := data.BatchSize()
+	rows := make([][2]int64, 6*bs)
+	for i := range rows {
+		x := int64(rng.Intn(50))
+		if batch := i / bs; batch == 1 || batch == 4 {
+			x += 100 // the filter drops these batches whole
+		}
+		rows[i] = [2]int64{x, int64(rng.Intn(1000))}
+	}
+	pipeline := func() Operator {
+		sc := NewScan(makeTable2("t", rows), "")
+		f := NewFilter(sc, expr.Compare(expr.LT, expr.Column(sc.Schema(), "t", "x"), expr.IntLit(20)))
+		return NewProject(f, []expr.Expr{
+			expr.Column(f.Schema(), "t", "y"),
+			expr.Arith{Op: expr.Add, L: expr.Column(f.Schema(), "t", "x"), R: expr.IntLit(1)},
+		}, []string{"y", "x1"})
+	}
+	requireColumnarMatchesTuple(t, "filter/project", pipeline)
+
+	const limit = 700 // about 0.4 of a batch survives the filter: mid-vector in the second live batch
+	tup, col := NewLimit(pipeline(), limit), NewLimit(pipeline(), limit)
+	got := drainMode(t, col, true)
+	requireSameRows(t, drainMode(t, tup, false), got, true, "filter/project/limit")
+	if len(got) != limit {
+		t.Fatalf("limit %d returned %d rows", limit, len(got))
+	}
+	if a, b := tup.Stats(), col.Stats(); a.Emitted.Load() != b.Emitted.Load() || !a.IsDone() || !b.IsDone() {
+		t.Errorf("limit counters: tuple %d done=%v, columnar %d done=%v",
+			a.Emitted.Load(), a.IsDone(), b.Emitted.Load(), b.IsDone())
+	}
+}
+
+// TestHashAggBatchEquivalence: hash aggregation over integer, string and
+// multi-column groups (NULL keys included, fed through a filter so the
+// columnar input carries selection vectors) emits the same groups in the
+// same first-seen order, and the OnInputGroupCounts spans of the columnar
+// pass concatenate to exactly the per-row OnInputGroupCount sequence of
+// the tuple pass, with the per-row hook silent.
+func TestHashAggBatchEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	sch := data.NewSchema(
+		data.Column{Table: "t", Name: "g", Kind: data.KindInt},
+		data.Column{Table: "t", Name: "s", Kind: data.KindString},
+		data.Column{Table: "t", Name: "v", Kind: data.KindInt},
+	)
+	tb := storage.NewTable("t", sch)
+	for i := 0; i < 3000; i++ {
+		g, s := data.Int(int64(rng.Intn(40))), data.Str(fmt.Sprintf("s%02d", rng.Intn(25)))
+		if rng.Intn(20) == 0 {
+			g = data.Null()
+		}
+		if rng.Intn(20) == 0 {
+			s = data.Null()
+		}
+		tb.MustAppend(data.Tuple{g, s, data.Int(int64(rng.Intn(100)))})
+	}
+	for _, groupBy := range [][]int{{0}, {1}, {0, 1}} {
+		label := fmt.Sprintf("hashagg%v", groupBy)
+		var perRow, spans []int64
+		var perRowOnColumnar int
+		mk := func() Operator {
+			sc := NewScan(tb, "")
+			f := NewFilter(sc, expr.Compare(expr.LT, expr.Column(sc.Schema(), "t", "v"), expr.IntLit(80)))
+			return NewHashAgg(f, groupBy, []AggSpec{
+				{Func: CountStar, Name: "c"},
+				{Func: Sum, Col: 2, Name: "sum"},
+				{Func: Min, Col: 2, Name: "lo"},
+			})
+		}
+		tup, col := mk(), mk()
+		tup.(*HashAgg).OnInputGroupCount = func(n int64) { perRow = append(perRow, n) }
+		col.(*HashAgg).OnInputGroupCount = func(int64) { perRowOnColumnar++ }
+		col.(*HashAgg).OnInputGroupCounts = func(ns []int64) { spans = append(spans, ns...) }
+		requireSameRows(t, drainMode(t, tup, false), drainMode(t, col, true), true, label)
+		requireSameStats(t, tup, col, label)
+		if perRowOnColumnar != 0 {
+			t.Errorf("%s: per-row count hook fired %d times beside the span hook", label, perRowOnColumnar)
+		}
+		if len(spans) != len(perRow) {
+			t.Fatalf("%s: spans carry %d counts, per-row hook saw %d", label, len(spans), len(perRow))
+		}
+		for i := range perRow {
+			if spans[i] != perRow[i] {
+				t.Fatalf("%s: group count %d is %d in the spans, %d per row", label, i, spans[i], perRow[i])
+			}
+		}
+	}
+}
+
+// TestHashJoinBatchEquivalence: for every join type the columnar join
+// emits the tuple join's rows in the tuple join's partition-clustered
+// order, with the same counters on the join and both scans. A morselized
+// pass keeps the multiset and the counters; its order within a partition
+// depends on the claim interleaving.
+func TestHashJoinBatchEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	build := make([]int64, 2500)
+	probe := make([]int64, 3000)
+	for i := range build {
+		build[i] = int64(rng.Intn(80))
+	}
+	for i := range probe {
+		probe[i] = int64(rng.Intn(80))
+	}
+	for _, jt := range []JoinType{InnerJoin, ProbeOuterJoin, SemiJoin, AntiJoin} {
+		mk := func() *HashJoin {
+			return NewHashJoinMulti(
+				NewScan(makeTable("a", build), ""),
+				NewScan(makeTable("b", probe), ""),
+				[]int{0}, []int{0}, jt)
+		}
+		base := mk()
+		want := drainMode(t, base, false)
+		for _, workers := range []int{0, 4} {
+			label := fmt.Sprintf("%v join, %d morsel workers", jt, workers)
+			j := mk().SetColumnar(true).SetMorselWorkers(workers).SetMorselBlocks(1)
+			requireSameRows(t, want, drainMode(t, j, true), workers == 0, label)
+			requireSameStats(t, base, j, label)
+			if j.BuildRows() != base.BuildRows() || j.ProbeRows() != base.ProbeRows() {
+				t.Errorf("%s: rows build=%d/%d probe=%d/%d", label,
+					j.BuildRows(), base.BuildRows(), j.ProbeRows(), base.ProbeRows())
+			}
+		}
+	}
+}
+
+// TestHashJoinNullKeysBatched checks the NULL-key rules survive the
+// columnar passes: build NULLs never join, probe NULLs are preserved only
+// by the probe-preserving join types.
+func TestHashJoinNullKeysBatched(t *testing.T) {
+	mkSide := func(name string, vals []int64, nulls int) *storage.Table {
+		sch := data.NewSchema(data.Column{Table: name, Name: "k", Kind: data.KindInt})
+		tb := storage.NewTable(name, sch)
+		for _, v := range vals {
+			tb.MustAppend(data.Tuple{data.Int(v)})
+		}
+		for i := 0; i < nulls; i++ {
+			tb.MustAppend(data.Tuple{data.Null()})
+		}
+		return tb
+	}
+	wantRows := map[JoinType]int{InnerJoin: 4, ProbeOuterJoin: 8, SemiJoin: 3, AntiJoin: 4}
+	for _, jt := range []JoinType{InnerJoin, ProbeOuterJoin, SemiJoin, AntiJoin} {
+		mk := func() *HashJoin {
+			return NewHashJoinMulti(
+				NewScan(mkSide("a", []int64{1, 2, 2, 3}, 2), ""),
+				NewScan(mkSide("b", []int64{2, 3, 3, 4}, 3), ""),
+				[]int{0}, []int{0}, jt)
+		}
+		base := mk()
+		want := drainMode(t, base, false)
+		if len(want) != wantRows[jt] {
+			t.Fatalf("%v join: tuple path returned %d rows, want %d", jt, len(want), wantRows[jt])
+		}
+		for _, workers := range []int{0, 3} {
+			label := fmt.Sprintf("%v join nulls, %d morsel workers", jt, workers)
+			j := mk().SetColumnar(true).SetMorselWorkers(workers).SetMorselBlocks(1)
+			requireSameRows(t, want, drainMode(t, j, true), workers == 0, label)
+			requireSameStats(t, base, j, label)
+		}
+	}
+}
+
+// TestHashJoinBatchHooks checks the hook ordering contract documented on
+// HashJoin, on every pass: per-tuple hooks cover every input tuple; for
+// one batch they fire before the span hook, which fires before the
+// worker-indexed span hook; OnBuildEnd fires once between the passes and
+// OnProbeEnd once after the probe pass; all of it before any output.
+func TestHashJoinBatchHooks(t *testing.T) {
+	a := randTable("a", 2000, 50, 21)
+	b := randTable("b", 2400, 50, 22)
+	for _, m := range []struct {
+		name     string
+		columnar bool
+		workers  int
+	}{{name: "tuple"}, {name: "columnar", columnar: true}, {name: "columnar-morsel", columnar: true, workers: 4}} {
+		t.Run(m.name, func(t *testing.T) {
+			j := NewHashJoinOn(
+				NewScan(makeTable("a", a), ""),
+				NewScan(makeTable("b", b), ""),
+				"a", "k", "b", "k")
+			j.SetColumnar(m.columnar).SetMorselWorkers(m.workers).SetMorselBlocks(1)
+
+			// phase: 0 build pass, 1 probe pass, 2 join phase. The barriers
+			// run on the coordinator with every worker joined, so plain
+			// stores there order against the workers' atomic loads.
+			var phase, buildEnds, probeEnds atomic.Int32
+			j.OnBuildEnd = func() { buildEnds.Add(1); phase.Store(1) }
+			j.OnProbeEnd = func() { probeEnds.Add(1); phase.Store(2) }
+			inPhase := func(hook string, want int32) {
+				if got := phase.Load(); got != want {
+					t.Errorf("%s fired in phase %d, want %d", hook, got, want)
+				}
+			}
+			// Per-tuple and serial span hooks are serialized by the pass
+			// (by its mutex when morselized); worker-span hooks are not.
+			var buildTuples, probeTuples, sinceSpan, spans, outputs int
+			awaitingWorkerSpan := false
+			tupleHook := func(name string, want int32, n *int) func(data.Tuple) {
+				return func(data.Tuple) {
+					inPhase(name, want)
+					*n++
+					sinceSpan++
+				}
+			}
+			spanHook := func(name string, want int32) func(*data.ColBatch) {
+				return func(cb *data.ColBatch) {
+					inPhase(name, want)
+					spans++
+					if m.workers == 0 {
+						if awaitingWorkerSpan {
+							t.Errorf("%s: two span hooks without a worker-span hook between", name)
+						}
+						if sinceSpan != cb.Live() {
+							t.Errorf("%s: %d per-tuple hooks before a span of %d rows", name, sinceSpan, cb.Live())
+						}
+						awaitingWorkerSpan = true
+					}
+					sinceSpan = 0
+				}
+			}
+			var buildSpanned, probeSpanned atomic.Int64
+			workerSpanHook := func(name string, want int32, rows *atomic.Int64) func(int, *data.ColBatch) {
+				return func(w int, cb *data.ColBatch) {
+					inPhase(name, want)
+					if w < 0 || w >= j.Workers() {
+						t.Errorf("%s: worker %d outside [0,%d)", name, w, j.Workers())
+					}
+					if m.workers == 0 {
+						if !awaitingWorkerSpan {
+							t.Errorf("%s fired before the batch's span hook", name)
+						}
+						awaitingWorkerSpan = false
+					}
+					rows.Add(int64(cb.Live()))
+				}
+			}
+			j.OnBuildTuple = tupleHook("OnBuildTuple", 0, &buildTuples)
+			j.OnProbeTuple = tupleHook("OnProbeTuple", 1, &probeTuples)
+			j.OnBuildCol = spanHook("OnBuildCol", 0)
+			j.OnProbeCol = spanHook("OnProbeCol", 1)
+			j.OnBuildColBatch = workerSpanHook("OnBuildColBatch", 0, &buildSpanned)
+			j.OnProbeColBatch = workerSpanHook("OnProbeColBatch", 1, &probeSpanned)
+			j.OnOutput = func(data.Tuple) {
+				inPhase("OnOutput", 2)
+				outputs++
+			}
+
+			rows := drainMode(t, j, m.columnar)
+			if buildTuples != len(a) || probeTuples != len(b) {
+				t.Errorf("per-tuple hooks build=%d probe=%d, inputs %d/%d", buildTuples, probeTuples, len(a), len(b))
+			}
+			if m.columnar && (buildSpanned.Load() != int64(len(a)) || probeSpanned.Load() != int64(len(b))) {
+				t.Errorf("worker-span hooks build=%d probe=%d, inputs %d/%d",
+					buildSpanned.Load(), probeSpanned.Load(), len(a), len(b))
+			}
+			if !m.columnar && (spans != 0 || buildSpanned.Load()+probeSpanned.Load() != 0) {
+				t.Error("span hooks fired on the tuple pass")
+			}
+			if m.columnar && spans == 0 {
+				t.Error("span hooks never fired on the columnar pass")
+			}
+			if buildEnds.Load() != 1 || probeEnds.Load() != 1 {
+				t.Errorf("barriers fired build=%d probe=%d times, want once each", buildEnds.Load(), probeEnds.Load())
+			}
+			if outputs != len(rows) || outputs == 0 {
+				t.Errorf("OnOutput fired %d times for %d rows", outputs, len(rows))
+			}
+		})
+	}
+}
+
+// TestAdaptersCompose puts the row-major operators — a Sort and a
+// MergeJoin over two more Sorts — under a columnar hash join: its
+// partition passes reach them through the adapter over Next, and the
+// plan must agree with its all-tuple twin.
+func TestAdaptersCompose(t *testing.T) {
+	a := randTable("a", 1500, 300, 23)
+	b := randTable("b", 1200, 300, 24)
+	c := randTable("c", 900, 300, 25)
+	mk := func() Operator {
+		mj, _, _ := NewSortMergeJoin(
+			NewScan(makeTable("b", b), ""),
+			NewScan(makeTable("c", c), ""), 0, 0)
+		return NewHashJoin(NewSort(NewScan(makeTable("a", a), ""), 0), mj, 0, 0)
+	}
+	for _, op := range []Operator{NewSort(NewScan(makeTable("a", a), ""), 0), mk().Children()[1]} {
+		if _, native := op.(ColOperator); native {
+			t.Fatalf("%s implements ColOperator; the test needs row-major operators", op.Name())
+		}
+	}
+	requireColumnarMatchesTuple(t, "sort and merge join under a columnar join", mk)
+}
+
+// TestMixedModePlan pulls a columnar hash join through Next from a
+// parent drained tuple-at-a-time: the join's lane-native partitions must
+// serve rows one at a time, and agree with the tuple join.
+func TestMixedModePlan(t *testing.T) {
+	a := randTable("a", 1200, 60, 24)
+	b := randTable("b", 1500, 60, 25)
+	mk := func(columnar bool) Operator {
+		j := NewHashJoinOn(
+			NewScan(makeTable("a", a), ""),
+			NewScan(makeTable("b", b), ""),
+			"a", "k", "b", "k")
+		j.SetColumnar(columnar)
+		return NewFilter(j, expr.Compare(expr.LT, expr.Column(j.Schema(), "b", "k"), expr.IntLit(45)))
+	}
+	tup, col := mk(false), mk(true)
+	requireSameRows(t, drainMode(t, tup, false), drainMode(t, col, false), true, "columnar join pulled by Next")
+	requireSameStats(t, tup, col, "columnar join pulled by Next")
+}

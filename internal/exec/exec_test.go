@@ -260,14 +260,16 @@ func TestHashJoinNullKeysDoNotJoin(t *testing.T) {
 }
 
 func TestHashJoinHookOrdering(t *testing.T) {
-	// All build hooks must fire before any probe hook; all probe hooks
-	// before OnProbeEnd; OnProbeEnd before the first output tuple.
+	// All build hooks must fire before OnBuildEnd, which fires before any
+	// probe hook; all probe hooks before OnProbeEnd; OnProbeEnd before the
+	// first output tuple.
 	j := NewHashJoinOn(
 		NewScan(makeTable("a", []int64{1, 2}), ""),
 		NewScan(makeTable("b", []int64{1, 2, 2}), ""),
 		"a", "k", "b", "k")
 	var events []string
 	j.OnBuildTuple = func(data.Tuple) { events = append(events, "b") }
+	j.OnBuildEnd = func() { events = append(events, "build-end") }
 	j.OnProbeTuple = func(data.Tuple) { events = append(events, "p") }
 	j.OnProbeEnd = func() { events = append(events, "end") }
 	if err := j.Open(); err != nil {
@@ -277,7 +279,7 @@ func TestHashJoinHookOrdering(t *testing.T) {
 	if err != nil || tu == nil {
 		t.Fatalf("first Next = %v, %v", tu, err)
 	}
-	want := []string{"b", "b", "p", "p", "p", "end"}
+	want := []string{"b", "b", "build-end", "p", "p", "p", "end"}
 	if len(events) != len(want) {
 		t.Fatalf("events = %v, want %v", events, want)
 	}

@@ -13,9 +13,6 @@ type Filter struct {
 	child Operator
 	pred  expr.Expr
 
-	bchild BatchOperator
-	buf    data.Batch
-
 	cchild  ColOperator
 	selBuf  []int32
 	colView data.ColBatch
@@ -56,34 +53,6 @@ func (f *Filter) Next() (data.Tuple, error) {
 	}
 }
 
-// NextBatch implements BatchOperator: it evaluates the predicate over
-// whole input batches, skipping fully filtered batches without returning.
-func (f *Filter) NextBatch() (data.Batch, error) {
-	if f.bchild == nil {
-		f.bchild = AsBatch(f.child)
-		f.buf = make(data.Batch, 0, data.BatchSize())
-	}
-	for {
-		in, err := f.bchild.NextBatch()
-		if err != nil {
-			return nil, err
-		}
-		if len(in) == 0 {
-			return f.emitBatch(nil)
-		}
-		out := f.buf[:0]
-		for _, t := range in {
-			if f.pred.Eval(t).IsTrue() {
-				out = append(out, t)
-			}
-		}
-		if len(out) > 0 {
-			f.buf = out
-			return f.emitBatch(out)
-		}
-	}
-}
-
 // Close implements Operator.
 func (f *Filter) Close() error { return f.child.Close() }
 
@@ -92,9 +61,6 @@ type Project struct {
 	base
 	child Operator
 	exprs []expr.Expr
-
-	bchild BatchOperator
-	buf    data.Batch
 
 	cchild ColOperator
 	colOut data.ColBatch
@@ -156,44 +122,14 @@ func (p *Project) Next() (data.Tuple, error) {
 	return p.emit(out)
 }
 
-// NextBatch implements BatchOperator: output tuples for a whole batch are
-// carved out of one arena allocation instead of one make per row.
-func (p *Project) NextBatch() (data.Batch, error) {
-	if p.bchild == nil {
-		p.bchild = AsBatch(p.child)
-		p.buf = make(data.Batch, 0, data.BatchSize())
-	}
-	in, err := p.bchild.NextBatch()
-	if err != nil {
-		return nil, err
-	}
-	if len(in) == 0 {
-		return p.emitBatch(nil)
-	}
-	width := len(p.exprs)
-	arena := make([]data.Value, len(in)*width)
-	out := p.buf[:0]
-	for _, t := range in {
-		row := arena[:width:width]
-		arena = arena[width:]
-		for i, e := range p.exprs {
-			row[i] = e.Eval(t)
-		}
-		out = append(out, data.Tuple(row))
-	}
-	p.buf = out
-	return p.emitBatch(out)
-}
-
 // Close implements Operator.
 func (p *Project) Close() error { return p.child.Close() }
 
 // Limit emits at most n tuples.
 type Limit struct {
 	base
-	child  Operator
-	n      int64
-	bchild BatchOperator
+	child Operator
+	n     int64
 
 	cchild  ColOperator
 	selBuf  []int32
@@ -229,26 +165,6 @@ func (l *Limit) Next() (data.Tuple, error) {
 		return l.finish()
 	}
 	return l.emit(t)
-}
-
-// NextBatch implements BatchOperator, truncating the final batch at the
-// limit.
-func (l *Limit) NextBatch() (data.Batch, error) {
-	rem := l.n - l.stats.Emitted.Load()
-	if rem <= 0 {
-		return l.emitBatch(nil)
-	}
-	if l.bchild == nil {
-		l.bchild = AsBatch(l.child)
-	}
-	in, err := l.bchild.NextBatch()
-	if err != nil {
-		return nil, err
-	}
-	if int64(len(in)) > rem {
-		in = in[:rem]
-	}
-	return l.emitBatch(in)
 }
 
 // Close implements Operator.

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/maphash"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -79,47 +78,44 @@ type HashJoin struct {
 	name                 string
 	parts                int
 
-	// OnBuildTuple fires for every build-input tuple during the build
-	// partition pass.
+	// Observer hooks of the two partition passes. One ordering contract
+	// holds on both the tuple pass and the columnar pass:
+	//
+	//   - for one input batch the per-tuple hooks fire first, in row order,
+	//     then the span hook, then the worker-indexed span hook (the tuple
+	//     pass fires only the per-tuple hooks — it has no batches);
+	//   - OnBuildEnd fires once between the passes, after the last build
+	//     hook and before the first probe input is pulled;
+	//   - OnProbeEnd fires once after the last probe hook;
+	//   - all of the above happen before any join output is produced.
+	//
+	// OnBuildTuple / OnProbeTuple fire for every input tuple of the build /
+	// probe partition pass. The online estimator attaches to the probe pass
+	// and has converged to the exact join cardinality by OnProbeEnd
+	// (§4.1.1).
 	OnBuildTuple func(data.Tuple)
-	// OnProbeTuple fires for every probe-input tuple during the probe
-	// partition pass (before any join output is produced).
 	OnProbeTuple func(data.Tuple)
-	// OnProbeEnd fires when the probe input is exhausted, i.e. when the
-	// online estimate has converged.
-	OnProbeEnd func()
+	OnBuildEnd   func()
+	OnProbeEnd   func()
 	// OnOutput fires for every emitted join tuple (the second pass),
-	// letting progress monitors sample during long emission phases.
+	// letting progress monitors sample during long emission phases. A
+	// columnar join that carries it emits through materialized rows.
 	OnOutput func(data.Tuple)
 
-	// Batched-pass hooks (set alongside, not instead of, the per-tuple
-	// hooks above). During a batched partition pass OnBuildBatch /
-	// OnProbeBatch fire once per input batch on the scatter worker that
-	// owns the batch (worker index in [0, Workers())), while the per-tuple
-	// hooks keep firing on the reader goroutine — so estimators can shard
-	// per worker and monitors keep their single-threaded view. OnBuildEnd
-	// fires on the reader after the build pass barrier, before any probe
-	// input is pulled; shards merge there.
-	OnBuildBatch func(worker int, b data.Batch)
-	OnProbeBatch func(worker int, b data.Batch)
-	OnBuildEnd   func()
-
-	// Columnar-pass hooks (set alongside the per-tuple hooks). During a
-	// columnar partition pass OnBuildCol / OnProbeCol fire once per input
-	// ColBatch, after the per-tuple hooks have fired for the batch's live
-	// rows; the serial pass needs no consumer locking, and a morselized
-	// pass serializes these hooks under its pass mutex. The batch is
-	// only valid for the duration of the call (see the ColBatch ownership
-	// contract in internal/data).
+	// Span hooks of a columnar partition pass: OnBuildCol / OnProbeCol fire
+	// once per input ColBatch. The serial pass needs no consumer locking,
+	// and a morselized pass serializes these hooks under its pass mutex.
+	// The batch is only valid for the duration of the call (see the
+	// ColBatch ownership contract in internal/data).
 	OnBuildCol func(cb *data.ColBatch)
 	OnProbeCol func(cb *data.ColBatch)
 
-	// Worker-indexed columnar hooks: the columnar counterpart of
-	// OnBuildBatch/OnProbeBatch, firing once per ColBatch on the scan
-	// worker that owns it during a morselized columnar pass (worker 0 on
-	// the serial columnar pass). The estimation framework backs them with
-	// per-worker histogram shards merged at the pass barriers, keeping
-	// estimates bit-identical to serial execution.
+	// Worker-indexed span hooks: fired once per ColBatch, lock-free, on the
+	// scan worker that owns it during a morselized columnar pass (worker 0
+	// on the serial columnar pass). The estimation framework backs them
+	// with per-worker histogram shards merged at the pass barriers
+	// (OnBuildEnd / OnProbeEnd), keeping estimates bit-identical to serial
+	// execution.
 	OnBuildColBatch func(worker int, cb *data.ColBatch)
 	OnProbeColBatch func(worker int, cb *data.ColBatch)
 
@@ -131,22 +127,15 @@ type HashJoin struct {
 	// It fires on the executor goroutine with the join quiescent.
 	OnBeforePartition func(j *HashJoin)
 
-	// workers > 0 selects the batch-at-a-time partition passes with that
-	// many scatter workers (see SetParallelism); 0 is the legacy
-	// tuple-at-a-time pass.
-	workers int
-
-	// colMode selects the columnar partition passes (serial, vectorized
-	// key hashing off flat int64 lanes) and the columnar spill frame
-	// format; see SetColumnar. It takes precedence over workers for the
-	// partition passes; the join (second) phase still parallelizes per
-	// JoinWorkers.
+	// colMode selects the columnar partition passes (vectorized key hashing
+	// off flat int64 lanes), lane-native partitions, the columnar spill
+	// frame format and the lane-to-lane join phase; see SetColumnar.
 	colMode bool
 
-	// morsel enables morsel-driven parallel scans for the partition
-	// passes (row and columnar); morselBlocks overrides the blocks per
-	// claim. See hashjoin_morsel.go.
-	morsel       bool
+	// workers ≥ 2 makes the columnar partition passes morsel-driven with
+	// that many scan workers (see SetMorselWorkers); morselBlocks overrides
+	// the blocks per claim. See hashjoin_morsel.go.
+	workers      int
 	morselBlocks int
 
 	state      hjState
@@ -216,23 +205,15 @@ type HashJoin struct {
 	colPendSet    bool
 	colRowArena   []data.Value
 	// joinedProbes counts probe tuples consumed in the join (second)
-	// pass. Atomic: the parallel join phase folds in per-partition counts
-	// from the drain side while monitor goroutines read it through
-	// JoinedProbeFraction.
+	// pass. Atomic: monitor goroutines read it through
+	// JoinedProbeFraction while the executor advances.
 	joinedProbes atomic.Int64
 	partProbes   int64 // joinedProbes at the current partition's start (trace counters)
 
-	// joinPar is the parallel join-phase state (nil in serial mode); see
-	// hashjoin_parallel.go.
-	joinPar *parallelJoinState
-
-	// Batch output state: outBuf is the reused output batch, arena the
-	// bump allocator backing concatenated output tuples in batch mode.
-	outBuf data.Batch
-	arena  []data.Value
-
-	// Columnar output state: colOut is the reused output ColBatch.
+	// Columnar output state: colOut is the reused output ColBatch, rowOut
+	// the adapter over the join's own Next that NextColBatch falls back to.
 	colOut data.ColBatch
+	rowOut *colAdapter
 
 	joinType  JoinType
 	nullBuild data.Tuple // all-NULL build-side padding for ProbeOuterJoin
@@ -245,8 +226,7 @@ type HashJoin struct {
 // allocations regardless of its distinct-key count, and probing touches
 // a flat int64 key array instead of chasing map buckets. Non-integer
 // keys fall back to a Value-keyed map. A joinTable is reusable across
-// partitions (build resets it, retaining capacity), which is how the
-// parallel join phase amortizes table memory per worker.
+// partitions (build resets it, retaining capacity).
 type joinTable struct {
 	ints hashtab.I64Map[tupleSpan]
 	flat []data.Tuple
@@ -604,61 +584,17 @@ func (j *HashJoin) SetSpillFS(fs vfs.FS) *HashJoin {
 	return j
 }
 
-// SetParallelism selects the batch-at-a-time grace partition passes with
-// k scatter workers, and — for k ≥ 2 — the partition-parallel join
-// (second) phase with min(k, partitions) join workers (see
-// JoinWorkers). k is capped at GOMAXPROCS when the scatter passes run;
-// k=1 runs the batched passes serially (still batch-at-a-time, no extra
-// goroutines); k=0 restores the default tuple-at-a-time passes. When a
-// memory budget is set, the partition passes run batched but serial
-// regardless of k so spill accounting stays single-threaded — the join
-// phase still parallelizes, since joining spilled partitions is
-// per-partition independent.
-func (j *HashJoin) SetParallelism(k int) *HashJoin {
-	if k < 0 {
-		k = 0
-	}
-	j.workers = k
-	return j
-}
-
-// Batched reports whether the partition passes run batch-at-a-time.
-func (j *HashJoin) Batched() bool { return j.workers > 0 }
-
-// Workers returns the number of scatter workers the batched partition
-// passes will use (≥ 1; 1 when batching is off). Without morsel scans
-// the count is capped at GOMAXPROCS — extra single-reader scatter
-// workers only add handoff cost. Morsel mode lifts the cap, like
-// JoinWorkers: goroutines time-slice, and the differential tests
+// Workers returns the number of scan workers the columnar partition
+// passes use (≥ 1; 1 when they run serially). It is deliberately not
+// capped at GOMAXPROCS: goroutines time-slice, and the differential tests
 // exercise the concurrent claim path on any machine. A memory budget
-// always forces 1 (spill accounting is single-threaded).
+// always forces 1 (spill accounting is single-threaded). The estimation
+// framework sizes its per-worker shards from it.
 func (j *HashJoin) Workers() int {
-	k := j.workers
-	if max := runtime.GOMAXPROCS(0); !j.morsel && k > max {
-		k = max
+	if j.memBudget > 0 || j.workers < 1 {
+		return 1
 	}
-	if j.memBudget > 0 || k < 1 {
-		k = 1
-	}
-	return k
-}
-
-// JoinWorkers returns the number of workers the join (second) phase will
-// use: min(SetParallelism k, partitions), 1 when batching is off or k=1.
-// Unlike the scatter passes it is neither capped at GOMAXPROCS
-// (goroutines time-slice, and tests exercise the concurrent path on any
-// machine) nor forced serial by a memory budget: after the partition
-// passes every partition — in-memory or spilled — is joined
-// independently.
-func (j *HashJoin) JoinWorkers() int {
-	k := j.workers
-	if k > j.parts {
-		k = j.parts
-	}
-	if k < 1 {
-		k = 1
-	}
-	return k
+	return j.workers
 }
 
 // partitionAppend buffers a tuple for partition p on one side, spilling
@@ -775,13 +711,10 @@ func (j *HashJoin) Next() (data.Tuple, error) {
 	}
 	var t data.Tuple
 	var err error
-	switch {
-	case j.joinPar != nil:
-		t, err = j.nextParallel()
-	case j.colMode:
+	if j.colMode {
 		t, err = j.advanceColRow()
-	default:
-		t, err = j.advance(data.Tuple.Concat)
+	} else {
+		t, err = j.advance()
 	}
 	if err != nil {
 		return nil, err
@@ -789,49 +722,14 @@ func (j *HashJoin) Next() (data.Tuple, error) {
 	if t == nil {
 		return j.finish()
 	}
-	return j.emitOut(t)
+	if j.OnOutput != nil {
+		j.OnOutput(t)
+	}
+	return j.emit(t)
 }
 
-// NextBatch implements BatchOperator: the join (second) pass fills whole
-// output batches, bump-allocating the concatenated tuples out of a shared
-// arena instead of one make per output row. Hooks and counters behave as
-// in Next.
-func (j *HashJoin) NextBatch() (data.Batch, error) {
-	if err := j.ensurePartitioned(); err != nil {
-		return nil, err
-	}
-	if j.joinPar != nil {
-		return j.nextParallelOutBatch()
-	}
-	if j.outBuf == nil {
-		j.outBuf = make(data.Batch, 0, data.BatchSize())
-	}
-	out := j.outBuf[:0]
-	for len(out) < cap(out) {
-		var t data.Tuple
-		var err error
-		if j.colMode {
-			t, err = j.advanceColRow()
-		} else {
-			t, err = j.advance(j.arenaConcat)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if t == nil {
-			break
-		}
-		if j.OnOutput != nil {
-			j.OnOutput(t)
-		}
-		out = append(out, t)
-	}
-	j.outBuf = out
-	return j.emitBatch(out)
-}
-
-// ensurePartitioned runs the partition phases once, choosing the batched
-// passes when parallelism is enabled.
+// ensurePartitioned runs the partition phases once: the columnar passes
+// under SetColumnar, the tuple-at-a-time passes otherwise.
 func (j *HashJoin) ensurePartitioned() error {
 	if j.state != hjInit {
 		return nil
@@ -841,12 +739,9 @@ func (j *HashJoin) ensurePartitioned() error {
 	}
 	j.partStarted.Store(true)
 	var err error
-	switch {
-	case j.colMode:
+	if j.colMode {
 		err = j.partitionPhasesColumnar()
-	case j.workers > 0:
-		err = j.partitionPhasesBatched()
-	default:
+	} else {
 		err = j.partitionPhases()
 	}
 	if err != nil {
@@ -857,39 +752,19 @@ func (j *HashJoin) ensurePartitioned() error {
 }
 
 // beginJoinPhase starts the join (second) phase after the partition
-// passes: the partition-parallel workers when JoinWorkers() > 1, the
-// serial partition cursor otherwise.
+// passes by loading the first partition.
 func (j *HashJoin) beginJoinPhase() error {
 	j.curPart = 0
-	if j.JoinWorkers() > 1 {
-		j.startParallelJoin()
-		return nil
-	}
 	if j.colMode {
 		return j.loadColPartition(0)
 	}
 	return j.loadPartition(0)
 }
 
-// arenaConcat concatenates two tuples into the join's output arena,
-// amortizing the allocation across a whole batch of output rows.
-func (j *HashJoin) arenaConcat(a, b data.Tuple) data.Tuple {
-	n := len(a) + len(b)
-	if len(j.arena) < n {
-		j.arena = make([]data.Value, n*data.BatchSize())
-	}
-	out := j.arena[:n:n]
-	j.arena = j.arena[n:]
-	copy(out, a)
-	copy(out[len(a):], b)
-	return data.Tuple(out)
-}
-
-// advance produces the next join output tuple of the second pass, or nil
-// when the join is exhausted. concat builds build⧺probe output rows, so
-// Next and NextBatch can allocate differently. The OnOutput hook and the
-// emission count are the caller's responsibility.
-func (j *HashJoin) advance(concat func(a, b data.Tuple) data.Tuple) (data.Tuple, error) {
+// advance produces the next join output tuple of the second pass over
+// row-major partitions, or nil when the join is exhausted. The OnOutput
+// hook and the emission count are the caller's responsibility.
+func (j *HashJoin) advance() (data.Tuple, error) {
 	for j.state == hjJoin {
 		if err := j.pollCtx(); err != nil {
 			return nil, err
@@ -898,7 +773,7 @@ func (j *HashJoin) advance(concat func(a, b data.Tuple) data.Tuple) (data.Tuple,
 		if j.matchPos < len(j.matches) {
 			m := j.matches[j.matchPos]
 			j.matchPos++
-			return concat(m, j.probeTup), nil
+			return m.Concat(j.probeTup), nil
 		}
 		// Advance to the next probe tuple in the current partition.
 		probeTup, err := j.nextProbeInPartition()
@@ -926,7 +801,7 @@ func (j *HashJoin) advance(concat func(a, b data.Tuple) data.Tuple) (data.Tuple,
 				continue
 			case ProbeOuterJoin:
 				if len(matches) == 0 {
-					return concat(j.nullBuild, j.probeTup), nil
+					return j.nullBuild.Concat(j.probeTup), nil
 				}
 			}
 			j.matches = matches
@@ -976,7 +851,7 @@ func (j *HashJoin) initPartitions() {
 }
 
 // partitionPhases runs the tuple-at-a-time build and probe partition
-// passes (the default mode).
+// passes (the reference path; SetColumnar selects the columnar ones).
 func (j *HashJoin) partitionPhases() error {
 	j.initPartitions()
 	buildWidth := j.build.Schema().Len()
@@ -1007,6 +882,9 @@ func (j *HashJoin) partitionPhases() error {
 		}
 	}
 	j.traceEnd("build", j.buildRows.Load(), 0, int64(j.spilled))
+	if j.OnBuildEnd != nil {
+		j.OnBuildEnd()
+	}
 	j.traceBegin("probe")
 	for {
 		if err := j.pollCtx(); err != nil {
@@ -1044,14 +922,6 @@ func (j *HashJoin) partitionPhases() error {
 		j.OnProbeEnd()
 	}
 	return j.beginJoinPhase()
-}
-
-// emitOut fires the output hook and counts the emission.
-func (j *HashJoin) emitOut(out data.Tuple) (data.Tuple, error) {
-	if j.OnOutput != nil {
-		j.OnOutput(out)
-	}
-	return j.emit(out)
 }
 
 // loadPartition builds the in-memory hash table for one partition,
@@ -1109,12 +979,6 @@ func (j *HashJoin) nextProbeInPartition() (data.Tuple, error) {
 // Close implements Operator. Both children are always closed and every
 // spill file released; all errors are reported via errors.Join.
 func (j *HashJoin) Close() error {
-	if j.joinPar != nil {
-		// Stop the join-phase workers (no-op if they already drained every
-		// partition) and wait for them, so the spill-file cleanup below
-		// happens-after any worker I/O.
-		j.joinPar.shutdown()
-	}
 	j.buildParts, j.probeParts, j.matches = nil, nil, nil
 	j.ht.clear()
 	j.releaseColParts()
@@ -1248,8 +1112,6 @@ func (j *HashJoin) ResetObservers() {
 	j.OnProbeTuple = nil
 	j.OnProbeEnd = nil
 	j.OnOutput = nil
-	j.OnBuildBatch = nil
-	j.OnProbeBatch = nil
 	j.OnBuildEnd = nil
 	j.OnBuildCol = nil
 	j.OnProbeCol = nil

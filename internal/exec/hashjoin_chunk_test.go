@@ -91,11 +91,7 @@ func chunkedJoin(workers int) *HashJoin {
 		NewScan(makeTable("a", randTable("a", 2000, 40, 61)), ""),
 		NewScan(makeTable("b", randTable("b", 40*data.BatchSize(), 40, 62)), ""),
 		"a", "k", "b", "k")
-	j.SetColumnar(true)
-	if workers > 0 {
-		j.SetParallelism(workers).SetMorsel(true).SetMorselBlocks(1)
-	}
-	return j
+	return j.SetColumnar(true).SetMorselWorkers(workers).SetMorselBlocks(1)
 }
 
 // TestCancelColumnarJoinReturnsChunks cancels a chunked columnar join in

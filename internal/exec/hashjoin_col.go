@@ -22,11 +22,11 @@ import (
 // key lane groups the live row indexes by partition (colScatter.group),
 // then each partition's group moves a column at a time through one typed
 // copy (data.ColBatch.AppendRowsFrom). Partition assignment goes through
-// the same hashValue/partitionOf as the row passes, so the partition
+// the same hashValue/partitionOf as the tuple pass, so the partition
 // layout — and therefore the join's partition-clustered output order — is
-// byte-identical to theirs. Estimator hooks (per-tuple, span,
-// worker-indexed) fire on the input batches before the scatter, exactly
-// as before, so estimates are bit-identical too.
+// byte-identical to its. Estimator hooks (per-tuple, span, worker-indexed)
+// fire on the input batches before the scatter, so estimates are
+// bit-identical too.
 
 // colPart is one side of one grace partition in memory: pooled lane
 // batches holding the partition's rows in arrival order. The probe side
@@ -38,11 +38,10 @@ import (
 // one batch, and spill accounting dumps one.
 type colPart []*data.ColBatch
 
-// SetColumnar selects the columnar partition passes, columnar spill
-// frames, and the columnar join output (NextColBatch). The passes are
-// serial — vectorized scatter replaces worker parallelism — and take
-// precedence over SetParallelism for the partition phase; the join
-// (second) phase still parallelizes per JoinWorkers.
+// SetColumnar selects the columnar partition passes, lane-native
+// partitions, columnar spill frames and the lane-to-lane join phase
+// behind NextColBatch. The passes are serial unless SetMorselWorkers
+// makes them morsel-driven; the join phase is always serial.
 func (j *HashJoin) SetColumnar(on bool) *HashJoin {
 	j.colMode = on
 	return j
@@ -52,7 +51,7 @@ func (j *HashJoin) SetColumnar(on bool) *HashJoin {
 func (j *HashJoin) Columnar() bool { return j.colMode }
 
 // colPassConfig describes one columnar partition pass (build or probe
-// side); the mirror of passConfig for the lane-native scatter.
+// side).
 type colPassConfig struct {
 	child     Operator
 	keys      []int
@@ -126,8 +125,8 @@ func (j *HashJoin) partitionPhasesColumnar() error {
 
 // partitionPassColumnar runs one partition pass over whole ColBatches —
 // morsel-driven when the child is an eligible scan, serial otherwise.
-// Per-tuple hooks fire in row order before the columnar hooks, matching
-// the hook ordering contract of the row passes.
+// Per-tuple hooks fire in row order before the span hooks (the hook
+// ordering contract on HashJoin).
 func (j *HashJoin) partitionPassColumnar(cfg *colPassConfig) error {
 	if sc := j.morselScanOf(cfg.child); sc != nil {
 		return j.partitionPassColMorsel(cfg, sc)
@@ -625,8 +624,8 @@ func (j *HashJoin) gatherPairs(out *data.ColBatch) {
 
 // advanceColRow is the row-output driver over the columnar join phase:
 // it produces one pair per call and materializes the output tuple from
-// the partition lanes into the row arena (Next/NextBatch in colMode, and
-// the NextColBatch hook fallback).
+// the partition lanes into the row arena (Next in colMode, which is also
+// what the NextColBatch row fallback pulls).
 func (j *HashJoin) advanceColRow() (data.Tuple, error) {
 	j.drainColRetire()
 	var br, pr int32
@@ -711,24 +710,18 @@ func (j *HashJoin) releaseColParts() {
 // NextColBatch implements ColOperator: the join (second) pass gathers
 // output values directly into reused column lanes, one typed copy per
 // column per pair buffer. A join whose partitions are row-major (not
-// SetColumnar), a per-tuple output hook or an active parallel join phase
-// send output through the row batch path — hooks see materialized tuples,
-// parallel drains stay row-oriented — and the rows are re-exposed
-// columnar without copying.
+// SetColumnar) or that carries a per-tuple output hook is served like any
+// row-major operator instead: rows pulled through Next — the hook sees
+// materialized tuples — and re-exposed columnar without copying.
 func (j *HashJoin) NextColBatch() (*data.ColBatch, error) {
+	if !j.colMode || j.OnOutput != nil {
+		if j.rowOut == nil {
+			j.rowOut = &colAdapter{Operator: j}
+		}
+		return j.rowOut.NextColBatch()
+	}
 	if err := j.ensurePartitioned(); err != nil {
 		return nil, err
-	}
-	if !j.colMode || j.joinPar != nil || j.OnOutput != nil {
-		b, err := j.NextBatch()
-		if err != nil {
-			return nil, err
-		}
-		if len(b) == 0 {
-			return nil, nil
-		}
-		j.colOut.SetRows(b, j.schema.Len())
-		return &j.colOut, nil
 	}
 	out := &j.colOut
 	out.BeginBuild(j.schema.Len())

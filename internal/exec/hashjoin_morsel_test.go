@@ -12,8 +12,9 @@ import (
 	"qpi/internal/vfs"
 )
 
-// Tests for the morsel-driven partition passes. Multiset equivalence
-// across all modes lives in joinmodes_test and internal/difftest; this
+// Tests for the morsel-driven columnar partition passes. Multiset
+// equivalence with the other paths lives in joinmodes_test and
+// internal/difftest; this
 // file pins the contracts around them: pass engagement and fallback
 // rules, the scan punctuation/stats contract under concurrent morsel
 // drains, cancellation mid-morsel, spill faults on the fallback path,
@@ -22,83 +23,64 @@ import (
 // morselJoin builds a join over two multi-block tables with morsel-driven
 // scans: single-block morsels so even these tables split into many
 // concurrent claims.
-func morselJoin(workers int, columnar bool, seed int64) *HashJoin {
+func morselJoin(workers int, seed int64) *HashJoin {
 	rng := rand.New(rand.NewSource(seed))
 	j := NewHashJoinMulti(
 		NewScan(kvTable("b", randKeys(rng, 400, 37, 0.15)), ""),
 		NewScan(kvTable("p", randKeys(rng, 600, 37, 0.15)), ""),
 		[]int{0}, []int{0}, InnerJoin,
 	)
-	j.SetParallelism(workers)
-	j.SetMorsel(true).SetMorselBlocks(1)
-	j.SetColumnar(columnar)
+	j.SetColumnar(true).SetMorselWorkers(workers).SetMorselBlocks(1)
 	return j
 }
 
-// TestMorselPassEngages: with morsel mode on and eligible scan children,
-// both partition passes must actually run morselized (the scans end the
-// pass morsel-drained), the output must match the serial run's multiset,
-// and the worker-indexed batch hooks must collectively see every input
-// row with worker indexes inside [0, Workers).
+// TestMorselPassEngages: with morsel workers set and eligible scan
+// children, both partition passes must actually run morselized (the scans
+// end the pass morsel-drained), the output must match the serial run's
+// multiset, and the worker-indexed span hooks must collectively see every
+// input row with worker indexes inside [0, Workers).
 func TestMorselPassEngages(t *testing.T) {
-	for _, columnar := range []bool{false, true} {
-		rng := rand.New(rand.NewSource(5))
-		build := randKeys(rng, 400, 37, 0.15)
-		probe := randKeys(rng, 600, 37, 0.15)
-		want := refJoin(build, probe, InnerJoin)
+	rng := rand.New(rand.NewSource(5))
+	build := randKeys(rng, 400, 37, 0.15)
+	probe := randKeys(rng, 600, 37, 0.15)
+	want := refJoin(build, probe, InnerJoin)
 
-		j := NewHashJoinMulti(
-			NewScan(kvTable("b", build), ""),
-			NewScan(kvTable("p", probe), ""),
-			[]int{0}, []int{0}, InnerJoin,
-		)
-		j.SetParallelism(3)
-		j.SetMorsel(true).SetMorselBlocks(1)
-		j.SetColumnar(columnar)
+	j := NewHashJoinMulti(
+		NewScan(kvTable("b", build), ""),
+		NewScan(kvTable("p", probe), ""),
+		[]int{0}, []int{0}, InnerJoin,
+	)
+	j.SetColumnar(true).SetMorselWorkers(3).SetMorselBlocks(1)
 
-		var buildSeen, probeSeen atomic.Int64
-		count := func(seen *atomic.Int64) func(int, *data.ColBatch) {
-			return func(w int, cb *data.ColBatch) {
-				if w < 0 || w >= j.Workers() {
-					t.Errorf("columnar hook fired with worker %d outside [0,%d)", w, j.Workers())
-				}
-				seen.Add(int64(cb.Live()))
+	var buildSeen, probeSeen atomic.Int64
+	count := func(seen *atomic.Int64) func(int, *data.ColBatch) {
+		return func(w int, cb *data.ColBatch) {
+			if w < 0 || w >= j.Workers() {
+				t.Errorf("span hook fired with worker %d outside [0,%d)", w, j.Workers())
 			}
+			seen.Add(int64(cb.Live()))
 		}
-		countRow := func(seen *atomic.Int64) func(int, data.Batch) {
-			return func(w int, b data.Batch) {
-				if w < 0 || w >= j.Workers() {
-					t.Errorf("batch hook fired with worker %d outside [0,%d)", w, j.Workers())
-				}
-				seen.Add(int64(len(b)))
-			}
-		}
-		if columnar {
-			j.OnBuildColBatch = count(&buildSeen)
-			j.OnProbeColBatch = count(&probeSeen)
-		} else {
-			j.OnBuildBatch = countRow(&buildSeen)
-			j.OnProbeBatch = countRow(&probeSeen)
-		}
+	}
+	j.OnBuildColBatch = count(&buildSeen)
+	j.OnProbeColBatch = count(&probeSeen)
 
-		equalMultisets(t, "morsel", drainMode(t, j, !columnar, columnar), want)
-		bs, ps := j.build.(*Scan), j.probe.(*Scan)
-		if !bs.morselDrained || !ps.morselDrained {
-			t.Fatalf("columnar=%v: morsel pass never engaged (build drained=%v probe drained=%v)",
-				columnar, bs.morselDrained, ps.morselDrained)
-		}
-		if buildSeen.Load() != 400 || probeSeen.Load() != 600 {
-			t.Fatalf("columnar=%v: worker hooks saw %d build / %d probe rows, want 400/600",
-				columnar, buildSeen.Load(), probeSeen.Load())
-		}
+	equalMultisets(t, "morsel", drainMode(t, j, true), want)
+	bs, ps := j.build.(*Scan), j.probe.(*Scan)
+	if !bs.morselDrained || !ps.morselDrained {
+		t.Fatalf("morsel pass never engaged (build drained=%v probe drained=%v)",
+			bs.morselDrained, ps.morselDrained)
+	}
+	if buildSeen.Load() != 400 || probeSeen.Load() != 600 {
+		t.Fatalf("worker hooks saw %d build / %d probe rows, want 400/600",
+			buildSeen.Load(), probeSeen.Load())
 	}
 }
 
 // TestMorselEligibility pins the fallback rules: sampled scans, memory
-// budgets, single workers, morsel mode off, and non-scan children must
-// all refuse to morselize.
+// budgets, fewer than two workers and non-scan children must all refuse
+// to morselize.
 func TestMorselEligibility(t *testing.T) {
-	j := morselJoin(3, false, 1)
+	j := morselJoin(3, 1)
 	sc := j.build.(*Scan)
 	if j.morselScanOf(sc) == nil {
 		t.Fatal("eligible scan refused")
@@ -115,19 +97,15 @@ func TestMorselEligibility(t *testing.T) {
 	}
 	j.SetMemoryBudget(0)
 
-	j.SetParallelism(1)
-	if j.morselScanOf(sc) != nil {
-		t.Fatal("single-worker join accepted")
+	for _, k := range []int{0, 1} {
+		j.SetMorselWorkers(k)
+		if j.morselScanOf(sc) != nil {
+			t.Fatalf("join with %d morsel workers accepted", k)
+		}
 	}
-	j.SetParallelism(3)
+	j.SetMorselWorkers(3)
 
-	j.SetMorsel(false)
-	if j.morselScanOf(sc) != nil {
-		t.Fatal("morsel mode off but scan accepted")
-	}
-	j.SetMorsel(true)
-
-	inner := morselJoin(3, false, 2)
+	inner := morselJoin(3, 2)
 	if j.morselScanOf(inner) != nil {
 		t.Fatal("non-scan child accepted")
 	}
@@ -136,68 +114,59 @@ func TestMorselEligibility(t *testing.T) {
 // TestMorselScanPunctuationContract: after a morsel pass each scan's
 // stats must look exactly like a completed sequential scan — Emitted
 // equals InputTotal with no double-counting across workers, the scan is
-// done, OnSampleEnd never fired, and a stray post-pass Next/NextBatch
-// returns end-of-stream instead of re-emitting the table.
+// done, OnSampleEnd never fired, and a stray post-pass pull on either
+// contract returns end-of-stream instead of re-emitting the table.
 func TestMorselScanPunctuationContract(t *testing.T) {
-	for _, columnar := range []bool{false, true} {
-		j := morselJoin(4, columnar, 11)
-		bs, ps := j.build.(*Scan), j.probe.(*Scan)
-		sampleEnds := 0
-		bs.OnSampleEnd = func() { sampleEnds++ }
-		ps.OnSampleEnd = func() { sampleEnds++ }
-		drainMode(t, j, !columnar, columnar)
+	j := morselJoin(4, 11)
+	bs, ps := j.build.(*Scan), j.probe.(*Scan)
+	sampleEnds := 0
+	bs.OnSampleEnd = func() { sampleEnds++ }
+	ps.OnSampleEnd = func() { sampleEnds++ }
+	drainMode(t, j, true)
 
-		for _, sc := range []*Scan{bs, ps} {
-			if got, want := sc.Stats().Emitted.Load(), sc.Stats().InputTotal; got != want {
-				t.Fatalf("columnar=%v: %s emitted %d, input total %d", columnar, sc.Name(), got, want)
-			}
-			if !sc.Stats().IsDone() {
-				t.Fatalf("columnar=%v: %s not done after morsel pass", columnar, sc.Name())
-			}
-			if sc.Stats().Batches.Load() == 0 {
-				t.Fatalf("columnar=%v: %s recorded no batches", columnar, sc.Name())
-			}
-			if tu, err := sc.Next(); err != nil || tu != nil {
-				t.Fatalf("columnar=%v: post-pass Next = (%v, %v), want (nil, nil)", columnar, tu, err)
-			}
-			if b, err := sc.NextBatch(); err != nil || b != nil {
-				t.Fatalf("columnar=%v: post-pass NextBatch = (%v, %v), want (nil, nil)", columnar, b, err)
-			}
+	for _, sc := range []*Scan{bs, ps} {
+		if got, want := sc.Stats().Emitted.Load(), sc.Stats().InputTotal; got != want {
+			t.Fatalf("%s emitted %d, input total %d", sc.Name(), got, want)
 		}
-		if sampleEnds != 0 {
-			t.Fatalf("columnar=%v: OnSampleEnd fired %d times on sequential scans", columnar, sampleEnds)
+		if !sc.Stats().IsDone() {
+			t.Fatalf("%s not done after morsel pass", sc.Name())
 		}
+		if sc.Stats().Batches.Load() == 0 {
+			t.Fatalf("%s recorded no batches", sc.Name())
+		}
+		if tu, err := sc.Next(); err != nil || tu != nil {
+			t.Fatalf("post-pass Next = (%v, %v), want (nil, nil)", tu, err)
+		}
+		if cb, err := sc.NextColBatch(); err != nil || cb != nil {
+			t.Fatalf("post-pass NextColBatch = (%v, %v), want (nil, nil)", cb, err)
+		}
+	}
+	if sampleEnds != 0 {
+		t.Fatalf("OnSampleEnd fired %d times on sequential scans", sampleEnds)
 	}
 }
 
 // TestCancelMidMorselScan cancels from the scan's OnTuple hook while
-// morsel workers are mid-claim: the drain must return context.Canceled
-// and every scan worker must be reaped. (The Cancel prefix places this
-// in the leakcheck suite.)
+// morsel workers are mid-claim: the drain must return context.Canceled,
+// every scan worker must be reaped and every pooled batch handed back.
+// (The Cancel prefix places this in the leakcheck suite.)
 func TestCancelMidMorselScan(t *testing.T) {
-	for _, columnar := range []bool{false, true} {
-		before := runtime.NumGoroutine()
-		j := morselJoin(4, columnar, 23)
-		ctx, cancel := context.WithCancel(context.Background())
-		n := 0
-		j.probe.(*Scan).OnTuple = func(data.Tuple) {
-			// Fires under the pass hook mutex; cancel partway through the
-			// probe pass so workers still hold unclaimed morsels.
-			if n++; n == 100 {
-				cancel()
-			}
+	before, pooled := runtime.NumGoroutine(), data.ColBatchesOut()
+	j := morselJoin(4, 23)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	n := 0
+	j.probe.(*Scan).OnTuple = func(data.Tuple) {
+		// Fires under the pass hook mutex; cancel partway through the
+		// probe pass so workers still hold unclaimed morsels.
+		if n++; n == 100 {
+			cancel()
 		}
-		Bind(j, ctx)
-		var err error
-		if columnar {
-			err = drainColErr(j)
-		} else {
-			_, err = RunBatch(j)
-		}
-		cancel()
-		expectCanceled(t, err)
-		expectNoExtraGoroutines(t, before)
 	}
+	Bind(j, ctx)
+	expectCanceled(t, drainColErr(j))
+	expectNoExtraGoroutines(t, before)
+	expectPooledBalance(t, pooled)
 }
 
 // drainColErr drains the columnar path returning only the error.
@@ -215,34 +184,33 @@ func drainColErr(j *HashJoin) error {
 // TestSpillFaultMorselFallback: a morsel-enabled join with a memory
 // budget falls back to the serial scatter (spill accounting is
 // single-threaded); injected write faults during that scatter must
-// surface cleanly with every descriptor closed — the morsel knob must
-// not disturb the spill fault paths.
+// surface cleanly with every descriptor closed and every pooled batch
+// returned — the morsel knob must not disturb the spill fault paths.
 func TestSpillFaultMorselFallback(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before, pooled := runtime.NumGoroutine(), data.ColBatchesOut()
 	fs := vfs.NewFaultFS(nil).FailAt(vfs.OpWrite, 1)
-	j := morselJoin(4, false, 29)
+	j := morselJoin(4, 29)
 	j.SetMemoryBudget(512)
 	j.SetSpillFS(fs)
-	_, err := RunBatch(j)
-	expectInjectedIO(t, fs, err)
+	expectInjectedIO(t, fs, drainColErr(j))
 	expectNoExtraGoroutines(t, before)
+	expectPooledBalance(t, pooled)
 }
 
 // TestMorselLeakOnCleanRun: a successful morsel run leaves no goroutines
-// behind (the Leak suffix places this in the leakcheck suite).
+// and no pooled batches behind (the Leak suffix places this in the
+// leakcheck suite).
 func TestMorselLeakOnCleanRun(t *testing.T) {
-	before := runtime.NumGoroutine()
-	for _, columnar := range []bool{false, true} {
-		j := morselJoin(4, columnar, 41)
-		drainMode(t, j, !columnar, columnar)
-	}
+	before, pooled := runtime.NumGoroutine(), data.ColBatchesOut()
+	drainMode(t, morselJoin(4, 41), true)
 	expectNoExtraGoroutines(t, before)
+	expectPooledBalance(t, pooled)
 }
 
-// TestBatchSizeKnobStartRace: the data.BatchSize knob is written by
-// bench sweeps while queries run; the knob must be safely readable from
-// concurrent scan workers (the knob was a plain int — this is the -race
-// witness for the atomic fix). Restores the default on exit.
+// TestBatchSizeKnobStartRace: the data.BatchSize knob may be written
+// while queries run; it must be safely readable from concurrent scan
+// workers (the knob was a plain int — this is the -race witness for the
+// atomic fix). Restores the default on exit.
 func TestBatchSizeKnobStartRace(t *testing.T) {
 	defer data.SetBatchSize(data.DefaultBatchSize)
 	stop := make(chan struct{})
@@ -261,8 +229,7 @@ func TestBatchSizeKnobStartRace(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 4; i++ {
-		j := morselJoin(3, i%2 == 1, int64(50+i))
-		drainMode(t, j, i%2 == 0, i%2 == 1)
+		drainMode(t, morselJoin(3, int64(50+i)), true)
 	}
 	close(stop)
 	wg.Wait()

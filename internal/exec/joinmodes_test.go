@@ -12,7 +12,7 @@ import (
 )
 
 // Differential tests for the join operators themselves: every physical
-// join and every execution mode (tuple, batch, parallel partition pass,
+// join and every execution mode (tuple, columnar, morselized columnar,
 // forced spill) must produce the same multiset as a naive reference join
 // written from first principles. Unlike internal/difftest this layer has
 // no plan generator and no estimators — it isolates operator semantics.
@@ -114,19 +114,18 @@ func sortedStrings(rows []data.Tuple) []string {
 	return out
 }
 
-func drainMode(t *testing.T, op Operator, batched, columnar bool) []data.Tuple {
+// drainMode runs an operator through one of the two pull contracts and
+// returns its rows.
+func drainMode(t *testing.T, op Operator, columnar bool) []data.Tuple {
 	t.Helper()
 	if err := op.Open(); err != nil {
 		t.Fatalf("Open: %v", err)
 	}
 	var rows []data.Tuple
 	var err error
-	switch {
-	case columnar:
+	if columnar {
 		rows, err = DrainCol(AsColOperator(op))
-	case batched:
-		rows, err = DrainBatch(AsBatch(op))
-	default:
+	} else {
 		rows, err = Drain(op)
 	}
 	if err != nil {
@@ -166,8 +165,8 @@ func randKeys(rng *rand.Rand, n, dom int, nullFrac float64) []int64 {
 }
 
 // checkHashJoinModes runs one (build, probe, type) input through tuple,
-// batch, parallel, forced-spill, columnar and columnar-spill execution
-// and compares each against the reference.
+// forced-spill, columnar, columnar-spill and morselized columnar
+// execution and compares each against the reference.
 func checkHashJoinModes(t *testing.T, build, probe []int64, jt JoinType) {
 	t.Helper()
 	checkHashJoinModesKeyed(t, build, probe, jt, false)
@@ -185,20 +184,15 @@ func checkHashJoinModesKeyed(t *testing.T, build, probe []int64, jt JoinType, st
 	want := refJoinKeyed(build, probe, jt, str)
 	modes := []struct {
 		name     string
-		batched  bool
 		columnar bool
-		morsel   bool
 		workers  int
 		budget   int64
 	}{
 		{name: "tuple"},
-		{name: "batch", batched: true, workers: 1},
-		{name: "parallel", batched: true, workers: 3},
 		{name: "spill", budget: 128},
 		{name: "columnar", columnar: true},
 		{name: "columnar-spill", columnar: true, budget: 128},
-		{name: "morsel", batched: true, morsel: true, workers: 3},
-		{name: "columnar-morsel", columnar: true, morsel: true, workers: 3},
+		{name: "columnar-morsel", columnar: true, workers: 3},
 	}
 	for _, m := range modes {
 		var bsrc Operator = NewScan(kvTableKeyed("b", build, str), "")
@@ -217,21 +211,13 @@ func checkHashJoinModesKeyed(t *testing.T, build, probe []int64, jt JoinType, st
 			NewScan(kvTableKeyed("p", probe, str), ""),
 			[]int{0}, []int{0}, jt,
 		)
-		if m.workers > 0 {
-			j.SetParallelism(m.workers)
-		}
 		if m.budget > 0 {
 			j.SetMemoryBudget(m.budget)
 		}
-		if m.columnar {
-			j.SetColumnar(true)
-		}
-		if m.morsel {
-			// Single-block morsels force many concurrent claims even on
-			// these small tables.
-			j.SetMorsel(true).SetMorselBlocks(1)
-		}
-		equalMultisets(t, jt.String()+"/"+m.name, drainMode(t, j, m.batched, m.columnar), want)
+		// Single-block morsels force many concurrent claims even on these
+		// small tables.
+		j.SetColumnar(m.columnar).SetMorselWorkers(m.workers).SetMorselBlocks(1)
+		equalMultisets(t, jt.String()+"/"+m.name, drainMode(t, j, m.columnar), want)
 		if m.budget > 0 && j.Stats().SpillFiles.Load() == 0 {
 			t.Errorf("%s/%s: no spill files created", jt, m.name)
 		}
@@ -283,24 +269,25 @@ func FuzzJoinModes(f *testing.F) {
 }
 
 // TestMergeJoinTupleBatchEquivalence: the sort-merge join must agree with
-// the reference inner join and with itself across tuple and batch pulls.
+// the reference inner join and with itself whether pulled tuple-at-a-time
+// or as column batches through the adapter.
 func TestMergeJoinTupleBatchEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 8; trial++ {
 		left := randKeys(rng, 15+rng.Intn(50), 1+rng.Intn(10), 0)
 		right := randKeys(rng, 15+rng.Intn(50), 1+rng.Intn(10), 0)
 		want := refJoin(left, right, InnerJoin)
-		for _, batched := range []bool{false, true} {
+		for _, columnar := range []bool{false, true} {
 			mj, _, _ := NewSortMergeJoin(
 				NewScan(kvTable("l", left), ""),
 				NewScan(kvTable("r", right), ""),
 				0, 0,
 			)
 			label := "merge/tuple"
-			if batched {
-				label = "merge/batch"
+			if columnar {
+				label = "merge/columnar"
 			}
-			equalMultisets(t, label, drainMode(t, mj, batched, false), want)
+			equalMultisets(t, label, drainMode(t, mj, columnar), want)
 		}
 	}
 }
@@ -313,17 +300,17 @@ func TestNLJoinTupleBatchEquivalence(t *testing.T) {
 		outer := randKeys(rng, 15+rng.Intn(50), 1+rng.Intn(10), 0.2)
 		inner := randKeys(rng, 15+rng.Intn(50), 1+rng.Intn(10), 0.2)
 		want := refJoin(outer, inner, InnerJoin)
-		for _, batched := range []bool{false, true} {
+		for _, columnar := range []bool{false, true} {
 			nl := NewIndexedNLJoin(
 				NewScan(kvTable("o", outer), ""),
 				NewScan(kvTable("i", inner), ""),
 				0, 0,
 			)
 			label := "nl/tuple"
-			if batched {
-				label = "nl/batch"
+			if columnar {
+				label = "nl/columnar"
 			}
-			equalMultisets(t, label, drainMode(t, nl, batched, false), want)
+			equalMultisets(t, label, drainMode(t, nl, columnar), want)
 		}
 	}
 }

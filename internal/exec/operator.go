@@ -44,8 +44,8 @@ type Operator interface {
 // Emitted is the K_i of the gnm model: the number of getnext() calls this
 // operator has satisfied. Every live field is atomic so progress
 // monitors, metrics scrapers and the HTTP observability endpoint can
-// read Stats from other goroutines while the plan (including the
-// parallel partition pass) runs, with no locks and a quiet race
+// read Stats from other goroutines while the plan (including a
+// morselized partition pass) runs, with no locks and a quiet race
 // detector. The estimate of N_i — the total number of getnext() calls
 // over the operator's lifetime — starts as the optimizer estimate and
 // is refined online by the estimators; read it with Estimate/Source.
@@ -54,7 +54,7 @@ type Stats struct {
 
 	// Observability counters, incremented on amortized slow paths
 	// (per batch, per spill switchover) so tracing them is ~free.
-	Batches    atomic.Int64 // batches emitted (batch mode)
+	Batches    atomic.Int64 // batches emitted (columnar pull)
 	SpillFiles atomic.Int64 // spill files created by this operator
 	SpillBytes atomic.Int64 // bytes written to spill files
 
@@ -153,7 +153,7 @@ type base struct {
 
 	// ctx is the plan's cancellation token, installed by Bind before
 	// execution (nil = never cancelled). Operators poll it in their
-	// Next/NextBatch loops so a cancelled or expired context unwinds the
+	// Next/NextColBatch loops so a cancelled or expired context unwinds the
 	// whole plan within a bounded amount of work.
 	ctx     context.Context
 	ctxTick uint32
@@ -255,7 +255,7 @@ type ContextBinder interface {
 
 // Bind installs ctx as the cancellation token of every operator in the
 // plan. Once bound, a cancelled (or deadline-expired) context makes
-// Next/NextBatch return ctx.Err() within a bounded amount of work; the
+// Next/NextColBatch return ctx.Err() within a bounded amount of work; the
 // caller then unwinds via Close as with any other execution error, which
 // releases spill files and buffered state. Bind must be called before
 // Open; a nil ctx is a no-op.
@@ -276,8 +276,8 @@ func (b *base) emit(t data.Tuple) (data.Tuple, error) {
 	return t, nil
 }
 
-// emitBatch counts an emitted batch and returns it; empty batches mark the
-// operator done, keeping NextBatch bodies terse.
+// emitBatch counts an emitted row batch and returns it; empty batches
+// mark the operator done (Scan's block reader, HashAgg's group emission).
 func (b *base) emitBatch(bt data.Batch) (data.Batch, error) {
 	if len(bt) == 0 {
 		b.stats.MarkDone()

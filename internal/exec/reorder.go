@@ -19,10 +19,6 @@ type Reorder struct {
 	child Operator
 	perm  []int
 
-	bchild BatchOperator
-	buf    data.Batch
-	arena  []data.Value
-
 	cchild ColOperator
 	colOut data.ColBatch
 }
@@ -78,33 +74,4 @@ func (r *Reorder) Next() (data.Tuple, error) {
 		out[i] = t[p]
 	}
 	return r.emit(out)
-}
-
-// NextBatch implements BatchOperator, carving the permuted tuples out
-// of one arena allocation per batch.
-func (r *Reorder) NextBatch() (data.Batch, error) {
-	if r.bchild == nil {
-		r.bchild = AsBatch(r.child)
-		r.buf = make(data.Batch, 0, data.BatchSize())
-	}
-	in, err := r.bchild.NextBatch()
-	if err != nil {
-		return nil, err
-	}
-	if len(in) == 0 {
-		return r.emitBatch(nil)
-	}
-	w := len(r.perm)
-	arena := make([]data.Value, len(in)*w)
-	out := r.buf[:0]
-	for _, t := range in {
-		row := arena[:w:w]
-		arena = arena[w:]
-		for i, p := range r.perm {
-			row[i] = t[p]
-		}
-		out = append(out, data.Tuple(row))
-	}
-	r.buf = out
-	return r.emitBatch(out)
 }

@@ -25,10 +25,10 @@ type Scan struct {
 
 	// OnTuple fires for every emitted tuple, before it is returned.
 	OnTuple func(data.Tuple)
-	// OnBatch fires once per batch on the batch and columnar paths, after
-	// the batch's rows are counted in Stats: a span boundary, where no
-	// operator of the plan is midway through a batch. The tuple path
-	// (Next) never fires it.
+	// OnBatch fires once per batch on the columnar path, after the batch's
+	// rows are counted in Stats: a span boundary, where no operator of the
+	// plan is midway through a batch. The tuple path (Next) never fires
+	// it.
 	OnBatch func(rows int)
 	// OnSampleEnd fires once, after the last tuple of the random sample.
 	OnSampleEnd func()
@@ -38,8 +38,8 @@ type Scan struct {
 	punctuated bool
 	spanEnded  bool
 	// morselDrained marks that a morsel pass consumed the whole table; a
-	// later Next/NextBatch on the same scan must not restart the (never
-	// advanced) iterator and re-emit the tuples.
+	// later pull on the same scan must not restart the (never advanced)
+	// iterator and re-emit the tuples.
 	morselDrained bool
 	batch         data.Batch
 	colBuf        data.ColBatch
@@ -138,10 +138,11 @@ func (s *Scan) Next() (data.Tuple, error) {
 	return s.emit(t)
 }
 
-// NextBatch implements BatchOperator: it moves up to a batch of tuples
-// per call with identical hook semantics to Next — OnTuple fires per
-// tuple and the sample punctuation fires mid-batch at exactly the sample
-// boundary, so estimators observe the same stream in either mode.
+// NextBatch is the block reader behind NextColBatch: it moves up to a
+// batch of tuples per call with identical hook semantics to Next —
+// OnTuple fires per tuple and the sample punctuation fires mid-batch at
+// exactly the sample boundary, so estimators observe the same stream on
+// either pull contract.
 func (s *Scan) NextBatch() (data.Batch, error) {
 	if err := s.ctxErr(); err != nil {
 		return nil, err
@@ -259,7 +260,7 @@ func (s *Scan) drainMorsels(src *storage.MorselSource, scatter func(data.Batch) 
 
 // finishMorselPass seals the scan after a concurrent pass: the done mark
 // and span end fire exactly once, and the scan is pinned exhausted so a
-// stray Next/NextBatch cannot re-emit the table.
+// stray pull cannot re-emit the table.
 func (s *Scan) finishMorselPass() {
 	s.morselDrained = true
 	s.stats.MarkDone()

@@ -14,8 +14,8 @@ import (
 // dominated spill-path allocations. Both are pooled: a spillFile takes a
 // writer at creation and a reader at startRead, and returns them — Reset
 // to nil first, so a pooled buffer never pins a file descriptor — when the
-// file closes. The pools are shared across operators and join-phase
-// workers; sync.Pool handles the concurrency.
+// file closes. The pools are shared across operators and concurrent
+// queries; sync.Pool handles the concurrency.
 var (
 	spillWriterPool = sync.Pool{
 		New: func() any { return bufio.NewWriterSize(nil, 1<<16) },

@@ -188,70 +188,61 @@ func TestBudgetedSortMergeJoinMatches(t *testing.T) {
 	}
 }
 
-// TestSpilledJoinBatchedMatchesTuple runs the same budgeted join in tuple
-// mode and batch mode (SetParallelism forces the batched passes; the
-// budget forces them serial so spill accounting stays single-threaded) and
-// demands identical results, stats and hook counts.
-func TestSpilledJoinBatchedMatchesTuple(t *testing.T) {
+// TestSpilledJoinColumnarMatchesTuple runs the same budgeted join on the
+// tuple path and the columnar path and demands identical ordered rows,
+// stats and hook counts, with both passes spilling and both barriers
+// firing on either path.
+func TestSpilledJoinColumnarMatchesTuple(t *testing.T) {
 	a := randTable("a", 3000, 100, 31)
 	b := randTable("b", 4000, 100, 32)
 	type result struct {
-		rows            []data.Tuple
-		emitted         int64
-		spilled         int
-		builds, probes  int
-		buildEnd, probe bool
+		rows               []data.Tuple
+		emitted            int64
+		spilled            int
+		builds, probes     int
+		buildEnd, probeEnd int
 	}
-	run := func(workers int) result {
+	run := func(columnar bool) result {
 		j := NewHashJoinOn(
 			NewScan(makeTable("a", a), ""),
 			NewScan(makeTable("b", b), ""),
 			"a", "k", "b", "k")
-		j.SetMemoryBudget(16 * 1024)
-		j.SetParallelism(workers)
+		j.SetMemoryBudget(16 * 1024).SetColumnar(columnar)
 		var r result
-		j.OnBuildTuple = func(data.Tuple) { r.builds++ }
-		j.OnProbeTuple = func(data.Tuple) { r.probes++ }
-		j.OnBuildEnd = func() { r.buildEnd = true }
-		j.OnProbeEnd = func() { r.probe = true }
-		if err := j.Open(); err != nil {
-			t.Fatal(err)
+		j.OnBuildTuple = func(data.Tuple) {
+			if r.buildEnd > 0 {
+				t.Error("OnBuildTuple after OnBuildEnd")
+			}
+			r.builds++
 		}
-		var err error
-		if workers > 0 {
-			r.rows, err = DrainBatch(j)
-		} else {
-			r.rows, err = Drain(j)
+		j.OnBuildEnd = func() { r.buildEnd++ }
+		j.OnProbeTuple = func(data.Tuple) {
+			if r.buildEnd == 0 || r.probeEnd > 0 {
+				t.Error("OnProbeTuple outside (OnBuildEnd, OnProbeEnd)")
+			}
+			r.probes++
 		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := j.Close(); err != nil {
-			t.Fatal(err)
-		}
+		j.OnProbeEnd = func() { r.probeEnd++ }
+		r.rows = drainMode(t, j, columnar)
 		r.emitted = j.Stats().Emitted.Load()
 		r.spilled = j.Spilled()
 		return r
 	}
-	tup := run(0)
-	// workers=4 still runs serial because of the budget (Workers() == 1),
-	// exercising the batched spill path.
-	bat := run(4)
-	if bat.spilled == 0 || tup.spilled == 0 {
-		t.Fatalf("expected spills in both modes (tuple %d, batch %d)", tup.spilled, bat.spilled)
+	tup, col := run(false), run(true)
+	if col.spilled == 0 || tup.spilled == 0 {
+		t.Fatalf("expected spills on both paths (tuple %d, columnar %d)", tup.spilled, col.spilled)
 	}
-	requireSameRows(t, tup.rows, bat.rows, true, "spilled join")
-	if tup.emitted != bat.emitted {
-		t.Errorf("Emitted %d vs %d", tup.emitted, bat.emitted)
+	requireSameRows(t, tup.rows, col.rows, true, "spilled join")
+	if tup.emitted != col.emitted || tup.emitted != int64(len(tup.rows)) {
+		t.Errorf("Emitted %d vs %d for %d rows", tup.emitted, col.emitted, len(tup.rows))
 	}
-	if bat.builds != len(a) || bat.probes != len(b) || !bat.probe {
-		t.Errorf("batched hooks: builds=%d probes=%d end=%v", bat.builds, bat.probes, bat.probe)
-	}
-	if !bat.buildEnd {
-		t.Error("OnBuildEnd did not fire in batched mode")
-	}
-	if tup.buildEnd {
-		t.Error("OnBuildEnd fired in tuple mode (batched-only barrier)")
+	for name, r := range map[string]result{"tuple": tup, "columnar": col} {
+		if r.builds != len(a) || r.probes != len(b) {
+			t.Errorf("%s: per-tuple hooks build=%d probe=%d, inputs %d/%d", name, r.builds, r.probes, len(a), len(b))
+		}
+		if r.buildEnd != 1 || r.probeEnd != 1 {
+			t.Errorf("%s: barriers fired build=%d probe=%d times, want once each", name, r.buildEnd, r.probeEnd)
+		}
 	}
 }
 

@@ -47,25 +47,6 @@ func TestSpillFaultHashJoin(t *testing.T) {
 	}
 }
 
-func TestSpillFaultHashJoinBatched(t *testing.T) {
-	a := randTable("a", 3000, 100, 25)
-	b := randTable("b", 4000, 100, 26)
-	for _, op := range spillOps {
-		t.Run(op.String(), func(t *testing.T) {
-			fs := vfs.NewFaultFS(nil).FailAt(op, 1)
-			j := NewHashJoinOn(
-				NewScan(makeTable("a", a), ""),
-				NewScan(makeTable("b", b), ""),
-				"a", "k", "b", "k")
-			j.SetMemoryBudget(16 * 1024)
-			j.SetParallelism(4) // budget keeps the passes serial
-			j.SetSpillFS(fs)
-			_, err := RunBatch(j)
-			expectInjectedIO(t, fs, err)
-		})
-	}
-}
-
 func TestSpillFaultExternalSort(t *testing.T) {
 	vals := randTable("t", 5000, 100000, 27)
 	for _, op := range spillOps {

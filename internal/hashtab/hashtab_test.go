@@ -158,9 +158,8 @@ func TestI64MapZeroValue(t *testing.T) {
 }
 
 // TestI64MapConcurrentReads: a frozen table may be read from many
-// goroutines (the parallel join phase probes per-partition tables that
-// are private per worker, but histogram snapshots are read cross-
-// goroutine); run under -race.
+// goroutines (morsel workers probe the finished build histograms
+// concurrently); run under -race.
 func TestI64MapConcurrentReads(t *testing.T) {
 	m := NewI64Map[int64](0)
 	for k := int64(0); k < 4096; k++ {

@@ -291,7 +291,7 @@ func TestReoptScoutCacheReusesPasses(t *testing.T) {
 }
 
 // TestReoptConcurrentRequests hammers RequestReopt from racing
-// goroutines while a parallel batched plan runs with forced boundary
+// goroutines while a morselized columnar plan runs with forced boundary
 // evaluation: output rows must stay byte-identical, and every applied
 // change must carry the barrier witness. Run under -race this is the
 // adversarial timing test for the started/unstarted barrier.
@@ -303,7 +303,7 @@ func TestReoptConcurrentRequests(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		top, mid, low := chain3(tb)
 		for _, j := range []*exec.HashJoin{top, mid, low} {
-			j.SetParallelism(3)
+			j.SetColumnar(true).SetMorselWorkers(3).SetMorselBlocks(1)
 		}
 		r := installReopt(top, ReoptConfig{Force: true, MaxPerms: 4})
 
@@ -323,29 +323,23 @@ func TestReoptConcurrentRequests(t *testing.T) {
 				}
 			}()
 		}
-		bop := exec.AsBatch(top)
-		if err := bop.Open(); err != nil {
+		if err := top.Open(); err != nil {
 			t.Fatal(err)
 		}
-		var got []string
-		for {
-			b, err := bop.NextBatch()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if b == nil {
-				break
-			}
-			for _, row := range b {
-				got = append(got, fmt.Sprint(row))
-			}
+		rows, err := exec.DrainCol(exec.AsColOperator(top))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if err := bop.Close(); err != nil {
+		if err := top.Close(); err != nil {
 			t.Fatal(err)
 		}
 		close(done)
 		wg.Wait()
 
+		got := make([]string, len(rows))
+		for i, row := range rows {
+			got[i] = fmt.Sprint(row)
+		}
 		sort.Strings(got)
 		if !rowsEq(got, want) {
 			t.Fatalf("trial %d: rows differ under concurrent reopt requests: %d vs %d",

@@ -107,9 +107,9 @@ func (t *Ticker) Install(root exec.Operator, columnar bool) {
 				o.OnProbeTuple = t.tuple(o.OnProbeTuple)
 			}
 			if !columnar {
-				// Pulled through Next or NextBatch, the join emits (and
-				// counts) row by row; pulled columnar, its output is counted
-				// by whoever consumes the batch.
+				// Pulled through Next, the join emits (and counts) row by
+				// row; pulled columnar, its output is counted by whoever
+				// consumes the batch.
 				o.OnOutput = t.tuple(o.OnOutput)
 			}
 		case *exec.MergeJoin:

@@ -18,12 +18,11 @@ type prepareRequest struct {
 }
 
 type queryRequest struct {
-	SQL          string `json:"sql"`
-	Label        string `json:"label,omitempty"`
-	DeadlineMs   int64  `json:"deadline_ms,omitempty"`
-	BudgetBytes  int64  `json:"budget_bytes,omitempty"`
-	WantRows     bool   `json:"want_rows,omitempty"`
-	BatchWorkers int    `json:"batch_workers,omitempty"`
+	SQL         string `json:"sql"`
+	Label       string `json:"label,omitempty"`
+	DeadlineMs  int64  `json:"deadline_ms,omitempty"`
+	BudgetBytes int64  `json:"budget_bytes,omitempty"`
+	WantRows    bool   `json:"want_rows,omitempty"`
 }
 
 type cancelRequest struct {
@@ -127,12 +126,11 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	res, err := s.Execute(r.Context(), ExecRequest{
-		SQL:          req.SQL,
-		Label:        req.Label,
-		Deadline:     time.Duration(req.DeadlineMs) * time.Millisecond,
-		Budget:       req.BudgetBytes,
-		WantRows:     req.WantRows,
-		BatchWorkers: req.BatchWorkers,
+		SQL:      req.SQL,
+		Label:    req.Label,
+		Deadline: time.Duration(req.DeadlineMs) * time.Millisecond,
+		Budget:   req.BudgetBytes,
+		WantRows: req.WantRows,
 	})
 	if err != nil {
 		writeError(w, err)

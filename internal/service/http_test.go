@@ -107,6 +107,34 @@ func TestHTTPPrepareAndQuery(t *testing.T) {
 	}
 }
 
+// TestHTTPIgnoresBatchWorkers: the retired batch_workers request field is
+// ignored like any unknown field — an old client's query still answers 200
+// with the rows it gets without the field.
+func TestHTTPIgnoresBatchWorkers(t *testing.T) {
+	svc := newService(t, Config{Engine: testEngine(t, 300)})
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	run := func(body map[string]any) ExecResult {
+		resp, raw := postJSON(t, ts.Client(), ts.URL+"/v1/query", body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("query %v: status = %d: %s", body, resp.StatusCode, raw)
+		}
+		var res ExecResult
+		if err := json.Unmarshal(raw, &res); err != nil {
+			t.Fatal(err)
+		}
+		if res.State != "done" || res.Rows == 0 {
+			t.Fatalf("query %v: result = %+v, want done with rows", body, res)
+		}
+		return res
+	}
+	plain := run(map[string]any{"sql": joinSQL, "want_rows": true})
+	old := run(map[string]any{"sql": joinSQL, "want_rows": true, "batch_workers": 4})
+	if got, want := fmt.Sprint(old.Data), fmt.Sprint(plain.Data); old.Rows != plain.Rows || got != want {
+		t.Errorf("with batch_workers: %d rows %.80s…, without: %d rows %.80s…", old.Rows, got, plain.Rows, want)
+	}
+}
+
 func TestHTTPDeadlineAndCancel(t *testing.T) {
 	svc := newService(t, Config{Engine: testEngine(t, 40000)})
 	ts := httptest.NewServer(svc.Handler())

@@ -187,9 +187,6 @@ type ExecRequest struct {
 	// WantRows materializes and returns the result rows; otherwise the
 	// query runs to completion and only the row count is returned.
 	WantRows bool
-	// BatchWorkers > 0 compiles the plan for batch execution with that
-	// many partition workers.
-	BatchWorkers int
 }
 
 // ExecResult is one execution's outcome. State is the query's terminal
@@ -255,9 +252,6 @@ func (s *Service) Execute(ctx context.Context, req ExecRequest) (*ExecResult, er
 	}
 	if s.cfg.SpillFS != nil {
 		opts = append(opts, qpi.WithSpillFS(s.cfg.SpillFS))
-	}
-	if req.BatchWorkers > 0 {
-		opts = append(opts, qpi.WithBatchExecution(req.BatchWorkers))
 	}
 	q, err := prep.NewQuery(opts...)
 	if err != nil {

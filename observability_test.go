@@ -1,7 +1,6 @@
 package qpi
 
 import (
-	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -24,18 +23,6 @@ func obsEngine(t testing.TB, rows int) *Engine {
 	e.MustCreateSkewedTable("s", rows+rows/3, 2,
 		SkewedColumn{Name: "k", Domain: 200, Zipf: 1, PermSeed: 22})
 	return e
-}
-
-// spanSeq filters a trace down to its span events as "kind op phase"
-// strings, for golden comparisons.
-func spanSeq(evs []TraceEvent) []string {
-	var out []string
-	for _, e := range evs {
-		if e.Kind == TraceSpanBegin || e.Kind == TraceSpanEnd {
-			out = append(out, fmt.Sprintf("%s %s %s", e.Kind, e.Op, e.Phase))
-		}
-	}
-	return out
 }
 
 // TestTraceCoversJoinGroupBy is the acceptance scenario: a TPC-H-style
@@ -115,34 +102,6 @@ func TestTraceCoversJoinGroupBy(t *testing.T) {
 	}
 }
 
-// TestGoldenTraceTupleVsBatch pins that batch-at-a-time execution emits
-// the same span sequence — same phases, same order — as tuple-at-a-time.
-func TestGoldenTraceTupleVsBatch(t *testing.T) {
-	run := func(opts ...CompileOption) []string {
-		e := obsEngine(t, 6000)
-		q := e.MustQuery("SELECT r.g, COUNT(*) c FROM r JOIN s ON r.k = s.k GROUP BY r.g", opts...)
-		tr := NewTracer()
-		if _, err := q.Run(nil, WithTrace(tr)); err != nil {
-			t.Fatal(err)
-		}
-		return spanSeq(tr.Events())
-	}
-	tuple := run()
-	batch := run(WithBatchExecution(1))
-	if len(tuple) == 0 {
-		t.Fatal("empty tuple-mode trace")
-	}
-	if len(tuple) != len(batch) {
-		t.Fatalf("span count: tuple %d vs batch %d\ntuple: %v\nbatch: %v",
-			len(tuple), len(batch), tuple, batch)
-	}
-	for i := range tuple {
-		if tuple[i] != batch[i] {
-			t.Fatalf("span %d: tuple %q vs batch %q", i, tuple[i], batch[i])
-		}
-	}
-}
-
 // TestTraceSpillCounters: under a memory budget the grace join and
 // external sort must emit spill marks with byte counts, and Metrics must
 // aggregate them.
@@ -174,8 +133,7 @@ func TestTraceSpillCounters(t *testing.T) {
 
 func TestMetricsSnapshot(t *testing.T) {
 	e := obsEngine(t, 6000)
-	q := e.MustQuery("SELECT r.g, COUNT(*) c FROM r JOIN s ON r.k = s.k GROUP BY r.g",
-		WithBatchExecution(1))
+	q := e.MustQuery("SELECT r.g, COUNT(*) c FROM r JOIN s ON r.k = s.k GROUP BY r.g")
 	var m Metrics
 	n, err := q.Run(nil, WithMetrics(&m))
 	if err != nil {
@@ -191,7 +149,7 @@ func TestMetricsSnapshot(t *testing.T) {
 		t.Errorf("Tuples = %d, want > output rows %d", m.Tuples, n)
 	}
 	if m.Batches == 0 {
-		t.Error("Batches = 0 in batch mode")
+		t.Error("Batches = 0")
 	}
 	if m.EstimatorRecomputes == 0 {
 		t.Error("EstimatorRecomputes = 0 with estimators attached")

@@ -63,8 +63,8 @@ func (e *Engine) Prepare(query string) (*Prepared, error) {
 
 // NewQuery plans and compiles a fresh executable Query from the prepared
 // statement against the engine's current catalog. Each call returns an
-// independent single-use Query; compile options (estimator mode, memory
-// budget, batch execution, spill FS) apply per execution.
+// independent single-use Query; compile options (estimator mode,
+// sampling, memory budget, spill FS) apply per execution.
 func (p *Prepared) NewQuery(opts ...CompileOption) (*Query, error) {
 	p.planMu.Lock()
 	root, err := sql.Plan(p.stmt, p.eng.cat)

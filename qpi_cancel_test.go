@@ -13,8 +13,8 @@ import (
 )
 
 // Tests for the query-lifecycle contract: single-use claiming is race
-// free, Run/Start honour cancellation and deadlines in every execution
-// mode, the monitor lands in the matching terminal state, and nothing
+// free, Run/Start honour cancellation and deadlines in memory and
+// spilling, the monitor lands in the matching terminal state, and nothing
 // (goroutines, spill descriptors) leaks.
 
 func bigJoinEngine(t *testing.T) *Engine {
@@ -97,8 +97,6 @@ func TestStartCancelMidFlight(t *testing.T) {
 		opts []CompileOption
 	}{
 		{"default", nil},
-		{"batched", []CompileOption{WithBatchExecution(1)}},
-		{"batched-parallel", []CompileOption{WithBatchExecution(4)}},
 		{"spilling", []CompileOption{WithMemoryBudget(64 * 1024)}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
@@ -158,72 +156,37 @@ func parkFirstScan(q *Query, n int) (parked chan struct{}, resume func()) {
 	return parked, func() { once.Do(func() { close(gate) }) }
 }
 
-// TestBatchedProgressPublishes pins satellite semantics: under
-// WithBatchExecution the per-tuple monitor hooks still fire on the
-// execution goroutine, so a Running's published Progress must advance
-// mid-flight (observed deterministically at a parked scan) and reach the
-// terminal done state.
-func TestBatchedProgressPublishes(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		t.Run(map[int]string{1: "serial", 4: "parallel"}[workers], func(t *testing.T) {
-			q := bigJoinEngine(t).MustQuery(
-				"SELECT r.k FROM r JOIN s ON r.k = s.k", WithBatchExecution(workers))
-			parked, resume := parkFirstScan(q, 20000)
-			r, err := q.Start(context.Background(), WithInterval(500))
-			if err != nil {
-				t.Fatal(err)
-			}
-			<-parked
-			if p := r.Progress(); p <= 0 || p >= 1 {
-				t.Errorf("mid-flight batched progress = %g, want in (0,1)", p)
-			}
-			if st := r.Report().State; st != "running" {
-				t.Errorf("mid-flight state = %q, want running", st)
-			}
-			resume()
-			n, err := r.Wait()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if n == 0 {
-				t.Fatal("join produced no rows")
-			}
-			rep := r.Report()
-			if rep.State != "done" {
-				t.Errorf("terminal state = %q, want done", rep.State)
-			}
-			if rep.Progress < 0.999 {
-				t.Errorf("final progress = %g, want ~1", rep.Progress)
-			}
-		})
-	}
-}
-
-// TestRunProgressCallbackBatched: the synchronous Run path's onProgress
-// callback must also advance under batch execution.
-func TestRunProgressCallbackBatched(t *testing.T) {
-	q := bigJoinEngine(t).MustQuery(
-		"SELECT r.k FROM r JOIN s ON r.k = s.k", WithBatchExecution(4))
-	var reports []Report
-	if _, err := q.Run(nil, WithProgress(func(r Report) { reports = append(reports, r) }, 2000)); err != nil {
+// TestStartProgressPublishes: a Running's published Progress must advance
+// mid-flight (observed deterministically at a parked scan, strictly
+// inside (0,1) in state running) and reach the terminal done state.
+func TestStartProgressPublishes(t *testing.T) {
+	q := bigJoinEngine(t).MustQuery("SELECT r.k FROM r JOIN s ON r.k = s.k")
+	parked, resume := parkFirstScan(q, 20000)
+	r, err := q.Start(context.Background(), WithInterval(500))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reports) < 2 {
-		t.Fatalf("only %d progress reports published", len(reports))
+	<-parked
+	if p := r.Progress(); p <= 0 || p >= 1 {
+		t.Errorf("mid-flight progress = %g, want in (0,1)", p)
 	}
-	// No monotonicity assertion: the online estimators may revise T
-	// upward mid-flight, which legitimately dips the gnm ratio.
-	sawPartial := false
-	for _, r := range reports {
-		if r.Progress > 0 && r.Progress < 1 {
-			sawPartial = true
-		}
+	if st := r.Report().State; st != "running" {
+		t.Errorf("mid-flight state = %q, want running", st)
 	}
-	if !sawPartial {
-		t.Error("no partial progress observed in batched mode")
+	resume()
+	n, err := r.Wait()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if last := reports[len(reports)-1]; last.State != "done" || last.Progress < 0.999 {
-		t.Errorf("final report %+v, want done at ~1", last)
+	if n == 0 {
+		t.Fatal("join produced no rows")
+	}
+	rep := r.Report()
+	if rep.State != "done" {
+		t.Errorf("terminal state = %q, want done", rep.State)
+	}
+	if rep.Progress < 0.999 {
+		t.Errorf("final progress = %g, want ~1", rep.Progress)
 	}
 }
 

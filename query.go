@@ -76,7 +76,6 @@ type compileCfg struct {
 	sampleSeed     int64
 	noEstimators   bool
 	memBudget      int64
-	batchWorkers   int
 	spillFS        vfs.FS
 }
 
@@ -125,22 +124,6 @@ func WithSpillFS(fs SpillFS) CompileOption {
 	return func(c *compileCfg) { c.spillFS = fs }
 }
 
-// WithBatchExecution switches the plan from the default columnar engine
-// to row-batch execution: operators move ~1024-tuple row batches per
-// call, hash joins run their grace partition passes over whole batches
-// with `workers` parallel scatter workers (capped at GOMAXPROCS; 1 =
-// batched but serial), and the online estimators observe through
-// per-worker histogram shards merged at the pass barriers. Results and
-// converged estimates are identical to the default; under a memory budget
-// the passes stay serial so spill accounting is single-threaded.
-// workers < 1 is treated as 1.
-func WithBatchExecution(workers int) CompileOption {
-	if workers < 1 {
-		workers = 1
-	}
-	return func(c *compileCfg) { c.batchWorkers = workers }
-}
-
 // Query is an executable plan with progress monitoring. Plans are
 // single-use: execute with Run, Rows, or Start exactly once.
 type Query struct {
@@ -182,9 +165,8 @@ func (q *Query) claim() error {
 	return nil
 }
 
-// execRun drives a query's plan to completion (shared by Run and Start):
-// column-at-a-time, or through the row-batch path when batch execution
-// was compiled in. The context is bound to every operator before Open, so
+// execRun drives a query's plan to completion (shared by Run and Start),
+// column-at-a-time. The context is bound to every operator before Open, so
 // cancellation or deadline expiry unwinds the plan within one batch of
 // work; the monitor is left in the matching terminal state.
 func execRun(ctx context.Context, q *Query) (int64, error) {
@@ -198,11 +180,7 @@ func execRun(ctx context.Context, q *Query) (int64, error) {
 	var n int64
 	err := ctx.Err()
 	if err == nil {
-		if q.cfg.batchWorkers > 0 {
-			n, err = exec.RunBatch(exec.AsBatch(q.root))
-		} else {
-			n, err = q.drain(nil)
-		}
+		n, err = q.drain(nil)
 	}
 	q.monitor.Finish(err)
 	return n, err
@@ -279,20 +257,14 @@ func (e *Engine) Compile(n *Node, opts ...CompileOption) (*Query, error) {
 			}
 		})
 	}
-	// Execution mode, chosen before Attach so the estimators install the
-	// hooks of the passes that will run: lane-native columnar by default,
-	// row-batch where WithBatchExecution or Node.Parallel asked for it.
-	rowBatch := cfg.batchWorkers > 0
+	// Every plan runs lane-native columnar; marked before Attach so the
+	// estimators install the hooks of the passes that will run.
 	exec.Walk(n.op, func(op exec.Operator) {
 		switch o := op.(type) {
 		case *exec.HashJoin:
-			if rowBatch {
-				o.SetParallelism(cfg.batchWorkers)
-			} else if !o.Batched() {
-				o.SetColumnar(true)
-			}
+			o.SetColumnar(true)
 		case *exec.Sort:
-			o.SetColumnar(!rowBatch)
+			o.SetColumnar(true)
 		}
 	})
 	plan.EstimateCardinalities(n.op, e.cat)
@@ -465,7 +437,7 @@ func (q *Query) installObservability(cfg *runCfg) {
 		return
 	}
 	q.ticker = progress.NewTicker(cfg.every, func() { q.publishTick(cfg) })
-	q.ticker.Install(q.root, q.cfg.batchWorkers == 0)
+	q.ticker.Install(q.root, true)
 }
 
 // publishTick runs on the execution goroutine at ticker boundaries.
