@@ -41,12 +41,14 @@ serve-check:
 	$(GO) test -race -count=1 -timeout 300s ./internal/service/
 	$(GO) test -race -count=1 -timeout 300s -run 'TestPrepare|TestWithSpillFS|TestServe' .
 
-# The pre-option-style entry points (RunContext/StartContext) and the
+# The pre-option-style entry points (RunContext/StartContext), the
 # row-batch engine (its option, its pull contract, its hooks and its
-# estimator shape) are removed; nothing anywhere in the repo may reference
-# them, so stray revivals in merges get caught here.
+# estimator shape) and the two single-join probe fast paths the lane
+# kernel replaced (the same loop written twice) are removed; nothing
+# anywhere in the repo may reference them, so stray revivals in merges
+# get caught here.
 lint-deprecated:
-	@bad=$$(grep -rn --include='*.go' -E '\.(RunContext|StartContext)\(|\<(WithBatchExecution|RunBatch|AsBatch|DrainBatch|OnBuildBatch|OnProbeBatch|BatchAttached)\>' . || true); \
+	@bad=$$(grep -rn --include='*.go' -E '\.(RunContext|StartContext)\(|\<(WithBatchExecution|RunBatch|AsBatch|DrainBatch|OnBuildBatch|OnProbeBatch|BatchAttached|observeProbeColFast|observeProbeColShardFast)\>' . || true); \
 	if [ -n "$$bad" ]; then \
 		echo "removed API referenced:"; \
 		echo "$$bad"; \

@@ -67,8 +67,16 @@ func newTrackerAggEstimator(agg exec.Operator, total func() float64) *AggEstimat
 }
 
 // ObserveGroupCount processes one input tuple's group-count transition
-// (tracker mode).
+// (tracker mode). |T| is refreshed before the first transition as well as
+// every 1 024th: the estimator was attached with the optimizer's guess,
+// and by the time the input pass begins the feeding operator usually
+// knows better (a join's once-estimate is exact), so Algorithm 3's bounds
+// start from the right total instead of recomputing per tuple until the
+// first refresh.
 func (a *AggEstimator) ObserveGroupCount(n int64) {
+	if a.seen == 0 {
+		a.tracker.SetTotal(a.total())
+	}
 	a.tracker.ObserveCount(n)
 	a.seen++
 	if a.seen%1024 == 0 {
@@ -83,6 +91,9 @@ func (a *AggEstimator) ObserveGroupCount(n int64) {
 // refresh / publish boundaries fall on the same absolute transition
 // indexes as the per-transition hook, so estimator state is identical.
 func (a *AggEstimator) ObserveGroupCounts(ns []int64) {
+	if a.seen == 0 {
+		a.tracker.SetTotal(a.total())
+	}
 	for len(ns) > 0 {
 		chunk := 1024 - a.seen%1024
 		if chunk > int64(len(ns)) {
@@ -113,6 +124,9 @@ func newPushdownAggEstimator(agg exec.Operator, hist *FreqHistogram, joinSize fu
 
 // ObserveInput processes one aggregation-input tuple (stream mode).
 func (a *AggEstimator) ObserveInput(groupKey data.Value) {
+	if a.seen == 0 {
+		a.chooser.SetTotal(a.total())
+	}
 	a.chooser.Observe(groupKey)
 	a.seen++
 	if a.seen%1024 == 0 {

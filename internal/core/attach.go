@@ -612,8 +612,10 @@ func (a *Attachment) Recomputes() int64 {
 	return n
 }
 
-// HistogramProbes totals the histogram lookups performed by the chain
-// estimators' probe passes (refreshed at publish boundaries).
+// HistogramProbes totals the histogram lookups Algorithm 1 specifies for
+// the chain estimators' probe passes so far — a logical count, the same
+// on the tuple and columnar routes (see PipelineEstimator.HistogramProbes;
+// refreshed at publish boundaries).
 func (a *Attachment) HistogramProbes() int64 {
 	var n int64
 	for _, pe := range a.Chains {

@@ -8,11 +8,14 @@ import (
 // This file implements span-at-a-time estimator observation for columnar
 // chains: instead of one callback per tuple, the build and probe
 // partition passes deliver whole ColBatches at batch boundaries and the
-// estimator walks the key lanes directly. The columnar passes are
-// serial, so the hooks update the histograms in place, in row order —
-// every accumulation happens in exactly the order the per-tuple hooks
-// would have produced, so estimator state stays bit-identical to the
-// tuple path (a property the differential tests assert).
+// estimator walks the key lanes directly. The build hooks update the
+// histograms in place (integer counts: any order gives the same state);
+// the probe side runs Algorithm 1's push-down as a lane kernel
+// (observeLanes), shared by the serial estimator and the worker shards of
+// colshard.go, with a per-row fallback for chains it cannot take. Either
+// way every float accumulation happens in exactly the order the per-tuple
+// hooks would have produced, so estimator state stays bit-identical to
+// the tuple path (a property the differential tests assert).
 
 // ColAttached reports whether the estimator observes its chain through
 // the span-at-a-time columnar hooks.
@@ -46,7 +49,7 @@ func (p *PipelineEstimator) installColHooks() {
 		keyCol := buildKeys[0]
 		p.links[j].SetBuildColHook(func(cb *data.ColBatch) {
 			if fastHists != nil {
-				if kv := cb.Col(keyCol); kv.Homogeneous() && kv.Kind == data.KindInt {
+				if kv := intLane(cb, keyCol); kv != nil {
 					for _, fh := range fastHists {
 						fh.ObserveColumn(kv.Ints, cb.Sel, kv.Nulls)
 					}
@@ -75,70 +78,178 @@ func (p *PipelineEstimator) installColHooks() {
 
 // ObserveProbeCol processes one bottom-stream ColBatch — the
 // span-at-a-time form of ObserveProbe, invoked once per batch by the
-// bottom join's columnar probe partition pass. The single-join
-// single-integer-key case reads the flat key lane directly, performing
-// the same float accumulations in the same order as the tuple path; the
-// general case materializes rows and runs ObserveProbe per live row, so
-// publish cadence, output-distribution accumulation, and the
-// OnProbeObserved callback are preserved exactly.
+// bottom join's columnar probe partition pass. Publish cadence,
+// output-distribution accumulation and the OnProbeObserved callback are
+// the tuple path's exactly.
 func (p *PipelineEstimator) ObserveProbeCol(cb *data.ColBatch) {
-	if p.observeProbeColFast(cb) {
+	p.observeBatch(&p.probeAcc, p.outDistHist, cb, true)
+}
+
+// observeBatch accumulates cb's live rows into acc — the estimator's own
+// accumulator (serial: publishes and callbacks fire as on the tuple path)
+// or a worker shard's. Chains whose probe keys are all single integer
+// columns of the bottom stream run the lane kernel; any other chain (or
+// batch) is observed row by row.
+func (p *PipelineEstimator) observeBatch(acc *probeAcc, outDist *FreqHistogram, cb *data.ColBatch, serial bool) {
+	if p.observeLanes(acc, outDist, cb, serial) {
 		return
 	}
 	rows := cb.MaterializeRows()
-	if cb.Sel == nil {
-		for i := 0; i < cb.NRows; i++ {
-			p.ObserveProbe(rows[i])
-		}
-	} else {
-		for _, i := range cb.Sel {
-			p.ObserveProbe(rows[i])
+	for r, live := 0, cb.Live(); r < live; r++ {
+		if row := rows[liveRow(cb, r)]; serial {
+			p.ObserveProbe(row)
+		} else {
+			p.observeRow(acc, outDist, row)
 		}
 	}
 }
 
-// observeProbeColFast handles the vectorizable probe case: a single
-// inner join whose probe key is one homogeneous integer column, no
-// output-distribution accumulation and no per-tuple callback. Each live
-// row performs t++, one CountInt lookup (0 for NULL keys, matching
-// Count over a NULL join key), and the identical float accumulation and
-// publish check ObserveProbe performs — same operations, same order,
-// bit-identical state.
-func (p *PipelineEstimator) observeProbeColFast(cb *data.ColBatch) bool {
-	if p.m != 1 || p.outDistHist != nil || p.OnProbeObserved != nil || p.links[0].Mult != nil {
-		return false
+// laneChunk is how many live rows the lane kernel takes at a time: its
+// scratch, one counts lane per link, stays at half a KB per link however
+// long the batch.
+const laneChunk = 64
+
+// laneLink is one link of a lane-eligible chain: the histogram its key is
+// counted in, the bottom-stream column the key is read from, and the
+// link's multiplicity transform.
+type laneLink struct {
+	hist *FreqHistogram
+	col  int
+	mult func(n int64) float64
+}
+
+// planLanes decides whether the chain's probe side can run over key
+// lanes: every probe key must be one column of the bottom stream (Case 1
+// and same-attribute links; a Case 2 key lives in a build relation) and
+// every histogram exact. No relation then has folds, so M[k][j] is the
+// one histogram N^{R_j} at every level k ≤ j and a link needs one counts
+// lane whichever level reads it.
+func (p *PipelineEstimator) planLanes() {
+	links := make([]laneLink, p.m)
+	for j := range links {
+		fh, ok := p.hists[j][j].(*FreqHistogram)
+		if !ok || !p.srcs[j].fromBottom || len(p.srcs[j].cols) != 1 {
+			return
+		}
+		links[j] = laneLink{fh, p.srcs[j].cols[0], p.links[j].Mult}
 	}
-	src := p.srcs[0]
-	if !src.fromBottom || len(src.cols) != 1 {
-		return false
+	p.laneLinks = links
+}
+
+// intLane returns column c of cb when it is a flat integer lane.
+func intLane(cb *data.ColBatch, c int) *data.ColVec {
+	if kv := cb.Col(c); kv.Homogeneous() && kv.Kind == data.KindInt {
+		return kv
 	}
-	fh, ok := p.hists[0][0].(*FreqHistogram)
-	if !ok {
-		return false
+	return nil
+}
+
+// liveRow maps the r-th live row of cb to its row index.
+func liveRow(cb *data.ColBatch, r int) int {
+	if cb.Sel != nil {
+		return int(cb.Sel[r])
 	}
-	kv := cb.Col(src.cols[0])
-	if !kv.Homogeneous() || kv.Kind != data.KindInt {
-		return false
-	}
-	observe := func(i int) {
-		p.t++
-		var delta float64
+	return r
+}
+
+// gather writes the link's per-tuple factor for live rows [lo, hi) of cb
+// into out: the Mult-transformed count of the row's key, a NULL key
+// counting 0 as Count over a NULL join key does.
+func (l *laneLink) gather(cb *data.ColBatch, lo, hi int, out []float64) {
+	kv := cb.Col(l.col)
+	for r := lo; r < hi; r++ {
+		i := liveRow(cb, r)
+		var n int64
 		if !kv.Nulls.Get(i) {
-			delta = float64(fh.CountInt(kv.Ints[i]))
+			n = l.hist.CountInt(kv.Ints[i])
 		}
-		p.sums[0] += delta
-		p.sumSqs[0] += delta * delta
-		if p.t%p.publishEvery == 0 {
-			p.publish()
+		if l.mult != nil {
+			out[r-lo] = l.mult(n)
+		} else {
+			out[r-lo] = float64(n)
 		}
 	}
-	if cb.Sel == nil {
-		for i := 0; i < cb.NRows; i++ {
-			observe(i)
+}
+
+// observeLanes is Algorithm 1's probe-side update a span at a time: per
+// chunk of live rows one CountInt gather per link into a counts lane,
+// then per level k the lanes multiply in probeDelta's j-ascending order
+// into a delta lane, which folds into sums[k]/sumSqs[k] row by row. A
+// level's moments depend on no other level's, so this is the tuple path's
+// float operations in the tuple path's order. With serial set (the
+// estimator's own accumulator) a span ends wherever the tuple path would
+// publish or fire OnProbeObserved, so both see the state they would have;
+// worker shards fold whole chunks and publish at the barrier. It reports
+// false, having changed nothing, when the chain or this batch's key
+// columns are not lane-eligible.
+func (p *PipelineEstimator) observeLanes(acc *probeAcc, outDist *FreqHistogram, cb *data.ColBatch, serial bool) bool {
+	if p.laneLinks == nil {
+		return false
+	}
+	for _, l := range p.laneLinks {
+		if intLane(cb, l.col) == nil {
+			return false
 		}
-	} else {
-		for _, i := range cb.Sel {
-			observe(int(i))
+	}
+	var group *data.ColVec
+	if outDist != nil {
+		if group = intLane(cb, p.outDistCol); group == nil {
+			return false
+		}
+	}
+	if acc.lanes == nil {
+		flat := make([]float64, p.m*laneChunk)
+		for j := 0; j < p.m; j++ {
+			acc.lanes = append(acc.lanes, flat[j*laneChunk:(j+1)*laneChunk])
+		}
+	}
+	for lo, live := 0, cb.Live(); lo < live; lo += laneChunk {
+		n := min(laneChunk, live-lo)
+		for j := range p.laneLinks {
+			p.laneLinks[j].gather(cb, lo, lo+n, acc.lanes[j])
+		}
+		for a := 0; a < n; {
+			b := n
+			if serial {
+				if p.OnProbeObserved != nil {
+					b = a + 1
+				} else if left := p.publishEvery - acc.t%p.publishEvery; left < int64(b-a) {
+					b = a + int(left)
+				}
+			}
+			// Level k reads lanes k..m-1 and no later level reads lane k,
+			// so lane k becomes level k's delta lane in place.
+			for k, lane := range acc.lanes {
+				delta := lane[a:b]
+				for _, below := range acc.lanes[k+1:] {
+					for r, x := range below[a:b] {
+						delta[r] *= x
+					}
+				}
+				sum, sumSq := acc.sums[k], acc.sumSqs[k]
+				for _, d := range delta {
+					sum += d
+					sumSq += d * d
+				}
+				acc.sums[k], acc.sumSqs[k] = sum, sumSq
+				if k == 0 && group != nil {
+					for r, d := range delta {
+						if i := liveRow(cb, lo+a+r); !group.Nulls.Get(i) {
+							outDist.AddN(data.Int(group.Ints[i]), int64(d))
+						}
+					}
+				}
+			}
+			acc.t += int64(b - a)
+			if serial {
+				if acc.t%p.publishEvery == 0 {
+					p.publish()
+				}
+				if p.OnProbeObserved != nil {
+					p.OnProbeObserved(acc.t)
+				}
+			}
+			a = b
 		}
 	}
 	return true

@@ -36,11 +36,9 @@ import (
 // modes publish every publishEvery probe tuples): Stats writes stay on
 // the coordinator, never on workers.
 
-// probeShard is one worker's private share of the probe-pass moments.
+// probeShard is one worker's private share of the probe-pass state.
 type probeShard struct {
-	t       int64
-	sums    []float64
-	sumSqs  []float64
+	probeAcc
 	outDist *FreqHistogram
 }
 
@@ -75,7 +73,7 @@ func (p *PipelineEstimator) installColShardHooks() {
 		p.links[j].SetBuildColBatchHook(func(worker int, cb *data.ColBatch) {
 			sh := shards[worker]
 			if laneFast {
-				if kv := cb.Col(keyCol); kv.Homogeneous() && kv.Kind == data.KindInt {
+				if kv := intLane(cb, keyCol); kv != nil {
 					for _, fh := range sh {
 						fh.ObserveColumn(kv.Ints, cb.Sel, kv.Nulls)
 					}
@@ -113,94 +111,22 @@ func (p *PipelineEstimator) installColShardHooks() {
 	}
 	p.probeShards = make([]probeShard, p.links[p.m-1].Workers)
 	for i := range p.probeShards {
-		p.probeShards[i] = probeShard{
-			sums:   make([]float64, p.m),
-			sumSqs: make([]float64, p.m),
-		}
+		p.probeShards[i].probeAcc = newProbeAcc(p.m)
 	}
 }
 
 // ObserveProbeColShard processes one bottom-stream ColBatch on behalf of
 // worker w — the sharded form of ObserveProbeCol, invoked lock-free by
-// the owning scan worker of a morselized probe pass. No estimate is
-// published until FinishProbe merges the shards at the pass barrier.
+// the owning scan worker of a morselized probe pass: the same lane kernel
+// or per-row fallback, into the worker's shard. No estimate is published
+// and OnProbeObserved does not fire until FinishProbe merges the shards
+// at the pass barrier.
 func (p *PipelineEstimator) ObserveProbeColShard(w int, cb *data.ColBatch) {
 	sh := &p.probeShards[w]
-	if p.observeProbeColShardFast(sh, cb) {
-		return
+	if p.outDistHist != nil && sh.outDist == nil {
+		sh.outDist = NewFreqHistogram()
 	}
-	rows := cb.MaterializeRows()
-	if cb.Sel == nil {
-		for i := 0; i < cb.NRows; i++ {
-			p.observeProbeShard(sh, rows[i])
-		}
-	} else {
-		for _, i := range cb.Sel {
-			p.observeProbeShard(sh, rows[i])
-		}
-	}
-}
-
-// observeProbeShard accumulates one bottom-stream tuple into a worker's
-// probe shard: the shard-local body of ObserveProbe.
-func (p *PipelineEstimator) observeProbeShard(sh *probeShard, c data.Tuple) {
-	sh.t++
-	for k := 0; k < p.m; k++ {
-		delta := p.probeDelta(c, k)
-		sh.sums[k] += delta
-		sh.sumSqs[k] += delta * delta
-		if k == 0 && p.outDistHist != nil {
-			if sh.outDist == nil {
-				sh.outDist = NewFreqHistogram()
-			}
-			sh.outDist.AddN(c[p.outDistCol], int64(delta))
-		}
-	}
-}
-
-// observeProbeColShardFast is the vectorizable probe case of the sharded
-// columnar mode: a single inner join whose probe key is one homogeneous
-// integer column and no output-distribution accumulation. Each live row
-// performs t++, one CountInt lookup (0 for NULL keys) and the moment
-// accumulation into the worker's shard — the same arithmetic the serial
-// fast path performs, minus the publish check (sharded mode publishes at
-// the barrier). OnProbeObserved does not bail the fast path: it fires
-// once from FinishProbe with the merged count.
-func (p *PipelineEstimator) observeProbeColShardFast(sh *probeShard, cb *data.ColBatch) bool {
-	if p.m != 1 || p.outDistHist != nil || p.links[0].Mult != nil {
-		return false
-	}
-	src := p.srcs[0]
-	if !src.fromBottom || len(src.cols) != 1 {
-		return false
-	}
-	fh, ok := p.hists[0][0].(*FreqHistogram)
-	if !ok {
-		return false
-	}
-	kv := cb.Col(src.cols[0])
-	if !kv.Homogeneous() || kv.Kind != data.KindInt {
-		return false
-	}
-	observe := func(i int) {
-		sh.t++
-		var delta float64
-		if !kv.Nulls.Get(i) {
-			delta = float64(fh.CountInt(kv.Ints[i]))
-		}
-		sh.sums[0] += delta
-		sh.sumSqs[0] += delta * delta
-	}
-	if cb.Sel == nil {
-		for i := 0; i < cb.NRows; i++ {
-			observe(i)
-		}
-	} else {
-		for _, i := range cb.Sel {
-			observe(int(i))
-		}
-	}
-	return true
+	p.observeBatch(&sh.probeAcc, sh.outDist, cb, false)
 }
 
 // FinishProbe merges the per-worker probe shards and freezes the

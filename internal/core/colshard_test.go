@@ -80,6 +80,20 @@ func fig6Plan(seed int64, case2 bool) *exec.HashJoin {
 		0, lower.Schema().MustResolve(upperKeyTable, "y"))
 }
 
+// chain3Plan is three joins keyed on three different columns of the
+// bottom relation: A ⋈x (B ⋈y (C ⋈z D)), the shape of skew_pipeline's
+// main pipeline and the lane kernel's multi-lane case.
+func chain3Plan(seed int64) *exec.HashJoin {
+	rng := rand.New(rand.NewSource(seed))
+	a := table("a", []string{"x"}, randCol(rng, 27, 9))
+	b := table("b", []string{"y"}, randCol(rng, 21, 7))
+	c := table("c", []string{"z"}, randCol(rng, 33, 11))
+	d := table("d", []string{"x", "y", "z"}, randCol(rng, 1300, 9), randCol(rng, 1300, 7), randCol(rng, 1300, 11))
+	low := exec.NewHashJoinOn(exec.NewScan(c, ""), exec.NewScan(d, ""), "c", "z", "d", "z")
+	mid := exec.NewHashJoin(exec.NewScan(b, ""), low, 0, low.Schema().MustResolve("d", "y"))
+	return exec.NewHashJoin(exec.NewScan(a, ""), mid, 0, mid.Schema().MustResolve("d", "x"))
+}
+
 // morselizeCol marks every hash join in the plan columnar + morselized
 // with k workers and single-block morsels. Must run before Attach.
 func morselizeCol(op exec.Operator, k int) {
@@ -178,6 +192,7 @@ func TestColShardBitIdenticalToSerialColumnar(t *testing.T) {
 		func() *exec.HashJoin { return fig6Plan(52, false) },
 		func() *exec.HashJoin { return fig6Plan(53, true) },
 		func() *exec.HashJoin { return strKeyPlan(54) },
+		func() *exec.HashJoin { return chain3Plan(55) },
 	}
 	for si, mk := range shapes {
 		run := func(morsel bool, workers int) (est, lo, hi []float64, probes, rows int64) {
@@ -234,6 +249,7 @@ func TestColumnarBitIdenticalToTuple(t *testing.T) {
 		func() *exec.HashJoin { return fig6Plan(72, false) },
 		func() *exec.HashJoin { return fig6Plan(73, true) },
 		func() *exec.HashJoin { return strKeyPlan(74) },
+		func() *exec.HashJoin { return chain3Plan(75) },
 	}
 	for si, mk := range shapes {
 		run := func(columnar bool) (state []float64) {

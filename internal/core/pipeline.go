@@ -127,10 +127,12 @@ type PipelineEstimator struct {
 
 	probeTotal func() float64 // live estimate of |C|
 
-	t      int64
-	sums   []float64
-	sumSqs []float64
+	probeAcc
 	frozen bool
+
+	// laneLinks is set when the probe side can be observed a span at a
+	// time over key lanes (see colhooks.go); nil keeps the row fallback.
+	laneLinks []laneLink
 
 	// publishEvery controls how often (in probe tuples) the estimates are
 	// copied into the joins' Stats; estimates themselves update on every
@@ -177,7 +179,7 @@ type PipelineEstimator struct {
 	tr             *obs.Tracer
 	trLabels       []string
 	lastSrc        string
-	probesPerTuple int64 // histogram Count() calls per probe tuple
+	probesPerTuple int64 // histogram lookups Algorithm 1 specifies per probe tuple
 	recomputes     atomic.Int64
 	histProbes     atomic.Int64
 }
@@ -226,8 +228,7 @@ func NewPipelineEstimatorHist(links []ChainLink, probeTotal func() float64, fact
 		links:        links,
 		m:            m,
 		probeTotal:   probeTotal,
-		sums:         make([]float64, m),
-		sumSqs:       make([]float64, m),
+		probeAcc:     newProbeAcc(m),
 		publishEvery: 64,
 		histFactory:  factory,
 	}
@@ -235,6 +236,7 @@ func NewPipelineEstimatorHist(links []ChainLink, probeTotal func() float64, fact
 		return nil, err
 	}
 	p.planHistograms()
+	p.planLanes()
 	p.installHooks()
 	for k := 0; k < m; k++ {
 		for j := k; j < m; j++ {
@@ -263,8 +265,12 @@ func (p *PipelineEstimator) SetTracer(tr *obs.Tracer) {
 // estimates into the joins' Stats.
 func (p *PipelineEstimator) Recomputes() int64 { return p.recomputes.Load() }
 
-// HistogramProbes returns the number of histogram Count() lookups the
-// probe pass has performed, refreshed at publish boundaries.
+// HistogramProbes returns the number of histogram lookups Algorithm 1
+// specifies for the probe tuples observed so far — per tuple, one per
+// (level, bottom-keyed link at or below it) — refreshed at publish
+// boundaries. The count is logical: the lane kernel gathers once per
+// link and the levels share the lane, so the tuple and columnar routes
+// report the same number for the same input.
 func (p *PipelineEstimator) HistogramProbes() int64 { return p.histProbes.Load() }
 
 // resolveProvenance maps every join's probe key to a bottom-stream column
@@ -440,20 +446,42 @@ func (p *PipelineEstimator) chainColSharded() bool {
 // estimate, and stores the estimates into the joins' Stats with source
 // "once".
 func (p *PipelineEstimator) ObserveProbe(c data.Tuple) {
-	p.t++
-	for k := 0; k < p.m; k++ {
-		delta := p.probeDelta(c, k)
-		p.sums[k] += delta
-		p.sumSqs[k] += delta * delta
-		if k == 0 && p.outDistHist != nil {
-			p.outDistHist.AddN(c[p.outDistCol], int64(delta))
-		}
-	}
+	p.observeRow(&p.probeAcc, p.outDistHist, c)
 	if p.t%p.publishEvery == 0 {
 		p.publish()
 	}
 	if p.OnProbeObserved != nil {
 		p.OnProbeObserved(p.t)
+	}
+}
+
+// probeAcc is the probe pass's running state: the bottom-stream tuples
+// seen and, per level, the first two moments of out_k(c). The serial
+// estimator owns one and every worker shard owns one, so the tuple
+// observer and the lane kernel are each written once for both.
+type probeAcc struct {
+	t      int64
+	sums   []float64
+	sumSqs []float64
+	lanes  [][]float64 // lane kernel scratch, allocated on first use
+}
+
+func newProbeAcc(m int) probeAcc {
+	return probeAcc{sums: make([]float64, m), sumSqs: make([]float64, m)}
+}
+
+// observeRow accumulates one bottom-stream tuple into acc, and out_0(c)
+// observations of its grouping value into outDist when push-down
+// aggregation rides the chain.
+func (p *PipelineEstimator) observeRow(acc *probeAcc, outDist *FreqHistogram, c data.Tuple) {
+	acc.t++
+	for k := 0; k < p.m; k++ {
+		delta := p.probeDelta(c, k)
+		acc.sums[k] += delta
+		acc.sumSqs[k] += delta * delta
+		if k == 0 && outDist != nil {
+			outDist.AddN(c[p.outDistCol], int64(delta))
+		}
 	}
 }
 

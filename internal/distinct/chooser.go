@@ -1,11 +1,6 @@
 package distinct
 
-import (
-	"math"
-	"sync/atomic"
-
-	"qpi/internal/data"
-)
+import "qpi/internal/data"
 
 // DefaultTau is the paper's γ² threshold: MLE is used while γ² < 10 and
 // GEE otherwise (§5.1.4).
@@ -17,172 +12,28 @@ const DefaultTau = 10.0
 // end): low γ² means low skew, where MLE is the better estimator; high γ²
 // means high skew, where GEE is.
 //
-// γ² is maintained incrementally: with g observed groups of frequencies
-// n_i and t = Σ n_i, the mean is μ = t/g, the variance is (Σ n_i²)/g − μ²
-// and γ² = var/μ². Σ n_i² updates in O(1) per tuple (n → n+1 adds 2n+1).
-// The GEE terms update in O(1) per tuple (Algorithm 2) and the MLE value
-// is recomputed from the shared frequency profile on the paper's adaptive
-// interval (Algorithm 3) — one hash update per tuple in total, which is
-// what keeps the chooser lightweight.
+// γ² and the GEE terms update in O(1) per tuple (Algorithm 2) and the MLE
+// value is recomputed from the shared frequency profile on the paper's
+// adaptive interval (Algorithm 3) — one hash update per tuple in total,
+// which is what keeps the chooser lightweight.
 type Chooser struct {
+	chooserState
 	counts counter
-	freqs  map[int64]int64 // f_i profile, shared by MLE and γ²
-	t      int64
-	total  float64
-	tau    float64
-
-	singles int64   // GEE S₁
-	multis  int64   // GEE Sₙ
-	sumSq   float64 // Σ n_i² for γ²
-
-	// Algorithm 3 state for the MLE recomputation.
-	lower, upper int64
-	interval     int64
-	sinceRecomp  int64
-	mleCached    float64
-	haveCache    bool
-
-	exhausted  bool
-	recomputes atomic.Int64 // MLE recomputations performed (Algorithm 3)
 }
 
 // NewChooser creates a chooser with threshold tau (use DefaultTau) over a
 // stream of (estimated) length total.
 func NewChooser(total float64, tau float64) *Chooser {
-	lower := int64(total * DefaultLowerFrac)
-	if lower < 1 {
-		lower = 1
-	}
-	upper := int64(total * DefaultUpperFrac)
-	if upper < lower {
-		upper = lower
-	}
-	return &Chooser{
-		counts:   newCounter(),
-		freqs:    map[int64]int64{},
-		total:    total,
-		tau:      tau,
-		lower:    lower,
-		upper:    upper,
-		interval: lower,
-	}
+	c := &Chooser{counts: newCounter()}
+	c.init(total, tau)
+	return c
 }
 
 // Observe implements Estimator.
-func (c *Chooser) Observe(v data.Value) {
-	n := c.counts.incr(v)
-	switch n {
-	case 1:
-		c.singles++
-	case 2:
-		c.singles--
-		c.multis++
-	}
-	if n > 1 {
-		c.freqs[n-1]--
-		if c.freqs[n-1] == 0 {
-			delete(c.freqs, n-1)
-		}
-	}
-	c.freqs[n]++
-	c.sumSq += float64(2*n - 1)
-	c.t++
-	c.sinceRecomp++
-	if c.sinceRecomp >= c.interval {
-		c.recomputeMLE()
-	}
-}
-
-// recomputeMLE refreshes the cached MLE value, adapting the interval per
-// Algorithm 3.
-func (c *Chooser) recomputeMLE() {
-	old := c.mleCached
-	c.recomputes.Add(1)
-	c.mleCached = MLEFromProfile(c.freqs, c.t, c.total)
-	c.haveCache = true
-	c.sinceRecomp = 0
-	if old > 0 && c.mleCached > 0 {
-		ratio := old / c.mleCached
-		if ratio > 1-DefaultK && ratio < 1+DefaultK {
-			c.interval *= 2
-			if c.interval > c.upper {
-				c.interval = c.upper
-			}
-			return
-		}
-	}
-	c.interval = c.lower
-}
-
-// SetTotal revises |T|.
-func (c *Chooser) SetTotal(total float64) { c.total = total }
-
-// MarkExhausted freezes the chooser; the distinct count is now exact.
-func (c *Chooser) MarkExhausted() { c.exhausted = true }
-
-// Gamma2 returns the current squared coefficient of variation of the
-// observed group frequencies (0 when no groups).
-func (c *Chooser) Gamma2() float64 {
-	g := float64(c.counts.distinct())
-	if g == 0 || c.t == 0 {
-		return 0
-	}
-	mu := float64(c.t) / g
-	variance := c.sumSq/g - mu*mu
-	if variance < 0 {
-		variance = 0
-	}
-	return variance / (mu * mu)
-}
-
-// UsingMLE reports which estimator the chooser currently selects.
-func (c *Chooser) UsingMLE() bool { return c.Gamma2() < c.tau }
-
-// Estimate implements Estimator: the selected estimator's value.
-func (c *Chooser) Estimate() float64 {
-	if c.exhausted || float64(c.t) >= c.total {
-		return float64(c.counts.distinct())
-	}
-	if c.UsingMLE() {
-		return c.MLEEstimate()
-	}
-	return c.GEEEstimate()
-}
-
-// GEEEstimate returns the GEE value over the shared counters.
-func (c *Chooser) GEEEstimate() float64 {
-	if c.t == 0 {
-		return 0
-	}
-	if c.exhausted || float64(c.t) >= c.total {
-		return float64(c.counts.distinct())
-	}
-	return math.Sqrt(c.total/float64(c.t))*float64(c.singles) + float64(c.multis)
-}
-
-// MLEEstimate returns the (interval-cached) MLE value over the shared
-// profile.
-func (c *Chooser) MLEEstimate() float64 {
-	if c.exhausted || float64(c.t) >= c.total {
-		return float64(c.counts.distinct())
-	}
-	if !c.haveCache {
-		return MLEFromProfile(c.freqs, c.t, c.total)
-	}
-	return c.mleCached
-}
-
-// Seen implements Estimator.
-func (c *Chooser) Seen() int64 { return c.t }
-
-// DistinctSeen implements Estimator.
-func (c *Chooser) DistinctSeen() int64 { return c.counts.distinct() }
+func (c *Chooser) Observe(v data.Value) { c.observe(c.counts.incr(v)) }
 
 var (
 	_ Estimator = (*GEE)(nil)
 	_ Estimator = (*MLE)(nil)
 	_ Estimator = (*Chooser)(nil)
 )
-
-// Recomputes returns how many MLE recomputations (Algorithm 3) have run.
-func (c *Chooser) Recomputes() int64 { return c.recomputes.Load() }

@@ -20,24 +20,13 @@ import (
 // exactly the behaviour the paper reports.
 //
 // Unlike GEE the estimate cannot be updated in O(1) per tuple, so it is
-// recomputed on an adaptive interval (Algorithm 3): starting from a lower
-// bound l, the recomputation interval doubles whenever the estimate moved
-// by less than k (relative) since the last computation, up to an upper
-// bound u, and resets to l otherwise.
+// recomputed on Algorithm 3's adaptive interval (see cadence).
 type MLE struct {
+	cadence
 	counts counter
-	freqs  map[int64]int64 // f_i: number of groups with count i
+	prof   profile // f_i: number of groups with count i
 	t      int64
 	total  float64
-
-	// Adaptive recomputation (Algorithm 3).
-	lower, upper int64
-	k            float64
-	interval     int64
-	sinceRecomp  int64
-	cached       float64
-	haveCache    bool
-	recomputes   int64
 
 	// Horizon selects the extrapolating variant (extension, see
 	// MLEHorizon): estimate new groups over the whole remaining stream
@@ -47,42 +36,22 @@ type MLE struct {
 	exhausted bool
 }
 
-// DefaultLowerFrac and DefaultUpperFrac are the paper's Algorithm 3
-// parameters: l = 0.1% and u = 3.2% of the input size, doubling when the
-// estimate moved less than 1%.
-const (
-	DefaultLowerFrac = 0.001
-	DefaultUpperFrac = 0.032
-	DefaultK         = 0.01
-)
-
 // NewMLE creates an MLE estimator for a stream of (estimated) length
 // total, with the paper's default Algorithm 3 parameters.
 func NewMLE(total float64) *MLE {
-	l := int64(total * DefaultLowerFrac)
-	u := int64(total * DefaultUpperFrac)
-	return NewMLEWithInterval(total, l, u, DefaultK)
+	m := &MLE{counts: newCounter(), total: total}
+	m.scaled, m.k = true, DefaultK
+	m.setTotal(total)
+	return m
 }
 
 // NewMLEWithInterval creates an MLE estimator with explicit Algorithm 3
 // parameters: recompute every `lower` tuples initially, doubling up to
 // `upper` while consecutive estimates stay within relative k.
 func NewMLEWithInterval(total float64, lower, upper int64, k float64) *MLE {
-	if lower < 1 {
-		lower = 1
-	}
-	if upper < lower {
-		upper = lower
-	}
-	return &MLE{
-		counts:   newCounter(),
-		freqs:    map[int64]int64{},
-		total:    total,
-		lower:    lower,
-		upper:    upper,
-		k:        k,
-		interval: lower,
-	}
+	m := &MLE{counts: newCounter(), total: total}
+	m.setBounds(lower, upper, k)
+	return m
 }
 
 // NewMLEHorizon creates the extrapolating variant: the lookahead covers
@@ -97,89 +66,64 @@ func NewMLEHorizon(total float64) *MLE {
 
 // Observe implements Estimator.
 func (m *MLE) Observe(v data.Value) {
-	n := m.counts.incr(v)
-	if n > 1 {
-		m.freqs[n-1]--
-		if m.freqs[n-1] == 0 {
-			delete(m.freqs, n-1)
-		}
-	}
-	m.freqs[n]++
+	m.prof.shift(m.counts.incr(v))
 	m.t++
-	m.sinceRecomp++
-	if m.sinceRecomp >= m.interval {
-		m.recompute()
+	if m.due() {
+		m.record(m.compute())
 	}
 }
 
-// SetTotal revises |T|.
-func (m *MLE) SetTotal(total float64) { m.total = total }
+// SetTotal revises |T|, and with it the default recomputation bounds.
+func (m *MLE) SetTotal(total float64) {
+	m.total = total
+	m.setTotal(total)
+}
 
 // MarkExhausted freezes the estimator; the distinct count is now exact.
 func (m *MLE) MarkExhausted() { m.exhausted = true }
 
-// recompute evaluates the estimator and adapts the interval per
-// Algorithm 3.
-func (m *MLE) recompute() {
-	old := m.cached
-	m.cached = m.compute()
-	m.haveCache = true
-	m.recomputes++
-	m.sinceRecomp = 0
-	if old > 0 && m.cached > 0 {
-		ratio := old / m.cached
-		if ratio > 1-m.k && ratio < 1+m.k {
-			m.interval *= 2
-			if m.interval > m.upper {
-				m.interval = m.upper
-			}
-			return
-		}
-	}
-	m.interval = m.lower
-}
-
 // compute evaluates the MLE formula over the frequency-of-frequencies
 // profile (O(distinct frequencies), typically far below O(groups)).
 func (m *MLE) compute() float64 {
+	if !m.horizon {
+		return m.prof.mle(m.counts.distinct(), m.t, m.total)
+	}
 	if m.t == 0 {
 		return 0
 	}
-	t := float64(m.t)
-	if m.horizon {
-		if float64(m.t) >= m.total {
-			return float64(m.counts.distinct())
-		}
-		est := 0.0
-		for i, fi := range m.freqs {
-			q := 1 - float64(i)/t // (1 - p̂)
-			if q <= 0 {
-				est += float64(fi)
-				continue
-			}
-			seenByT := 1 - math.Pow(q, t)
-			if seenByT <= 0 {
-				continue
-			}
-			seenByTotal := 1 - math.Pow(q, m.total)
-			est += float64(fi) * seenByTotal / seenByT
-		}
-		return est
+	if float64(m.t) >= m.total {
+		return float64(m.counts.distinct())
 	}
-	return MLEFromProfile(m.freqs, m.t, m.total)
+	// Groups past the profile cap were certainly seen by t: they count
+	// once each, as their term below would.
+	t, est := float64(m.t), float64(m.prof.over)
+	for i, fi := range m.prof.f {
+		if fi == 0 {
+			continue
+		}
+		q := 1 - float64(i)/t // (1 - p̂)
+		if q <= 0 {
+			est += float64(fi)
+			continue
+		}
+		seenByT := 1 - math.Pow(q, t)
+		if seenByT <= 0 {
+			continue
+		}
+		seenByTotal := 1 - math.Pow(q, m.total)
+		est += float64(fi) * seenByTotal / seenByT
+	}
+	return est
 }
 
 // Estimate implements Estimator. It returns the value from the most
 // recent scheduled recomputation (Algorithm 3), falling back to a fresh
 // computation before the first interval elapses.
 func (m *MLE) Estimate() float64 {
-	if m.exhausted || float64(m.t) >= m.total {
-		return float64(m.counts.distinct())
+	if m.haveCache && !m.exhausted && float64(m.t) < m.total {
+		return m.cached
 	}
-	if !m.haveCache {
-		return m.compute()
-	}
-	return m.cached
+	return m.EstimateFresh()
 }
 
 // EstimateFresh bypasses the recomputation schedule (used by tests and
@@ -197,9 +141,6 @@ func (m *MLE) Seen() int64 { return m.t }
 // DistinctSeen implements Estimator.
 func (m *MLE) DistinctSeen() int64 { return m.counts.distinct() }
 
-// Recomputes returns how many times the estimate was recomputed — the
-// Algorithm 3 ablation measures this against a fixed interval.
-func (m *MLE) Recomputes() int64 { return m.recomputes }
-
-// Interval returns the current recomputation interval.
+// Interval returns the current recomputation interval — the Algorithm 3
+// ablation measures it, and Recomputes, against a fixed interval.
 func (m *MLE) Interval() int64 { return m.interval }

@@ -1,15 +1,96 @@
 package distinct
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
-// This file computes the estimators directly from a frequency-of-
-// frequencies profile (f_j = number of groups observed exactly j times in
-// t observations). The aggregation push-down of §4.2 needs this form: when
-// an aggregation sits on top of a join on the same attribute, the
-// estimators run over the *estimated output distribution histogram* built
-// during the join's probe pass rather than over a tuple stream.
+// This file computes the estimators from a frequency-of-frequencies
+// profile (f_j = number of groups observed exactly j times in t
+// observations), in two representations. The map form serves the
+// aggregation push-down of §4.2: when an aggregation sits on top of a
+// join on the same attribute, the estimators run over the *estimated
+// output distribution histogram* built during the join's probe pass
+// rather than over a tuple stream. The dense form (profile) is what the
+// online estimators maintain from group-count transitions. Both add
+// their floating-point terms in ascending j, so one profile always
+// evaluates to one value (Go's map order would make it several).
 
-// GEEFromProfile evaluates the GEE formula sqrt(total/t)·f₁ + Σ_{j≥2} f_j.
+// profileCap bounds the dense profile: one Zipf(2) hot group walks its
+// count through every j and must not size the slice. Groups past the cap
+// are only counted. That loses nothing the online estimators read: the
+// MLE term of a group seen j times is f_j·(p − p²) with
+// p = (1−j/t)^t ≤ e^−j, which is exactly 0 in float64 from j = 746 on.
+const profileCap = 768
+
+// profile is the dense f_j profile: f[j] for j < profileCap, grown on
+// demand, plus the number of groups at or past the cap.
+type profile struct {
+	f    []int64
+	over int64
+}
+
+// shift moves one group from count n−1 to count n (n ≥ 1).
+func (p *profile) shift(n int64) {
+	switch {
+	case n < profileCap:
+		for n >= int64(len(p.f)) {
+			// Growing 4x keeps the garbage of reaching the cap under half
+			// its final size.
+			grown := make([]int64, min(4*len(p.f)+16, profileCap))
+			copy(grown, p.f)
+			p.f = grown
+		}
+		p.f[n]++
+		if n > 1 {
+			p.f[n-1]--
+		}
+	case n == profileCap:
+		p.f[n-1]--
+		p.over++
+	}
+}
+
+// mle evaluates the MLE formula for a profile of g groups.
+func (p *profile) mle(g, t int64, total float64) float64 {
+	if t == 0 {
+		return 0
+	}
+	if float64(t) >= total {
+		return float64(g)
+	}
+	newGroups := 0.0
+	for j, fj := range p.f {
+		if fj != 0 {
+			newGroups += mleTerm(int64(j), fj, float64(t))
+		}
+	}
+	return float64(g) + newGroups
+}
+
+// mleTerm is the expected number of new groups in the next t reads among
+// the f_j groups seen j times: f_j·[(1−j/t)^t − (1−j/t)^{2t}].
+func mleTerm(j, fj int64, t float64) float64 {
+	q := 1 - float64(j)/t
+	if q <= 0 {
+		return 0
+	}
+	pt := math.Pow(q, t)
+	return float64(fj) * (pt - pt*pt)
+}
+
+// ascending returns the profile's counts j in ascending order.
+func ascending(freqs map[int64]int64) []int64 {
+	js := make([]int64, 0, len(freqs))
+	for j := range freqs {
+		js = append(js, j)
+	}
+	slices.Sort(js)
+	return js
+}
+
+// GEEFromProfile evaluates the GEE formula sqrt(total/t)·f₁ + Σ_{j≥2} f_j
+// (integer sums: no order to fix).
 func GEEFromProfile(freqs map[int64]int64, t int64, total float64) float64 {
 	if t == 0 {
 		return 0
@@ -35,6 +116,10 @@ func GEEFromProfile(freqs map[int64]int64, t int64, total float64) float64 {
 // MLEFromProfile evaluates the MLE formula
 // ĝ + Σ_j f_j·[(1−j/t)^t − (1−j/t)^{2t}].
 func MLEFromProfile(freqs map[int64]int64, t int64, total float64) float64 {
+	return mleFromProfile(freqs, ascending(freqs), t, total)
+}
+
+func mleFromProfile(freqs map[int64]int64, js []int64, t int64, total float64) float64 {
 	if t == 0 {
 		return 0
 	}
@@ -45,15 +130,9 @@ func MLEFromProfile(freqs map[int64]int64, t int64, total float64) float64 {
 	if float64(t) >= total {
 		return float64(g)
 	}
-	tf := float64(t)
 	newGroups := 0.0
-	for j, fj := range freqs {
-		q := 1 - float64(j)/tf
-		if q <= 0 {
-			continue
-		}
-		pt := math.Pow(q, tf)
-		newGroups += float64(fj) * (pt - pt*pt)
+	for _, j := range js {
+		newGroups += mleTerm(j, freqs[j], float64(t))
 	}
 	return float64(g) + newGroups
 }
@@ -61,9 +140,14 @@ func MLEFromProfile(freqs map[int64]int64, t int64, total float64) float64 {
 // Gamma2FromProfile computes the squared coefficient of variation of the
 // group frequencies described by the profile.
 func Gamma2FromProfile(freqs map[int64]int64, t int64) float64 {
+	return gamma2FromProfile(freqs, ascending(freqs), t)
+}
+
+func gamma2FromProfile(freqs map[int64]int64, js []int64, t int64) float64 {
 	var g int64
 	sumSq := 0.0
-	for j, fj := range freqs {
+	for _, j := range js {
+		fj := freqs[j]
 		g += fj
 		sumSq += float64(fj) * float64(j) * float64(j)
 	}
@@ -82,8 +166,9 @@ func Gamma2FromProfile(freqs map[int64]int64, t int64) float64 {
 // the MLE estimate when γ² < tau and the GEE estimate otherwise, along
 // with which was used.
 func ChooseFromProfile(freqs map[int64]int64, t int64, total, tau float64) (est float64, usedMLE bool) {
-	if Gamma2FromProfile(freqs, t) < tau {
-		return MLEFromProfile(freqs, t, total), true
+	js := ascending(freqs)
+	if gamma2FromProfile(freqs, js, t) < tau {
+		return mleFromProfile(freqs, js, t, total), true
 	}
 	return GEEFromProfile(freqs, t, total), false
 }

@@ -23,8 +23,11 @@ type Metrics struct {
 	// chain republishes (Algorithm 1), aggregate-chooser publishes and
 	// MLE recomputations (Algorithm 3), and theta/disjunctive refreshes.
 	EstimatorRecomputes int64
-	// HistogramProbes counts join-histogram probes performed by the
-	// chain estimators' drill-down evaluation.
+	// HistogramProbes counts the join-histogram lookups Algorithm 1
+	// specifies for the probe tuples the chain estimators have observed.
+	// It is a logical count: the columnar lane kernel gathers once per
+	// chain link and shares the lane between levels, and reports the same
+	// number the tuple-at-a-time path does.
 	HistogramProbes int64
 	// ReoptConsidered, ReoptApplied, ReoptSkipped and ReoptScouts count
 	// mid-query re-optimization activity (WithReoptimization): boundary
