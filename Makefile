@@ -17,10 +17,11 @@ vet:
 fmt:
 	@test -z "$$(gofmt -l .)" || { echo "gofmt needed:"; gofmt -l .; exit 1; }
 
-# The morsel-driven scan workers of the columnar partition passes, the
-# per-worker estimator shards and the data.BatchSize knob writes
-# (TestBatchSizeKnobStartRace) all run under the race detector here; this
-# is the gate CI runs (vet + plain tests + race tests).
+# A query is one executor goroutine; what runs concurrently with it — the
+# service's other queries and admission governor, monitor goroutines
+# reading the atomic Stats, RequestReopt callers, the data.BatchSize knob
+# writes (TestBatchSizeKnobStartRace) — runs under the race detector
+# here; this is the gate CI runs (vet + plain tests + race tests).
 race:
 	$(GO) test -race -timeout 120s ./...
 
@@ -43,12 +44,13 @@ serve-check:
 
 # The pre-option-style entry points (RunContext/StartContext), the
 # row-batch engine (its option, its pull contract, its hooks and its
-# estimator shape) and the two single-join probe fast paths the lane
-# kernel replaced (the same loop written twice) are removed; nothing
-# anywhere in the repo may reference them, so stray revivals in merges
-# get caught here.
+# estimator shape), the two single-join probe fast paths the lane
+# kernel replaced (the same loop written twice) and the morselized
+# partition pass (its setters, its claim source, its worker-indexed hooks
+# and its sharded estimator shape) are removed; nothing anywhere in the
+# repo may reference them, so stray revivals in merges get caught here.
 lint-deprecated:
-	@bad=$$(grep -rn --include='*.go' -E '\.(RunContext|StartContext)\(|\<(WithBatchExecution|RunBatch|AsBatch|DrainBatch|OnBuildBatch|OnProbeBatch|BatchAttached|observeProbeColFast|observeProbeColShardFast)\>' . || true); \
+	@bad=$$(grep -rn --include='*.go' -E '\.(RunContext|StartContext)\(|\<(WithBatchExecution|RunBatch|AsBatch|DrainBatch|OnBuildBatch|OnProbeBatch|BatchAttached|observeProbeColFast|observeProbeColShardFast|SetMorselWorkers|SetMorselBlocks|Morseled|MorselSource|OnBuildColBatch|OnProbeColBatch|ColShardAttached|ObserveProbeColShard|FinishProbe|composeColW|ModeColMorsel)\>' . || true); \
 	if [ -n "$$bad" ]; then \
 		echo "removed API referenced:"; \
 		echo "$$bad"; \
@@ -65,7 +67,6 @@ fuzz:
 	$(GO) test -fuzz '^FuzzChooser$$'      -fuzztime $(FUZZTIME) -timeout 120s ./internal/distinct/
 	$(GO) test -fuzz '^FuzzJoinModes$$'    -fuzztime $(FUZZTIME) -timeout 120s ./internal/exec/
 	$(GO) test -fuzz '^FuzzOnceExact$$'    -fuzztime $(FUZZTIME) -timeout 120s ./internal/core/
-	$(GO) test -fuzz '^FuzzSketchMerge$$'  -fuzztime $(FUZZTIME) -timeout 120s ./internal/sketch/
 	$(GO) test -fuzz '^FuzzDifferential$$' -fuzztime $(FUZZTIME) -timeout 180s ./internal/difftest/
 	$(GO) test -fuzz '^FuzzQueryModes$$'   -fuzztime $(FUZZTIME) -timeout 120s .
 

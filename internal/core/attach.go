@@ -86,10 +86,10 @@ func (a *Attachment) visit(op exec.Operator) {
 			o.OnInputEnd = compose0(prev, f)
 		}, func(f func(int64)) {
 			prev := o.OnInputGroupCount
-			o.OnInputGroupCount = compose1(prev, f)
+			o.OnInputGroupCount = compose(prev, f)
 		}, func(f func([]int64)) {
 			prev := o.OnInputGroupCounts
-			o.OnInputGroupCounts = composeSpan(prev, f)
+			o.OnInputGroupCounts = compose(prev, f)
 		})
 	case *exec.SortAgg:
 		// Observe the *sorter's input* (randomly ordered), not the sorted
@@ -167,7 +167,7 @@ func (a *Attachment) attachHashChain(top *exec.HashJoin) {
 }
 
 // hashLinkHooks fills a ChainLink's hook setters for one hash join: the
-// per-tuple setter always, the span setters when the join runs columnar
+// per-tuple setter always, the span setter when the join runs columnar
 // partition passes.
 func hashLinkHooks(l *ChainLink, j *exec.HashJoin) {
 	l.SetBuildHook = func(f func(data.Tuple)) {
@@ -176,40 +176,21 @@ func hashLinkHooks(l *ChainLink, j *exec.HashJoin) {
 	if j.Columnar() {
 		l.Columnar = true
 		l.SetBuildColHook = func(f func(cb *data.ColBatch)) {
-			j.OnBuildCol = composeCol(j.OnBuildCol, f)
-		}
-		if j.Morseled() {
-			// Morsel-driven columnar passes deliver ColBatches from
-			// concurrent scan workers: offer the worker-indexed setters so
-			// the estimator can shard (it does only if the whole chain is
-			// morselized; a serial fallback pass fires them as worker 0).
-			l.Workers = j.Workers()
-			l.SetBuildColBatchHook = func(f func(worker int, cb *data.ColBatch)) {
-				j.OnBuildColBatch = composeColW(j.OnBuildColBatch, f)
-			}
-			l.SetBuildEndHook = func(f func()) {
-				j.OnBuildEnd = compose0(j.OnBuildEnd, f)
-			}
+			j.OnBuildCol = compose(j.OnBuildCol, f)
 		}
 	}
 }
 
 // wireHashProbe feeds the bottom probe stream to the estimator in the
-// shape its build observers took: worker-sharded spans, serial spans, or
-// per-tuple hooks (which a columnar pass still fires, in row order, so a
-// chain mixing columnar and tuple joins stays correct).
+// shape its build observers took: spans, or per-tuple hooks (which a
+// columnar pass still fires, in row order, so a chain mixing columnar and
+// tuple joins stays correct).
 func wireHashProbe(pe *PipelineEstimator, bottom *exec.HashJoin) {
-	if bottom.Columnar() && pe.ColShardAttached() {
-		bottom.OnProbeColBatch = composeColW(bottom.OnProbeColBatch, pe.ObserveProbeColShard)
-		bottom.OnProbeEnd = compose0(bottom.OnProbeEnd, pe.FinishProbe)
-		return
-	}
 	if bottom.Columnar() && pe.ColAttached() {
-		bottom.OnProbeCol = composeCol(bottom.OnProbeCol, pe.ObserveProbeCol)
-		bottom.OnProbeEnd = compose0(bottom.OnProbeEnd, pe.MarkConverged)
-		return
+		bottom.OnProbeCol = compose(bottom.OnProbeCol, pe.ObserveProbeCol)
+	} else {
+		bottom.OnProbeTuple = compose(bottom.OnProbeTuple, pe.ObserveProbe)
 	}
-	bottom.OnProbeTuple = compose(bottom.OnProbeTuple, pe.ObserveProbe)
 	bottom.OnProbeEnd = compose0(bottom.OnProbeEnd, pe.MarkConverged)
 }
 
@@ -421,15 +402,9 @@ func (a *Attachment) attachAgg(agg exec.Operator, input exec.Operator, groupBy [
 					est := newPushdownAggEstimator(agg, hist, func() float64 {
 						return pe.Estimate(0)
 					})
-					pe.OnProbeObserved = compose1(pe.OnProbeObserved, func(int64) {
+					pe.OnProbeObserved = compose(pe.OnProbeObserved, func(int64) {
 						est.pushdownTick()
 					})
-					if pe.ColShardAttached() {
-						// Sharded probe observation publishes only at the
-						// pass barrier; publish the final aggregation
-						// estimate there too.
-						pe.afterConverge = append(pe.afterConverge, est.MarkInputEnd)
-					}
 					a.Aggs[agg] = est
 					return
 				}
@@ -483,17 +458,17 @@ func StreamSizeEstimate(op exec.Operator) float64 {
 	}
 }
 
-// compose chains two tuple hooks (either may be nil).
-func compose(prev, next func(data.Tuple)) func(data.Tuple) {
+// compose chains two one-argument hooks (either may be nil).
+func compose[T any](prev, next func(T)) func(T) {
 	if prev == nil {
 		return next
 	}
 	if next == nil {
 		return prev
 	}
-	return func(t data.Tuple) {
-		prev(t)
-		next(t)
+	return func(v T) {
+		prev(v)
+		next(v)
 	}
 }
 
@@ -508,62 +483,6 @@ func compose0(prev, next func()) func() {
 	return func() {
 		prev()
 		next()
-	}
-}
-
-// composeCol chains two ColBatch hooks.
-func composeCol(prev, next func(*data.ColBatch)) func(*data.ColBatch) {
-	if prev == nil {
-		return next
-	}
-	if next == nil {
-		return prev
-	}
-	return func(cb *data.ColBatch) {
-		prev(cb)
-		next(cb)
-	}
-}
-
-// composeColW chains two worker-indexed ColBatch hooks.
-func composeColW(prev, next func(int, *data.ColBatch)) func(int, *data.ColBatch) {
-	if prev == nil {
-		return next
-	}
-	if next == nil {
-		return prev
-	}
-	return func(w int, cb *data.ColBatch) {
-		prev(w, cb)
-		next(w, cb)
-	}
-}
-
-// composeSpan chains two int64-span hooks.
-func composeSpan(prev, next func([]int64)) func([]int64) {
-	if prev == nil {
-		return next
-	}
-	if next == nil {
-		return prev
-	}
-	return func(ns []int64) {
-		prev(ns)
-		next(ns)
-	}
-}
-
-// compose1 chains two int64 hooks.
-func compose1(prev, next func(int64)) func(int64) {
-	if prev == nil {
-		return next
-	}
-	if next == nil {
-		return prev
-	}
-	return func(v int64) {
-		prev(v)
-		next(v)
 	}
 }
 

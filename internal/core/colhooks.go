@@ -11,11 +11,11 @@ import (
 // estimator walks the key lanes directly. The build hooks update the
 // histograms in place (integer counts: any order gives the same state);
 // the probe side runs Algorithm 1's push-down as a lane kernel
-// (observeLanes), shared by the serial estimator and the worker shards of
-// colshard.go, with a per-row fallback for chains it cannot take. Either
-// way every float accumulation happens in exactly the order the per-tuple
-// hooks would have produced, so estimator state stays bit-identical to
-// the tuple path (a property the differential tests assert).
+// (observeLanes), with a per-row fallback for chains it cannot take.
+// Either way every float accumulation happens in exactly the order the
+// per-tuple hooks would have produced, so estimator state stays
+// bit-identical to the tuple path (a property the differential tests
+// assert).
 
 // ColAttached reports whether the estimator observes its chain through
 // the span-at-a-time columnar hooks.
@@ -80,27 +80,16 @@ func (p *PipelineEstimator) installColHooks() {
 // span-at-a-time form of ObserveProbe, invoked once per batch by the
 // bottom join's columnar probe partition pass. Publish cadence,
 // output-distribution accumulation and the OnProbeObserved callback are
-// the tuple path's exactly.
+// the tuple path's exactly. Chains whose probe keys are all single
+// integer columns of the bottom stream run the lane kernel; any other
+// chain (or batch) is observed row by row.
 func (p *PipelineEstimator) ObserveProbeCol(cb *data.ColBatch) {
-	p.observeBatch(&p.probeAcc, p.outDistHist, cb, true)
-}
-
-// observeBatch accumulates cb's live rows into acc — the estimator's own
-// accumulator (serial: publishes and callbacks fire as on the tuple path)
-// or a worker shard's. Chains whose probe keys are all single integer
-// columns of the bottom stream run the lane kernel; any other chain (or
-// batch) is observed row by row.
-func (p *PipelineEstimator) observeBatch(acc *probeAcc, outDist *FreqHistogram, cb *data.ColBatch, serial bool) {
-	if p.observeLanes(acc, outDist, cb, serial) {
+	if p.observeLanes(cb) {
 		return
 	}
 	rows := cb.MaterializeRows()
 	for r, live := 0, cb.Live(); r < live; r++ {
-		if row := rows[liveRow(cb, r)]; serial {
-			p.ObserveProbe(row)
-		} else {
-			p.observeRow(acc, outDist, row)
-		}
+		p.ObserveProbe(rows[liveRow(cb, r)])
 	}
 }
 
@@ -176,13 +165,11 @@ func (l *laneLink) gather(cb *data.ColBatch, lo, hi int, out []float64) {
 // then per level k the lanes multiply in probeDelta's j-ascending order
 // into a delta lane, which folds into sums[k]/sumSqs[k] row by row. A
 // level's moments depend on no other level's, so this is the tuple path's
-// float operations in the tuple path's order. With serial set (the
-// estimator's own accumulator) a span ends wherever the tuple path would
-// publish or fire OnProbeObserved, so both see the state they would have;
-// worker shards fold whole chunks and publish at the barrier. It reports
-// false, having changed nothing, when the chain or this batch's key
-// columns are not lane-eligible.
-func (p *PipelineEstimator) observeLanes(acc *probeAcc, outDist *FreqHistogram, cb *data.ColBatch, serial bool) bool {
+// float operations in the tuple path's order. A span ends wherever the
+// tuple path would publish or fire OnProbeObserved, so both see the state
+// they would have. It reports false, having changed nothing, when the
+// chain or this batch's key columns are not lane-eligible.
+func (p *PipelineEstimator) observeLanes(cb *data.ColBatch) bool {
 	if p.laneLinks == nil {
 		return false
 	}
@@ -192,62 +179,58 @@ func (p *PipelineEstimator) observeLanes(acc *probeAcc, outDist *FreqHistogram, 
 		}
 	}
 	var group *data.ColVec
-	if outDist != nil {
+	if p.outDistHist != nil {
 		if group = intLane(cb, p.outDistCol); group == nil {
 			return false
 		}
 	}
-	if acc.lanes == nil {
+	if p.lanes == nil {
 		flat := make([]float64, p.m*laneChunk)
 		for j := 0; j < p.m; j++ {
-			acc.lanes = append(acc.lanes, flat[j*laneChunk:(j+1)*laneChunk])
+			p.lanes = append(p.lanes, flat[j*laneChunk:(j+1)*laneChunk])
 		}
 	}
 	for lo, live := 0, cb.Live(); lo < live; lo += laneChunk {
 		n := min(laneChunk, live-lo)
 		for j := range p.laneLinks {
-			p.laneLinks[j].gather(cb, lo, lo+n, acc.lanes[j])
+			p.laneLinks[j].gather(cb, lo, lo+n, p.lanes[j])
 		}
 		for a := 0; a < n; {
 			b := n
-			if serial {
-				if p.OnProbeObserved != nil {
-					b = a + 1
-				} else if left := p.publishEvery - acc.t%p.publishEvery; left < int64(b-a) {
-					b = a + int(left)
-				}
+			if p.OnProbeObserved != nil {
+				b = a + 1
+			} else if left := p.publishEvery - p.t%p.publishEvery; left < int64(b-a) {
+				b = a + int(left)
 			}
 			// Level k reads lanes k..m-1 and no later level reads lane k,
 			// so lane k becomes level k's delta lane in place.
-			for k, lane := range acc.lanes {
+			for k, lane := range p.lanes {
 				delta := lane[a:b]
-				for _, below := range acc.lanes[k+1:] {
+				for _, below := range p.lanes[k+1:] {
 					for r, x := range below[a:b] {
 						delta[r] *= x
 					}
 				}
-				sum, sumSq := acc.sums[k], acc.sumSqs[k]
+				sum, sumSq := p.sums[k], p.sumSqs[k]
 				for _, d := range delta {
 					sum += d
 					sumSq += d * d
 				}
-				acc.sums[k], acc.sumSqs[k] = sum, sumSq
+				p.sums[k], p.sumSqs[k] = sum, sumSq
 				if k == 0 && group != nil {
 					for r, d := range delta {
 						if i := liveRow(cb, lo+a+r); !group.Nulls.Get(i) {
-							outDist.AddN(data.Int(group.Ints[i]), int64(d))
+							p.outDistHist.AddN(data.Int(group.Ints[i]), int64(d))
 						}
 					}
 				}
 			}
-			acc.t += int64(b - a)
-			if serial {
-				if acc.t%p.publishEvery == 0 {
-					p.publish()
-				}
-				if p.OnProbeObserved != nil {
-					p.OnProbeObserved(acc.t)
-				}
+			p.t += int64(b - a)
+			if p.t%p.publishEvery == 0 {
+				p.publish()
+			}
+			if p.OnProbeObserved != nil {
+				p.OnProbeObserved(p.t)
 			}
 			a = b
 		}

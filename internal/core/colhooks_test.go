@@ -11,16 +11,15 @@ import (
 	"qpi/internal/storage"
 )
 
-// Tests for the sharded columnar estimator attachment backing the
-// morsel-driven columnar partition passes. The headline contract is
-// stronger than convergence: because every histogram mutation is an
-// integer AddN into a worker shard merged in fixed order, and every probe
-// moment delta is an integer-valued float64 (exact below 2^53), the
-// converged estimator state must be BIT-IDENTICAL to the serial columnar
-// run — asserted here with ==, not a tolerance. The chain shapes are the
-// ones the paper's §4.1.4 evaluation exercises: Figure 3's binary joins,
-// Figure 5's same-attribute chains, Figure 6's Case 1/Case 2
-// different-attribute chains.
+// Tests for the span-at-a-time columnar estimator attachment — what
+// every compiled plan runs. The headline contract is stronger than
+// convergence: every float accumulation happens in the order the
+// per-tuple hooks would have produced, so the converged estimator state
+// must be BIT-IDENTICAL to the tuple path's — asserted here with ==, not
+// a tolerance. The chain shapes are the ones the paper's §4.1.4
+// evaluation exercises: Figure 3's binary joins, Figure 5's
+// same-attribute chains, Figure 6's Case 1/Case 2 different-attribute
+// chains.
 
 // chainJoins collects a probe-linked hash-join chain top-down.
 func chainJoins(top *exec.HashJoin) []*exec.HashJoin {
@@ -94,18 +93,7 @@ func chain3Plan(seed int64) *exec.HashJoin {
 	return exec.NewHashJoin(exec.NewScan(a, ""), mid, 0, mid.Schema().MustResolve("d", "x"))
 }
 
-// morselizeCol marks every hash join in the plan columnar + morselized
-// with k workers and single-block morsels. Must run before Attach.
-func morselizeCol(op exec.Operator, k int) {
-	if j, ok := op.(*exec.HashJoin); ok {
-		j.SetColumnar(true).SetMorselWorkers(k).SetMorselBlocks(1)
-	}
-	for _, c := range op.Children() {
-		morselizeCol(c, k)
-	}
-}
-
-// columnarize marks every hash join columnar (serial passes).
+// columnarize marks every hash join columnar. Must run before Attach.
 func columnarize(op exec.Operator) {
 	if j, ok := op.(*exec.HashJoin); ok {
 		j.SetColumnar(true)
@@ -152,7 +140,7 @@ func requireChainExact(t *testing.T, pe *PipelineEstimator, top *exec.HashJoin) 
 	}
 }
 
-func TestColShardChainsExactOnPaperShapes(t *testing.T) {
+func TestColChainsExactOnPaperShapes(t *testing.T) {
 	shapes := []struct {
 		name string
 		mk   func() *exec.HashJoin
@@ -165,75 +153,18 @@ func TestColShardChainsExactOnPaperShapes(t *testing.T) {
 	for _, sh := range shapes {
 		t.Run(sh.name, func(t *testing.T) {
 			top := sh.mk()
-			morselizeCol(top, 3)
+			columnarize(top)
 			att := Attach(top)
 			pe := att.ChainOf[top]
 			if pe == nil {
 				t.Fatal("no chain estimator attached")
 			}
-			if !pe.ColShardAttached() {
-				t.Fatal("morselized columnar chain did not attach sharded")
+			if !pe.ColAttached() {
+				t.Fatal("columnar chain did not attach span hooks")
 			}
 			drainColPlan(t, top)
 			requireChainExact(t, pe, top)
 		})
-	}
-}
-
-// TestColShardBitIdenticalToSerialColumnar: the converged estimates of
-// the sharded columnar run must equal the serial columnar run's exactly
-// (==): integer histogram counts commute, and the probe moment sums
-// accumulate integer-valued deltas, so no accumulation order can perturb
-// a bit.
-func TestColShardBitIdenticalToSerialColumnar(t *testing.T) {
-	shapes := []func() *exec.HashJoin{
-		func() *exec.HashJoin { return fig3Plan(50) },
-		func() *exec.HashJoin { return fig5Plan(51) },
-		func() *exec.HashJoin { return fig6Plan(52, false) },
-		func() *exec.HashJoin { return fig6Plan(53, true) },
-		func() *exec.HashJoin { return strKeyPlan(54) },
-		func() *exec.HashJoin { return chain3Plan(55) },
-	}
-	for si, mk := range shapes {
-		run := func(morsel bool, workers int) (est, lo, hi []float64, probes, rows int64) {
-			top := mk()
-			if morsel {
-				morselizeCol(top, workers)
-			} else {
-				columnarize(top)
-			}
-			att := Attach(top)
-			pe := att.ChainOf[top]
-			if pe.ColShardAttached() != morsel {
-				t.Fatalf("shape %d: ColShardAttached = %v, want %v", si, pe.ColShardAttached(), morsel)
-			}
-			pe.OnProbeObserved = func(n int64) { probes = n }
-			rows = drainColPlan(t, top)
-			for k := range chainJoins(top) {
-				est = append(est, pe.Estimate(k))
-				l, h := pe.ConfidenceInterval(k, 0.95)
-				lo, hi = append(lo, l), append(hi, h)
-			}
-			return
-		}
-		serialEst, serialLo, serialHi, serialProbes, serialRows := run(false, 0)
-		for _, workers := range []int{2, 4} {
-			est, lo, hi, probes, rows := run(true, workers)
-			if rows != serialRows || probes != serialProbes {
-				t.Errorf("shape %d workers %d: rows/probes %d/%d vs serial %d/%d",
-					si, workers, rows, probes, serialRows, serialProbes)
-			}
-			for k := range est {
-				if est[k] != serialEst[k] {
-					t.Errorf("shape %d workers %d level %d: estimate %v != serial %v (must be bit-identical)",
-						si, workers, k, est[k], serialEst[k])
-				}
-				if lo[k] != serialLo[k] || hi[k] != serialHi[k] {
-					t.Errorf("shape %d workers %d level %d: CI [%v,%v] != serial [%v,%v]",
-						si, workers, k, lo[k], hi[k], serialLo[k], serialHi[k])
-				}
-			}
-		}
 	}
 }
 
@@ -302,35 +233,14 @@ func strKeyTable(name string, keys []int64) *storage.Table {
 	return t
 }
 
-// strKeyPlan is the fig3 binary shape with string join keys: the
-// lane-native morsel scatter must take its generic (non-int-lane) path
-// and the merged shards must still land bit-identical to the serial
-// columnar run.
+// strKeyPlan is the fig3 binary shape with string join keys: the scatter
+// and the span observers must take their generic (non-int-lane) paths and
+// still land bit-identical to the tuple run.
 func strKeyPlan(seed int64) *exec.HashJoin {
 	rng := rand.New(rand.NewSource(seed))
 	a := strKeyTable("a", randCol(rng, 300, 20))
 	b := strKeyTable("b", randCol(rng, 400, 20))
 	return exec.NewHashJoinOn(exec.NewScan(a, ""), exec.NewScan(b, ""), "a", "k", "b", "k")
-}
-
-// TestColShardMixedChainFallsBackToSerialColHooks: morselizing only part
-// of a columnar chain must keep the serial span hooks (which morselized
-// passes then fire under the pass mutex) and stay exact.
-func TestColShardMixedChainFallsBackToSerialColHooks(t *testing.T) {
-	top := fig5Plan(60)
-	columnarize(top)
-	lower := top.Probe().(*exec.HashJoin)
-	lower.SetMorselWorkers(3).SetMorselBlocks(1)
-	att := Attach(top)
-	pe := att.ChainOf[top]
-	if pe.ColShardAttached() {
-		t.Fatal("partially morselized chain attached sharded")
-	}
-	if !pe.ColAttached() {
-		t.Fatal("columnar chain did not attach span hooks")
-	}
-	drainColPlan(t, top)
-	requireChainExact(t, pe, top)
 }
 
 // TestMixedChainFallsBackToTupleHooks: if only part of a chain is
@@ -342,7 +252,7 @@ func TestMixedChainFallsBackToTupleHooks(t *testing.T) {
 	top.Probe().(*exec.HashJoin).SetColumnar(true)
 	att := Attach(top)
 	pe := att.ChainOf[top]
-	if pe.ColAttached() || pe.ColShardAttached() {
+	if pe.ColAttached() {
 		t.Fatal("partially columnar chain attached span hooks")
 	}
 	if _, err := exec.Run(top); err != nil {
@@ -351,31 +261,32 @@ func TestMixedChainFallsBackToTupleHooks(t *testing.T) {
 	requireChainExact(t, pe, top)
 }
 
-// TestColShardSemiJoinTopExact: non-inner top joins root their own chains;
-// the sharded mode must honor their multiplicity transforms too.
-func TestColShardSemiJoinTopExact(t *testing.T) {
+// TestColSemiJoinTopExact: non-inner top joins root their own chains; the
+// span attachment must honor their multiplicity transforms too.
+func TestColSemiJoinTopExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	a := table("a", []string{"k"}, randCol(rng, 200, 15))
 	b := table("b", []string{"k"}, randCol(rng, 260, 15))
 	j := exec.NewHashJoinMulti(exec.NewScan(a, ""), exec.NewScan(b, ""),
 		[]int{0}, []int{0}, exec.SemiJoin)
-	morselizeCol(j, 4)
+	columnarize(j)
 	pe := Attach(j).ChainOf[j]
-	if pe == nil || !pe.ColShardAttached() {
-		t.Fatal("morselized semi join did not attach sharded")
+	if pe == nil || !pe.ColAttached() {
+		t.Fatal("columnar semi join did not attach span hooks")
 	}
 	drainColPlan(t, j)
 	requireChainExact(t, pe, j)
 }
 
-// TestColShardAggPushdownExact: GROUP BY over a morselized columnar chain
-// publishes the exact push-down estimate at the probe barrier.
-func TestColShardAggPushdownExact(t *testing.T) {
+// TestColAggPushdownExact: GROUP BY over a columnar chain reads the exact
+// push-down estimate once the probe pass has ended, before the join emits
+// a row.
+func TestColAggPushdownExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	a := table("a", []string{"k"}, randCol(rng, 300, 25))
 	b := table("b", []string{"k"}, randCol(rng, 500, 25))
 	j := exec.NewHashJoinOn(exec.NewScan(a, ""), exec.NewScan(b, ""), "a", "k", "b", "k")
-	morselizeCol(j, 3)
+	columnarize(j)
 	gcol := j.Schema().MustResolve("b", "k")
 	agg := exec.NewHashAgg(j, []int{gcol}, []exec.AggSpec{{Func: exec.CountStar, Name: "c"}})
 	att := Attach(agg)
@@ -383,14 +294,13 @@ func TestColShardAggPushdownExact(t *testing.T) {
 	if est == nil || est.Source() != "agg-pushdown" {
 		t.Fatal("expected pushdown estimator")
 	}
-	if !att.ChainOf[j].ColShardAttached() {
-		t.Fatal("chain should attach col-sharded")
+	if !att.ChainOf[j].ColAttached() {
+		t.Fatal("chain should attach span hooks")
 	}
+	atProbeEnd := math.NaN()
+	j.OnProbeEnd = compose0(j.OnProbeEnd, func() { atProbeEnd = est.Estimate() })
 	rows := drainColPlan(t, agg)
-	if got := est.Estimate(); math.Abs(got-float64(rows)) > 1e-6 {
-		t.Errorf("pushdown estimate %g != true group count %d", got, rows)
-	}
-	if got := agg.Stats().Estimate(); math.Abs(got-float64(rows)) > 1e-6 {
-		t.Errorf("published agg estimate %g != %d", got, rows)
+	if math.Abs(atProbeEnd-float64(rows)) > 1e-6 {
+		t.Errorf("pushdown estimate at probe end %g != true group count %d", atProbeEnd, rows)
 	}
 }

@@ -178,12 +178,12 @@ func TestComposeHelpers(t *testing.T) {
 	}
 	var vs []int64
 	h := func(v int64) { vs = append(vs, v) }
-	compose1(h, h)(7)
+	compose(h, h)(7)
 	if len(vs) != 2 || vs[0] != 7 {
-		t.Error("compose1")
+		t.Error("compose over int64")
 	}
-	if compose1(nil, h) == nil || compose1(h, nil) == nil {
-		t.Error("nil compose1")
+	if compose(nil, h) == nil || compose(h, nil) == nil {
+		t.Error("nil compose over int64")
 	}
 }
 

@@ -12,11 +12,10 @@ import (
 )
 
 // Tests for the probe-side lane kernel (observeLanes): a hand-wired chain
-// is fed the same build relations and the same bottom stream three ways —
-// per tuple (ObserveProbe, the reference), per ColBatch serially
-// (ObserveProbeCol) and per ColBatch into two worker shards
-// (ObserveProbeColShard) — and every float the estimator holds or
-// publishes must come out == on all three.
+// is fed the same build relations and the same bottom stream two ways —
+// per tuple (ObserveProbe, the reference) and per ColBatch
+// (ObserveProbeCol) — and every float the estimator holds or publishes
+// must come out == on both.
 
 // laneCase is one chain over a four-column bottom stream: three integer
 // key columns (NULLs sprinkled in) and a string column.
@@ -89,7 +88,6 @@ type laneRoute int
 const (
 	routeTuple laneRoute = iota
 	routeCol
-	routeShard
 )
 
 // runLaneCase wires lc's chain by hand, builds it, streams the bottom
@@ -101,8 +99,6 @@ func runLaneCase(t *testing.T, lc laneCase, route laneRoute, publishEvery int64,
 	links := make([]ChainLink, m)
 	tupleHooks := make([]func(data.Tuple), m)
 	colHooks := make([]func(*data.ColBatch), m)
-	shardHooks := make([]func(int, *data.ColBatch), m)
-	endHooks := make([]func(), m)
 	for k := range links {
 		k := k
 		links[k] = ChainLink{
@@ -119,18 +115,13 @@ func runLaneCase(t *testing.T, lc laneCase, route laneRoute, publishEvery int64,
 			links[k].Columnar = true
 			links[k].SetBuildColHook = func(f func(*data.ColBatch)) { colHooks[k] = f }
 		}
-		if route == routeShard {
-			links[k].Workers = 2
-			links[k].SetBuildColBatchHook = func(f func(int, *data.ColBatch)) { shardHooks[k] = f }
-			links[k].SetBuildEndHook = func(f func()) { endHooks[k] = f }
-		}
 	}
 	pe, err := NewPipelineEstimator(links, func() float64 { return 5000 })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pe.ColAttached() != (route == routeCol) || pe.ColShardAttached() != (route == routeShard) {
-		t.Fatalf("route %d attached col=%v shard=%v", route, pe.ColAttached(), pe.ColShardAttached())
+	if pe.ColAttached() != (route == routeCol) {
+		t.Fatalf("route %d attached col=%v", route, pe.ColAttached())
 	}
 	if pe.laneLinks == nil {
 		t.Fatal("a chain keyed on single bottom-stream columns must plan lanes")
@@ -177,10 +168,6 @@ func runLaneCase(t *testing.T, lc laneCase, route laneRoute, publishEvery int64,
 			}
 		case routeCol:
 			colHooks[k](batch(rows, 1, nil))
-		case routeShard:
-			shardHooks[k](0, batch(rows[:30], 1, nil))
-			shardHooks[k](1, batch(rows[30:], 1, nil))
-			endHooks[k]()
 		}
 	}
 	batches, sels := laneStream(rng)
@@ -194,22 +181,16 @@ func runLaneCase(t *testing.T, lc laneCase, route laneRoute, publishEvery int64,
 			}
 		case routeCol:
 			pe.ObserveProbeCol(batch(rows, laneStreamWidth, sels[b]))
-		case routeShard:
-			pe.ObserveProbeColShard(b%2, batch(rows, laneStreamWidth, sels[b]))
 		}
 	}
-	if route == routeShard {
-		pe.FinishProbe()
-	} else {
-		// Mid-stream state first: the confidence interval collapses once
-		// the estimator freezes.
-		for k := 0; k < m; k++ {
-			lo, hi := pe.ConfidenceInterval(k, 0.05)
-			run.Lo, run.Hi = append(run.Lo, lo), append(run.Hi, hi)
-			run.Est = append(run.Est, pe.Estimate(k))
-		}
-		pe.MarkConverged()
+	// Mid-stream state first: the confidence interval collapses once the
+	// estimator freezes.
+	for k := 0; k < m; k++ {
+		lo, hi := pe.ConfidenceInterval(k, 0.05)
+		run.Lo, run.Hi = append(run.Lo, lo), append(run.Hi, hi)
+		run.Est = append(run.Est, pe.Estimate(k))
 	}
+	pe.MarkConverged()
 	if route == routeCol && (pe.lanes != nil) != lc.lanes {
 		t.Fatalf("lane kernel ran = %v, want %v", pe.lanes != nil, lc.lanes)
 	}
@@ -236,7 +217,7 @@ func containsRow(sel []int32, i int) bool {
 	return false
 }
 
-// TestLaneKernelBitIdenticalToTuple: the serial span route against the
+// TestLaneKernelBitIdenticalToTuple: the span route against the
 // per-tuple reference, for every chain shape, publish intervals that the
 // batches straddle, with and without the per-row callback, over
 // row-backed and pure columnar batches.
@@ -256,24 +237,6 @@ func TestLaneKernelBitIdenticalToTuple(t *testing.T) {
 					}
 				}
 			}
-		}
-	}
-}
-
-// TestLaneKernelShardsBitIdenticalToSerial: worker shards run the same
-// kernel into private accumulators and publish once, at the barrier.
-func TestLaneKernelShardsBitIdenticalToSerial(t *testing.T) {
-	for _, lc := range laneCases {
-		serial := runLaneCase(t, lc, routeCol, 64, false, false)
-		shard := runLaneCase(t, lc, routeShard, 64, false, false)
-		// The barrier publish is the only one, and there is no mid-stream
-		// state to read: compare what both hold once frozen.
-		m := len(lc.cols)
-		serial.Est, serial.Lo, serial.Hi = serial.Est[m:], nil, nil
-		serial.Published, shard.Published = nil, nil
-		serial.Recomputes, shard.Recomputes = 0, 0
-		if !reflect.DeepEqual(shard, serial) {
-			t.Errorf("%s:\n sharded %+v\n serial  %+v", lc.name, shard, serial)
 		}
 	}
 }

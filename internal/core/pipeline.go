@@ -57,23 +57,10 @@ type ChainLink struct {
 	// SetBuildHook installs f to run for every build-input tuple during
 	// the join's preprocessing pass.
 	SetBuildHook func(f func(data.Tuple))
-	// SetBuildEndHook installs the build-pass barrier callback (fires on
-	// the coordinating goroutine after every hook of the pass completed).
-	SetBuildEndHook func(f func())
-	// Workers is the number of scan workers a morselized columnar pass
-	// uses (0 when the pass is serial); it sizes the per-worker shards.
-	Workers int
 	// SetBuildColHook installs f to run once per build-input ColBatch
-	// during a columnar preprocessing pass (serial, at batch boundaries).
-	// Nil when the physical operator has no columnar pass.
+	// during a columnar preprocessing pass, at batch boundaries. Nil when
+	// the physical operator has no columnar pass.
 	SetBuildColHook func(f func(cb *data.ColBatch))
-	// SetBuildColBatchHook installs f to run once per build-input ColBatch
-	// during a morselized columnar pass, on the scan worker that owns the
-	// batch. Nil when the columnar pass is serial; when every link of a
-	// columnar chain provides it (plus SetBuildEndHook and Workers), the
-	// estimator shards per worker instead of observing serially (see
-	// colshard.go).
-	SetBuildColBatchHook func(f func(worker int, cb *data.ColBatch))
 	// Columnar reports that the physical operator runs the columnar
 	// partition passes. When every link of a chain is columnar, the
 	// estimator observes spans at batch boundaries (see colhooks.go)
@@ -127,7 +114,12 @@ type PipelineEstimator struct {
 
 	probeTotal func() float64 // live estimate of |C|
 
-	probeAcc
+	// The probe pass's running state: the bottom-stream tuples seen and,
+	// per level, the first two moments of out_k(c).
+	t      int64
+	sums   []float64
+	sumSqs []float64
+	lanes  [][]float64 // lane kernel scratch, allocated on first use
 	frozen bool
 
 	// laneLinks is set when the probe side can be observed a span at a
@@ -158,18 +150,10 @@ type PipelineEstimator struct {
 	outDistCol  int
 	outDistHist *FreqHistogram
 
-	// Columnar attachment state — see colhooks.go. colInstalled reports
-	// that build observation runs through span-at-a-time ColBatch hooks
-	// and probe observation through ObserveProbeCol. colShardInstalled
-	// (see colshard.go) is the sharded variant backing morselized columnar
-	// passes: worker-indexed ColBatch hooks into per-worker shards, probe
-	// observation through ObserveProbeColShard/FinishProbe; afterConverge
-	// hooks fire after the probe-end merge has frozen the estimator
-	// (aggregation push-down publishes its final estimate there).
-	colInstalled      bool
-	colShardInstalled bool
-	probeShards       []probeShard
-	afterConverge     []func()
+	// colInstalled reports that build observation runs through
+	// span-at-a-time ColBatch hooks and probe observation through
+	// ObserveProbeCol — see colhooks.go.
+	colInstalled bool
 
 	// Observability (see internal/obs): the tracer receives one
 	// EstimateRefined event per level at every publish boundary plus
@@ -228,7 +212,8 @@ func NewPipelineEstimatorHist(links []ChainLink, probeTotal func() float64, fact
 		links:        links,
 		m:            m,
 		probeTotal:   probeTotal,
-		probeAcc:     newProbeAcc(m),
+		sums:         make([]float64, m),
+		sumSqs:       make([]float64, m),
 		publishEvery: 64,
 		histFactory:  factory,
 	}
@@ -393,15 +378,8 @@ func (p *PipelineEstimator) buildWeight(tu data.Tuple, j, level int) int64 {
 
 // installHooks attaches the build-pass observers: per-tuple hooks on the
 // tuple path, span-at-a-time columnar hooks (colhooks.go) when every link
-// is columnar — sharded per worker (colshard.go) when the columnar passes
-// are morselized. The sharded check runs first: a morselized chain also
-// satisfies chainColumnar, and the serial hooks would race under
-// concurrent scans.
+// is columnar.
 func (p *PipelineEstimator) installHooks() {
-	if p.chainColSharded() {
-		p.installColShardHooks()
-		return
-	}
 	if p.chainColumnar() {
 		p.installColHooks()
 		return
@@ -430,58 +408,24 @@ func (p *PipelineEstimator) chainColumnar() bool {
 	return true
 }
 
-// chainColSharded reports whether every link of the chain runs a
-// morselized columnar preprocessing pass (and therefore needs — and
-// supports — worker-sharded span observation).
-func (p *PipelineEstimator) chainColSharded() bool {
-	for _, l := range p.links {
-		if !l.Columnar || l.Workers < 1 || l.SetBuildColBatchHook == nil || l.SetBuildEndHook == nil {
-			return false
-		}
-	}
-	return true
-}
-
 // ObserveProbe processes one bottom-stream tuple, refreshing every join's
 // estimate, and stores the estimates into the joins' Stats with source
 // "once".
 func (p *PipelineEstimator) ObserveProbe(c data.Tuple) {
-	p.observeRow(&p.probeAcc, p.outDistHist, c)
+	p.t++
+	for k := 0; k < p.m; k++ {
+		delta := p.probeDelta(c, k)
+		p.sums[k] += delta
+		p.sumSqs[k] += delta * delta
+		if k == 0 && p.outDistHist != nil {
+			p.outDistHist.AddN(c[p.outDistCol], int64(delta))
+		}
+	}
 	if p.t%p.publishEvery == 0 {
 		p.publish()
 	}
 	if p.OnProbeObserved != nil {
 		p.OnProbeObserved(p.t)
-	}
-}
-
-// probeAcc is the probe pass's running state: the bottom-stream tuples
-// seen and, per level, the first two moments of out_k(c). The serial
-// estimator owns one and every worker shard owns one, so the tuple
-// observer and the lane kernel are each written once for both.
-type probeAcc struct {
-	t      int64
-	sums   []float64
-	sumSqs []float64
-	lanes  [][]float64 // lane kernel scratch, allocated on first use
-}
-
-func newProbeAcc(m int) probeAcc {
-	return probeAcc{sums: make([]float64, m), sumSqs: make([]float64, m)}
-}
-
-// observeRow accumulates one bottom-stream tuple into acc, and out_0(c)
-// observations of its grouping value into outDist when push-down
-// aggregation rides the chain.
-func (p *PipelineEstimator) observeRow(acc *probeAcc, outDist *FreqHistogram, c data.Tuple) {
-	acc.t++
-	for k := 0; k < p.m; k++ {
-		delta := p.probeDelta(c, k)
-		acc.sums[k] += delta
-		acc.sumSqs[k] += delta * delta
-		if k == 0 && outDist != nil {
-			outDist.AddN(c[p.outDistCol], int64(delta))
-		}
 	}
 }
 
@@ -512,10 +456,9 @@ func (p *PipelineEstimator) SetPublishInterval(n int64) {
 }
 
 // publish writes the current estimates into the joins' Stats. It runs
-// only on the execution goroutine (every publishEvery probe tuples in
-// serial mode, at the probe-end barrier in sharded mode), which is why
-// the tracer emission and counter refresh live here and not on the
-// per-tuple path.
+// only on the execution goroutine, every publishEvery probe tuples,
+// which is why the tracer emission and counter refresh live here and not
+// on the per-tuple path.
 func (p *PipelineEstimator) publish() {
 	src := "once"
 	if p.frozen {

@@ -11,9 +11,8 @@ import (
 // This file rides join-key sketch construction on the grace-join
 // partition passes the estimation framework already observes: every
 // hash join's build pass and probe pass feed one ColumnSketch each,
-// span-at-a-time where the pass is columnar and sharded per worker
-// where the pass is morselized — sketching costs one hash per key and no
-// extra scan. The resulting single-table sketches merge into multi-join
+// span-at-a-time where the pass is columnar — sketching costs one hash
+// per key and no extra scan. The resulting single-table sketches merge into multi-join
 // cardinality estimates through SketchSet.JoinSizeEstimate, which is
 // what the mid-query re-optimizer consumes for pipelines whose inputs
 // have already streamed past.
@@ -27,9 +26,9 @@ type SketchSet struct {
 
 // JoinSketches holds one hash join's two key-stream sketches. Build
 // summarizes the build input's join-key column(s), Probe the probe
-// input's. Each is complete once its partition pass has finished
-// (sharded passes merge at the pass barrier); reading one mid-pass sees
-// a prefix of the stream, which is still a valid sketch of that prefix.
+// input's. Each is complete once its partition pass has finished;
+// reading one mid-pass sees a prefix of the stream, which is still a
+// valid sketch of that prefix.
 type JoinSketches struct {
 	Build *sketch.ColumnSketch
 	Probe *sketch.ColumnSketch
@@ -102,6 +101,9 @@ func (s *SketchSet) Rewire(j *exec.HashJoin) {
 	s.wire(j)
 }
 
+// wire mirrors hashLinkHooks' and wireHashProbe's dispatch: span hooks
+// when the join's passes are columnar, tuple hooks otherwise. Exactly one
+// hook kind is installed per pass, so keys are never double-counted.
 func (s *SketchSet) wire(j *exec.HashJoin) {
 	if s.Joins[j] != nil {
 		return
@@ -111,80 +113,22 @@ func (s *SketchSet) wire(j *exec.HashJoin) {
 		Probe: sketch.NewColumnSketch(s.cfg),
 	}
 	s.Joins[j] = js
-	s.wireBuild(j, js.Build)
-	s.wireProbe(j, js.Probe)
-}
-
-// wireBuild mirrors hashLinkHooks' mode dispatch: worker-sharded span
-// hooks when the pass is morselized (the pass barrier OnBuildEnd merges
-// the shards), serial span or tuple hooks otherwise, sketching into the
-// destination directly. Exactly one hook kind is installed per pass, so
-// keys are never double-counted.
-func (s *SketchSet) wireBuild(j *exec.HashJoin, cs *sketch.ColumnSketch) {
-	keys := j.BuildKeys()
-	switch {
-	case j.Columnar() && j.Morseled():
-		shards := s.newShards(j.Workers())
-		j.OnBuildColBatch = composeColW(j.OnBuildColBatch, func(w int, cb *data.ColBatch) {
-			observeColKey(shards[w], cb, keys)
+	buildKeys, probeKeys := j.BuildKeys(), j.ProbeKeys()
+	if j.Columnar() {
+		j.OnBuildCol = compose(j.OnBuildCol, func(cb *data.ColBatch) {
+			observeColKey(js.Build, cb, buildKeys)
 		})
-		j.OnBuildEnd = compose0(j.OnBuildEnd, s.merger(cs, shards))
-	case j.Columnar():
-		j.OnBuildCol = composeCol(j.OnBuildCol, func(cb *data.ColBatch) {
-			observeColKey(cs, cb, keys)
+		j.OnProbeCol = compose(j.OnProbeCol, func(cb *data.ColBatch) {
+			observeColKey(js.Probe, cb, probeKeys)
 		})
-	default:
-		j.OnBuildTuple = compose(j.OnBuildTuple, func(t data.Tuple) {
-			observeTupleKey(cs, t, keys)
-		})
+		return
 	}
-}
-
-// wireProbe mirrors wireHashProbe's dispatch for one join's probe
-// partition pass.
-func (s *SketchSet) wireProbe(j *exec.HashJoin, cs *sketch.ColumnSketch) {
-	keys := j.ProbeKeys()
-	switch {
-	case j.Columnar() && j.Morseled():
-		shards := s.newShards(j.Workers())
-		j.OnProbeColBatch = composeColW(j.OnProbeColBatch, func(w int, cb *data.ColBatch) {
-			observeColKey(shards[w], cb, keys)
-		})
-		j.OnProbeEnd = compose0(j.OnProbeEnd, s.merger(cs, shards))
-	case j.Columnar():
-		j.OnProbeCol = composeCol(j.OnProbeCol, func(cb *data.ColBatch) {
-			observeColKey(cs, cb, keys)
-		})
-	default:
-		j.OnProbeTuple = compose(j.OnProbeTuple, func(t data.Tuple) {
-			observeTupleKey(cs, t, keys)
-		})
-	}
-}
-
-func (s *SketchSet) newShards(workers int) []*sketch.ColumnSketch {
-	if workers < 1 {
-		workers = 1
-	}
-	shards := make([]*sketch.ColumnSketch, workers)
-	for i := range shards {
-		shards[i] = sketch.NewColumnSketch(s.cfg)
-	}
-	return shards
-}
-
-// merger returns the pass-barrier callback folding the worker shards
-// into dst. Shards are re-zeroed afterwards so a pass that fires its
-// barrier more than once cannot double-count.
-func (s *SketchSet) merger(dst *sketch.ColumnSketch, shards []*sketch.ColumnSketch) func() {
-	return func() {
-		for i, sh := range shards {
-			if err := dst.Merge(sh); err != nil {
-				panic(err) // impossible: one Config per SketchSet
-			}
-			shards[i] = sketch.NewColumnSketch(s.cfg)
-		}
-	}
+	j.OnBuildTuple = compose(j.OnBuildTuple, func(t data.Tuple) {
+		observeTupleKey(js.Build, t, buildKeys)
+	})
+	j.OnProbeTuple = compose(j.OnProbeTuple, func(t data.Tuple) {
+		observeTupleKey(js.Probe, t, probeKeys)
+	})
 }
 
 // keyItem maps one tuple's join-key columns onto a sketch item,

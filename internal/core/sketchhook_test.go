@@ -13,8 +13,8 @@ import (
 
 // Tests for the ride-along sketch construction: every hash join's
 // partition passes feed one build-key and one probe-key ColumnSketch,
-// in every execution mode, and the merged sketches dot into join-size
-// estimates within the Fast-AGMS error bound.
+// in every execution mode, and the sketches dot into join-size estimates
+// within the Fast-AGMS error bound.
 
 // agmsBound returns a ~8-sigma pairwise error bound from the sketches'
 // own second-moment estimates (the true F2s are close at these sizes).
@@ -65,29 +65,24 @@ func TestSketchRideAlongPairwiseAccuracy(t *testing.T) {
 }
 
 // TestSketchModesBitIdentical asserts the mode independence of the
-// ride-along sketches: tuple, columnar and morselized-columnar partition
-// passes produce bit-identical counters, because per-worker shards merge
-// by integer addition into exactly the serial sketch.
+// ride-along sketches: tuple and columnar partition passes produce
+// bit-identical counters, because both sketch the same keys and counter
+// updates are integer additions.
 func TestSketchModesBitIdentical(t *testing.T) {
 	type snapshot struct {
 		buildCells, probeCells []int64
 		buildRows, probeRows   int64
 	}
-	run := func(mode string) []snapshot {
+	run := func(columnar bool) []snapshot {
 		top := fig6Plan(64, true)
-		switch mode {
-		case "columnar":
+		if columnar {
 			columnarize(top)
-		case "colshard":
-			morselizeCol(top, 3)
 		}
 		s := AttachSketches(top)
-		if mode == "tuple" {
-			if _, err := exec.Run(top); err != nil {
-				t.Fatal(err)
-			}
-		} else {
+		if columnar {
 			drainColPlan(t, top)
+		} else if _, err := exec.Run(top); err != nil {
+			t.Fatal(err)
 		}
 		var snaps []snapshot
 		for _, j := range chainJoins(top) {
@@ -101,23 +96,20 @@ func TestSketchModesBitIdentical(t *testing.T) {
 		}
 		return snaps
 	}
-	want := run("tuple")
-	for _, mode := range []string{"columnar", "colshard"} {
-		got := run(mode)
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d joins, want %d", mode, len(got), len(want))
+	want, got := run(false), run(true)
+	if len(got) != len(want) {
+		t.Fatalf("columnar: %d joins, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !cellsEq(got[i].buildCells, want[i].buildCells) {
+			t.Errorf("columnar join %d: build sketch cells differ from tuple mode", i)
 		}
-		for i := range want {
-			if !cellsEq(got[i].buildCells, want[i].buildCells) {
-				t.Errorf("%s join %d: build sketch cells differ from tuple mode", mode, i)
-			}
-			if !cellsEq(got[i].probeCells, want[i].probeCells) {
-				t.Errorf("%s join %d: probe sketch cells differ from tuple mode", mode, i)
-			}
-			if got[i].buildRows != want[i].buildRows || got[i].probeRows != want[i].probeRows {
-				t.Errorf("%s join %d: row tallies (%d,%d) differ from tuple mode (%d,%d)",
-					mode, i, got[i].buildRows, got[i].probeRows, want[i].buildRows, want[i].probeRows)
-			}
+		if !cellsEq(got[i].probeCells, want[i].probeCells) {
+			t.Errorf("columnar join %d: probe sketch cells differ from tuple mode", i)
+		}
+		if got[i].buildRows != want[i].buildRows || got[i].probeRows != want[i].probeRows {
+			t.Errorf("columnar join %d: row tallies (%d,%d) differ from tuple mode (%d,%d)",
+				i, got[i].buildRows, got[i].probeRows, want[i].buildRows, want[i].probeRows)
 		}
 	}
 }

@@ -631,8 +631,7 @@ func (cb *ColBatch) AppendFrom(src *ColBatch, i int) {
 
 // AppendBatchFrom appends every live row of src to cb in selection
 // order — how the spill reader reassembles a build partition from its
-// frames and a morselized build pass folds worker-local buffers into one.
-// Equivalent to AppendFrom row by row.
+// frames. Equivalent to AppendFrom row by row.
 func (cb *ColBatch) AppendBatchFrom(src *ColBatch) {
 	if src.Sel != nil {
 		cb.AppendRowsFrom(src, src.Sel)

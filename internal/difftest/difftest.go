@@ -1,8 +1,8 @@
 // Package difftest is the randomized differential-testing harness: it
 // runs every qgen-generated plan through all execution modes of the real
-// engine (tuple-at-a-time, forced-spill, columnar, columnar-spill,
-// morsel-driven columnar scans, forced mid-query re-optimization on
-// tuple and columnar plans, and mid-query cancel/re-run) and checks each
+// engine (tuple-at-a-time, forced-spill, columnar, columnar-spill, forced
+// mid-query re-optimization on tuple and columnar plans, and mid-query
+// cancel/re-run) and checks each
 // run against the exact oracle and the paper's estimator invariants:
 //
 //   - result-set equivalence: the run's output multiset equals the
@@ -58,12 +58,6 @@ const (
 	// ModeColumnarSpill combines the columnar passes with a tiny budget,
 	// forcing partitions through the columnar spill frame codec.
 	ModeColumnarSpill
-	// ModeColMorsel runs the columnar partition passes morsel-driven: 3
-	// scan workers claim single-block morsels (forcing many claims even on
-	// tiny qgen tables) and scatter concurrently, exercising the
-	// worker-sharded span-at-a-time estimator observation and the hook
-	// serialization under real concurrency.
-	ModeColMorsel
 	// ModeReopt runs with a Force-mode sketch-backed re-optimizer: every
 	// eligible unstarted join segment is re-ordered (or side-swapped) at
 	// its pipeline boundary, and the run is checked against TWO oracles —
@@ -79,13 +73,13 @@ const (
 )
 
 // AllModes is every execution mode, in suite order.
-var AllModes = []Mode{ModeTuple, ModeSpill, ModeColumnar, ModeColumnarSpill, ModeColMorsel, ModeReopt, ModeReoptColumnar, ModeCancelRerun}
+var AllModes = []Mode{ModeTuple, ModeSpill, ModeColumnar, ModeColumnarSpill, ModeReopt, ModeReoptColumnar, ModeCancelRerun}
 
 // columnar reports whether the mode compiles the plan columnar and
 // drains it through NextColBatch.
 func (m Mode) columnar() bool {
 	switch m {
-	case ModeColumnar, ModeColumnarSpill, ModeColMorsel, ModeReoptColumnar:
+	case ModeColumnar, ModeColumnarSpill, ModeReoptColumnar:
 		return true
 	}
 	return false
@@ -106,8 +100,6 @@ func (m Mode) String() string {
 		return "columnar"
 	case ModeColumnarSpill:
 		return "columnar-spill"
-	case ModeColMorsel:
-		return "columnar-morsel"
 	case ModeReopt:
 		return "reopt"
 	case ModeReoptColumnar:
@@ -175,11 +167,8 @@ func runMode(c *qgen.Case, want *oracle.Result, m Mode, st *SuiteStats) error {
 	if err != nil {
 		return err
 	}
-	switch m {
-	case ModeSpill, ModeColumnarSpill:
+	if m == ModeSpill || m == ModeColumnarSpill {
 		setBudget(b.Root, spillBudget)
-	case ModeColMorsel:
-		setMorsel(b.Root)
 	}
 	if m.columnar() {
 		setColumnar(b.Root)
@@ -216,8 +205,7 @@ func runMode(c *qgen.Case, want *oracle.Result, m Mode, st *SuiteStats) error {
 		}
 	}).Install(b.Root, m.columnar())
 
-	// Mid-probe CI snapshots (serial probe observation only: sharded
-	// chains fire OnProbeObserved at the pass barrier, not per tuple).
+	// Mid-probe CI snapshots.
 	cis := map[*core.PipelineEstimator][]ciSnapshot{}
 	if m == ModeTuple {
 		for _, pe := range att.Chains {
@@ -515,18 +503,6 @@ func drain(root exec.Operator, m Mode) ([]data.Tuple, error) {
 		err = cerr
 	}
 	return rows, err
-}
-
-// setMorsel enables morsel-driven scans with 3 workers and single-block
-// morsels, so even the smallest qgen tables split into many concurrent
-// claims.
-func setMorsel(root exec.Operator) {
-	exec.Walk(root, func(op exec.Operator) {
-		if j, ok := op.(*exec.HashJoin); ok {
-			j.SetMorselWorkers(3)
-			j.SetMorselBlocks(1)
-		}
-	})
 }
 
 func setColumnar(root exec.Operator) {

@@ -8,11 +8,10 @@ import (
 
 // FuzzDifferential lets the fuzzer explore the (seed, Options) space
 // directly. Each input is one generated case checked against the oracle
-// in tuple, columnar and columnar-morsel mode — columnar sends every
-// grace join through the vectorized partition passes and column-lane
-// output gather, columnar-morsel through concurrent scan workers and
-// sharded estimator observation (the full mode sweep, including spills,
-// re-optimization and cancellation, runs in TestDifferentialSuite).
+// in tuple and columnar mode — columnar sends every grace join through
+// the vectorized partition passes and column-lane output gather (the full
+// mode sweep, including spills, re-optimization and cancellation, runs in
+// TestDifferentialSuite).
 // Minimized suite failures land in
 // testdata/fuzz/FuzzDifferential as permanent regressions.
 func FuzzDifferential(f *testing.F) {
@@ -30,7 +29,7 @@ func FuzzDifferential(f *testing.F) {
 			AltJoins: altJoins,
 			NonInner: nonInner,
 		}
-		if err := CheckCase(seed, opts, nil, ModeTuple, ModeColumnar, ModeColMorsel); err != nil {
+		if err := CheckCase(seed, opts, nil, ModeTuple, ModeColumnar); err != nil {
 			t.Fatalf("%v\nreplay: %s", err, ReplayCommand(seed, opts))
 		}
 	})

@@ -3,8 +3,6 @@ package exec
 import (
 	"fmt"
 	"math/rand"
-	"sort"
-	"sync/atomic"
 	"testing"
 
 	"qpi/internal/data"
@@ -30,16 +28,10 @@ func fingerprints(rows []data.Tuple) []string {
 	return out
 }
 
-// requireSameRows asserts two result sets are identical; ordered compares
-// row-by-row, unordered compares sorted multisets (a morselized pass
-// interleaves tuples within a partition nondeterministically).
-func requireSameRows(t *testing.T, want, got []data.Tuple, ordered bool, label string) {
+// requireSameRows asserts two result sets are identical, row by row.
+func requireSameRows(t *testing.T, want, got []data.Tuple, label string) {
 	t.Helper()
 	w, g := fingerprints(want), fingerprints(got)
-	if !ordered {
-		sort.Strings(w)
-		sort.Strings(g)
-	}
 	if len(w) != len(g) {
 		t.Fatalf("%s: %d rows vs %d", label, len(w), len(g))
 	}
@@ -91,7 +83,7 @@ func requireColumnarMatchesTuple(t *testing.T, label string, mk func() Operator)
 	t.Helper()
 	tup, col := mk(), mk()
 	markColumnar(col)
-	requireSameRows(t, drainMode(t, tup, false), drainMode(t, col, true), true, label)
+	requireSameRows(t, drainMode(t, tup, false), drainMode(t, col, true), label)
 	requireSameStats(t, tup, col, label)
 }
 
@@ -119,7 +111,7 @@ func TestScanBatchEquivalence(t *testing.T) {
 		return r
 	}
 	tup, col := drain(false), drain(true)
-	requireSameRows(t, tup.rows, col.rows, true, "scan")
+	requireSameRows(t, tup.rows, col.rows, "scan")
 	requireSameStats(t, tup.sc, col.sc, "scan")
 	if got, want := col.sc.Stats().Emitted.Load(), col.sc.Stats().InputTotal; got != want {
 		t.Errorf("columnar scan emitted %d of %d rows", got, want)
@@ -162,7 +154,7 @@ func TestFilterProjectLimitBatchEquivalence(t *testing.T) {
 	const limit = 700 // about 0.4 of a batch survives the filter: mid-vector in the second live batch
 	tup, col := NewLimit(pipeline(), limit), NewLimit(pipeline(), limit)
 	got := drainMode(t, col, true)
-	requireSameRows(t, drainMode(t, tup, false), got, true, "filter/project/limit")
+	requireSameRows(t, drainMode(t, tup, false), got, "filter/project/limit")
 	if len(got) != limit {
 		t.Fatalf("limit %d returned %d rows", limit, len(got))
 	}
@@ -213,7 +205,7 @@ func TestHashAggBatchEquivalence(t *testing.T) {
 		tup.(*HashAgg).OnInputGroupCount = func(n int64) { perRow = append(perRow, n) }
 		col.(*HashAgg).OnInputGroupCount = func(int64) { perRowOnColumnar++ }
 		col.(*HashAgg).OnInputGroupCounts = func(ns []int64) { spans = append(spans, ns...) }
-		requireSameRows(t, drainMode(t, tup, false), drainMode(t, col, true), true, label)
+		requireSameRows(t, drainMode(t, tup, false), drainMode(t, col, true), label)
 		requireSameStats(t, tup, col, label)
 		if perRowOnColumnar != 0 {
 			t.Errorf("%s: per-row count hook fired %d times beside the span hook", label, perRowOnColumnar)
@@ -231,9 +223,7 @@ func TestHashAggBatchEquivalence(t *testing.T) {
 
 // TestHashJoinBatchEquivalence: for every join type the columnar join
 // emits the tuple join's rows in the tuple join's partition-clustered
-// order, with the same counters on the join and both scans. A morselized
-// pass keeps the multiset and the counters; its order within a partition
-// depends on the claim interleaving.
+// order, with the same counters on the join and both scans.
 func TestHashJoinBatchEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	build := make([]int64, 2500)
@@ -253,15 +243,13 @@ func TestHashJoinBatchEquivalence(t *testing.T) {
 		}
 		base := mk()
 		want := drainMode(t, base, false)
-		for _, workers := range []int{0, 4} {
-			label := fmt.Sprintf("%v join, %d morsel workers", jt, workers)
-			j := mk().SetColumnar(true).SetMorselWorkers(workers).SetMorselBlocks(1)
-			requireSameRows(t, want, drainMode(t, j, true), workers == 0, label)
-			requireSameStats(t, base, j, label)
-			if j.BuildRows() != base.BuildRows() || j.ProbeRows() != base.ProbeRows() {
-				t.Errorf("%s: rows build=%d/%d probe=%d/%d", label,
-					j.BuildRows(), base.BuildRows(), j.ProbeRows(), base.ProbeRows())
-			}
+		label := fmt.Sprintf("%v join", jt)
+		j := mk().SetColumnar(true)
+		requireSameRows(t, want, drainMode(t, j, true), label)
+		requireSameStats(t, base, j, label)
+		if j.BuildRows() != base.BuildRows() || j.ProbeRows() != base.ProbeRows() {
+			t.Errorf("%s: rows build=%d/%d probe=%d/%d", label,
+				j.BuildRows(), base.BuildRows(), j.ProbeRows(), base.ProbeRows())
 		}
 	}
 }
@@ -294,95 +282,63 @@ func TestHashJoinNullKeysBatched(t *testing.T) {
 		if len(want) != wantRows[jt] {
 			t.Fatalf("%v join: tuple path returned %d rows, want %d", jt, len(want), wantRows[jt])
 		}
-		for _, workers := range []int{0, 3} {
-			label := fmt.Sprintf("%v join nulls, %d morsel workers", jt, workers)
-			j := mk().SetColumnar(true).SetMorselWorkers(workers).SetMorselBlocks(1)
-			requireSameRows(t, want, drainMode(t, j, true), workers == 0, label)
-			requireSameStats(t, base, j, label)
-		}
+		label := fmt.Sprintf("%v join nulls", jt)
+		j := mk().SetColumnar(true)
+		requireSameRows(t, want, drainMode(t, j, true), label)
+		requireSameStats(t, base, j, label)
 	}
 }
 
 // TestHashJoinBatchHooks checks the hook ordering contract documented on
-// HashJoin, on every pass: per-tuple hooks cover every input tuple; for
-// one batch they fire before the span hook, which fires before the
-// worker-indexed span hook; OnBuildEnd fires once between the passes and
-// OnProbeEnd once after the probe pass; all of it before any output.
+// HashJoin, on both passes: per-tuple hooks cover every input tuple; for
+// one batch they fire before the span hook; OnBuildEnd fires once between
+// the passes and OnProbeEnd once after the probe pass; all of it before
+// any output.
 func TestHashJoinBatchHooks(t *testing.T) {
 	a := randTable("a", 2000, 50, 21)
 	b := randTable("b", 2400, 50, 22)
 	for _, m := range []struct {
 		name     string
 		columnar bool
-		workers  int
-	}{{name: "tuple"}, {name: "columnar", columnar: true}, {name: "columnar-morsel", columnar: true, workers: 4}} {
+	}{{name: "tuple"}, {name: "columnar", columnar: true}} {
 		t.Run(m.name, func(t *testing.T) {
 			j := NewHashJoinOn(
 				NewScan(makeTable("a", a), ""),
 				NewScan(makeTable("b", b), ""),
 				"a", "k", "b", "k")
-			j.SetColumnar(m.columnar).SetMorselWorkers(m.workers).SetMorselBlocks(1)
+			j.SetColumnar(m.columnar)
 
-			// phase: 0 build pass, 1 probe pass, 2 join phase. The barriers
-			// run on the coordinator with every worker joined, so plain
-			// stores there order against the workers' atomic loads.
-			var phase, buildEnds, probeEnds atomic.Int32
-			j.OnBuildEnd = func() { buildEnds.Add(1); phase.Store(1) }
-			j.OnProbeEnd = func() { probeEnds.Add(1); phase.Store(2) }
-			inPhase := func(hook string, want int32) {
-				if got := phase.Load(); got != want {
-					t.Errorf("%s fired in phase %d, want %d", hook, got, want)
+			// phase: 0 build pass, 1 probe pass, 2 join phase.
+			phase, buildEnds, probeEnds := 0, 0, 0
+			j.OnBuildEnd = func() { buildEnds++; phase = 1 }
+			j.OnProbeEnd = func() { probeEnds++; phase = 2 }
+			inPhase := func(hook string, want int) {
+				if phase != want {
+					t.Errorf("%s fired in phase %d, want %d", hook, phase, want)
 				}
 			}
-			// Per-tuple and serial span hooks are serialized by the pass
-			// (by its mutex when morselized); worker-span hooks are not.
-			var buildTuples, probeTuples, sinceSpan, spans, outputs int
-			awaitingWorkerSpan := false
-			tupleHook := func(name string, want int32, n *int) func(data.Tuple) {
+			var buildTuples, probeTuples, sinceSpan, buildSpanned, probeSpanned, outputs int
+			tupleHook := func(name string, want int, n *int) func(data.Tuple) {
 				return func(data.Tuple) {
 					inPhase(name, want)
 					*n++
 					sinceSpan++
 				}
 			}
-			spanHook := func(name string, want int32) func(*data.ColBatch) {
+			spanHook := func(name string, want int, rows *int) func(*data.ColBatch) {
 				return func(cb *data.ColBatch) {
 					inPhase(name, want)
-					spans++
-					if m.workers == 0 {
-						if awaitingWorkerSpan {
-							t.Errorf("%s: two span hooks without a worker-span hook between", name)
-						}
-						if sinceSpan != cb.Live() {
-							t.Errorf("%s: %d per-tuple hooks before a span of %d rows", name, sinceSpan, cb.Live())
-						}
-						awaitingWorkerSpan = true
+					if sinceSpan != cb.Live() {
+						t.Errorf("%s: %d per-tuple hooks before a span of %d rows", name, sinceSpan, cb.Live())
 					}
 					sinceSpan = 0
-				}
-			}
-			var buildSpanned, probeSpanned atomic.Int64
-			workerSpanHook := func(name string, want int32, rows *atomic.Int64) func(int, *data.ColBatch) {
-				return func(w int, cb *data.ColBatch) {
-					inPhase(name, want)
-					if w < 0 || w >= j.Workers() {
-						t.Errorf("%s: worker %d outside [0,%d)", name, w, j.Workers())
-					}
-					if m.workers == 0 {
-						if !awaitingWorkerSpan {
-							t.Errorf("%s fired before the batch's span hook", name)
-						}
-						awaitingWorkerSpan = false
-					}
-					rows.Add(int64(cb.Live()))
+					*rows += cb.Live()
 				}
 			}
 			j.OnBuildTuple = tupleHook("OnBuildTuple", 0, &buildTuples)
 			j.OnProbeTuple = tupleHook("OnProbeTuple", 1, &probeTuples)
-			j.OnBuildCol = spanHook("OnBuildCol", 0)
-			j.OnProbeCol = spanHook("OnProbeCol", 1)
-			j.OnBuildColBatch = workerSpanHook("OnBuildColBatch", 0, &buildSpanned)
-			j.OnProbeColBatch = workerSpanHook("OnProbeColBatch", 1, &probeSpanned)
+			j.OnBuildCol = spanHook("OnBuildCol", 0, &buildSpanned)
+			j.OnProbeCol = spanHook("OnProbeCol", 1, &probeSpanned)
 			j.OnOutput = func(data.Tuple) {
 				inPhase("OnOutput", 2)
 				outputs++
@@ -392,18 +348,14 @@ func TestHashJoinBatchHooks(t *testing.T) {
 			if buildTuples != len(a) || probeTuples != len(b) {
 				t.Errorf("per-tuple hooks build=%d probe=%d, inputs %d/%d", buildTuples, probeTuples, len(a), len(b))
 			}
-			if m.columnar && (buildSpanned.Load() != int64(len(a)) || probeSpanned.Load() != int64(len(b))) {
-				t.Errorf("worker-span hooks build=%d probe=%d, inputs %d/%d",
-					buildSpanned.Load(), probeSpanned.Load(), len(a), len(b))
+			if m.columnar && (buildSpanned != len(a) || probeSpanned != len(b)) {
+				t.Errorf("span hooks build=%d probe=%d, inputs %d/%d", buildSpanned, probeSpanned, len(a), len(b))
 			}
-			if !m.columnar && (spans != 0 || buildSpanned.Load()+probeSpanned.Load() != 0) {
+			if !m.columnar && buildSpanned+probeSpanned != 0 {
 				t.Error("span hooks fired on the tuple pass")
 			}
-			if m.columnar && spans == 0 {
-				t.Error("span hooks never fired on the columnar pass")
-			}
-			if buildEnds.Load() != 1 || probeEnds.Load() != 1 {
-				t.Errorf("barriers fired build=%d probe=%d times, want once each", buildEnds.Load(), probeEnds.Load())
+			if buildEnds != 1 || probeEnds != 1 {
+				t.Errorf("barriers fired build=%d probe=%d times, want once each", buildEnds, probeEnds)
 			}
 			if outputs != len(rows) || outputs == 0 {
 				t.Errorf("OnOutput fired %d times for %d rows", outputs, len(rows))
@@ -449,6 +401,6 @@ func TestMixedModePlan(t *testing.T) {
 		return NewFilter(j, expr.Compare(expr.LT, expr.Column(j.Schema(), "b", "k"), expr.IntLit(45)))
 	}
 	tup, col := mk(false), mk(true)
-	requireSameRows(t, drainMode(t, tup, false), drainMode(t, col, false), true, "columnar join pulled by Next")
+	requireSameRows(t, drainMode(t, tup, false), drainMode(t, col, false), "columnar join pulled by Next")
 	requireSameStats(t, tup, col, "columnar join pulled by Next")
 }

@@ -735,3 +735,17 @@ func TestStatsTotalFloors(t *testing.T) {
 		t.Errorf("done Total = %g", s.Total())
 	}
 }
+
+// TestSetEstimateInternedSourcesDoNotAllocate: publishing an estimate
+// under one of the interned sources is on every estimator's publish path
+// and must not allocate; a source outside the set still round-trips.
+func TestSetEstimateInternedSourcesDoNotAllocate(t *testing.T) {
+	var st Stats
+	if n := testing.AllocsPerRun(100, func() { st.SetEstimate(1, "once") }); n != 0 {
+		t.Errorf("SetEstimate with an interned source allocates %g times a call", n)
+	}
+	st.SetEstimate(2, "agg-pushdown")
+	if st.Estimate() != 2 || st.Source() != "agg-pushdown" {
+		t.Errorf("un-interned source read back as %g %q", st.Estimate(), st.Source())
+	}
+}

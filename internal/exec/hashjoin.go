@@ -82,8 +82,8 @@ type HashJoin struct {
 	// holds on both the tuple pass and the columnar pass:
 	//
 	//   - for one input batch the per-tuple hooks fire first, in row order,
-	//     then the span hook, then the worker-indexed span hook (the tuple
-	//     pass fires only the per-tuple hooks — it has no batches);
+	//     then the span hook (the tuple pass fires only the per-tuple hooks —
+	//     it has no batches);
 	//   - OnBuildEnd fires once between the passes, after the last build
 	//     hook and before the first probe input is pulled;
 	//   - OnProbeEnd fires once after the last probe hook;
@@ -103,21 +103,11 @@ type HashJoin struct {
 	OnOutput func(data.Tuple)
 
 	// Span hooks of a columnar partition pass: OnBuildCol / OnProbeCol fire
-	// once per input ColBatch. The serial pass needs no consumer locking,
-	// and a morselized pass serializes these hooks under its pass mutex.
-	// The batch is only valid for the duration of the call (see the
+	// once per input ColBatch, on the executor goroutine like every other
+	// hook. The batch is only valid for the duration of the call (see the
 	// ColBatch ownership contract in internal/data).
 	OnBuildCol func(cb *data.ColBatch)
 	OnProbeCol func(cb *data.ColBatch)
-
-	// Worker-indexed span hooks: fired once per ColBatch, lock-free, on the
-	// scan worker that owns it during a morselized columnar pass (worker 0
-	// on the serial columnar pass). The estimation framework backs them
-	// with per-worker histogram shards merged at the pass barriers
-	// (OnBuildEnd / OnProbeEnd), keeping estimates bit-identical to serial
-	// execution.
-	OnBuildColBatch func(worker int, cb *data.ColBatch)
-	OnProbeColBatch func(worker int, cb *data.ColBatch)
 
 	// OnBeforePartition fires exactly once, at the top of the join's
 	// first pull, before the build partition pass starts and before
@@ -131,12 +121,6 @@ type HashJoin struct {
 	// off flat int64 lanes), lane-native partitions, the columnar spill
 	// frame format and the lane-to-lane join phase; see SetColumnar.
 	colMode bool
-
-	// workers ≥ 2 makes the columnar partition passes morsel-driven with
-	// that many scan workers (see SetMorselWorkers); morselBlocks overrides
-	// the blocks per claim. See hashjoin_morsel.go.
-	workers      int
-	morselBlocks int
 
 	state      hjState
 	buildParts [][]data.Tuple
@@ -181,7 +165,7 @@ type HashJoin struct {
 	// See hashjoin_col.go.
 	buildColParts []colPart
 	probeColParts []colPart
-	colScat       colScatter // scatter scratch of the serial pass; its key tuple also serves the join phase
+	colScat       colScatter // scatter scratch of the partition passes; its key tuple also serves the join phase
 	colTab        colJoinTable
 	colBuild      *data.ColBatch // current partition's build lanes (gather source)
 	colProbe      *data.ColBatch // current probe chunk (partition lanes or a decoded spill frame)
@@ -582,19 +566,6 @@ func (j *HashJoin) Spilled() int { return j.spilled }
 func (j *HashJoin) SetSpillFS(fs vfs.FS) *HashJoin {
 	j.spillFS = fs
 	return j
-}
-
-// Workers returns the number of scan workers the columnar partition
-// passes use (≥ 1; 1 when they run serially). It is deliberately not
-// capped at GOMAXPROCS: goroutines time-slice, and the differential tests
-// exercise the concurrent claim path on any machine. A memory budget
-// always forces 1 (spill accounting is single-threaded). The estimation
-// framework sizes its per-worker shards from it.
-func (j *HashJoin) Workers() int {
-	if j.memBudget > 0 || j.workers < 1 {
-		return 1
-	}
-	return j.workers
 }
 
 // partitionAppend buffers a tuple for partition p on one side, spilling
@@ -1115,8 +1086,6 @@ func (j *HashJoin) ResetObservers() {
 	j.OnBuildEnd = nil
 	j.OnBuildCol = nil
 	j.OnProbeCol = nil
-	j.OnBuildColBatch = nil
-	j.OnProbeColBatch = nil
 }
 
 // JoinedProbeFraction returns the fraction of the probe input consumed by

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 
 	"qpi/internal/data"
@@ -86,38 +87,47 @@ func expectPooledBalance(t *testing.T, before int64) {
 
 // chunkedJoin is an unbudgeted columnar join whose probe partitions span
 // several chunks.
-func chunkedJoin(workers int) *HashJoin {
+func chunkedJoin() *HashJoin {
 	j := NewHashJoinOn(
 		NewScan(makeTable("a", randTable("a", 2000, 40, 61)), ""),
 		NewScan(makeTable("b", randTable("b", 40*data.BatchSize(), 40, 62)), ""),
 		"a", "k", "b", "k")
-	return j.SetColumnar(true).SetMorselWorkers(workers).SetMorselBlocks(1)
+	return j.SetColumnar(true)
+}
+
+// drainColErr drains the columnar path returning only the error.
+func drainColErr(j *HashJoin) error {
+	if err := j.Open(); err != nil {
+		return err
+	}
+	_, err := DrainCol(AsColOperator(j))
+	if cerr := j.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // TestCancelColumnarJoinReturnsChunks cancels a chunked columnar join in
-// the probe partition pass (serial and morselized) and part-way through
-// the join phase, with chunks served, being served and still waiting;
-// each time the join must report the cancellation, reap its workers and
-// return every chunk to the pool.
+// the probe partition pass and part-way through the join phase, with
+// chunks served, being served and still waiting; each time the join must
+// report the cancellation and return every chunk to the pool.
 func TestCancelColumnarJoinReturnsChunks(t *testing.T) {
 	cases := []struct {
 		name        string
-		workers     int
 		probeSpans  int // cancel at this probe-pass span, or
 		outputSpans int // after this many output batches
 	}{
 		{name: "probe-pass", probeSpans: 20},
-		{name: "probe-pass-morsel", workers: 3, probeSpans: 20},
 		{name: "join-phase", outputSpans: 30},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			goroutines, pooled := runtime.NumGoroutine(), data.ColBatchesOut()
-			j := chunkedJoin(c.workers)
+			j := chunkedJoin()
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			spans := 0
-			j.OnProbeCol = func(*data.ColBatch) { // serialized under the pass mutex
+			j.OnProbeCol = func(*data.ColBatch) {
 				if spans++; spans == c.probeSpans {
 					cancel()
 				}
@@ -179,4 +189,48 @@ func TestSpillFaultColumnarJoinReturnsBatches(t *testing.T) {
 		t.Fatal("the join never spilled")
 	}
 	expectPooledBalance(t, pooled)
+}
+
+// TestBatchSizeKnobStartRace: the data.BatchSize knob may be written
+// while queries run — the service runs them concurrently, one goroutine
+// each — so it must be safely readable from every one of them (the knob
+// was a plain int; this is the -race witness for the atomic fix).
+// Restores the default on exit.
+func TestBatchSizeKnobStartRace(t *testing.T) {
+	defer data.SetBatchSize(data.DefaultBatchSize)
+	stop := make(chan struct{})
+	var writer, queries sync.WaitGroup
+	writer.Add(1)
+	go func() {
+		defer writer.Done()
+		sizes := []int{64, 256, 1024, 100}
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+				data.SetBatchSize(sizes[i%len(sizes)])
+			}
+		}
+	}()
+	for q := 0; q < 2; q++ {
+		queries.Add(1)
+		go func(q int) {
+			defer queries.Done()
+			for i := 0; i < 4; i++ {
+				rng := rand.New(rand.NewSource(int64(50 + 4*q + i)))
+				j := NewHashJoinMulti(
+					NewScan(kvTable("b", randKeys(rng, 400, 37, 0.15)), ""),
+					NewScan(kvTable("p", randKeys(rng, 600, 37, 0.15)), ""),
+					[]int{0}, []int{0}, InnerJoin,
+				)
+				if err := drainColErr(j.SetColumnar(true)); err != nil {
+					t.Error(err)
+				}
+			}
+		}(q)
+	}
+	queries.Wait()
+	close(stop)
+	writer.Wait()
 }

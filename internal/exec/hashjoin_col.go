@@ -24,9 +24,9 @@ import (
 // copy (data.ColBatch.AppendRowsFrom). Partition assignment goes through
 // the same hashValue/partitionOf as the tuple pass, so the partition
 // layout — and therefore the join's partition-clustered output order — is
-// byte-identical to its. Estimator hooks (per-tuple, span, worker-indexed)
-// fire on the input batches before the scatter, so estimates are
-// bit-identical too.
+// byte-identical to its. Estimator hooks (per-tuple, then span) fire on
+// the input batches before the scatter, so estimates are bit-identical
+// too.
 
 // colPart is one side of one grace partition in memory: pooled lane
 // batches holding the partition's rows in arrival order. The probe side
@@ -40,8 +40,7 @@ type colPart []*data.ColBatch
 
 // SetColumnar selects the columnar partition passes, lane-native
 // partitions, columnar spill frames and the lane-to-lane join phase
-// behind NextColBatch. The passes are serial unless SetMorselWorkers
-// makes them morsel-driven; the join phase is always serial.
+// behind NextColBatch.
 func (j *HashJoin) SetColumnar(on bool) *HashJoin {
 	j.colMode = on
 	return j
@@ -57,16 +56,11 @@ type colPassConfig struct {
 	keys      []int
 	tupleHook func(data.Tuple)
 	colHook   func(cb *data.ColBatch)
-	// colBatchHook is the worker-indexed span hook
-	// (OnBuildColBatch/OnProbeColBatch): fired by the owning scan worker
-	// under a morselized pass, by the single pass goroutine as worker 0
-	// otherwise.
-	colBatchHook func(worker int, cb *data.ColBatch)
-	colParts     []colPart
-	spill        []*spillFile
-	bytes        []int64
-	width        int
-	rows         *atomic.Int64
+	colParts  []colPart
+	spill     []*spillFile
+	bytes     []int64
+	width     int
+	rows      *atomic.Int64
 	// keepNull routes NULL-key tuples to partition 0 instead of dropping
 	// them (probe side of the probe-preserving join types).
 	keepNull bool
@@ -79,16 +73,15 @@ type colPassConfig struct {
 func (j *HashJoin) partitionPhasesColumnar() error {
 	j.initPartitions()
 	build := colPassConfig{
-		child:        j.build,
-		keys:         j.buildKeys,
-		tupleHook:    j.OnBuildTuple,
-		colHook:      j.OnBuildCol,
-		colBatchHook: j.OnBuildColBatch,
-		colParts:     j.buildColParts,
-		spill:        j.buildSpill,
-		bytes:        j.buildBytes,
-		width:        j.build.Schema().Len(),
-		rows:         &j.buildRows,
+		child:     j.build,
+		keys:      j.buildKeys,
+		tupleHook: j.OnBuildTuple,
+		colHook:   j.OnBuildCol,
+		colParts:  j.buildColParts,
+		spill:     j.buildSpill,
+		bytes:     j.buildBytes,
+		width:     j.build.Schema().Len(),
+		rows:      &j.buildRows,
 	}
 	j.traceBegin("build")
 	if err := j.partitionPassColumnar(&build); err != nil {
@@ -99,18 +92,17 @@ func (j *HashJoin) partitionPhasesColumnar() error {
 		j.OnBuildEnd()
 	}
 	probe := colPassConfig{
-		child:        j.probe,
-		keys:         j.probeKeys,
-		tupleHook:    j.OnProbeTuple,
-		colHook:      j.OnProbeCol,
-		colBatchHook: j.OnProbeColBatch,
-		colParts:     j.probeColParts,
-		spill:        j.probeSpill,
-		bytes:        j.probeBytes,
-		width:        j.probe.Schema().Len(),
-		rows:         &j.probeRows,
-		keepNull:     j.joinType == ProbeOuterJoin || j.joinType == AntiJoin,
-		chunked:      j.memBudget <= 0,
+		child:     j.probe,
+		keys:      j.probeKeys,
+		tupleHook: j.OnProbeTuple,
+		colHook:   j.OnProbeCol,
+		colParts:  j.probeColParts,
+		spill:     j.probeSpill,
+		bytes:     j.probeBytes,
+		width:     j.probe.Schema().Len(),
+		rows:      &j.probeRows,
+		keepNull:  j.joinType == ProbeOuterJoin || j.joinType == AntiJoin,
+		chunked:   j.memBudget <= 0,
 	}
 	j.traceBegin("probe")
 	if err := j.partitionPassColumnar(&probe); err != nil {
@@ -123,14 +115,10 @@ func (j *HashJoin) partitionPhasesColumnar() error {
 	return j.beginJoinPhase()
 }
 
-// partitionPassColumnar runs one partition pass over whole ColBatches —
-// morsel-driven when the child is an eligible scan, serial otherwise.
-// Per-tuple hooks fire in row order before the span hooks (the hook
+// partitionPassColumnar runs one partition pass over whole ColBatches.
+// Per-tuple hooks fire in row order before the span hook (the hook
 // ordering contract on HashJoin).
 func (j *HashJoin) partitionPassColumnar(cfg *colPassConfig) error {
-	if sc := j.morselScanOf(cfg.child); sc != nil {
-		return j.partitionPassColMorsel(cfg, sc)
-	}
 	in := AsColOperator(cfg.child)
 	for {
 		if err := j.ctxErr(); err != nil {
@@ -159,18 +147,14 @@ func (j *HashJoin) partitionPassColumnar(cfg *colPassConfig) error {
 		if cfg.colHook != nil {
 			cfg.colHook(cb)
 		}
-		if cfg.colBatchHook != nil {
-			cfg.colBatchHook(0, cb)
-		}
-		if err := j.scatterColBatch(cfg, &j.colScat, cfg.colParts, cb); err != nil {
+		if err := j.scatterColBatch(cfg, cb); err != nil {
 			return err
 		}
 	}
 }
 
 // colScatter is the scratch of the radix scatter, reused from batch to
-// batch: one per pass goroutine (the serial pass uses the join's, each
-// morsel worker owns one).
+// batch.
 type colScatter struct {
 	rows [][]int32  // rows[p]: the current batch's live row indexes bound for partition p, ascending
 	key  data.Tuple // multi-column key staging for colJoinKeyAt
@@ -229,16 +213,16 @@ func (s *colScatter) group(cb *data.ColBatch, keys []int, keepNull bool, parts i
 	}
 }
 
-// scatterColBatch partitions one batch's live rows into parts (the side's
-// shared partitions, or a morsel worker's private ones): grouped by
-// partition, then each group appended a column at a time. Under a memory
-// budget the groups go row by row through colPartitionAppend instead,
-// which checks the partition's budget share after every row.
-func (j *HashJoin) scatterColBatch(cfg *colPassConfig, s *colScatter, parts []colPart, cb *data.ColBatch) error {
-	s.group(cb, cfg.keys, cfg.keepNull, j.parts)
-	for p, idx := range s.rows {
+// scatterColBatch partitions one batch's live rows into the side's
+// partitions: grouped by partition, then each group appended a column at
+// a time. Under a memory budget the groups go row by row through
+// colPartitionAppend instead, which checks the partition's budget share
+// after every row.
+func (j *HashJoin) scatterColBatch(cfg *colPassConfig, cb *data.ColBatch) error {
+	j.colScat.group(cb, cfg.keys, cfg.keepNull, j.parts)
+	for p, idx := range j.colScat.rows {
 		if j.memBudget <= 0 {
-			parts[p] = appendColRows(parts[p], cb, idx, cfg.width, cfg.chunked)
+			cfg.colParts[p] = appendColRows(cfg.colParts[p], cb, idx, cfg.width, cfg.chunked)
 			continue
 		}
 		for _, i := range idx {

@@ -12,8 +12,8 @@ import (
 )
 
 // Differential tests for the join operators themselves: every physical
-// join and every execution mode (tuple, columnar, morselized columnar,
-// forced spill) must produce the same multiset as a naive reference join
+// join and every execution mode (tuple, columnar, forced spill) must
+// produce the same multiset as a naive reference join
 // written from first principles. Unlike internal/difftest this layer has
 // no plan generator and no estimators — it isolates operator semantics.
 
@@ -165,8 +165,8 @@ func randKeys(rng *rand.Rand, n, dom int, nullFrac float64) []int64 {
 }
 
 // checkHashJoinModes runs one (build, probe, type) input through tuple,
-// forced-spill, columnar, columnar-spill and morselized columnar
-// execution and compares each against the reference.
+// forced-spill, columnar and columnar-spill execution and compares each
+// against the reference.
 func checkHashJoinModes(t *testing.T, build, probe []int64, jt JoinType) {
 	t.Helper()
 	checkHashJoinModesKeyed(t, build, probe, jt, false)
@@ -185,14 +185,12 @@ func checkHashJoinModesKeyed(t *testing.T, build, probe []int64, jt JoinType, st
 	modes := []struct {
 		name     string
 		columnar bool
-		workers  int
 		budget   int64
 	}{
 		{name: "tuple"},
 		{name: "spill", budget: 128},
 		{name: "columnar", columnar: true},
 		{name: "columnar-spill", columnar: true, budget: 128},
-		{name: "columnar-morsel", columnar: true, workers: 3},
 	}
 	for _, m := range modes {
 		var bsrc Operator = NewScan(kvTableKeyed("b", build, str), "")
@@ -214,9 +212,7 @@ func checkHashJoinModesKeyed(t *testing.T, build, probe []int64, jt JoinType, st
 		if m.budget > 0 {
 			j.SetMemoryBudget(m.budget)
 		}
-		// Single-block morsels force many concurrent claims even on these
-		// small tables.
-		j.SetColumnar(m.columnar).SetMorselWorkers(m.workers).SetMorselBlocks(1)
+		j.SetColumnar(m.columnar)
 		equalMultisets(t, jt.String()+"/"+m.name, drainMode(t, j, m.columnar), want)
 		if m.budget > 0 && j.Stats().SpillFiles.Load() == 0 {
 			t.Errorf("%s/%s: no spill files created", jt, m.name)

@@ -44,9 +44,8 @@ type Operator interface {
 // Emitted is the K_i of the gnm model: the number of getnext() calls this
 // operator has satisfied. Every live field is atomic so progress
 // monitors, metrics scrapers and the HTTP observability endpoint can
-// read Stats from other goroutines while the plan (including a
-// morselized partition pass) runs, with no locks and a quiet race
-// detector. The estimate of N_i — the total number of getnext() calls
+// read Stats from other goroutines while the plan runs, with no locks
+// and a quiet race detector. The estimate of N_i — the total number of getnext() calls
 // over the operator's lifetime — starts as the optimizer estimate and
 // is refined online by the estimators; read it with Estimate/Source.
 type Stats struct {
@@ -103,7 +102,10 @@ func internSource(s string) *string {
 	case "mle":
 		return &srcMLE
 	}
-	return &s
+	// Copy only here: taking the parameter's own address would make it
+	// escape — a 16-byte allocation — on the interned paths too.
+	o := s
+	return &o
 }
 
 // SetEstimate records a refined estimate of the operator's total output.

@@ -37,12 +37,8 @@ type Scan struct {
 	sampleLeft int
 	punctuated bool
 	spanEnded  bool
-	// morselDrained marks that a morsel pass consumed the whole table; a
-	// later pull on the same scan must not restart the (never advanced)
-	// iterator and re-emit the tuples.
-	morselDrained bool
-	batch         data.Batch
-	colBuf        data.ColBatch
+	batch      data.Batch
+	colBuf     data.ColBatch
 }
 
 // NewScan creates a sequential scan over a table. alias renames the output
@@ -114,10 +110,6 @@ func (s *Scan) Next() (data.Tuple, error) {
 	if err := s.pollCtx(); err != nil {
 		return nil, err
 	}
-	if s.morselDrained {
-		s.endSpan()
-		return s.finish()
-	}
 	t := s.it.Next()
 	if t == nil {
 		if !s.punctuated {
@@ -146,11 +138,6 @@ func (s *Scan) Next() (data.Tuple, error) {
 func (s *Scan) NextBatch() (data.Batch, error) {
 	if err := s.ctxErr(); err != nil {
 		return nil, err
-	}
-	if s.morselDrained {
-		s.endSpan()
-		s.stats.MarkDone()
-		return nil, nil
 	}
 	if s.batch == nil {
 		s.batch = make(data.Batch, 0, data.BatchSize())
@@ -190,81 +177,6 @@ func (s *Scan) NextBatch() (data.Batch, error) {
 func (s *Scan) Close() error {
 	s.it = nil
 	return nil
-}
-
-// Morsel-driven parallel scan support. A hash join's partition pass may
-// decompose an eligible scan into block-range morsels and drain them from
-// N workers concurrently (see hashjoin_morsel.go). The scan's punctuation
-// and accounting contract under concurrency:
-//
-//   - InputTotal and the "exact" estimate are plan-time fields written
-//     once in NewScan and only read during the pass;
-//   - Emitted/Batches are counted atomically per flushed worker batch, so
-//     Fraction stays monotone under any interleaving;
-//   - OnSampleEnd cannot fire: only sequential scans (SampleFraction == 0)
-//     are morselable, and Open marks those punctuated from the start — a
-//     sampled scan's global sample-prefix order is inherently serial;
-//   - MarkDone and the trace span end fire exactly once, on the
-//     coordinating goroutine, after every worker has joined
-//     (finishMorselPass).
-
-// morselable reports whether the scan can be decomposed into concurrent
-// block-range morsels: only sequential scans qualify.
-func (s *Scan) morselable() bool { return s.SampleFraction == 0 }
-
-// beginMorselPass hands out the claim source for a concurrent pass. The
-// caller must drain it with drainMorsels workers and then call
-// finishMorselPass exactly once after they join.
-func (s *Scan) beginMorselPass(blocksPerMorsel int) *storage.MorselSource {
-	return s.table.Morsels(blocksPerMorsel)
-}
-
-// drainMorsels is one worker's scan loop: claim a morsel, stream its
-// blocks through a worker-private batch buffer, hand each full batch to
-// scatter. The batch is valid only for the duration of the scatter call
-// (the data.Batch reuse contract). Cancellation is polled once per morsel
-// claim, bounding the overrun after ctx expiry to one morsel per worker.
-func (s *Scan) drainMorsels(src *storage.MorselSource, scatter func(data.Batch) error) error {
-	buf := make(data.Batch, 0, data.BatchSize())
-	flush := func() error {
-		if len(buf) == 0 {
-			return nil
-		}
-		s.stats.Emitted.Add(int64(len(buf)))
-		s.stats.Batches.Add(1)
-		err := scatter(buf)
-		buf = buf[:0]
-		return err
-	}
-	for {
-		m, ok := src.Claim()
-		if !ok {
-			break
-		}
-		if err := s.ctxErr(); err != nil {
-			return err
-		}
-		for b := m.Lo; b < m.Hi; b++ {
-			for _, t := range s.table.Block(b).Tuples {
-				buf = append(buf, t)
-				if len(buf) == cap(buf) {
-					if err := flush(); err != nil {
-						return err
-					}
-				}
-			}
-		}
-	}
-	return flush()
-}
-
-// finishMorselPass seals the scan after a concurrent pass: the done mark
-// and span end fire exactly once, and the scan is pinned exhausted so a
-// stray pull cannot re-emit the table.
-func (s *Scan) finishMorselPass() {
-	s.morselDrained = true
-	s.stats.MarkDone()
-	s.endSpan()
 }
 
 // Fraction returns the fraction of the table emitted so far, used by the

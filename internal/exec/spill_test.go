@@ -232,7 +232,7 @@ func TestSpilledJoinColumnarMatchesTuple(t *testing.T) {
 	if col.spilled == 0 || tup.spilled == 0 {
 		t.Fatalf("expected spills on both paths (tuple %d, columnar %d)", tup.spilled, col.spilled)
 	}
-	requireSameRows(t, tup.rows, col.rows, true, "spilled join")
+	requireSameRows(t, tup.rows, col.rows, "spilled join")
 	if tup.emitted != col.emitted || tup.emitted != int64(len(tup.rows)) {
 		t.Errorf("Emitted %d vs %d for %d rows", tup.emitted, col.emitted, len(tup.rows))
 	}

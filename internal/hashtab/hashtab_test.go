@@ -158,8 +158,8 @@ func TestI64MapZeroValue(t *testing.T) {
 }
 
 // TestI64MapConcurrentReads: a frozen table may be read from many
-// goroutines (morsel workers probe the finished build histograms
-// concurrently); run under -race.
+// goroutines (a monitor goroutine may inspect a finished build histogram
+// while the executor goroutine probes it); run under -race.
 func TestI64MapConcurrentReads(t *testing.T) {
 	m := NewI64Map[int64](0)
 	for k := int64(0); k < 4096; k++ {

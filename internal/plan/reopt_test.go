@@ -291,7 +291,7 @@ func TestReoptScoutCacheReusesPasses(t *testing.T) {
 }
 
 // TestReoptConcurrentRequests hammers RequestReopt from racing
-// goroutines while a morselized columnar plan runs with forced boundary
+// goroutines while a columnar plan runs with forced boundary
 // evaluation: output rows must stay byte-identical, and every applied
 // change must carry the barrier witness. Run under -race this is the
 // adversarial timing test for the started/unstarted barrier.
@@ -303,7 +303,7 @@ func TestReoptConcurrentRequests(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		top, mid, low := chain3(tb)
 		for _, j := range []*exec.HashJoin{top, mid, low} {
-			j.SetColumnar(true).SetMorselWorkers(3).SetMorselBlocks(1)
+			j.SetColumnar(true)
 		}
 		r := installReopt(top, ReoptConfig{Force: true, MaxPerms: 4})
 

@@ -1,12 +1,11 @@
-// Package sketch implements the two mergeable frequency sketches the
-// mid-query re-optimizer builds during grace-join partition passes:
-// Fast-AGMS (Cormode & Garofalakis) for join-size estimation and
-// count-min (Cormode & Muthukrishnan) for overestimate-only point
-// frequencies. Both are linear sketches over uint64 items: per-worker
-// shards built independently over disjoint spans of a column merge by
-// plain integer addition into exactly the sketch a serial pass would
-// have produced, so merge order can never change an estimate — a
-// property the fuzz tests assert with == on the raw counters.
+// Package sketch implements the two frequency sketches the mid-query
+// re-optimizer builds during grace-join partition passes: Fast-AGMS
+// (Cormode & Garofalakis) for join-size estimation and count-min
+// (Cormode & Muthukrishnan) for overestimate-only point frequencies.
+// Both are linear sketches over uint64 items: every update is an integer
+// addition, so the order in which a pass delivers a column's items can
+// never change an estimate — which is what lets the tuple and columnar
+// passes build bit-identical sketches.
 //
 // Items are pre-hashed uint64s. ValueItem maps engine values onto items
 // with kind-tagged hashing that mirrors the executor's join-key
@@ -22,8 +21,8 @@ import (
 	"qpi/internal/data"
 )
 
-// Config fixes a sketch family: two sketches interoperate (Merge,
-// JoinSizeEstimate) only when their Config is identical, because the
+// Config fixes a sketch family: two sketches interoperate
+// (JoinSizeEstimate) only when their Config is identical, because the
 // hash functions are derived from it.
 type Config struct {
 	// Rows is the number of independent hash rows (the median width d).
@@ -35,8 +34,8 @@ type Config struct {
 }
 
 // DefaultSeed is the process-wide default hash seed. Every sketch the
-// engine builds uses it, so sketches of different columns, tables and
-// workers are always mergeable and dot-able with each other.
+// engine builds uses it, so sketches of different columns and tables are
+// always dot-able with each other.
 const DefaultSeed uint64 = 0x9e3779b97f4a7c15
 
 // DefaultConfig sizes the sketches for the engine's scout passes: 5
@@ -162,23 +161,6 @@ func (s *FastAGMS) AddN(item uint64, n int64) {
 	s.n += n
 }
 
-// Merge adds o's counters into s. Both sketches must share a Config;
-// the result is bit-identical to a single sketch built over the union
-// of the two input streams in any order.
-func (s *FastAGMS) Merge(o *FastAGMS) error {
-	if o == nil {
-		return nil
-	}
-	if s.cfg != o.cfg {
-		return fmt.Errorf("sketch: merge of mismatched FastAGMS configs %+v vs %+v", s.cfg, o.cfg)
-	}
-	for i, c := range o.cells {
-		s.cells[i] += c
-	}
-	s.n += o.n
-	return nil
-}
-
 // Clone returns a deep copy.
 func (s *FastAGMS) Clone() *FastAGMS {
 	out := NewFastAGMS(s.cfg)
@@ -187,7 +169,7 @@ func (s *FastAGMS) Clone() *FastAGMS {
 	return out
 }
 
-// Cells exposes the raw counters (tests assert merge order cannot
+// Cells exposes the raw counters (tests assert the execution mode cannot
 // change them). The returned slice is live; do not mutate.
 func (s *FastAGMS) Cells() []int64 { return s.cells }
 
@@ -258,11 +240,8 @@ type CountMin struct {
 	cells []int64 // Rows × Buckets, row-major
 	n     int64
 	// maxEst tracks the largest post-insert Estimate seen, a cheap
-	// upper-ish bound on the hottest item's frequency. Under shard
-	// merges it is combined with max(), which is a heuristic: the true
-	// post-merge maximum can exceed both shards' maxima when a hot
-	// item's occurrences were split across shards. Documented; the
-	// re-optimizer only uses it as a skew hint, never for correctness.
+	// upper-ish bound on the hottest item's frequency. The re-optimizer
+	// only uses it as a skew hint, never for correctness.
 	maxEst int64
 }
 
@@ -320,28 +299,8 @@ func (c *CountMin) Estimate(item uint64) int64 {
 }
 
 // MaxEst returns the largest post-insert point estimate observed — a
-// skew hint (see the field comment for its behaviour under Merge).
+// skew hint.
 func (c *CountMin) MaxEst() int64 { return c.maxEst }
-
-// Merge adds o's counters into c; the counters are bit-identical to a
-// single sketch built over the union of the streams in any order.
-// MaxEst combines with max() (heuristic; see field comment).
-func (c *CountMin) Merge(o *CountMin) error {
-	if o == nil {
-		return nil
-	}
-	if c.cfg != o.cfg {
-		return fmt.Errorf("sketch: merge of mismatched CountMin configs %+v vs %+v", c.cfg, o.cfg)
-	}
-	for i, v := range o.cells {
-		c.cells[i] += v
-	}
-	c.n += o.n
-	if o.maxEst > c.maxEst {
-		c.maxEst = o.maxEst
-	}
-	return nil
-}
 
 // Clone returns a deep copy.
 func (c *CountMin) Clone() *CountMin {
@@ -352,7 +311,7 @@ func (c *CountMin) Clone() *CountMin {
 	return out
 }
 
-// Cells exposes the raw counters (tests assert merge order cannot
+// Cells exposes the raw counters (tests assert the execution mode cannot
 // change them). The returned slice is live; do not mutate.
 func (c *CountMin) Cells() []int64 { return c.cells }
 
@@ -404,22 +363,6 @@ func (cs *ColumnSketch) ObserveItem(item uint64) {
 func (cs *ColumnSketch) ObserveNull() {
 	cs.Rows++
 	cs.Nulls++
-}
-
-// Merge folds o into cs (shard merge). Order never changes the result.
-func (cs *ColumnSketch) Merge(o *ColumnSketch) error {
-	if o == nil {
-		return nil
-	}
-	if err := cs.AGMS.Merge(o.AGMS); err != nil {
-		return err
-	}
-	if err := cs.CM.Merge(o.CM); err != nil {
-		return err
-	}
-	cs.Rows += o.Rows
-	cs.Nulls += o.Nulls
-	return nil
 }
 
 // NonNull returns the number of non-NULL keys observed.

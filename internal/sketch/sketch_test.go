@@ -11,21 +11,6 @@ import (
 	"qpi/internal/storage"
 )
 
-// buildShards splits items into n shards round-robin and builds one
-// ColumnSketch per shard.
-func buildShards(items []uint64, n int, cfg sketch.Config) []*sketch.ColumnSketch {
-	shards := make([]*sketch.ColumnSketch, n)
-	for i := range shards {
-		shards[i] = sketch.NewColumnSketch(cfg)
-	}
-	for i, it := range items {
-		shards[i%n].AGMS.Add(it)
-		shards[i%n].CM.Add(it)
-		shards[i%n].Rows++
-	}
-	return shards
-}
-
 func cellsEqual(a, b []int64) bool {
 	if len(a) != len(b) {
 		return false
@@ -36,78 +21,6 @@ func cellsEqual(a, b []int64) bool {
 		}
 	}
 	return true
-}
-
-// TestMergeAssociativity asserts the core shard property: merging
-// per-worker shards in any order (including different tree shapes)
-// produces counters bit-identical to a serial build.
-func TestMergeAssociativity(t *testing.T) {
-	cfg := sketch.Config{Rows: 3, Buckets: 64, Seed: sketch.DefaultSeed}
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 50; trial++ {
-		n := 1 + rng.Intn(500)
-		items := make([]uint64, n)
-		for i := range items {
-			items[i] = uint64(rng.Intn(40)) // heavy duplication
-		}
-		serial := sketch.NewColumnSketch(cfg)
-		for _, it := range items {
-			serial.AGMS.Add(it)
-			serial.CM.Add(it)
-			serial.Rows++
-		}
-		nShards := 1 + rng.Intn(7)
-		shards := buildShards(items, nShards, cfg)
-
-		// Left fold over a random shard permutation.
-		perm := rng.Perm(nShards)
-		left := sketch.NewColumnSketch(cfg)
-		for _, p := range perm {
-			if err := left.Merge(shards[p]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		// Pairwise tree fold (clone first: Merge mutates the receiver).
-		tree := make([]*sketch.ColumnSketch, nShards)
-		for i, s := range buildShards(items, nShards, cfg) {
-			tree[i] = s
-		}
-		for len(tree) > 1 {
-			var next []*sketch.ColumnSketch
-			for i := 0; i < len(tree); i += 2 {
-				if i+1 < len(tree) {
-					if err := tree[i].Merge(tree[i+1]); err != nil {
-						t.Fatal(err)
-					}
-				}
-				next = append(next, tree[i])
-			}
-			tree = next
-		}
-		for name, got := range map[string]*sketch.ColumnSketch{"fold": left, "tree": tree[0]} {
-			if !cellsEqual(serial.AGMS.Cells(), got.AGMS.Cells()) {
-				t.Fatalf("trial %d: %s-merged AGMS cells differ from serial", trial, name)
-			}
-			if !cellsEqual(serial.CM.Cells(), got.CM.Cells()) {
-				t.Fatalf("trial %d: %s-merged CM cells differ from serial", trial, name)
-			}
-			if got.Rows != serial.Rows {
-				t.Fatalf("trial %d: %s rows %d != serial %d", trial, name, got.Rows, serial.Rows)
-			}
-		}
-		// Identical counters imply identical estimates; spot-check one.
-		se, err := sketch.JoinSizeEstimate(serial.AGMS, serial.AGMS)
-		if err != nil {
-			t.Fatal(err)
-		}
-		le, err := sketch.JoinSizeEstimate(left.AGMS, left.AGMS)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if se != le {
-			t.Fatalf("trial %d: merged estimate %g != serial %g", trial, le, se)
-		}
-	}
 }
 
 // TestCountMinOverestimateOnly asserts the count-min contract: every
@@ -232,24 +145,16 @@ func TestValueItemJoinEquality(t *testing.T) {
 	}
 }
 
-// TestMergeConfigMismatch asserts sketches of different families
-// refuse to merge or dot.
-func TestMergeConfigMismatch(t *testing.T) {
+// TestJoinSizeEstimateConfigMismatch asserts sketches of different
+// families refuse to dot, and that a dot needs two sketches.
+func TestJoinSizeEstimateConfigMismatch(t *testing.T) {
 	a := sketch.NewFastAGMS(sketch.Config{Rows: 3, Buckets: 64, Seed: 1})
 	b := sketch.NewFastAGMS(sketch.Config{Rows: 3, Buckets: 128, Seed: 1})
-	if err := a.Merge(b); err == nil {
-		t.Fatal("FastAGMS.Merge across configs succeeded")
-	}
 	if _, err := sketch.JoinSizeEstimate(a, b); err == nil {
 		t.Fatal("JoinSizeEstimate across configs succeeded")
 	}
 	if _, err := sketch.JoinSizeEstimate(a); err == nil {
 		t.Fatal("JoinSizeEstimate of one sketch succeeded")
-	}
-	ca := sketch.NewCountMin(sketch.Config{Rows: 2, Buckets: 32, Seed: 1})
-	cb := sketch.NewCountMin(sketch.Config{Rows: 2, Buckets: 32, Seed: 2})
-	if err := ca.Merge(cb); err == nil {
-		t.Fatal("CountMin.Merge across seeds succeeded")
 	}
 }
 

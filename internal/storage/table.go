@@ -9,7 +9,6 @@ package storage
 import (
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 
 	"qpi/internal/data"
 )
@@ -174,57 +173,4 @@ func (it *Iterator) Emitted() int { return it.emitted }
 // Reset rewinds the iterator to the beginning, preserving its block order.
 func (it *Iterator) Reset() {
 	it.blockIdx, it.tupleIdx, it.emitted = 0, 0, 0
-}
-
-// DefaultMorselBlocks is the number of blocks per morsel claim: 32 blocks
-// (4096 tuples at BlockSize 128) amortizes the atomic claim to once per a
-// few output batches while keeping the work units fine-grained enough
-// that scan workers finish a pass within one morsel of each other.
-const DefaultMorselBlocks = 32
-
-// Morsel is a half-open range of block indexes [Lo, Hi) claimed by one
-// scan worker — the unit of work distribution in morsel-driven parallel
-// scans (after Leis et al.'s morsel-driven query execution).
-type Morsel struct {
-	Lo, Hi int
-}
-
-// MorselSource hands out a table's blocks as fixed-size morsels via an
-// atomic claim counter. Any number of workers may call Claim
-// concurrently; each block is handed out exactly once, in ascending
-// ranges. A MorselSource is single-use: once exhausted it stays
-// exhausted.
-type MorselSource struct {
-	table *Table
-	per   int
-	next  atomic.Int64
-}
-
-// Morsels returns a morsel source over the table's blocks,
-// blocksPerMorsel blocks per claim (≤ 0 selects DefaultMorselBlocks).
-func (t *Table) Morsels(blocksPerMorsel int) *MorselSource {
-	if blocksPerMorsel < 1 {
-		blocksPerMorsel = DefaultMorselBlocks
-	}
-	return &MorselSource{table: t, per: blocksPerMorsel}
-}
-
-// NumMorsels returns how many claims the source hands out in total.
-func (ms *MorselSource) NumMorsels() int {
-	return (len(ms.table.blocks) + ms.per - 1) / ms.per
-}
-
-// Claim atomically claims the next unclaimed block range. ok is false
-// when the table is exhausted.
-func (ms *MorselSource) Claim() (m Morsel, ok bool) {
-	i := int(ms.next.Add(1) - 1)
-	lo := i * ms.per
-	if lo >= len(ms.table.blocks) {
-		return Morsel{}, false
-	}
-	hi := lo + ms.per
-	if hi > len(ms.table.blocks) {
-		hi = len(ms.table.blocks)
-	}
-	return Morsel{Lo: lo, Hi: hi}, true
 }

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -185,89 +184,5 @@ func TestSamplePermutationProperty(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 25}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestMorselsCoverEveryBlockOnce(t *testing.T) {
-	for _, rows := range []int{0, 1, BlockSize, BlockSize*5 + 7, BlockSize * 70} {
-		tb := buildTable(t, rows)
-		for _, per := range []int{1, 3, DefaultMorselBlocks, 1000} {
-			ms := tb.Morsels(per)
-			covered := make([]int, tb.NumBlocks())
-			n := 0
-			prevHi := 0
-			for {
-				m, ok := ms.Claim()
-				if !ok {
-					break
-				}
-				n++
-				if m.Lo != prevHi {
-					t.Fatalf("rows=%d per=%d: morsel starts at %d, want %d (ascending contiguous ranges)", rows, per, m.Lo, prevHi)
-				}
-				if m.Hi <= m.Lo || m.Hi > tb.NumBlocks() {
-					t.Fatalf("rows=%d per=%d: bad morsel [%d,%d)", rows, per, m.Lo, m.Hi)
-				}
-				prevHi = m.Hi
-				for b := m.Lo; b < m.Hi; b++ {
-					covered[b]++
-				}
-			}
-			if n != ms.NumMorsels() {
-				t.Fatalf("rows=%d per=%d: claimed %d morsels, NumMorsels says %d", rows, per, n, ms.NumMorsels())
-			}
-			for b, c := range covered {
-				if c != 1 {
-					t.Fatalf("rows=%d per=%d: block %d covered %d times", rows, per, b, c)
-				}
-			}
-			if _, ok := ms.Claim(); ok {
-				t.Fatalf("rows=%d per=%d: Claim succeeded after exhaustion", rows, per)
-			}
-		}
-	}
-}
-
-func TestMorselsDefaultSize(t *testing.T) {
-	tb := buildTable(t, BlockSize*DefaultMorselBlocks*2)
-	ms := tb.Morsels(0)
-	m, ok := ms.Claim()
-	if !ok || m.Hi-m.Lo != DefaultMorselBlocks {
-		t.Fatalf("Claim = %+v ok=%v, want span %d", m, ok, DefaultMorselBlocks)
-	}
-}
-
-func TestMorselsConcurrentClaim(t *testing.T) {
-	tb := buildTable(t, BlockSize*97)
-	ms := tb.Morsels(3)
-	const workers = 8
-	claims := make([][]Morsel, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				m, ok := ms.Claim()
-				if !ok {
-					return
-				}
-				claims[w] = append(claims[w], m)
-			}
-		}(w)
-	}
-	wg.Wait()
-	covered := make([]int, tb.NumBlocks())
-	for _, cs := range claims {
-		for _, m := range cs {
-			for b := m.Lo; b < m.Hi; b++ {
-				covered[b]++
-			}
-		}
-	}
-	for b, c := range covered {
-		if c != 1 {
-			t.Fatalf("block %d claimed %d times across %d workers", b, c, workers)
-		}
 	}
 }

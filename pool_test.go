@@ -53,6 +53,9 @@ func TestSkewedBuildSideDoesNotGrowTheHeap(t *testing.T) {
 // survives a collection after the tenth to 1.2x the third's.
 func heapStaysLevel(t *testing.T, query func() (int64, error)) {
 	t.Helper()
+	if raceEnabled {
+		t.Skip("under -race sync.Pool drops puts at random, so the live heap swings 36-58 MB from run to run at any commit; the plain run holds the bound")
+	}
 	live := make([]float64, 10)
 	for i := range live {
 		n, err := query()
