@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt race check leakcheck serve-check reopt-check bench-smoke bench-serve bench-guard lint-deprecated fuzz cover
+.PHONY: build test vet fmt race check leakcheck serve-check reopt-check bench-smoke bench-pair bench-serve bench-guard lint-deprecated fuzz cover
 
 build:
 	$(GO) build ./...
@@ -47,10 +47,13 @@ serve-check:
 # estimator shape), the two single-join probe fast paths the lane
 # kernel replaced (the same loop written twice) and the morselized
 # partition pass (its setters, its claim source, its worker-indexed hooks
-# and its sharded estimator shape) are removed; nothing anywhere in the
-# repo may reference them, so stray revivals in merges get caught here.
+# and its sharded estimator shape), and the row-at-a-time leftovers the
+# lane scan and the group-at-a-time budgeted pass replaced (the scan's
+# row-batch reader, the per-row budgeted partition append and spill
+# append) are removed; nothing anywhere in the repo may reference them,
+# so stray revivals in merges get caught here.
 lint-deprecated:
-	@bad=$$(grep -rn --include='*.go' -E '\.(RunContext|StartContext)\(|\<(WithBatchExecution|RunBatch|AsBatch|DrainBatch|OnBuildBatch|OnProbeBatch|BatchAttached|observeProbeColFast|observeProbeColShardFast|SetMorselWorkers|SetMorselBlocks|Morseled|MorselSource|OnBuildColBatch|OnProbeColBatch|ColShardAttached|ObserveProbeColShard|FinishProbe|composeColW|ModeColMorsel)\>' . || true); \
+	@bad=$$(grep -rn --include='*.go' --exclude-dir=.bench_build -E '\.(RunContext|StartContext|NextBatch)\(|\<(WithBatchExecution|RunBatch|AsBatch|DrainBatch|OnBuildBatch|OnProbeBatch|BatchAttached|observeProbeColFast|observeProbeColShardFast|SetMorselWorkers|SetMorselBlocks|Morseled|MorselSource|OnBuildColBatch|OnProbeColBatch|ColShardAttached|ObserveProbeColShard|FinishProbe|composeColW|ModeColMorsel|colPartitionAppend|appendColRow)\>' . || true); \
 	if [ -n "$$bad" ]; then \
 		echo "removed API referenced:"; \
 		echo "$$bad"; \
@@ -102,8 +105,22 @@ reopt-check:
 # wires by hand from the internal packages (tuple): same rows and
 # bit-identical final estimates (TestRoutesAgree), and every workload
 # run once in both modes on half-size data (TestSmoke).
+# One iteration each of the two root benchmarks behind the engine
+# workloads' hot halves (the lane scan, the budgeted partition pass) rides
+# along, so neither can rot unbuilt.
 bench-smoke:
 	cd benchmark && $(GO) test -timeout 300s ./...
+	$(GO) test -run '^$$' -bench 'ScanColLanes|BudgetedScatter' -benchtime 1x -timeout 120s .
+
+# Interleaved parent/change pairs of the repository benchmark, the only
+# comparison this drifting box supports (ROADMAP): medians and win counts
+# per metric. make bench-pair PARENT=HEAD~1 WORKLOAD=pkfk_join [PAIRS=5] [SEED=1]
+PARENT ?= HEAD~1
+WORKLOAD ?= pkfk_join
+PAIRS ?= 5
+SEED ?= 1
+bench-pair:
+	bash scripts/bench-pair.sh $(PARENT) $(WORKLOAD) $(PAIRS) $(SEED)
 
 # BENCH_GUARD=1 adds the serving-throughput regression guard to `make
 # check`. It is opt-in because wall-clock benchmarks only mean something

@@ -382,6 +382,65 @@ func BenchmarkSpilledJoin(b *testing.B) {
 	}
 }
 
+// BenchmarkBudgetedScatter is BenchmarkSpilledJoin on the lane-native
+// path every compiled plan runs: the budgeted partition passes move each
+// batch's rows a partition group at a time, into lanes or spill frames.
+func BenchmarkBudgetedScatter(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		j, _ := buildJoin(b, false)
+		j.SetMemoryBudget(256 * 1024).SetColumnar(true)
+		b.StartTimer()
+		if _, err := exec.RunCol(j); err != nil {
+			b.Fatal(err)
+		}
+		if j.Spilled() == 0 {
+			b.Fatal("expected spills")
+		}
+	}
+}
+
+// BenchmarkScanColLanes drains lineitem through the columnar scan and
+// touches every column of every batch, which is what its consumers do:
+// the batches are windows of the table's lanes, so no column is pivoted.
+func BenchmarkScanColLanes(b *testing.B) {
+	cat, err := tpch.Generate(tpch.Config{SF: 0.01, Seed: 1, Tables: []string{"lineitem"}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	lineitem := cat.MustLookup("lineitem").Table
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sc := exec.NewScan(lineitem, "")
+		if err := sc.Open(); err != nil {
+			b.Fatal(err)
+		}
+		rows := 0
+		for {
+			cb, err := sc.NextColBatch()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if cb == nil {
+				break
+			}
+			for c := 0; c < cb.Width(); c++ {
+				if !cb.Col(c).Homogeneous() {
+					b.Fatal("mixed column in lineitem")
+				}
+			}
+			rows += cb.Live()
+		}
+		if rows != lineitem.NumRows() {
+			b.Fatalf("scanned %d of %d rows", rows, lineitem.NumRows())
+		}
+		sc.Close()
+	}
+	b.ReportMetric(float64(lineitem.NumRows())*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+}
+
 // BenchmarkDiskScan measures streaming a table from the on-disk block
 // format.
 func BenchmarkDiskScan(b *testing.B) {

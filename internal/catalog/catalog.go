@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 
 	"qpi/internal/data"
+	"qpi/internal/hashtab"
 	"qpi/internal/storage"
 )
 
@@ -116,69 +117,97 @@ func (c *Catalog) Names() []string {
 // mcvBudget bounds the most-common-value list per column.
 const mcvBudget = 16
 
-// Analyze scans a table and computes per-column statistics.
+// Analyze computes per-column statistics from the table's column lanes.
+// A NULL-free integer column — keys, dates, quantities: most of what the
+// optimizer asks about — is counted off its flat lane in an int64-keyed
+// table; any other column is counted value by value.
 func Analyze(t *storage.Table) *TableStats {
 	st := &TableStats{
 		Rows:    int64(t.NumRows()),
 		Columns: map[string]*ColumnStats{},
 	}
-	n := t.Schema().Len()
-	counts := make([]map[data.Value]int64, n)
-	nulls := make([]int64, n)
-	mins := make([]data.Value, n)
-	maxs := make([]data.Value, n)
-	for i := range counts {
-		counts[i] = map[data.Value]int64{}
-	}
-	it := t.SequentialOrder()
-	for tu := it.Next(); tu != nil; tu = it.Next() {
-		for i, v := range tu {
-			if v.IsNull() {
-				nulls[i]++
-				continue
-			}
-			counts[i][v]++
-			if mins[i].IsNull() || data.Compare(v, mins[i]) < 0 {
-				mins[i] = v
-			}
-			if maxs[i].IsNull() || data.Compare(v, maxs[i]) > 0 {
-				maxs[i] = v
-			}
-		}
-	}
 	for i, col := range t.Schema().Cols {
-		cs := &ColumnStats{
-			Distinct: int64(len(counts[i])),
-			Min:      mins[i],
-			Max:      maxs[i],
+		lane := t.Lane(i)
+		if lane.Homogeneous() && lane.Kind == data.KindInt && !lane.Nulls.Any() {
+			st.Columns[col.Name] = analyzeInts(lane.Ints[:st.Rows])
+		} else {
+			st.Columns[col.Name] = analyzeValues(lane, st.Rows)
 		}
-		if st.Rows > 0 {
-			cs.NullFrac = float64(nulls[i]) / float64(st.Rows)
-		}
-		cs.MCVs = topMCVs(counts[i], st.Rows)
-		st.Columns[col.Name] = cs
 	}
 	return st
 }
 
-func topMCVs(counts map[data.Value]int64, rows int64) []MCV {
-	if rows == 0 || len(counts) == 0 {
-		return nil
+// analyzeInts is analyzeValues for a NULL-free integer lane.
+func analyzeInts(lane []int64) *ColumnStats {
+	if len(lane) == 0 {
+		return &ColumnStats{}
 	}
-	all := make([]MCV, 0, len(counts))
-	for v, c := range counts {
-		all = append(all, MCV{Value: v, Frac: float64(c) / float64(rows)})
+	counts := hashtab.NewI64Map[int64](0)
+	lo, hi := lane[0], lane[0]
+	for _, k := range lane {
+		*counts.Ref(k)++
+		lo, hi = min(lo, k), max(hi, k)
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Frac != all[j].Frac {
-			return all[i].Frac > all[j].Frac
-		}
-		return data.Compare(all[i].Value, all[j].Value) < 0
+	cs := &ColumnStats{Distinct: int64(counts.Len()), Min: data.Int(lo), Max: data.Int(hi)}
+	counts.Each(func(k, c int64) bool {
+		cs.MCVs = offerMCV(cs.MCVs, MCV{Value: data.Int(k), Frac: float64(c) / float64(len(lane))})
+		return true
 	})
-	if len(all) > mcvBudget {
-		all = all[:mcvBudget]
+	return cs
+}
+
+// analyzeValues summarizes the first rows values of one column lane.
+func analyzeValues(lane *data.ColVec, rows int64) *ColumnStats {
+	counts := map[data.Value]int64{}
+	var nulls int64
+	cs := &ColumnStats{}
+	for i := 0; i < int(rows); i++ {
+		v := lane.ValueAt(i)
+		if v.IsNull() {
+			nulls++
+			continue
+		}
+		counts[v]++
+		if cs.Min.IsNull() || data.Compare(v, cs.Min) < 0 {
+			cs.Min = v
+		}
+		if cs.Max.IsNull() || data.Compare(v, cs.Max) > 0 {
+			cs.Max = v
+		}
 	}
-	return all
+	cs.Distinct = int64(len(counts))
+	if rows > 0 {
+		cs.NullFrac = float64(nulls) / float64(rows)
+	}
+	for v, c := range counts {
+		cs.MCVs = offerMCV(cs.MCVs, MCV{Value: v, Frac: float64(c) / float64(rows)})
+	}
+	return cs
+}
+
+// offerMCV keeps top the mcvBudget most common values offered so far,
+// ordered by descending frequency, then ascending value: what sorting
+// every distinct value and truncating gives, at one comparison for a
+// value that does not make the list.
+func offerMCV(top []MCV, m MCV) []MCV {
+	before := func(a, b MCV) bool {
+		if a.Frac != b.Frac {
+			return a.Frac > b.Frac
+		}
+		return data.Compare(a.Value, b.Value) < 0
+	}
+	if len(top) == mcvBudget {
+		if !before(m, top[mcvBudget-1]) {
+			return top
+		}
+		top = top[:mcvBudget-1]
+	}
+	i := len(top)
+	for top = append(top, m); i > 0 && before(m, top[i-1]); i-- {
+		top[i] = top[i-1]
+	}
+	top[i] = m
+	return top
 }
 
 // DistinctOrDefault returns the distinct count for a column, or def when

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 )
 
 // Tuple wire format, shared by the table-file format (internal/disk) and
@@ -138,6 +139,9 @@ func (cb *ColBatch) liveValue(c, k int) Value {
 }
 
 func encodeColumn(w *bufio.Writer, cb *ColBatch, c, n int) error {
+	if v := &cb.Cols[c]; cb.Sel == nil && v.built && v.Tags == nil && v.Kind != KindNull {
+		return encodeLane(w, v, n)
+	}
 	// One detection pass over the live rows decides the layout.
 	kind := KindNull
 	mixed := false
@@ -236,6 +240,90 @@ func encodeColumn(w *bufio.Writer, cb *ColBatch, c, n int) error {
 					return err
 				}
 			}
+		}
+	}
+	return nil
+}
+
+// encodeLane writes the first n rows of a built single-kind vector
+// straight from its lane and bitmap — the bytes encodeColumn's per-value
+// walk produces, without building a Value per cell. NULL rows encode the
+// zero value whatever the lane holds under them.
+func encodeLane(w *bufio.Writer, v *ColVec, n int) error {
+	nulls := 0
+	for i, x := range v.Nulls {
+		if rest := n - i<<6; rest <= 0 {
+			break
+		} else if rest < 64 {
+			x &= 1<<uint(rest) - 1
+		}
+		nulls += bits.OnesCount64(x)
+	}
+	kind := v.Kind
+	if nulls == n {
+		kind = KindNull
+	}
+	flags := byte(kind)
+	if nulls > 0 {
+		flags |= colFlagNulls
+	}
+	if err := w.WriteByte(flags); err != nil {
+		return err
+	}
+	if nulls > 0 {
+		for k := 0; k < n; k += 8 {
+			var x uint64
+			if k>>6 < len(v.Nulls) {
+				x = v.Nulls[k>>6] >> uint(k&63)
+			}
+			if rest := n - k; rest < 8 {
+				x &= 1<<uint(rest) - 1
+			}
+			if err := w.WriteByte(byte(x)); err != nil {
+				return err
+			}
+		}
+	}
+	switch kind {
+	case KindInt:
+		return writeLane(w, v.Ints[:n], v.Nulls, func(b []byte, x int64) []byte {
+			return binary.LittleEndian.AppendUint64(b, uint64(x))
+		})
+	case KindFloat:
+		return writeLane(w, v.Floats[:n], v.Nulls, func(b []byte, x float64) []byte {
+			return binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+		})
+	case KindString:
+		off := uint32(0)
+		err := writeLane(w, v.Strs[:n], v.Nulls, func(b []byte, s string) []byte {
+			off += uint32(len(s))
+			return binary.LittleEndian.AppendUint32(b, off)
+		})
+		for k := 0; err == nil && k < n; k++ {
+			if !v.Nulls.Get(k) {
+				_, err = w.WriteString(v.Strs[k])
+			}
+		}
+		return err
+	}
+	return nil
+}
+
+// writeLane appends put(x) for every x of lane to w, filling w's free
+// buffer space in place; rows set in nulls put the zero value.
+func writeLane[T any](w *bufio.Writer, lane []T, nulls Bitmap, put func([]byte, T) []byte) error {
+	var zero T
+	for k := 0; k < len(lane); {
+		buf := w.AvailableBuffer()
+		for room := max(cap(buf)/8, 1); room > 0 && k < len(lane); room, k = room-1, k+1 {
+			if nulls.Get(k) {
+				buf = put(buf, zero)
+			} else {
+				buf = put(buf, lane[k])
+			}
+		}
+		if _, err := w.Write(buf); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -23,6 +23,18 @@ import (
 // references persist in reused backing arrays until overwritten or the
 // batch is released; Release (and PutColBatch) clears them so a pooled
 // batch never pins string or tuple backing memory.
+//
+// Table-resident lanes (SetWindow — what a table scan hands out): Rows and
+// every column lane are windows of the stored table itself, not of
+// buffers the producer owns. They are read-only for everyone, the producer
+// included; they stay valid for the whole query (a table is append-only
+// and a window never sees the appended rows), so the until-the-next-call
+// rule above only binds the struct and its NULL bitmaps, which the
+// producer does reuse. A window's capacity ends where the window does, so
+// a stray append reallocates instead of writing into the table — but
+// reset, BeginBuild, Release and PutColBatch would truncate or clear the
+// table's own memory (release clears Strs across capacity): a view is
+// dropped by assignment, never reset, released or pooled.
 
 // Bitmap is a packed per-row bit set, used to mark NULL rows in a column
 // vector. The zero value is an empty bitmap with no bits set; bits past
@@ -61,6 +73,26 @@ func (b Bitmap) Any() bool {
 		}
 	}
 	return false
+}
+
+// window appends bits [lo, hi) of b, re-based at bit 0, to dst.
+func (b Bitmap) window(dst Bitmap, lo, hi int) Bitmap {
+	n := hi - lo
+	first, shift := lo>>6, uint(lo&63)
+	for w := first; w < first+(n+63)>>6; w++ {
+		var x uint64
+		if w < len(b) {
+			x = b[w] >> shift
+			if shift != 0 && w+1 < len(b) {
+				x |= b[w+1] << (64 - shift)
+			}
+		}
+		dst = append(dst, x)
+	}
+	if r := uint(n & 63); r != 0 {
+		dst[len(dst)-1] &= 1<<r - 1
+	}
+	return dst
 }
 
 // ColVec is one column's vector: a typed lane per value kind plus a NULL
@@ -353,6 +385,49 @@ func (cb *ColBatch) SetRows(rows []Tuple, width int) {
 	}
 }
 
+// SetWindow makes the batch a read-only view of rows [lo, hi) of a stored
+// table: rows is the table row-major (nil for none), lanes its table-wide
+// column vectors (dense: one row per table row, as AppendVal and the
+// batch appends build them). Nothing is copied but the NULL bits, which
+// are re-based into bitmaps the batch owns and reuses (lo need not be
+// word-aligned). See the table-resident clause of the ownership contract
+// above.
+func (cb *ColBatch) SetWindow(rows []Tuple, lanes []ColVec, lo, hi int) {
+	cb.ensureWidth(len(lanes))
+	cb.NRows = hi - lo
+	cb.Sel = nil
+	cb.Rows = nil
+	if rows != nil {
+		cb.Rows = rows[lo:hi:hi]
+	}
+	for c := range lanes {
+		cb.Cols[c] = lanes[c].window(lo, hi, cb.Cols[c].Nulls[:0])
+	}
+}
+
+// window returns a view of rows [lo, hi) of v; nulls is the cleared bitmap
+// the view's NULL bits go to. A homogeneous vector has only its own kind's
+// lane (as long as the vector), a mixed one all three.
+func (v *ColVec) window(lo, hi int, nulls Bitmap) ColVec {
+	w := ColVec{Kind: v.Kind, Nulls: nulls, built: true}
+	if len(v.Ints) >= hi {
+		w.Ints = v.Ints[lo:hi:hi]
+	}
+	if len(v.Floats) >= hi {
+		w.Floats = v.Floats[lo:hi:hi]
+	}
+	if len(v.Strs) >= hi {
+		w.Strs = v.Strs[lo:hi:hi]
+	}
+	if v.Tags != nil {
+		w.Tags = v.Tags[lo:hi:hi]
+	}
+	if len(v.Nulls) > 0 {
+		w.Nulls = v.Nulls.window(nulls, lo, hi)
+	}
+	return w
+}
+
 // Col returns column c, pivoting it out of the row cache on first
 // access. Untouched columns of a row-backed batch are never pivoted —
 // that is the pass-through path projections and scans rely on.
@@ -571,8 +646,8 @@ func (cb *ColBatch) AppendRow2(a, b Tuple) {
 }
 
 // appendFrom appends src's row i as row index row of v — the per-row
-// lane-to-lane copy: what a budgeted join's partition append and the
-// spill frame buffer use, and what appendRowsFrom falls back to. The
+// lane-to-lane copy: what the spill reader reassembles a build partition
+// with and what appendRowsFrom falls back to. The
 // fast path is a matching-kind typed push straight from src's lane, no
 // Value construction; NULLs, kind adoption and mixed sources fall back to
 // the appendVal cold tail, which reproduces row-major appends exactly.
@@ -631,15 +706,45 @@ func (cb *ColBatch) AppendFrom(src *ColBatch, i int) {
 
 // AppendBatchFrom appends every live row of src to cb in selection
 // order — how the spill reader reassembles a build partition from its
-// frames. Equivalent to AppendFrom row by row.
+// frames and a sample-order scan a batch from its storage runs.
+// Equivalent to AppendFrom row by row; an unselected batch moves a column
+// at a time, one typed copy per lane.
 func (cb *ColBatch) AppendBatchFrom(src *ColBatch) {
 	if src.Sel != nil {
 		cb.AppendRowsFrom(src, src.Sel)
 		return
 	}
-	for i := 0; i < src.NRows; i++ {
-		cb.AppendFrom(src, i)
+	for c := range cb.Cols {
+		v, from := &cb.Cols[c], src.Col(c)
+		if !v.copiesLane(from) {
+			for i := 0; i < src.NRows; i++ {
+				v.appendFrom(from, i, cb.NRows+i)
+			}
+			continue
+		}
+		v.Kind = from.Kind
+		v.padTo(cb.NRows)
+		switch n := cb.NRows + src.NRows; v.Kind {
+		case KindInt:
+			v.Ints = append(reserveLane(v.Ints, n), from.Ints[:src.NRows]...)
+		case KindFloat:
+			v.Floats = append(reserveLane(v.Floats, n), from.Floats[:src.NRows]...)
+		case KindString:
+			v.Strs = append(reserveLane(v.Strs, n), from.Strs[:src.NRows]...)
+		}
 	}
+	cb.NRows += src.NRows
+}
+
+// copiesLane reports whether rows of src can land in v by a typed lane
+// copy alone: a NULL-free single-kind source, into a lane of its own kind
+// or into a vector that is all NULL so far, which adopts the kind exactly
+// as appendVal does on its first non-NULL value. Everything else goes
+// through appendFrom row by row, so the vector ends up in the state the
+// row-major append leaves it in either way.
+func (v *ColVec) copiesLane(src *ColVec) bool {
+	return v.Tags == nil && src.Tags == nil && src.Kind != KindNull && !src.Nulls.Any() &&
+		(v.Kind == src.Kind || v.Kind == KindNull)
 }
 
 // AppendRowsFrom appends src's rows idx (unselected row indexes) to cb in
@@ -653,19 +758,14 @@ func (cb *ColBatch) AppendRowsFrom(src *ColBatch, idx []int32) {
 	cb.NRows += len(idx)
 }
 
-// appendRowsFrom appends src's rows idx as rows base+k of v. A NULL-free
-// single-kind source landing in a lane of its own kind — or in a vector
-// that is all NULL so far, which adopts the kind exactly as appendVal
-// does on its first non-NULL value — reserves the lane once and copies
-// it in one typed loop. NULL-bearing, mixed-kind and kind-conflicting
-// columns go through appendFrom row by row, so the vector ends up in the
-// state the row-major append leaves it in either way.
+// appendRowsFrom appends src's rows idx as rows base+k of v: where
+// copiesLane allows, the lane is reserved once and copied in one typed
+// loop.
 func (v *ColVec) appendRowsFrom(src *ColVec, idx []int32, base int) {
 	if len(idx) == 0 {
 		return
 	}
-	if v.Tags != nil || src.Tags != nil || src.Kind == KindNull || src.Nulls.Any() ||
-		(v.Kind != src.Kind && v.Kind != KindNull) {
+	if !v.copiesLane(src) {
 		for k, i := range idx {
 			v.appendFrom(src, int(i), base+k)
 		}
@@ -771,25 +871,29 @@ func reserveLane[T any](s []T, n int) []T {
 	return ns
 }
 
-// RowBytes returns the Tuple.Size of row i as if materialized — the
-// spill accounting mirror of the row-major partition path.
-func (cb *ColBatch) RowBytes(i int) int {
-	if cb.Rows != nil {
-		return cb.Rows[i].Size()
-	}
-	n := 24 + 40*len(cb.Cols) // slice header + one Value struct per column
+// RowsBytes returns the summed Tuple.Size of rows idx as if materialized
+// — the spill accounting mirror of the row-major partition path — a
+// column at a time: the fixed part of every row, plus the string bytes.
+func (cb *ColBatch) RowsBytes(idx []int32) int64 {
+	n := len(idx) * (24 + 40*len(cb.Cols)) // slice header + one Value struct per column
 	for c := range cb.Cols {
 		v := cb.Col(c)
 		switch {
 		case v.Tags != nil:
-			if v.Tags[i] == KindString {
-				n += len(v.Strs[i])
+			for _, i := range idx {
+				if v.Tags[i] == KindString {
+					n += len(v.Strs[i])
+				}
 			}
-		case v.Kind == KindString && !v.Nulls.Get(i) && i < len(v.Strs):
-			n += len(v.Strs[i])
+		case v.Kind == KindString:
+			for _, i := range idx {
+				if !v.Nulls.Get(int(i)) {
+					n += len(v.Strs[i])
+				}
+			}
 		}
 	}
-	return n
+	return int64(n)
 }
 
 // Release clears the batch for reuse or pooling: row references are

@@ -143,22 +143,6 @@ func RunCol(op ColOperator) (int64, error) {
 	return n, op.Close()
 }
 
-// NextColBatch implements ColOperator for Scan: the row batch from
-// NextBatch (hooks, punctuation and counters fire there exactly once) is
-// exposed columnar, with columns pivoted only if a consumer touches
-// them.
-func (s *Scan) NextColBatch() (*data.ColBatch, error) {
-	b, err := s.NextBatch()
-	if err != nil {
-		return nil, err
-	}
-	if len(b) == 0 {
-		return nil, nil
-	}
-	s.colBuf.SetRows(b, s.schema.Len())
-	return &s.colBuf, nil
-}
-
 // NextColBatch implements ColOperator for Filter: the predicate
 // evaluates over whole column spans into a selection vector — no tuples
 // are copied, the output is a shallow view of the child's batch with a

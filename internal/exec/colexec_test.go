@@ -3,6 +3,8 @@ package exec
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"qpi/internal/data"
@@ -87,40 +89,182 @@ func requireColumnarMatchesTuple(t *testing.T, label string, mk func() Operator)
 	requireSameStats(t, tup, col, label)
 }
 
-// TestScanBatchEquivalence: a sampled scan whose punctuation lands in the
-// middle of a batch fires OnSampleEnd once, after the same tuple on both
-// paths, and counts every row exactly once.
+// TestScanBatchEquivalence holds the lane scan to Next over batch sizes
+// that divide a block, straddle blocks and leave the NULL-bit windows
+// unaligned, sequentially and in sample order: the same rows in the same
+// order with the same counters, every batch full but the last, and
+// OnSampleEnd fired exactly once, after the SampleBoundary()-th OnTuple —
+// which for most of these sizes is the middle of a batch.
 func TestScanBatchEquivalence(t *testing.T) {
-	vals := make([]int64, 23*storage.BlockSize+17) // partial last batch + partial block
-	for i := range vals {
-		vals[i] = int64(i)
-	}
+	defer data.SetBatchSize(0)
+	const n = 23*storage.BlockSize + 17 // partial last batch + partial block
+	tb := laneTable("t", n)
 	type run struct {
 		sc         *Scan
 		rows       []data.Tuple
 		seen       int
 		sampleEnds []int // tuples seen at each OnSampleEnd
 	}
-	drain := func(columnar bool) *run {
-		r := &run{sc: NewScan(makeTable("t", vals), "")}
-		r.sc.SampleFraction = 0.3
-		r.sc.Seed = 7
-		r.sc.OnTuple = func(data.Tuple) { r.seen++ }
-		r.sc.OnSampleEnd = func() { r.sampleEnds = append(r.sampleEnds, r.seen) }
-		r.rows = drainMode(t, r.sc, columnar)
-		return r
+	for _, bs := range []int{1, 7, 100, 128, 1000, 1024} {
+		for _, frac := range []float64{0, 0.1, 0.5, 1} {
+			data.SetBatchSize(bs)
+			label := fmt.Sprintf("scan, batches of %d, sample %g", bs, frac)
+			drain := func(columnar bool) *run {
+				r := &run{sc: NewScan(tb, "")}
+				r.sc.SampleFraction = frac
+				r.sc.Seed = 7
+				r.sc.OnTuple = func(data.Tuple) { r.seen++ }
+				r.sc.OnSampleEnd = func() { r.sampleEnds = append(r.sampleEnds, r.seen) }
+				if columnar {
+					left := n
+					r.sc.OnBatch = func(rows int) {
+						if want := min(bs, left); rows != want {
+							t.Fatalf("%s: batch of %d rows with %d left", label, rows, left)
+						}
+						left -= rows
+					}
+				}
+				r.rows = drainMode(t, r.sc, columnar)
+				return r
+			}
+			tup, col := drain(false), drain(true)
+			requireSameRows(t, tup.rows, col.rows, label)
+			if len(col.rows) != n {
+				t.Fatalf("%s: %d of %d rows", label, len(col.rows), n)
+			}
+			if a, b := tup.sc.Stats(), col.sc.Stats(); a.Emitted.Load() != b.Emitted.Load() || !a.IsDone() || !b.IsDone() {
+				t.Errorf("%s: tuple path emitted %d done=%v, lane scan %d done=%v", label, a.Emitted.Load(), a.IsDone(), b.Emitted.Load(), b.IsDone())
+			}
+			if got, want := col.sc.Stats().Batches.Load(), int64((n+bs-1)/bs); got != want {
+				t.Errorf("%s: %d batches, want %d", label, got, want)
+			}
+			var want []int // an unsampled scan has no sample to end
+			if frac > 0 {
+				want = []int{tb.SampleOrder(frac, 7).SampleBoundary()}
+			}
+			for _, r := range []*run{tup, col} {
+				if !slices.Equal(r.sampleEnds, want) {
+					t.Fatalf("%s: OnSampleEnd after tuples %v, want %v", label, r.sampleEnds, want)
+				}
+			}
+		}
 	}
-	tup, col := drain(false), drain(true)
-	requireSameRows(t, tup.rows, col.rows, "scan")
-	requireSameStats(t, tup.sc, col.sc, "scan")
-	if got, want := col.sc.Stats().Emitted.Load(), col.sc.Stats().InputTotal; got != want {
-		t.Errorf("columnar scan emitted %d of %d rows", got, want)
+}
+
+// laneTable builds a table with every column shape the lanes distinguish
+// — integers, floats, strings, integers with NULLs, a column of mixed
+// kinds and one that is NULL throughout — over n rows keyed 0..n-1.
+func laneTable(name string, n int) *storage.Table {
+	var cols []data.Column
+	for _, c := range []string{"k", "f", "s", "knull", "mixed", "allnull"} {
+		cols = append(cols, data.Column{Table: name, Name: c, Kind: data.KindInt})
 	}
-	if len(tup.sampleEnds) != 1 || len(col.sampleEnds) != 1 || tup.sampleEnds[0] != col.sampleEnds[0] {
-		t.Fatalf("sample punctuation: tuple path at %v, columnar path at %v", tup.sampleEnds, col.sampleEnds)
+	tb := storage.NewTable(name, data.NewSchema(cols...))
+	for i := 0; i < n; i++ {
+		row := data.Tuple{
+			data.Int(int64(i)),
+			data.Float(float64(i%17) / 4),
+			data.Str(fmt.Sprintf("s%03d", i%101)),
+			data.Int(int64(i % 13)),
+			data.Int(int64(i % 9)),
+			data.Null(),
+		}
+		if i%5 == 0 {
+			row[3] = data.Null()
+		}
+		switch i % 7 {
+		case 2:
+			row[4] = data.Str("m")
+		case 4:
+			row[4] = data.Null()
+		}
+		tb.MustAppend(row)
 	}
-	if at := col.sampleEnds[0]; at == 0 || at%data.BatchSize() == 0 {
-		t.Fatalf("punctuation at tuple %d is not mid-batch; the test lost its point", at)
+	return tb
+}
+
+// laneSnapshot deep-copies what a table holds: its rows and every lane.
+type laneSnapshot struct {
+	rows  []data.Tuple
+	lanes []data.ColVec
+}
+
+func snapshotLanes(tb *storage.Table) laneSnapshot {
+	var s laneSnapshot
+	for _, r := range tb.Rows() {
+		s.rows = append(s.rows, r.Clone())
+	}
+	for c := 0; c < tb.Schema().Len(); c++ {
+		v := *tb.Lane(c)
+		v.Ints, v.Floats, v.Strs = slices.Clone(v.Ints), slices.Clone(v.Floats), slices.Clone(v.Strs)
+		v.Nulls, v.Tags = slices.Clone(v.Nulls), slices.Clone(v.Tags)
+		s.lanes = append(s.lanes, v)
+	}
+	return s
+}
+
+// TestScanLanesNeverMutateTheTable runs every consumer of a scan's batches
+// — filter, computed and shared projections, limit, GROUP BY, a join and a
+// join that spills both sides — over one table twice, so the second run
+// draws the batches the first one returned to the pool, and requires the
+// table's rows and lanes to be what they were and both runs to agree with
+// the tuple-at-a-time reference. The scan's batches are windows of the
+// table: anything that resets, releases or pools one, or appends to one in
+// place, shows here.
+func TestScanLanesNeverMutateTheTable(t *testing.T) {
+	a, b := laneTable("a", 2*data.BatchSize()+300), laneTable("b", data.BatchSize()+77)
+	before := []laneSnapshot{snapshotLanes(a), snapshotLanes(b)}
+	col := func(op Operator, table, name string) expr.Expr { return expr.Column(op.Schema(), table, name) }
+	plans := map[string]func() Operator{
+		"filter/project/limit": func() Operator {
+			sc := NewScan(a, "")
+			f := NewFilter(sc, expr.Compare(expr.LT, col(sc, "a", "knull"), expr.IntLit(9)))
+			p := NewProject(f, []expr.Expr{
+				col(f, "a", "s"), col(f, "a", "mixed"), col(f, "a", "allnull"),
+				expr.Arith{Op: expr.Add, L: col(f, "a", "k"), R: col(f, "a", "knull")},
+				expr.Arith{Op: expr.Mul, L: col(f, "a", "f"), R: expr.IntLit(2)},
+			}, []string{"s", "mixed", "allnull", "kk", "ff"})
+			return NewLimit(p, 1500)
+		},
+		"group by": func() Operator {
+			sc := NewScan(a, "")
+			return NewHashAgg(sc, []int{sc.Schema().MustResolve("a", "s")}, []AggSpec{
+				{Func: CountStar, Name: "c"},
+				{Func: Sum, Col: sc.Schema().MustResolve("a", "knull"), Name: "sum"},
+				{Func: Min, Col: sc.Schema().MustResolve("a", "f"), Name: "lo"},
+			})
+		},
+		"join": func() Operator {
+			sc := NewScan(a, "")
+			f := NewFilter(sc, expr.Compare(expr.LT, col(sc, "a", "k"), expr.IntLit(400)))
+			return NewHashJoinOn(NewScan(b, ""), f, "b", "mixed", "a", "mixed")
+		},
+		"spilling join": func() Operator {
+			return NewHashJoinMulti(NewScan(b, ""), NewScan(a, ""), []int{0}, []int{0}, ProbeOuterJoin).
+				SetMemoryBudget(64 << 10)
+		},
+	}
+	for label, mk := range plans {
+		want := drainMode(t, mk(), false)
+		if len(want) == 0 {
+			t.Fatalf("%s: empty reference result", label)
+		}
+		for pass := 1; pass <= 2; pass++ {
+			op := mk()
+			markColumnar(op)
+			requireSameRows(t, want, drainMode(t, op, true), fmt.Sprintf("%s, pass %d", label, pass))
+			if j, ok := op.(*HashJoin); ok && label == "spilling join" && j.Spilled() == 0 {
+				t.Fatalf("%s did not spill", label)
+			}
+		}
+	}
+	for i, tb := range []*storage.Table{a, b} {
+		if after := snapshotLanes(tb); !reflect.DeepEqual(before[i], after) {
+			t.Errorf("table %s changed under the scans", tb.Name())
+		}
+	}
+	if out := data.ColBatchesOut(); out != 0 {
+		t.Errorf("%d pooled batches still out", out)
 	}
 }
 
@@ -403,4 +547,49 @@ func TestMixedModePlan(t *testing.T) {
 	tup, col := mk(false), mk(true)
 	requireSameRows(t, drainMode(t, tup, false), drainMode(t, col, false), "columnar join pulled by Next")
 	requireSameStats(t, tup, col, "columnar join pulled by Next")
+}
+
+// TestScanDoesNotSeeLaterInserts: rows appended to the table after a scan
+// has opened are not returned by that scan, on either pull contract, and
+// the rows it does return are the ones that were there.
+func TestScanDoesNotSeeLaterInserts(t *testing.T) {
+	for _, columnar := range []bool{false, true} {
+		n := 2*data.BatchSize() + 50
+		tb := laneTable("t", n)
+		sc := NewScan(tb, "")
+		if err := sc.Open(); err != nil {
+			t.Fatal(err)
+		}
+		var rows []data.Tuple
+		if columnar {
+			cb, err := sc.NextColBatch()
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows = cb.ToTuples(rows)
+		} else {
+			tu, err := sc.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows = append(rows, tu)
+		}
+		for _, r := range laneTable("more", 3*n).Rows() {
+			tb.MustAppend(data.Tuple{data.Int(-1), r[1], r[2], r[3], data.Float(1), r[5]})
+		}
+		var rest []data.Tuple
+		var err error
+		if columnar {
+			rest, err = DrainCol(sc)
+		} else {
+			rest, err = Drain(sc)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameRows(t, laneTable("t", n).Rows(), append(rows, rest...), fmt.Sprintf("scan opened before the inserts (columnar %v)", columnar))
+		if err := sc.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
 }

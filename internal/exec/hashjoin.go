@@ -552,7 +552,11 @@ func (j *HashJoin) SetPartitions(p int) *HashJoin {
 
 // SetMemoryBudget caps the bytes buffered across partition buffers;
 // overflowing partitions spill to temporary files (0 = unlimited, the
-// default). The budget is split evenly across partitions and sides.
+// default). The budget is split evenly across partitions and sides. A
+// partition spills exactly when its total bytes exceed its share; the
+// columnar passes check after each batch's group of rows for the
+// partition, so one may hold up to that group over its share for the
+// moment before it is dumped (the tuple pass checks after every row).
 func (j *HashJoin) SetMemoryBudget(bytes int64) *HashJoin {
 	j.memBudget = bytes
 	return j

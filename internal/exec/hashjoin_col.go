@@ -215,18 +215,15 @@ func (s *colScatter) group(cb *data.ColBatch, keys []int, keepNull bool, parts i
 
 // scatterColBatch partitions one batch's live rows into the side's
 // partitions: grouped by partition, then each group appended a column at
-// a time. Under a memory budget the groups go row by row through
-// colPartitionAppend instead, which checks the partition's budget share
-// after every row.
+// a time — under a memory budget through colPartitionAppendGroup, which
+// checks the partition's budget share after every group.
 func (j *HashJoin) scatterColBatch(cfg *colPassConfig, cb *data.ColBatch) error {
 	j.colScat.group(cb, cfg.keys, cfg.keepNull, j.parts)
 	for p, idx := range j.colScat.rows {
 		if j.memBudget <= 0 {
 			cfg.colParts[p] = appendColRows(cfg.colParts[p], cb, idx, cfg.width, cfg.chunked)
-			continue
-		}
-		for _, i := range idx {
-			if err := j.colPartitionAppend(cfg, p, cb, int(i)); err != nil {
+		} else if len(idx) > 0 {
+			if err := j.colPartitionAppendGroup(cfg, p, cb, idx); err != nil {
 				return err
 			}
 		}
@@ -257,27 +254,24 @@ func appendColRows(part colPart, src *data.ColBatch, idx []int32, width int, chu
 	return part
 }
 
-// colPartitionAppend appends src's row i to partition p of a join under a
-// memory budget, spilling the partition's lanes when they exceed their
-// budget share — the columnar mirror of partitionAppend.
-func (j *HashJoin) colPartitionAppend(cfg *colPassConfig, p int, src *data.ColBatch, i int) error {
-	if cfg.spill[p] != nil {
-		j.stats.SpillBytes.Add(int64(src.RowBytes(i)))
-		return cfg.spill[p].appendColRow(src, i)
+// colPartitionAppendGroup appends src's rows idx — one batch's group for
+// partition p — to that partition of a join under a memory budget,
+// spilling the partition's lanes when they exceed their budget share: the
+// columnar mirror of partitionAppend, a group at a time.
+func (j *HashJoin) colPartitionAppendGroup(cfg *colPassConfig, p int, src *data.ColBatch, idx []int32) error {
+	bytes := src.RowsBytes(idx)
+	if f := cfg.spill[p]; f != nil {
+		j.stats.SpillBytes.Add(bytes)
+		return f.appendColRows(src, idx)
 	}
-	if len(cfg.colParts[p]) == 0 {
-		dst := data.GetColBatch()
-		dst.BeginBuild(cfg.width)
-		cfg.colParts[p] = colPart{dst}
-	}
-	dst := cfg.colParts[p][0]
-	dst.AppendFrom(src, i)
-	cfg.bytes[p] += int64(src.RowBytes(i))
+	cfg.colParts[p] = appendColRows(cfg.colParts[p], src, idx, cfg.width, false)
+	cfg.bytes[p] += bytes
 	if cfg.bytes[p] <= j.memBudget/int64(2*j.parts) {
 		return nil
 	}
 	// Overflow: dump this partition's lanes frame-at-a-time and switch it
 	// to disk.
+	dst := cfg.colParts[p][0]
 	f, err := newSpillFile(j.spillFS, cfg.width)
 	if err != nil {
 		return err

@@ -279,7 +279,7 @@ func (b *base) emit(t data.Tuple) (data.Tuple, error) {
 }
 
 // emitBatch counts an emitted row batch and returns it; empty batches
-// mark the operator done (Scan's block reader, HashAgg's group emission).
+// mark the operator done (HashAgg's group emission).
 func (b *base) emitBatch(bt data.Batch) (data.Batch, error) {
 	if len(bt) == 0 {
 		b.stats.MarkDone()

@@ -37,8 +37,11 @@ type Scan struct {
 	sampleLeft int
 	punctuated bool
 	spanEnded  bool
-	batch      data.Batch
-	colBuf     data.ColBatch
+	// colBuf is the batch NextColBatch hands out: on a sequential scan a
+	// read-only window of the table, on a sample-order scan lanes the scan
+	// owns, filled from run (the window of one storage run) and rowBuf.
+	colBuf, run data.ColBatch
+	rowBuf      data.Batch
 }
 
 // NewScan creates a sequential scan over a table. alias renames the output
@@ -83,6 +86,8 @@ func (s *Scan) Open() error {
 	}
 	s.sampleLeft = s.it.SampleBoundary()
 	s.punctuated = s.sampleLeft == 0
+	// Dropped, not reset: the last run may have left table windows in them.
+	s.colBuf, s.run = data.ColBatch{}, data.ColBatch{}
 	s.traceBegin("scan")
 	return nil
 }
@@ -105,6 +110,21 @@ func (s *Scan) endSpan() {
 	}
 }
 
+// observe fires the per-tuple hook for t and the sample punctuation when t
+// is the sample's last tuple, so estimators see the same stream on either
+// pull contract.
+func (s *Scan) observe(t data.Tuple) {
+	if s.OnTuple != nil {
+		s.OnTuple(t)
+	}
+	if !s.punctuated {
+		s.sampleLeft--
+		if s.sampleLeft == 0 {
+			s.punctuate()
+		}
+	}
+}
+
 // Next implements Operator.
 func (s *Scan) Next() (data.Tuple, error) {
 	if err := s.pollCtx(); err != nil {
@@ -118,59 +138,58 @@ func (s *Scan) Next() (data.Tuple, error) {
 		s.endSpan()
 		return s.finish()
 	}
-	if s.OnTuple != nil {
-		s.OnTuple(t)
-	}
-	if !s.punctuated {
-		s.sampleLeft--
-		if s.sampleLeft == 0 {
-			s.punctuate()
-		}
-	}
+	s.observe(t)
 	return s.emit(t)
 }
 
-// NextBatch is the block reader behind NextColBatch: it moves up to a
-// batch of tuples per call with identical hook semantics to Next —
-// OnTuple fires per tuple and the sample punctuation fires mid-batch at
-// exactly the sample boundary, so estimators observe the same stream on
-// either pull contract.
-func (s *Scan) NextBatch() (data.Batch, error) {
+// NextColBatch implements ColOperator: up to a batch of rows per call,
+// straight from the table's column lanes. A sequential scan hands out
+// read-only windows of the table (rows and lanes; nothing is pivoted or
+// copied); a sample-order scan, whose batches cross jumps in the block
+// order, assembles batches of the same size from the windows of its
+// storage runs by typed copy. OnTuple fires per tuple and the sample
+// punctuation mid-batch at exactly the sample boundary, as on Next.
+func (s *Scan) NextColBatch() (*data.ColBatch, error) {
 	if err := s.ctxErr(); err != nil {
 		return nil, err
 	}
-	if s.batch == nil {
-		s.batch = make(data.Batch, 0, data.BatchSize())
+	cb, run, want := &s.colBuf, &s.colBuf, data.BatchSize()
+	cb.NRows, cb.Sel = 0, nil
+	copied := s.SampleFraction > 0
+	if copied {
+		run = &s.run
+		cb.BeginBuild(s.schema.Len())
+		s.rowBuf = s.rowBuf[:0]
 	}
-	b := s.batch[:0]
-	for len(b) < cap(b) {
-		t := s.it.Next()
-		if t == nil {
+	for cb.NRows < want {
+		lo, hi := s.it.NextRun(want - cb.NRows)
+		if lo == hi {
 			if !s.punctuated {
 				s.punctuate()
 			}
 			s.stats.MarkDone()
 			break
 		}
-		if s.OnTuple != nil {
-			s.OnTuple(t)
-		}
-		if !s.punctuated {
-			s.sampleLeft--
-			if s.sampleLeft == 0 {
-				s.punctuate()
+		s.it.Window(run, lo, hi)
+		if s.OnTuple != nil || !s.punctuated {
+			for _, t := range run.Rows {
+				s.observe(t)
 			}
 		}
-		b = append(b, t)
+		if copied {
+			cb.AppendBatchFrom(run)
+			s.rowBuf = append(s.rowBuf, run.Rows...)
+			cb.Rows = s.rowBuf
+		}
 	}
-	s.batch = b
-	bt, err := s.emitBatch(b)
-	if bt == nil && err == nil {
+	if cb, err := s.emitColBatch(cb); cb == nil {
 		s.endSpan()
-	} else if s.OnBatch != nil {
-		s.OnBatch(len(bt))
+		return nil, err
 	}
-	return bt, err
+	if s.OnBatch != nil {
+		s.OnBatch(cb.NRows)
+	}
+	return cb, nil
 }
 
 // Close implements Operator.

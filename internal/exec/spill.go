@@ -48,12 +48,12 @@ type spillFile struct {
 	decRows data.Batch
 	decPos  int
 
-	// Lane-native appends (appendColRow/appendColAll) buffer rows in pcol
-	// — a pooled lane batch filled by typed lane-to-lane copies, no tuple
-	// materialization — and flush it as columnar frames. selWin is the
-	// selection-window scratch for chunking a whole partition dump.
-	pcol   *data.ColBatch
-	selWin []int32
+	// Lane-native appends (appendColRows) buffer rows in pcol — a pooled
+	// lane batch filled by typed lane-to-lane copies, no tuple
+	// materialization — and flush it as columnar frames. win is the frame
+	// window of a whole partition dump (appendColAll).
+	pcol *data.ColBatch
+	win  data.ColBatch
 }
 
 // colFrameRows is the number of tuples per columnar spill frame: large
@@ -112,17 +112,24 @@ func (s *spillFile) flushFrame() error {
 	return err
 }
 
-// appendColRow writes one row of src lane-to-lane toward the next frame
-// flush (columnar mode only).
-func (s *spillFile) appendColRow(src *data.ColBatch, i int) error {
-	s.rows++
+// appendColRows writes src's rows idx lane-to-lane toward the next frame
+// flushes, cutting at colFrameRows so frames keep their size (columnar
+// mode only).
+func (s *spillFile) appendColRows(src *data.ColBatch, idx []int32) error {
+	s.rows += int64(len(idx))
 	if s.pcol == nil {
 		s.pcol = data.GetColBatch()
 		s.pcol.BeginBuild(s.ncols)
 	}
-	s.pcol.AppendFrom(src, i)
-	if s.pcol.NRows >= colFrameRows {
-		return s.flushColLanes()
+	for len(idx) > 0 {
+		take := min(len(idx), colFrameRows-s.pcol.NRows)
+		s.pcol.AppendRowsFrom(src, idx[:take])
+		idx = idx[take:]
+		if s.pcol.NRows >= colFrameRows {
+			if err := s.flushColLanes(); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }
@@ -137,29 +144,17 @@ func (s *spillFile) flushColLanes() error {
 	return err
 }
 
-// appendColAll dumps an entire partition lane batch as columnar frames,
-// windowed through the selection vector so decode buffers stay bounded
-// at colFrameRows. Partition lane batches are dense (built row-append by
-// the scatter), so installing a temporary Sel window is safe; it is
-// cleared before returning.
+// appendColAll dumps an entire partition lane batch as columnar frames of
+// colFrameRows rows, so decode buffers stay bounded. Partition lane
+// batches are dense (built by the scatter's appends), so each frame is
+// encoded from a window of the lanes, not a copy.
 func (s *spillFile) appendColAll(cb *data.ColBatch) error {
 	for start := 0; start < cb.NRows; start += colFrameRows {
-		end := start + colFrameRows
-		if end > cb.NRows {
-			end = cb.NRows
-		}
-		s.selWin = s.selWin[:0]
-		for i := start; i < end; i++ {
-			s.selWin = append(s.selWin, int32(i))
-		}
-		cb.Sel = s.selWin
-		err := data.EncodeColFrame(s.w, cb)
-		if err != nil {
-			cb.Sel = nil
+		s.win.SetWindow(nil, cb.Cols, start, min(start+colFrameRows, cb.NRows))
+		if err := data.EncodeColFrame(s.w, &s.win); err != nil {
 			return err
 		}
 	}
-	cb.Sel = nil
 	s.rows += int64(cb.NRows)
 	return nil
 }

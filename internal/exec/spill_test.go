@@ -3,11 +3,16 @@ package exec
 import (
 	"bufio"
 	"bytes"
+	"hash/fnv"
 	"math/rand"
+	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"qpi/internal/data"
+	"qpi/internal/obs"
+	"qpi/internal/storage"
 )
 
 func randTable(name string, n, domain int, seed int64) []int64 {
@@ -267,5 +272,108 @@ func TestSpilledJoinHooksStillFire(t *testing.T) {
 	}
 	if j.Spilled() == 0 {
 		t.Error("expected spills")
+	}
+}
+
+// pinTable builds a three-column table (int key, string of varying
+// length, float) from a seed; the key is skewed so that some partitions
+// outgrow their budget share and others do not.
+func pinTable(name string, n int, seed int64) *storage.Table {
+	s := data.NewSchema(
+		data.Column{Table: name, Name: "k", Kind: data.KindInt},
+		data.Column{Table: name, Name: "s", Kind: data.KindString},
+		data.Column{Table: name, Name: "f", Kind: data.KindFloat},
+	)
+	tb := storage.NewTable(name, s)
+	rng := rand.New(rand.NewSource(seed))
+	for i := 0; i < n; i++ {
+		k := int64(rng.Intn(400))
+		if rng.Intn(10) < 3 {
+			k = int64(rng.Intn(12))
+		}
+		tb.MustAppend(data.Tuple{data.Int(k), data.Str(strings.Repeat("x", rng.Intn(40))), data.Float(float64(i) / 4)})
+	}
+	return tb
+}
+
+// TestBudgetedPassPins holds the budgeted columnar partition pass to what
+// the row-at-a-time pass it replaced did on a fixed input under a fixed
+// partition seed (values recorded at efadab2): the same partitions spill,
+// the same bytes are charged, and the join emits the same rows in the same
+// order. Moving a group at a time may let a partition overshoot its share
+// by one batch's group before it is dumped, never by more, and a partition
+// still in memory is always within its share between batches.
+func TestBudgetedPassPins(t *testing.T) {
+	defer func(s uint64) { intSeed = s }(intSeed)
+	intSeed = 0x9e3779b97f4a7c15
+	const budget = 1 << 20
+	a, b := pinTable("a", 3000, 41), pinTable("b", 5000, 42)
+	j := NewHashJoinOn(NewScan(a, ""), NewScan(b, ""), "a", "k", "b", "k")
+	j.SetMemoryBudget(budget).SetColumnar(true)
+	tr := obs.New()
+	BindTracer(j, tr)
+	share := int64(budget / (2 * j.parts))
+
+	maxBatch := int64(0) // the largest Tuple.Size sum of one input batch
+	resident := func(bytes []int64, spill []*spillFile, parts []colPart) func(*data.ColBatch) {
+		return func(cb *data.ColBatch) {
+			size := int64(0)
+			for _, r := range cb.Rows {
+				size += int64(r.Size())
+			}
+			maxBatch = max(maxBatch, size)
+			for p := range bytes {
+				if spill[p] == nil && bytes[p] > share {
+					t.Errorf("partition %d holds %d bytes in memory, share is %d", p, bytes[p], share)
+				}
+				if spill[p] != nil && len(parts[p]) != 0 {
+					t.Errorf("partition %d is spilled and still holds lanes", p)
+				}
+			}
+		}
+	}
+	j.OnBuildCol = func(cb *data.ColBatch) { resident(j.buildBytes, j.buildSpill, j.buildColParts)(cb) }
+	j.OnProbeCol = func(cb *data.ColBatch) { resident(j.probeBytes, j.probeSpill, j.probeColParts)(cb) }
+	var spilled []int // build partition p as p, probe partition p as 100+p
+	j.OnProbeEnd = func() {
+		for p := 0; p < j.parts; p++ {
+			if j.buildSpill[p] != nil {
+				spilled = append(spilled, p)
+			}
+			if j.probeSpill[p] != nil {
+				spilled = append(spilled, 100+p)
+			}
+		}
+	}
+	rows := drainMode(t, j, true)
+	order := fnv.New64a()
+	for _, r := range rows {
+		order.Write([]byte(r.String()))
+	}
+
+	if got := j.Stats().SpillFiles.Load(); got != 17 {
+		t.Errorf("SpillFiles = %d, want 17", got)
+	}
+	if got := j.Stats().SpillBytes.Load(); got != 962312 {
+		t.Errorf("SpillBytes = %d, want 962312", got)
+	}
+	want := []int{101, 2, 102, 4, 104, 5, 105, 107, 108, 109, 10, 110, 113, 14, 114, 15, 115}
+	if !reflect.DeepEqual(spilled, want) {
+		t.Errorf("spilled partitions %v, want %v", spilled, want)
+	}
+	if len(rows) != 146804 || order.Sum64() != 0x5b4d5af3fd67e8c5 {
+		t.Errorf("%d rows with order hash %#x, want 146804 rows with 0x5b4d5af3fd67e8c5", len(rows), order.Sum64())
+	}
+	dumps := 0
+	for _, e := range tr.Events() {
+		if e.Kind == obs.Mark && e.Phase == "spill" {
+			dumps++
+			if e.Bytes <= share || e.Bytes > share+maxBatch {
+				t.Errorf("partition dumped at %d bytes; share %d, largest batch %d", e.Bytes, share, maxBatch)
+			}
+		}
+	}
+	if dumps != 17 {
+		t.Errorf("%d spill marks, want 17", dumps)
 	}
 }

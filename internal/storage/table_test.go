@@ -186,3 +186,137 @@ func TestSamplePermutationProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// oddRow is row i of a table whose second column is NULL-bearing until
+// promote, then of mixed kinds: every lane shape an append can produce.
+func oddRow(i int, promote bool) data.Tuple {
+	row := data.Tuple{data.Int(int64(i)), data.Int(int64(i % 11)), data.Str(string(rune('a' + i%26)))}
+	switch {
+	case i%3 == 0:
+		row[1] = data.Null()
+	case promote && i%3 == 1:
+		row[1] = data.Str("mixed")
+	}
+	return row
+}
+
+func oddTable(t *testing.T, n int) *Table {
+	t.Helper()
+	tb := NewTable("t", data.NewSchema(
+		data.Column{Table: "t", Name: "k", Kind: data.KindInt},
+		data.Column{Table: "t", Name: "v", Kind: data.KindInt},
+		data.Column{Table: "t", Name: "s", Kind: data.KindString},
+	))
+	for i := 0; i < n; i++ {
+		tb.MustAppend(oddRow(i, false))
+	}
+	return tb
+}
+
+// TestRunsAndWindowsMatchNext walks the table by NextRun for run lengths
+// that divide a block, straddle blocks and span several, sequentially and
+// in sample order, and holds every window — its rows and every lane cell —
+// to what Next returns for the same walk. Sequential runs are cut by the
+// length asked for alone.
+func TestRunsAndWindowsMatchNext(t *testing.T) {
+	const n = 5*BlockSize + 17
+	tb := oddTable(t, n)
+	for _, frac := range []float64{0, 0.4, 1} {
+		for _, max := range []int{1, 7, 100, BlockSize, 3*BlockSize + 5, 2 * n} {
+			ref, it := tb.SampleOrder(frac, 3), tb.SampleOrder(frac, 3)
+			var cb data.ColBatch
+			rows := 0
+			for lo, hi := it.NextRun(max); lo < hi; lo, hi = it.NextRun(max) {
+				if frac == 0 && hi-lo != min(max, n-rows) {
+					t.Fatalf("sequential run of %d rows, asked for %d with %d left", hi-lo, max, n-rows)
+				}
+				it.Window(&cb, lo, hi)
+				if cb.NRows != hi-lo || len(cb.Rows) != hi-lo || cb.Sel != nil {
+					t.Fatalf("window [%d,%d): NRows %d, %d rows, Sel %v", lo, hi, cb.NRows, len(cb.Rows), cb.Sel)
+				}
+				for i, row := range cb.Rows {
+					want := ref.Next()
+					for c := range want {
+						if got := cb.Col(c).ValueAt(i); got != want[c] || row[c] != want[c] {
+							t.Fatalf("frac %g, runs of %d, row %d col %d: lane %v, row %v, Next %v", frac, max, rows+i, c, got, row[c], want[c])
+						}
+					}
+				}
+				rows += hi - lo
+			}
+			if rows != n || ref.Next() != nil || it.Emitted() != n {
+				t.Fatalf("frac %g, runs of %d: %d rows of %d, Emitted %d", frac, max, rows, n, it.Emitted())
+			}
+		}
+	}
+}
+
+// TestBlocksWindowTheRows: blocks are windows of the one row slice — full
+// but the last, in order, and closed to appends.
+func TestBlocksWindowTheRows(t *testing.T) {
+	const n = 3*BlockSize + 5
+	tb := oddTable(t, n)
+	rows := 0
+	for b := 0; b < tb.NumBlocks(); b++ {
+		blk := tb.Block(b)
+		if want := min(BlockSize, n-rows); blk.ID != b || len(blk.Tuples) != want || cap(blk.Tuples) != want {
+			t.Fatalf("block %d: id %d, %d tuples (cap %d), want %d", b, blk.ID, len(blk.Tuples), cap(blk.Tuples), want)
+		}
+		for _, tu := range blk.Tuples {
+			if tu[0].I != int64(rows) {
+				t.Fatalf("block %d holds row %d at position %d", b, tu[0].I, rows)
+			}
+			rows++
+		}
+	}
+	if rows != n {
+		t.Fatalf("blocks hold %d rows of %d", rows, n)
+	}
+}
+
+// TestAppendAfterOpenIsNotSeen: an iterator walks the table as it stood
+// when it was made. Rows appended mid-walk — here enough to move every
+// lane, to set NULL bits in the bitmap word the walk is reading, and to
+// turn a column mixed — are not returned and do not change what is.
+func TestAppendAfterOpenIsNotSeen(t *testing.T) {
+	const n = 2*BlockSize + 40
+	tb := oddTable(t, n)
+	byNext, byRun := tb.SequentialOrder(), tb.SampleOrder(0.5, 1)
+	for i := 0; i < 70; i++ {
+		byNext.Next()
+	}
+	byRun.NextRun(70)
+	for i := n; i < 4*n; i++ {
+		tb.MustAppend(oddRow(i, true))
+	}
+	seen := 70
+	for tu := byNext.Next(); tu != nil; tu = byNext.Next() {
+		if want := oddRow(seen, false); tu[0] != want[0] || tu[1] != want[1] {
+			t.Fatalf("Next returned %v as row %d, want %v", tu, seen, want)
+		}
+		seen++
+	}
+	if seen != n {
+		t.Fatalf("Next walked %d rows of a table opened at %d", seen, n)
+	}
+	var cb data.ColBatch
+	seen = 70
+	for lo, hi := byRun.NextRun(100); lo < hi; lo, hi = byRun.NextRun(100) {
+		byRun.Window(&cb, lo, hi)
+		for i := 0; i < cb.NRows; i++ {
+			want := oddRow(lo+i, false)
+			for c := range want {
+				if got := cb.Col(c).ValueAt(i); got != want[c] {
+					t.Fatalf("window row %d col %d = %v, want %v", lo+i, c, got, want[c])
+				}
+			}
+		}
+		seen += hi - lo
+	}
+	if seen != n {
+		t.Fatalf("runs walked %d rows of a table opened at %d", seen, n)
+	}
+	if tb.NumRows() != 4*n || tb.Lane(1).Homogeneous() {
+		t.Fatalf("the appends left %d rows and column v single-kinded (%v); the test lost its point", tb.NumRows(), tb.Lane(1).Homogeneous())
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -150,10 +151,32 @@ func TestAppendRowsMatchesPerTuple(t *testing.T) {
 // TestRowsMatchesPerTupleDrain runs whole queries both ways: strings,
 // floats and ints out of TPC-H, a filter's selection vector, an outer
 // join's NULL-padded build side, a projection's computed lanes, an
-// aggregation's row-backed output and a LIMIT that cuts a batch.
+// aggregation's row-backed output and a LIMIT that cuts a batch. Every
+// scan's batches are windows of the stored tables, and each query runs
+// twice (Rows, then the reference), the second on the batches the first
+// returned to the pool: the tables must be what they were at the end.
 func TestRowsMatchesPerTupleDrain(t *testing.T) {
 	e := New()
 	e.MustLoadTPCH(TPCHConfig{SF: 0.002, Seed: 3, Tables: []string{"nation", "customer", "orders", "lineitem"}})
+	stored := func() (snap [][]any) {
+		for _, name := range e.cat.Names() {
+			tb := e.cat.MustLookup(name).Table
+			for _, r := range tb.Rows() {
+				snap = append(snap, []any{r.Clone()})
+			}
+			for c := 0; c < tb.Schema().Len(); c++ {
+				v := tb.Lane(c)
+				snap = append(snap, []any{v.Kind, slices.Clone(v.Ints), slices.Clone(v.Floats), slices.Clone(v.Strs), slices.Clone(v.Nulls), slices.Clone(v.Tags)})
+			}
+		}
+		return snap
+	}
+	before := stored()
+	defer func() {
+		if !reflect.DeepEqual(before, stored()) {
+			t.Error("the stored tables changed under the queries")
+		}
+	}()
 	for _, sql := range []string{
 		"SELECT * FROM orders",
 		"SELECT l.orderkey, l.extendedprice FROM lineitem l WHERE l.partkey < 100",
