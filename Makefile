@@ -105,12 +105,13 @@ reopt-check:
 # wires by hand from the internal packages (tuple): same rows and
 # bit-identical final estimates (TestRoutesAgree), and every workload
 # run once in both modes on half-size data (TestSmoke).
-# One iteration each of the two root benchmarks behind the engine
-# workloads' hot halves (the lane scan, the budgeted partition pass) rides
-# along, so neither can rot unbuilt.
+# One iteration each of the root benchmarks behind the engine workloads'
+# hot halves (the lane scan, the budgeted partition pass) and of the one
+# pricing the compile-time pruning pass rides along, so none can rot
+# unbuilt.
 bench-smoke:
 	cd benchmark && $(GO) test -timeout 300s ./...
-	$(GO) test -run '^$$' -bench 'ScanColLanes|BudgetedScatter' -benchtime 1x -timeout 120s .
+	$(GO) test -run '^$$' -bench 'ScanColLanes|BudgetedScatter|CompileQ8' -benchtime 1x -timeout 120s .
 
 # Interleaved parent/change pairs of the repository benchmark, the only
 # comparison this drifting box supports (ROADMAP): medians and win counts

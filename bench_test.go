@@ -356,6 +356,47 @@ func BenchmarkProgressSnapshot(b *testing.B) {
 	}
 }
 
+// q8Node builds the Figure 8 plan (TPC-H Q8's shape: region ⋈ nation ⋈
+// customer ⋈ orders and nation ⋈ supplier feeding, with part, three hash
+// joins probing lineitem, under a GROUP BY) with the builder, as the
+// repository benchmark's skew_pipeline does for every query.
+func q8Node(eng *Engine) *Node {
+	j := HashJoin(eng.MustScan("region"), eng.MustScan("nation", "n1"), Col("region", "regionkey"), Col("n1", "regionkey"))
+	j = HashJoin(j, eng.MustScan("customer"), Col("n1", "nationkey"), Col("customer", "nationkey"))
+	ordersSub := HashJoin(j, eng.MustScan("orders"), Col("customer", "custkey"), Col("orders", "custkey"))
+	supplierSub := HashJoin(eng.MustScan("nation", "n2"), eng.MustScan("supplier"), Col("n2", "nationkey"), Col("supplier", "nationkey"))
+	j3 := HashJoin(ordersSub, eng.MustScan("lineitem"), Col("orders", "orderkey"), Col("lineitem", "orderkey"))
+	j2 := HashJoin(supplierSub, j3, Col("supplier", "suppkey"), Col("lineitem", "suppkey"))
+	j1 := HashJoin(eng.MustScan("part"), j2, Col("part", "partkey"), Col("lineitem", "partkey"))
+	return MustGroupBy(j1, []Ref{Col("orders", "orderdate")}, Agg{Func: CountStar, As: "cnt"})
+}
+
+// BenchmarkCompileQ8 prices the compile-time column pruning pass in the
+// terms of the repository benchmark's qpi.newquery_us: "newquery" builds
+// and compiles the Q8-shaped plan (prune, estimate, attach, monitor),
+// "prune" times the pass alone on a freshly built plan.
+func BenchmarkCompileQ8(b *testing.B) {
+	eng := New()
+	eng.MustLoadTPCH(TPCHConfig{SF: 0.002, Seed: 1})
+	b.Run("newquery", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := eng.Compile(q8Node(eng)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("prune", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			n := q8Node(eng)
+			b.StartTimer()
+			exec.Prune(n.op)
+		}
+	})
+}
+
 // BenchmarkExtApproxHistograms regenerates the approximate-histogram
 // accuracy/memory extension experiment (§6 future work).
 func BenchmarkExtApproxHistograms(b *testing.B) { runExperiment(b, "ext-approx") }

@@ -822,3 +822,36 @@ func TestSortMergeJoinChainSameAttribute(t *testing.T) {
 		t.Errorf("lower estimate %g != %d", got, lower.Stats().Emitted.Load())
 	}
 }
+
+// TestBuildKeysHintPresizesHistogram: a join whose build key's distinct
+// count is known gets its raw build histogram sized for it before the
+// build pass, never grows it, and ends on the estimates an unhinted join
+// reaches.
+func TestBuildKeysHintPresizesHistogram(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	a := table("a", []string{"k"}, randCol(rng, 5000, 3000))
+	b := table("b", []string{"k"}, randCol(rng, 4000, 3000))
+	run := func(hint float64) (int64, int64, *exec.HashJoin) {
+		j := exec.NewHashJoinOn(exec.NewScan(a, ""), exec.NewScan(b, ""), "a", "k", "b", "k").SetColumnar(true)
+		j.Stats().BuildKeysHint = hint
+		pe := Attach(j).ChainOf[j]
+		h := pe.Histogram(0, 0).(*FreqHistogram)
+		before := h.MemoryAllocated()
+		if _, err := exec.RunCol(j); err != nil {
+			t.Fatal(err)
+		}
+		if after := h.MemoryAllocated(); hint > 0 && after != before {
+			t.Errorf("hinted histogram grew from %d to %d bytes", before, after)
+		}
+		return before, h.Distinct(), j
+	}
+	_, distinct, plain := run(0)
+	reserved, _, hinted := run(float64(distinct))
+	if reserved == 0 {
+		t.Fatal("the hint reserved nothing")
+	}
+	if plain.Stats().Estimate() != hinted.Stats().Estimate() || plain.Stats().Source() != hinted.Stats().Source() {
+		t.Errorf("estimate %v (%s) hinted, %v (%s) without", hinted.Stats().Estimate(), hinted.Stats().Source(),
+			plain.Stats().Estimate(), plain.Stats().Source())
+	}
+}

@@ -67,6 +67,11 @@ func (h *FreqHistogram) profShift(old, new int64) {
 	}
 }
 
+// Reserve sizes the integer table for n distinct values up front, so a
+// build pass whose key count is known does not rehash its way there. It
+// never shrinks the table; n <= 0 does nothing.
+func (h *FreqHistogram) Reserve(n int) { h.ints.Reserve(n) }
+
 // Add counts one observation of v. NULLs are ignored (they never join or
 // group with anything under our key semantics).
 func (h *FreqHistogram) Add(v data.Value) {

@@ -307,8 +307,14 @@ func (p *PipelineEstimator) planHistograms() {
 	}
 	for j := 0; j < p.m; j++ {
 		// Level j at relation j has no applicable folds (folds come from
-		// strictly higher joins): the raw frequency histogram N^{R_j}.
+		// strictly higher joins): the raw frequency histogram N^{R_j}, sized
+		// up front for the build key's distinct count when the catalog
+		// knows it (Stats.BuildKeysHint). Only slot order depends on the
+		// size, and no estimate does.
 		p.hists[j][j] = p.histFactory()
+		if fh, ok := p.hists[j][j].(*FreqHistogram); ok {
+			fh.Reserve(int(p.links[j].Join.Stats().BuildKeysHint))
+		}
 		for k := j - 1; k >= 0; k-- {
 			if p.levelsEqual(k, k+1, j) {
 				p.hists[k][j] = p.hists[k+1][j]

@@ -34,7 +34,10 @@ import (
 // a stray append reallocates instead of writing into the table — but
 // reset, BeginBuild, Release and PutColBatch would truncate or clear the
 // table's own memory (release clears Strs across capacity): a view is
-// dropped by assignment, never reset, released or pooled.
+// dropped by assignment, never reset, released or pooled. A view of some
+// of the table's columns (a pruned scan's) carries no Rows: the table's
+// row form is full-width, and Col, Value, MaterializeRows and ToTuples
+// would read its columns in place of the view's.
 
 // Bitmap is a packed per-row bit set, used to mark NULL rows in a column
 // vector. The zero value is an empty bitmap with no bits set; bits past
@@ -899,10 +902,12 @@ func (cb *ColBatch) RowsBytes(idx []int32) int64 {
 // Release clears the batch for reuse or pooling: row references are
 // dropped and string lane entries zeroed across their full capacity, so
 // a released batch never pins tuple or string backing arrays. The lane
-// backing arrays themselves are retained.
+// backing arrays themselves are retained — also those of the columns a
+// narrower use left beyond the batch's width (ensureWidth keeps them).
 func (cb *ColBatch) Release() {
-	for c := range cb.Cols {
-		cb.Cols[c].release()
+	cols := cb.Cols[:cap(cb.Cols)]
+	for c := range cols {
+		cols[c].release()
 	}
 	cb.NRows = 0
 	cb.Sel = nil
@@ -926,11 +931,15 @@ var colBatchPool = sync.Pool{New: func() any { return new(ColBatch) }}
 // growth, so it says nothing about who used it.
 const poolSlack = 16
 
-// laneCap returns the largest row capacity any lane of the batch has.
+// laneCap returns the largest row capacity any lane of the batch has,
+// counting the columns beyond its width: batches of different widths
+// share the pool, and a lane hidden past a narrow user's width is still
+// held.
 func (cb *ColBatch) laneCap() int {
 	n := 0
-	for c := range cb.Cols {
-		v := &cb.Cols[c]
+	cols := cb.Cols[:cap(cb.Cols)]
+	for c := range cols {
+		v := &cols[c]
 		n = max(n, cap(v.Ints), cap(v.Floats), cap(v.Strs))
 	}
 	return n

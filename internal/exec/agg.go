@@ -141,6 +141,7 @@ type HashAgg struct {
 	child   Operator
 	groupBy []int
 	aggs    []AggSpec
+	label   string // rendered at construction: Prune rebinds groupBy, not labels
 
 	// OnInput fires for every input tuple during the blocking read.
 	OnInput func(data.Tuple)
@@ -192,22 +193,24 @@ func (a *HashAgg) endEmitSpan() {
 
 // groupState is one group's accumulators plus its observation count. The
 // accumulators are stored inline (one backing array per group, not one
-// allocation per aggregate).
+// allocation per aggregate). A single-column group keeps its key; only a
+// multi-column group keeps a representative row for its group columns.
 type groupState struct {
 	states []aggState
+	key    data.Value
 	repr   data.Tuple
 	n      int64
 }
 
 // NewHashAgg groups child by the groupBy column indexes and computes aggs.
 func NewHashAgg(child Operator, groupBy []int, aggs []AggSpec) *HashAgg {
-	a := &HashAgg{child: child, groupBy: groupBy, aggs: aggs}
+	a := &HashAgg{child: child, groupBy: groupBy, aggs: aggs, label: fmt.Sprintf("HashAgg(%v)", groupBy)}
 	a.schema = aggSchema(child.Schema(), groupBy, aggs)
 	return a
 }
 
 // Name implements Operator.
-func (a *HashAgg) Name() string { return fmt.Sprintf("HashAgg(%v)", a.groupBy) }
+func (a *HashAgg) Name() string { return a.label }
 
 // Children implements Operator.
 func (a *HashAgg) Children() []Operator { return []Operator{a.child} }
@@ -263,10 +266,9 @@ func (a *HashAgg) consume() error {
 }
 
 // consumeColumnar is consume driven through the child's columnar path.
-// When the group key is a single homogeneous int64 column and no
-// per-row input hook is attached, grouping runs vectorized over the
-// flat key lane (see observeKeyVector); otherwise each live row is
-// observed exactly as in the tuple pass. Group-count observations are
+// Without a per-row input hook, a scalar aggregate and a single-column
+// group run off the lanes (see observeColBatch); otherwise each live row
+// is observed exactly as in the tuple pass. Group-count observations are
 // delivered span-at-a-time through OnInputGroupCounts when set; the
 // span preserves row order so consumers stay state-identical with the
 // per-row hook.
@@ -302,12 +304,18 @@ func (a *HashAgg) consumeColumnar() error {
 	return nil
 }
 
-// observeColBatch folds one columnar input batch into the groups.
+// observeColBatch folds one columnar input batch into the groups. Without
+// a per-row input hook, a scalar aggregate and a single-column group read
+// their lanes and build no rows; everything else observes each live row
+// as the tuple pass does.
 func (a *HashAgg) observeColBatch(cb *data.ColBatch) {
-	if len(a.groupBy) == 1 && a.OnInput == nil {
-		kv := cb.Col(a.groupBy[0])
-		if kv.Homogeneous() && kv.Kind == data.KindInt {
-			a.observeKeyVector(cb, kv)
+	if a.OnInput == nil {
+		switch len(a.groupBy) {
+		case 0:
+			a.observeScalar(cb)
+			return
+		case 1:
+			a.observeKeyVector(cb, cb.Col(a.groupBy[0]))
 			return
 		}
 	}
@@ -323,35 +331,26 @@ func (a *HashAgg) observeColBatch(cb *data.ColBatch) {
 	}
 }
 
-// observeKeyVector is the vectorized grouping loop over a flat int64
-// key lane: the group lookup indexes the open-addressing table straight
-// from the lane, and a representative tuple is materialized only when a
-// group is first seen. State, hook order and group emission order are
+// observeKeyVector is the grouping loop over a single key column: a flat
+// int64 lane indexes the open-addressing table straight from the lane,
+// any other column goes through its values, and a new group keeps its key
+// rather than a row. State, hook order and group emission order are
 // identical to per-row observe.
 func (a *HashAgg) observeKeyVector(cb *data.ColBatch, kv *data.ColVec) {
+	flat := kv.Homogeneous() && kv.Kind == data.KindInt
 	observeRow := func(i int) {
 		a.inputRows++
 		var gs *groupState
-		if kv.Nulls.Get(i) {
-			var ok bool
-			gs, ok = a.groups[data.Null()]
-			if !ok {
-				gs = a.newGroup(a.rowTuple(cb, i))
-				a.groups[data.Null()] = gs
-			}
-		} else {
+		if flat && !kv.Nulls.Get(i) {
 			p := a.intGroups.Ref(kv.Ints[i])
 			if *p == nil {
-				*p = a.newGroup(a.rowTuple(cb, i))
+				*p = a.newGroup(data.Int(kv.Ints[i]), nil)
 			}
 			gs = *p
+		} else {
+			gs = a.groupOf(kv.ValueAt(i), nil)
 		}
-		gs.n++
-		if a.collectCounts {
-			a.countsBuf = append(a.countsBuf, gs.n)
-		} else if a.OnInputGroupCount != nil {
-			a.OnInputGroupCount(gs.n)
-		}
+		a.count(gs)
 		for si, spec := range a.aggs {
 			var v data.Value
 			if spec.Func != CountStar {
@@ -371,16 +370,37 @@ func (a *HashAgg) observeKeyVector(cb *data.ColBatch, kv *data.ColVec) {
 	}
 }
 
-// rowTuple returns row i as a tuple, preferring the batch's row cache.
-func (a *HashAgg) rowTuple(cb *data.ColBatch, i int) data.Tuple {
-	if cb.Rows != nil {
-		return cb.Rows[i]
+// observeScalar folds one batch into the single group of an aggregate
+// without GROUP BY: the group counts the batch's live rows and each
+// aggregate column folds straight off its lane in row order — the per-row
+// pass's state and hook sequence, and no rows.
+func (a *HashAgg) observeScalar(cb *data.ColBatch) {
+	live := cb.Live()
+	if live == 0 {
+		return
 	}
-	t := make(data.Tuple, cb.Width())
-	for c := range t {
-		t[c] = cb.Cols[c].ValueAt(i)
+	gs := a.groupOf(GroupKey(nil, nil), nil)
+	for r := 0; r < live; r++ {
+		a.inputRows++
+		a.count(gs)
 	}
-	return t
+	for si, spec := range a.aggs {
+		st := &gs.states[si]
+		if spec.Func == CountStar {
+			st.count += int64(live)
+			continue
+		}
+		v := cb.Col(spec.Col)
+		if cb.Sel == nil {
+			for i := 0; i < cb.NRows; i++ {
+				st.add(spec.Func, v.ValueAt(i))
+			}
+			continue
+		}
+		for _, i := range cb.Sel {
+			st.add(spec.Func, v.ValueAt(int(i)))
+		}
+	}
 }
 
 func (a *HashAgg) initGroups() {
@@ -388,10 +408,41 @@ func (a *HashAgg) initGroups() {
 	a.groups = map[data.Value]*groupState{}
 }
 
-func (a *HashAgg) newGroup(t data.Tuple) *groupState {
-	gs := &groupState{states: make([]aggState, len(a.aggs)), repr: t}
+// groupOf returns key k's group, creating it in first-seen order; t is the
+// row a new multi-column group takes its group columns from.
+func (a *HashAgg) groupOf(k data.Value, t data.Tuple) *groupState {
+	if k.Kind == data.KindInt {
+		p := a.intGroups.Ref(k.I)
+		if *p == nil {
+			*p = a.newGroup(k, t)
+		}
+		return *p
+	}
+	gs, ok := a.groups[k]
+	if !ok {
+		gs = a.newGroup(k, t)
+		a.groups[k] = gs
+	}
+	return gs
+}
+
+func (a *HashAgg) newGroup(k data.Value, t data.Tuple) *groupState {
+	gs := &groupState{states: make([]aggState, len(a.aggs)), key: k}
+	if len(a.groupBy) > 1 {
+		gs.repr = t
+	}
 	a.order = append(a.order, gs)
 	return gs
+}
+
+// count records one more row of gs and fires the group-count hook.
+func (a *HashAgg) count(gs *groupState) {
+	gs.n++
+	if a.collectCounts {
+		a.countsBuf = append(a.countsBuf, gs.n)
+	} else if a.OnInputGroupCount != nil {
+		a.OnInputGroupCount(gs.n)
+	}
 }
 
 // observe folds one input tuple into its group, firing the input hooks.
@@ -400,28 +451,8 @@ func (a *HashAgg) observe(t data.Tuple) {
 	if a.OnInput != nil {
 		a.OnInput(t)
 	}
-	k := GroupKey(t, a.groupBy)
-	var gs *groupState
-	if k.Kind == data.KindInt {
-		p := a.intGroups.Ref(k.I)
-		if *p == nil {
-			*p = a.newGroup(t)
-		}
-		gs = *p
-	} else {
-		var ok bool
-		gs, ok = a.groups[k]
-		if !ok {
-			gs = a.newGroup(t)
-			a.groups[k] = gs
-		}
-	}
-	gs.n++
-	if a.collectCounts {
-		a.countsBuf = append(a.countsBuf, gs.n)
-	} else if a.OnInputGroupCount != nil {
-		a.OnInputGroupCount(gs.n)
-	}
+	gs := a.groupOf(GroupKey(t, a.groupBy), t)
+	a.count(gs)
 	for i, spec := range a.aggs {
 		var v data.Value
 		if spec.Func != CountStar {
@@ -437,8 +468,12 @@ func (a *HashAgg) GroupsSeen() int64 { return int64(a.intGroups.Len() + len(a.gr
 
 func (a *HashAgg) groupTuple(gs *groupState) data.Tuple {
 	out := make(data.Tuple, 0, len(a.groupBy)+len(a.aggs))
-	for _, g := range a.groupBy {
-		out = append(out, gs.repr[g])
+	if len(a.groupBy) == 1 {
+		out = append(out, gs.key)
+	} else {
+		for _, g := range a.groupBy {
+			out = append(out, gs.repr[g])
+		}
 	}
 	for i, spec := range a.aggs {
 		out = append(out, gs.states[i].result(spec.Func))
@@ -465,6 +500,7 @@ type SortAgg struct {
 	sorter  *Sort
 	groupBy []int
 	aggs    []AggSpec
+	label   string
 
 	cur     data.Tuple // first tuple of the pending group
 	started bool
@@ -478,6 +514,7 @@ func NewSortAgg(child Operator, groupBy []int, aggs []AggSpec) *SortAgg {
 		sorter:  NewSort(child, groupBy...),
 		groupBy: groupBy,
 		aggs:    aggs,
+		label:   fmt.Sprintf("SortAgg(%v)", groupBy),
 	}
 	a.schema = aggSchema(child.Schema(), groupBy, aggs)
 	return a
@@ -490,7 +527,7 @@ func (a *SortAgg) Sorter() *Sort { return a.sorter }
 func (a *SortAgg) GroupBy() []int { return a.groupBy }
 
 // Name implements Operator.
-func (a *SortAgg) Name() string { return fmt.Sprintf("SortAgg(%v)", a.groupBy) }
+func (a *SortAgg) Name() string { return a.label }
 
 // Children implements Operator. The internal sort is part of the visible
 // plan tree so that its getnext() counts reach the progress monitor.

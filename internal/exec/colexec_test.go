@@ -91,10 +91,12 @@ func requireColumnarMatchesTuple(t *testing.T, label string, mk func() Operator)
 
 // TestScanBatchEquivalence holds the lane scan to Next over batch sizes
 // that divide a block, straddle blocks and leave the NULL-bit windows
-// unaligned, sequentially and in sample order: the same rows in the same
-// order with the same counters, every batch full but the last, and
-// OnSampleEnd fired exactly once, after the SampleBoundary()-th OnTuple —
-// which for most of these sizes is the middle of a batch.
+// unaligned, sequentially and in sample order, full-width and pruned to
+// three of the six columns: the same rows in the same order with the same
+// counters, every batch full but the last, and OnSampleEnd fired exactly
+// once, after the SampleBoundary()-th OnTuple — which for most of these
+// sizes is the middle of a batch. A pruned scan's rows are the table's
+// rows cut to its columns.
 func TestScanBatchEquivalence(t *testing.T) {
 	defer data.SetBatchSize(0)
 	const n = 23*storage.BlockSize + 17 // partial last batch + partial block
@@ -105,46 +107,62 @@ func TestScanBatchEquivalence(t *testing.T) {
 		seen       int
 		sampleEnds []int // tuples seen at each OnSampleEnd
 	}
+	pruned := []bool{false, false, true, false, true, true} // s, mixed, allnull
 	for _, bs := range []int{1, 7, 100, 128, 1000, 1024} {
 		for _, frac := range []float64{0, 0.1, 0.5, 1} {
-			data.SetBatchSize(bs)
-			label := fmt.Sprintf("scan, batches of %d, sample %g", bs, frac)
-			drain := func(columnar bool) *run {
-				r := &run{sc: NewScan(tb, "")}
-				r.sc.SampleFraction = frac
-				r.sc.Seed = 7
-				r.sc.OnTuple = func(data.Tuple) { r.seen++ }
-				r.sc.OnSampleEnd = func() { r.sampleEnds = append(r.sampleEnds, r.seen) }
-				if columnar {
-					left := n
-					r.sc.OnBatch = func(rows int) {
-						if want := min(bs, left); rows != want {
-							t.Fatalf("%s: batch of %d rows with %d left", label, rows, left)
+			var full []data.Tuple // the full-width scan's rows, in this order
+			for _, narrow := range []bool{false, true} {
+				data.SetBatchSize(bs)
+				label := fmt.Sprintf("scan, batches of %d, sample %g, pruned %v", bs, frac, narrow)
+				drain := func(columnar bool) *run {
+					r := &run{sc: NewScan(tb, "")}
+					if narrow {
+						r.sc.narrow(slices.Clone(pruned))
+					}
+					r.sc.SampleFraction = frac
+					r.sc.Seed = 7
+					r.sc.OnTuple = func(data.Tuple) { r.seen++ }
+					r.sc.OnSampleEnd = func() { r.sampleEnds = append(r.sampleEnds, r.seen) }
+					if columnar {
+						left := n
+						r.sc.OnBatch = func(rows int) {
+							if want := min(bs, left); rows != want {
+								t.Fatalf("%s: batch of %d rows with %d left", label, rows, left)
+							}
+							left -= rows
 						}
-						left -= rows
+					}
+					r.rows = drainMode(t, r.sc, columnar)
+					return r
+				}
+				tup, col := drain(false), drain(true)
+				requireSameRows(t, tup.rows, col.rows, label)
+				if len(col.rows) != n {
+					t.Fatalf("%s: %d of %d rows", label, len(col.rows), n)
+				}
+				if a, b := tup.sc.Stats(), col.sc.Stats(); a.Emitted.Load() != b.Emitted.Load() || !a.IsDone() || !b.IsDone() {
+					t.Errorf("%s: tuple path emitted %d done=%v, lane scan %d done=%v", label, a.Emitted.Load(), a.IsDone(), b.Emitted.Load(), b.IsDone())
+				}
+				if got, want := col.sc.Stats().Batches.Load(), int64((n+bs-1)/bs); got != want {
+					t.Errorf("%s: %d batches, want %d", label, got, want)
+				}
+				var want []int // an unsampled scan has no sample to end
+				if frac > 0 {
+					want = []int{tb.SampleOrder(frac, 7).SampleBoundary()}
+				}
+				for _, r := range []*run{tup, col} {
+					if !slices.Equal(r.sampleEnds, want) {
+						t.Fatalf("%s: OnSampleEnd after tuples %v, want %v", label, r.sampleEnds, want)
 					}
 				}
-				r.rows = drainMode(t, r.sc, columnar)
-				return r
-			}
-			tup, col := drain(false), drain(true)
-			requireSameRows(t, tup.rows, col.rows, label)
-			if len(col.rows) != n {
-				t.Fatalf("%s: %d of %d rows", label, len(col.rows), n)
-			}
-			if a, b := tup.sc.Stats(), col.sc.Stats(); a.Emitted.Load() != b.Emitted.Load() || !a.IsDone() || !b.IsDone() {
-				t.Errorf("%s: tuple path emitted %d done=%v, lane scan %d done=%v", label, a.Emitted.Load(), a.IsDone(), b.Emitted.Load(), b.IsDone())
-			}
-			if got, want := col.sc.Stats().Batches.Load(), int64((n+bs-1)/bs); got != want {
-				t.Errorf("%s: %d batches, want %d", label, got, want)
-			}
-			var want []int // an unsampled scan has no sample to end
-			if frac > 0 {
-				want = []int{tb.SampleOrder(frac, 7).SampleBoundary()}
-			}
-			for _, r := range []*run{tup, col} {
-				if !slices.Equal(r.sampleEnds, want) {
-					t.Fatalf("%s: OnSampleEnd after tuples %v, want %v", label, r.sampleEnds, want)
+				if !narrow {
+					full = tup.rows
+					continue
+				}
+				for i, row := range full {
+					if cut := (data.Tuple{row[2], row[4], row[5]}); tup.rows[i].String() != cut.String() {
+						t.Fatalf("%s: row %d is %s, the full-width row cut to the scan's columns %s", label, i, tup.rows[i], cut)
+					}
 				}
 			}
 		}
@@ -249,8 +267,13 @@ func TestScanLanesNeverMutateTheTable(t *testing.T) {
 		if len(want) == 0 {
 			t.Fatalf("%s: empty reference result", label)
 		}
-		for pass := 1; pass <= 2; pass++ {
+		// Passes 3 and 4 run the plan pruned: its scans hand out windows of
+		// fewer lanes and no rows.
+		for pass := 1; pass <= 4; pass++ {
 			op := mk()
+			if pass > 2 {
+				Prune(op)
+			}
 			markColumnar(op)
 			requireSameRows(t, want, drainMode(t, op, true), fmt.Sprintf("%s, pass %d", label, pass))
 			if j, ok := op.(*HashJoin); ok && label == "spilling join" && j.Spilled() == 0 {
@@ -309,11 +332,13 @@ func TestFilterProjectLimitBatchEquivalence(t *testing.T) {
 }
 
 // TestHashAggBatchEquivalence: hash aggregation over integer, string and
-// multi-column groups (NULL keys included, fed through a filter so the
-// columnar input carries selection vectors) emits the same groups in the
-// same first-seen order, and the OnInputGroupCounts spans of the columnar
-// pass concatenate to exactly the per-row OnInputGroupCount sequence of
-// the tuple pass, with the per-row hook silent.
+// multi-column groups and with no GROUP BY (NULL keys included, fed
+// through a filter so the columnar input carries selection vectors, and
+// pruned on the columnar side, whose scan then carries no rows) emits the
+// same groups in the same first-seen order, and the OnInputGroupCounts
+// spans of the columnar pass concatenate to exactly the per-row
+// OnInputGroupCount sequence of the tuple pass, with the per-row hook
+// silent.
 func TestHashAggBatchEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	sch := data.NewSchema(
@@ -332,7 +357,7 @@ func TestHashAggBatchEquivalence(t *testing.T) {
 		}
 		tb.MustAppend(data.Tuple{g, s, data.Int(int64(rng.Intn(100)))})
 	}
-	for _, groupBy := range [][]int{{0}, {1}, {0, 1}} {
+	for _, groupBy := range [][]int{{0}, {1}, {0, 1}, nil} {
 		label := fmt.Sprintf("hashagg%v", groupBy)
 		var perRow, spans []int64
 		var perRowOnColumnar int
@@ -346,6 +371,7 @@ func TestHashAggBatchEquivalence(t *testing.T) {
 			})
 		}
 		tup, col := mk(), mk()
+		Prune(col)
 		tup.(*HashAgg).OnInputGroupCount = func(n int64) { perRow = append(perRow, n) }
 		col.(*HashAgg).OnInputGroupCount = func(int64) { perRowOnColumnar++ }
 		col.(*HashAgg).OnInputGroupCounts = func(ns []int64) { spans = append(spans, ns...) }

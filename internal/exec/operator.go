@@ -68,6 +68,10 @@ type Stats struct {
 	// it is capped at the (possibly misestimated) input cardinality, so
 	// progress refinement can re-cap when the input belief changes.
 	GroupsHint float64
+	// BuildKeysHint is a hash join's catalog distinct count of its build
+	// key when the build input is a base-table scan of an ANALYZEd column
+	// (0 otherwise); the estimators pre-size the build histogram with it.
+	BuildKeysHint float64
 }
 
 // Interned provenance strings so SetEstimate does not allocate for the

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"qpi/internal/data"
 	"qpi/internal/storage"
@@ -16,6 +17,9 @@ type Scan struct {
 	base
 	table *storage.Table
 	alias string
+	// cols lists the table columns the scan emits, in table order; nil
+	// emits them all. Only Prune narrows a scan (see prune.go).
+	cols []int
 
 	// SampleFraction in [0,1] selects the size of the random block sample
 	// delivered first; 0 scans sequentially.
@@ -42,24 +46,44 @@ type Scan struct {
 	// owns, filled from run (the window of one storage run) and rowBuf.
 	colBuf, run data.ColBatch
 	rowBuf      data.Batch
+	// arena is what a narrowed scan carves its tuples from (Next, OnTuple).
+	arena []data.Value
 }
 
 // NewScan creates a sequential scan over a table. alias renames the output
 // columns ("" keeps the stored table name).
 func NewScan(t *storage.Table, alias string) *Scan {
 	s := &Scan{table: t, alias: alias}
-	sch := t.Schema()
-	if alias != "" && alias != t.Name() {
-		sch = sch.Rename(alias)
-	}
-	s.schema = sch
+	s.setSchema()
 	s.stats.InputTotal = int64(t.NumRows())
 	s.stats.SetEstimate(float64(t.NumRows()), "exact")
 	return s
 }
 
+// setSchema derives the output schema from the table, the alias and the
+// emitted columns.
+func (s *Scan) setSchema() {
+	sch := s.table.Schema()
+	if s.cols != nil {
+		sch = sch.Project(s.cols)
+	}
+	if s.alias != "" && s.alias != s.table.Name() {
+		sch = sch.Rename(s.alias)
+	}
+	s.schema = sch
+}
+
 // Table returns the underlying stored table.
 func (s *Scan) Table() *storage.Table { return s.table }
+
+// TableColumns returns, for each output column, the index of the table
+// column it holds: the identity unless Prune narrowed the scan.
+func (s *Scan) TableColumns() []int {
+	if s.cols != nil {
+		return slices.Clone(s.cols)
+	}
+	return identity(s.schema.Len())
+}
 
 // Name implements Operator.
 func (s *Scan) Name() string {
@@ -83,6 +107,9 @@ func (s *Scan) Open() error {
 		s.it = s.table.SampleOrder(s.SampleFraction, s.Seed)
 	} else {
 		s.it = s.table.SequentialOrder()
+	}
+	if s.cols != nil {
+		s.it.Narrow(s.cols)
 	}
 	s.sampleLeft = s.it.SampleBoundary()
 	s.punctuated = s.sampleLeft == 0
@@ -138,8 +165,53 @@ func (s *Scan) Next() (data.Tuple, error) {
 		s.endSpan()
 		return s.finish()
 	}
+	if s.cols != nil {
+		nt := s.tuple()
+		for i, c := range s.cols {
+			nt[i] = t[c]
+		}
+		t = nt
+	}
 	s.observe(t)
 	return s.emit(t)
+}
+
+// tuple carves a tuple of the scan's width from its arena. The arena is
+// never reused, so consumers may keep the tuples.
+func (s *Scan) tuple() data.Tuple {
+	w := len(s.cols)
+	if len(s.arena) < w {
+		s.arena = make([]data.Value, w*data.BatchSize())
+	}
+	t := s.arena[:w:w]
+	s.arena = s.arena[w:]
+	return t
+}
+
+// observeRun fires OnTuple for every row of a storage run's window and
+// the sample punctuation where it falls. A narrowed window carries no
+// rows, so its tuples are built from its lanes; without a hook, only the
+// sample boundary is counted.
+func (s *Scan) observeRun(run *data.ColBatch) {
+	if s.OnTuple == nil {
+		if !s.punctuated {
+			if s.sampleLeft -= run.NRows; s.sampleLeft <= 0 {
+				s.punctuate()
+			}
+		}
+		return
+	}
+	for i := 0; i < run.NRows; i++ {
+		if run.Rows != nil {
+			s.observe(run.Rows[i])
+			continue
+		}
+		t := s.tuple()
+		for c := range t {
+			t[c] = run.Cols[c].ValueAt(i)
+		}
+		s.observe(t)
+	}
 }
 
 // NextColBatch implements ColOperator: up to a batch of rows per call,
@@ -147,7 +219,8 @@ func (s *Scan) Next() (data.Tuple, error) {
 // read-only windows of the table (rows and lanes; nothing is pivoted or
 // copied); a sample-order scan, whose batches cross jumps in the block
 // order, assembles batches of the same size from the windows of its
-// storage runs by typed copy. OnTuple fires per tuple and the sample
+// storage runs by typed copy. A narrowed scan's batches hold its own
+// columns' lanes and no rows. OnTuple fires per tuple and the sample
 // punctuation mid-batch at exactly the sample boundary, as on Next.
 func (s *Scan) NextColBatch() (*data.ColBatch, error) {
 	if err := s.ctxErr(); err != nil {
@@ -171,15 +244,13 @@ func (s *Scan) NextColBatch() (*data.ColBatch, error) {
 			break
 		}
 		s.it.Window(run, lo, hi)
-		if s.OnTuple != nil || !s.punctuated {
-			for _, t := range run.Rows {
-				s.observe(t)
-			}
-		}
+		s.observeRun(run)
 		if copied {
 			cb.AppendBatchFrom(run)
-			s.rowBuf = append(s.rowBuf, run.Rows...)
-			cb.Rows = s.rowBuf
+			if run.Rows != nil {
+				s.rowBuf = append(s.rowBuf, run.Rows...)
+				cb.Rows = s.rowBuf
+			}
 		}
 	}
 	if cb, err := s.emitColBatch(cb); cb == nil {
@@ -194,7 +265,7 @@ func (s *Scan) NextColBatch() (*data.ColBatch, error) {
 
 // Close implements Operator.
 func (s *Scan) Close() error {
-	s.it = nil
+	s.it, s.arena = nil, nil
 	return nil
 }
 

@@ -19,6 +19,7 @@ type Sort struct {
 	child Operator
 	keys  []int
 	desc  []bool // per-key descending flags (nil = all ascending)
+	label string // rendered at construction: Prune rebinds keys, not labels
 
 	// OnInput fires for every input tuple during the (blocking) sort read.
 	OnInput func(data.Tuple)
@@ -50,7 +51,7 @@ type Sort struct {
 
 // NewSort sorts child by the given column indexes, ascending.
 func NewSort(child Operator, keys ...int) *Sort {
-	s := &Sort{child: child, keys: keys}
+	s := &Sort{child: child, keys: keys, label: fmt.Sprintf("Sort(%v)", keys)}
 	s.schema = child.Schema()
 	return s
 }
@@ -61,7 +62,7 @@ func NewSortDirs(child Operator, keys []int, desc []bool) *Sort {
 	if len(keys) != len(desc) {
 		panic("exec: NewSortDirs: keys/desc length mismatch")
 	}
-	s := &Sort{child: child, keys: keys, desc: desc}
+	s := &Sort{child: child, keys: keys, desc: desc, label: fmt.Sprintf("Sort(%v)", keys)}
 	s.schema = child.Schema()
 	return s
 }
@@ -92,7 +93,7 @@ func (s *Sort) columnarInput() ColOperator {
 }
 
 // Name implements Operator.
-func (s *Sort) Name() string { return fmt.Sprintf("Sort(%v)", s.keys) }
+func (s *Sort) Name() string { return s.label }
 
 // Children implements Operator.
 func (s *Sort) Children() []Operator { return []Operator{s.child} }

@@ -224,3 +224,33 @@ func TestLike(t *testing.T) {
 		t.Errorf("String = %q", ln.String())
 	}
 }
+
+// TestRemapRebindsEveryColumn: an expression rebound onto a narrowed
+// input reads the same values from the narrowed row, marks the same
+// columns, and renders as before — an unnamed column included.
+func TestRemapRebindsEveryColumn(t *testing.T) {
+	like, err := NewLike(Column(schema, "t", "s"), "x%", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := AndOf(
+		OrOf(Compare(GT, Col{Index: 1}, IntLit(2)), Not{E: IsNull{E: Column(schema, "t", "b")}}),
+		like,
+		Compare(LT, Arith{Op: Add, L: Column(schema, "t", "b"), R: IntLit(1)}, IntLit(100)),
+	)
+	full := row(7, 5, "xy")
+	narrowed := data.Tuple{full[1], full[2]} // b, s
+	m := []int{-1, 0, 1}
+	got := Remap(e, m)
+	if got.String() != e.String() {
+		t.Errorf("rebinding changed the rendering: %s vs %s", got, e)
+	}
+	if got.Eval(narrowed) != e.Eval(full) || !got.Eval(narrowed).IsTrue() {
+		t.Errorf("rebound %v over the narrowed row, %v over the full one", got.Eval(narrowed), e.Eval(full))
+	}
+	refs := make([]bool, 2)
+	ColRefs(got, refs)
+	if !refs[0] || !refs[1] {
+		t.Errorf("rebound expression marks %v", refs)
+	}
+}

@@ -360,10 +360,10 @@ func EvalVec(e Expr, cb *data.ColBatch, out *data.ColVec) {
 	}
 }
 
-// ColRefs appends the column indexes referenced by e to set (a caller-
-// provided dedup map), so columnar operators can pivot only the columns
-// an expression touches.
-func ColRefs(e Expr, set map[int]bool) {
+// ColRefs marks the column indexes referenced by e in set, whose length
+// is the width of the schema e is bound to — what the compile-time column
+// pruning pass collects from every filter and projection.
+func ColRefs(e Expr, set []bool) {
 	switch x := e.(type) {
 	case Col:
 		set[x.Index] = true
@@ -388,4 +388,47 @@ func ColRefs(e Expr, set map[int]bool) {
 		ColRefs(x.L, set)
 		ColRefs(x.R, set)
 	}
+}
+
+// Remap returns e with every column index i replaced by m[i]: e rebound
+// onto a narrowed input. Display names are kept (an unnamed column keeps
+// rendering as its old index), so operator labels do not move. Like
+// ColRefs it knows this package's expression types only.
+func Remap(e Expr, m []int) Expr {
+	switch x := e.(type) {
+	case Col:
+		if x.Name == "" {
+			x.Name = x.String()
+		}
+		x.Index = m[x.Index]
+		return x
+	case Cmp:
+		x.L, x.R = Remap(x.L, m), Remap(x.R, m)
+		return x
+	case And:
+		return And{Terms: remapAll(x.Terms, m)}
+	case Or:
+		return Or{Terms: remapAll(x.Terms, m)}
+	case Not:
+		x.E = Remap(x.E, m)
+		return x
+	case IsNull:
+		x.E = Remap(x.E, m)
+		return x
+	case Like:
+		x.E = Remap(x.E, m)
+		return x
+	case Arith:
+		x.L, x.R = Remap(x.L, m), Remap(x.R, m)
+		return x
+	}
+	return e
+}
+
+func remapAll(terms []Expr, m []int) []Expr {
+	out := make([]Expr, len(terms))
+	for i, t := range terms {
+		out[i] = Remap(t, m)
+	}
+	return out
 }

@@ -37,10 +37,16 @@ type I64Map[V any] struct {
 // NewI64Map returns a map pre-sized for about hint entries.
 func NewI64Map[V any](hint int) *I64Map[V] {
 	m := &I64Map[V]{}
-	if hint > 0 {
-		m.grow(capFor(hint))
-	}
+	m.Reserve(hint)
 	return m
+}
+
+// Reserve grows the table to hold about n entries without rehashing
+// again; it never shrinks it.
+func (m *I64Map[V]) Reserve(n int) {
+	if c := capFor(n); n > 0 && c > len(m.keys) {
+		m.grow(c)
+	}
 }
 
 // capFor returns the power-of-two slot count that holds n entries below

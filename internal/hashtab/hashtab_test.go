@@ -263,3 +263,33 @@ func BenchmarkI64MapVsGoMap(b *testing.B) {
 }
 
 var sink int64
+
+// TestI64MapReserve: a reserved table takes n keys without growing, and
+// Reserve never shrinks one.
+func TestI64MapReserve(t *testing.T) {
+	var m I64Map[int64]
+	m.Reserve(0)
+	if m.Slots() != 0 {
+		t.Fatalf("Reserve(0) allocated %d slots", m.Slots())
+	}
+	m.Reserve(1000)
+	slots := m.Slots()
+	if slots != capFor(1000) {
+		t.Fatalf("Reserve(1000) gave %d slots, want %d", slots, capFor(1000))
+	}
+	for k := int64(0); k < 1000; k++ {
+		*m.Ref(k * 7919) += k
+	}
+	if m.Slots() != slots || m.Len() != 1000 {
+		t.Fatalf("%d keys in %d slots after reserving %d", m.Len(), m.Slots(), slots)
+	}
+	m.Reserve(10)
+	if m.Slots() != slots {
+		t.Fatalf("Reserve(10) shrank the table to %d slots", m.Slots())
+	}
+	for k := int64(0); k < 1000; k++ {
+		if v, ok := m.Get(k * 7919); !ok || v != k {
+			t.Fatalf("key %d: %d, %v", k*7919, v, ok)
+		}
+	}
+}

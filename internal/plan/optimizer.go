@@ -65,6 +65,10 @@ func estimate(op exec.Operator, cat *catalog.Catalog) nodeEstimate {
 	case *exec.HashJoin:
 		b := estimate(o.Build(), cat)
 		p := estimate(o.Probe(), cat)
+		op.Stats().BuildKeysHint = 0
+		if _, scan := o.Build().(*exec.Scan); scan && len(o.BuildKeys()) == 1 {
+			op.Stats().BuildKeysHint = b.distinct[o.BuildKey()]
+		}
 		ne := estimateEquijoin(b, p, o.BuildKey(), o.ProbeKey(), o.Build().Schema().Len())
 		switch o.Type() {
 		case exec.ProbeOuterJoin:
@@ -151,8 +155,9 @@ func estimateScan(s *exec.Scan, cat *catalog.Catalog) nodeEstimate {
 	ne := nodeEstimate{rows: rows, distinct: map[int]float64{},
 		mins: map[int]float64{}, maxs: map[int]float64{}}
 	if cat != nil {
+		// Keyed by scan column: a pruned scan emits a subset of the table's.
 		if e, err := cat.Lookup(s.Table().Name()); err == nil {
-			for i, col := range s.Table().Schema().Cols {
+			for i, col := range s.Schema().Cols {
 				if cs, ok := e.Stats.Columns[col.Name]; ok {
 					ne.distinct[i] = float64(cs.Distinct)
 					if !cs.Min.IsNull() && cs.Min.Kind != data.KindString {

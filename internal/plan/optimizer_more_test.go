@@ -158,3 +158,83 @@ func TestDecomposeSortAggTree(t *testing.T) {
 		t.Error("agg should drive its pipeline")
 	}
 }
+
+// threeColumns registers t(a, b, c) with 1000, 10 and 50 distinct values.
+func threeColumns() (*storage.Table, *catalog.Catalog) {
+	t := storage.NewTable("t", data.NewSchema(
+		data.Column{Table: "t", Name: "a", Kind: data.KindInt},
+		data.Column{Table: "t", Name: "b", Kind: data.KindInt},
+		data.Column{Table: "t", Name: "c", Kind: data.KindInt}))
+	for i := 0; i < 1000; i++ {
+		t.MustAppend(data.Tuple{data.Int(int64(i)), data.Int(int64(i % 10)), data.Int(int64(i % 50))})
+	}
+	return t, regCat(t)
+}
+
+// TestEstimatesFollowPrunedScans: a pruned scan's column statistics are
+// keyed by its own columns, so every optimizer belief of a pruned plan is
+// the unpruned plan's.
+func TestEstimatesFollowPrunedScans(t *testing.T) {
+	tb, cat := threeColumns()
+	mk := func() exec.Operator {
+		sc := exec.NewScan(tb, "")
+		f := exec.NewFilter(sc, expr.Compare(expr.EQ, expr.Column(sc.Schema(), "t", "b"), expr.IntLit(3)))
+		return exec.NewHashAgg(f, []int{2}, []exec.AggSpec{{Func: exec.CountStar}})
+	}
+	beliefs := func(root exec.Operator) (out []float64) {
+		exec.Walk(root, func(op exec.Operator) {
+			out = append(out, op.Stats().Estimate(), op.Stats().GroupsHint)
+		})
+		return out
+	}
+	whole, pruned := mk(), mk()
+	exec.Prune(pruned)
+	EstimateCardinalities(whole, cat)
+	EstimateCardinalities(pruned, cat)
+	want, got := beliefs(whole), beliefs(pruned)
+	if len(got) != len(want) || want[1] != 50 {
+		t.Fatalf("beliefs %v (pruned %v), want 50 groups", want, got)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("belief %d: %v pruned, %v unpruned", i, got[i], want[i])
+		}
+	}
+}
+
+// TestBuildKeysHint: a hash join records its build key's catalog distinct
+// count when the build input is a scan of an ANALYZEd column, and nothing
+// otherwise.
+func TestBuildKeysHint(t *testing.T) {
+	tb, cat := threeColumns()
+	probe := uniformTable("p", 100, 10)
+	cat.Register(probe)
+	raw := uniformTable("raw", 100, 10)
+	cat.RegisterWithoutStats(raw)
+	for _, tc := range []struct {
+		name  string
+		build func() exec.Operator
+		keys  []int
+		want  float64
+	}{
+		{"scan", func() exec.Operator { return exec.NewScan(tb, "") }, []int{1}, 10},
+		{"pruned scan", func() exec.Operator {
+			sc := exec.NewScan(tb, "")
+			exec.Prune(exec.NewHashAgg(sc, []int{2}, nil))
+			return sc
+		}, []int{0}, 50},
+		{"filtered scan", func() exec.Operator {
+			sc := exec.NewScan(tb, "")
+			return exec.NewFilter(sc, expr.Compare(expr.LT, expr.Column(sc.Schema(), "t", "a"), expr.IntLit(5)))
+		}, []int{1}, 0},
+		{"composite key", func() exec.Operator { return exec.NewScan(tb, "") }, []int{1, 2}, 0},
+		{"un-ANALYZEd table", func() exec.Operator { return exec.NewScan(raw, "") }, []int{0}, 0},
+	} {
+		probeKeys := make([]int, len(tc.keys))
+		j := exec.NewHashJoinMulti(tc.build(), exec.NewScan(probe, ""), tc.keys, probeKeys, exec.InnerJoin)
+		EstimateCardinalities(j, cat)
+		if got := j.Stats().BuildKeysHint; got != tc.want {
+			t.Errorf("%s: BuildKeysHint %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}

@@ -589,8 +589,8 @@ func simulate(order []*candJoin, swapBottom bool, cSchema, want *data.Schema) (r
 // repeated boundary evaluations re-read nothing.
 type scoutKey struct {
 	tab *storage.Table
-	flt exec.Operator // nil for unfiltered scans
-	col int
+	flt *exec.Filter // nil for unfiltered scans
+	col int          // table column
 }
 
 // scout sketches one column of a base relation (a Scan, or a Filter
@@ -598,22 +598,27 @@ type scoutKey struct {
 // the sketch summarizes the filtered stream). Sources of any other
 // shape, and tables beyond ScoutRowLimit, are not scoutable.
 func (r *Reoptimizer) scout(src exec.Operator, col int) (*sketch.ColumnSketch, bool) {
-	var tab *storage.Table
-	var pred expr.Expr
-	var flt exec.Operator
+	var sc *exec.Scan
+	var flt *exec.Filter
 	switch o := src.(type) {
 	case *exec.Scan:
-		tab = o.Table()
+		sc = o
 	case *exec.Filter:
-		sc, ok := o.Children()[0].(*exec.Scan)
-		if !ok {
+		var ok bool
+		if sc, ok = o.Children()[0].(*exec.Scan); !ok {
 			return nil, false
 		}
-		tab = sc.Table()
-		pred = o.Pred()
 		flt = o
 	default:
 		return nil, false
+	}
+	// The scout reads the table's rows, which a pruned scan narrows: its
+	// column and the filter's are scan columns, rebound here to table ones.
+	tab, tcols := sc.Table(), sc.TableColumns()
+	col = tcols[col]
+	var pred expr.Expr
+	if flt != nil {
+		pred = expr.Remap(flt.Pred(), tcols)
 	}
 	if r.cfg.ScoutRowLimit > 0 && tab.NumRows() > r.cfg.ScoutRowLimit {
 		if r.tr != nil {

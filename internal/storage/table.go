@@ -106,6 +106,7 @@ func (t *Table) Lane(c int) *data.ColVec { return &t.lanes[c] }
 type Iterator struct {
 	rows           []data.Tuple
 	lanes          []data.ColVec
+	narrowed       bool // Window hands out lanes only (see Narrow)
 	order          []int
 	blockIdx       int
 	pos, end       int // the next row, and where block order[blockIdx] ends; equal once exhausted
@@ -212,7 +213,23 @@ func (it *Iterator) NextRun(max int) (lo, hi int) {
 // rows and every column lane — under the third clause of the ColBatch
 // ownership contract (internal/data/colbatch.go).
 func (it *Iterator) Window(cb *data.ColBatch, lo, hi int) {
-	cb.SetWindow(it.rows, it.lanes, lo, hi)
+	rows := it.rows
+	if it.narrowed {
+		rows = nil
+	}
+	cb.SetWindow(rows, it.lanes, lo, hi)
+}
+
+// Narrow makes Window hand out the lanes of the table columns cols, in
+// that order, and no rows: the table's row form is full-width, so a
+// window of it would not be a row form of the narrowed batch. Next still
+// returns full rows.
+func (it *Iterator) Narrow(cols []int) {
+	lanes := make([]data.ColVec, len(cols))
+	for i, c := range cols {
+		lanes[i] = it.lanes[c]
+	}
+	it.lanes, it.narrowed = lanes, true
 }
 
 // SampleBoundary returns the number of tuples in the random-sample prefix.

@@ -216,8 +216,9 @@ func (q *Query) drain(sink func(*data.ColBatch)) (int64, error) {
 	}
 }
 
-// Compile seeds optimizer estimates, attaches the online estimation
-// framework (unless disabled) and builds a progress monitor for the plan.
+// Compile narrows the plan's scans to the columns it reads (exec.Prune),
+// seeds optimizer estimates, attaches the online estimation framework
+// (unless disabled) and builds a progress monitor for the plan.
 func (e *Engine) Compile(n *Node, opts ...CompileOption) (*Query, error) {
 	if n == nil {
 		return nil, fmt.Errorf("qpi: nil plan")
@@ -267,6 +268,9 @@ func (e *Engine) Compile(n *Node, opts ...CompileOption) (*Query, error) {
 			o.SetColumnar(true)
 		}
 	})
+	// Scans emit only the columns the plan reads; estimates and estimators
+	// are then bound to the narrowed plan.
+	exec.Prune(n.op)
 	plan.EstimateCardinalities(n.op, e.cat)
 	q := &Query{root: n.op, cfg: cfg, labels: map[exec.Operator]string{}}
 	if !cfg.noEstimators && (cfg.mode == Once || cfg.mode == Robust) {
