@@ -107,11 +107,12 @@ reopt-check:
 # run once in both modes on half-size data (TestSmoke).
 # One iteration each of the root benchmarks behind the engine workloads'
 # hot halves (the lane scan, the budgeted partition pass) and of the one
-# pricing the compile-time pruning pass rides along, so none can rot
-# unbuilt.
+# pricing the compile-time pruning pass rides along, and of the join
+# kernel's probe shapes in internal/exec, so none can rot unbuilt.
 bench-smoke:
 	cd benchmark && $(GO) test -timeout 300s ./...
 	$(GO) test -run '^$$' -bench 'ScanColLanes|BudgetedScatter|CompileQ8' -benchtime 1x -timeout 120s .
+	$(GO) test -run '^$$' -bench 'ColumnarJoin' -benchtime 1x -timeout 120s ./internal/exec
 
 # Interleaved parent/change pairs of the repository benchmark, the only
 # comparison this drifting box supports (ROADMAP): medians and win counts

@@ -2,20 +2,24 @@ package exec
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
 
 	"qpi/internal/data"
+	"qpi/internal/storage"
 	"qpi/internal/vfs"
 )
 
-// Tests of the chunked probe partitions of the lane-native join: how
-// appendColRows fills them, that joins whose partitions span several
-// chunks agree with the reference in every mode, and that a join which
-// ends early — cancelled, or failed by an injected spill fault — hands
-// every pooled batch back.
+// Tests of the chunked probe partitions of the lane-native join and the
+// chunk kernel that joins them: how appendColRows fills them, that joins
+// whose partitions span several chunks agree with the reference in every
+// mode, that the kernel matches the tuple path row for row with the
+// progress counter it publishes, and that a join which ends early —
+// cancelled, or failed by an injected spill fault — hands every pooled
+// batch back.
 
 // TestAppendColRowsFillsChunks feeds one partition batches whose sizes
 // straddle BatchSize(): a chunked partition must come out as full chunks
@@ -156,6 +160,67 @@ func TestCancelColumnarJoinReturnsChunks(t *testing.T) {
 	}
 }
 
+// lateCancelCtx reports cancellation from a chosen Err call on, so a test
+// can cancel at a fixed point inside one pull: once armed, it passes
+// `left` more checks, then fails every later one. It is read only on the
+// executor goroutine.
+type lateCancelCtx struct {
+	context.Context
+	armed bool
+	left  int
+}
+
+func (c *lateCancelCtx) Err() error {
+	switch {
+	case !c.armed:
+		return nil
+	case c.left > 0:
+		c.left--
+		return nil
+	}
+	return context.Canceled
+}
+
+// TestCancelJoinPhaseWithoutOutput cancels an anti join whose every probe
+// row matches, so its join phase emits nothing and one pull would sweep
+// the whole probe side: cancelled once the phase's first fill has begun,
+// the pull must return context.Canceled having started at most one probe
+// chunk, and hand every pooled batch back. One partition of forty chunks
+// leaves the per-chunk check the only one inside the sweep.
+func TestCancelJoinPhaseWithoutOutput(t *testing.T) {
+	pooled := data.ColBatchesOut()
+	build := make([]int64, 20)
+	for k := range build {
+		build[k] = int64(k)
+	}
+	j := NewHashJoinMulti(
+		NewScan(kvTable("b", build), ""),
+		NewScan(kvTable("p", randKeys(rand.New(rand.NewSource(29)), 40*data.BatchSize(), 20, 0)), ""),
+		[]int{0}, []int{0}, AntiJoin,
+	).SetColumnar(true).SetPartitions(1)
+	ctx := &lateCancelCtx{Context: context.Background()}
+	// Armed between the passes: the partition load's check and the fill's
+	// pass, the next one — at the end of the first probe chunk — reports
+	// the cancel.
+	j.OnProbeEnd = func() { ctx.armed, ctx.left = true, 2 }
+	Bind(j, ctx)
+	if err := j.Open(); err != nil {
+		t.Fatal(err)
+	}
+	cb, err := j.NextColBatch()
+	if cb != nil {
+		t.Fatalf("the anti join emitted %d rows", cb.Live())
+	}
+	expectCanceled(t, err)
+	if started := j.joinedProbes.Load(); started == 0 || started > int64(data.BatchSize()) {
+		t.Errorf("the cancelled pull started %d probe rows, want some, at most one chunk (%d)", started, data.BatchSize())
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	expectPooledBalance(t, pooled)
+}
+
 // TestSpillFaultColumnarJoinReturnsBatches fails each spill I/O operation
 // of a budgeted columnar join in turn: the fault must surface with every
 // descriptor closed and every pooled batch — partition buffers, frame
@@ -233,4 +298,216 @@ func TestBatchSizeKnobStartRace(t *testing.T) {
 	queries.Wait()
 	close(stop)
 	writer.Wait()
+}
+
+// kernelKeyShapes are the probe key lanes the chunk kernel tells apart:
+// a NULL-free int lane (the fast loop), an int lane with NULLs (bitmap
+// checked per row), and two generic shapes extracted per row.
+var kernelKeyShapes = []string{"int", "int-nulls", "string", "two-column"}
+
+// kernelTable builds a table keyed by shape from the test key encoding
+// (key < 0 is NULL) with the row position as its last column, "id".
+// two-column splits each key into an int and a string column, equal
+// exactly when the keys are.
+func kernelTable(name string, keys []int64, shape string) *storage.Table {
+	if shape != "two-column" {
+		return kvTableKeyed(name, keys, shape == "string")
+	}
+	s := data.NewSchema(
+		data.Column{Table: name, Name: "k1", Kind: data.KindInt},
+		data.Column{Table: name, Name: "k2", Kind: data.KindString},
+		data.Column{Table: name, Name: "id", Kind: data.KindInt},
+	)
+	t := storage.NewTable(name, s)
+	for i, k := range keys {
+		k1, k2 := data.Null(), data.Str(fmt.Sprintf("s%d", k/5))
+		if k >= 0 {
+			k1 = data.Int(k % 5)
+		}
+		t.MustAppend(data.Tuple{k1, k2, data.Int(int64(i))})
+	}
+	return t
+}
+
+// kernelKeys draws the inputs of the kernel equivalence test under the
+// current batch size: a build side of 40 keys with one to three rows
+// each plus a hot key (hotKey) of three batches' worth of rows, so its
+// span overruns the pair buffer; and a probe side of runs of one to seven
+// equal keys (a lineitem-like FK order) — some missing from the build
+// side, some hot, and under nulls some NULL — so equal-key runs straddle
+// chunk boundaries.
+func kernelKeys(rng *rand.Rand, nulls bool) (build, probe []int64) {
+	const hotKey = 40
+	for k := int64(0); k < hotKey; k++ {
+		for r := rng.Intn(3); r >= 0; r-- {
+			build = append(build, k)
+		}
+	}
+	for r := 0; r < 3*data.BatchSize(); r++ {
+		build = append(build, hotKey)
+	}
+	if nulls {
+		build = append(build, -1, -1)
+	}
+	rng.Shuffle(len(build), func(a, b int) { build[a], build[b] = build[b], build[a] })
+	for len(probe) < 600 {
+		k := int64(rng.Intn(hotKey + hotKey/2)) // a third miss
+		switch {
+		case rng.Intn(40) == 0:
+			k = hotKey
+		case nulls && rng.Intn(8) == 0:
+			k = -1
+		}
+		for r := rng.Intn(7); r >= 0; r-- {
+			probe = append(probe, k)
+		}
+	}
+	return build, probe
+}
+
+// kernelJoin wires the two tables of one kernel test case into a hash
+// join (keys: every column but the trailing id).
+func kernelJoin(bt, pt *storage.Table, jt JoinType, budget int64, columnar bool) *HashJoin {
+	keys := []int{0}
+	if bt.Schema().Len() == 3 {
+		keys = []int{0, 1}
+	}
+	j := NewHashJoinMulti(NewScan(bt, ""), NewScan(pt, ""), keys, keys, jt)
+	if budget > 0 {
+		j.SetMemoryBudget(budget)
+	}
+	return j.SetColumnar(columnar)
+}
+
+// probeVisitOrder returns each probe row's position in the order the join
+// phase starts probe rows — partition by partition, in arrival order
+// within one — and how many rows it starts. NULL-key rows are started
+// (in partition 0) only by the probe-preserving join types.
+func probeVisitOrder(pt *storage.Table, keys []int, jt JoinType, parts int) (map[int64]int, int) {
+	byPart := make([][]int64, parts)
+	for _, row := range pt.Rows() {
+		p := 0
+		if k := JoinKeyOf(row, keys); !k.IsNull() {
+			p = partitionOf(hashValue(k), parts)
+		} else if jt != ProbeOuterJoin && jt != AntiJoin {
+			continue
+		}
+		byPart[p] = append(byPart[p], row[len(row)-1].I)
+	}
+	pos := map[int64]int{}
+	for _, ids := range byPart {
+		for _, id := range ids {
+			pos[id] = len(pos)
+		}
+	}
+	return pos, len(pos)
+}
+
+// TestChunkKernelMatchesTuplePath holds the columnar join phase — the
+// chunk kernel behind NextColBatch, and the same kernel a pair at a time
+// behind Next — to the tuple path row for row, in order, across every
+// join type, probe key shape, in-memory and spilled partitions, and batch
+// sizes 1, 7 and 1024. The inputs carry a hot key whose span is three
+// batches long (the resume cursor, across fills and, spilled, across
+// frame switches) and clustered probe runs that straddle chunks. After
+// every emitted batch JoinedProbeFraction must count exactly the probe
+// rows started so far: those up to the last emitted row's probe row in
+// visiting order, or every row once a pull ends short of a full batch
+// (the join then swept to its end).
+func TestChunkKernelMatchesTuplePath(t *testing.T) {
+	defer data.SetBatchSize(data.DefaultBatchSize)
+	for _, bs := range []int{1, 7, 1024} {
+		data.SetBatchSize(bs)
+		for si, shape := range kernelKeyShapes {
+			rng := rand.New(rand.NewSource(int64(100*bs + si)))
+			build, probe := kernelKeys(rng, shape != "int")
+			bt, pt := kernelTable("b", build, shape), kernelTable("p", probe, shape)
+			for _, jt := range []JoinType{InnerJoin, ProbeOuterJoin, SemiJoin, AntiJoin} {
+				for _, budget := range []int64{0, 256} {
+					name := fmt.Sprintf("bs=%d/%s/%s/budget=%d", bs, shape, jt, budget)
+					checkChunkKernel(t, name, bt, pt, jt, budget)
+				}
+			}
+		}
+	}
+}
+
+func checkChunkKernel(t *testing.T, name string, bt, pt *storage.Table, jt JoinType, budget int64) {
+	t.Helper()
+	want := drainMode(t, kernelJoin(bt, pt, jt, budget, false), false)
+
+	j := kernelJoin(bt, pt, jt, budget, true)
+	pos, started := probeVisitOrder(pt, j.probeKeys, jt, j.parts)
+	probeRows := float64(pt.NumRows())
+	wantFraction := func(got []data.Tuple, full bool) float64 {
+		if !full || len(got) == 0 {
+			return float64(started) / probeRows
+		}
+		last := got[len(got)-1]
+		return float64(pos[last[len(last)-1].I]+1) / probeRows
+	}
+	if err := j.Open(); err != nil {
+		t.Fatal(err)
+	}
+	var got []data.Tuple
+	for {
+		cb, err := j.NextColBatch()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if cb == nil {
+			break
+		}
+		got = cb.ToTuples(got)
+		if f, w := j.JoinedProbeFraction(), wantFraction(got, cb.Live() == data.BatchSize()); f != w {
+			t.Fatalf("%s: after %d rows JoinedProbeFraction = %v, want %v", name, len(got), f, w)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if budget > 0 && j.Stats().SpillFiles.Load() == 0 {
+		t.Fatalf("%s: no partition spilled", name)
+	}
+	sameRows(t, name+"/columnar", got, want)
+
+	// The row path: the same kernel a pair at a time.
+	j = kernelJoin(bt, pt, jt, budget, true)
+	if err := j.Open(); err != nil {
+		t.Fatal(err)
+	}
+	got = got[:0]
+	for {
+		row, err := j.Next()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if row == nil {
+			break
+		}
+		got = append(got, row.Clone())
+		if f, w := j.JoinedProbeFraction(), wantFraction(got, true); f != w {
+			t.Fatalf("%s/rows: after %d rows JoinedProbeFraction = %v, want %v", name, len(got), f, w)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if f, w := j.JoinedProbeFraction(), wantFraction(got, false); f != w {
+		t.Fatalf("%s/rows: at the end JoinedProbeFraction = %v, want %v", name, f, w)
+	}
+	sameRows(t, name+"/rows", got, want)
+}
+
+// sameRows requires two row sequences to be equal, in order.
+func sameRows(t *testing.T, label string, got, want []data.Tuple) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d rows, the tuple path %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if got[i].String() != want[i].String() {
+			t.Fatalf("%s: row %d = %v, the tuple path %v", label, i, got[i], want[i])
+		}
+	}
 }

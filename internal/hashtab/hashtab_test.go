@@ -293,3 +293,50 @@ func TestI64MapReserve(t *testing.T) {
 		}
 	}
 }
+
+// TestI64MapSlotAt: Slot inserts like Ref and returns the same slot for
+// the same key while the table does not grow, At addresses that slot's
+// value (the sentinel key included), and the slots stay valid through
+// insertions that do not grow the table.
+func TestI64MapSlotAt(t *testing.T) {
+	var m I64Map[int64]
+	m.Reserve(64)
+	slots := m.Slots()
+	keys := []int64{emptyKey, 0, 1, -1, 42, 1 << 40, emptyKey + 1}
+	got := make([]int32, len(keys))
+	for i, k := range keys {
+		got[i] = m.Slot(k)
+		*m.At(got[i]) += int64(i + 1)
+	}
+	if m.Slots() != slots {
+		t.Fatalf("table grew from %d to %d slots", slots, m.Slots())
+	}
+	if m.Len() != len(keys) {
+		t.Fatalf("Len = %d after %d distinct Slot calls", m.Len(), len(keys))
+	}
+	for i, k := range keys {
+		if s := m.Slot(k); s != got[i] {
+			t.Fatalf("Slot(%d) = %d, then %d", k, got[i], s)
+		}
+		*m.At(got[i]) *= 10
+		if v, ok := m.Get(k); !ok || v != int64(10*(i+1)) {
+			t.Fatalf("Get(%d) = (%d,%v) through slot %d, want %d", k, v, ok, got[i], 10*(i+1))
+		}
+		if m.Ref(k) != m.At(got[i]) {
+			t.Fatalf("Ref(%d) and At(Slot) address different values", k)
+		}
+	}
+	if m.Len() != len(keys) {
+		t.Fatalf("Len = %d after re-slotting present keys", m.Len())
+	}
+	// Growth moves keys: a slot index from before it is void, a fresh
+	// Slot still finds the value.
+	for k := int64(100); m.Slots() == slots; k++ {
+		m.Slot(k)
+	}
+	for i, k := range keys {
+		if v := *m.At(m.Slot(k)); v != int64(10*(i+1)) {
+			t.Fatalf("after growth At(Slot(%d)) = %d, want %d", k, v, 10*(i+1))
+		}
+	}
+}

@@ -136,7 +136,7 @@ func TestHTTPIgnoresBatchWorkers(t *testing.T) {
 }
 
 func TestHTTPDeadlineAndCancel(t *testing.T) {
-	svc := newService(t, Config{Engine: testEngine(t, 40000)})
+	svc := newService(t, Config{Engine: testEngine(t, slowJoinRows)})
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 

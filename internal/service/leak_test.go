@@ -25,6 +25,12 @@ func TestChurnNoGoroutineOrFDLeaks(t *testing.T) {
 	eng.MustCreateSkewedTable("r", 12000, 1, qpi.SkewedColumn{Name: "k", Domain: 500, Zipf: 1, PermSeed: 1})
 	eng.MustCreateSkewedTable("s", 12000, 2, qpi.SkewedColumn{Name: "k", Domain: 500, Zipf: 1, PermSeed: 2})
 
+	// The deadline-bound requests self-join r on its Zipf key: the hot
+	// keys line up, so the output runs to millions of rows and the
+	// query is reliably still running when its 10 ms deadline hits. A
+	// join of r and s, whose hot keys differ, can finish in less.
+	const selfJoinSQL = "SELECT a.k FROM r a JOIN r b ON a.k = b.k"
+
 	fault := vfs.NewFaultFS(nil)
 	svc := newService(t, Config{
 		Engine:       eng,
@@ -52,7 +58,7 @@ func TestChurnNoGoroutineOrFDLeaks(t *testing.T) {
 				case 0: // completes, spilling
 					req = queryRequest{SQL: joinSQL}
 				case 1: // cancelled mid-execution by its deadline
-					req = queryRequest{SQL: joinSQL, DeadlineMs: 10}
+					req = queryRequest{SQL: selfJoinSQL, DeadlineMs: 10}
 				default: // quick aggregate, plan-cache traffic
 					req = queryRequest{SQL: quickSQL, WantRows: true}
 				}

@@ -33,6 +33,12 @@ func newService(t testing.TB, cfg Config) *Service {
 const quickSQL = "SELECT COUNT(*) c FROM r WHERE r.k < 50"
 const joinSQL = "SELECT r.k FROM r JOIN s ON r.k = s.k"
 
+// slowJoinRows sizes testEngine for the tests that need joinSQL to still
+// be running when a 15-20 ms deadline or forced shutdown hits: its output
+// grows with the square of the rows (14 M rows here), so it outlives them
+// several times over however fast the join phase gets.
+const slowJoinRows = 100000
+
 func TestExecuteReturnsRows(t *testing.T) {
 	svc := newService(t, Config{Engine: testEngine(t, 2000)})
 	res, err := svc.Execute(context.Background(), ExecRequest{SQL: quickSQL, WantRows: true})
@@ -145,7 +151,7 @@ func TestPlanCacheInvalidationOnCreateTableAndInsert(t *testing.T) {
 }
 
 func TestDeadlineExpiresQuery(t *testing.T) {
-	svc := newService(t, Config{Engine: testEngine(t, 40000)})
+	svc := newService(t, Config{Engine: testEngine(t, slowJoinRows)})
 	res, err := svc.Execute(context.Background(), ExecRequest{SQL: joinSQL, Deadline: 15 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -243,7 +249,7 @@ func TestShutdownDrainsAndRejects(t *testing.T) {
 }
 
 func TestShutdownForcedCancelsActive(t *testing.T) {
-	svc := newService(t, Config{Engine: testEngine(t, 60000)})
+	svc := newService(t, Config{Engine: testEngine(t, slowJoinRows)})
 	started := make(chan struct{})
 	done := make(chan *ExecResult, 1)
 	go func() {
