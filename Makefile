@@ -50,10 +50,12 @@ serve-check:
 # and its sharded estimator shape), and the row-at-a-time leftovers the
 # lane scan and the group-at-a-time budgeted pass replaced (the scan's
 # row-batch reader, the per-row budgeted partition append and spill
-# append) are removed; nothing anywhere in the repo may reference them,
-# so stray revivals in merges get caught here.
+# append), and the row-major copy of a stored table the lanes replaced
+# (its blocks, the scan's row buffer, the iterator's sample-prefix query)
+# are removed; nothing anywhere in the repo may reference them, so stray
+# revivals in merges get caught here.
 lint-deprecated:
-	@bad=$$(grep -rn --include='*.go' --exclude-dir=.bench_build -E '\.(RunContext|StartContext|NextBatch)\(|\<(WithBatchExecution|RunBatch|AsBatch|DrainBatch|OnBuildBatch|OnProbeBatch|BatchAttached|observeProbeColFast|observeProbeColShardFast|SetMorselWorkers|SetMorselBlocks|Morseled|MorselSource|OnBuildColBatch|OnProbeColBatch|ColShardAttached|ObserveProbeColShard|FinishProbe|composeColW|ModeColMorsel|colPartitionAppend|appendColRow)\>' . || true); \
+	@bad=$$(grep -rn --include='*.go' --exclude-dir=.bench_build -E '\.(RunContext|StartContext|NextBatch|Block)\(|\<(storage\.Block|InSample|rowBuf|WithBatchExecution|RunBatch|AsBatch|DrainBatch|OnBuildBatch|OnProbeBatch|BatchAttached|observeProbeColFast|observeProbeColShardFast|SetMorselWorkers|SetMorselBlocks|Morseled|MorselSource|OnBuildColBatch|OnProbeColBatch|ColShardAttached|ObserveProbeColShard|FinishProbe|composeColW|ModeColMorsel|colPartitionAppend|appendColRow)\>' . || true); \
 	if [ -n "$$bad" ]; then \
 		echo "removed API referenced:"; \
 		echo "$$bad"; \
@@ -106,12 +108,13 @@ reopt-check:
 # bit-identical final estimates (TestRoutesAgree), and every workload
 # run once in both modes on half-size data (TestSmoke).
 # One iteration each of the root benchmarks behind the engine workloads'
-# hot halves (the lane scan, the budgeted partition pass) and of the one
-# pricing the compile-time pruning pass rides along, and of the join
-# kernel's probe shapes in internal/exec, so none can rot unbuilt.
+# hot halves (the lane scan, the budgeted partition pass), of the one
+# pricing the compile-time pruning pass, of the one reporting a generated
+# catalog's live heap, and of the join kernel's probe shapes in
+# internal/exec, so none can rot unbuilt.
 bench-smoke:
 	cd benchmark && $(GO) test -timeout 300s ./...
-	$(GO) test -run '^$$' -bench 'ScanColLanes|BudgetedScatter|CompileQ8' -benchtime 1x -timeout 120s .
+	$(GO) test -run '^$$' -bench 'ScanColLanes|BudgetedScatter|CompileQ8|CatalogLiveBytes' -benchtime 1x -timeout 120s .
 	$(GO) test -run '^$$' -bench 'ColumnarJoin' -benchtime 1x -timeout 120s ./internal/exec
 
 # Interleaved parent/change pairs of the repository benchmark, the only

@@ -6,6 +6,7 @@ package qpi
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"qpi/internal/catalog"
@@ -480,6 +481,27 @@ func BenchmarkScanColLanes(b *testing.B) {
 		sc.Close()
 	}
 	b.ReportMetric(float64(lineitem.NumRows())*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+}
+
+// BenchmarkCatalogLiveBytes reports live_MB, the heap a generated TPC-H
+// catalog (SF 0.01, seed 1, every table, with its statistics) keeps live:
+// the resident cost of a stored table's layout.
+func BenchmarkCatalogLiveBytes(b *testing.B) {
+	var live int64
+	for i := 0; i < b.N; i++ {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		cat, err := tpch.Generate(tpch.Config{SF: 0.01, Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(cat)
+		live = int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	}
+	b.ReportMetric(float64(live)/1e6, "live_MB")
 }
 
 // BenchmarkDiskScan measures streaming a table from the on-disk block

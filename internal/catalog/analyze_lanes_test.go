@@ -12,8 +12,9 @@ import (
 )
 
 // analyzeRows is ANALYZE as it was before the tables held lanes: one pass
-// over the rows, every column counted in a map keyed by data.Value. It is
-// the reference TestAnalyzeLanesMatchesRows holds the lane reader to.
+// over the rows (as Table.Rows builds them), every column counted in a map
+// keyed by data.Value. It is the reference TestAnalyzeLanesMatchesRows
+// holds the lane reader to.
 func analyzeRows(t *storage.Table) *catalog.TableStats {
 	st := &catalog.TableStats{Rows: int64(t.NumRows()), Columns: map[string]*catalog.ColumnStats{}}
 	n := t.Schema().Len()

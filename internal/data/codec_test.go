@@ -192,7 +192,7 @@ func TestEncodeColFrameGolden(t *testing.T) {
 				lanes[c].AppendVal(i, row[c])
 			}
 		}
-		window.SetWindow(nil, lanes, lead, lead+n)
+		window.SetWindow(lanes, lead, lead+n)
 
 		for name, cb := range map[string]*ColBatch{
 			"lane-backed": &laneBacked, "junk under NULLs": &junk, "selected": &selected, "window": &window,

@@ -24,20 +24,18 @@ import (
 // batch is released; Release (and PutColBatch) clears them so a pooled
 // batch never pins string or tuple backing memory.
 //
-// Table-resident lanes (SetWindow — what a table scan hands out): Rows and
-// every column lane are windows of the stored table itself, not of
-// buffers the producer owns. They are read-only for everyone, the producer
-// included; they stay valid for the whole query (a table is append-only
-// and a window never sees the appended rows), so the until-the-next-call
-// rule above only binds the struct and its NULL bitmaps, which the
-// producer does reuse. A window's capacity ends where the window does, so
-// a stray append reallocates instead of writing into the table — but
-// reset, BeginBuild, Release and PutColBatch would truncate or clear the
-// table's own memory (release clears Strs across capacity): a view is
-// dropped by assignment, never reset, released or pooled. A view of some
-// of the table's columns (a pruned scan's) carries no Rows: the table's
-// row form is full-width, and Col, Value, MaterializeRows and ToTuples
-// would read its columns in place of the view's.
+// Table-resident lanes (SetWindow — what a table scan hands out): every
+// column lane is a window of the stored table itself, not of a buffer the
+// producer owns, and the batch carries no Rows. The lanes are read-only
+// for everyone, the producer included; they stay valid for the whole query
+// (a table is append-only and a window never sees the appended rows), so
+// the until-the-next-call rule above only binds the struct and its NULL
+// bitmaps, which the producer does reuse. A window's capacity ends where
+// the window does, so a stray append reallocates instead of writing into
+// the table — but reset, BeginBuild, Release and PutColBatch would
+// truncate or clear the table's own memory (release clears Strs across
+// capacity): a view is dropped by assignment, never reset, released or
+// pooled.
 
 // Bitmap is a packed per-row bit set, used to mark NULL rows in a column
 // vector. The zero value is an empty bitmap with no bits set; bits past
@@ -389,20 +387,16 @@ func (cb *ColBatch) SetRows(rows []Tuple, width int) {
 }
 
 // SetWindow makes the batch a read-only view of rows [lo, hi) of a stored
-// table: rows is the table row-major (nil for none), lanes its table-wide
-// column vectors (dense: one row per table row, as AppendVal and the
-// batch appends build them). Nothing is copied but the NULL bits, which
-// are re-based into bitmaps the batch owns and reuses (lo need not be
-// word-aligned). See the table-resident clause of the ownership contract
-// above.
-func (cb *ColBatch) SetWindow(rows []Tuple, lanes []ColVec, lo, hi int) {
+// table's column vectors lanes (dense: one row per table row, as AppendVal
+// and the batch appends build them). Nothing is copied but the NULL bits,
+// which are re-based into bitmaps the batch owns and reuses (lo need not
+// be word-aligned). See the table-resident clause of the ownership
+// contract above.
+func (cb *ColBatch) SetWindow(lanes []ColVec, lo, hi int) {
 	cb.ensureWidth(len(lanes))
 	cb.NRows = hi - lo
 	cb.Sel = nil
 	cb.Rows = nil
-	if rows != nil {
-		cb.Rows = rows[lo:hi:hi]
-	}
 	for c := range lanes {
 		cb.Cols[c] = lanes[c].window(lo, hi, cb.Cols[c].Nulls[:0])
 	}

@@ -88,12 +88,13 @@ func TestReadBlockRandomAccess(t *testing.T) {
 	tb := makeTable(t, 1000)
 	tf := roundTrip(t, tb)
 	// Read blocks out of order.
+	rows := tb.Rows()
 	for _, b := range []int{tf.NumBlocks() - 1, 0, tf.NumBlocks() / 2} {
 		tuples, err := tf.ReadBlock(b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := tb.Block(b).Tuples
+		want := rows[b*storage.BlockSize : min((b+1)*storage.BlockSize, len(rows))]
 		if len(tuples) != len(want) {
 			t.Fatalf("block %d: %d tuples vs %d", b, len(tuples), len(want))
 		}
@@ -176,6 +177,17 @@ func TestDiskScanSamplePunctuation(t *testing.T) {
 	}
 	if fired != 3*128 {
 		t.Errorf("sample punctuation after %d tuples, want %d", fired, 3*128)
+	}
+}
+
+func TestDiskScanInvalidFraction(t *testing.T) {
+	tf := roundTrip(t, makeTable(t, 10))
+	for _, f := range []float64{-0.1, 1.5, math.NaN()} {
+		sc := NewScan(tf, "")
+		sc.SampleFraction = f
+		if err := sc.Open(); err == nil {
+			t.Errorf("fraction %g accepted", f)
+		}
 	}
 }
 

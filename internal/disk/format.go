@@ -57,18 +57,19 @@ func WriteTable(path string, t *storage.Table) (err error) {
 		w.U8(uint8(c.Kind))
 	}
 
-	// Blocks.
+	// Blocks, each row's cells read from the table's lanes.
 	type blockMeta struct {
 		offset uint64
 		count  uint32
 	}
 	metas := make([]blockMeta, 0, t.NumBlocks())
-	for b := 0; b < t.NumBlocks(); b++ {
-		blk := t.Block(b)
-		metas = append(metas, blockMeta{offset: w.n, count: uint32(len(blk.Tuples))})
-		w.U32(uint32(len(blk.Tuples)))
-		for _, tu := range blk.Tuples {
-			for _, v := range tu {
+	for lo := 0; lo < t.NumRows(); lo += storage.BlockSize {
+		hi := min(lo+storage.BlockSize, t.NumRows())
+		metas = append(metas, blockMeta{offset: w.n, count: uint32(hi - lo)})
+		w.U32(uint32(hi - lo))
+		for r := lo; r < hi; r++ {
+			for c := range cols {
+				v := t.Lane(c).ValueAt(r)
 				w.U8(uint8(v.Kind))
 				switch v.Kind {
 				case data.KindInt:

@@ -70,7 +70,7 @@ func (s *Scan) Stats() *exec.Stats { return &s.stats }
 
 // Open implements exec.Operator.
 func (s *Scan) Open() error {
-	if s.SampleFraction < 0 || s.SampleFraction > 1 {
+	if !(s.SampleFraction >= 0 && s.SampleFraction <= 1) {
 		return fmt.Errorf("disk: scan sample fraction %g out of [0,1]", s.SampleFraction)
 	}
 	nb := s.file.NumBlocks()

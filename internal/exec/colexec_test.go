@@ -201,37 +201,29 @@ func laneTable(name string, n int) *storage.Table {
 	return tb
 }
 
-// laneSnapshot deep-copies what a table holds: its rows and every lane.
-type laneSnapshot struct {
-	rows  []data.Tuple
-	lanes []data.ColVec
-}
-
-func snapshotLanes(tb *storage.Table) laneSnapshot {
-	var s laneSnapshot
-	for _, r := range tb.Rows() {
-		s.rows = append(s.rows, r.Clone())
-	}
+// snapshotLanes deep-copies what a table holds: every lane.
+func snapshotLanes(tb *storage.Table) []data.ColVec {
+	var lanes []data.ColVec
 	for c := 0; c < tb.Schema().Len(); c++ {
 		v := *tb.Lane(c)
 		v.Ints, v.Floats, v.Strs = slices.Clone(v.Ints), slices.Clone(v.Floats), slices.Clone(v.Strs)
 		v.Nulls, v.Tags = slices.Clone(v.Nulls), slices.Clone(v.Tags)
-		s.lanes = append(s.lanes, v)
+		lanes = append(lanes, v)
 	}
-	return s
+	return lanes
 }
 
 // TestScanLanesNeverMutateTheTable runs every consumer of a scan's batches
 // — filter, computed and shared projections, limit, GROUP BY, a join and a
 // join that spills both sides — over one table twice, so the second run
 // draws the batches the first one returned to the pool, and requires the
-// table's rows and lanes to be what they were and both runs to agree with
+// table's lanes to be what they were and both runs to agree with
 // the tuple-at-a-time reference. The scan's batches are windows of the
 // table: anything that resets, releases or pools one, or appends to one in
 // place, shows here.
 func TestScanLanesNeverMutateTheTable(t *testing.T) {
 	a, b := laneTable("a", 2*data.BatchSize()+300), laneTable("b", data.BatchSize()+77)
-	before := []laneSnapshot{snapshotLanes(a), snapshotLanes(b)}
+	before := [][]data.ColVec{snapshotLanes(a), snapshotLanes(b)}
 	col := func(op Operator, table, name string) expr.Expr { return expr.Column(op.Schema(), table, name) }
 	plans := map[string]func() Operator{
 		"filter/project/limit": func() Operator {
@@ -268,7 +260,7 @@ func TestScanLanesNeverMutateTheTable(t *testing.T) {
 			t.Fatalf("%s: empty reference result", label)
 		}
 		// Passes 3 and 4 run the plan pruned: its scans hand out windows of
-		// fewer lanes and no rows.
+		// fewer lanes.
 		for pass := 1; pass <= 4; pass++ {
 			op := mk()
 			if pass > 2 {

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -116,10 +117,12 @@ func TestScanSampleEndFiresForZeroFraction(t *testing.T) {
 }
 
 func TestScanInvalidFraction(t *testing.T) {
-	sc := NewScan(makeTable("t", []int64{1}), "")
-	sc.SampleFraction = 1.5
-	if err := sc.Open(); err == nil {
-		t.Error("fraction > 1 accepted")
+	for _, f := range []float64{-0.1, 1.5, math.NaN()} {
+		sc := NewScan(makeTable("t", []int64{1}), "")
+		sc.SampleFraction = f
+		if err := sc.Open(); err == nil {
+			t.Errorf("fraction %g accepted", f)
+		}
 	}
 }
 

@@ -219,13 +219,15 @@ func TestPruneIsIdempotent(t *testing.T) {
 	}
 }
 
-// TestPrunedScanCarriesNoRows is the row-cache trap. A table's rows are
-// full-width, so a narrowed batch that kept them would hand its consumers
-// the wrong columns: cb.Value and MaterializeRows prefer the row cache.
-// The read columns here are not the table's first, so a GROUP BY (which
-// reads its aggregate column through cb.Value) and a scalar aggregate
-// with a per-row input hook (which materializes rows) would both fold
-// another column than the one they name.
+// TestPrunedScanCarriesNoRows is the row-cache trap. cb.Value and
+// MaterializeRows prefer a batch's row cache, so a narrowed batch that
+// carried full-width rows would hand its consumers the wrong columns. The
+// read columns here are not the table's first, so a GROUP BY (which reads
+// its aggregate column through cb.Value) and a scalar aggregate with a
+// per-row input hook (which materializes rows) would both fold another
+// column than the one they name. No scan batch carries rows at all,
+// full-width or narrowed, sequential or sampled, and Next returns the
+// table's rows, cut to the scan's columns, in the batches' order.
 func TestPrunedScanCarriesNoRows(t *testing.T) {
 	const n = 3000
 	sch := data.NewSchema(
@@ -236,6 +238,7 @@ func TestPrunedScanCarriesNoRows(t *testing.T) {
 	tb := storage.NewTable("t", sch)
 	sums, counts := map[int64]int64{}, map[int64]int64{}
 	var total, nonNull int64
+	var table []data.Tuple
 	for i := 0; i < n; i++ {
 		g := int64(i % 7)
 		v := data.Int(int64(i*i%1000 + 5000))
@@ -247,7 +250,8 @@ func TestPrunedScanCarriesNoRows(t *testing.T) {
 			total += v.I
 			nonNull++
 		}
-		tb.MustAppend(data.Tuple{data.Int(int64(i)), data.Int(g), v})
+		table = append(table, data.Tuple{data.Int(int64(i)), data.Int(g), v})
+		tb.MustAppend(table[i])
 	}
 
 	sc := NewScan(tb, "")
@@ -274,28 +278,56 @@ func TestPrunedScanCarriesNoRows(t *testing.T) {
 		}
 	}
 
-	// And the batches themselves: the scan's own two columns, no rows.
-	sc = NewScan(tb, "")
-	need := []bool{false, true, true}
-	sc.narrow(need)
-	for _, frac := range []float64{0, 0.3} {
-		sc.SampleFraction = frac
-		if err := sc.Open(); err != nil {
-			t.Fatal(err)
-		}
-		for {
-			cb, err := sc.NextColBatch()
-			if err != nil {
+	// And the scan itself: no batch carries rows, and batches and Next
+	// hold the same rows, the table's in the walk's order.
+	for _, cols := range [][]int{{0, 1, 2}, {1, 2}} {
+		for _, frac := range []float64{0, 0.1, 0.5, 1} {
+			label := fmt.Sprintf("columns %v, sample %g", cols, frac)
+			var want []data.Tuple
+			ref := tb.SampleOrder(frac, 5)
+			for tu := ref.Next(); tu != nil; tu = ref.Next() {
+				var cut data.Tuple
+				for _, c := range cols {
+					cut = append(cut, table[tu[0].I][c])
+				}
+				want = append(want, cut)
+			}
+			mk := func() *Scan {
+				sc := NewScan(tb, "")
+				if len(cols) < 3 {
+					sc.narrow([]bool{false, true, true})
+				}
+				sc.SampleFraction, sc.Seed = frac, 5
+				return sc
+			}
+			requireSameRows(t, want, drainMode(t, mk(), false), label+", Next")
+			sc := mk()
+			if err := sc.Open(); err != nil {
 				t.Fatal(err)
 			}
-			if cb == nil {
-				break
+			var got []data.Tuple
+			for {
+				cb, err := sc.NextColBatch()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cb == nil {
+					break
+				}
+				if cb.Rows != nil || cb.Width() != len(cols) {
+					t.Fatalf("%s: batch of width %d carries %d rows", label, cb.Width(), len(cb.Rows))
+				}
+				for i := 0; i < cb.NRows; i++ {
+					var row data.Tuple
+					for c := range cols {
+						row = append(row, cb.Col(c).ValueAt(i))
+					}
+					got = append(got, row)
+				}
 			}
-			if cb.Rows != nil || cb.Width() != 2 {
-				t.Fatalf("sample %g: pruned batch of width %d carries %d rows", frac, cb.Width(), len(cb.Rows))
-			}
+			sc.Close()
+			requireSameRows(t, want, got, label+", batches")
 		}
-		sc.Close()
 	}
 }
 

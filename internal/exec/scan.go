@@ -43,11 +43,8 @@ type Scan struct {
 	spanEnded  bool
 	// colBuf is the batch NextColBatch hands out: on a sequential scan a
 	// read-only window of the table, on a sample-order scan lanes the scan
-	// owns, filled from run (the window of one storage run) and rowBuf.
+	// owns, filled from run (the window of one storage run).
 	colBuf, run data.ColBatch
-	rowBuf      data.Batch
-	// arena is what a narrowed scan carves its tuples from (Next, OnTuple).
-	arena []data.Value
 }
 
 // NewScan creates a sequential scan over a table. alias renames the output
@@ -99,7 +96,7 @@ func (s *Scan) Children() []Operator { return nil }
 
 // Open implements Operator.
 func (s *Scan) Open() error {
-	if s.SampleFraction < 0 || s.SampleFraction > 1 {
+	if !(s.SampleFraction >= 0 && s.SampleFraction <= 1) {
 		return fmt.Errorf("exec: scan %s: sample fraction %g out of [0,1]",
 			s.Name(), s.SampleFraction)
 	}
@@ -165,63 +162,35 @@ func (s *Scan) Next() (data.Tuple, error) {
 		s.endSpan()
 		return s.finish()
 	}
-	if s.cols != nil {
-		nt := s.tuple()
-		for i, c := range s.cols {
-			nt[i] = t[c]
-		}
-		t = nt
-	}
 	s.observe(t)
 	return s.emit(t)
 }
 
-// tuple carves a tuple of the scan's width from its arena. The arena is
-// never reused, so consumers may keep the tuples.
-func (s *Scan) tuple() data.Tuple {
-	w := len(s.cols)
-	if len(s.arena) < w {
-		s.arena = make([]data.Value, w*data.BatchSize())
-	}
-	t := s.arena[:w:w]
-	s.arena = s.arena[w:]
-	return t
-}
-
-// observeRun fires OnTuple for every row of a storage run's window and
-// the sample punctuation where it falls. A narrowed window carries no
-// rows, so its tuples are built from its lanes; without a hook, only the
-// sample boundary is counted.
-func (s *Scan) observeRun(run *data.ColBatch) {
+// observeRun fires OnTuple for table rows [lo, hi), built as Next builds
+// them, and the sample punctuation where it falls; without a hook, only
+// the sample boundary is counted.
+func (s *Scan) observeRun(lo, hi int) {
 	if s.OnTuple == nil {
 		if !s.punctuated {
-			if s.sampleLeft -= run.NRows; s.sampleLeft <= 0 {
+			if s.sampleLeft -= hi - lo; s.sampleLeft <= 0 {
 				s.punctuate()
 			}
 		}
 		return
 	}
-	for i := 0; i < run.NRows; i++ {
-		if run.Rows != nil {
-			s.observe(run.Rows[i])
-			continue
-		}
-		t := s.tuple()
-		for c := range t {
-			t[c] = run.Cols[c].ValueAt(i)
-		}
-		s.observe(t)
+	for r := lo; r < hi; r++ {
+		s.observe(s.it.Tuple(r))
 	}
 }
 
 // NextColBatch implements ColOperator: up to a batch of rows per call,
-// straight from the table's column lanes. A sequential scan hands out
-// read-only windows of the table (rows and lanes; nothing is pivoted or
-// copied); a sample-order scan, whose batches cross jumps in the block
-// order, assembles batches of the same size from the windows of its
-// storage runs by typed copy. A narrowed scan's batches hold its own
-// columns' lanes and no rows. OnTuple fires per tuple and the sample
-// punctuation mid-batch at exactly the sample boundary, as on Next.
+// straight from the lanes of the table's columns the scan emits. A
+// sequential scan hands out read-only windows of the table (nothing is
+// pivoted or copied); a sample-order scan, whose batches cross jumps in
+// the block order, assembles batches of the same size from the windows of
+// its storage runs by typed copy. No batch carries Rows. OnTuple fires per
+// tuple and the sample punctuation mid-batch at exactly the sample
+// boundary, as on Next.
 func (s *Scan) NextColBatch() (*data.ColBatch, error) {
 	if err := s.ctxErr(); err != nil {
 		return nil, err
@@ -232,7 +201,6 @@ func (s *Scan) NextColBatch() (*data.ColBatch, error) {
 	if copied {
 		run = &s.run
 		cb.BeginBuild(s.schema.Len())
-		s.rowBuf = s.rowBuf[:0]
 	}
 	for cb.NRows < want {
 		lo, hi := s.it.NextRun(want - cb.NRows)
@@ -244,13 +212,9 @@ func (s *Scan) NextColBatch() (*data.ColBatch, error) {
 			break
 		}
 		s.it.Window(run, lo, hi)
-		s.observeRun(run)
+		s.observeRun(lo, hi)
 		if copied {
 			cb.AppendBatchFrom(run)
-			if run.Rows != nil {
-				s.rowBuf = append(s.rowBuf, run.Rows...)
-				cb.Rows = s.rowBuf
-			}
 		}
 	}
 	if cb, err := s.emitColBatch(cb); cb == nil {
@@ -265,7 +229,7 @@ func (s *Scan) NextColBatch() (*data.ColBatch, error) {
 
 // Close implements Operator.
 func (s *Scan) Close() error {
-	s.it, s.arena = nil, nil
+	s.it = nil
 	return nil
 }
 

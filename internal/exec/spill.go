@@ -150,7 +150,7 @@ func (s *spillFile) flushColLanes() error {
 // encoded from a window of the lanes, not a copy.
 func (s *spillFile) appendColAll(cb *data.ColBatch) error {
 	for start := 0; start < cb.NRows; start += colFrameRows {
-		s.win.SetWindow(nil, cb.Cols, start, min(start+colFrameRows, cb.NRows))
+		s.win.SetWindow(cb.Cols, start, min(start+colFrameRows, cb.NRows))
 		if err := data.EncodeColFrame(s.w, &s.win); err != nil {
 			return err
 		}

@@ -318,7 +318,7 @@ func TestBudgetedPassPins(t *testing.T) {
 	resident := func(bytes []int64, spill []*spillFile, parts []colPart) func(*data.ColBatch) {
 		return func(cb *data.ColBatch) {
 			size := int64(0)
-			for _, r := range cb.Rows {
+			for _, r := range cb.ToTuples(nil) {
 				size += int64(r.Size())
 			}
 			maxBatch = max(maxBatch, size)

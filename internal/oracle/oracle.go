@@ -32,7 +32,7 @@ type Result struct {
 func Eval(c *qgen.Case) *Result {
 	sp := &c.Spec
 	res := &Result{}
-	rows := tableRows(c, sp.BottomTable)
+	rows := c.Tables[sp.BottomTable].Rows()
 	cols := aliasCols(sp.BottomAlias)
 	if f := sp.BottomFilter; f != nil {
 		idx := qgen.ResolveStream(cols, f.Col)
@@ -45,7 +45,7 @@ func Eval(c *qgen.Case) *Result {
 		rows = kept
 	}
 	for _, js := range sp.Joins {
-		build := tableRows(c, js.Table)
+		build := c.Tables[js.Table].Rows()
 		pIdx := qgen.ResolveStream(cols, js.ProbeKey)
 		rows = joinRows(build, rows, pIdx, js)
 		res.JoinCards = append(res.JoinCards, int64(len(rows)))
@@ -66,15 +66,6 @@ func Eval(c *qgen.Case) *Result {
 	}
 	res.Rows = rows
 	return res
-}
-
-func tableRows(c *qgen.Case, i int) []data.Tuple {
-	var out []data.Tuple
-	it := c.Tables[i].SequentialOrder()
-	for t := it.Next(); t != nil; t = it.Next() {
-		out = append(out, t)
-	}
-	return out
 }
 
 func aliasCols(alias string) []data.Column {

@@ -5,12 +5,12 @@
 // table excluding the sampled blocks (the paper's antijoin on block ids),
 // emitting a punctuation in between.
 //
-// A table holds its rows twice: row-major, in one flat slice that blocks
-// and iterators window, and column-major, as one table-wide data.ColVec
-// per column that Append keeps in step. The lanes are what a columnar scan
-// hands out (Iterator.Window: read-only windows, no per-query pivot) and
-// what ANALYZE reads; the rows serve the tuple-at-a-time reference path,
-// the oracle and the table-file writer.
+// A table is its column lanes: one table-wide data.ColVec per column, which
+// Append extends; a block is a range of BlockSize rows. A columnar scan
+// hands out read-only windows of the lanes (Iterator.Window: no per-query
+// pivot) and ANALYZE reads them; the tuple-at-a-time reference path, the
+// oracle and the table-file writer get tuples built from them
+// (Iterator.Next, Table.Rows).
 package storage
 
 import (
@@ -25,19 +25,13 @@ import (
 // size of a disk page for typical narrow tuples.
 const BlockSize = 128
 
-// Block is one page worth of tuples: a window of the table's rows.
-type Block struct {
-	ID     int
-	Tuples []data.Tuple
-}
-
 // Table is a heap file: an append-only sequence of rows with a schema,
-// read in blocks of BlockSize rows, with a column lane beside the rows for
-// every column.
+// stored as one column lane per column and read in blocks of BlockSize
+// rows.
 type Table struct {
 	name   string
 	schema *data.Schema
-	rows   []data.Tuple
+	nrows  int
 	lanes  []data.ColVec
 }
 
@@ -53,10 +47,10 @@ func (t *Table) Name() string { return t.name }
 func (t *Table) Schema() *data.Schema { return t.schema }
 
 // NumRows returns the number of tuples in the table.
-func (t *Table) NumRows() int { return len(t.rows) }
+func (t *Table) NumRows() int { return t.nrows }
 
 // NumBlocks returns the number of blocks in the table.
-func (t *Table) NumBlocks() int { return numBlocks(len(t.rows)) }
+func (t *Table) NumBlocks() int { return numBlocks(t.nrows) }
 
 func numBlocks(rows int) int { return (rows + BlockSize - 1) / BlockSize }
 
@@ -71,11 +65,10 @@ func (t *Table) Append(tu data.Tuple) error {
 		return fmt.Errorf("storage: table %s: tuple arity %d != schema arity %d",
 			t.name, len(tu), t.schema.Len())
 	}
-	row := len(t.rows)
 	for c := range tu {
-		t.lanes[c].AppendVal(row, tu[c])
+		t.lanes[c].AppendVal(t.nrows, tu[c])
 	}
-	t.rows = append(t.rows, tu)
+	t.nrows++
 	return nil
 }
 
@@ -86,14 +79,17 @@ func (t *Table) MustAppend(tu data.Tuple) {
 	}
 }
 
-// Block returns the i-th block.
-func (t *Table) Block(i int) *Block {
-	lo, hi := blockSpan(i, len(t.rows))
-	return &Block{ID: i, Tuples: t.rows[lo:hi:hi]}
+// Rows builds every row in storage order as fresh tuples carved from one
+// arena, mainly for tests and the oracle.
+func (t *Table) Rows() []data.Tuple {
+	it := t.SequentialOrder()
+	it.arena = make([]data.Value, t.nrows*len(t.lanes))
+	rows := make([]data.Tuple, 0, t.nrows)
+	for tu := it.Next(); tu != nil; tu = it.Next() {
+		rows = append(rows, tu)
+	}
+	return rows
 }
-
-// Rows materializes all tuples in block order, mainly for tests.
-func (t *Table) Rows() []data.Tuple { return slices.Clone(t.rows) }
 
 // Lane returns column c's table-wide vector, NumRows long. It is the
 // table's own storage: read-only, and a later Append may move it.
@@ -104,20 +100,18 @@ func (t *Table) Lane(c int) *data.ColVec { return &t.lanes[c] }
 // slice (see SampleOrder / SequentialOrder). SampleBoundary reports the
 // tuple index at which the random sample ends.
 type Iterator struct {
-	rows           []data.Tuple
 	lanes          []data.ColVec
-	narrowed       bool // Window hands out lanes only (see Narrow)
+	nrows          int
 	order          []int
 	blockIdx       int
 	pos, end       int // the next row, and where block order[blockIdx] ends; equal once exhausted
-	emitted        int
 	sampleBoundary int
+	arena          []data.Value // what Tuple carves its tuples from
 }
 
 // iterator snapshots the table for a walk in the given block order.
 func (t *Table) iterator(order []int) *Iterator {
-	n := len(t.rows)
-	it := &Iterator{rows: t.rows[:n:n], lanes: slices.Clone(t.lanes), order: order}
+	it := &Iterator{lanes: slices.Clone(t.lanes), nrows: t.nrows, order: order}
 	it.enter()
 	return it
 }
@@ -126,7 +120,7 @@ func (t *Table) iterator(order []int) *Iterator {
 func (it *Iterator) enter() {
 	it.pos, it.end = 0, 0
 	if it.blockIdx < len(it.order) {
-		it.pos, it.end = blockSpan(it.order[it.blockIdx], len(it.rows))
+		it.pos, it.end = blockSpan(it.order[it.blockIdx], it.nrows)
 	}
 }
 
@@ -143,10 +137,10 @@ func (t *Table) SequentialOrder() *Iterator {
 // SampleOrder returns an iterator that first visits a uniform random sample
 // of ~fraction of the table's blocks (the paper's precomputed block-level
 // random sample), then the remaining blocks in storage order, excluding the
-// sampled ones. fraction is clamped to [0,1]. seed makes the sample
-// reproducible.
+// sampled ones. fraction is clamped to [0,1], and NaN counts as 0. seed
+// makes the sample reproducible.
 func (t *Table) SampleOrder(fraction float64, seed int64) *Iterator {
-	if fraction < 0 {
+	if !(fraction >= 0) {
 		fraction = 0
 	}
 	if fraction > 1 {
@@ -170,22 +164,38 @@ func (t *Table) SampleOrder(fraction float64, seed int64) *Iterator {
 	}
 	it := t.iterator(order)
 	for _, b := range sampled {
-		lo, hi := blockSpan(b, len(it.rows))
+		lo, hi := blockSpan(b, it.nrows)
 		it.sampleBoundary += hi - lo
 	}
 	return it
 }
 
-// Next returns the next tuple, or nil when the iterator is exhausted.
+// Next returns the next tuple (see Tuple), or nil when the iterator is
+// exhausted.
 func (it *Iterator) Next() data.Tuple {
 	if it.pos == it.end {
 		return nil
 	}
-	tu := it.rows[it.pos]
-	it.emitted++
+	tu := it.Tuple(it.pos)
 	if it.pos++; it.pos == it.end {
 		it.blockIdx++
 		it.enter()
+	}
+	return tu
+}
+
+// Tuple builds table row row from the iterator's lanes — the columns
+// Narrow chose, or all of them — as a fresh tuple carved from the
+// iterator's arena. The arena is never reused, so callers may keep it.
+func (it *Iterator) Tuple(row int) data.Tuple {
+	w := len(it.lanes)
+	if len(it.arena) < w {
+		it.arena = make([]data.Value, w*data.BatchSize())
+	}
+	tu := it.arena[:w:w]
+	it.arena = it.arena[w:]
+	for c := range tu {
+		tu[c] = it.lanes[c].ValueAt(row)
 	}
 	return tu
 }
@@ -200,7 +210,6 @@ func (it *Iterator) NextRun(max int) (lo, hi int) {
 		take := min(it.end-it.pos, max-(hi-lo))
 		hi += take
 		it.pos += take
-		it.emitted += take
 		if it.pos == it.end {
 			it.blockIdx++
 			it.enter()
@@ -209,42 +218,24 @@ func (it *Iterator) NextRun(max int) (lo, hi int) {
 	return lo, hi
 }
 
-// Window makes cb a read-only view of rows [lo, hi) of the table — its
-// rows and every column lane — under the third clause of the ColBatch
-// ownership contract (internal/data/colbatch.go).
+// Window makes cb a read-only view of rows [lo, hi) of the iterator's
+// lanes under the table-resident clause of the ColBatch ownership contract
+// (internal/data/colbatch.go).
 func (it *Iterator) Window(cb *data.ColBatch, lo, hi int) {
-	rows := it.rows
-	if it.narrowed {
-		rows = nil
-	}
-	cb.SetWindow(rows, it.lanes, lo, hi)
+	cb.SetWindow(it.lanes, lo, hi)
 }
 
-// Narrow makes Window hand out the lanes of the table columns cols, in
-// that order, and no rows: the table's row form is full-width, so a
-// window of it would not be a row form of the narrowed batch. Next still
-// returns full rows.
+// Narrow makes the iterator walk the table columns cols, in that order:
+// Window hands out their lanes and Next and Tuple build tuples of them.
 func (it *Iterator) Narrow(cols []int) {
 	lanes := make([]data.ColVec, len(cols))
 	for i, c := range cols {
 		lanes[i] = it.lanes[c]
 	}
-	it.lanes, it.narrowed = lanes, true
+	it.lanes = lanes
 }
 
 // SampleBoundary returns the number of tuples in the random-sample prefix.
 // A consumer that has read exactly SampleBoundary tuples has consumed the
 // whole sample; the paper's punctuation fires at that point.
 func (it *Iterator) SampleBoundary() int { return it.sampleBoundary }
-
-// InSample reports whether the iterator is still inside the sample prefix.
-func (it *Iterator) InSample() bool { return it.emitted <= it.sampleBoundary && it.sampleBoundary > 0 }
-
-// Emitted returns the number of tuples returned so far.
-func (it *Iterator) Emitted() int { return it.emitted }
-
-// Reset rewinds the iterator to the beginning, preserving its block order.
-func (it *Iterator) Reset() {
-	it.blockIdx, it.emitted = 0, 0
-	it.enter()
-}

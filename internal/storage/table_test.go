@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -106,6 +107,15 @@ func TestSampleFractionClamping(t *testing.T) {
 	if b := tb.SampleOrder(2, 1).SampleBoundary(); b != 512 {
 		t.Errorf("fraction>1: boundary %d, want 512", b)
 	}
+	it := tb.SampleOrder(math.NaN(), 1)
+	if b := it.SampleBoundary(); b != 0 {
+		t.Errorf("fraction NaN: boundary %d", b)
+	}
+	for i := 0; i < 512; i++ {
+		if tu := it.Next(); tu == nil || tu[0].I != int64(i) {
+			t.Fatalf("fraction NaN: tuple %d = %v, want the sequential walk", i, tu)
+		}
+	}
 }
 
 func TestSampleIsRandomAcrossSeeds(t *testing.T) {
@@ -119,44 +129,6 @@ func TestSampleIsRandomAcrossSeeds(t *testing.T) {
 		// seed to make a flake astronomically unlikely.
 		if c := first(3); c == a {
 			t.Errorf("sample start identical across 3 seeds: %d", a)
-		}
-	}
-}
-
-func TestInSampleTracksPrefix(t *testing.T) {
-	tb := buildTable(t, 1280)
-	it := tb.SampleOrder(0.5, 9)
-	boundary := it.SampleBoundary()
-	for i := 0; i < boundary; i++ {
-		it.Next()
-		if !it.InSample() {
-			t.Fatalf("tuple %d (boundary %d): InSample = false", i, boundary)
-		}
-	}
-	it.Next()
-	if it.InSample() {
-		t.Error("past boundary: InSample = true")
-	}
-}
-
-func TestReset(t *testing.T) {
-	tb := buildTable(t, 100)
-	it := tb.SampleOrder(0.2, 5)
-	var firstPass []int64
-	for tu := it.Next(); tu != nil; tu = it.Next() {
-		firstPass = append(firstPass, tu[0].I)
-	}
-	it.Reset()
-	for i := 0; ; i++ {
-		tu := it.Next()
-		if tu == nil {
-			if i != len(firstPass) {
-				t.Fatalf("second pass ended at %d, want %d", i, len(firstPass))
-			}
-			break
-		}
-		if tu[0].I != firstPass[i] {
-			t.Fatalf("second pass tuple %d = %d, want %d", i, tu[0].I, firstPass[i])
 		}
 	}
 }
@@ -215,7 +187,7 @@ func oddTable(t *testing.T, n int) *Table {
 
 // TestRunsAndWindowsMatchNext walks the table by NextRun for run lengths
 // that divide a block, straddle blocks and span several, sequentially and
-// in sample order, and holds every window — its rows and every lane cell —
+// in sample order, and holds every window — every lane cell, and no rows —
 // to what Next returns for the same walk. Sequential runs are cut by the
 // length asked for alone.
 func TestRunsAndWindowsMatchNext(t *testing.T) {
@@ -231,76 +203,75 @@ func TestRunsAndWindowsMatchNext(t *testing.T) {
 					t.Fatalf("sequential run of %d rows, asked for %d with %d left", hi-lo, max, n-rows)
 				}
 				it.Window(&cb, lo, hi)
-				if cb.NRows != hi-lo || len(cb.Rows) != hi-lo || cb.Sel != nil {
+				if cb.NRows != hi-lo || cb.Rows != nil || cb.Sel != nil {
 					t.Fatalf("window [%d,%d): NRows %d, %d rows, Sel %v", lo, hi, cb.NRows, len(cb.Rows), cb.Sel)
 				}
-				for i, row := range cb.Rows {
+				for i := 0; i < cb.NRows; i++ {
 					want := ref.Next()
 					for c := range want {
-						if got := cb.Col(c).ValueAt(i); got != want[c] || row[c] != want[c] {
-							t.Fatalf("frac %g, runs of %d, row %d col %d: lane %v, row %v, Next %v", frac, max, rows+i, c, got, row[c], want[c])
+						if got := cb.Col(c).ValueAt(i); got != want[c] {
+							t.Fatalf("frac %g, runs of %d, row %d col %d: lane %v, Next %v", frac, max, rows+i, c, got, want[c])
 						}
 					}
 				}
 				rows += hi - lo
 			}
-			if rows != n || ref.Next() != nil || it.Emitted() != n {
-				t.Fatalf("frac %g, runs of %d: %d rows of %d, Emitted %d", frac, max, rows, n, it.Emitted())
+			if rows != n || ref.Next() != nil {
+				t.Fatalf("frac %g, runs of %d: %d rows of %d", frac, max, rows, n)
 			}
 		}
-	}
-}
-
-// TestBlocksWindowTheRows: blocks are windows of the one row slice — full
-// but the last, in order, and closed to appends.
-func TestBlocksWindowTheRows(t *testing.T) {
-	const n = 3*BlockSize + 5
-	tb := oddTable(t, n)
-	rows := 0
-	for b := 0; b < tb.NumBlocks(); b++ {
-		blk := tb.Block(b)
-		if want := min(BlockSize, n-rows); blk.ID != b || len(blk.Tuples) != want || cap(blk.Tuples) != want {
-			t.Fatalf("block %d: id %d, %d tuples (cap %d), want %d", b, blk.ID, len(blk.Tuples), cap(blk.Tuples), want)
-		}
-		for _, tu := range blk.Tuples {
-			if tu[0].I != int64(rows) {
-				t.Fatalf("block %d holds row %d at position %d", b, tu[0].I, rows)
-			}
-			rows++
-		}
-	}
-	if rows != n {
-		t.Fatalf("blocks hold %d rows of %d", rows, n)
 	}
 }
 
 // TestAppendAfterOpenIsNotSeen: an iterator walks the table as it stood
 // when it was made. Rows appended mid-walk — here enough to move every
 // lane, to set NULL bits in the bitmap word the walk is reading, and to
-// turn a column mixed — are not returned and do not change what is.
+// turn a column mixed — are not returned and do not change what is, by
+// Next over every column or over the columns Narrow chose, or by runs.
 func TestAppendAfterOpenIsNotSeen(t *testing.T) {
 	const n = 2*BlockSize + 40
 	tb := oddTable(t, n)
-	byNext, byRun := tb.SequentialOrder(), tb.SampleOrder(0.5, 1)
-	for i := 0; i < 70; i++ {
-		byNext.Next()
+	walks := []struct {
+		it   *Iterator
+		cols []int
+	}{{tb.SequentialOrder(), []int{0, 1, 2}}, {tb.SampleOrder(0.5, 2), []int{2, 1}}}
+	walks[1].it.Narrow(walks[1].cols)
+	byRun := tb.SampleOrder(0.5, 1)
+	var order [2][]int // the row each Next returns, from the walk's block order
+	for w, walk := range walks {
+		for _, b := range walk.it.order {
+			for r := b * BlockSize; r < min((b+1)*BlockSize, n); r++ {
+				order[w] = append(order[w], r)
+			}
+		}
+		for i := 0; i < 70; i++ {
+			walk.it.Next()
+		}
 	}
 	byRun.NextRun(70)
 	for i := n; i < 4*n; i++ {
 		tb.MustAppend(oddRow(i, true))
 	}
-	seen := 70
-	for tu := byNext.Next(); tu != nil; tu = byNext.Next() {
-		if want := oddRow(seen, false); tu[0] != want[0] || tu[1] != want[1] {
-			t.Fatalf("Next returned %v as row %d, want %v", tu, seen, want)
+	for w, walk := range walks {
+		seen := 70
+		for tu := walk.it.Next(); tu != nil; tu = walk.it.Next() {
+			want := oddRow(order[w][seen], false)
+			if len(tu) != len(walk.cols) {
+				t.Fatalf("Next over columns %v returned %v", walk.cols, tu)
+			}
+			for i, c := range walk.cols {
+				if tu[i] != want[c] {
+					t.Fatalf("Next over columns %v returned %v as row %d, want %v", walk.cols, tu, order[w][seen], want)
+				}
+			}
+			seen++
 		}
-		seen++
-	}
-	if seen != n {
-		t.Fatalf("Next walked %d rows of a table opened at %d", seen, n)
+		if seen != n {
+			t.Fatalf("Next over columns %v walked %d rows of a table opened at %d", walk.cols, seen, n)
+		}
 	}
 	var cb data.ColBatch
-	seen = 70
+	seen := 70
 	for lo, hi := byRun.NextRun(100); lo < hi; lo, hi = byRun.NextRun(100) {
 		byRun.Window(&cb, lo, hi)
 		for i := 0; i < cb.NRows; i++ {

@@ -200,9 +200,11 @@ func TestCompileModesAndSampling(t *testing.T) {
 			t.Errorf("mode %d: final progress %g", mode, p)
 		}
 	}
-	j := HashJoin(e.MustScan("r"), e.MustScan("s"), Col("r", "k"), Col("s", "k"))
-	if _, err := e.Compile(j, WithSampling(3, 1)); err == nil {
-		t.Error("invalid sampling fraction accepted")
+	for _, f := range []float64{3, math.NaN()} {
+		j := HashJoin(e.MustScan("r"), e.MustScan("s"), Col("r", "k"), Col("s", "k"))
+		if _, err := e.Compile(j, WithSampling(f, 1)); err == nil {
+			t.Errorf("sampling fraction %g accepted", f)
+		}
 	}
 }
 

@@ -227,7 +227,7 @@ func (e *Engine) Compile(n *Node, opts ...CompileOption) (*Query, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if cfg.sampleFraction < 0 || cfg.sampleFraction > 1 {
+	if !(cfg.sampleFraction >= 0 && cfg.sampleFraction <= 1) {
 		return nil, fmt.Errorf("qpi: sample fraction %g out of [0,1]", cfg.sampleFraction)
 	}
 	if cfg.sampleFraction > 0 {
