@@ -51,11 +51,12 @@ serve-check:
 # lane scan and the group-at-a-time budgeted pass replaced (the scan's
 # row-batch reader, the per-row budgeted partition append and spill
 # append), and the row-major copy of a stored table the lanes replaced
-# (its blocks, the scan's row buffer, the iterator's sample-prefix query)
-# are removed; nothing anywhere in the repo may reference them, so stray
+# (its blocks, the scan's row buffer, the iterator's sample-prefix query),
+# and the chain link's build width the join output map replaced, are
+# removed; nothing anywhere in the repo may reference them, so stray
 # revivals in merges get caught here.
 lint-deprecated:
-	@bad=$$(grep -rn --include='*.go' --exclude-dir=.bench_build -E '\.(RunContext|StartContext|NextBatch|Block)\(|\<(storage\.Block|InSample|rowBuf|WithBatchExecution|RunBatch|AsBatch|DrainBatch|OnBuildBatch|OnProbeBatch|BatchAttached|observeProbeColFast|observeProbeColShardFast|SetMorselWorkers|SetMorselBlocks|Morseled|MorselSource|OnBuildColBatch|OnProbeColBatch|ColShardAttached|ObserveProbeColShard|FinishProbe|composeColW|ModeColMorsel|colPartitionAppend|appendColRow)\>' . || true); \
+	@bad=$$(grep -rn --include='*.go' --exclude-dir=.bench_build -E '\.(RunContext|StartContext|NextBatch|Block)\(|\<(storage\.Block|InSample|rowBuf|WithBatchExecution|RunBatch|AsBatch|DrainBatch|OnBuildBatch|OnProbeBatch|BatchAttached|observeProbeColFast|observeProbeColShardFast|SetMorselWorkers|SetMorselBlocks|Morseled|MorselSource|OnBuildColBatch|OnProbeColBatch|ColShardAttached|ObserveProbeColShard|FinishProbe|composeColW|ModeColMorsel|colPartitionAppend|appendColRow|BuildWidth)\>' . || true); \
 	if [ -n "$$bad" ]; then \
 		echo "removed API referenced:"; \
 		echo "$$bad"; \
@@ -110,11 +111,12 @@ reopt-check:
 # One iteration each of the root benchmarks behind the engine workloads'
 # hot halves (the lane scan, the budgeted partition pass), of the one
 # pricing the compile-time pruning pass, of the one reporting a generated
-# catalog's live heap, and of the join kernel's probe shapes in
-# internal/exec, so none can rot unbuilt.
+# catalog's live heap, of the skewed Q8 pipeline with estimators on and
+# off, and of the join kernel's probe shapes in internal/exec, so none can
+# rot unbuilt.
 bench-smoke:
 	cd benchmark && $(GO) test -timeout 300s ./...
-	$(GO) test -run '^$$' -bench 'ScanColLanes|BudgetedScatter|CompileQ8|CatalogLiveBytes' -benchtime 1x -timeout 120s .
+	$(GO) test -run '^$$' -bench 'ScanColLanes|BudgetedScatter|CompileQ8|CatalogLiveBytes|Q8Pipeline' -benchtime 1x -timeout 120s .
 	$(GO) test -run '^$$' -bench 'ColumnarJoin' -benchtime 1x -timeout 120s ./internal/exec
 
 # Interleaved parent/change pairs of the repository benchmark, the only

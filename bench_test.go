@@ -398,6 +398,32 @@ func BenchmarkCompileQ8(b *testing.B) {
 	})
 }
 
+// BenchmarkQ8Pipeline compiles and runs the Q8-shaped plan on TPC-H SF
+// 0.004 with Zipf(2) foreign keys, the data skew_pipeline runs on, with
+// estimators on and off: `go test -bench Q8Pipeline -cpuprofile` profiles
+// the skewed pipeline in one command.
+func BenchmarkQ8Pipeline(b *testing.B) {
+	eng := New()
+	eng.MustLoadTPCH(TPCHConfig{SF: 0.004, Seed: 1, Skew: 2})
+	for _, bc := range []struct {
+		name string
+		opts []CompileOption
+	}{{"on", nil}, {"off", []CompileOption{WithoutEstimators()}}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				q, err := eng.Compile(q8Node(eng), bc.opts...)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := q.Run(nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkExtApproxHistograms regenerates the approximate-histogram
 // accuracy/memory extension experiment (§6 future work).
 func BenchmarkExtApproxHistograms(b *testing.B) { runExperiment(b, "ext-approx") }

@@ -136,16 +136,12 @@ func (a *Attachment) attachHashChain(top *exec.HashJoin) {
 
 	links := make([]ChainLink, len(joins))
 	for i, j := range joins {
-		buildWidth := j.Build().Schema().Len()
-		if j.Type() == exec.SemiJoin || j.Type() == exec.AntiJoin {
-			buildWidth = 0 // semi/anti output is the probe schema alone
-		}
 		links[i] = ChainLink{
-			Join:       j,
-			BuildWidth: buildWidth,
-			BuildKeys:  j.BuildKeys(),
-			ProbeKeys:  j.ProbeKeys(),
-			Mult:       multFor(j.Type()),
+			Join:      j,
+			Out:       j.OutMap(),
+			BuildKeys: j.BuildKeys(),
+			ProbeKeys: j.ProbeKeys(),
+			Mult:      multFor(j.Type()),
 		}
 		hashLinkHooks(&links[i], j)
 	}
@@ -196,16 +192,12 @@ func wireHashProbe(pe *PipelineEstimator, bottom *exec.HashJoin) {
 
 // attachSingleHashJoin wires a length-1 chain estimator for one join.
 func (a *Attachment) attachSingleHashJoin(j *exec.HashJoin) {
-	buildWidth := j.Build().Schema().Len()
-	if j.Type() == exec.SemiJoin || j.Type() == exec.AntiJoin {
-		buildWidth = 0
-	}
 	links := []ChainLink{{
-		Join:       j,
-		BuildWidth: buildWidth,
-		BuildKeys:  j.BuildKeys(),
-		ProbeKeys:  j.ProbeKeys(),
-		Mult:       multFor(j.Type()),
+		Join:      j,
+		Out:       j.OutMap(),
+		BuildKeys: j.BuildKeys(),
+		ProbeKeys: j.ProbeKeys(),
+		Mult:      multFor(j.Type()),
 	}}
 	hashLinkHooks(&links[0], j)
 	probeStream := j.Probe()
@@ -249,10 +241,10 @@ func (a *Attachment) attachMergeChain(top *exec.MergeJoin) {
 			return
 		}
 		links[i] = ChainLink{
-			Join:       j,
-			BuildWidth: j.Left().Schema().Len(),
-			BuildKeys:  []int{j.LeftKey()},
-			ProbeKeys:  []int{j.RightKey()},
+			Join:      j,
+			Out:       exec.FullOutMap(j.Left().Schema().Len(), j.Right().Schema().Len()),
+			BuildKeys: []int{j.LeftKey()},
+			ProbeKeys: []int{j.RightKey()},
 			SetBuildHook: func(f func(data.Tuple)) {
 				ls.OnInput = compose(ls.OnInput, f)
 			},
@@ -331,10 +323,10 @@ func (a *Attachment) attachSortedOuterNL(j *exec.NestedLoopsJoin) bool {
 		return false
 	}
 	links := []ChainLink{{
-		Join:       j,
-		BuildWidth: j.Inner().Schema().Len(),
-		BuildKeys:  []int{j.InnerKey()},
-		ProbeKeys:  []int{j.OuterKey()},
+		Join:      j,
+		Out:       exec.FullOutMap(j.Inner().Schema().Len(), j.Outer().Schema().Len()),
+		BuildKeys: []int{j.InnerKey()},
+		ProbeKeys: []int{j.OuterKey()},
 		SetBuildHook: func(f func(data.Tuple)) {
 			j.OnInnerTuple = compose(j.OnInnerTuple, f)
 		},

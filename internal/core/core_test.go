@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -451,11 +452,51 @@ func TestPipelineThreeJoinMixedProvenanceExact(t *testing.T) {
 	runChainAndCompare(t, top, att)
 }
 
+// TestProvenanceThroughNarrowedJoins: the same Case 1 / Case 2 chain with
+// every join narrowed by exec.Prune. Each table leads with a column
+// nothing reads, so the narrowed scans and join outputs shift every index;
+// provenance and the push-down group column must resolve through the
+// joins' output maps, and the chain still converges exactly.
+func TestProvenanceThroughNarrowedJoins(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	a := table("a", []string{"pad", "w"}, randCol(rng, 60, 9), randCol(rng, 60, 6))
+	b := table("b", []string{"pad", "y"}, randCol(rng, 70, 9), randCol(rng, 70, 7))
+	c := table("c", []string{"pad", "x", "w"}, randCol(rng, 80, 9), randCol(rng, 80, 9), randCol(rng, 80, 6))
+	d := table("d", []string{"pad", "x", "y", "v"}, randCol(rng, 90, 9), randCol(rng, 90, 9), randCol(rng, 90, 7), randCol(rng, 90, 5))
+	bottomStream := exec.NewScan(d, "")
+	bottom := exec.NewHashJoinOn(exec.NewScan(c, ""), bottomStream, "c", "x", "d", "x")
+	mid := exec.NewHashJoin(exec.NewScan(b, ""), bottom, // Case 1: d.y
+		1, bottom.Schema().MustResolve("d", "y"))
+	top := exec.NewHashJoin(exec.NewScan(a, ""), mid, // Case 2: c.w
+		1, mid.Schema().MustResolve("c", "w"))
+	root := exec.NewHashAgg(top, []int{top.Schema().MustResolve("d", "v")},
+		[]exec.AggSpec{{Func: exec.CountStar, Name: "n"}})
+	exec.Prune(root)
+	if got := []int{top.Schema().Len(), mid.Schema().Len(), bottom.Schema().Len()}; !reflect.DeepEqual(got, []int{1, 2, 3}) {
+		t.Fatalf("narrowed join widths %v, want [1 2 3]", got)
+	}
+	att := Attach(root)
+	pe := att.ChainOf[top]
+	if _, ok := pe.BottomSourceCols(0); ok {
+		t.Error("level 0 keys off relation c (Case 2), not the bottom stream")
+	}
+	if cols, ok := pe.BottomSourceCols(1); !ok || !reflect.DeepEqual(cols, []int{bottomStream.Schema().MustResolve("d", "y")}) {
+		t.Errorf("level 1 key resolves to bottom columns %v (%v), want d.y", cols, ok)
+	}
+	if col, ok := pe.ResolveToBottom(root.GroupBy()[0]); !ok || col != bottomStream.Schema().MustResolve("d", "v") {
+		t.Errorf("group column resolves to bottom column %d (%v), want d.v", col, ok)
+	}
+	if att.Aggs[root] == nil {
+		t.Error("no push-down estimator on the group column")
+	}
+	runChainAndCompare(t, top, att)
+}
+
 func TestPipelineHistogramSharing(t *testing.T) {
 	// Case 1: no folds — all levels share one histogram per relation.
 	links := []ChainLink{
-		{Join: dummyJoin(), BuildWidth: 1, BuildKeys: []int{0}, ProbeKeys: []int{1}, SetBuildHook: func(func(data.Tuple)) {}},
-		{Join: dummyJoin(), BuildWidth: 1, BuildKeys: []int{0}, ProbeKeys: []int{0}, SetBuildHook: func(func(data.Tuple)) {}},
+		{Join: dummyJoin(), Out: linkOut(1), BuildKeys: []int{0}, ProbeKeys: []int{1}, SetBuildHook: func(func(data.Tuple)) {}},
+		{Join: dummyJoin(), Out: linkOut(1), BuildKeys: []int{0}, ProbeKeys: []int{0}, SetBuildHook: func(func(data.Tuple)) {}},
 	}
 	pe, err := NewPipelineEstimator(links, func() float64 { return 100 })
 	if err != nil {
@@ -464,12 +505,12 @@ func TestPipelineHistogramSharing(t *testing.T) {
 	if pe.Histogram(0, 1) != pe.Histogram(1, 1) {
 		t.Error("Case 1 should share the lower relation's histogram across levels")
 	}
-	// Case 2: upper join keyed off lower build relation (probe key 0
-	// within build width... construct: BuildWidth=2 for lower, upper
-	// ProbeKey=1 → inside lower build relation → fold).
+	// Case 2: upper join keyed off lower build relation (the lower join
+	// emits two build columns, and the upper probe key 1 is the second of
+	// them → fold).
 	links2 := []ChainLink{
-		{Join: dummyJoin(), BuildWidth: 1, BuildKeys: []int{0}, ProbeKeys: []int{1}, SetBuildHook: func(func(data.Tuple)) {}},
-		{Join: dummyJoin(), BuildWidth: 2, BuildKeys: []int{0}, ProbeKeys: []int{0}, SetBuildHook: func(func(data.Tuple)) {}},
+		{Join: dummyJoin(), Out: linkOut(1), BuildKeys: []int{0}, ProbeKeys: []int{1}, SetBuildHook: func(func(data.Tuple)) {}},
+		{Join: dummyJoin(), Out: linkOut(2), BuildKeys: []int{0}, ProbeKeys: []int{0}, SetBuildHook: func(func(data.Tuple)) {}},
 	}
 	pe2, err := NewPipelineEstimator(links2, func() float64 { return 100 })
 	if err != nil {
@@ -479,6 +520,10 @@ func TestPipelineHistogramSharing(t *testing.T) {
 		t.Error("Case 2 must build a separate derived histogram")
 	}
 }
+
+// linkOut is a hand-wired link's output map: buildWidth build columns,
+// then every column of a probe input up to eight wide.
+func linkOut(buildWidth int) exec.OutMap { return exec.FullOutMap(buildWidth, 8) }
 
 func dummyJoin() exec.Operator {
 	tb := table("d", []string{"k"}, []int64{1})

@@ -102,7 +102,7 @@ func runLaneCase(t *testing.T, lc laneCase, route laneRoute, publishEvery int64,
 	for k := range links {
 		k := k
 		links[k] = ChainLink{
-			Join: dummyJoin(), BuildWidth: 1, BuildKeys: []int{0},
+			Join: dummyJoin(), Out: linkOut(1), BuildKeys: []int{0},
 			// Join k probes the output of join k+1: the build columns of
 			// the joins below it, then the bottom stream.
 			ProbeKeys:    []int{m - 1 - k + lc.cols[k]},
@@ -246,7 +246,7 @@ func TestLaneKernelBitIdenticalToTuple(t *testing.T) {
 func TestLanePlanEligibility(t *testing.T) {
 	noHook := func(func(data.Tuple)) {}
 	link := func(buildWidth int, probeKeys ...int) ChainLink {
-		return ChainLink{Join: dummyJoin(), BuildWidth: buildWidth, BuildKeys: make([]int, len(probeKeys)),
+		return ChainLink{Join: dummyJoin(), Out: linkOut(buildWidth), BuildKeys: make([]int, len(probeKeys)),
 			ProbeKeys: probeKeys, SetBuildHook: noHook}
 	}
 	total := func() float64 { return 100 }
@@ -286,7 +286,7 @@ func BenchmarkObserveProbeColChain(b *testing.B) {
 		hooks := make([]func(*data.ColBatch), m)
 		for k := range links {
 			k := k
-			links[k] = ChainLink{Join: dummyJoin(), BuildWidth: 1, BuildKeys: []int{0}, ProbeKeys: []int{(m - 1 - k) + k}, // bottom column k
+			links[k] = ChainLink{Join: dummyJoin(), Out: linkOut(1), BuildKeys: []int{0}, ProbeKeys: []int{(m - 1 - k) + k}, // bottom column k
 				Columnar: true, SetBuildHook: func(func(data.Tuple)) {},
 				SetBuildColHook: func(f func(*data.ColBatch)) { hooks[k] = f }}
 		}

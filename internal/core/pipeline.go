@@ -46,9 +46,11 @@ import (
 type ChainLink struct {
 	// Join is the join operator whose Stats receive the estimates.
 	Join exec.Operator
-	// BuildWidth is the arity of the build input's schema (the join's
-	// output is build columns followed by probe columns).
-	BuildWidth int
+	// Out is the join's output map: which build-input and probe-input
+	// columns its output holds, build first. A hash join reports its own
+	// (narrowed by exec.Prune); merge and nested-loops joins emit the
+	// whole build ⧺ probe (exec.FullOutMap).
+	Out exec.OutMap
 	// BuildKeys are the join column indexes in the build input's schema
 	// (several for conjunctive multi-attribute conditions, §4.1).
 	BuildKeys []int
@@ -259,7 +261,7 @@ func (p *PipelineEstimator) Recomputes() int64 { return p.recomputes.Load() }
 func (p *PipelineEstimator) HistogramProbes() int64 { return p.histProbes.Load() }
 
 // resolveProvenance maps every join's probe key to a bottom-stream column
-// or a build relation column.
+// or a build relation column, through the output maps of the joins below.
 func (p *PipelineEstimator) resolveProvenance() error {
 	p.srcs = make([]keySource, p.m)
 	p.folds = make([][]foldRef, p.m)
@@ -269,13 +271,12 @@ func (p *PipelineEstimator) resolveProvenance() error {
 		for _, probeCol := range p.links[k].ProbeKeys {
 			idx := probeCol
 			level := k + 1
-			for level < p.m {
-				bw := p.links[level].BuildWidth
-				if idx < bw {
+			for ; level < p.m; level++ {
+				col, build := p.links[level].Out.Source(idx)
+				idx = col
+				if build {
 					break
 				}
-				idx -= bw
-				level++
 			}
 			lvl := level
 			if level >= p.m {
@@ -590,15 +591,14 @@ func (p *PipelineEstimator) EnableOutputDistribution(col int) *FreqHistogram {
 // from a build relation instead (in which case push-down keyed on the
 // bottom stream is impossible).
 func (p *PipelineEstimator) ResolveToBottom(col int) (int, bool) {
-	idx := col
 	for level := 0; level < p.m; level++ {
-		bw := p.links[level].BuildWidth
-		if idx < bw {
+		c, build := p.links[level].Out.Source(col)
+		if build {
 			return 0, false
 		}
-		idx -= bw
+		col = c
 	}
-	return idx, true
+	return col, true
 }
 
 func sqrt(x float64) float64 {

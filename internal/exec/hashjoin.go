@@ -66,17 +66,21 @@ func partitionOf(h uint64, parts int) int {
 // data (§5.1.2 / Figure 4).
 type HashJoin struct {
 	base
-	// linkMu guards the child links, key lists and schema for the readers
-	// that may run on another goroutine (Children, Name, Schema: a
-	// progress monitor walks the plan while the query runs) against
-	// SwapSides/Relink/ReplaceProbe. Those mutators run on the executor
-	// goroutine before partStarted flips, so the executor's own reads of
-	// the same fields need no lock.
+	// linkMu guards the child links, key lists, output map and schema for
+	// the readers that may run on another goroutine (Children, Name,
+	// Schema: a progress monitor walks the plan while the query runs)
+	// against SwapSides/Relink/ReplaceProbe. Those mutators run on the
+	// executor goroutine before partStarted flips, so the executor's own
+	// reads of the same fields need no lock.
 	linkMu               sync.Mutex
 	build, probe         Operator
 	buildKeys, probeKeys []int
-	name                 string
-	parts                int
+	// out is the output map; probeIn is the probe child's schema that the
+	// probe keys and out.Probe index (ReplaceProbe checks against it).
+	out     OutMap
+	probeIn *data.Schema
+	name    string
+	parts   int
 
 	// Observer hooks of the two partition passes. One ordering contract
 	// holds on both the tuple pass and the columnar pass:
@@ -195,8 +199,26 @@ type HashJoin struct {
 	colOut data.ColBatch
 	rowOut *colAdapter
 
-	joinType  JoinType
-	nullBuild data.Tuple // all-NULL build-side padding for ProbeOuterJoin
+	joinType JoinType
+}
+
+// OutMap is a join's output column map: output column i is build column
+// Build[i] while i < len(Build), then probe column Probe[i-len(Build)].
+// Each list is in input order.
+type OutMap struct{ Build, Probe []int }
+
+// FullOutMap is the map of a join that emits build ⧺ probe whole.
+func FullOutMap(buildWidth, probeWidth int) OutMap {
+	return OutMap{Build: identity(buildWidth), Probe: identity(probeWidth)}
+}
+
+// Source returns the input column output column i reads and whether the
+// build side holds it.
+func (m OutMap) Source(i int) (col int, build bool) {
+	if i < len(m.Build) {
+		return m.Build[i], true
+	}
+	return m.Probe[i-len(m.Build)], false
 }
 
 // joinTable is the per-partition build hash table. Integer join keys —
@@ -498,7 +520,8 @@ func (t JoinType) String() string {
 
 // NewHashJoin joins build ⋈ probe on build.Schema()[buildKey] =
 // probe.Schema()[probeKey]. The output schema is build columns followed by
-// probe columns.
+// probe columns; Prune may narrow it to the columns read above the join
+// (see OutMap).
 func NewHashJoin(build, probe Operator, buildKey, probeKey int) *HashJoin {
 	return NewHashJoinMulti(build, probe, []int{buildKey}, []int{probeKey}, InnerJoin)
 }
@@ -512,23 +535,40 @@ func NewHashJoinMulti(build, probe Operator, buildKeys, probeKeys []int, t JoinT
 		panic(fmt.Sprintf("exec: NewHashJoinMulti: key arity mismatch %d vs %d",
 			len(buildKeys), len(probeKeys)))
 	}
-	j := &HashJoin{
-		build:     build,
-		probe:     probe,
-		buildKeys: buildKeys,
-		probeKeys: probeKeys,
-		name:      joinLabel(t, build, probe, buildKeys, probeKeys),
-		parts:     16,
-		joinType:  t,
-	}
-	j.schema = build.Schema().Concat(probe.Schema())
-	switch t {
-	case SemiJoin, AntiJoin:
-		j.schema = probe.Schema()
-	case ProbeOuterJoin:
-		j.nullBuild = make(data.Tuple, build.Schema().Len())
-	}
+	j := &HashJoin{parts: 16, joinType: t}
+	j.link(build, probe, buildKeys, probeKeys, j.fullOut(build, probe))
 	return j
+}
+
+// fullOut is the output map of the join over build and probe before any
+// narrowing: build ⧺ probe, or the probe alone for semi and anti joins.
+func (j *HashJoin) fullOut(build, probe Operator) OutMap {
+	out := FullOutMap(build.Schema().Len(), probe.Schema().Len())
+	if j.joinType == SemiJoin || j.joinType == AntiJoin {
+		out.Build = nil
+	}
+	return out
+}
+
+// link sets the join's children, keys and output map, with the schema and
+// label they determine.
+func (j *HashJoin) link(build, probe Operator, buildKeys, probeKeys []int, out OutMap) {
+	buildIn, probeIn := build.Schema(), probe.Schema()
+	cols := make([]data.Column, 0, len(out.Build)+len(out.Probe))
+	for _, c := range out.Build {
+		cols = append(cols, buildIn.Cols[c])
+	}
+	for _, c := range out.Probe {
+		cols = append(cols, probeIn.Cols[c])
+	}
+	schema := data.NewSchema(cols...)
+	name := joinLabel(j.joinType, build, probe, buildKeys, probeKeys)
+	j.linkMu.Lock()
+	defer j.linkMu.Unlock()
+	j.build, j.probe = build, probe
+	j.buildKeys, j.probeKeys = buildKeys, probeKeys
+	j.out, j.probeIn = out, probeIn
+	j.schema, j.name = schema, name
 }
 
 // NewHashJoinTyped creates a hash join with explicit join semantics.
@@ -645,6 +685,10 @@ func (j *HashJoin) BuildKeys() []int { return j.buildKeys }
 
 // ProbeKeys returns the probe-side join column indexes.
 func (j *HashJoin) ProbeKeys() []int { return j.probeKeys }
+
+// OutMap returns the join's output map: which build and probe columns it
+// emits, in that order.
+func (j *HashJoin) OutMap() OutMap { return j.out }
 
 // Name implements Operator. The label is rendered when the join is
 // linked, not on demand: mid-restructure a child's schema and this join's
@@ -768,7 +812,7 @@ func (j *HashJoin) advance() (data.Tuple, error) {
 		if j.matchPos < len(j.matches) {
 			m := j.matches[j.matchPos]
 			j.matchPos++
-			return m.Concat(j.probeTup), nil
+			return j.outRow(m, j.probeTup), nil
 		}
 		// Advance to the next probe tuple in the current partition.
 		probeTup, err := j.nextProbeInPartition()
@@ -784,19 +828,14 @@ func (j *HashJoin) advance() (data.Tuple, error) {
 				matches = j.ht.lookup(key)
 			}
 			switch j.joinType {
-			case SemiJoin:
-				if len(matches) > 0 {
-					return j.probeTup, nil
-				}
-				continue
-			case AntiJoin:
-				if len(matches) == 0 {
-					return j.probeTup, nil
+			case SemiJoin, AntiJoin:
+				if (len(matches) > 0) == (j.joinType == SemiJoin) {
+					return j.outRow(nil, j.probeTup), nil
 				}
 				continue
 			case ProbeOuterJoin:
 				if len(matches) == 0 {
-					return j.nullBuild.Concat(j.probeTup), nil
+					return j.outRow(nil, j.probeTup), nil
 				}
 			}
 			j.matches = matches
@@ -826,6 +865,23 @@ func (j *HashJoin) advance() (data.Tuple, error) {
 		}
 	}
 	return nil, nil
+}
+
+// outRow builds one output tuple of the tuple path through the output
+// map: b's kept columns (NULLs when b is nil, an outer join's miss), then
+// p's.
+func (j *HashJoin) outRow(b, p data.Tuple) data.Tuple {
+	w := len(j.out.Build)
+	out := make(data.Tuple, w+len(j.out.Probe))
+	if b != nil {
+		for i, c := range j.out.Build {
+			out[i] = b[c]
+		}
+	}
+	for i, c := range j.out.Probe {
+		out[w+i] = p[c]
+	}
+	return out
 }
 
 // initPartitions allocates the per-partition buffers for both sides.
@@ -1019,69 +1075,48 @@ func (j *HashJoin) mutable(opName string) {
 }
 
 // SwapSides exchanges the build and probe inputs (and their key lists)
-// of a not-yet-started inner join, recomputing the output schema as
+// of a not-yet-started inner join and resets its output to the whole
 // newBuild ⧺ newProbe — the honest schema of the swapped orientation,
 // deliberately NOT the original column order (the estimator framework
-// resolves key provenance against build-width prefixes, so lying about
-// the schema would corrupt it). Callers restore the original column
-// order with one Reorder wrapper above the restructured segment.
-// Inner joins only: the probe side is the preserved side of the other
-// join types, so swapping them changes semantics.
+// resolves key provenance through the output map, so lying about the
+// schema would corrupt it). Callers restore the original columns with
+// one Reorder projection above the restructured segment. Inner joins
+// only: the probe side is the preserved side of the other join types, so
+// swapping them changes semantics.
 func (j *HashJoin) SwapSides() {
 	j.mutable("SwapSides")
 	if j.joinType != InnerJoin {
 		panic(fmt.Sprintf("exec: SwapSides on a %s join %s", j.joinType, j.Name()))
 	}
-	schema := j.probe.Schema().Concat(j.build.Schema())
-	name := joinLabel(j.joinType, j.probe, j.build, j.probeKeys, j.buildKeys)
-	j.linkMu.Lock()
-	defer j.linkMu.Unlock()
-	j.build, j.probe = j.probe, j.build
-	j.buildKeys, j.probeKeys = j.probeKeys, j.buildKeys
-	j.schema, j.name = schema, name
+	j.link(j.probe, j.build, j.probeKeys, j.buildKeys, j.fullOut(j.probe, j.build))
 }
 
 // Relink replaces the probe child (and its key columns) of a
-// not-yet-started join, recomputing the output schema. The
-// re-optimizer uses it to rewire a chain segment's interior joins onto
-// their new downstream inputs; probeKeys must index newProbe's schema.
+// not-yet-started join and resets its output to the whole build ⧺
+// newProbe (newProbe alone for semi and anti joins): a narrowed map
+// indexes the old child. The re-optimizer uses it to rewire a chain
+// segment's interior joins onto their new downstream inputs; probeKeys
+// must index newProbe's schema.
 func (j *HashJoin) Relink(newProbe Operator, probeKeys []int) {
 	j.mutable("Relink")
 	if len(probeKeys) != len(j.buildKeys) {
 		panic(fmt.Sprintf("exec: Relink key arity %d vs %d on %s",
 			len(probeKeys), len(j.buildKeys), j.Name()))
 	}
-	schema := newProbe.Schema()
-	if j.joinType != SemiJoin && j.joinType != AntiJoin {
-		schema = j.build.Schema().Concat(schema)
-	}
-	name := joinLabel(j.joinType, j.build, newProbe, j.buildKeys, probeKeys)
-	j.linkMu.Lock()
-	defer j.linkMu.Unlock()
-	j.probe = newProbe
-	j.probeKeys = probeKeys
-	j.schema, j.name = schema, name
+	j.link(j.build, newProbe, j.buildKeys, probeKeys, j.fullOut(j.build, newProbe))
 }
 
 // ReplaceProbe swaps in a schema-identical probe child of a
-// not-yet-started join — the seam for inserting the identity-restoring
-// Reorder wrapper at the top of a restructured segment. Unlike Relink
-// it works for any join type, because the schema cannot change. The
-// check compares the new child against the probe segment of the join's
-// own (fixed) output schema rather than the old child's: by the time
-// the re-optimizer inserts the wrapper, the old child is an interior
-// join it has already relinked, so its live schema no longer reflects
-// what this join was built over.
+// not-yet-started join — the seam for inserting the Reorder projection
+// at the top of a restructured segment. Unlike Relink it works for any
+// join type, because neither the schema nor the output map can change.
+// The check compares the new child against the probe schema the join's
+// keys and output map were bound to, not against the old child's live
+// one: by the time the re-optimizer inserts the wrapper, the old child is
+// an interior join it has already relinked to full width.
 func (j *HashJoin) ReplaceProbe(newProbe Operator) {
 	j.mutable("ReplaceProbe")
-	want := j.schema.Cols
-	switch j.joinType {
-	case SemiJoin, AntiJoin:
-		// Output schema is the probe schema alone.
-	default:
-		want = want[len(j.build.Schema().Cols):]
-	}
-	newCols := newProbe.Schema().Cols
+	want, newCols := j.probeIn.Cols, newProbe.Schema().Cols
 	if len(want) != len(newCols) {
 		panic(fmt.Sprintf("exec: ReplaceProbe schema width %d vs %d", len(newCols), len(want)))
 	}

@@ -614,28 +614,25 @@ func appendSpan(pb, pp, span []int32, r int32) ([]int32, []int32) {
 }
 
 // gatherPairs appends the buffered pairs' output rows to out, one typed
-// lane copy per column — no intermediate tuple materialization.
+// lane copy per column of the output map — no intermediate tuple
+// materialization. Semi and anti joins map no build column, so their
+// probe-only pair markers are never read.
 func (j *HashJoin) gatherPairs(out *data.ColBatch) {
 	n := len(j.colPairB)
 	if n == 0 {
 		return
 	}
 	base := out.NRows
-	off := 0
-	if j.joinType == InnerJoin || j.joinType == ProbeOuterJoin {
-		bw := j.build.Schema().Len()
-		for c := 0; c < bw; c++ {
-			var src *data.ColVec
-			if j.colGatherB != nil {
-				src = j.colGatherB.Col(c)
-			}
-			out.OwnCol(c).GatherFrom(src, j.colPairB, base)
+	for i, c := range j.out.Build {
+		var src *data.ColVec
+		if j.colGatherB != nil {
+			src = j.colGatherB.Col(c)
 		}
-		off = bw
+		out.OwnCol(i).GatherFrom(src, j.colPairB, base)
 	}
-	pw := j.probe.Schema().Len()
-	for c := 0; c < pw; c++ {
-		out.OwnCol(off+c).GatherFrom(j.colGatherP.Col(c), j.colPairP, base)
+	w := len(j.out.Build)
+	for i, c := range j.out.Probe {
+		out.OwnCol(w+i).GatherFrom(j.colGatherP.Col(c), j.colPairP, base)
 	}
 	out.NRows = base + n
 	j.colPairB = j.colPairB[:0]
@@ -657,31 +654,20 @@ func (j *HashJoin) advanceColRow() (data.Tuple, error) {
 }
 
 // materializeColRow builds the output tuple for one pair out of the
-// gather sources, bump-allocated from the row arena.
+// gather sources through the output map, bump-allocated from the row
+// arena.
 func (j *HashJoin) materializeColRow(br, pr int32) data.Tuple {
-	pw := j.probe.Schema().Len()
-	probe := j.colGatherP
-	if j.joinType == SemiJoin || j.joinType == AntiJoin {
-		out := j.colRowAlloc(pw)
-		for c := 0; c < pw; c++ {
-			out[c] = probe.Value(c, int(pr))
-		}
-		return out
-	}
-	bw := j.build.Schema().Len()
-	out := j.colRowAlloc(bw + pw)
-	if br < 0 {
-		for c := range out[:bw] {
-			out[c] = data.Value{} // NULL-padded build side, as nullBuild
-		}
-	} else {
-		b := j.colGatherB
-		for c := 0; c < bw; c++ {
-			out[c] = b.Value(c, int(br))
+	w := len(j.out.Build)
+	out := j.colRowAlloc(w + len(j.out.Probe))
+	for i, c := range j.out.Build {
+		if br < 0 {
+			out[i] = data.Value{} // an outer join's NULL-padded build side
+		} else {
+			out[i] = j.colGatherB.Value(c, int(br))
 		}
 	}
-	for c := 0; c < pw; c++ {
-		out[bw+c] = probe.Value(c, int(pr))
+	for i, c := range j.out.Probe {
+		out[w+i] = j.colGatherP.Value(c, int(pr))
 	}
 	return out
 }

@@ -1,23 +1,24 @@
 package exec
 
 import (
-	"qpi/internal/data"
+	"slices"
+
 	"qpi/internal/expr"
 )
 
 // Prune is the compile-time column pruning pass: it narrows every Scan of
 // the plan to the table columns some operator above it reads, in table
-// order and never fewer than one, and rebinds the column indexes of the
-// operators above in place. The root reads all of its columns; filters,
-// projections, sorts, aggregations and joins add the columns of their
-// predicates, expressions, keys and groups.
+// order and never fewer than one, narrows every HashJoin's output the
+// same way (its output map, see OutMap), and rebinds the column indexes
+// of the operators above in place. The root reads all of its columns;
+// filters, projections, sorts, aggregations and joins add the columns of
+// their predicates, expressions, keys and groups.
 //
-// Only scans narrow. Every other operator keeps its output — a join's is
-// still build ⧺ probe, of the narrowed inputs — so key offsets, chain
-// build widths and the re-optimizer's permutations keep their meaning, and
-// no operator is added, removed or renamed. Operators of a kind the pass
-// does not know leave their subtree as it is. Pruning an already pruned
-// plan changes nothing.
+// Scans and hash joins narrow. Merge joins and nested-loops joins keep
+// left ⧺ right of their narrowed inputs, and every other operator keeps
+// its output; no operator is added, removed or renamed. Operators of a
+// kind the pass does not know leave their subtree as it is. Pruning an
+// already pruned plan changes nothing.
 func Prune(root Operator) {
 	prune(root, all(root.Schema().Len()))
 }
@@ -66,23 +67,7 @@ func prune(op Operator, need []bool) []int {
 		o.groupBy, o.aggs = remap(o.groupBy, m), remapAggs(o.aggs, m)
 		return identity(o.schema.Len())
 	case *HashJoin:
-		bw, semi := o.build.Schema().Len(), o.joinType == SemiJoin || o.joinType == AntiJoin
-		bneed, pneed := make([]bool, bw), need
-		if !semi {
-			bneed, pneed = need[:bw:bw], need[bw:]
-		}
-		bm := prune(o.build, with(bneed, o.buildKeys))
-		pm := prune(o.probe, with(pneed, o.probeKeys))
-		o.buildKeys, o.probeKeys = remap(o.buildKeys, bm), remap(o.probeKeys, pm)
-		o.schema = o.probe.Schema()
-		if semi {
-			return pm
-		}
-		o.schema = o.build.Schema().Concat(o.schema)
-		if o.nullBuild != nil {
-			o.nullBuild = make(data.Tuple, o.build.Schema().Len())
-		}
-		return concat(bm, pm, o.build.Schema().Len())
+		return o.narrow(need)
 	case *MergeJoin:
 		lw := o.left.Schema().Len()
 		lm := prune(o.left, with(need[:lw:lw], []int{o.leftKey}))
@@ -133,6 +118,39 @@ func (s *Scan) narrow(need []bool) []int {
 	}
 	s.cols = cols
 	s.setSchema()
+	return m
+}
+
+// narrow keeps the join's output columns that need marks, or its first
+// when need marks none, then prunes each input to the columns it keeps
+// and its keys, rebinding keys and output map to the narrowed inputs.
+// need indexes the current output, so a narrowed join maps it through its
+// existing map.
+func (j *HashJoin) narrow(need []bool) []int {
+	if !slices.Contains(need, true) {
+		need[0] = true
+	}
+	m := make([]int, len(need))
+	bneed := make([]bool, j.build.Schema().Len())
+	pneed := make([]bool, j.probe.Schema().Len())
+	var out OutMap
+	kept := 0
+	for i, n := range need {
+		m[i] = -1
+		if !n {
+			continue
+		}
+		m[i], kept = kept, kept+1
+		if c, build := j.out.Source(i); build {
+			out.Build, bneed[c] = append(out.Build, c), true
+		} else {
+			out.Probe, pneed[c] = append(out.Probe, c), true
+		}
+	}
+	bm := prune(j.build, with(bneed, j.buildKeys))
+	pm := prune(j.probe, with(pneed, j.probeKeys))
+	out.Build, out.Probe = remap(out.Build, bm), remap(out.Probe, pm)
+	j.link(j.build, j.probe, remap(j.buildKeys, bm), remap(j.probeKeys, pm), out)
 	return m
 }
 

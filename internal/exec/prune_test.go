@@ -89,6 +89,20 @@ func prunePlans() map[string]func() Operator {
 		"outer join": joined(ProbeOuterJoin),
 		"semi join":  joined(SemiJoin),
 		"anti join":  joined(AntiJoin),
+		"outer join reading no build column": func() Operator {
+			bs, as := NewScan(b, ""), NewScan(a, "")
+			j := NewHashJoinMulti(bs, as, []int{idx(bs, "b", "mixed")}, []int{idx(as, "a", "mixed")}, ProbeOuterJoin)
+			return project(j, [2]string{"a", "s"})
+		},
+		"count(*) over a join": func() Operator {
+			return NewHashAgg(NewHashJoinOn(NewScan(c, ""), NewScan(a, ""), "c", "knull", "a", "knull"),
+				nil, []AggSpec{{Func: CountStar, Name: "c"}})
+		},
+		"case 2 chain, upper key dropped above": func() Operator {
+			lower := NewHashJoinOn(NewScan(c, ""), NewScan(a, ""), "c", "k", "a", "knull")
+			upper := NewHashJoinOn(NewScan(d, ""), lower, "d", "knull", "c", "mixed")
+			return project(upper, [2]string{"a", "s"}, [2]string{"d", "f"})
+		},
 		"spilling join": func() Operator {
 			j := NewHashJoinMulti(NewScan(b, ""), NewScan(a, ""), []int{0}, []int{0}, ProbeOuterJoin).
 				SetMemoryBudget(16 << 10)
@@ -136,11 +150,23 @@ func labels(root Operator) []string {
 	return out
 }
 
+// joinWidths lists every hash join's output width in pre-order.
+func joinWidths(root Operator) []int {
+	var out []int
+	Walk(root, func(op Operator) {
+		if j, ok := op.(*HashJoin); ok {
+			out = append(out, j.Schema().Len())
+		}
+	})
+	return out
+}
+
 // TestPrunedPlansMatch holds every operator shape the pass rebinds to the
-// plan as built: pruned, on either pull contract, it returns the
-// unpruned reference's rows in the same order with the same counters on
-// every operator, under the same labels and root schema, reading fewer
-// scan columns.
+// plan as built: pruned, through Next on row-major joins and through Next
+// and NextColBatch on columnar ones, it returns the unpruned reference's
+// rows in the same order with the same counters on every operator, under
+// the same labels and root schema, reading fewer scan columns and with no
+// join wider than built.
 func TestPrunedPlansMatch(t *testing.T) {
 	for label, mk := range prunePlans() {
 		ref := mk()
@@ -148,21 +174,26 @@ func TestPrunedPlansMatch(t *testing.T) {
 		if len(want) == 0 {
 			t.Fatalf("%s: empty reference result", label)
 		}
-		for _, columnar := range []bool{false, true} {
-			name := fmt.Sprintf("%s (columnar %v)", label, columnar)
+		for _, route := range []struct{ columnar, batches bool }{{false, false}, {true, false}, {true, true}} {
+			name := fmt.Sprintf("%s (columnar %v, batches %v)", label, route.columnar, route.batches)
 			op := mk()
-			width, schema, names := scanWidth(op), op.Schema().String(), labels(op)
+			width, schema, names, joins := scanWidth(op), op.Schema().String(), labels(op), joinWidths(op)
 			Prune(op)
 			if got := scanWidth(op); got >= width {
 				t.Errorf("%s: scans emit %d columns pruned, %d as built", name, got, width)
 			}
+			for i, w := range joinWidths(op) {
+				if w > joins[i] {
+					t.Errorf("%s: join %d emits %d columns pruned, %d as built", name, i, w, joins[i])
+				}
+			}
 			if op.Schema().String() != schema || !reflect.DeepEqual(labels(op), names) {
 				t.Errorf("%s: pruning moved the root schema or a label", name)
 			}
-			if columnar {
+			if route.columnar {
 				markColumnar(op)
 			}
-			requireSameRows(t, want, drainMode(t, op, columnar), name)
+			requireSameRows(t, want, drainMode(t, op, route.batches), name)
 			requireSameStats(t, ref, op, name)
 			if j, ok := op.Children()[0].(*HashJoin); ok && label == "spilling join" && j.Spilled() == 0 {
 				t.Errorf("%s did not spill", name)
@@ -195,7 +226,7 @@ func bindings(root Operator) string {
 		case *SortAgg:
 			s += fmt.Sprint(o.groupBy, o.aggs)
 		case *HashJoin:
-			s += fmt.Sprint(o.buildKeys, o.probeKeys, len(o.nullBuild))
+			s += fmt.Sprint(o.buildKeys, o.probeKeys, o.out)
 		case *MergeJoin:
 			s += fmt.Sprint(o.leftKey, o.rightKey)
 		case *NestedLoopsJoin:
@@ -206,16 +237,28 @@ func bindings(root Operator) string {
 	return s
 }
 
-// TestPruneIsIdempotent: pruning an already pruned plan changes nothing.
+// TestPruneIsIdempotent: pruning an already pruned plan changes nothing,
+// narrowed joins included: a second pass maps its need through their
+// output maps.
 func TestPruneIsIdempotent(t *testing.T) {
+	narrowed := 0
 	for label, mk := range prunePlans() {
 		op := mk()
+		joins := joinWidths(op)
 		Prune(op)
+		for i, w := range joinWidths(op) {
+			if w < joins[i] {
+				narrowed++
+			}
+		}
 		once := bindings(op)
 		Prune(op)
 		if twice := bindings(op); twice != once {
 			t.Errorf("%s: a second pass rebound the plan:\n%s\nvs\n%s", label, once, twice)
 		}
+	}
+	if narrowed == 0 {
+		t.Error("no plan narrowed a join")
 	}
 }
 

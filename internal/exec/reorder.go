@@ -6,14 +6,14 @@ import (
 	"qpi/internal/data"
 )
 
-// Reorder permutes the columns of its input: output column i is child
-// column Perm()[i]. It is the identity-restoring wrapper the mid-query
-// re-optimizer inserts above a restructured join segment — the joins
-// below it carry their honest (re-ordered, possibly side-swapped)
-// schemas, and one Reorder puts the columns back in the order the rest
-// of the plan was compiled against. Schema().Project preserves the
-// full Column metadata (table qualifiers included), so name resolution
-// above the wrapper is unaffected.
+// Reorder projects the columns of its input: output column i is child
+// column Perm()[i]. It is the wrapper the mid-query re-optimizer inserts
+// above a restructured join segment — the joins below it carry their
+// honest (re-ordered, possibly side-swapped, full-width) schemas, and one
+// Reorder puts back the columns, in the order, the rest of the plan was
+// compiled against. Schema().Project preserves the full Column metadata
+// (table qualifiers included), so name resolution above the wrapper is
+// unaffected.
 type Reorder struct {
 	base
 	child Operator
@@ -23,17 +23,15 @@ type Reorder struct {
 	colOut data.ColBatch
 }
 
-// NewReorder creates a column permutation over child. perm must be a
-// permutation of child's column indexes.
+// NewReorder creates a projection of child's columns. perm names each
+// output column's child column; it need not cover every child column, but
+// may name none twice.
 func NewReorder(child Operator, perm []int) *Reorder {
 	w := child.Schema().Len()
-	if len(perm) != w {
-		panic(fmt.Sprintf("exec: NewReorder perm width %d vs schema width %d", len(perm), w))
-	}
 	seen := make([]bool, w)
 	for _, p := range perm {
 		if p < 0 || p >= w || seen[p] {
-			panic(fmt.Sprintf("exec: NewReorder perm %v is not a permutation of %d columns", perm, w))
+			panic(fmt.Sprintf("exec: NewReorder perm %v is not a projection of %d columns", perm, w))
 		}
 		seen[p] = true
 	}
@@ -45,7 +43,7 @@ func NewReorder(child Operator, perm []int) *Reorder {
 	return r
 }
 
-// Perm returns the permutation (output column i = child column Perm()[i]).
+// Perm returns the projection (output column i = child column Perm()[i]).
 func (r *Reorder) Perm() []int { return r.perm }
 
 // Name implements Operator.

@@ -61,3 +61,70 @@ func TestHashJoinLinksReadableDuringRestructure(t *testing.T) {
 		t.Errorf("restructured chain returned %d rows, %v; want the one row a, b and c share", n, err)
 	}
 }
+
+// TestReorderProjects: a Reorder emits the child columns it names, in its
+// order, on both pull contracts; it may leave child columns out, and
+// panics on an index out of range or named twice.
+func TestReorderProjects(t *testing.T) {
+	mk := func() Operator {
+		a := NewScan(makeTable("a", []int64{1, 2, 3}), "")
+		b := NewScan(makeTable("b", []int64{2, 3, 4}), "")
+		return NewHashJoinOn(a, b, "a", "k", "b", "k")
+	}
+	for _, columnar := range []bool{false, true} {
+		r := NewReorder(mk(), []int{1})
+		if got := r.Schema().String(); got != "(b.k BIGINT)" {
+			t.Fatalf("projected schema %s", got)
+		}
+		if columnar {
+			markColumnar(r)
+		}
+		rows := drainMode(t, r, columnar)
+		if len(rows) != 2 || len(rows[0]) != 1 || rows[0][0].I+rows[1][0].I != 5 {
+			t.Errorf("columnar %v: rows %v, want [2] and [3]", columnar, rows)
+		}
+	}
+	for _, perm := range [][]int{{2}, {-1}, {0, 0}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewReorder(%v) over two columns did not panic", perm)
+				}
+			}()
+			NewReorder(mk(), perm)
+		}()
+	}
+}
+
+// TestRestructureNarrowedJoin: SwapSides resets a narrowed join to its
+// whole output, and the parent takes a Reorder back to the probe schema it
+// was pruned against — and refuses the full-width join itself.
+func TestRestructureNarrowedJoin(t *testing.T) {
+	a := NewScan(makeTable("a", []int64{1, 2, 3}), "")
+	b := NewScan(makeTable("b", []int64{2, 3}), "")
+	c := NewScan(makeTable("c", []int64{3, 4}), "")
+	inner := NewHashJoinOn(a, b, "a", "k", "b", "k")
+	top := NewHashJoin(c, inner, 0, 0)
+	root := NewHashAgg(top, nil, []AggSpec{{Func: CountStar, Name: "n"}})
+	Prune(root)
+	if inner.Schema().Len() != 1 || top.Schema().Len() != 1 {
+		t.Fatalf("pruned widths %d and %d, want 1 and 1", inner.Schema().Len(), top.Schema().Len())
+	}
+	inner.SwapSides()
+	if got := inner.Schema().String(); got != "(b.k BIGINT, a.k BIGINT)" {
+		t.Fatalf("swapped schema %s, want the whole b ⧺ a", got)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("ReplaceProbe took a probe wider than the one the join was pruned against")
+			}
+		}()
+		top.ReplaceProbe(inner)
+	}()
+	top.ReplaceProbe(NewReorder(inner, []int{1}))
+	rows := drainMode(t, root, false)
+	if len(rows) != 1 || rows[0][0].I != 1 {
+		t.Errorf("restructured chain counted %v, want the one row a, b and c share", rows)
+	}
+}

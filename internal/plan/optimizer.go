@@ -69,7 +69,7 @@ func estimate(op exec.Operator, cat *catalog.Catalog) nodeEstimate {
 		if _, scan := o.Build().(*exec.Scan); scan && len(o.BuildKeys()) == 1 {
 			op.Stats().BuildKeysHint = b.distinct[o.BuildKey()]
 		}
-		ne := estimateEquijoin(b, p, o.BuildKey(), o.ProbeKey(), o.Build().Schema().Len())
+		ne := estimateEquijoin(b, p, o.BuildKey(), o.ProbeKey(), o.OutMap())
 		switch o.Type() {
 		case exec.ProbeOuterJoin:
 			if ne.rows < p.rows {
@@ -94,31 +94,30 @@ func estimate(op exec.Operator, cat *catalog.Catalog) nodeEstimate {
 			} else {
 				ne = nodeEstimate{rows: p.rows - semi}
 			}
-			// Output schema is the probe side alone.
-			ne = concatColumnStats(nodeEstimate{}, p, ne, 0)
+			ne = concatColumnStats(nodeEstimate{}, p, ne, o.OutMap())
 		}
 		op.Stats().SetEstimate(ne.rows, "optimizer")
 		return ne
 	case *exec.MergeJoin:
 		l := estimate(o.Left(), cat)
 		r := estimate(o.Right(), cat)
-		ne := estimateEquijoin(l, r, o.LeftKey(), o.RightKey(), o.Left().Schema().Len())
+		ne := estimateEquijoin(l, r, o.LeftKey(), o.RightKey(),
+			exec.FullOutMap(o.Left().Schema().Len(), o.Right().Schema().Len()))
 		op.Stats().SetEstimate(ne.rows, "optimizer")
 		return ne
 	case *exec.NestedLoopsJoin:
 		outer := estimate(o.Outer(), cat)
 		inner := estimate(o.Inner(), cat)
+		out := exec.FullOutMap(o.Outer().Schema().Len(), o.Inner().Schema().Len())
 		var ne nodeEstimate
 		if o.Indexed {
-			ne = estimateEquijoin(outer, inner, o.OuterKey(), o.InnerKey(),
-				o.Outer().Schema().Len())
+			ne = estimateEquijoin(outer, inner, o.OuterKey(), o.InnerKey(), out)
 		} else {
 			rows := outer.rows * inner.rows
 			if o.Pred != nil {
 				rows *= defaultSelectivity
 			}
-			ne = concatColumnStats(outer, inner,
-				nodeEstimate{rows: rows}, o.Outer().Schema().Len())
+			ne = concatColumnStats(outer, inner, nodeEstimate{rows: rows}, out)
 		}
 		op.Stats().SetEstimate(ne.rows, "optimizer")
 		return ne
@@ -261,9 +260,9 @@ func cmpSelectivity(p expr.Cmp, in nodeEstimate) float64 {
 }
 
 // estimateEquijoin applies |R ⋈ S| = |R||S| / max(d_R(key), d_S(key)).
-// leftWidth is the arity of the left input, used to offset the right
-// input's column statistics in the output coordinate space.
-func estimateEquijoin(l, r nodeEstimate, lKey, rKey, leftWidth int) nodeEstimate {
+// out is the join's output map, which places the inputs' column
+// statistics in the output coordinate space.
+func estimateEquijoin(l, r nodeEstimate, lKey, rKey int, out exec.OutMap) nodeEstimate {
 	dl := l.rows
 	if d, ok := l.distinct[lKey]; ok && d > 0 {
 		dl = d
@@ -280,35 +279,31 @@ func estimateEquijoin(l, r nodeEstimate, lKey, rKey, leftWidth int) nodeEstimate
 	if dmax > 0 {
 		rows = l.rows * r.rows / dmax
 	}
-	return concatColumnStats(l, r, nodeEstimate{rows: rows}, leftWidth)
+	return concatColumnStats(l, r, nodeEstimate{rows: rows}, out)
 }
 
-// concatColumnStats merges left/right column stats into the join output
-// coordinate space (left columns first), capping distinct counts at the
-// output cardinality.
-func concatColumnStats(l, r, ne nodeEstimate, leftWidth int) nodeEstimate {
+// concatColumnStats re-keys left/right column stats to the join output
+// columns out maps them to (left columns first), capping distinct counts
+// at the output cardinality. Columns the join does not emit drop out.
+func concatColumnStats(l, r, ne nodeEstimate, out exec.OutMap) nodeEstimate {
 	ne.distinct = map[int]float64{}
 	ne.mins = map[int]float64{}
 	ne.maxs = map[int]float64{}
-	lw := leftWidth
-	for i, d := range l.distinct {
-		ne.distinct[i] = capAt(d, ne.rows)
+	place := func(in nodeEstimate, cols []int, at int) {
+		for i, c := range cols {
+			if d, ok := in.distinct[c]; ok {
+				ne.distinct[at+i] = capAt(d, ne.rows)
+			}
+			if v, ok := in.mins[c]; ok {
+				ne.mins[at+i] = v
+			}
+			if v, ok := in.maxs[c]; ok {
+				ne.maxs[at+i] = v
+			}
+		}
 	}
-	for i, d := range r.distinct {
-		ne.distinct[i+lw] = capAt(d, ne.rows)
-	}
-	for i, v := range l.mins {
-		ne.mins[i] = v
-	}
-	for i, v := range l.maxs {
-		ne.maxs[i] = v
-	}
-	for i, v := range r.mins {
-		ne.mins[i+lw] = v
-	}
-	for i, v := range r.maxs {
-		ne.maxs[i+lw] = v
-	}
+	place(l, out.Build, 0)
+	place(r, out.Probe, len(out.Build))
 	return ne
 }
 

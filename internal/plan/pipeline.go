@@ -166,14 +166,15 @@ func (d *decomposer) build(p *Pipeline, op exec.Operator) {
 	}
 }
 
-// Explain renders the plan tree with estimates, one operator per line.
+// Explain renders the plan tree with estimates, one operator per line,
+// each with its output width (cols), which pruning narrows.
 func Explain(root exec.Operator) string {
 	var b strings.Builder
 	var rec func(op exec.Operator, depth int)
 	rec = func(op exec.Operator, depth int) {
 		st := op.Stats()
-		fmt.Fprintf(&b, "%s%s  (est=%.0f src=%s emitted=%d)\n",
-			strings.Repeat("  ", depth), op.Name(), st.Estimate(), st.Source(), st.Emitted.Load())
+		fmt.Fprintf(&b, "%s%s  (est=%.0f cols=%d src=%s emitted=%d)\n",
+			strings.Repeat("  ", depth), op.Name(), st.Estimate(), op.Schema().Len(), st.Source(), st.Emitted.Load())
 		for _, c := range op.Children() {
 			rec(c, depth+1)
 		}

@@ -35,9 +35,9 @@ import (
 // histograms, which cannot be split. Within the window the whole probe
 // subtree is verified unstarted — zero tuples emitted, no partition
 // pass begun — so discarding and re-attaching the chain estimators
-// loses no state, and a single exec.Reorder wrapper restores the
-// original column order above the restructured segment so nothing
-// upstream notices.
+// loses no state, and a single exec.Reorder projection restores the
+// original columns above the restructured segment so nothing upstream
+// notices.
 
 // ReoptConfig tunes the Reoptimizer.
 type ReoptConfig struct {
@@ -550,9 +550,11 @@ func buildLabel(j *exec.HashJoin) string {
 
 // simulate dry-runs one candidate order bottom-up, resolving every
 // join's probe key by qualified column identity in the simulated
-// stream schemas (indexes shift with the order), and derives the
-// column permutation restoring the original segment-top schema. Any
-// resolution failure or non-bijective mapping makes the order illegal.
+// stream schemas (indexes shift with the order; Relink and SwapSides
+// reset each join to its whole build ⧺ probe), and derives the Reorder
+// projection restoring the original segment-top schema, which Prune may
+// have narrowed. Any key that does not resolve, or wanted column that
+// does not resolve exactly once, makes the order illegal.
 func simulate(order []*candJoin, swapBottom bool, cSchema, want *data.Schema) (relinks [][]int, perm []int, ok bool) {
 	stream := cSchema
 	relinks = make([][]int, len(order))
@@ -569,18 +571,21 @@ func simulate(order []*candJoin, swapBottom bool, cSchema, want *data.Schema) (r
 			stream = cj.j.Build().Schema().Concat(stream)
 		}
 	}
-	if stream.Len() != want.Len() {
-		return nil, nil, false
-	}
 	perm = make([]int, want.Len())
-	seen := make([]bool, want.Len())
 	for p, col := range want.Cols {
-		idx := stream.Resolve(col.Table, col.Name)
-		if idx < 0 || seen[idx] {
+		perm[p] = -1
+		for i, c := range stream.Cols {
+			if c.Table != col.Table || c.Name != col.Name {
+				continue
+			}
+			if perm[p] >= 0 {
+				return nil, nil, false
+			}
+			perm[p] = i
+		}
+		if perm[p] < 0 {
 			return nil, nil, false
 		}
-		seen[idx] = true
-		perm[p] = idx
 	}
 	return relinks, perm, true
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"qpi/internal/exec"
 	"qpi/internal/plan"
 	"qpi/internal/sql"
 )
@@ -45,6 +46,8 @@ func (e *Engine) Prepare(query string) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Explain shows the plan NewQuery runs: pruned, as Compile prunes it.
+	exec.Prune(root)
 	plan.EstimateCardinalities(root, e.cat)
 	cols := root.Schema().Cols
 	names := make([]string, len(cols))

@@ -20,6 +20,14 @@ func TestPrepareValidatesAndDescribes(t *testing.T) {
 	if !strings.Contains(prep.Explain(), "HashJoin") {
 		t.Errorf("Explain() = %q, want a HashJoin plan", prep.Explain())
 	}
+	// It shows the plan that runs: pruned, the join narrowed to r.k.
+	q, err := prep.NewQuery()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prep.Explain() != q.Explain() {
+		t.Errorf("Explain() = %q, the compiled plan is %q", prep.Explain(), q.Explain())
+	}
 	if prep.SQL() == "" || !strings.Contains(prep.String(), "catalog v") {
 		t.Errorf("SQL/String = %q / %q", prep.SQL(), prep.String())
 	}

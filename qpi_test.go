@@ -2,6 +2,7 @@ package qpi
 
 import (
 	"math"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -223,10 +224,14 @@ func TestWithoutEstimators(t *testing.T) {
 func TestExplainContainsOperators(t *testing.T) {
 	e := testEngine(t)
 	j := HashJoin(e.MustScan("r"), e.MustScan("s"), Col("r", "k"), Col("s", "k"))
-	q := e.MustCompile(j)
+	q := e.MustCompile(MustGroupBy(j, nil, Agg{Func: CountStar, As: "n"}))
 	out := q.Explain()
 	if !strings.Contains(out, "HashJoin") || !strings.Contains(out, "Scan(r)") {
 		t.Errorf("Explain = %q", out)
+	}
+	// COUNT(*) reads no column of the join, which keeps one.
+	if !regexp.MustCompile(`HashJoin\(r\.k = s\.k\)  \(est=\d+ cols=1 `).MatchString(out) {
+		t.Errorf("Explain shows no one-column join: %q", out)
 	}
 }
 
