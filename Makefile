@@ -112,11 +112,11 @@ reopt-check:
 # hot halves (the lane scan, the budgeted partition pass), of the one
 # pricing the compile-time pruning pass, of the one reporting a generated
 # catalog's live heap, of the skewed Q8 pipeline with estimators on and
-# off, and of the join kernel's probe shapes in internal/exec, so none can
-# rot unbuilt.
+# off, of the pkfk_join query with estimators on and off, and of the join
+# kernel's probe shapes in internal/exec, so none can rot unbuilt.
 bench-smoke:
 	cd benchmark && $(GO) test -timeout 300s ./...
-	$(GO) test -run '^$$' -bench 'ScanColLanes|BudgetedScatter|CompileQ8|CatalogLiveBytes|Q8Pipeline' -benchtime 1x -timeout 120s .
+	$(GO) test -run '^$$' -bench 'ScanColLanes|BudgetedScatter|CompileQ8|CatalogLiveBytes|Q8Pipeline|PKFKPipeline' -benchtime 1x -timeout 120s .
 	$(GO) test -run '^$$' -bench 'ColumnarJoin' -benchtime 1x -timeout 120s ./internal/exec
 
 # Interleaved parent/change pairs of the repository benchmark, the only

@@ -424,6 +424,33 @@ func BenchmarkQ8Pipeline(b *testing.B) {
 	}
 }
 
+// BenchmarkPKFKPipeline compiles and runs the repository benchmark's
+// pkfk_join query (orders ⋈ lineitem on TPC-H SF 0.01) from SQL through
+// Engine.Compile, with estimators on and off: the overhead ratio of the
+// paper's Table 3 on the path users reach, beside BenchmarkQ8Pipeline's.
+func BenchmarkPKFKPipeline(b *testing.B) {
+	eng := New()
+	eng.MustLoadTPCH(TPCHConfig{SF: 0.01, Seed: 1, Tables: []string{"orders", "lineitem"}})
+	const sql = "SELECT o.orderkey FROM orders o JOIN lineitem l ON o.orderkey = l.orderkey"
+	for _, bc := range []struct {
+		name string
+		opts []CompileOption
+	}{{"on", nil}, {"off", []CompileOption{WithoutEstimators()}}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				q, err := eng.Query(sql, bc.opts...)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := q.Run(nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkExtApproxHistograms regenerates the approximate-histogram
 // accuracy/memory extension experiment (§6 future work).
 func BenchmarkExtApproxHistograms(b *testing.B) { runExperiment(b, "ext-approx") }

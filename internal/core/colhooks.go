@@ -143,25 +143,42 @@ func liveRow(cb *data.ColBatch, r int) int {
 
 // gather writes the link's per-tuple factor for live rows [lo, hi) of cb
 // into out: the Mult-transformed count of the row's key, a NULL key
-// counting 0 as Count over a NULL join key does.
-func (l *laneLink) gather(cb *data.ColBatch, lo, hi int, out []float64) {
+// counting 0 as Count over a NULL join key does. keys and counts are
+// laneChunk-long scratch lanes.
+func (l *laneLink) gather(cb *data.ColBatch, lo, hi int, out []float64, keys, counts []int64) {
 	kv := cb.Col(l.col)
-	for r := lo; r < hi; r++ {
-		i := liveRow(cb, r)
-		var n int64
-		if !kv.Nulls.Get(i) {
-			n = l.hist.CountInt(kv.Ints[i])
+	n := hi - lo
+	ks := keys[:n]
+	if cb.Sel == nil {
+		ks = kv.Ints[lo:hi]
+	} else {
+		for r, i := range cb.Sel[lo:hi] {
+			ks[r] = kv.Ints[i]
 		}
-		if l.mult != nil {
-			out[r-lo] = l.mult(n)
-		} else {
-			out[r-lo] = float64(n)
+	}
+	cs := counts[:n]
+	l.hist.CountInts(ks, cs)
+	if len(kv.Nulls) != 0 {
+		for r := range cs {
+			if kv.Nulls.Get(liveRow(cb, lo+r)) {
+				cs[r] = 0
+			}
 		}
+	}
+	out = out[:n]
+	if l.mult != nil {
+		for r, c := range cs {
+			out[r] = l.mult(c)
+		}
+		return
+	}
+	for r, c := range cs {
+		out[r] = float64(c)
 	}
 }
 
 // observeLanes is Algorithm 1's probe-side update a span at a time: per
-// chunk of live rows one CountInt gather per link into a counts lane,
+// chunk of live rows one CountInts gather per link into a counts lane,
 // then per level k the lanes multiply in probeDelta's j-ascending order
 // into a delta lane, which folds into sums[k]/sumSqs[k] row by row. A
 // level's moments depend on no other level's, so this is the tuple path's
@@ -189,11 +206,13 @@ func (p *PipelineEstimator) observeLanes(cb *data.ColBatch) bool {
 		for j := 0; j < p.m; j++ {
 			p.lanes = append(p.lanes, flat[j*laneChunk:(j+1)*laneChunk])
 		}
+		p.keyLane = make([]int64, 2*laneChunk)
 	}
+	keys, counts := p.keyLane[:laneChunk], p.keyLane[laneChunk:]
 	for lo, live := 0, cb.Live(); lo < live; lo += laneChunk {
 		n := min(laneChunk, live-lo)
 		for j := range p.laneLinks {
-			p.laneLinks[j].gather(cb, lo, lo+n, p.lanes[j])
+			p.laneLinks[j].gather(cb, lo, lo+n, p.lanes[j], keys, counts)
 		}
 		for a := 0; a < n; {
 			b := n

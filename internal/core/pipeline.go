@@ -118,11 +118,12 @@ type PipelineEstimator struct {
 
 	// The probe pass's running state: the bottom-stream tuples seen and,
 	// per level, the first two moments of out_k(c).
-	t      int64
-	sums   []float64
-	sumSqs []float64
-	lanes  [][]float64 // lane kernel scratch, allocated on first use
-	frozen bool
+	t       int64
+	sums    []float64
+	sumSqs  []float64
+	lanes   [][]float64 // lane kernel scratch, allocated on first use
+	keyLane []int64     // the gather's key and count scratch, likewise
+	frozen  bool
 
 	// laneLinks is set when the probe side can be observed a span at a
 	// time over key lanes (see colhooks.go); nil keeps the row fallback.
@@ -310,11 +311,17 @@ func (p *PipelineEstimator) planHistograms() {
 		// Level j at relation j has no applicable folds (folds come from
 		// strictly higher joins): the raw frequency histogram N^{R_j}, sized
 		// up front for the build key's distinct count when the catalog
-		// knows it (Stats.BuildKeysHint). Only slot order depends on the
-		// size, and no estimate does.
+		// knows it (Stats.BuildKeysHint), and counted in a flat lane when
+		// the catalog also bounds it to a dense range (Stats.BuildKeyRange).
+		// Only iteration order depends on either, and no estimate does.
 		p.hists[j][j] = p.histFactory()
 		if fh, ok := p.hists[j][j].(*FreqHistogram); ok {
-			fh.Reserve(int(p.links[j].Join.Stats().BuildKeysHint))
+			st := p.links[j].Join.Stats()
+			if r := st.BuildKeyRange; r.Known {
+				fh.ReserveRange(int(st.BuildKeysHint), r.Lo, r.Hi)
+			} else {
+				fh.Reserve(int(st.BuildKeysHint))
+			}
 		}
 		for k := j - 1; k >= 0; k-- {
 			if p.levelsEqual(k, k+1, j) {

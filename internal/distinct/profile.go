@@ -60,8 +60,12 @@ func (p *profile) mle(g, t int64, total float64) float64 {
 		return float64(g)
 	}
 	newGroups := 0.0
+	bound := deadTermBound(g, t)
 	for j, fj := range p.f {
 		if fj != 0 {
+			if bound*expNegAt(int64(j)) < newGroups*0x1p-54 && newGroups >= 0x1p-900 {
+				break
+			}
 			newGroups += mleTerm(int64(j), fj, float64(t))
 		}
 	}
@@ -77,6 +81,54 @@ func mleTerm(j, fj int64, t float64) float64 {
 	}
 	pt := math.Pow(q, t)
 	return float64(fj) * (pt - pt*pt)
+}
+
+// expNeg[j] is e^−j where that is a normal float64, +Inf (no bound: the
+// sums never stop there) from j = 709 on.
+var expNeg = func() (e [profileCap]float64) {
+	for j := range e {
+		if e[j] = math.Exp(-float64(j)); e[j] < 0x1p-1022 {
+			e[j] = math.Inf(1)
+		}
+	}
+	return e
+}()
+
+// expNegAt is expNeg[j], +Inf at or past profileCap.
+func expNegAt(j int64) float64 {
+	if j < profileCap {
+		return expNeg[j]
+	}
+	return math.Inf(1)
+}
+
+// deadTermBound returns B such that, for every j, every MLE term of a
+// profile of g groups at t observations, j or past, is below B·e^−j as
+// computed — or +Inf when t is too large for the proof below. The
+// ascending-j sums stop at the first j where B·expNegAt(j) < s·2^−54, s
+// being the running sum and at least 2^−900: every term left is then
+// below half an ulp of s, so adding it rounds back to s, and the result's
+// bits are the full loop's.
+//
+// Proof. A term is f_j·(p − p²) ≤ g·p with p = q^t, q = 1 − j/t, and it
+// is 0 unless j < t. Exactly, 1 − j/t ≤ e^{−j/t}. As computed, j/t and
+// 1 − j/t each round by at most 2^−54 (both are below 1), so
+// q ≤ e^{−j/t}·(1 + e·2^−53) and q^t ≤ e^−j·e^{e·t·2^−53} < 1.41·e^−j for
+// t < 2^50. math.Pow squares the mantissa once per bit of t, adding a
+// relative 2t·2^−53 ≤ 1/4 (a factor below 1.29), and a subnormal p an
+// absolute 2^−1074; the term's own three operations add a relative 2^−52.
+// So a term is below 1.83·g·e^−j + g·2^−1073. B·expNegAt(j) as computed
+// (g, e^−j and their product each round, all normal) is above
+// 1.99·g·e^−j, so once it is below s·2^−54 a term is below
+// 0.92·s·2^−54 + 2^−1010 (g < 2^63), which s ≥ 2^−900 keeps below
+// s·2^−54. And s·2^−54 is below half an ulp of s (for s in [2^e, 2^{e+1})
+// half an ulp is 2^{e−53}); a later term, having a larger j, is below the
+// same bound.
+func deadTermBound(g, t int64) float64 {
+	if t >= 1<<50 {
+		return math.Inf(1)
+	}
+	return 2 * float64(g)
 }
 
 // ascending returns the profile's counts j in ascending order.
@@ -131,7 +183,11 @@ func mleFromProfile(freqs map[int64]int64, js []int64, t int64, total float64) f
 		return float64(g)
 	}
 	newGroups := 0.0
+	bound := deadTermBound(g, t)
 	for _, j := range js {
+		if bound*expNegAt(j) < newGroups*0x1p-54 && newGroups >= 0x1p-900 {
+			break
+		}
 		newGroups += mleTerm(j, freqs[j], float64(t))
 	}
 	return float64(g) + newGroups

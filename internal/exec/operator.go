@@ -68,10 +68,22 @@ type Stats struct {
 	// it is capped at the (possibly misestimated) input cardinality, so
 	// progress refinement can re-cap when the input belief changes.
 	GroupsHint float64
-	// BuildKeysHint is a hash join's catalog distinct count of its build
-	// key when the build input is a base-table scan of an ANALYZEd column
-	// (0 otherwise); the estimators pre-size the build histogram with it.
+	// BuildKeysHint is the optimizer's distinct count of a hash join's
+	// single build key when the catalog knows the key column (ANALYZEd),
+	// capped at the build row estimate (0 otherwise); the estimators
+	// pre-size the build histogram with it.
 	BuildKeysHint float64
+	// BuildKeyRange is the catalog's [min, max] of that key when it is an
+	// integer column; the estimators count a dense range in a flat lane.
+	BuildKeyRange KeyRange
+}
+
+// KeyRange bounds an integer key to [Lo, Hi]. The zero value means no
+// range is known, which is what a hand-wired plan (never run through the
+// optimizer) carries.
+type KeyRange struct {
+	Lo, Hi int64
+	Known  bool
 }
 
 // Interned provenance strings so SetEstimate does not allocate for the

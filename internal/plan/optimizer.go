@@ -1,6 +1,8 @@
 package plan
 
 import (
+	"math"
+
 	"qpi/internal/catalog"
 	"qpi/internal/data"
 	"qpi/internal/exec"
@@ -65,10 +67,7 @@ func estimate(op exec.Operator, cat *catalog.Catalog) nodeEstimate {
 	case *exec.HashJoin:
 		b := estimate(o.Build(), cat)
 		p := estimate(o.Probe(), cat)
-		op.Stats().BuildKeysHint = 0
-		if _, scan := o.Build().(*exec.Scan); scan && len(o.BuildKeys()) == 1 {
-			op.Stats().BuildKeysHint = b.distinct[o.BuildKey()]
-		}
+		op.Stats().BuildKeysHint, op.Stats().BuildKeyRange = buildKeyHints(o, b)
 		ne := estimateEquijoin(b, p, o.BuildKey(), o.ProbeKey(), o.OutMap())
 		switch o.Type() {
 		case exec.ProbeOuterJoin:
@@ -147,6 +146,30 @@ func estimate(op exec.Operator, cat *catalog.Catalog) nodeEstimate {
 		op.Stats().SetEstimate(child.rows, "optimizer")
 		return child
 	}
+}
+
+// maxExactInt bounds the key ranges the optimizer hands the estimators:
+// every integer up to 2^53 is exact in the float64 statistics.
+const maxExactInt = 1 << 53
+
+// buildKeyHints returns what the estimators pre-size a hash join's build
+// histogram from: the distinct count of its single build key (already
+// capped at the build row estimate) and, for an integer key, the
+// catalog's [min, max] carried through filters and joins. A composite key
+// or a column the catalog does not know gets neither.
+func buildKeyHints(j *exec.HashJoin, b nodeEstimate) (float64, exec.KeyRange) {
+	if len(j.BuildKeys()) != 1 {
+		return 0, exec.KeyRange{}
+	}
+	key := j.BuildKey()
+	var r exec.KeyRange
+	lo, okLo := b.mins[key]
+	hi, okHi := b.maxs[key]
+	if okLo && okHi && j.Build().Schema().Cols[key].Kind == data.KindInt &&
+		lo == math.Trunc(lo) && hi == math.Trunc(hi) && -maxExactInt <= lo && hi <= maxExactInt {
+		r = exec.KeyRange{Lo: int64(lo), Hi: int64(hi), Known: true}
+	}
+	return b.distinct[key], r
 }
 
 func estimateScan(s *exec.Scan, cat *catalog.Catalog) nodeEstimate {

@@ -202,39 +202,56 @@ func TestEstimatesFollowPrunedScans(t *testing.T) {
 	}
 }
 
-// TestBuildKeysHint: a hash join records its build key's catalog distinct
-// count when the build input is a scan of an ANALYZEd column, and nothing
-// otherwise.
+// TestBuildKeysHint: a hash join records its single build key's distinct
+// count and, for an integer key, the catalog's [min, max] of it, whatever
+// its build input is. A filter or a join below only narrows what the
+// build holds: the distinct count is capped at the build row estimate,
+// and the range stays a bound of every key the build can hold, which is
+// all the estimators' dense histogram lane needs (a key outside it would
+// still be counted, only slower). A composite key has no one column to
+// bound, and an un-ANALYZEd column has no statistics: neither gets a hint.
 func TestBuildKeysHint(t *testing.T) {
 	tb, cat := threeColumns()
 	probe := uniformTable("p", 100, 10)
 	cat.Register(probe)
 	raw := uniformTable("raw", 100, 10)
 	cat.RegisterWithoutStats(raw)
+	q := uniformTable("q", 100, 20)
+	cat.Register(q)
+	none := exec.KeyRange{}
 	for _, tc := range []struct {
 		name  string
 		build func() exec.Operator
 		keys  []int
 		want  float64
+		rng   exec.KeyRange
 	}{
-		{"scan", func() exec.Operator { return exec.NewScan(tb, "") }, []int{1}, 10},
+		{"scan", func() exec.Operator { return exec.NewScan(tb, "") }, []int{1}, 10, exec.KeyRange{Lo: 0, Hi: 9, Known: true}},
 		{"pruned scan", func() exec.Operator {
 			sc := exec.NewScan(tb, "")
 			exec.Prune(exec.NewHashAgg(sc, []int{2}, nil))
 			return sc
-		}, []int{0}, 50},
+		}, []int{0}, 50, exec.KeyRange{Lo: 0, Hi: 49, Known: true}},
+		// a < 5 keeps 5/999 of 1000 rows: the ten b values cap at 5.005.
 		{"filtered scan", func() exec.Operator {
 			sc := exec.NewScan(tb, "")
 			return exec.NewFilter(sc, expr.Compare(expr.LT, expr.Column(sc.Schema(), "t", "a"), expr.IntLit(5)))
-		}, []int{1}, 0},
-		{"composite key", func() exec.Operator { return exec.NewScan(tb, "") }, []int{1, 2}, 0},
-		{"un-ANALYZEd table", func() exec.Operator { return exec.NewScan(raw, "") }, []int{0}, 0},
+		}, []int{1}, 5000.0 / 999, exec.KeyRange{Lo: 0, Hi: 9, Known: true}},
+		// q.k (1..20) joins t.b (0..9): the build key is q's, range and all.
+		{"joined build", func() exec.Operator {
+			return exec.NewHashJoin(exec.NewScan(q, ""), exec.NewScan(tb, ""), 0, 1)
+		}, []int{0}, 20, exec.KeyRange{Lo: 1, Hi: 20, Known: true}},
+		{"composite key", func() exec.Operator { return exec.NewScan(tb, "") }, []int{1, 2}, 0, none},
+		{"un-ANALYZEd table", func() exec.Operator { return exec.NewScan(raw, "") }, []int{0}, 0, none},
 	} {
 		probeKeys := make([]int, len(tc.keys))
 		j := exec.NewHashJoinMulti(tc.build(), exec.NewScan(probe, ""), tc.keys, probeKeys, exec.InnerJoin)
 		EstimateCardinalities(j, cat)
 		if got := j.Stats().BuildKeysHint; got != tc.want {
 			t.Errorf("%s: BuildKeysHint %v, want %v", tc.name, got, tc.want)
+		}
+		if got := j.Stats().BuildKeyRange; got != tc.rng {
+			t.Errorf("%s: BuildKeyRange %+v, want %+v", tc.name, got, tc.rng)
 		}
 	}
 }

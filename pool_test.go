@@ -2,6 +2,7 @@ package qpi
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"qpi/internal/data"
@@ -50,7 +51,13 @@ func TestSkewedBuildSideDoesNotGrowTheHeap(t *testing.T) {
 }
 
 // heapStaysLevel runs the query ten times and holds the heap that
-// survives a collection after the tenth to 1.2x the third's.
+// survives a collection after the last three to 1.2x the heap after
+// queries 3-5. The process-wide sync.Pools make the live heap alternate
+// between two levels, by when GC last ran rather than by what the
+// queries leave (one full run read 18.5 ... 21.4, 24.6 MB), so one query
+// against one query failed whenever the two landed on different levels.
+// Growth moves every later query: the lowest of the last three must still
+// stay within bounds of the highest of the early ones.
 func heapStaysLevel(t *testing.T, query func() (int64, error)) {
 	t.Helper()
 	if raceEnabled {
@@ -68,8 +75,8 @@ func heapStaysLevel(t *testing.T, query func() (int64, error)) {
 		live[i] = float64(ms.HeapAlloc) / (1 << 20)
 	}
 	t.Logf("live heap after each query (MB): %.1f", live)
-	if third, tenth := live[2], live[9]; tenth > 1.2*third {
-		t.Errorf("live heap grew from %.1f MB after the third query to %.1f MB after the tenth", third, tenth)
+	if early, late := slices.Max(live[2:5]), slices.Min(live[7:]); late > 1.2*early {
+		t.Errorf("live heap grew from at most %.1f MB after queries 3-5 to at least %.1f MB after queries 8-10", early, late)
 	}
 }
 
