@@ -725,6 +725,13 @@ func (j *HashJoin) NextColBatch() (*data.ColBatch, error) {
 	out := &j.colOut
 	out.BeginBuild(j.schema.Len())
 	limit := data.BatchSize()
+	// A fill never buffers more than limit pairs, so the pair buffers are
+	// sized for that once: grown by append, their final size (and what
+	// the join allocates) would depend on the span lengths that happened
+	// to arrive at each growth, and with them on the partition layout.
+	if cap(j.colPairB) < limit {
+		j.colPairB, j.colPairP = make([]int32, 0, limit), make([]int32, 0, limit)
+	}
 	for out.NRows < limit {
 		if err := j.ctxErr(); err != nil {
 			return nil, err
