@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt race check leakcheck serve-check reopt-check bench-smoke bench-pair bench-serve bench-guard lint-deprecated fuzz cover
+.PHONY: build test vet fmt race check leakcheck serve-check bench-smoke bench-pair bench-serve bench-guard lint-deprecated fuzz cover
 
 build:
 	$(GO) build ./...
@@ -19,9 +19,10 @@ fmt:
 
 # A query is one executor goroutine; what runs concurrently with it — the
 # service's other queries and admission governor, monitor goroutines
-# reading the atomic Stats, RequestReopt callers, the data.BatchSize knob
-# writes (TestBatchSizeKnobStartRace) — runs under the race detector
-# here; this is the gate CI runs (vet + plain tests + race tests).
+# reading the atomic Stats and the plan's compile-time links
+# (TestSnapshotsWhileDraining), the data.BatchSize knob writes
+# (TestBatchSizeKnobStartRace) — runs under the race detector here; this
+# is the gate CI runs (vet + plain tests + race tests).
 race:
 	$(GO) test -race -timeout 120s ./...
 
@@ -52,11 +53,13 @@ serve-check:
 # row-batch reader, the per-row budgeted partition append and spill
 # append), and the row-major copy of a stored table the lanes replaced
 # (its blocks, the scan's row buffer, the iterator's sample-prefix query),
-# and the chain link's build width the join output map replaced, are
-# removed; nothing anywhere in the repo may reference them, so stray
-# revivals in merges get caught here.
+# and the chain link's build width the join output map replaced, and
+# mid-query re-optimization (its run option and counters, its sketches,
+# the join's restructuring seams, the Reorder wrapper and the difftest
+# modes) are removed; nothing anywhere in the repo may reference them, so
+# stray revivals in merges get caught here.
 lint-deprecated:
-	@bad=$$(grep -rn --include='*.go' --exclude-dir=.bench_build -E '\.(RunContext|StartContext|NextBatch|Block)\(|\<(storage\.Block|InSample|rowBuf|WithBatchExecution|RunBatch|AsBatch|DrainBatch|OnBuildBatch|OnProbeBatch|BatchAttached|observeProbeColFast|observeProbeColShardFast|SetMorselWorkers|SetMorselBlocks|Morseled|MorselSource|OnBuildColBatch|OnProbeColBatch|ColShardAttached|ObserveProbeColShard|FinishProbe|composeColW|ModeColMorsel|colPartitionAppend|appendColRow|BuildWidth)\>' . || true); \
+	@bad=$$(grep -rn --include='*.go' --exclude-dir=.bench_build -E '\.(RunContext|StartContext|NextBatch|Block)\(|\<(storage\.Block|InSample|rowBuf|WithBatchExecution|RunBatch|AsBatch|DrainBatch|OnBuildBatch|OnProbeBatch|BatchAttached|observeProbeColFast|observeProbeColShardFast|SetMorselWorkers|SetMorselBlocks|Morseled|MorselSource|OnBuildColBatch|OnProbeColBatch|ColShardAttached|ObserveProbeColShard|FinishProbe|composeColW|ModeColMorsel|colPartitionAppend|appendColRow|BuildWidth|WithReoptimization|ReoptOptions|PlanChanges|ReoptStats|Reoptimizer|SwapSides|Relink|ReplaceProbe|ResetObservers|OnBeforePartition|PartitionStarted|ReattachChain|AttachSketches|NewReorder|ModeReopt(Columnar)?)\>|\<qpi_reopt_' . || true); \
 	if [ -n "$$bad" ]; then \
 		echo "removed API referenced:"; \
 		echo "$$bad"; \
@@ -88,19 +91,7 @@ cover:
 		if [ "$$ok" != "1" ]; then echo "coverage below floor"; exit 1; fi; \
 	}; \
 	check ./internal/core 82; \
-	check ./internal/distinct 84; \
-	check ./internal/sketch 75
-
-# The mid-query re-optimization gate: the differential suite (whose
-# reopt / reopt-columnar modes force restructurings over all generated
-# plans and dual-oracle-check every one), then the
-# restructure timing and barrier tests — concurrent RequestReopt
-# hammering, monitor refresh during restructure, public-API label
-# stability — twice each under the race detector.
-reopt-check:
-	$(GO) test -timeout 180s -run TestDifferentialSuite ./internal/difftest/
-	$(GO) test -race -count=2 -timeout 300s -run 'Reopt|Robust|MonitorRefresh' \
-		./internal/plan/ ./internal/progress/ .
+	check ./internal/distinct 84
 
 # The repository benchmark is a module of its own (benchmark/go.mod), so
 # `go test ./...` at the root never sees it. Its tests hold the route
@@ -134,9 +125,9 @@ bench-pair:
 # on a machine comparable to the one that recorded BENCH_serve.json (and
 # are pure noise on loaded CI runners).
 ifeq ($(BENCH_GUARD),1)
-check: vet fmt lint-deprecated test race cover fuzz reopt-check bench-smoke bench-guard
+check: vet fmt lint-deprecated test race cover fuzz bench-smoke bench-guard
 else
-check: vet fmt lint-deprecated test race cover fuzz reopt-check bench-smoke
+check: vet fmt lint-deprecated test race cover fuzz bench-smoke
 endif
 
 # Drive qpi-server with 1000 concurrent HTTP streams for 10s and record

@@ -1,6 +1,7 @@
 package qpi
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -108,5 +109,32 @@ func TestEstimateOfRootAndMisses(t *testing.T) {
 	}
 	if _, ok := q.EstimateOf("SortAgg"); ok {
 		t.Fatal("EstimateOf of an absent operator resolved")
+	}
+}
+
+// TestEstimateOfStableAcrossRun: a join's label is rendered when it is
+// linked and Prune keeps its columns, so every label Estimates reports
+// before the run resolves to itself through EstimateOf, and the run
+// changes none of them.
+func TestEstimateOfStableAcrossRun(t *testing.T) {
+	q := estimateOfEngine(t)
+	labels := func() []string {
+		var out []string
+		for _, est := range q.Estimates() {
+			out = append(out, est.Operator)
+		}
+		return out
+	}
+	before := labels()
+	if _, err := q.Run(nil); err != nil {
+		t.Fatal(err)
+	}
+	if after := labels(); !slices.Equal(after, before) {
+		t.Fatalf("labels after the run %v, want %v", after, before)
+	}
+	for _, l := range before {
+		if est, ok := q.EstimateOf(l); !ok || est.Operator != l || !est.Done {
+			t.Errorf("EstimateOf(%q) after the run = %+v, %v", l, est, ok)
+		}
 	}
 }

@@ -19,7 +19,6 @@ type Attachment struct {
 	Ineq      []*InequalityEstimator
 	Disjunct  []*DisjunctiveEstimator
 	opts      AttachOptions
-	tr        *obs.Tracer
 }
 
 // Attach walks a plan and installs the paper's estimators (§5
@@ -266,40 +265,6 @@ func (a *Attachment) attachMergeChain(top *exec.MergeJoin) {
 	a.record(pe, ops)
 }
 
-// ReattachChain rewires estimation after the mid-query re-optimizer
-// restructures a probe subtree: the old chain estimator is discarded
-// wholesale (restructuring only happens before the segment has observed
-// anything, so no state is lost) and fresh chains are attached rooted
-// at each of the given top joins. Tops that already carry a chain are
-// left alone; newly built chains inherit the attachment's tracer.
-func (a *Attachment) ReattachChain(old *PipelineEstimator, tops ...*exec.HashJoin) {
-	if old != nil {
-		for i, pe := range a.Chains {
-			if pe == old {
-				a.Chains = append(a.Chains[:i], a.Chains[i+1:]...)
-				break
-			}
-		}
-		for op, pe := range a.ChainOf {
-			if pe == old {
-				delete(a.ChainOf, op)
-				delete(a.LevelOf, op)
-			}
-		}
-	}
-	before := len(a.Chains)
-	for _, top := range tops {
-		if top != nil && a.ChainOf[top] == nil {
-			a.attachHashChain(top)
-		}
-	}
-	if a.tr != nil {
-		for _, pe := range a.Chains[before:] {
-			pe.SetTracer(a.tr)
-		}
-	}
-}
-
 func (a *Attachment) record(pe *PipelineEstimator, joins []exec.Operator) {
 	a.Chains = append(a.Chains, pe)
 	for level, j := range joins {
@@ -440,7 +405,7 @@ func StreamSizeEstimate(op exec.Operator) float64 {
 		return float64(o.Stats().InputTotal)
 	case *exec.Filter:
 		return DNEEstimate(o, o.Stats().Estimate())
-	case *exec.Project, *exec.Limit, *exec.Reorder:
+	case *exec.Project, *exec.Limit:
 		if op.Stats().IsDone() {
 			return float64(op.Stats().Emitted.Load())
 		}
@@ -482,7 +447,6 @@ func compose0(prev, next func()) func() {
 // (nil disables). Call it after Attach and before execution starts; it
 // caches operator labels so publish boundaries stay allocation-free.
 func (a *Attachment) SetTracer(tr *obs.Tracer) {
-	a.tr = tr
 	for _, pe := range a.Chains {
 		pe.SetTracer(tr)
 	}

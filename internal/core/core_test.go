@@ -477,11 +477,11 @@ func TestProvenanceThroughNarrowedJoins(t *testing.T) {
 	}
 	att := Attach(root)
 	pe := att.ChainOf[top]
-	if _, ok := pe.BottomSourceCols(0); ok {
+	if pe.srcs[0].fromBottom {
 		t.Error("level 0 keys off relation c (Case 2), not the bottom stream")
 	}
-	if cols, ok := pe.BottomSourceCols(1); !ok || !reflect.DeepEqual(cols, []int{bottomStream.Schema().MustResolve("d", "y")}) {
-		t.Errorf("level 1 key resolves to bottom columns %v (%v), want d.y", cols, ok)
+	if src := pe.srcs[1]; !src.fromBottom || !reflect.DeepEqual(src.cols, []int{bottomStream.Schema().MustResolve("d", "y")}) {
+		t.Errorf("level 1 key resolves to bottom columns %v (%v), want d.y", src.cols, src.fromBottom)
 	}
 	if col, ok := pe.ResolveToBottom(root.GroupBy()[0]); !ok || col != bottomStream.Schema().MustResolve("d", "v") {
 		t.Errorf("group column resolves to bottom column %d (%v), want d.v", col, ok)

@@ -139,13 +139,6 @@ type PipelineEstimator struct {
 	// trajectories).
 	OnProbeObserved func(t int64)
 
-	// OnConverged, if set, fires exactly once when the estimator freezes
-	// (the bottom probe stream has been fully observed and every estimate
-	// is exact). It runs on the goroutine ending the pass, after the final
-	// publish, so the joins' Stats already carry the once-exact values.
-	// The mid-query re-optimizer uses it as its convergence trigger.
-	OnConverged func()
-
 	// Output-distribution accumulation for aggregation push-down (§4.2
 	// end): when enabled, every probe tuple c adds out_0(c) observations
 	// of c[outDistCol] to outDistHist — the estimated frequency
@@ -538,12 +531,8 @@ func (p *PipelineEstimator) ConfidenceInterval(k int, alpha float64) (lo, hi flo
 // MarkConverged freezes the estimator when the bottom probe stream has
 // been fully observed: all estimates are now exact.
 func (p *PipelineEstimator) MarkConverged() {
-	first := !p.frozen
 	p.frozen = true
 	p.publish()
-	if first && p.OnConverged != nil {
-		p.OnConverged()
-	}
 }
 
 // Converged reports whether the bottom stream has been fully observed.
@@ -554,27 +543,6 @@ func (p *PipelineEstimator) ProbeTuplesSeen() int64 { return p.t }
 
 // Levels returns the number of joins in the chain.
 func (p *PipelineEstimator) Levels() int { return p.m }
-
-// Links exposes the chain's links (index 0 = top join). Callers must
-// treat the slice as read-only; the re-optimizer uses it to discover
-// restructurable segments and their key wiring.
-func (p *PipelineEstimator) Links() []ChainLink { return p.links }
-
-// HasOutputDistribution reports whether aggregation push-down rides
-// this chain (EnableOutputDistribution was called). Restructuring such
-// a chain would orphan the push-down histogram's column binding, so
-// the re-optimizer skips it.
-func (p *PipelineEstimator) HasOutputDistribution() bool { return p.outDistHist != nil }
-
-// BottomSourceCols returns the bottom-stream column indexes that join
-// level k's probe key resolves to, or ok=false when the key originates
-// from a deeper build relation instead.
-func (p *PipelineEstimator) BottomSourceCols(k int) ([]int, bool) {
-	if k < 0 || k >= p.m || !p.srcs[k].fromBottom {
-		return nil, false
-	}
-	return p.srcs[k].cols, true
-}
 
 // Histogram exposes M[k][j] for inspection and aggregation push-down.
 func (p *PipelineEstimator) Histogram(k, j int) Histogram { return p.hists[k][j] }

@@ -1,9 +1,8 @@
 // Package difftest is the randomized differential-testing harness: it
 // runs every qgen-generated plan through all execution modes of the real
-// engine (tuple-at-a-time, forced-spill, columnar, columnar-spill, forced
-// mid-query re-optimization on tuple and columnar plans, and mid-query
-// cancel/re-run) and checks each
-// run against the exact oracle and the paper's estimator invariants:
+// engine (tuple-at-a-time, forced-spill, columnar, columnar-spill and
+// mid-query cancel/re-run) and checks each run against the exact oracle
+// and the paper's estimator invariants:
 //
 //   - result-set equivalence: the run's output multiset equals the
 //     oracle's, and every join emits exactly its true cardinality;
@@ -33,7 +32,6 @@ import (
 	"qpi/internal/distinct"
 	"qpi/internal/exec"
 	"qpi/internal/oracle"
-	"qpi/internal/plan"
 	"qpi/internal/progress"
 	"qpi/internal/qgen"
 )
@@ -58,36 +56,19 @@ const (
 	// ModeColumnarSpill combines the columnar passes with a tiny budget,
 	// forcing partitions through the columnar spill frame codec.
 	ModeColumnarSpill
-	// ModeReopt runs with a Force-mode sketch-backed re-optimizer: every
-	// eligible unstarted join segment is re-ordered (or side-swapped) at
-	// its pipeline boundary, and the run is checked against TWO oracles —
-	// the original spec for the final result multiset, and the permuted
-	// spec (recovered from the executed tree) for per-join cardinalities
-	// and once-exactness of the re-attached chain estimators.
-	ModeReopt
-	// ModeReoptColumnar is ModeReopt over a plan compiled columnar — what
-	// WithReoptimization, a run option, always meets on the public API:
-	// restructured joins keep their lane-native partitions, their span
-	// hooks are re-attached, and the Reorder wrapper passes lanes through.
-	ModeReoptColumnar
 )
 
 // AllModes is every execution mode, in suite order.
-var AllModes = []Mode{ModeTuple, ModeSpill, ModeColumnar, ModeColumnarSpill, ModeReopt, ModeReoptColumnar, ModeCancelRerun}
+var AllModes = []Mode{ModeTuple, ModeSpill, ModeColumnar, ModeColumnarSpill, ModeCancelRerun}
 
 // columnar reports whether the mode compiles the plan columnar and
 // drains it through NextColBatch.
 func (m Mode) columnar() bool {
 	switch m {
-	case ModeColumnar, ModeColumnarSpill, ModeReoptColumnar:
+	case ModeColumnar, ModeColumnarSpill:
 		return true
 	}
 	return false
-}
-
-// reopt reports whether the mode runs under a forced re-optimizer.
-func (m Mode) reopt() bool {
-	return m == ModeReopt || m == ModeReoptColumnar
 }
 
 func (m Mode) String() string {
@@ -100,10 +81,6 @@ func (m Mode) String() string {
 		return "columnar"
 	case ModeColumnarSpill:
 		return "columnar-spill"
-	case ModeReopt:
-		return "reopt"
-	case ModeReoptColumnar:
-		return "reopt-columnar"
 	default:
 		return "tuple"
 	}
@@ -121,17 +98,14 @@ const ciSampleAt = 8
 // floors on them so the harness cannot silently degrade into checking
 // nothing.
 type SuiteStats struct {
-	Cases               int
-	Runs                int
-	ChainsChecked       int // joins verified against the once-exact invariant
-	AggsChecked         int // aggregations verified against the chooser invariants
-	CISamples           int
-	CICovered           int
-	Cancelled           int   // runs that observed a real mid-query cancellation
-	SpillFiles          int64 // spill files created across ModeSpill runs
-	PlanChanges         int   // restructurings applied across the re-opt modes
-	ColumnarPlanChanges int   // the share of PlanChanges applied to columnar plans
-	ReoptRuns           int   // re-opt runs whose executed plan actually changed
+	Cases         int
+	Runs          int
+	ChainsChecked int // joins verified against the once-exact invariant
+	AggsChecked   int // aggregations verified against the chooser invariants
+	CISamples     int
+	CICovered     int
+	Cancelled     int   // runs that observed a real mid-query cancellation
+	SpillFiles    int64 // spill files created across ModeSpill runs
 }
 
 // CheckCase generates the case for (seed, opts), evaluates the oracle and
@@ -175,15 +149,6 @@ func runMode(c *qgen.Case, want *oracle.Result, m Mode, st *SuiteStats) error {
 	}
 	att := core.Attach(b.Root)
 	mon := progress.NewMonitorWith(b.Root, progress.ModeOnce, att)
-	var ro *plan.Reoptimizer
-	if m.reopt() {
-		rc := plan.DefaultReoptConfig()
-		rc.Force = true
-		ro = plan.NewReoptimizer(rc, att)
-		ro.SetSketches(core.AttachSketches(b.Root))
-		ro.SetOnRestructure(mon.Refresh)
-		ro.Install(b.Root)
-	}
 	st.Runs++
 
 	// gnm invariants, sampled at work-based ticks on the execution path
@@ -271,21 +236,6 @@ func runMode(c *qgen.Case, want *oracle.Result, m Mode, st *SuiteStats) error {
 		return fmt.Errorf("run failed: %w", runErr)
 	}
 
-	// Re-opt runs: verify the barrier witness on every applied change and
-	// swap in the permuted-spec oracle for the per-join checks. The final
-	// result multiset is still checked against the ORIGINAL oracle below —
-	// the Reorder wrapper must have restored the root schema exactly.
-	if ro != nil {
-		before := st.PlanChanges
-		var roErr error
-		if want, roErr = reoptWant(c, b, ro, want, st); roErr != nil {
-			return roErr
-		}
-		if m == ModeReoptColumnar {
-			st.ColumnarPlanChanges += st.PlanChanges - before
-		}
-	}
-
 	// (a) Result-set equivalence against the oracle.
 	if err := compareRows(rows, want.Rows); err != nil {
 		return err
@@ -320,88 +270,6 @@ func runMode(c *qgen.Case, want *oracle.Result, m Mode, st *SuiteStats) error {
 		return fmt.Errorf("terminal progress %g, want 1 for a fully draining plan", rep.Progress)
 	}
 	return nil
-}
-
-// reoptWant audits a forced re-optimization run. Every applied change
-// must carry the barrier witness (the restructured subtree was verified
-// unstarted at commit time). If the executed plan changed, the per-join
-// truths shift: the function recovers the executed bottom-up join order
-// from the live tree (by subtree containment, which is agnostic to the
-// Reorder wrapper and to a swapped bottom join), re-evaluates the exact
-// oracle on the correspondingly permuted spec, and returns a Result whose
-// JoinCards are re-indexed back onto b.Joins' original positions — so
-// the standard per-join and once-exact checks run unmodified against the
-// plan that actually executed. The final row multiset deliberately stays
-// the ORIGINAL oracle's: re-optimization must be invisible at the root.
-func reoptWant(c *qgen.Case, b *qgen.Built, ro *plan.Reoptimizer,
-	want *oracle.Result, st *SuiteStats) (*oracle.Result, error) {
-	changes := ro.Changes()
-	for _, ch := range changes {
-		if !ch.AllUnstarted {
-			return nil, fmt.Errorf("re-opt change lacks the barrier witness: %+v", ch)
-		}
-	}
-	if rs := ro.Stats(); rs.Applied != int64(len(changes)) {
-		return nil, fmt.Errorf("re-opt stats disagree with change log: Applied=%d, %d changes",
-			rs.Applied, len(changes))
-	}
-	st.PlanChanges += len(changes)
-	if len(changes) == 0 {
-		return want, nil
-	}
-	st.ReoptRuns++
-
-	order, err := executedJoinOrder(b)
-	if err != nil {
-		return nil, err
-	}
-	origIdx := make(map[exec.Operator]int, len(b.Joins))
-	for i, j := range b.Joins {
-		origIdx[j] = i
-	}
-	permSpec := c.Spec
-	permSpec.Joins = make([]qgen.JoinSpec, len(order))
-	for pos, j := range order {
-		oi, ok := origIdx[j]
-		if !ok {
-			return nil, fmt.Errorf("restructured spine contains an unknown join %s", j.Name())
-		}
-		permSpec.Joins[pos] = c.Spec.Joins[oi]
-	}
-	permWant := oracle.Eval(&qgen.Case{Seed: c.Seed, Opts: c.Opts, Spec: permSpec, Tables: c.Tables})
-	remapped := *want
-	remapped.JoinCards = make([]int64, len(order))
-	for pos, j := range order {
-		remapped.JoinCards[origIdx[j]] = permWant.JoinCards[pos]
-	}
-	return &remapped, nil
-}
-
-// executedJoinOrder recovers the bottom-up join order of the (possibly
-// restructured) live tree. qgen plans are left-deep — every join's build
-// side is a base scan — so each join's subtree contains exactly the
-// joins below it on the probe spine, and counting contained joins ranks
-// them 0..n-1 regardless of Reorder wrappers or a swapped bottom join.
-func executedJoinOrder(b *qgen.Built) ([]exec.Operator, error) {
-	inPlan := make(map[exec.Operator]bool, len(b.Joins))
-	for _, j := range b.Joins {
-		inPlan[j] = true
-	}
-	order := make([]exec.Operator, len(b.Joins))
-	for _, j := range b.Joins {
-		j := j
-		below := 0
-		exec.Walk(j, func(op exec.Operator) {
-			if op != j && inPlan[op] {
-				below++
-			}
-		})
-		if below >= len(order) || order[below] != nil {
-			return nil, fmt.Errorf("executed tree is not a join spine: rank %d duplicated or out of range", below)
-		}
-		order[below] = j
-	}
-	return order, nil
 }
 
 // checkOnceExact verifies the central once-estimator claim: every chain

@@ -10,9 +10,8 @@ import (
 // directly. Each input is one generated case checked against the oracle
 // in tuple and columnar mode — columnar sends every grace join through
 // the vectorized partition passes and column-lane output gather (the full
-// mode sweep, including spills, re-optimization and cancellation, runs in
-// TestDifferentialSuite).
-// Minimized suite failures land in
+// mode sweep, including spills and cancellation, runs in
+// TestDifferentialSuite). Minimized suite failures land in
 // testdata/fuzz/FuzzDifferential as permanent regressions.
 func FuzzDifferential(f *testing.F) {
 	f.Add(int64(1), 32, 2, true, true, true)

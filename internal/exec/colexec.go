@@ -8,7 +8,7 @@ import (
 // This file is the columnar execution layer, the second of the engine's
 // two pull contracts (Next is the other): operators that can serve typed
 // column vectors implement ColOperator natively (Scan, Filter, Project,
-// Limit, Reorder, HashJoin, HashAgg); everything else (Sort, MergeJoin,
+// Limit, HashJoin, HashAgg); everything else (Sort, MergeJoin,
 // NestedLoopsJoin, SortAgg) composes through AsColOperator, which pulls
 // the operator's Next and exposes the rows as a lazily-pivoted ColBatch.
 // Selection vectors flow through filters without copying tuples, and the
@@ -201,31 +201,6 @@ func (p *Project) NextColBatch() (*data.ColBatch, error) {
 		expr.EvalVec(e, in, out.OwnCol(i))
 	}
 	return p.emitColBatch(out)
-}
-
-// NextColBatch implements ColOperator for Reorder: every output column
-// shares the child's vector, so a restructured join segment stays
-// lane-native up to the join that probes it.
-func (r *Reorder) NextColBatch() (*data.ColBatch, error) {
-	if r.cchild == nil {
-		r.cchild = AsColOperator(r.child)
-	}
-	in, err := r.cchild.NextColBatch()
-	if err != nil {
-		return nil, err
-	}
-	if in == nil {
-		return r.emitColBatch(nil)
-	}
-	out := &r.colOut
-	out.EnsureWidth(len(r.perm))
-	out.NRows = in.NRows
-	out.Sel = in.Sel
-	out.Rows = nil
-	for i, p := range r.perm {
-		out.ShareCol(i, in.Col(p))
-	}
-	return r.emitColBatch(out)
 }
 
 // NextColBatch implements ColOperator for Limit, truncating the final

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/maphash"
-	"sync"
 	"sync/atomic"
 
 	"qpi/internal/data"
@@ -66,21 +65,15 @@ func partitionOf(h uint64, parts int) int {
 // data (§5.1.2 / Figure 4).
 type HashJoin struct {
 	base
-	// linkMu guards the child links, key lists, output map and schema for
-	// the readers that may run on another goroutine (Children, Name,
-	// Schema: a progress monitor walks the plan while the query runs)
-	// against SwapSides/Relink/ReplaceProbe. Those mutators run on the
-	// executor goroutine before partStarted flips, so the executor's own
-	// reads of the same fields need no lock.
-	linkMu               sync.Mutex
+	// The child links, key lists, output map, schema and label are written
+	// only by the constructor and by Prune, both before the join runs, so
+	// a monitor goroutine walking the plan (Children, Name, Schema) reads
+	// them without a lock.
 	build, probe         Operator
 	buildKeys, probeKeys []int
-	// out is the output map; probeIn is the probe child's schema that the
-	// probe keys and out.Probe index (ReplaceProbe checks against it).
-	out     OutMap
-	probeIn *data.Schema
-	name    string
-	parts   int
+	out                  OutMap // which build and probe columns the join emits
+	name                 string
+	parts                int
 
 	// Observer hooks of the two partition passes. One ordering contract
 	// holds on both the tuple pass and the columnar pass:
@@ -113,14 +106,6 @@ type HashJoin struct {
 	OnBuildCol func(cb *data.ColBatch)
 	OnProbeCol func(cb *data.ColBatch)
 
-	// OnBeforePartition fires exactly once, at the top of the join's
-	// first pull, before the build partition pass starts and before
-	// PartitionStarted flips — the re-optimizer's only safe window to
-	// restructure this join's probe subtree (none of whose operators
-	// have produced a tuple yet; the build subtree is about to run).
-	// It fires on the executor goroutine with the join quiescent.
-	OnBeforePartition func(j *HashJoin)
-
 	// colMode selects the columnar partition passes (vectorized key hashing
 	// off flat int64 lanes), lane-native partitions, the columnar spill
 	// frame format and the lane-to-lane join phase; see SetColumnar.
@@ -129,11 +114,6 @@ type HashJoin struct {
 	state      hjState
 	buildParts [][]data.Tuple
 	probeParts [][]data.Tuple
-	// partStarted flips just before the build partition pass begins
-	// (after OnBeforePartition has returned). It is the re-optimizer's
-	// started/unstarted barrier witness: once set, the join's inputs are
-	// being consumed and the operator must never be relinked or swapped.
-	partStarted atomic.Bool
 	// buildRows/probeRows and done are read by monitor goroutines
 	// (Report/Metrics via BuildRows/ProbeRows/JoinedProbeFraction) while
 	// the executor advances, so they are atomics; state itself stays an
@@ -562,13 +542,11 @@ func (j *HashJoin) link(build, probe Operator, buildKeys, probeKeys []int, out O
 		cols = append(cols, probeIn.Cols[c])
 	}
 	schema := data.NewSchema(cols...)
-	name := joinLabel(j.joinType, build, probe, buildKeys, probeKeys)
-	j.linkMu.Lock()
-	defer j.linkMu.Unlock()
 	j.build, j.probe = build, probe
 	j.buildKeys, j.probeKeys = buildKeys, probeKeys
-	j.out, j.probeIn = out, probeIn
-	j.schema, j.name = schema, name
+	j.out = out
+	j.schema = schema
+	j.name = joinLabel(j.joinType, build, probe, buildKeys, probeKeys)
 }
 
 // NewHashJoinTyped creates a hash join with explicit join semantics.
@@ -691,14 +669,9 @@ func (j *HashJoin) ProbeKeys() []int { return j.probeKeys }
 func (j *HashJoin) OutMap() OutMap { return j.out }
 
 // Name implements Operator. The label is rendered when the join is
-// linked, not on demand: mid-restructure a child's schema and this join's
-// key indexes into it change in separate steps, and a monitor may ask for
-// the name between them.
-func (j *HashJoin) Name() string {
-	j.linkMu.Lock()
-	defer j.linkMu.Unlock()
-	return j.name
-}
+// linked; Prune relinks with narrowed indexes but the same columns, so it
+// never changes.
+func (j *HashJoin) Name() string { return j.name }
 
 // joinLabel renders a hash join's EXPLAIN label from its links.
 func joinLabel(t JoinType, build, probe Operator, buildKeys, probeKeys []int) string {
@@ -718,22 +691,7 @@ func joinLabel(t JoinType, build, probe Operator, buildKeys, probeKeys []int) st
 }
 
 // Children implements Operator.
-func (j *HashJoin) Children() []Operator {
-	j.linkMu.Lock()
-	defer j.linkMu.Unlock()
-	return []Operator{j.build, j.probe}
-}
-
-// Schema implements Operator. Once the partition pass has started the
-// links are frozen, and parents that ask per row skip the lock.
-func (j *HashJoin) Schema() *data.Schema {
-	if j.partStarted.Load() {
-		return j.schema
-	}
-	j.linkMu.Lock()
-	defer j.linkMu.Unlock()
-	return j.schema
-}
+func (j *HashJoin) Children() []Operator { return []Operator{j.build, j.probe} }
 
 // Open implements Operator.
 func (j *HashJoin) Open() error {
@@ -773,10 +731,6 @@ func (j *HashJoin) ensurePartitioned() error {
 	if j.state != hjInit {
 		return nil
 	}
-	if j.OnBeforePartition != nil {
-		j.OnBeforePartition(j)
-	}
-	j.partStarted.Store(true)
 	var err error
 	if j.colMode {
 		err = j.partitionPhasesColumnar()
@@ -1056,96 +1010,6 @@ func (j *HashJoin) BuildRows() int64 { return j.buildRows.Load() }
 
 // ProbeRows returns the number of probe tuples read.
 func (j *HashJoin) ProbeRows() int64 { return j.probeRows.Load() }
-
-// PartitionStarted reports whether the join has begun consuming its
-// inputs (the build partition pass has started). Once true, the join —
-// and transitively its children — must never be restructured; the
-// re-optimizer re-verifies this barrier per operator before touching a
-// segment, and the adversarial timing tests read it under -race.
-func (j *HashJoin) PartitionStarted() bool { return j.partStarted.Load() }
-
-// mutable panics unless the join can still be restructured: inputs not
-// yet consumed, no output produced. The re-optimizer checks the same
-// conditions before committing, so a panic here is a barrier bug, not
-// a recoverable condition.
-func (j *HashJoin) mutable(opName string) {
-	if j.partStarted.Load() || j.state != hjInit || j.stats.Emitted.Load() > 0 {
-		panic(fmt.Sprintf("exec: %s on a started HashJoin %s", opName, j.Name()))
-	}
-}
-
-// SwapSides exchanges the build and probe inputs (and their key lists)
-// of a not-yet-started inner join and resets its output to the whole
-// newBuild ⧺ newProbe — the honest schema of the swapped orientation,
-// deliberately NOT the original column order (the estimator framework
-// resolves key provenance through the output map, so lying about the
-// schema would corrupt it). Callers restore the original columns with
-// one Reorder projection above the restructured segment. Inner joins
-// only: the probe side is the preserved side of the other join types, so
-// swapping them changes semantics.
-func (j *HashJoin) SwapSides() {
-	j.mutable("SwapSides")
-	if j.joinType != InnerJoin {
-		panic(fmt.Sprintf("exec: SwapSides on a %s join %s", j.joinType, j.Name()))
-	}
-	j.link(j.probe, j.build, j.probeKeys, j.buildKeys, j.fullOut(j.probe, j.build))
-}
-
-// Relink replaces the probe child (and its key columns) of a
-// not-yet-started join and resets its output to the whole build ⧺
-// newProbe (newProbe alone for semi and anti joins): a narrowed map
-// indexes the old child. The re-optimizer uses it to rewire a chain
-// segment's interior joins onto their new downstream inputs; probeKeys
-// must index newProbe's schema.
-func (j *HashJoin) Relink(newProbe Operator, probeKeys []int) {
-	j.mutable("Relink")
-	if len(probeKeys) != len(j.buildKeys) {
-		panic(fmt.Sprintf("exec: Relink key arity %d vs %d on %s",
-			len(probeKeys), len(j.buildKeys), j.Name()))
-	}
-	j.link(j.build, newProbe, j.buildKeys, probeKeys, j.fullOut(j.build, newProbe))
-}
-
-// ReplaceProbe swaps in a schema-identical probe child of a
-// not-yet-started join — the seam for inserting the Reorder projection
-// at the top of a restructured segment. Unlike Relink it works for any
-// join type, because neither the schema nor the output map can change.
-// The check compares the new child against the probe schema the join's
-// keys and output map were bound to, not against the old child's live
-// one: by the time the re-optimizer inserts the wrapper, the old child is
-// an interior join it has already relinked to full width.
-func (j *HashJoin) ReplaceProbe(newProbe Operator) {
-	j.mutable("ReplaceProbe")
-	want, newCols := j.probeIn.Cols, newProbe.Schema().Cols
-	if len(want) != len(newCols) {
-		panic(fmt.Sprintf("exec: ReplaceProbe schema width %d vs %d", len(newCols), len(want)))
-	}
-	for i := range want {
-		if want[i] != newCols[i] {
-			panic(fmt.Sprintf("exec: ReplaceProbe schema mismatch at column %d (%s vs %s)",
-				i, newCols[i].Qualified(), want[i].Qualified()))
-		}
-	}
-	j.linkMu.Lock()
-	defer j.linkMu.Unlock()
-	j.probe = newProbe
-}
-
-// ResetObservers detaches every estimator/monitor hook from the join.
-// Composed hooks cannot be un-composed individually, so when the
-// re-optimizer restructures a chain it discards the whole observer set
-// of the affected joins and reattaches fresh estimators (safe exactly
-// because the joins are unstarted: no observation state exists yet).
-// OnBeforePartition survives — it is the re-optimizer's own seam.
-func (j *HashJoin) ResetObservers() {
-	j.OnBuildTuple = nil
-	j.OnProbeTuple = nil
-	j.OnProbeEnd = nil
-	j.OnOutput = nil
-	j.OnBuildEnd = nil
-	j.OnBuildCol = nil
-	j.OnProbeCol = nil
-}
 
 // JoinedProbeFraction returns the fraction of the probe input consumed by
 // the join (second) pass — the x-axis of the paper's Figure 4 and the

@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"qpi/internal/core"
@@ -45,8 +44,7 @@ const (
 	// exact totals are trusted outright, a live "once" estimate is
 	// weighted 0.6 against 0.2 dne + 0.2 byte, and operators without a
 	// push-down estimator average the two baselines. The blend bounds
-	// the damage when any single estimator is briefly wrong — e.g.
-	// immediately after a mid-query restructure.
+	// the damage when any single estimator is briefly wrong.
 	ModeRobust
 )
 
@@ -90,12 +88,10 @@ func (s State) String() string {
 	}
 }
 
-// Monitor tracks the progress of one executing plan.
+// Monitor tracks the progress of one executing plan. Its pipelines and
+// optimizer estimates are fixed at construction, so snapshots from any
+// goroutine read them without a lock.
 type Monitor struct {
-	// mu guards pipelines, optimizer and the lifecycle-flag slices
-	// against Refresh (the re-optimizer restructures the plan on the
-	// executor goroutine while other goroutines snapshot progress).
-	mu        sync.RWMutex
 	root      exec.Operator
 	pipelines []*plan.Pipeline
 	mode      Mode
@@ -110,12 +106,18 @@ type Monitor struct {
 	// (ProgressInterval); nil outside ModeOnce.
 	att *core.Attachment
 
-	// tr, when bound, receives pipeline lifecycle events. The one-shot
-	// flags make emission idempotent and safe from any goroutine that
-	// snapshots the monitor while the query runs.
-	tr        *obs.Tracer
-	plStarted []atomic.Bool
-	plDone    []atomic.Bool
+	// trace, when bound, routes pipeline lifecycle events to a tracer. It
+	// is published whole through an atomic pointer, so a snapshot racing
+	// BindTracer sees either no tracer or a tracer with its flags.
+	trace atomic.Pointer[pipelineTrace]
+}
+
+// pipelineTrace is a bound tracer with one-shot start/finish flags per
+// pipeline; the flags make emission idempotent and safe from any
+// goroutine that snapshots the monitor while the query runs.
+type pipelineTrace struct {
+	tr            *obs.Tracer
+	started, done []atomic.Bool
 }
 
 // NewMonitor builds a monitor for a plan whose optimizer estimates have
@@ -142,77 +144,49 @@ func NewMonitorWith(root exec.Operator, mode Mode, att *core.Attachment) *Monito
 }
 
 // Pipelines returns the plan's pipelines.
-func (m *Monitor) Pipelines() []*plan.Pipeline {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.pipelines
-}
-
-// Refresh re-decomposes the (possibly restructured) plan into pipelines
-// and extends the optimizer-estimate map to operators created since
-// construction (a Reorder wrapper, re-linked joins). The re-optimizer
-// calls it from its post-restructure callback, on the executor
-// goroutine, while snapshot goroutines keep reading — hence the lock.
-// Lifecycle trace flags reset: pipelines are renumbered by the new
-// decomposition, so earlier one-shot marks no longer correspond.
-func (m *Monitor) Refresh(root exec.Operator) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if root != nil {
-		m.root = root
-	}
-	m.pipelines = plan.Decompose(m.root)
-	exec.Walk(m.root, func(op exec.Operator) {
-		if _, ok := m.optimizer[op]; !ok {
-			m.optimizer[op] = op.Stats().Estimate()
-		}
-	})
-	if m.tr != nil {
-		m.plStarted = make([]atomic.Bool, len(m.pipelines))
-		m.plDone = make([]atomic.Bool, len(m.pipelines))
-	}
-}
+func (m *Monitor) Pipelines() []*plan.Pipeline { return m.pipelines }
 
 // BindTracer routes pipeline lifecycle events (start, finish) into tr.
 // Call before execution starts; nil disables.
 func (m *Monitor) BindTracer(tr *obs.Tracer) {
-	m.tr = tr
-	if tr != nil {
-		m.plStarted = make([]atomic.Bool, len(m.pipelines))
-		m.plDone = make([]atomic.Bool, len(m.pipelines))
+	if tr == nil {
+		m.trace.Store(nil)
+		return
 	}
+	m.trace.Store(&pipelineTrace{
+		tr:      tr,
+		started: make([]atomic.Bool, len(m.pipelines)),
+		done:    make([]atomic.Bool, len(m.pipelines)),
+	})
 }
 
 // tracePipelines emits a one-shot Mark event the first time each pipeline
 // is observed started and finished. Invoked from snapshots and Finish, so
 // a pipeline that starts and completes between two ticks still gets both
-// events (in order) at the next observation. Callers hold mu.
+// events (in order) at the next observation.
 func (m *Monitor) tracePipelines() {
-	if m.tr == nil {
+	pt := m.trace.Load()
+	if pt == nil {
 		return
 	}
 	for i, p := range m.pipelines {
 		label := fmt.Sprintf("pipeline[%d]", p.ID)
-		if p.Started() && m.plStarted[i].CompareAndSwap(false, true) {
-			m.tr.Mark(label, "start", 0, 0)
+		if p.Started() && pt.started[i].CompareAndSwap(false, true) {
+			pt.tr.Mark(label, "start", 0, 0)
 		}
-		if p.Done() && m.plDone[i].CompareAndSwap(false, true) {
+		if p.Done() && pt.done[i].CompareAndSwap(false, true) {
 			var c int64
 			for _, op := range p.Ops {
 				c += op.Stats().Emitted.Load()
 			}
-			m.tr.Mark(label, "finish", c, 0)
+			pt.tr.Mark(label, "finish", c, 0)
 		}
 	}
 }
 
 // OptimizerEstimate returns the optimizer estimate captured for op at
 // monitor construction (0 when unknown).
-func (m *Monitor) OptimizerEstimate(op exec.Operator) float64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.optimizer[op]
-}
+func (m *Monitor) OptimizerEstimate(op exec.Operator) float64 { return m.optimizer[op] }
 
 // Mode returns the estimation mode.
 func (m *Monitor) Mode() Mode { return m.mode }
@@ -230,9 +204,7 @@ func (m *Monitor) Finish(err error) {
 	default:
 		m.state.Store(int32(StateFailed))
 	}
-	m.mu.RLock()
 	m.tracePipelines()
-	m.mu.RUnlock()
 }
 
 // State returns the query's lifecycle state.
@@ -348,8 +320,6 @@ func (m *Monitor) refineFuture(op exec.Operator) float64 {
 // intervals (only meaningful with ModeOnce and an attachment; otherwise
 // it degenerates to the point estimate).
 func (m *Monitor) ProgressInterval(alpha float64) (lo, hi float64) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
 	c, _ := m.totals()
 	var tLo, tHi float64
 	for _, p := range m.pipelines {
@@ -398,8 +368,6 @@ func floorAt(v, lo float64) float64 {
 
 // Totals returns C(Q) and the current estimate of T(Q).
 func (m *Monitor) Totals() (c float64, t float64) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
 	return m.totals()
 }
 
@@ -448,8 +416,6 @@ type Report struct {
 
 // Report captures a full snapshot.
 func (m *Monitor) Report() Report {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
 	m.tracePipelines()
 	r := Report{Mode: m.mode, State: m.State()}
 	for _, p := range m.pipelines {

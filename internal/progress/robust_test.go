@@ -2,18 +2,13 @@ package progress
 
 import (
 	"math"
-	"sync"
 	"testing"
 
-	"qpi/internal/catalog"
 	"qpi/internal/core"
 	"qpi/internal/exec"
-	"qpi/internal/plan"
-	"qpi/internal/storage"
 )
 
-// Tests for the robust blended estimator mode and the monitor's
-// post-restructure refresh.
+// Tests for the robust blended estimator mode.
 
 func TestRobustModeLifecycle(t *testing.T) {
 	j, _ := buildJoinQuery(t, 7, ModeDNE) // helper only attaches for ModeOnce
@@ -74,98 +69,5 @@ func TestRobustBlendTracksOnce(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("ticker never fired; no blend samples checked")
-	}
-}
-
-// TestMonitorRefreshAfterRestructure runs a three-join chain under a
-// forced re-optimizer whose post-restructure callback refreshes the
-// monitor, while a second goroutine snapshots progress continuously
-// (exercising the refresh/snapshot lock under -race). Afterwards the
-// monitor must know the restructured plan: some pipeline contains the
-// inserted Reorder wrapper, and progress ends exact.
-func TestMonitorRefreshAfterRestructure(t *testing.T) {
-	mk := func(name string, domain, per int64) *storage.Table {
-		var vals []int64
-		for k := int64(1); k <= domain; k++ {
-			for i := int64(0); i < per; i++ {
-				vals = append(vals, k)
-			}
-		}
-		return table(name, vals)
-	}
-	a0 := mk("a0", 100, 2)
-	b0 := mk("b0", 10, 30)
-	b1 := mk("b1", 50, 1)
-	b2 := mk("b2", 20, 1)
-	cat := catalog.New()
-	for _, tb := range []*storage.Table{a0, b0, b1, b2} {
-		cat.Register(tb)
-	}
-	c := exec.NewScan(a0, "a0")
-	low := exec.NewHashJoinOn(exec.NewScan(b0, "b0"), c, "b0", "k", "a0", "k")
-	mid := exec.NewHashJoinOn(exec.NewScan(b1, "b1"), low, "b1", "k", "a0", "k")
-	top := exec.NewHashJoinOn(exec.NewScan(b2, "b2"), mid, "b2", "k", "a0", "k")
-	plan.EstimateCardinalities(top, cat)
-	att := core.Attach(top)
-	sk := core.AttachSketches(top)
-	m := NewMonitorWith(top, ModeRobust, att)
-
-	r := plan.NewReoptimizer(plan.ReoptConfig{Force: true, MaxPerms: 4}, att)
-	r.SetSketches(sk)
-	r.SetOnRestructure(m.Refresh)
-	r.Install(top)
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				rep := m.Report()
-				if rep.Progress < 0 || rep.Progress > 1 {
-					t.Errorf("snapshot progress out of range: %g", rep.Progress)
-					return
-				}
-			}
-		}
-	}()
-	_, err := exec.Run(top)
-	close(stop)
-	wg.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Finish(nil)
-
-	if got := r.Stats().Applied; got != 1 {
-		t.Fatalf("Applied = %d, want 1", got)
-	}
-	var reorder exec.Operator
-	exec.Walk(top, func(op exec.Operator) {
-		if _, ok := op.(*exec.Reorder); ok {
-			reorder = op
-		}
-	})
-	if reorder == nil {
-		t.Fatal("no Reorder wrapper in the restructured plan")
-	}
-	found := false
-	for _, p := range m.Pipelines() {
-		if p.Contains(reorder) {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("refreshed monitor's pipelines do not cover the Reorder wrapper")
-	}
-	if got := m.Progress(); math.Abs(got-1) > 1e-9 {
-		t.Errorf("final progress = %g, want 1", got)
-	}
-	if m.State() != StateDone {
-		t.Errorf("state = %v, want done", m.State())
 	}
 }

@@ -29,15 +29,6 @@ type Metrics struct {
 	// chain link and shares the lane between levels, and reports the same
 	// number the tuple-at-a-time path does.
 	HistogramProbes int64
-	// ReoptConsidered, ReoptApplied, ReoptSkipped and ReoptScouts count
-	// mid-query re-optimization activity (WithReoptimization): boundary
-	// evaluations run, restructurings committed, evaluations refused
-	// (barrier, push-down or unresolvable shape) and scout sketch
-	// passes over base relations.
-	ReoptConsidered int64
-	ReoptApplied    int64
-	ReoptSkipped    int64
-	ReoptScouts     int64
 	// Pipelines carries the per-pipeline C/T gauges.
 	Pipelines []PipelineStatus
 }
@@ -57,13 +48,6 @@ func (q *Query) Metrics() Metrics {
 	if q.att != nil {
 		m.EstimatorRecomputes = q.att.Recomputes()
 		m.HistogramProbes = q.att.HistogramProbes()
-	}
-	if q.reopt != nil {
-		st := q.reopt.Stats()
-		m.ReoptConsidered = st.Considered
-		m.ReoptApplied = st.Applied
-		m.ReoptSkipped = st.SkippedStarted + st.SkippedPushdown + st.SkippedUnresolvable
-		m.ReoptScouts = st.Scouts
 	}
 	return m
 }

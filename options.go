@@ -40,7 +40,6 @@ type runCfg struct {
 	everySet   bool
 	tracer     *obs.Tracer
 	metrics    *Metrics
-	reopt      *ReoptOptions
 }
 
 // defaultEvery is the work-based publication interval (tuples moved
@@ -102,35 +101,4 @@ func WithTrace(tr *Tracer) RunOption {
 // Query.Metrics(), which is safe at any time, for live values).
 func WithMetrics(dst *Metrics) RunOption {
 	return func(c *runCfg) { c.metrics = dst }
-}
-
-// ReoptOptions tunes mid-query re-optimization (WithReoptimization).
-// The zero value picks the production defaults.
-type ReoptOptions struct {
-	// MinGain is the minimum modeled relative cost improvement a
-	// restructuring must promise before it is applied (default 0.05).
-	MinGain float64
-	// Force evaluates at every pipeline boundary and applies the best
-	// legal restructuring regardless of gain — the setting differential
-	// test suites use to guarantee re-optimization actually fires.
-	Force bool
-	// ScoutRowLimit caps the base-table size the re-optimizer's scout
-	// pass will sketch; larger inputs leave the segment untouched.
-	// 0 keeps the default (about one million rows), negative disables
-	// the limit.
-	ScoutRowLimit int
-}
-
-// WithReoptimization enables sketch-backed mid-query re-optimization
-// for the run: Fast-AGMS join-key sketches ride the grace-join
-// partition passes, and when a chain estimator converges (or a
-// differential harness forces it), the not-yet-started join segment
-// below the next pipeline boundary is re-costed and — under an
-// explicit started/unstarted barrier — re-ordered or side-swapped.
-// Output rows are unaffected; applied changes appear in
-// Query.PlanChanges, the qpi_reopt_* metrics and the trace stream.
-// Requires the default (Once) or Robust estimator mode: the trigger is
-// the online framework's convergence signal.
-func WithReoptimization(o ReoptOptions) RunOption {
-	return func(c *runCfg) { c.reopt = &o }
 }

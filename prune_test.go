@@ -29,7 +29,6 @@ type pruneCase struct {
 	sql   string
 	build func(e *Engine) *Node
 	opts  []CompileOption
-	reopt *ReoptOptions
 	// narrows says the query reads fewer columns than its scans hold.
 	narrows bool
 	// oracle, when set, is the query's result computed without the engine.
@@ -38,8 +37,8 @@ type pruneCase struct {
 
 // routeOutcome is what one route produced.
 type routeOutcome struct {
-	labels, cols, before, after, rows, changes []string
-	scanWidth                                  int
+	labels, cols, before, after, rows []string
+	scanWidth                         int
 }
 
 // opStats renders every operator's optimizer belief in pre-order: its
@@ -104,20 +103,11 @@ func publicRoute(t *testing.T, e *Engine, c pruneCase, opts []CompileOption) rou
 		t.Fatalf("%s: %v", c.name, err)
 	}
 	o := routeOutcome{labels: opLabels(q.root), cols: q.Columns(), before: opStats(q.root), scanWidth: scanWidth(q.root)}
-	var ropts []RunOption
-	if c.reopt != nil {
-		ropts = append(ropts, WithReoptimization(*c.reopt))
-	}
-	cfg := newRunCfg(ropts)
-	q.installObservability(&cfg)
 	rows, err := q.Rows()
 	if err != nil {
 		t.Fatalf("%s: %v", c.name, err)
 	}
 	o.rows = sortedRows(rows)
-	for _, pc := range q.PlanChanges() {
-		o.changes = append(o.changes, fmt.Sprintf("%+v", pc))
-	}
 	for _, est := range q.Estimates() {
 		o.after = append(o.after, finalLine(est.Emitted, est.Estimate, est.Source, est.Done))
 	}
@@ -159,15 +149,7 @@ func handRoute(t *testing.T, e *Engine, c pruneCase, opts []CompileOption) route
 		cols[i] = col.Qualified()
 	}
 	o := routeOutcome{labels: opLabels(root), cols: cols, before: opStats(root), scanWidth: scanWidth(root)}
-	att := core.Attach(root)
-	var r *plan.Reoptimizer
-	if c.reopt != nil {
-		rc := plan.DefaultReoptConfig()
-		rc.Force = c.reopt.Force
-		r = plan.NewReoptimizer(rc, att)
-		r.SetSketches(core.AttachSketches(root))
-		r.Install(root)
-	}
+	core.Attach(root)
 	if err := root.Open(); err != nil {
 		t.Fatal(err)
 	}
@@ -188,11 +170,6 @@ func handRoute(t *testing.T, e *Engine, c pruneCase, opts []CompileOption) route
 		st := op.Stats()
 		o.after = append(o.after, finalLine(st.Emitted.Load(), st.Total(), st.Source(), st.IsDone()))
 	})
-	if r != nil {
-		for _, pc := range r.Changes() {
-			o.changes = append(o.changes, fmt.Sprintf("%+v", pc))
-		}
-	}
 	return o
 }
 
@@ -218,7 +195,6 @@ func checkPruneCase(t *testing.T, e *Engine, c pruneCase) {
 			{"columns", pub.cols, hand.cols},
 			{"optimizer estimates", pub.before, hand.before},
 			{"final estimates", pub.after, hand.after},
-			{"plan changes", pub.changes, hand.changes},
 		} {
 			if !slices.Equal(cmp.pub, cmp.hand) {
 				t.Errorf("%s: %s differ pruned and unpruned:\n%v\nvs\n%v", label, cmp.what, head(cmp.pub), head(cmp.hand))
@@ -226,9 +202,6 @@ func checkPruneCase(t *testing.T, e *Engine, c pruneCase) {
 		}
 		if narrower := pub.scanWidth < hand.scanWidth; narrower != c.narrows {
 			t.Errorf("%s: scans emit %d columns pruned, %d unpruned", label, pub.scanWidth, hand.scanWidth)
-		}
-		if c.reopt != nil && len(pub.changes) == 0 {
-			t.Errorf("%s: no plan change applied", label)
 		}
 	}
 }
@@ -264,24 +237,6 @@ func TestPruningMatrix(t *testing.T) {
 	} {
 		checkPruneCase(t, e, c)
 	}
-}
-
-// TestPruningMatrixReoptimization: a forced restructure of a pruned chain,
-// whose joins Prune narrowed, applies the same plan changes as the
-// unpruned one and ends on the same estimates.
-func TestPruningMatrixReoptimization(t *testing.T) {
-	e := reoptEngine(t)
-	checkPruneCase(t, e, pruneCase{name: "WithReoptimization", narrows: true, reopt: &ReoptOptions{Force: true},
-		build: func(e *Engine) *Node {
-			j := HashJoin(e.MustScan("b0"), e.MustScan("a0"), Col("b0", "k"), Col("a0", "k"))
-			j = HashJoin(e.MustScan("b1"), j, Col("b1", "k"), Col("a0", "k"))
-			j = HashJoin(e.MustScan("b2"), j, Col("b2", "k"), Col("a0", "k"))
-			p, err := j.Project(Col("a0", "rowid"), Col("b2", "k"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return p
-		}})
 }
 
 // TestPruneNarrowsJoins pins how far Prune narrows the joins of the

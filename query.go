@@ -62,8 +62,7 @@ const (
 	Byte
 	// Robust blends the online framework with the dne and byte
 	// refinements per operator, bounding the damage when any single
-	// estimator is briefly wrong — the recommended mode alongside
-	// mid-query re-optimization.
+	// estimator is briefly wrong.
 	Robust
 )
 
@@ -133,16 +132,6 @@ type Query struct {
 	cfg     compileCfg
 	started atomic.Bool
 
-	// labels pins each operator's EXPLAIN-style label at compile time.
-	// Join labels are derived from live child schemas, so a mid-query
-	// restructure would silently rename a swapped join; Estimates and
-	// EstimateOf resolve against these stable identities instead.
-	labels map[exec.Operator]string
-
-	// reopt is the mid-query re-optimizer, installed per run by
-	// WithReoptimization (nil otherwise).
-	reopt *plan.Reoptimizer
-
 	// ticker publishes progress at work-based intervals; installed per run
 	// when a callback, metrics destination or subscriber wants snapshots
 	// (nil otherwise). The drain loop reports the root's output to it.
@@ -172,9 +161,6 @@ func (q *Query) claim() error {
 func execRun(ctx context.Context, q *Query) (int64, error) {
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	if q.reopt != nil {
-		q.reopt.SetContext(ctx)
 	}
 	exec.Bind(q.root, ctx)
 	var n int64
@@ -272,7 +258,7 @@ func (e *Engine) Compile(n *Node, opts ...CompileOption) (*Query, error) {
 	// are then bound to the narrowed plan.
 	exec.Prune(n.op)
 	plan.EstimateCardinalities(n.op, e.cat)
-	q := &Query{root: n.op, cfg: cfg, labels: map[exec.Operator]string{}}
+	q := &Query{root: n.op, cfg: cfg}
 	if !cfg.noEstimators && (cfg.mode == Once || cfg.mode == Robust) {
 		q.att = core.Attach(n.op)
 	}
@@ -288,18 +274,7 @@ func (e *Engine) Compile(n *Node, opts ...CompileOption) (*Query, error) {
 		pmode = progress.ModeOnce
 	}
 	q.monitor = progress.NewMonitorWith(n.op, pmode, q.att)
-	exec.Walk(n.op, func(op exec.Operator) { q.labels[op] = op.Name() })
 	return q, nil
-}
-
-// labelOf returns op's compile-time label, falling back to the live
-// name for operators created after compilation (the re-optimizer's
-// Reorder wrapper).
-func (q *Query) labelOf(op exec.Operator) string {
-	if l, ok := q.labels[op]; ok {
-		return l
-	}
-	return op.Name()
 }
 
 // ProgressInterval returns a two-sided confidence interval (confidence
@@ -415,25 +390,6 @@ func (q *Query) installObservability(cfg *runCfg) {
 		}
 		q.monitor.BindTracer(cfg.tracer)
 	}
-	if cfg.reopt != nil && q.att != nil {
-		rc := plan.DefaultReoptConfig()
-		if cfg.reopt.MinGain > 0 {
-			rc.MinGain = cfg.reopt.MinGain
-		}
-		rc.Force = cfg.reopt.Force
-		switch {
-		case cfg.reopt.ScoutRowLimit > 0:
-			rc.ScoutRowLimit = cfg.reopt.ScoutRowLimit
-		case cfg.reopt.ScoutRowLimit < 0:
-			rc.ScoutRowLimit = 0
-		}
-		r := plan.NewReoptimizer(rc, q.att)
-		r.SetSketches(core.AttachSketches(q.root))
-		r.SetTracer(cfg.tracer)
-		r.SetOnRestructure(q.monitor.Refresh)
-		r.Install(q.root)
-		q.reopt = r
-	}
 	q.subMu.Lock()
 	hasSubs := len(q.subs) > 0
 	q.subMu.Unlock()
@@ -538,7 +494,7 @@ func (q *Query) Estimates() []OperatorEstimate {
 	rec = func(op exec.Operator, depth int) {
 		st := op.Stats()
 		out = append(out, OperatorEstimate{
-			Operator: q.labelOf(op),
+			Operator: op.Name(),
 			Depth:    depth,
 			Emitted:  st.Emitted.Load(),
 			Estimate: st.Total(),
@@ -595,7 +551,7 @@ func (q *Query) DriftReport(factor float64) []Drift {
 		}
 		if f >= factor {
 			out = append(out, Drift{
-				Operator:  q.labelOf(op),
+				Operator:  op.Name(),
 				Optimizer: opt,
 				Current:   cur,
 				Factor:    f,
@@ -656,32 +612,4 @@ func (q *Query) EstimateOf(operatorLabel string) (OperatorEstimate, bool) {
 		return found, true
 	}
 	return OperatorEstimate{}, false
-}
-
-// PlanChange records one mid-query restructuring applied by the
-// re-optimizer (WithReoptimization).
-type PlanChange = plan.PlanChange
-
-// ReoptStats is a snapshot of the re-optimizer's counters.
-type ReoptStats = plan.ReoptStats
-
-// PlanChanges returns the restructurings the re-optimizer applied
-// during the run — empty without WithReoptimization, or when no
-// evaluation found a sufficiently better unstarted shape. Labels
-// reported by Estimates and EstimateOf are pinned at compile time, so
-// they keep resolving across these changes.
-func (q *Query) PlanChanges() []PlanChange {
-	if q.reopt == nil {
-		return nil
-	}
-	return q.reopt.Changes()
-}
-
-// ReoptStats returns the re-optimizer's counters (zero without
-// WithReoptimization).
-func (q *Query) ReoptStats() ReoptStats {
-	if q.reopt == nil {
-		return ReoptStats{}
-	}
-	return q.reopt.Stats()
 }

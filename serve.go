@@ -135,14 +135,6 @@ var promMetrics = []promMetric{
 		func(m Metrics) float64 { return float64(m.EstimatorRecomputes) }},
 	{"qpi_query_histogram_probes_total", "Join-histogram probes by the chain estimators.", "counter",
 		func(m Metrics) float64 { return float64(m.HistogramProbes) }},
-	{"qpi_reopt_considered_total", "Mid-query re-optimization boundary evaluations.", "counter",
-		func(m Metrics) float64 { return float64(m.ReoptConsidered) }},
-	{"qpi_reopt_applied_total", "Mid-query plan restructurings committed.", "counter",
-		func(m Metrics) float64 { return float64(m.ReoptApplied) }},
-	{"qpi_reopt_skipped_total", "Re-optimization evaluations refused (barrier, push-down, shape).", "counter",
-		func(m Metrics) float64 { return float64(m.ReoptSkipped) }},
-	{"qpi_reopt_scouts_total", "Re-optimizer scout sketch passes over base relations.", "counter",
-		func(m Metrics) float64 { return float64(m.ReoptScouts) }},
 }
 
 func (d *Dashboard) handleMetrics(w http.ResponseWriter, _ *http.Request) {
