@@ -269,16 +269,24 @@ func runColumnarJoinRows(bt, pt *storage.Table) (int64, error) {
 //   - uniform: skewed random int keys, a few NULLs (the bit-checked lane);
 //   - fk-clustered: a PK build side and a lineitem-like probe of one to
 //     seven rows per key, in key order (equal-key runs, one-row spans);
+//   - sparse-pk: fk-clustered with every key times seven, so the key
+//     span is about 7n;
 //   - overrun: a key whose span is three batches long (the resume cursor);
 //   - semi, anti: the uniform inputs, one probe-only pair per hit or miss;
 //   - rows: the uniform inner join drained through Next, one pair a call.
+//
+// Only fk-clustered's dense primary key takes the row directory; the
+// other builds repeat keys (uniform, overrun, semi, anti, rows) or span
+// too wide a range (sparse-pk), so they keep the hash-table path.
 func BenchmarkColumnarJoin(b *testing.B) {
 	bt, pt := benchJoinTables()
-	var pk, fk, hot, few []int64
+	var pk, fk, sparsePK, sparseFK, hot, few []int64
 	for k := int64(0); k < 4096; k++ {
 		pk = append(pk, k)
+		sparsePK = append(sparsePK, 7*k)
 		for r := k % 7; r >= 0; r-- {
 			fk = append(fk, k)
+			sparseFK = append(sparseFK, 7*k)
 		}
 	}
 	for r := 0; r < 3*data.BatchSize(); r++ {
@@ -294,6 +302,7 @@ func BenchmarkColumnarJoin(b *testing.B) {
 	}{
 		{"uniform", bt, pt, InnerJoin},
 		{"fk-clustered", kvTable("b", pk), kvTable("p", fk), InnerJoin},
+		{"sparse-pk", kvTable("b", sparsePK), kvTable("p", sparseFK), InnerJoin},
 		{"overrun", kvTable("b", hot), kvTable("p", few), InnerJoin},
 		{"semi", bt, pt, SemiJoin},
 		{"anti", bt, pt, AntiJoin},

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/maphash"
+	"math"
 	"sync/atomic"
 
 	"qpi/internal/data"
@@ -294,6 +295,13 @@ func (jt *joinTable) clear() {
 // tuple references — building reads the flat key lane, probing returns
 // row indexes for the lane-to-lane gather, and no build tuple is ever
 // materialized.
+//
+// A dense primary-key build skips the per-partition tables: the whole
+// build is indexed once by a flat row directory (buildDirectory), and
+// lookupInt reads it. The directory is taken only by a join without a
+// memory budget (memBudget <= 0), where every build partition is
+// resident: its 4·span bytes are not charged to a governor's grant, so a
+// budgeted join keeps the per-partition tables its budget accounts for.
 type colJoinTable struct {
 	ints hashtab.I64Map[tupleSpan]
 	flat []int32
@@ -303,6 +311,12 @@ type colJoinTable struct {
 	// int key lane, so the fill pass reaches its span without hashing
 	// the key again (valid only if the count pass did not grow the map).
 	slots []int32
+	// rowOf is the row directory, nil when the build did not take it:
+	// rowOf[k-lo] is key k's row in its own partition's lanes, -1 when no
+	// build row has key k. A key's rows all live in one partition, so one
+	// directory answers the probes of every partition.
+	rowOf []int32
+	lo    int64
 }
 
 // build (re)constructs the table over cb's rows. NULL keys never reach a
@@ -383,6 +397,61 @@ func (jt *colJoinTable) build(cb *data.ColBatch, keys []int, scratch *data.Tuple
 	}
 }
 
+// buildDirectory indexes the resident build partitions (one lane batch
+// each, as an unbudgeted join's build side keeps them) in the row
+// directory, and reports the build rows n and whether it did. It does so
+// only when every non-empty partition's key is a NULL-free homogeneous
+// int lane, the key span hi-lo+1 lies in [n, 5n/4] — a smaller span is a
+// certain repeated key, so nothing is allocated — and the fill finds no
+// repeated key; otherwise the per-partition tables serve the join.
+func (jt *colJoinTable) buildDirectory(parts []colPart, keys []int) (n int, ok bool) {
+	jt.rowOf = nil
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	for _, part := range parts {
+		if len(part) == 0 || part[0].NRows == 0 {
+			continue
+		}
+		cb := part[0]
+		kv := intKeyLane(cb, keys)
+		if kv == nil || kv.Nulls.Any() {
+			return 0, false
+		}
+		for _, k := range kv.Ints[:cb.NRows] {
+			lo, hi = min(lo, k), max(hi, k)
+		}
+		n += cb.NRows
+	}
+	if n == 0 {
+		return 0, false
+	}
+	// The span less one, in uint64: hi-lo of keys at both ends of the
+	// int64 domain wraps as an int64 but not here, and the span is bounded
+	// before the +1 can overflow.
+	d := uint64(hi) - uint64(lo)
+	if d < uint64(n-1) || d >= uint64(5*n) || 4*(d+1) > uint64(5*n) {
+		return 0, false
+	}
+	rowOf := make([]int32, d+1)
+	for i := range rowOf {
+		rowOf[i] = -1
+	}
+	for _, part := range parts {
+		if len(part) == 0 || part[0].NRows == 0 {
+			continue
+		}
+		cb := part[0]
+		for i, k := range cb.Col(keys[0]).Ints[:cb.NRows] {
+			r := &rowOf[uint64(k)-uint64(lo)]
+			if *r >= 0 {
+				return 0, false // a repeated key: not a primary key
+			}
+			*r = int32(i)
+		}
+	}
+	jt.rowOf, jt.lo = rowOf, lo
+	return n, true
+}
+
 // resizeRows returns s resized to n rows, reallocating with a quarter's
 // headroom: a join's build partitions differ in size by a few percent,
 // so the first partition's buffer usually serves them all.
@@ -394,8 +463,16 @@ func resizeRows(s []int32, n int) []int32 {
 }
 
 // lookupInt returns the build row indexes matching an int key — the hot
-// probe path, fed straight from the probe partition's key lane.
+// probe path, fed straight from the probe partition's key lane. With the
+// row directory it is an unsigned bounds check and one load.
 func (jt *colJoinTable) lookupInt(k int64) []int32 {
+	if jt.rowOf != nil {
+		d := uint64(k) - uint64(jt.lo)
+		if d >= uint64(len(jt.rowOf)) || jt.rowOf[d] < 0 {
+			return nil
+		}
+		return jt.rowOf[d : d+1]
+	}
 	sp, ok := jt.ints.Get(k)
 	if !ok {
 		return nil
@@ -415,7 +492,7 @@ func (jt *colJoinTable) lookup(k data.Value) []int32 {
 
 func (jt *colJoinTable) clear() {
 	jt.ints.Reset()
-	jt.flat, jt.other, jt.slots = nil, nil, nil
+	jt.flat, jt.other, jt.slots, jt.rowOf = nil, nil, nil, nil
 }
 
 // intKeyLane returns the key column when the join key is one homogeneous

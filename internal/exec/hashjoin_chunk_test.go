@@ -302,8 +302,10 @@ func TestBatchSizeKnobStartRace(t *testing.T) {
 
 // kernelKeyShapes are the probe key lanes the chunk kernel tells apart:
 // a NULL-free int lane (the fast loop), an int lane with NULLs (bitmap
-// checked per row), and two generic shapes extracted per row.
-var kernelKeyShapes = []string{"int", "int-nulls", "string", "two-column"}
+// checked per row), and two generic shapes extracted per row; and the
+// build shape that takes the row directory instead of the hash tables, a
+// dense primary key (dense-pk, probed by an int lane with NULLs).
+var kernelKeyShapes = []string{"int", "int-nulls", "string", "two-column", "dense-pk"}
 
 // kernelTable builds a table keyed by shape from the test key encoding
 // (key < 0 is NULL) with the row position as its last column, "id".
@@ -365,6 +367,30 @@ func kernelKeys(rng *rand.Rand, nulls bool) (build, probe []int64) {
 	return build, probe
 }
 
+// denseKernelKeys draws the inputs of the dense-pk shape: a build side of
+// 300 distinct keys over a span of 360 (within the directory's 5n/4) plus
+// two NULLs the scatter drops, and a probe side of runs of one to seven
+// equal keys drawn from 20 below the span to 20 past it (misses in its
+// holes and outside it), one run in eight NULL.
+func denseKernelKeys(rng *rand.Rand) (build, probe []int64) {
+	const lo, span = 1000, 360
+	build = []int64{lo, lo + span - 1, -1, -1}
+	for _, d := range rng.Perm(span - 2)[:296] {
+		build = append(build, lo+1+int64(d))
+	}
+	rng.Shuffle(len(build), func(a, b int) { build[a], build[b] = build[b], build[a] })
+	for len(probe) < 600 {
+		k := lo - 20 + int64(rng.Intn(span+40))
+		if rng.Intn(8) == 0 {
+			k = -1
+		}
+		for r := rng.Intn(7); r >= 0; r-- {
+			probe = append(probe, k)
+		}
+	}
+	return build, probe
+}
+
 // kernelJoin wires the two tables of one kernel test case into a hash
 // join (keys: every column but the trailing id).
 func kernelJoin(bt, pt *storage.Table, jt JoinType, budget int64, columnar bool) *HashJoin {
@@ -413,27 +439,42 @@ func probeVisitOrder(pt *storage.Table, keys []int, jt JoinType, parts int) (map
 // every emitted batch JoinedProbeFraction must count exactly the probe
 // rows started so far: those up to the last emitted row's probe row in
 // visiting order, or every row once a pull ends short of a full batch
-// (the join then swept to its end).
+// (the join then swept to its end). The dense-pk build must take the row
+// directory exactly when the join has no memory budget.
 func TestChunkKernelMatchesTuplePath(t *testing.T) {
 	defer data.SetBatchSize(data.DefaultBatchSize)
 	for _, bs := range []int{1, 7, 1024} {
 		data.SetBatchSize(bs)
 		for si, shape := range kernelKeyShapes {
 			rng := rand.New(rand.NewSource(int64(100*bs + si)))
-			build, probe := kernelKeys(rng, shape != "int")
+			var build, probe []int64
+			if shape == "dense-pk" {
+				build, probe = denseKernelKeys(rng)
+			} else {
+				build, probe = kernelKeys(rng, shape != "int")
+			}
 			bt, pt := kernelTable("b", build, shape), kernelTable("p", probe, shape)
 			for _, jt := range []JoinType{InnerJoin, ProbeOuterJoin, SemiJoin, AntiJoin} {
 				for _, budget := range []int64{0, 256} {
 					name := fmt.Sprintf("bs=%d/%s/%s/budget=%d", bs, shape, jt, budget)
-					checkChunkKernel(t, name, bt, pt, jt, budget)
+					checkChunkKernel(t, name, bt, pt, jt, budget, shape == "dense-pk" && budget == 0)
 				}
 			}
 		}
 	}
 }
 
-func checkChunkKernel(t *testing.T, name string, bt, pt *storage.Table, jt JoinType, budget int64) {
+// checkChunkKernel runs one kernel test case through NextColBatch and
+// Next; wantDir says whether the join must index its build with the row
+// directory.
+func checkChunkKernel(t *testing.T, name string, bt, pt *storage.Table, jt JoinType, budget int64, wantDir bool) {
 	t.Helper()
+	sawDir := func(j *HashJoin, label string) {
+		t.Helper()
+		if got := j.colTab.rowOf != nil; got != wantDir {
+			t.Fatalf("%s: row directory taken = %v, want %v", label, got, wantDir)
+		}
+	}
 	want := drainMode(t, kernelJoin(bt, pt, jt, budget, false), false)
 
 	j := kernelJoin(bt, pt, jt, budget, true)
@@ -457,6 +498,9 @@ func checkChunkKernel(t *testing.T, name string, bt, pt *storage.Table, jt JoinT
 		}
 		if cb == nil {
 			break
+		}
+		if len(got) == 0 {
+			sawDir(j, name)
 		}
 		got = cb.ToTuples(got)
 		if f, w := j.JoinedProbeFraction(), wantFraction(got, cb.Live() == data.BatchSize()); f != w {
@@ -484,6 +528,9 @@ func checkChunkKernel(t *testing.T, name string, bt, pt *storage.Table, jt JoinT
 		}
 		if row == nil {
 			break
+		}
+		if len(got) == 0 {
+			sawDir(j, name+"/rows")
 		}
 		got = append(got, row.Clone())
 		if f, w := j.JoinedProbeFraction(), wantFraction(got, true); f != w {

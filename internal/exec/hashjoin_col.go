@@ -321,7 +321,10 @@ const (
 
 // loadColPartition builds the lane-native hash table for one partition
 // (reading spilled build frames back into lanes) and positions the probe
-// cursor on the partition's lanes or its spill frame stream.
+// cursor on the partition's lanes or its spill frame stream. Before the
+// first partition, a join without a memory budget tries the row
+// directory over its whole resident build; when it is taken, no
+// partition builds a table.
 func (j *HashJoin) loadColPartition(p int) error {
 	if err := j.ctxErr(); err != nil {
 		return err
@@ -329,6 +332,11 @@ func (j *HashJoin) loadColPartition(p int) error {
 	if j.tracing() {
 		j.traceBegin(fmt.Sprintf("join[%d]", p))
 		j.partProbes = j.joinedProbes.Load()
+	}
+	if p == 0 && j.memBudget <= 0 {
+		if n, ok := j.colTab.buildDirectory(j.buildColParts, j.buildKeys); ok {
+			j.traceMark("directory", int64(n), int64(len(j.colTab.rowOf)))
+		}
 	}
 	var cp *data.ColBatch
 	if bp := j.buildColParts[p]; len(bp) > 0 {
@@ -348,7 +356,9 @@ func (j *HashJoin) loadColPartition(p int) error {
 			return err
 		}
 	}
-	j.colTab.build(cp, j.buildKeys, &j.colScat.key)
+	if j.colTab.rowOf == nil {
+		j.colTab.build(cp, j.buildKeys, &j.colScat.key)
+	}
 	j.colBuild = cp
 	j.probeFile = nil
 	j.colProbePart = nil

@@ -1,6 +1,8 @@
 // Package hashtab provides a cache-friendly open-addressing hash table
 // keyed by int64, shared by the engine's hottest int-keyed paths: the
-// grace hash join's per-partition build tables (exec.joinTable), the
+// grace hash join's per-partition build tables (exec.joinTable and
+// exec.colJoinTable, except on a dense primary-key build, which the
+// columnar join indexes with a flat row directory instead), the
 // estimation framework's frequency histograms (core.FreqHistogram) and
 // hash aggregation's group index (exec.HashAgg).
 //

@@ -131,6 +131,54 @@ func TestTraceSpillCounters(t *testing.T) {
 	}
 }
 
+// TestTraceKeyDirectory follows pkfk_join's SQL through Engine.Compile:
+// orders is a dense primary key, so the join indexes it with the row
+// directory and marks it once, with the build rows and the key span.
+// A Zipf build repeats its keys and a join under a memory budget never
+// takes the directory, so neither marks one; the rows agree throughout.
+func TestTraceKeyDirectory(t *testing.T) {
+	const pkfk = "SELECT o.orderkey FROM orders o JOIN lineitem l ON o.orderkey = l.orderkey"
+	tpch := New()
+	tpch.MustLoadTPCH(TPCHConfig{SF: 0.002, Seed: 1, Tables: []string{"orders", "lineitem"}})
+	orders, _ := tpch.TableRows("orders")
+	lineitem, _ := tpch.TableRows("lineitem")
+	for _, c := range []struct {
+		name  string
+		e     *Engine
+		sql   string
+		opts  []CompileOption
+		marks int
+	}{
+		{"pkfk", tpch, pkfk, nil, 1},
+		{"pkfk/budget", tpch, pkfk, []CompileOption{WithMemoryBudget(1 << 30)}, 0},
+		{"zipf", obsEngine(t, 3000), "SELECT r.k FROM r JOIN s ON r.k = s.k", nil, 0},
+	} {
+		q := c.e.MustQuery(c.sql, c.opts...)
+		tr := NewTracer()
+		n, err := q.Run(nil, WithTrace(tr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.e == tpch && n != int64(lineitem) {
+			t.Errorf("%s: %d rows, want %d", c.name, n, lineitem)
+		}
+		marks := 0
+		for _, ev := range tr.Events() {
+			if ev.Kind != TraceMark || ev.Phase != "directory" {
+				continue
+			}
+			marks++
+			if span := ev.Bytes; ev.Tuples != int64(orders) || span < ev.Tuples || 4*span > 5*ev.Tuples {
+				t.Errorf("%s: directory mark over %d rows, span %d; want %d rows, span within 5/4 of them",
+					c.name, ev.Tuples, span, orders)
+			}
+		}
+		if marks != c.marks {
+			t.Errorf("%s: %d directory marks, want %d", c.name, marks, c.marks)
+		}
+	}
+}
+
 func TestMetricsSnapshot(t *testing.T) {
 	e := obsEngine(t, 6000)
 	q := e.MustQuery("SELECT r.g, COUNT(*) c FROM r JOIN s ON r.k = s.k GROUP BY r.g")
