@@ -18,6 +18,7 @@ import (
 	"qpi/internal/experiments"
 	"qpi/internal/plan"
 	"qpi/internal/tpch"
+	"qpi/internal/vfs"
 	"qpi/internal/zipf"
 )
 
@@ -460,13 +461,17 @@ func BenchmarkExtApproxHistograms(b *testing.B) { runExperiment(b, "ext-approx")
 func BenchmarkExtDiskJoinOverhead(b *testing.B) { runExperiment(b, "ext-disk") }
 
 // BenchmarkSpilledJoin measures the grace hash join in memory-budgeted
-// (spilling) mode against BenchmarkJoinBaseline.
+// (spilling) mode against BenchmarkJoinBaseline. Spill I/O goes through a
+// counting vfs.FaultFS over the real filesystem: creates/op is the
+// temporary files the join created, 1 while its spilled partitions share
+// one file.
 func BenchmarkSpilledJoin(b *testing.B) {
 	b.ReportAllocs()
+	fs := vfs.NewFaultFS(nil)
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		j, _ := buildJoin(b, false)
-		j.SetMemoryBudget(256 * 1024)
+		j.SetMemoryBudget(256 * 1024).SetSpillFS(fs)
 		b.StartTimer()
 		if _, err := exec.Run(j); err != nil {
 			b.Fatal(err)
@@ -475,6 +480,7 @@ func BenchmarkSpilledJoin(b *testing.B) {
 			b.Fatal("expected spills")
 		}
 	}
+	b.ReportMetric(float64(fs.Count(vfs.OpCreate))/float64(b.N), "creates/op")
 }
 
 // BenchmarkBudgetedScatter is BenchmarkSpilledJoin on the lane-native
@@ -482,10 +488,11 @@ func BenchmarkSpilledJoin(b *testing.B) {
 // batch's rows a partition group at a time, into lanes or spill frames.
 func BenchmarkBudgetedScatter(b *testing.B) {
 	b.ReportAllocs()
+	fs := vfs.NewFaultFS(nil)
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		j, _ := buildJoin(b, false)
-		j.SetMemoryBudget(256 * 1024).SetColumnar(true)
+		j.SetMemoryBudget(256 * 1024).SetColumnar(true).SetSpillFS(fs)
 		b.StartTimer()
 		if _, err := exec.RunCol(j); err != nil {
 			b.Fatal(err)
@@ -494,6 +501,7 @@ func BenchmarkBudgetedScatter(b *testing.B) {
 			b.Fatal("expected spills")
 		}
 	}
+	b.ReportMetric(float64(fs.Count(vfs.OpCreate))/float64(b.N), "creates/op")
 }
 
 // BenchmarkScanColLanes drains lineitem through the columnar scan and

@@ -85,7 +85,7 @@ func main() {
 	}
 	if tr != nil {
 		m := q.Metrics()
-		fmt.Printf("\nmetrics: tuples=%d batches=%d spill=%d files/%d bytes recomputes=%d probes=%d\n",
+		fmt.Printf("\nmetrics: tuples=%d batches=%d spill=%d runs/%d bytes recomputes=%d probes=%d\n",
 			m.Tuples, m.Batches, m.SpillFiles, m.SpillBytes, m.EstimatorRecomputes, m.HistogramProbes)
 		fmt.Printf("\nexecution trace (%d events):\n%s", tr.Len(), tr.Dump())
 	}

@@ -105,7 +105,7 @@ type SuiteStats struct {
 	CISamples     int
 	CICovered     int
 	Cancelled     int   // runs that observed a real mid-query cancellation
-	SpillFiles    int64 // spill files created across ModeSpill runs
+	SpillFiles    int64 // spilled runs across ModeSpill runs
 }
 
 // CheckCase generates the case for (seed, opts), evaluates the oracle and

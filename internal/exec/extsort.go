@@ -28,7 +28,7 @@ func (s *Sort) Runs() int { return len(s.runs) }
 // SetSpillFS routes the sort's run I/O through fs (nil restores the real
 // filesystem); tests inject a vfs.FaultFS here.
 func (s *Sort) SetSpillFS(fs vfs.FS) *Sort {
-	s.spillFS = fs
+	s.arena.fs = fs
 	return s
 }
 
@@ -51,7 +51,7 @@ func (s *Sort) spillRun() error {
 		return nil
 	}
 	sort.SliceStable(s.rows, func(i, j int) bool { return s.less(s.rows[i], s.rows[j]) })
-	f, err := newSpillFile(s.spillFS, s.schema.Len())
+	f, err := s.arena.newRun(s.schema.Len())
 	if err != nil {
 		return err
 	}

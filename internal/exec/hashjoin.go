@@ -124,11 +124,12 @@ type HashJoin struct {
 	done      atomic.Bool
 
 	// Memory-budgeted (spilling) mode: when memBudget > 0, partitions
-	// whose buffered bytes exceed the per-partition share spill to temp
-	// files — the grace hash join's actual on-disk behaviour. The hash
-	// table for the partition being joined is still built in memory.
+	// whose buffered bytes exceed the per-partition share spill as runs
+	// of one temporary file (the arena) — the grace hash join's actual
+	// on-disk behaviour. The hash table for the partition being joined is
+	// still built in memory.
 	memBudget  int64
-	spillFS    vfs.FS // injectable spill I/O (nil = real filesystem)
+	arena      spillArena // both passes' spilled partitions
 	buildSpill []*spillFile
 	probeSpill []*spillFile
 	buildBytes []int64
@@ -683,7 +684,7 @@ func (j *HashJoin) Spilled() int { return j.spilled }
 // SetSpillFS routes the join's spill I/O through fs (nil restores the
 // real filesystem); tests inject a vfs.FaultFS here.
 func (j *HashJoin) SetSpillFS(fs vfs.FS) *HashJoin {
-	j.spillFS = fs
+	j.arena.fs = fs
 	return j
 }
 
@@ -704,7 +705,7 @@ func (j *HashJoin) partitionAppend(parts [][]data.Tuple, spill []*spillFile,
 		return nil
 	}
 	// Overflow: dump this partition's buffer and switch it to disk.
-	f, err := newSpillFile(j.spillFS, width)
+	f, err := j.arena.newRun(width)
 	if err != nil {
 		return err
 	}
@@ -1059,7 +1060,7 @@ func (j *HashJoin) nextProbeInPartition() (data.Tuple, error) {
 }
 
 // Close implements Operator. Both children are always closed and every
-// spill file released; all errors are reported via errors.Join.
+// spilled run released; all errors are reported via errors.Join.
 func (j *HashJoin) Close() error {
 	j.buildParts, j.probeParts, j.matches = nil, nil, nil
 	j.ht.clear()

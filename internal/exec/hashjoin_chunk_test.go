@@ -222,38 +222,24 @@ func TestCancelJoinPhaseWithoutOutput(t *testing.T) {
 }
 
 // TestSpillFaultColumnarJoinReturnsBatches fails each spill I/O operation
-// of a budgeted columnar join in turn: the fault must surface with every
-// descriptor closed and every pooled batch — partition buffers, frame
-// buffers, decode buffers — handed back. A clean run is held to the same
-// balance.
+// of a budgeted columnar join at its first, middle and last occurrence
+// (spillFaultMatrix): the fault must surface with every descriptor closed
+// and every pooled batch — partition buffers, frame buffers, decode
+// buffers — handed back. A clean run is held to the same balance.
 func TestSpillFaultColumnarJoinReturnsBatches(t *testing.T) {
 	a := randTable("a", 3000, 100, 63)
 	b := randTable("b", 4000, 100, 64)
-	run := func(fs *vfs.FaultFS) error {
+	spillFaultMatrix(t, func(t *testing.T, fs *vfs.FaultFS) error {
+		pooled := data.ColBatchesOut()
 		j := NewHashJoinOn(
 			NewScan(makeTable("a", a), ""),
 			NewScan(makeTable("b", b), ""),
 			"a", "k", "b", "k")
 		j.SetColumnar(true).SetMemoryBudget(16 * 1024).SetSpillFS(fs)
-		return drainColErr(j)
-	}
-	for _, op := range spillOps {
-		t.Run(op.String(), func(t *testing.T) {
-			pooled := data.ColBatchesOut()
-			fs := vfs.NewFaultFS(nil).FailAt(op, 1)
-			expectInjectedIO(t, fs, run(fs))
-			expectPooledBalance(t, pooled)
-		})
-	}
-	pooled := data.ColBatchesOut()
-	fs := vfs.NewFaultFS(nil)
-	if err := run(fs); err != nil {
-		t.Fatal(err)
-	}
-	if fs.Count(vfs.OpCreate) == 0 {
-		t.Fatal("the join never spilled")
-	}
-	expectPooledBalance(t, pooled)
+		err := drainColErr(j)
+		expectPooledBalance(t, pooled)
+		return err
+	})
 }
 
 // TestBatchSizeKnobStartRace: the data.BatchSize knob may be written

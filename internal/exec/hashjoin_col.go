@@ -294,7 +294,7 @@ func (j *HashJoin) colPartitionAppendGroup(cfg *colPassConfig, p int, src *data.
 	// Overflow: dump this partition's lanes frame-at-a-time and switch it
 	// to disk.
 	dst := cfg.colParts[p][0]
-	f, err := newSpillFile(j.spillFS, cfg.width)
+	f, err := j.arena.newRun(cfg.width)
 	if err != nil {
 		return err
 	}

@@ -53,9 +53,11 @@ type Stats struct {
 
 	// Observability counters, incremented on amortized slow paths
 	// (per batch, per spill switchover) so tracing them is ~free.
-	Batches    atomic.Int64 // batches emitted (columnar pull)
-	SpillFiles atomic.Int64 // spill files created by this operator
-	SpillBytes atomic.Int64 // bytes written to spill files
+	Batches atomic.Int64 // batches emitted (columnar pull)
+	// SpillFiles counts spilled runs (grace partitions and sort runs); an
+	// operator's runs share one temporary file.
+	SpillFiles atomic.Int64
+	SpillBytes atomic.Int64 // bytes written to spilled runs
 
 	estBits atomic.Uint64          // math.Float64bits of the N_i estimate
 	estSrc  atomic.Pointer[string] // provenance (nil = not yet estimated)

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"qpi/internal/data"
-	"qpi/internal/vfs"
 )
 
 // Sort is a blocking operator that materializes and sorts its input by one
@@ -44,7 +43,7 @@ type Sort struct {
 	// External sorting (see extsort.go).
 	memBudget int64
 	bufBytes  int64
-	spillFS   vfs.FS // injectable spill I/O (nil = real filesystem)
+	arena     spillArena // the spilled runs' temporary file
 	runs      []*spillFile
 	merge     *mergeState
 }

@@ -9,13 +9,13 @@ import (
 	"qpi/internal/vfs"
 )
 
-// Spill I/O buffers are 64 KiB each; a budgeted join can run through
-// 2×partitions spill files per execution, so the bufio.Writer/Reader pair
-// dominated spill-path allocations. Both are pooled: a spillFile takes a
-// writer at creation and a reader at startRead, and returns them — Reset
-// to nil first, so a pooled buffer never pins a file descriptor — when the
-// file closes. The pools are shared across operators and concurrent
-// queries; sync.Pool handles the concurrency.
+// Spill I/O buffers are 64 KiB each, one writer per spilled run while it
+// is written and one reader while it is read, so the bufio.Writer/Reader
+// pair dominated spill-path allocations. Both are pooled: a spillFile
+// takes a writer at creation and a reader at startRead, and returns them —
+// Reset to nil first, so a pooled buffer never holds a run's extents —
+// when the run closes. The pools are shared across operators and
+// concurrent queries; sync.Pool handles the concurrency.
 var (
 	spillWriterPool = sync.Pool{
 		New: func() any { return bufio.NewWriterSize(nil, 1<<16) },
@@ -25,13 +25,148 @@ var (
 	}
 )
 
-// spillFile is a temporary on-disk run of tuples used by the
-// memory-budgeted operators (grace hash join partitions, external sort
-// runs). Write everything first, then iterate; the file is deleted on
-// close. All I/O goes through an injectable vfs.FS so tests can force
-// failures at every phase and count descriptors.
+// spillArena is one spilling operator's temporary file. Every run the
+// operator spills (grace partitions of both sides, external sort runs) is
+// a list of extents of it, so an operator pays one file create however
+// many runs it spills. The file is created on the first run and unlinked
+// at once — it lives until the descriptor closes, and crashes can't leak
+// it — and closed when its last open run closes; a later spill creates a
+// fresh one. All I/O goes through an injectable vfs.FS so tests can force
+// failures at every phase and count descriptors. An arena belongs to one
+// operator and is used from its executor goroutine only. The operator
+// holds only the FS and a pointer; the file's state is allocated with the
+// file, only when the operator spills.
+type spillArena struct {
+	fs  vfs.FS     // nil = the real filesystem
+	cur *arenaFile // the file of the open runs; nil or closed when none is open
+}
+
+// arenaFile is an arena's temporary file, shared by the runs in it.
+type arenaFile struct {
+	f    vfs.File
+	end  int64 // append point: bytes written to f
+	pos  int64 // f's offset; -1 when unknown after a failed op
+	runs int   // runs created and not yet closed
+}
+
+// extent is a byte range of the arena's file.
+type extent struct{ off, n int64 }
+
+// newRun starts a spilled run of ncols-wide tuples in the arena, creating
+// the file if no run holds it open.
+func (a *spillArena) newRun(ncols int) (*spillFile, error) {
+	if a.cur == nil || a.cur.runs == 0 {
+		fs := a.fs
+		if fs == nil {
+			fs = vfs.OS{}
+		}
+		f, err := fs.CreateTemp("qpi-spill-*")
+		if err != nil {
+			return nil, err
+		}
+		// A failed unlink leaves only the name behind; the runs still work.
+		_ = fs.Remove(f.Name())
+		a.cur = &arenaFile{f: f}
+	}
+	a.cur.runs++
+	s := &spillFile{af: a.cur, ncols: ncols}
+	s.w = spillWriterPool.Get().(*bufio.Writer)
+	s.w.Reset(runWriter{s})
+	return s, nil
+}
+
+// seek moves the file offset to off unless it is already there.
+func (af *arenaFile) seek(off int64) error {
+	if af.pos == off {
+		return nil
+	}
+	if _, err := af.f.Seek(off, io.SeekStart); err != nil {
+		af.pos = -1
+		return err
+	}
+	af.pos = off
+	return nil
+}
+
+// release closes one run; the last one closes the file.
+func (af *arenaFile) release() error {
+	af.runs--
+	if af.runs > 0 {
+		return nil
+	}
+	err := af.f.Close()
+	af.f = nil
+	return err
+}
+
+// runWriter appends a run's flushed bytes at the arena's end, growing the
+// run's last extent when it ends there.
+type runWriter struct{ s *spillFile }
+
+func (w runWriter) Write(p []byte) (int, error) {
+	s, a := w.s, w.s.af
+	if err := a.seek(a.end); err != nil {
+		return 0, err
+	}
+	n, err := a.f.Write(p)
+	if n > 0 {
+		if k := len(s.ext) - 1; k >= 0 && s.ext[k].off+s.ext[k].n == a.end {
+			s.ext[k].n += int64(n)
+		} else {
+			s.ext = append(s.ext, extent{a.end, int64(n)})
+		}
+		a.end += int64(n)
+		a.pos += int64(n)
+	}
+	if err != nil {
+		a.pos = -1
+	}
+	return n, err
+}
+
+// runReader serves a run's extents in order, seeking only when another
+// run's I/O moved the offset; io.EOF at the run's end.
+type runReader struct{ s *spillFile }
+
+func (r runReader) Read(p []byte) (int, error) {
+	s, a := r.s, r.s.af
+	for s.rext < len(s.ext) && s.roff == s.ext[s.rext].n {
+		s.rext, s.roff = s.rext+1, 0
+	}
+	if s.rext == len(s.ext) {
+		return 0, io.EOF
+	}
+	e := s.ext[s.rext]
+	if err := a.seek(e.off + s.roff); err != nil {
+		return 0, err
+	}
+	if rest := e.n - s.roff; int64(len(p)) > rest {
+		p = p[:rest]
+	}
+	n, err := a.f.Read(p)
+	s.roff += int64(n)
+	a.pos += int64(n)
+	switch {
+	case err == io.EOF && n > 0:
+		err = nil
+	case err == io.EOF:
+		err = io.ErrUnexpectedEOF // the file is shorter than the run
+	}
+	if err != nil {
+		a.pos = -1
+	}
+	return n, err
+}
+
+// spillFile is a run of tuples spilled by a memory-budgeted operator (a
+// grace hash join partition, an external sort run), stored as extents of
+// the operator's spillArena. Write everything first, then iterate; the
+// run's bytes are freed with the arena's file.
 type spillFile struct {
-	f     vfs.File
+	af    *arenaFile // nil once closed
+	ext   []extent
+	rext  int   // extent being read
+	roff  int64 // bytes of ext[rext] already read
 	w     *bufio.Writer
 	r     *bufio.Reader
 	ncols int
@@ -65,24 +200,6 @@ const colFrameRows = 256
 // setColumnar switches the file to the columnar frame format; must be
 // called before the first append.
 func (s *spillFile) setColumnar() { s.col = true }
-
-// newSpillFile creates a spill file in the default temp directory via fs
-// (nil = the real filesystem).
-func newSpillFile(fs vfs.FS, ncols int) (*spillFile, error) {
-	if fs == nil {
-		fs = vfs.OS{}
-	}
-	f, err := fs.CreateTemp("qpi-spill-*")
-	if err != nil {
-		return nil, err
-	}
-	// Unlink immediately: the file lives until the descriptor closes,
-	// and crashes can't leak it.
-	fs.Remove(f.Name())
-	w := spillWriterPool.Get().(*bufio.Writer)
-	w.Reset(f)
-	return &spillFile{f: f, w: w, ncols: ncols}, nil
-}
 
 // append writes one tuple (columnar mode: buffers it toward the next
 // frame flush).
@@ -160,7 +277,7 @@ func (s *spillFile) appendColAll(cb *data.ColBatch) error {
 }
 
 // nextColFrame decodes the next columnar frame into dst, reusing its
-// lanes; io.EOF at end of file.
+// lanes; io.EOF at the end of the run.
 func (s *spillFile) nextColFrame(dst *data.ColBatch) error {
 	return data.DecodeColFrame(s.r, s.ncols, dst)
 }
@@ -187,8 +304,8 @@ func (s *spillFile) readAllCol(dst *data.ColBatch) error {
 }
 
 // releaseBuffers returns the bufio pair to the pools, detached from the
-// file so pooled buffers hold no descriptor (and a stale reader can never
-// serve bytes from a previous file).
+// run so pooled buffers hold no reference to it (and a stale reader can
+// never serve bytes from a previous run).
 func (s *spillFile) releaseBuffers() {
 	if s.w != nil {
 		s.w.Reset(nil)
@@ -202,7 +319,7 @@ func (s *spillFile) releaseBuffers() {
 	}
 }
 
-// startRead flushes writes and rewinds for iteration.
+// startRead flushes writes and rewinds to the run's first extent.
 func (s *spillFile) startRead() error {
 	if s.col && s.w != nil {
 		if err := s.flushFrame(); err != nil {
@@ -222,15 +339,15 @@ func (s *spillFile) startRead() error {
 			return err
 		}
 	}
-	if _, err := s.f.Seek(0, io.SeekStart); err != nil {
-		return err
+	s.rext, s.roff = 0, 0
+	if s.r == nil {
+		s.r = spillReaderPool.Get().(*bufio.Reader)
 	}
-	s.r = spillReaderPool.Get().(*bufio.Reader)
-	s.r.Reset(s.f)
+	s.r.Reset(runReader{s})
 	return nil
 }
 
-// next returns the next tuple, or (nil, nil) at end of file.
+// next returns the next tuple, or (nil, nil) at the end of the run.
 func (s *spillFile) next() (data.Tuple, error) {
 	if s.col {
 		return s.nextCol()
@@ -281,9 +398,10 @@ func (s *spillFile) readAll() ([]data.Tuple, error) {
 	}
 }
 
-// close deletes the spill file. Idempotent.
+// close releases the run's buffers and its hold on the arena, closing
+// the arena's file if it was the last open run. Idempotent.
 func (s *spillFile) close() error {
-	if s.f == nil {
+	if s.af == nil {
 		return nil
 	}
 	if s.enc != nil {
@@ -300,7 +418,7 @@ func (s *spillFile) close() error {
 	}
 	s.pending, s.decRows = nil, nil
 	s.releaseBuffers()
-	err := s.f.Close()
-	s.f = nil
+	err := s.af.release()
+	s.af, s.ext = nil, nil
 	return err
 }

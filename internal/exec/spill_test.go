@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"hash/fnv"
+	"io"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -13,6 +14,7 @@ import (
 	"qpi/internal/data"
 	"qpi/internal/obs"
 	"qpi/internal/storage"
+	"qpi/internal/vfs"
 )
 
 func randTable(name string, n, domain int, seed int64) []int64 {
@@ -375,5 +377,127 @@ func TestBudgetedPassPins(t *testing.T) {
 	}
 	if dumps != 17 {
 		t.Errorf("%d spill marks, want 17", dumps)
+	}
+}
+
+// TestSpillArenaRoundTrip writes several runs into one arena in
+// interleaved appends of sizes on both sides of the 64 KiB buffer, then
+// reads every run back byte-exactly twice: one run after another, and
+// interleaved refill by refill as the external sort's merge reads them.
+// Appends that follow each other in the file merge into one extent.
+func TestSpillArenaRoundTrip(t *testing.T) {
+	fs := vfs.NewFaultFS(nil)
+	arena := &spillArena{fs: fs}
+	const nruns = 4
+	runs := make([]*spillFile, nruns)
+	for i := range runs {
+		f, err := arena.newRun(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs[i] = f
+	}
+	appends := []struct{ run, n int }{
+		{0, 100}, {1, 70000}, {0, 70000}, {2, 65536}, {2, 65537}, {3, 1},
+		{1, 200000}, {0, 3000}, {3, 1 << 17}, {3, 5}, {2, 40000}, {0, 65535},
+	}
+	rng := rand.New(rand.NewSource(74))
+	want := make([][]byte, nruns)
+	wantExt := make([]int, nruns)
+	last := -1
+	for _, ap := range appends {
+		chunk := make([]byte, ap.n)
+		rng.Read(chunk)
+		f := runs[ap.run]
+		if _, err := f.w.Write(chunk); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		want[ap.run] = append(want[ap.run], chunk...)
+		if ap.run != last {
+			wantExt[ap.run]++
+		}
+		last = ap.run
+	}
+	var total int64
+	for i, f := range runs {
+		if len(f.ext) != wantExt[i] {
+			t.Errorf("run %d has %d extents, want %d", i, len(f.ext), wantExt[i])
+		}
+		for _, e := range f.ext {
+			total += e.n
+		}
+	}
+	if total != arena.cur.end {
+		t.Errorf("extents cover %d bytes, the file holds %d", total, arena.cur.end)
+	}
+	if n := fs.Count(vfs.OpSeek); n != 0 {
+		t.Errorf("appends issued %d seeks; nothing moved the offset from the end", n)
+	}
+
+	for i, f := range runs {
+		if err := f.startRead(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(f.r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want[i]) {
+			t.Errorf("run %d read one after another: %d bytes, want %d, or contents differ", i, len(got), len(want[i]))
+		}
+	}
+
+	got := make([][]byte, nruns)
+	for _, f := range runs {
+		if err := f.startRead(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	buf := make([]byte, 1<<16+1)
+	for live := nruns; live > 0; {
+		live = 0
+		for i, f := range runs {
+			if f.rext == len(f.ext) && f.r.Buffered() == 0 {
+				continue
+			}
+			// Drain what the reader holds plus one byte: exactly one
+			// refill per turn, so the runs' refills interleave.
+			n, err := io.ReadFull(f.r, buf[:f.r.Buffered()+1])
+			got[i] = append(got[i], buf[:n]...)
+			if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+				t.Fatal(err)
+			}
+			live++
+		}
+	}
+	for i := range runs {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Errorf("run %d read interleaved: %d bytes, want %d, or contents differ", i, len(got[i]), len(want[i]))
+		}
+	}
+
+	for i, f := range runs {
+		if err := f.close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.close(); err != nil {
+			t.Fatalf("second close: %v", err)
+		}
+		if open, want := fs.OpenFiles(), min(1, nruns-1-i); open != want {
+			t.Fatalf("%d files open after closing %d of %d runs, want %d", open, i+1, nruns, want)
+		}
+	}
+	f, err := arena.newRun(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := fs.Count(vfs.OpCreate); n != 2 {
+		t.Errorf("%d files created, want 2: one for the runs, a fresh one after the last closed", n)
 	}
 }

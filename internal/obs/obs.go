@@ -82,7 +82,7 @@ type Event struct {
 	// Span/mark payload.
 	Tuples int64 // tuples moved during the phase (SpanEnd) or at the mark
 	Bytes  int64 // bytes moved/spilled during the phase
-	Spills int64 // spill files produced during the phase
+	Spills int64 // spilled runs produced during the phase
 
 	// Estimator payload.
 	Estimate float64 // refined N_i estimate (EstimateRefined)

@@ -370,7 +370,9 @@ func (s *Service) finishSession(sess *session) {
 	s.mu.Unlock()
 }
 
-// SessionInfo is one session's row in the fleet view.
+// SessionInfo is one session's row in the fleet view. SpillFiles counts
+// spilled runs (grace partitions and sort runs); an operator's runs share
+// one temporary file.
 type SessionInfo struct {
 	ID    string `json:"id"`
 	Label string `json:"label,omitempty"`

@@ -14,9 +14,9 @@ type Metrics struct {
 	// Batches counts the batches operators emitted (an operator behind a
 	// tuple-at-a-time adapter, such as a merge join, emits none).
 	Batches int64
-	// SpillFiles and SpillBytes count spill files created and bytes
-	// written by grace hash joins and external sorts under a memory
-	// budget.
+	// SpillFiles counts spilled runs (grace partitions and sort runs);
+	// an operator's runs share one temporary file. SpillBytes counts the
+	// bytes written to them. Both move only under a memory budget.
 	SpillFiles int64
 	SpillBytes int64
 	// EstimatorRecomputes counts online-estimator publish boundaries:

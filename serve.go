@@ -127,9 +127,9 @@ var promMetrics = []promMetric{
 		func(m Metrics) float64 { return float64(m.Tuples) }},
 	{"qpi_query_batches_total", "Batches emitted in batch-at-a-time execution.", "counter",
 		func(m Metrics) float64 { return float64(m.Batches) }},
-	{"qpi_query_spill_files_total", "Spill files created by grace joins and external sorts.", "counter",
+	{"qpi_query_spill_files_total", "Spilled runs (grace partitions and sort runs); an operator's runs share one temporary file.", "counter",
 		func(m Metrics) float64 { return float64(m.SpillFiles) }},
-	{"qpi_query_spill_bytes_total", "Bytes written to spill files.", "counter",
+	{"qpi_query_spill_bytes_total", "Bytes written to spilled runs.", "counter",
 		func(m Metrics) float64 { return float64(m.SpillBytes) }},
 	{"qpi_query_estimator_recomputes_total", "Online-estimator publish boundaries.", "counter",
 		func(m Metrics) float64 { return float64(m.EstimatorRecomputes) }},
