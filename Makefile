@@ -56,10 +56,13 @@ serve-check:
 # and the chain link's build width the join output map replaced, and
 # mid-query re-optimization (its run option and counters, its sketches,
 # the join's restructuring seams, the Reorder wrapper and the difftest
-# modes) are removed; nothing anywhere in the repo may reference them, so
-# stray revivals in merges get caught here.
+# modes), and the hash join's tuple-at-a-time grace passes (its per-tuple
+# partition hooks, its probe cursor, the Columnar switches of the join and
+# the sort, and the chain check that chose between per-tuple and span
+# estimator hooks) are removed; nothing anywhere in the repo may
+# reference them, so stray revivals in merges get caught here.
 lint-deprecated:
-	@bad=$$(grep -rn --include='*.go' --exclude-dir=.bench_build -E '\.(RunContext|StartContext|NextBatch|Block)\(|\<(storage\.Block|InSample|rowBuf|WithBatchExecution|RunBatch|AsBatch|DrainBatch|OnBuildBatch|OnProbeBatch|BatchAttached|observeProbeColFast|observeProbeColShardFast|SetMorselWorkers|SetMorselBlocks|Morseled|MorselSource|OnBuildColBatch|OnProbeColBatch|ColShardAttached|ObserveProbeColShard|FinishProbe|composeColW|ModeColMorsel|colPartitionAppend|appendColRow|BuildWidth|WithReoptimization|ReoptOptions|PlanChanges|ReoptStats|Reoptimizer|SwapSides|Relink|ReplaceProbe|ResetObservers|OnBeforePartition|PartitionStarted|ReattachChain|AttachSketches|NewReorder|ModeReopt(Columnar)?)\>|\<qpi_reopt_' . || true); \
+	@bad=$$(grep -rn --include='*.go' --exclude-dir=.bench_build -E '\.(RunContext|StartContext|NextBatch|Block|Columnar)\(|\<(storage\.Block|InSample|rowBuf|WithBatchExecution|RunBatch|AsBatch|DrainBatch|OnBuildBatch|OnProbeBatch|BatchAttached|observeProbeColFast|observeProbeColShardFast|SetMorselWorkers|SetMorselBlocks|Morseled|MorselSource|OnBuildColBatch|OnProbeColBatch|ColShardAttached|ObserveProbeColShard|FinishProbe|composeColW|ModeColMorsel|colPartitionAppend|appendColRow|BuildWidth|WithReoptimization|ReoptOptions|PlanChanges|ReoptStats|Reoptimizer|SwapSides|Relink|ReplaceProbe|ResetObservers|OnBeforePartition|PartitionStarted|ReattachChain|AttachSketches|NewReorder|ModeReopt(Columnar)?|OnBuildTuple|OnProbeTuple|nextProbeInPartition|chainColumnar)\>|\<qpi_reopt_' . || true); \
 	if [ -n "$$bad" ]; then \
 		echo "removed API referenced:"; \
 		echo "$$bad"; \
@@ -95,10 +98,10 @@ cover:
 
 # The repository benchmark is a module of its own (benchmark/go.mod), so
 # `go test ./...` at the root never sees it. Its tests hold the route
-# users reach (Engine.Compile: columnar) to the route the traced run
-# wires by hand from the internal packages (tuple): same rows and
-# bit-identical final estimates (TestRoutesAgree), and every workload
-# run once in both modes on half-size data (TestSmoke).
+# users reach (Engine.Compile) to the route the traced run wires by hand
+# from the internal packages: same rows and bit-identical final
+# estimates (TestRoutesAgree), and every workload run once in both modes
+# on half-size data (TestSmoke).
 # One iteration each of the root benchmarks behind the engine workloads'
 # hot halves (the lane scan, the budgeted partition pass), of the one
 # pricing the compile-time pruning pass, of the one reporting a generated

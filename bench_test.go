@@ -9,7 +9,6 @@ import (
 	"runtime"
 	"testing"
 
-	"qpi/internal/catalog"
 	"qpi/internal/core"
 	"qpi/internal/data"
 	"qpi/internal/disk"
@@ -82,9 +81,9 @@ func BenchmarkTable4PipelineAndAggOverhead(b *testing.B) { runExperiment(b, "tab
 // progress trajectories on a Q8-shaped plan).
 func BenchmarkFig8ProgressIndicator(b *testing.B) { runExperiment(b, "fig8") }
 
-// ---- overhead microbenchmarks (Table 3's mechanism, isolated) ----
-
-func buildJoin(b *testing.B, estimate bool) (*exec.HashJoin, *catalog.Catalog) {
+// buildJoin hand-wires the SF 0.01 orders ⋈ lineitem grace hash join,
+// estimators off, for the spilling-join benchmarks.
+func buildJoin(b *testing.B) *exec.HashJoin {
 	b.Helper()
 	cat, err := tpch.Generate(tpch.Config{SF: 0.01, Seed: 1, Tables: []string{"orders", "lineitem"}})
 	if err != nil {
@@ -98,74 +97,7 @@ func buildJoin(b *testing.B, estimate bool) (*exec.HashJoin, *catalog.Catalog) {
 		bs.Schema().MustResolve("orders", "orderkey"),
 		ps.Schema().MustResolve("lineitem", "orderkey"))
 	plan.EstimateCardinalities(j, cat)
-	if estimate {
-		core.Attach(j)
-	}
-	return j, cat
-}
-
-// BenchmarkJoinBaseline measures the raw grace hash join (no estimation).
-func BenchmarkJoinBaseline(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		j, _ := buildJoin(b, false)
-		b.StartTimer()
-		if _, err := exec.Run(j); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkHashJoinThroughput compares the two execution paths of the
-// grace hash join on the same orders ⋈ lineitem workload as
-// BenchmarkJoinBaseline: the tuple-at-a-time reference and the lane-native
-// columnar path every compiled plan runs. tuples/sec counts every tuple
-// moved (build + probe inputs and join output).
-func BenchmarkHashJoinThroughput(b *testing.B) {
-	for _, columnar := range []bool{false, true} {
-		name := "tuple"
-		if columnar {
-			name = "columnar"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			var tuples int64
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				j, _ := buildJoin(b, false)
-				j.SetColumnar(columnar)
-				b.StartTimer()
-				var n int64
-				var err error
-				if columnar {
-					n, err = exec.RunCol(j)
-				} else {
-					n, err = exec.Run(j)
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-				tuples += n + j.BuildRows() + j.ProbeRows()
-			}
-			b.ReportMetric(float64(tuples)/b.Elapsed().Seconds(), "tuples/sec")
-		})
-	}
-}
-
-// BenchmarkJoinWithEstimation measures the same join with the framework
-// attached; compare ns/op against BenchmarkJoinBaseline for the paper's
-// central overhead claim.
-func BenchmarkJoinWithEstimation(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		j, _ := buildJoin(b, true)
-		b.StartTimer()
-		if _, err := exec.Run(j); err != nil {
-			b.Fatal(err)
-		}
-	}
+	return j
 }
 
 // ---- ablations ----
@@ -461,7 +393,7 @@ func BenchmarkExtApproxHistograms(b *testing.B) { runExperiment(b, "ext-approx")
 func BenchmarkExtDiskJoinOverhead(b *testing.B) { runExperiment(b, "ext-disk") }
 
 // BenchmarkSpilledJoin measures the grace hash join in memory-budgeted
-// (spilling) mode against BenchmarkJoinBaseline. Spill I/O goes through a
+// (spilling) mode, drained through Next. Spill I/O goes through a
 // counting vfs.FaultFS over the real filesystem: creates/op is the
 // temporary files the join created, 1 while its spilled partitions share
 // one file.
@@ -470,7 +402,7 @@ func BenchmarkSpilledJoin(b *testing.B) {
 	fs := vfs.NewFaultFS(nil)
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		j, _ := buildJoin(b, false)
+		j := buildJoin(b)
 		j.SetMemoryBudget(256 * 1024).SetSpillFS(fs)
 		b.StartTimer()
 		if _, err := exec.Run(j); err != nil {
@@ -483,16 +415,17 @@ func BenchmarkSpilledJoin(b *testing.B) {
 	b.ReportMetric(float64(fs.Count(vfs.OpCreate))/float64(b.N), "creates/op")
 }
 
-// BenchmarkBudgetedScatter is BenchmarkSpilledJoin on the lane-native
-// path every compiled plan runs: the budgeted partition passes move each
-// batch's rows a partition group at a time, into lanes or spill frames.
+// BenchmarkBudgetedScatter is BenchmarkSpilledJoin drained through
+// NextColBatch, as every compiled plan is: the budgeted partition passes
+// move each batch's rows a partition group at a time, into lanes or spill
+// frames, and the join phase gathers lane-to-lane.
 func BenchmarkBudgetedScatter(b *testing.B) {
 	b.ReportAllocs()
 	fs := vfs.NewFaultFS(nil)
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		j, _ := buildJoin(b, false)
-		j.SetMemoryBudget(256 * 1024).SetColumnar(true).SetSpillFS(fs)
+		j := buildJoin(b)
+		j.SetMemoryBudget(256 * 1024).SetSpillFS(fs)
 		b.StartTimer()
 		if _, err := exec.RunCol(j); err != nil {
 			b.Fatal(err)

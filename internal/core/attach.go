@@ -161,31 +161,18 @@ func (a *Attachment) attachHashChain(top *exec.HashJoin) {
 	a.record(pe, joinsToOps(joins))
 }
 
-// hashLinkHooks fills a ChainLink's hook setters for one hash join: the
-// per-tuple setter always, the span setter when the join runs columnar
-// partition passes.
+// hashLinkHooks fills a ChainLink's hook setter for one hash join: its
+// build pass's span hook.
 func hashLinkHooks(l *ChainLink, j *exec.HashJoin) {
-	l.SetBuildHook = func(f func(data.Tuple)) {
-		j.OnBuildTuple = compose(j.OnBuildTuple, f)
-	}
-	if j.Columnar() {
-		l.Columnar = true
-		l.SetBuildColHook = func(f func(cb *data.ColBatch)) {
-			j.OnBuildCol = compose(j.OnBuildCol, f)
-		}
+	l.SetBuildColHook = func(f func(cb *data.ColBatch)) {
+		j.OnBuildCol = compose(j.OnBuildCol, f)
 	}
 }
 
-// wireHashProbe feeds the bottom probe stream to the estimator in the
-// shape its build observers took: spans, or per-tuple hooks (which a
-// columnar pass still fires, in row order, so a chain mixing columnar and
-// tuple joins stays correct).
+// wireHashProbe feeds the bottom join's probe pass to the estimator, a
+// span at a time, and marks it converged at the pass's end.
 func wireHashProbe(pe *PipelineEstimator, bottom *exec.HashJoin) {
-	if bottom.Columnar() && pe.ColAttached() {
-		bottom.OnProbeCol = compose(bottom.OnProbeCol, pe.ObserveProbeCol)
-	} else {
-		bottom.OnProbeTuple = compose(bottom.OnProbeTuple, pe.ObserveProbe)
-	}
+	bottom.OnProbeCol = compose(bottom.OnProbeCol, pe.ObserveProbeCol)
 	bottom.OnProbeEnd = compose0(bottom.OnProbeEnd, pe.MarkConverged)
 }
 

@@ -5,29 +5,29 @@ import (
 	"qpi/internal/exec"
 )
 
-// This file implements span-at-a-time estimator observation for columnar
+// This file implements span-at-a-time estimator observation for hash-join
 // chains: instead of one callback per tuple, the build and probe
 // partition passes deliver whole ColBatches at batch boundaries and the
 // estimator walks the key lanes directly. The build hooks update the
 // histograms in place (integer counts: any order gives the same state);
 // the probe side runs Algorithm 1's push-down as a lane kernel
 // (observeLanes), with a per-row fallback for chains it cannot take.
-// Either way every float accumulation happens in exactly the order the
-// per-tuple hooks would have produced, so estimator state stays
-// bit-identical to the tuple path (a property the differential tests
-// assert).
+// Either way every float accumulation happens in exactly the order a
+// per-row ObserveProbe over the same batches would produce, so estimator
+// state stays bit-identical to it (a property
+// TestColumnarBitIdenticalToTuple asserts).
 
 // ColAttached reports whether the estimator observes its chain through
 // the span-at-a-time columnar hooks.
 func (p *PipelineEstimator) ColAttached() bool { return p.colInstalled }
 
 // installColHooks attaches the span-at-a-time build observers for a
-// columnar chain: one callback per build-input ColBatch. The dominant
+// hash-join chain: one callback per build-input ColBatch. The dominant
 // single-integer-key, fold-free case updates the frequency histograms
 // straight off the flat int64 key lane (FreqHistogram.ObserveColumn);
 // relations with folds, composite keys, or non-integer key columns fall
 // back to a per-row loop in row order — histogram state is identical to
-// the per-tuple hooks either way, because integer count increments
+// per-row observation either way, because integer count increments
 // commute and the fallback preserves the exact row order.
 func (p *PipelineEstimator) installColHooks() {
 	p.colInstalled = true
@@ -78,9 +78,9 @@ func (p *PipelineEstimator) installColHooks() {
 
 // ObserveProbeCol processes one bottom-stream ColBatch — the
 // span-at-a-time form of ObserveProbe, invoked once per batch by the
-// bottom join's columnar probe partition pass. Publish cadence,
+// bottom join's probe partition pass. Publish cadence,
 // output-distribution accumulation and the OnProbeObserved callback are
-// the tuple path's exactly. Chains whose probe keys are all single
+// per-row ObserveProbe's exactly. Chains whose probe keys are all single
 // integer columns of the bottom stream run the lane kernel; any other
 // chain (or batch) is observed row by row.
 func (p *PipelineEstimator) ObserveProbeCol(cb *data.ColBatch) {
@@ -181,10 +181,10 @@ func (l *laneLink) gather(cb *data.ColBatch, lo, hi int, out []float64, keys, co
 // chunk of live rows one CountInts gather per link into a counts lane,
 // then per level k the lanes multiply in probeDelta's j-ascending order
 // into a delta lane, which folds into sums[k]/sumSqs[k] row by row. A
-// level's moments depend on no other level's, so this is the tuple path's
-// float operations in the tuple path's order. A span ends wherever the
-// tuple path would publish or fire OnProbeObserved, so both see the state
-// they would have. It reports false, having changed nothing, when the
+// level's moments depend on no other level's, so these are per-row
+// ObserveProbe's float operations in its order. A span ends wherever
+// ObserveProbe would publish or fire OnProbeObserved, so both see the
+// state they would have. It reports false, having changed nothing, when the
 // chain or this batch's key columns are not lane-eligible.
 func (p *PipelineEstimator) observeLanes(cb *data.ColBatch) bool {
 	if p.laneLinks == nil {

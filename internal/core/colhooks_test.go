@@ -8,18 +8,19 @@ import (
 
 	"qpi/internal/data"
 	"qpi/internal/exec"
+	"qpi/internal/obs"
 	"qpi/internal/storage"
 )
 
-// Tests for the span-at-a-time columnar estimator attachment — what
-// every compiled plan runs. The headline contract is stronger than
-// convergence: every float accumulation happens in the order the
-// per-tuple hooks would have produced, so the converged estimator state
-// must be BIT-IDENTICAL to the tuple path's — asserted here with ==, not
-// a tolerance. The chain shapes are the ones the paper's §4.1.4
-// evaluation exercises: Figure 3's binary joins, Figure 5's
-// same-attribute chains, Figure 6's Case 1/Case 2 different-attribute
-// chains.
+// Tests for the span-at-a-time estimator attachment of hash-join chains
+// — what every plan runs. The headline contract is stronger than
+// convergence: every float accumulation happens in the order a per-row
+// ObserveProbe over the same batches would produce, so the estimator
+// state must be BIT-IDENTICAL to that reference's at every publish and at
+// the end — asserted here with ==, not a tolerance. The chain shapes are
+// the ones the paper's §4.1.4 evaluation exercises: Figure 3's binary
+// joins, Figure 5's same-attribute chains, Figure 6's Case 1/Case 2
+// different-attribute chains.
 
 // chainJoins collects a probe-linked hash-join chain top-down.
 func chainJoins(top *exec.HashJoin) []*exec.HashJoin {
@@ -93,17 +94,8 @@ func chain3Plan(seed int64) *exec.HashJoin {
 	return exec.NewHashJoin(exec.NewScan(a, ""), mid, 0, mid.Schema().MustResolve("d", "x"))
 }
 
-// columnarize marks every hash join columnar. Must run before Attach.
-func columnarize(op exec.Operator) {
-	if j, ok := op.(*exec.HashJoin); ok {
-		j.SetColumnar(true)
-	}
-	for _, c := range op.Children() {
-		columnarize(c)
-	}
-}
-
-// drainColPlan drains a columnar plan and returns the row count.
+// drainColPlan drains a plan through NextColBatch and returns the row
+// count.
 func drainColPlan(t *testing.T, top exec.Operator) int64 {
 	t.Helper()
 	if err := top.Open(); err != nil {
@@ -153,14 +145,13 @@ func TestColChainsExactOnPaperShapes(t *testing.T) {
 	for _, sh := range shapes {
 		t.Run(sh.name, func(t *testing.T) {
 			top := sh.mk()
-			columnarize(top)
 			att := Attach(top)
 			pe := att.ChainOf[top]
 			if pe == nil {
 				t.Fatal("no chain estimator attached")
 			}
 			if !pe.ColAttached() {
-				t.Fatal("columnar chain did not attach span hooks")
+				t.Fatal("hash chain did not attach span hooks")
 			}
 			drainColPlan(t, top)
 			requireChainExact(t, pe, top)
@@ -168,11 +159,15 @@ func TestColChainsExactOnPaperShapes(t *testing.T) {
 	}
 }
 
-// TestColumnarBitIdenticalToTuple: the serial span-at-a-time attachment —
-// what every compiled plan runs — must leave the estimator in exactly the
-// state (==) the per-tuple hooks of the reference path leave it in, lane
-// fast paths and row fallbacks alike, and a hash aggregation's tracker
-// must read the same from group-count spans as from per-row counts.
+// TestColumnarBitIdenticalToTuple: the span-at-a-time attachment — the
+// lane kernel where the chain allows it, the per-row fallback of a Case 2
+// chain or string keys otherwise — must leave the estimator in exactly
+// the state (==) a per-row ObserveProbe over the same probe batches
+// leaves it in: the same estimate for every level at every publish (the
+// tracer's refinement events), the same estimates, confidence intervals
+// and published Stats after every probe batch, and the same final state.
+// The reference run drains through Next, so a hash aggregation's tracker
+// must also read the same from group-count spans as from per-row counts.
 func TestColumnarBitIdenticalToTuple(t *testing.T) {
 	shapes := []func() *exec.HashJoin{
 		func() *exec.HashJoin { return fig3Plan(70) },
@@ -183,40 +178,61 @@ func TestColumnarBitIdenticalToTuple(t *testing.T) {
 		func() *exec.HashJoin { return chain3Plan(75) },
 	}
 	for si, mk := range shapes {
-		run := func(columnar bool) (state []float64) {
+		run := func(perRow bool) (state []float64) {
 			top := mk()
+			joins := chainJoins(top)
+			bottom := joins[len(joins)-1]
 			agg := exec.NewHashAgg(top, []int{0, top.Schema().Len() - 1},
 				[]exec.AggSpec{{Func: exec.CountStar, Name: "c"}})
-			if columnar {
-				columnarize(top)
-			}
 			att := Attach(agg)
 			pe := att.ChainOf[top]
-			if pe.ColAttached() != columnar {
-				t.Fatalf("shape %d: ColAttached = %v, want %v", si, pe.ColAttached(), columnar)
+			if !pe.ColAttached() {
+				t.Fatalf("shape %d: the chain did not attach span hooks", si)
 			}
+			if perRow {
+				bottom.OnProbeCol = func(cb *data.ColBatch) {
+					rows := cb.MaterializeRows()
+					for r, live := 0, cb.Live(); r < live; r++ {
+						pe.ObserveProbe(rows[liveRow(cb, r)])
+					}
+				}
+			}
+			levels := func() {
+				for k, j := range joins {
+					lo, hi := pe.ConfidenceInterval(k, 0.95)
+					state = append(state, pe.Estimate(k), lo, hi, j.Stats().Estimate())
+				}
+			}
+			bottom.OnProbeCol = compose(bottom.OnProbeCol, func(*data.ColBatch) { levels() })
+			tr := obs.New()
+			pe.SetTracer(tr)
 			var rows int64
-			if columnar {
-				rows = drainColPlan(t, agg)
-			} else {
+			if perRow {
 				var err error
 				if rows, err = exec.Run(agg); err != nil {
 					t.Fatal(err)
 				}
+			} else {
+				rows = drainColPlan(t, agg)
 			}
 			requireChainExact(t, pe, top)
-			state = append(state, float64(rows), float64(pe.ProbeTuplesSeen()), att.Aggs[agg].Estimate())
-			for k := range chainJoins(top) {
-				lo, hi := pe.ConfidenceInterval(k, 0.95)
-				state = append(state, pe.Estimate(k), lo, hi)
+			for _, e := range tr.Events() {
+				if e.Kind == obs.EstimateRefined {
+					state = append(state, e.Estimate)
+				}
 			}
+			state = append(state, float64(rows), float64(pe.ProbeTuplesSeen()), float64(pe.Recomputes()), att.Aggs[agg].Estimate())
+			levels()
 			return state
 		}
-		tup, col := run(false), run(true)
-		for i := range tup {
-			if tup[i] != col[i] {
-				t.Errorf("shape %d: state[%d] = %v on the tuple path, %v columnar (must be bit-identical)",
-					si, i, tup[i], col[i])
+		ref, col := run(true), run(false)
+		if len(ref) != len(col) {
+			t.Fatalf("shape %d: %d state values per row, %d spans", si, len(ref), len(col))
+		}
+		for i := range ref {
+			if ref[i] != col[i] {
+				t.Errorf("shape %d: state[%d] = %v per row, %v spans (must be bit-identical)",
+					si, i, ref[i], col[i])
 			}
 		}
 	}
@@ -235,30 +251,12 @@ func strKeyTable(name string, keys []int64) *storage.Table {
 
 // strKeyPlan is the fig3 binary shape with string join keys: the scatter
 // and the span observers must take their generic (non-int-lane) paths and
-// still land bit-identical to the tuple run.
+// still land bit-identical to the per-row reference.
 func strKeyPlan(seed int64) *exec.HashJoin {
 	rng := rand.New(rand.NewSource(seed))
 	a := strKeyTable("a", randCol(rng, 300, 20))
 	b := strKeyTable("b", randCol(rng, 400, 20))
 	return exec.NewHashJoinOn(exec.NewScan(a, ""), exec.NewScan(b, ""), "a", "k", "b", "k")
-}
-
-// TestMixedChainFallsBackToTupleHooks: if only part of a chain is
-// columnar the estimator must keep the per-tuple hooks — which a columnar
-// pass still fires, in row order — and stay exact; span observation
-// requires every link columnar.
-func TestMixedChainFallsBackToTupleHooks(t *testing.T) {
-	top := fig5Plan(30)
-	top.Probe().(*exec.HashJoin).SetColumnar(true)
-	att := Attach(top)
-	pe := att.ChainOf[top]
-	if pe.ColAttached() {
-		t.Fatal("partially columnar chain attached span hooks")
-	}
-	if _, err := exec.Run(top); err != nil {
-		t.Fatal(err)
-	}
-	requireChainExact(t, pe, top)
 }
 
 // TestColSemiJoinTopExact: non-inner top joins root their own chains; the
@@ -269,10 +267,9 @@ func TestColSemiJoinTopExact(t *testing.T) {
 	b := table("b", []string{"k"}, randCol(rng, 260, 15))
 	j := exec.NewHashJoinMulti(exec.NewScan(a, ""), exec.NewScan(b, ""),
 		[]int{0}, []int{0}, exec.SemiJoin)
-	columnarize(j)
 	pe := Attach(j).ChainOf[j]
 	if pe == nil || !pe.ColAttached() {
-		t.Fatal("columnar semi join did not attach span hooks")
+		t.Fatal("semi join did not attach span hooks")
 	}
 	drainColPlan(t, j)
 	requireChainExact(t, pe, j)
@@ -286,7 +283,6 @@ func TestColAggPushdownExact(t *testing.T) {
 	a := table("a", []string{"k"}, randCol(rng, 300, 25))
 	b := table("b", []string{"k"}, randCol(rng, 500, 25))
 	j := exec.NewHashJoinOn(exec.NewScan(a, ""), exec.NewScan(b, ""), "a", "k", "b", "k")
-	columnarize(j)
 	gcol := j.Schema().MustResolve("b", "k")
 	agg := exec.NewHashAgg(j, []int{gcol}, []exec.AggSpec{{Func: exec.CountStar, Name: "c"}})
 	att := Attach(agg)

@@ -877,7 +877,7 @@ func TestBuildKeysHintPresizesHistogram(t *testing.T) {
 	a := table("a", []string{"k"}, randCol(rng, 5000, 3000))
 	b := table("b", []string{"k"}, randCol(rng, 4000, 3000))
 	run := func(hint float64) (int64, int64, *exec.HashJoin) {
-		j := exec.NewHashJoinOn(exec.NewScan(a, ""), exec.NewScan(b, ""), "a", "k", "b", "k").SetColumnar(true)
+		j := exec.NewHashJoinOn(exec.NewScan(a, ""), exec.NewScan(b, ""), "a", "k", "b", "k")
 		j.Stats().BuildKeysHint = hint
 		pe := Attach(j).ChainOf[j]
 		h := pe.Histogram(0, 0).(*FreqHistogram)

@@ -105,14 +105,14 @@ func runLaneCase(t *testing.T, lc laneCase, route laneRoute, publishEvery int64,
 			Join: dummyJoin(), Out: linkOut(1), BuildKeys: []int{0},
 			// Join k probes the output of join k+1: the build columns of
 			// the joins below it, then the bottom stream.
-			ProbeKeys:    []int{m - 1 - k + lc.cols[k]},
-			SetBuildHook: func(f func(data.Tuple)) { tupleHooks[k] = f },
+			ProbeKeys: []int{m - 1 - k + lc.cols[k]},
 		}
 		if lc.mults != nil {
 			links[k].Mult = lc.mults[k]
 		}
-		if route != routeTuple {
-			links[k].Columnar = true
+		if route == routeTuple {
+			links[k].SetBuildHook = func(f func(data.Tuple)) { tupleHooks[k] = f }
+		} else {
 			links[k].SetBuildColHook = func(f func(*data.ColBatch)) { colHooks[k] = f }
 		}
 	}
@@ -287,7 +287,6 @@ func BenchmarkObserveProbeColChain(b *testing.B) {
 		for k := range links {
 			k := k
 			links[k] = ChainLink{Join: dummyJoin(), Out: linkOut(1), BuildKeys: []int{0}, ProbeKeys: []int{(m - 1 - k) + k}, // bottom column k
-				Columnar: true, SetBuildHook: func(func(data.Tuple)) {},
 				SetBuildColHook: func(f func(*data.ColBatch)) { hooks[k] = f }}
 		}
 		pe, err := NewPipelineEstimator(links, func() float64 { return 1e9 })

@@ -57,17 +57,15 @@ type ChainLink struct {
 	// ProbeKeys are the join column indexes in the probe input's schema.
 	ProbeKeys []int
 	// SetBuildHook installs f to run for every build-input tuple during
-	// the join's preprocessing pass.
+	// the join's preprocessing pass (a sort-merge or nested-loops join).
 	SetBuildHook func(f func(data.Tuple))
 	// SetBuildColHook installs f to run once per build-input ColBatch
-	// during a columnar preprocessing pass, at batch boundaries. Nil when
-	// the physical operator has no columnar pass.
+	// during a columnar preprocessing pass (a hash join's build partition
+	// pass), at batch boundaries. A link sets exactly one of the two
+	// setters; when every link of a chain sets this one, the estimator
+	// observes spans (see colhooks.go) instead of installing per-tuple
+	// hooks.
 	SetBuildColHook func(f func(cb *data.ColBatch))
-	// Columnar reports that the physical operator runs the columnar
-	// partition passes. When every link of a chain is columnar, the
-	// estimator observes spans at batch boundaries (see colhooks.go)
-	// instead of installing per-tuple hooks.
-	Columnar bool
 	// Mult transforms the matched build count N into the number of output
 	// tuples per probe tuple (§4.1.1's note on semijoins and outerjoins):
 	// nil means the inner-join identity; semi joins use 1 if N>0, anti
@@ -383,11 +381,11 @@ func (p *PipelineEstimator) buildWeight(tu data.Tuple, j, level int) int64 {
 	return w
 }
 
-// installHooks attaches the build-pass observers: per-tuple hooks on the
-// tuple path, span-at-a-time columnar hooks (colhooks.go) when every link
-// is columnar.
+// installHooks attaches the build-pass observers: span-at-a-time
+// columnar hooks (colhooks.go) when every link has a columnar build pass,
+// per-tuple hooks otherwise.
 func (p *PipelineEstimator) installHooks() {
-	if p.chainColumnar() {
+	if p.spanLinks() {
 		p.installColHooks()
 		return
 	}
@@ -404,11 +402,11 @@ func (p *PipelineEstimator) installHooks() {
 	}
 }
 
-// chainColumnar reports whether every link of the chain runs a columnar
+// spanLinks reports whether every link of the chain has a columnar
 // preprocessing pass (and therefore supports span observation).
-func (p *PipelineEstimator) chainColumnar() bool {
+func (p *PipelineEstimator) spanLinks() bool {
 	for _, l := range p.links {
-		if !l.Columnar || l.SetBuildColHook == nil {
+		if l.SetBuildColHook == nil {
 			return false
 		}
 	}

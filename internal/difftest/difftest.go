@@ -1,8 +1,8 @@
 // Package difftest is the randomized differential-testing harness: it
 // runs every qgen-generated plan through all execution modes of the real
-// engine (tuple-at-a-time, forced-spill, columnar, columnar-spill and
-// mid-query cancel/re-run) and checks each run against the exact oracle
-// and the paper's estimator invariants:
+// engine (drained through Next or through NextColBatch, each in memory
+// and forced to spill, and mid-query cancel/re-run) and checks each run
+// against the exact oracle and the paper's estimator invariants:
 //
 //   - result-set equivalence: the run's output multiset equals the
 //     oracle's, and every join emits exactly its true cardinality;
@@ -41,28 +41,28 @@ type Mode int
 
 // Execution modes.
 const (
-	// ModeTuple is the tuple-at-a-time reference executor.
+	// ModeTuple drains the plan through Next.
 	ModeTuple Mode = iota
-	// ModeSpill forces grace-join and sort spills with a tiny budget.
+	// ModeSpill is ModeTuple under a tiny budget, forcing grace-join and
+	// sort spills.
 	ModeSpill
 	// ModeCancelRerun cancels the context after the first bottom-stream
 	// tuple, verifies the terminal state, then re-runs a fresh build to
 	// completion with full checks.
 	ModeCancelRerun
-	// ModeColumnar drives the plan column-at-a-time: hash joins run the
-	// columnar partition passes with span-at-a-time estimator observation
-	// and gather output straight into column lanes.
+	// ModeColumnar drains the plan through NextColBatch: hash joins gather
+	// output straight into column lanes.
 	ModeColumnar
-	// ModeColumnarSpill combines the columnar passes with a tiny budget,
-	// forcing partitions through the columnar spill frame codec.
+	// ModeColumnarSpill is ModeColumnar under a tiny budget, forcing
+	// grace-join and sort spills.
 	ModeColumnarSpill
 )
 
 // AllModes is every execution mode, in suite order.
 var AllModes = []Mode{ModeTuple, ModeSpill, ModeColumnar, ModeColumnarSpill, ModeCancelRerun}
 
-// columnar reports whether the mode compiles the plan columnar and
-// drains it through NextColBatch.
+// columnar reports whether the mode drains the plan through
+// NextColBatch.
 func (m Mode) columnar() bool {
 	switch m {
 	case ModeColumnar, ModeColumnarSpill:
@@ -143,9 +143,6 @@ func runMode(c *qgen.Case, want *oracle.Result, m Mode, st *SuiteStats) error {
 	}
 	if m == ModeSpill || m == ModeColumnarSpill {
 		setBudget(b.Root, spillBudget)
-	}
-	if m.columnar() {
-		setColumnar(b.Root)
 	}
 	att := core.Attach(b.Root)
 	mon := progress.NewMonitorWith(b.Root, progress.ModeOnce, att)
@@ -371,17 +368,6 @@ func drain(root exec.Operator, m Mode) ([]data.Tuple, error) {
 		err = cerr
 	}
 	return rows, err
-}
-
-func setColumnar(root exec.Operator) {
-	exec.Walk(root, func(op exec.Operator) {
-		switch o := op.(type) {
-		case *exec.HashJoin:
-			o.SetColumnar(true)
-		case *exec.Sort:
-			o.SetColumnar(true)
-		}
-	})
 }
 
 func setBudget(root exec.Operator, bytes int64) {

@@ -79,8 +79,8 @@ func TestCancelDeadlineExceeded(t *testing.T) {
 	}
 }
 
-// cancelJoin runs a hash join (spilling when budget > 0) on the tuple path
-// or the columnar path, with its ctx cancelled by the phase hook arm
+// cancelJoin runs a hash join (spilling when budget > 0) drained through
+// Next or through NextColBatch, with its ctx cancelled by the hook arm
 // installs, and asserts the cancellation surfaces with every spill
 // descriptor closed, no goroutine left and every pooled batch returned.
 func cancelJoin(t *testing.T, budget int64, columnar bool, arm func(j *HashJoin, cancel func())) {
@@ -93,7 +93,7 @@ func cancelJoin(t *testing.T, budget int64, columnar bool, arm func(j *HashJoin,
 		NewScan(makeTable("a", a), ""),
 		NewScan(makeTable("b", b), ""),
 		"a", "k", "b", "k")
-	j.SetMemoryBudget(budget).SetSpillFS(fs).SetColumnar(columnar)
+	j.SetMemoryBudget(budget).SetSpillFS(fs)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	arm(j, cancel)
@@ -113,40 +113,30 @@ func cancelJoin(t *testing.T, budget int64, columnar bool, arm func(j *HashJoin,
 }
 
 // cancelInPass cancels a join `at` rows into its build or probe partition
-// pass: on the tuple path armed through the per-tuple hook, on the
-// columnar path through the span hook's row counts.
+// pass, armed through the span hook's row counts, with the join drained
+// through Next (tuple) and through NextColBatch (columnar).
 func cancelInPass(t *testing.T, budget int64, build bool, at int) {
-	t.Run("tuple", func(t *testing.T) {
-		cancelJoin(t, budget, false, func(j *HashJoin, cancel func()) {
-			n := 0
-			hook := func(data.Tuple) {
-				if n++; n == at {
-					cancel()
+	for _, m := range []struct {
+		name     string
+		columnar bool
+	}{{name: "tuple"}, {name: "columnar", columnar: true}} {
+		t.Run(m.name, func(t *testing.T) {
+			cancelJoin(t, budget, m.columnar, func(j *HashJoin, cancel func()) {
+				n := 0
+				hook := func(cb *data.ColBatch) {
+					if n < at && n+cb.Live() >= at {
+						cancel()
+					}
+					n += cb.Live()
 				}
-			}
-			if build {
-				j.OnBuildTuple = hook
-			} else {
-				j.OnProbeTuple = hook
-			}
-		})
-	})
-	t.Run("columnar", func(t *testing.T) {
-		cancelJoin(t, budget, true, func(j *HashJoin, cancel func()) {
-			n := 0
-			hook := func(cb *data.ColBatch) {
-				if n < at && n+cb.Live() >= at {
-					cancel()
+				if build {
+					j.OnBuildCol = hook
+				} else {
+					j.OnProbeCol = hook
 				}
-				n += cb.Live()
-			}
-			if build {
-				j.OnBuildCol = hook
-			} else {
-				j.OnProbeCol = hook
-			}
+			})
 		})
-	})
+	}
 }
 
 func TestCancelMidBuild(t *testing.T)      { cancelInPass(t, 0, true, 700) }

@@ -74,8 +74,9 @@ func (a *colAdapter) Unwrap() Operator { return a.Operator }
 // (columnar) or through Next. An operator without a native columnar path
 // sits behind an adapter and pulls its children tuple-at-a-time; a native
 // one hands the choice down, except that a hash join's partition passes
-// and a sort's input pass follow the operator's own SetColumnar setting
-// however the operator itself is pulled.
+// always pull column batches, and a sort's input pass does whenever its
+// child has a native columnar path and it has no memory budget, however
+// the operator itself is pulled.
 func WalkColumnar(op Operator, columnar bool, visit func(op Operator, columnar bool)) {
 	if _, native := op.(ColOperator); !native {
 		columnar = false
@@ -83,7 +84,7 @@ func WalkColumnar(op Operator, columnar bool, visit func(op Operator, columnar b
 	visit(op, columnar)
 	switch o := op.(type) {
 	case *HashJoin:
-		columnar = o.colMode
+		columnar = true
 	case *Sort:
 		columnar = o.columnarInput() != nil
 	}

@@ -18,8 +18,7 @@ import (
 // and fire the same hooks. internal/difftest checks whole generated plans
 // against an oracle; these tests pin the cases a generator reaches only
 // by luck — punctuation mid-batch, a limit cutting a selection vector,
-// row-major operators behind the adapter, a columnar join under a tuple
-// parent.
+// row-major operators behind the adapter, a join under a tuple parent.
 
 // fingerprints renders rows into comparable strings.
 func fingerprints(rows []data.Tuple) []string {
@@ -65,26 +64,12 @@ func requireSameStats(t *testing.T, a, b Operator, label string) {
 	}
 }
 
-// markColumnar does to a hand-built plan what Engine.Compile does to
-// every plan.
-func markColumnar(root Operator) {
-	Walk(root, func(op Operator) {
-		switch o := op.(type) {
-		case *HashJoin:
-			o.SetColumnar(true)
-		case *Sort:
-			o.SetColumnar(true)
-		}
-	})
-}
-
 // requireColumnarMatchesTuple builds the plan twice, drains one copy
-// through Next and the other, marked columnar, through NextColBatch, and
-// requires the same ordered rows and the same counters on every operator.
+// through Next and the other through NextColBatch, and requires the same
+// ordered rows and the same counters on every operator.
 func requireColumnarMatchesTuple(t *testing.T, label string, mk func() Operator) {
 	t.Helper()
 	tup, col := mk(), mk()
-	markColumnar(col)
 	requireSameRows(t, drainMode(t, tup, false), drainMode(t, col, true), label)
 	requireSameStats(t, tup, col, label)
 }
@@ -266,7 +251,6 @@ func TestScanLanesNeverMutateTheTable(t *testing.T) {
 			if pass > 2 {
 				Prune(op)
 			}
-			markColumnar(op)
 			requireSameRows(t, want, drainMode(t, op, true), fmt.Sprintf("%s, pass %d", label, pass))
 			if j, ok := op.(*HashJoin); ok && label == "spilling join" && j.Spilled() == 0 {
 				t.Fatalf("%s did not spill", label)
@@ -383,9 +367,10 @@ func TestHashAggBatchEquivalence(t *testing.T) {
 	}
 }
 
-// TestHashJoinBatchEquivalence: for every join type the columnar join
-// emits the tuple join's rows in the tuple join's partition-clustered
-// order, with the same counters on the join and both scans.
+// TestHashJoinBatchEquivalence: for every join type the join drained
+// through NextColBatch emits the rows Next emits, in the same
+// partition-clustered order, with the same counters on the join and both
+// scans.
 func TestHashJoinBatchEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	build := make([]int64, 2500)
@@ -406,7 +391,7 @@ func TestHashJoinBatchEquivalence(t *testing.T) {
 		base := mk()
 		want := drainMode(t, base, false)
 		label := fmt.Sprintf("%v join", jt)
-		j := mk().SetColumnar(true)
+		j := mk()
 		requireSameRows(t, want, drainMode(t, j, true), label)
 		requireSameStats(t, base, j, label)
 		if j.BuildRows() != base.BuildRows() || j.ProbeRows() != base.ProbeRows() {
@@ -416,9 +401,9 @@ func TestHashJoinBatchEquivalence(t *testing.T) {
 	}
 }
 
-// TestHashJoinNullKeysBatched checks the NULL-key rules survive the
-// columnar passes: build NULLs never join, probe NULLs are preserved only
-// by the probe-preserving join types.
+// TestHashJoinNullKeysBatched checks the NULL-key rules on both drains:
+// build NULLs never join, probe NULLs are preserved only by the
+// probe-preserving join types.
 func TestHashJoinNullKeysBatched(t *testing.T) {
 	mkSide := func(name string, vals []int64, nulls int) *storage.Table {
 		sch := data.NewSchema(data.Column{Table: name, Name: "k", Kind: data.KindInt})
@@ -442,20 +427,21 @@ func TestHashJoinNullKeysBatched(t *testing.T) {
 		base := mk()
 		want := drainMode(t, base, false)
 		if len(want) != wantRows[jt] {
-			t.Fatalf("%v join: tuple path returned %d rows, want %d", jt, len(want), wantRows[jt])
+			t.Fatalf("%v join: Next returned %d rows, want %d", jt, len(want), wantRows[jt])
 		}
 		label := fmt.Sprintf("%v join nulls", jt)
-		j := mk().SetColumnar(true)
+		j := mk()
 		requireSameRows(t, want, drainMode(t, j, true), label)
 		requireSameStats(t, base, j, label)
 	}
 }
 
 // TestHashJoinBatchHooks checks the hook ordering contract documented on
-// HashJoin, on both passes: per-tuple hooks cover every input tuple; for
-// one batch they fire before the span hook; OnBuildEnd fires once between
-// the passes and OnProbeEnd once after the probe pass; all of it before
-// any output.
+// HashJoin, drained through Next (tuple) and through NextColBatch
+// (columnar): the span hooks cover every input row; OnBuildEnd fires once
+// between the passes and OnProbeEnd once after the probe pass; all of it
+// before any output. Only the tuple drain carries OnOutput, which would
+// send the columnar drain through the row fallback.
 func TestHashJoinBatchHooks(t *testing.T) {
 	a := randTable("a", 2000, 50, 21)
 	b := randTable("b", 2400, 50, 22)
@@ -468,7 +454,6 @@ func TestHashJoinBatchHooks(t *testing.T) {
 				NewScan(makeTable("a", a), ""),
 				NewScan(makeTable("b", b), ""),
 				"a", "k", "b", "k")
-			j.SetColumnar(m.columnar)
 
 			// phase: 0 build pass, 1 probe pass, 2 join phase.
 			phase, buildEnds, probeEnds := 0, 0, 0
@@ -479,55 +464,41 @@ func TestHashJoinBatchHooks(t *testing.T) {
 					t.Errorf("%s fired in phase %d, want %d", hook, phase, want)
 				}
 			}
-			var buildTuples, probeTuples, sinceSpan, buildSpanned, probeSpanned, outputs int
-			tupleHook := func(name string, want int, n *int) func(data.Tuple) {
-				return func(data.Tuple) {
-					inPhase(name, want)
-					*n++
-					sinceSpan++
-				}
-			}
+			var buildSpanned, probeSpanned, outputs int
 			spanHook := func(name string, want int, rows *int) func(*data.ColBatch) {
 				return func(cb *data.ColBatch) {
 					inPhase(name, want)
-					if sinceSpan != cb.Live() {
-						t.Errorf("%s: %d per-tuple hooks before a span of %d rows", name, sinceSpan, cb.Live())
-					}
-					sinceSpan = 0
 					*rows += cb.Live()
 				}
 			}
-			j.OnBuildTuple = tupleHook("OnBuildTuple", 0, &buildTuples)
-			j.OnProbeTuple = tupleHook("OnProbeTuple", 1, &probeTuples)
 			j.OnBuildCol = spanHook("OnBuildCol", 0, &buildSpanned)
 			j.OnProbeCol = spanHook("OnProbeCol", 1, &probeSpanned)
-			j.OnOutput = func(data.Tuple) {
-				inPhase("OnOutput", 2)
-				outputs++
+			if !m.columnar {
+				j.OnOutput = func(data.Tuple) {
+					inPhase("OnOutput", 2)
+					outputs++
+				}
 			}
 
 			rows := drainMode(t, j, m.columnar)
-			if buildTuples != len(a) || probeTuples != len(b) {
-				t.Errorf("per-tuple hooks build=%d probe=%d, inputs %d/%d", buildTuples, probeTuples, len(a), len(b))
-			}
-			if m.columnar && (buildSpanned != len(a) || probeSpanned != len(b)) {
+			if buildSpanned != len(a) || probeSpanned != len(b) {
 				t.Errorf("span hooks build=%d probe=%d, inputs %d/%d", buildSpanned, probeSpanned, len(a), len(b))
-			}
-			if !m.columnar && buildSpanned+probeSpanned != 0 {
-				t.Error("span hooks fired on the tuple pass")
 			}
 			if buildEnds != 1 || probeEnds != 1 {
 				t.Errorf("barriers fired build=%d probe=%d times, want once each", buildEnds, probeEnds)
 			}
-			if outputs != len(rows) || outputs == 0 {
+			if len(rows) == 0 || !m.columnar && outputs != len(rows) {
 				t.Errorf("OnOutput fired %d times for %d rows", outputs, len(rows))
+			}
+			if got := j.Stats().Batches.Load(); (got > 0) != m.columnar {
+				t.Errorf("%d output batches from the %s drain", got, m.name)
 			}
 		})
 	}
 }
 
 // TestAdaptersCompose puts the row-major operators — a Sort and a
-// MergeJoin over two more Sorts — under a columnar hash join: its
+// MergeJoin over two more Sorts — under a hash join: its
 // partition passes reach them through the adapter over Next, and the
 // plan must agree with its all-tuple twin.
 func TestAdaptersCompose(t *testing.T) {
@@ -545,26 +516,22 @@ func TestAdaptersCompose(t *testing.T) {
 			t.Fatalf("%s implements ColOperator; the test needs row-major operators", op.Name())
 		}
 	}
-	requireColumnarMatchesTuple(t, "sort and merge join under a columnar join", mk)
+	requireColumnarMatchesTuple(t, "sort and merge join under a hash join", mk)
 }
 
-// TestMixedModePlan pulls a columnar hash join through Next from a
-// parent drained tuple-at-a-time: the join's lane-native partitions must
-// serve rows one at a time, and agree with the tuple join.
+// TestMixedModePlan pulls a hash join through Next from a parent drained
+// tuple-at-a-time: the join's lane-native partitions must serve rows one
+// at a time, and agree with the same plan drained through NextColBatch.
 func TestMixedModePlan(t *testing.T) {
 	a := randTable("a", 1200, 60, 24)
 	b := randTable("b", 1500, 60, 25)
-	mk := func(columnar bool) Operator {
+	requireColumnarMatchesTuple(t, "join pulled by Next", func() Operator {
 		j := NewHashJoinOn(
 			NewScan(makeTable("a", a), ""),
 			NewScan(makeTable("b", b), ""),
 			"a", "k", "b", "k")
-		j.SetColumnar(columnar)
 		return NewFilter(j, expr.Compare(expr.LT, expr.Column(j.Schema(), "b", "k"), expr.IntLit(45)))
-	}
-	tup, col := mk(false), mk(true)
-	requireSameRows(t, drainMode(t, tup, false), drainMode(t, col, false), "columnar join pulled by Next")
-	requireSameStats(t, tup, col, "columnar join pulled by Next")
+	})
 }
 
 // TestScanDoesNotSeeLaterInserts: rows appended to the table after a scan

@@ -1,8 +1,10 @@
 package exec
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -263,17 +265,17 @@ func TestHashJoinNullKeysDoNotJoin(t *testing.T) {
 }
 
 func TestHashJoinHookOrdering(t *testing.T) {
-	// All build hooks must fire before OnBuildEnd, which fires before any
-	// probe hook; all probe hooks before OnProbeEnd; OnProbeEnd before the
-	// first output tuple.
+	// Every build span must fire before OnBuildEnd, which fires before any
+	// probe span; every probe span before OnProbeEnd; OnProbeEnd before
+	// the first output tuple.
 	j := NewHashJoinOn(
 		NewScan(makeTable("a", []int64{1, 2}), ""),
 		NewScan(makeTable("b", []int64{1, 2, 2}), ""),
 		"a", "k", "b", "k")
 	var events []string
-	j.OnBuildTuple = func(data.Tuple) { events = append(events, "b") }
+	j.OnBuildCol = func(cb *data.ColBatch) { events = append(events, fmt.Sprintf("b%d", cb.Live())) }
 	j.OnBuildEnd = func() { events = append(events, "build-end") }
-	j.OnProbeTuple = func(data.Tuple) { events = append(events, "p") }
+	j.OnProbeCol = func(cb *data.ColBatch) { events = append(events, fmt.Sprintf("p%d", cb.Live())) }
 	j.OnProbeEnd = func() { events = append(events, "end") }
 	if err := j.Open(); err != nil {
 		t.Fatal(err)
@@ -282,14 +284,9 @@ func TestHashJoinHookOrdering(t *testing.T) {
 	if err != nil || tu == nil {
 		t.Fatalf("first Next = %v, %v", tu, err)
 	}
-	want := []string{"b", "b", "build-end", "p", "p", "p", "end"}
-	if len(events) != len(want) {
+	want := []string{"b2", "build-end", "p3", "end"}
+	if !reflect.DeepEqual(events, want) {
 		t.Fatalf("events = %v, want %v", events, want)
-	}
-	for i := range want {
-		if events[i] != want[i] {
-			t.Fatalf("events = %v, want %v", events, want)
-		}
 	}
 	j.Close()
 }

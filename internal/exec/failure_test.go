@@ -40,8 +40,18 @@ type openFaultOp struct{ faultOp }
 
 func (o *openFaultOp) Open() error { return errInjected }
 
+// expectInjected drains op until the injected error surfaces, at Open or
+// at a Next, then closes it: Close must hand back every pooled batch the
+// failed run took, so the error path is a leak witness too.
 func expectInjected(t *testing.T, op Operator) {
 	t.Helper()
+	pooled := data.ColBatchesOut()
+	defer func() {
+		if err := op.Close(); err != nil {
+			t.Errorf("Close after the injected error: %v", err)
+		}
+		expectPooledBalance(t, pooled)
+	}()
 	if err := op.Open(); err != nil {
 		if !errors.Is(err, errInjected) {
 			t.Fatalf("unexpected open error: %v", err)

@@ -16,10 +16,6 @@ import (
 // fed a kind-tagged byte serialization of the value. The replacement
 // (maphash.Comparable) deletes the serialization and guarantees the
 // partition hash agrees with the map-key equality the join tables use.
-// The allocation win of the hashing rework shows up one level up, in
-// BenchmarkJoinTable: the seed engine's build tables were keyed by the
-// 40-byte Value struct, the int fast path keys bare int64 — run both
-// with -benchmem to see the B/op drop.
 func hashValueSerialized(v data.Value) uint64 {
 	var h maphash.Hash
 	h.SetSeed(hashSeed)
@@ -97,103 +93,11 @@ func BenchmarkHashValue(b *testing.B) {
 	})
 }
 
-// BenchmarkJoinTable compares three generations of the build-table
-// layout: the seed engine's map[data.Value][]data.Tuple (hashing the full
-// 40-byte struct per insert/lookup), the PR-1 map[int64][]data.Tuple fast
-// path (one per-key slice allocation each), and the current joinTable —
-// an open-addressing span table over one flat tuple arena, built in two
-// passes with a handful of allocations per partition.
-func BenchmarkJoinTable(b *testing.B) {
-	const n = 4096
-	tuples := make([]data.Tuple, n)
-	keys := make([]data.Value, n)
-	for i := range tuples {
-		keys[i] = data.Int(int64(i % 512))
-		tuples[i] = data.Tuple{keys[i]}
-	}
-	b.Run("value-keyed-old", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			m := make(map[data.Value][]data.Tuple, n)
-			for k := range tuples {
-				m[keys[k]] = append(m[keys[k]], tuples[k])
-			}
-			for k := range tuples {
-				hashSink += uint64(len(m[keys[k]]))
-			}
-		}
-	})
-	b.Run("int-map-pr1", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			m := make(map[int64][]data.Tuple, n)
-			for k := range tuples {
-				m[keys[k].I] = append(m[keys[k].I], tuples[k])
-			}
-			for k := range tuples {
-				hashSink += uint64(len(m[keys[k].I]))
-			}
-		}
-	})
-	b.Run("open-addressing-new", func(b *testing.B) {
-		b.ReportAllocs()
-		var jt joinTable
-		for i := 0; i < b.N; i++ {
-			jt.build(tuples, []int{0})
-			for k := range tuples {
-				hashSink += uint64(len(jt.lookup(keys[k])))
-			}
-		}
-	})
-}
-
-// TestJoinTableBuild pins the span-table semantics: lookups return the
-// exact per-key tuple groups (in input order), missing and NULL keys
-// return nothing, non-integer keys take the fallback map, and a reused
-// table forgets its previous partition.
-func TestJoinTableBuild(t *testing.T) {
-	mk := func(k data.Value, id int64) data.Tuple { return data.Tuple{k, data.Int(id)} }
-	var jt joinTable
-	jt.build([]data.Tuple{
-		mk(data.Int(1), 0), mk(data.Int(2), 1), mk(data.Int(1), 2),
-		mk(data.Str("x"), 3), mk(data.Null(), 4), mk(data.Int(1), 5),
-	}, []int{0})
-	if got := jt.lookup(data.Int(1)); len(got) != 3 ||
-		got[0][1].I != 0 || got[1][1].I != 2 || got[2][1].I != 5 {
-		t.Fatalf("lookup(1) = %v, want ids 0,2,5", got)
-	}
-	if got := jt.lookup(data.Int(2)); len(got) != 1 || got[0][1].I != 1 {
-		t.Fatalf("lookup(2) = %v, want id 1", got)
-	}
-	if got := jt.lookup(data.Str("x")); len(got) != 1 || got[0][1].I != 3 {
-		t.Fatalf("lookup(x) = %v, want id 3", got)
-	}
-	if got := jt.lookup(data.Int(99)); got != nil {
-		t.Fatalf("lookup(99) = %v, want nil", got)
-	}
-	// NULL keys are droppable on the build side; a NULL probe key is never
-	// looked up, but the table must not have indexed the NULL row.
-	if got := jt.lookup(data.Null()); len(got) != 0 {
-		t.Fatalf("lookup(NULL) = %v, want empty", got)
-	}
-	// Reuse across partitions.
-	jt.build([]data.Tuple{mk(data.Int(7), 9)}, []int{0})
-	if got := jt.lookup(data.Int(1)); len(got) != 0 {
-		t.Fatalf("stale key survived rebuild: %v", got)
-	}
-	if got := jt.lookup(data.Int(7)); len(got) != 1 || got[0][1].I != 9 {
-		t.Fatalf("lookup(7) after rebuild = %v, want id 9", got)
-	}
-	if got := jt.lookup(data.Str("x")); len(got) != 0 {
-		t.Fatalf("stale fallback key survived rebuild: %v", got)
-	}
-}
-
-// TestColJoinTableBuild pins the lane-native build table to the same
-// semantics as joinTable: per-key row-index groups in input order,
-// missing and NULL keys empty, non-integer keys on the fallback map,
-// rebuilds forget the previous partition, and the homogeneous int lane
-// takes the no-Value fast path with identical results.
+// TestColJoinTableBuild pins the build table's semantics: per-key
+// row-index groups in input order, missing and NULL keys empty,
+// non-integer keys on the fallback map, rebuilds forget the previous
+// partition, and the homogeneous int lane takes the no-Value fast path
+// with identical results.
 func TestColJoinTableBuild(t *testing.T) {
 	rows := []data.Tuple{
 		{data.Int(1), data.Int(0)}, {data.Int(2), data.Int(1)}, {data.Int(1), data.Int(2)},
@@ -247,17 +151,13 @@ func benchJoinTables() (*storage.Table, *storage.Table) {
 }
 
 func runColumnarJoinOf(bt, pt *storage.Table, jt JoinType) (int64, error) {
-	j := NewHashJoinMulti(NewScan(bt, ""), NewScan(pt, ""), []int{0}, []int{0}, jt)
-	j.SetColumnar(true)
-	return RunCol(j)
+	return RunCol(NewHashJoinMulti(NewScan(bt, ""), NewScan(pt, ""), []int{0}, []int{0}, jt))
 }
 
-// runColumnarJoinRows drains the columnar join through Next, a pair per
-// call (the row path).
+// runColumnarJoinRows drains the join through Next, a pair per call (the
+// row path).
 func runColumnarJoinRows(bt, pt *storage.Table) (int64, error) {
-	j := NewHashJoinMulti(NewScan(bt, ""), NewScan(pt, ""), []int{0}, []int{0}, InnerJoin)
-	j.SetColumnar(true)
-	return Run(j)
+	return Run(NewHashJoinMulti(NewScan(bt, ""), NewScan(pt, ""), []int{0}, []int{0}, InnerJoin))
 }
 
 // BenchmarkColumnarJoin measures the lane-native columnar grace join

@@ -22,10 +22,10 @@ var (
 // hashValue hashes a join key for partitioning. Integer keys — the
 // dominant case — mix the bare int64 (hashInt), so the passes that read a
 // flat key lane never box a Value; everything else hashes the Value
-// struct with maphash.Comparable. Every pass of every mode goes through
-// this one function (or hashInt directly), which is what keeps partition
-// layouts, and with them the join's partition-clustered output order,
-// identical across modes.
+// struct with maphash.Comparable. Both partition passes go through this
+// one function (or hashInt directly), which is what keeps the partition
+// layout, and with it the join's partition-clustered output order, the
+// same whether a key is hashed off a flat lane or per row.
 func hashValue(v data.Value) uint64 {
 	if v.Kind == data.KindInt {
 		return hashInt(v.I)
@@ -57,9 +57,13 @@ func partitionOf(h uint64, parts int) int {
 
 // HashJoin is a grace hash join: it fully partitions the build input, then
 // fully partitions the probe input, then joins partition by partition.
+// Both partition passes pull column batches and scatter them lane-to-lane
+// into per-partition lane buffers; the join phase gathers its output
+// lane-to-lane (see hashjoin_col.go). Next serves the same join phase a
+// row at a time.
 //
 // The explicit probe partition pass matters for two reasons. First, the
-// online estimator attaches there (OnProbeTuple) and converges to the
+// online estimator attaches there (OnProbeCol) and converges to the
 // exact join cardinality before any output is produced (§4.1.1). Second,
 // the join output is clustered by partition, which is exactly the
 // reordering that makes the dne and byte estimators fluctuate on skewed
@@ -76,45 +80,30 @@ type HashJoin struct {
 	name                 string
 	parts                int
 
-	// Observer hooks of the two partition passes. One ordering contract
-	// holds on both the tuple pass and the columnar pass:
+	// Observer hooks of the two partition passes. They fire on the
+	// executor goroutine in this order:
 	//
-	//   - for one input batch the per-tuple hooks fire first, in row order,
-	//     then the span hook (the tuple pass fires only the per-tuple hooks —
-	//     it has no batches);
-	//   - OnBuildEnd fires once between the passes, after the last build
-	//     hook and before the first probe input is pulled;
-	//   - OnProbeEnd fires once after the last probe hook;
-	//   - all of the above happen before any join output is produced.
+	//   - OnBuildCol / OnProbeCol once per input ColBatch of the build /
+	//     probe pass, before the batch is scattered;
+	//   - OnBuildEnd once between the passes, after the last build span and
+	//     before the first probe input is pulled;
+	//   - OnProbeEnd once after the last probe span;
+	//   - all of the above before any join output is produced.
 	//
-	// OnBuildTuple / OnProbeTuple fire for every input tuple of the build /
-	// probe partition pass. The online estimator attaches to the probe pass
-	// and has converged to the exact join cardinality by OnProbeEnd
-	// (§4.1.1).
-	OnBuildTuple func(data.Tuple)
-	OnProbeTuple func(data.Tuple)
-	OnBuildEnd   func()
-	OnProbeEnd   func()
-	// OnOutput fires for every emitted join tuple (the second pass),
-	// letting progress monitors sample during long emission phases. A
-	// columnar join that carries it emits through materialized rows.
-	OnOutput func(data.Tuple)
-
-	// Span hooks of a columnar partition pass: OnBuildCol / OnProbeCol fire
-	// once per input ColBatch, on the executor goroutine like every other
-	// hook. The batch is only valid for the duration of the call (see the
-	// ColBatch ownership contract in internal/data).
+	// The batch a span hook sees is only valid for the duration of the call
+	// (see the ColBatch ownership contract in internal/data). The online
+	// estimator attaches to the probe pass and has converged to the exact
+	// join cardinality by OnProbeEnd (§4.1.1).
 	OnBuildCol func(cb *data.ColBatch)
 	OnProbeCol func(cb *data.ColBatch)
+	OnBuildEnd func()
+	OnProbeEnd func()
+	// OnOutput fires for every emitted join tuple (the second pass),
+	// letting progress monitors sample during long emission phases. A join
+	// that carries it emits through materialized rows.
+	OnOutput func(data.Tuple)
 
-	// colMode selects the columnar partition passes (vectorized key hashing
-	// off flat int64 lanes), lane-native partitions, the columnar spill
-	// frame format and the lane-to-lane join phase; see SetColumnar.
-	colMode bool
-
-	state      hjState
-	buildParts [][]data.Tuple
-	probeParts [][]data.Tuple
+	state hjState
 	// buildRows/probeRows and done are read by monitor goroutines
 	// (Report/Metrics via BuildRows/ProbeRows/JoinedProbeFraction) while
 	// the executor advances, so they are atomics; state itself stays an
@@ -137,18 +126,12 @@ type HashJoin struct {
 	probeFile  *spillFile // reader for the current spilled probe partition
 	spilled    int        // partition buffers that went to disk
 
-	curPart  int
-	ht       joinTable
-	curProbe int
-	matches  []data.Tuple
-	matchPos int
-	probeTup data.Tuple
+	curPart int
 
-	// Lane-native columnar partition state (colMode): per-partition pooled
-	// ColBatch lane buffers replace the row-major buffers end-to-end — the
-	// passes scatter lane-to-lane, the join table indexes rows of the
-	// partition's lanes, and the join phase gathers output lane-to-lane.
-	// See hashjoin_col.go.
+	// Lane-native partition state: per-partition pooled ColBatch lane
+	// buffers — the passes scatter lane-to-lane, the join table indexes
+	// rows of the partition's lanes, and the join phase gathers output
+	// lane-to-lane. See hashjoin_col.go.
 	buildColParts []colPart
 	probeColParts []colPart
 	colScat       colScatter // scatter scratch of the partition passes; its key tuple also serves the join phase
@@ -203,99 +186,21 @@ func (m OutMap) Source(i int) (col int, build bool) {
 	return m.Probe[i-len(m.Build)], false
 }
 
-// joinTable is the per-partition build hash table. Integer join keys —
-// the dominant case — index an open-addressing hashtab.I64Map whose
-// values are spans into one flat tuple arena: building is two passes
-// (count per key, then fill), so a partition's table costs a handful of
-// allocations regardless of its distinct-key count, and probing touches
-// a flat int64 key array instead of chasing map buckets. Non-integer
-// keys fall back to a Value-keyed map. A joinTable is reusable across
-// partitions (build resets it, retaining capacity).
-type joinTable struct {
-	ints hashtab.I64Map[tupleSpan]
-	flat []data.Tuple
-	// other holds non-integer-keyed rows (strings, floats); appended
-	// incrementally during the count pass since the fast layout does not
-	// apply.
-	other map[data.Value][]data.Tuple
-}
-
-// tupleSpan is one key's region of the flat arena.
+// tupleSpan is one key's region of colJoinTable's flat row array.
 type tupleSpan struct {
 	off, n int32
 }
 
-// build (re)constructs the table from a partition's build tuples. NULL
-// keys never reach here (the partition passes drop them), but a guard
-// keeps the table correct if one does.
-func (jt *joinTable) build(tuples []data.Tuple, keys []int) {
-	jt.ints.Reset()
-	jt.other = nil
-	nInt := 0
-	for _, t := range tuples {
-		k := JoinKeyOf(t, keys)
-		switch {
-		case k.Kind == data.KindInt:
-			jt.ints.Ref(k.I).n++
-			nInt++
-		case k.IsNull():
-			// dropped
-		default:
-			if jt.other == nil {
-				jt.other = make(map[data.Value][]data.Tuple)
-			}
-			jt.other[k] = append(jt.other[k], t)
-		}
-	}
-	if cap(jt.flat) < nInt {
-		jt.flat = make([]data.Tuple, nInt)
-	} else {
-		jt.flat = jt.flat[:nInt]
-	}
-	// Counts become offsets; n doubles as the fill cursor and converges
-	// back to the key's count.
-	var off int32
-	jt.ints.EachRef(func(_ int64, sp *tupleSpan) bool {
-		sp.off = off
-		off += sp.n
-		sp.n = 0
-		return true
-	})
-	for _, t := range tuples {
-		k := JoinKeyOf(t, keys)
-		if k.Kind == data.KindInt {
-			sp := jt.ints.Ref(k.I)
-			jt.flat[sp.off+sp.n] = t
-			sp.n++
-		}
-	}
-}
-
-func (jt *joinTable) lookup(k data.Value) []data.Tuple {
-	if k.Kind == data.KindInt {
-		sp, ok := jt.ints.Get(k.I)
-		if !ok {
-			return nil
-		}
-		return jt.flat[sp.off : sp.off+sp.n]
-	}
-	if jt.other == nil {
-		return nil
-	}
-	return jt.other[k]
-}
-
-func (jt *joinTable) clear() {
-	jt.ints.Reset()
-	jt.flat, jt.other = nil, nil
-}
-
-// colJoinTable is the lane-native per-partition build table: the same
-// two-pass count/fill layout as joinTable, but the spans index rows of
-// the partition's ColBatch lanes (int32 row numbers) instead of holding
-// tuple references — building reads the flat key lane, probing returns
-// row indexes for the lane-to-lane gather, and no build tuple is ever
-// materialized.
+// colJoinTable is the per-partition build table. Integer join keys — the
+// dominant case — index an open-addressing hashtab.I64Map whose values
+// are spans into one flat array of row numbers of the partition's
+// ColBatch lanes: building is two passes (count per key, then fill) over
+// the flat key lane, so a partition's table costs a handful of
+// allocations regardless of its distinct-key count, and probing returns
+// row indexes for the lane-to-lane gather; no build tuple is ever
+// materialized. Non-integer keys fall back to a Value-keyed map. A
+// colJoinTable is reusable across partitions (build resets it, retaining
+// capacity).
 //
 // A dense primary-key build skips the per-partition tables: the whole
 // build is indexed once by a flat row directory (buildDirectory), and
@@ -322,7 +227,7 @@ type colJoinTable struct {
 
 // build (re)constructs the table over cb's rows. NULL keys never reach a
 // build partition (the scatter drops them), but the generic path guards
-// anyway, matching joinTable.
+// anyway.
 func (jt *colJoinTable) build(cb *data.ColBatch, keys []int, scratch *data.Tuple) {
 	jt.ints.Reset()
 	jt.other = nil
@@ -670,9 +575,9 @@ func (j *HashJoin) SetPartitions(p int) *HashJoin {
 // overflowing partitions spill to temporary files (0 = unlimited, the
 // default). The budget is split evenly across partitions and sides. A
 // partition spills exactly when its total bytes exceed its share; the
-// columnar passes check after each batch's group of rows for the
-// partition, so one may hold up to that group over its share for the
-// moment before it is dumped (the tuple pass checks after every row).
+// passes check after each batch's group of rows for the partition, so one
+// may hold up to that group over its share for the moment before it is
+// dumped.
 func (j *HashJoin) SetMemoryBudget(bytes int64) *HashJoin {
 	j.memBudget = bytes
 	return j
@@ -686,42 +591,6 @@ func (j *HashJoin) Spilled() int { return j.spilled }
 func (j *HashJoin) SetSpillFS(fs vfs.FS) *HashJoin {
 	j.arena.fs = fs
 	return j
-}
-
-// partitionAppend buffers a tuple for partition p on one side, spilling
-// the buffer when it exceeds its budget share.
-func (j *HashJoin) partitionAppend(parts [][]data.Tuple, spill []*spillFile,
-	bytes []int64, p int, t data.Tuple, width int) error {
-	if spill != nil && spill[p] != nil {
-		j.stats.SpillBytes.Add(int64(t.Size()))
-		return spill[p].append(t)
-	}
-	parts[p] = append(parts[p], t)
-	if j.memBudget <= 0 {
-		return nil
-	}
-	bytes[p] += int64(t.Size())
-	if bytes[p] <= j.memBudget/int64(2*j.parts) {
-		return nil
-	}
-	// Overflow: dump this partition's buffer and switch it to disk.
-	f, err := j.arena.newRun(width)
-	if err != nil {
-		return err
-	}
-	for _, buf := range parts[p] {
-		if err := f.append(buf); err != nil {
-			f.close()
-			return err
-		}
-	}
-	j.stats.SpillFiles.Add(1)
-	j.stats.SpillBytes.Add(bytes[p])
-	j.traceMark("spill", int64(len(parts[p])), bytes[p])
-	parts[p] = nil
-	spill[p] = f
-	j.spilled++
-	return nil
 }
 
 // Build returns the build child; Probe the probe child.
@@ -779,18 +648,13 @@ func (j *HashJoin) Open() error {
 	return j.probe.Open()
 }
 
-// Next implements Operator.
+// Next implements Operator: the join phase one pair at a time
+// (advanceColRow), after the same partition passes NextColBatch runs.
 func (j *HashJoin) Next() (data.Tuple, error) {
 	if err := j.ensurePartitioned(); err != nil {
 		return nil, err
 	}
-	var t data.Tuple
-	var err error
-	if j.colMode {
-		t, err = j.advanceColRow()
-	} else {
-		t, err = j.advance()
-	}
+	t, err := j.advanceColRow()
 	if err != nil {
 		return nil, err
 	}
@@ -803,267 +667,33 @@ func (j *HashJoin) Next() (data.Tuple, error) {
 	return j.emit(t)
 }
 
-// ensurePartitioned runs the partition phases once: the columnar passes
-// under SetColumnar, the tuple-at-a-time passes otherwise.
+// ensurePartitioned runs the partition phases once.
 func (j *HashJoin) ensurePartitioned() error {
 	if j.state != hjInit {
 		return nil
 	}
-	var err error
-	if j.colMode {
-		err = j.partitionPhasesColumnar()
-	} else {
-		err = j.partitionPhases()
-	}
-	if err != nil {
+	if err := j.partitionPhases(); err != nil {
 		return err
 	}
 	j.state = hjJoin
 	return nil
 }
 
-// beginJoinPhase starts the join (second) phase after the partition
-// passes by loading the first partition.
-func (j *HashJoin) beginJoinPhase() error {
-	j.curPart = 0
-	if j.colMode {
-		return j.loadColPartition(0)
-	}
-	return j.loadPartition(0)
-}
-
-// advance produces the next join output tuple of the second pass over
-// row-major partitions, or nil when the join is exhausted. The OnOutput
-// hook and the emission count are the caller's responsibility.
-func (j *HashJoin) advance() (data.Tuple, error) {
-	for j.state == hjJoin {
-		if err := j.pollCtx(); err != nil {
-			return nil, err
-		}
-		// Emit pending matches for the current probe tuple.
-		if j.matchPos < len(j.matches) {
-			m := j.matches[j.matchPos]
-			j.matchPos++
-			return j.outRow(m, j.probeTup), nil
-		}
-		// Advance to the next probe tuple in the current partition.
-		probeTup, err := j.nextProbeInPartition()
-		if err != nil {
-			return nil, err
-		}
-		if probeTup != nil {
-			j.probeTup = probeTup
-			j.joinedProbes.Add(1)
-			key := JoinKeyOf(j.probeTup, j.probeKeys)
-			var matches []data.Tuple
-			if !key.IsNull() {
-				matches = j.ht.lookup(key)
-			}
-			switch j.joinType {
-			case SemiJoin, AntiJoin:
-				if (len(matches) > 0) == (j.joinType == SemiJoin) {
-					return j.outRow(nil, j.probeTup), nil
-				}
-				continue
-			case ProbeOuterJoin:
-				if len(matches) == 0 {
-					return j.outRow(nil, j.probeTup), nil
-				}
-			}
-			j.matches = matches
-			j.matchPos = 0
-			continue
-		}
-		// Advance to the next partition.
-		if j.probeFile != nil {
-			err := j.probeFile.close()
-			j.probeSpill[j.curPart] = nil
-			j.probeFile = nil
-			if err != nil {
-				return nil, err
-			}
-		}
-		if j.tracing() {
-			j.traceEnd(fmt.Sprintf("join[%d]", j.curPart), j.joinedProbes.Load()-j.partProbes, 0, 0)
-		}
-		j.curPart++
-		if j.curPart >= j.parts {
-			j.state = hjDone
-			j.done.Store(true)
-			break
-		}
-		if err := j.loadPartition(j.curPart); err != nil {
-			return nil, err
-		}
-	}
-	return nil, nil
-}
-
-// outRow builds one output tuple of the tuple path through the output
-// map: b's kept columns (NULLs when b is nil, an outer join's miss), then
-// p's.
-func (j *HashJoin) outRow(b, p data.Tuple) data.Tuple {
-	w := len(j.out.Build)
-	out := make(data.Tuple, w+len(j.out.Probe))
-	if b != nil {
-		for i, c := range j.out.Build {
-			out[i] = b[c]
-		}
-	}
-	for i, c := range j.out.Probe {
-		out[w+i] = p[c]
-	}
-	return out
-}
-
-// initPartitions allocates the per-partition buffers for both sides.
-// colMode uses pooled lane buffers (fetched lazily on first append)
-// instead of the row-major slices.
+// initPartitions allocates the per-partition buffers for both sides: lane
+// buffer lists (their pooled batches are fetched on first append) and the
+// spill bookkeeping.
 func (j *HashJoin) initPartitions() {
-	if j.colMode {
-		j.buildColParts = make([]colPart, j.parts)
-		j.probeColParts = make([]colPart, j.parts)
-	} else {
-		j.buildParts = make([][]data.Tuple, j.parts)
-		j.probeParts = make([][]data.Tuple, j.parts)
-	}
+	j.buildColParts = make([]colPart, j.parts)
+	j.probeColParts = make([]colPart, j.parts)
 	j.buildSpill = make([]*spillFile, j.parts)
 	j.probeSpill = make([]*spillFile, j.parts)
 	j.buildBytes = make([]int64, j.parts)
 	j.probeBytes = make([]int64, j.parts)
 }
 
-// partitionPhases runs the tuple-at-a-time build and probe partition
-// passes (the reference path; SetColumnar selects the columnar ones).
-func (j *HashJoin) partitionPhases() error {
-	j.initPartitions()
-	buildWidth := j.build.Schema().Len()
-	probeWidth := j.probe.Schema().Len()
-	j.traceBegin("build")
-	for {
-		if err := j.pollCtx(); err != nil {
-			return err
-		}
-		t, err := j.build.Next()
-		if err != nil {
-			return err
-		}
-		if t == nil {
-			break
-		}
-		j.buildRows.Add(1)
-		if j.OnBuildTuple != nil {
-			j.OnBuildTuple(t)
-		}
-		k := JoinKeyOf(t, j.buildKeys)
-		if k.IsNull() {
-			continue // NULL keys never join
-		}
-		p := partitionOf(hashValue(k), j.parts)
-		if err := j.partitionAppend(j.buildParts, j.buildSpill, j.buildBytes, p, t, buildWidth); err != nil {
-			return err
-		}
-	}
-	j.traceEnd("build", j.buildRows.Load(), 0, int64(j.spilled))
-	if j.OnBuildEnd != nil {
-		j.OnBuildEnd()
-	}
-	j.traceBegin("probe")
-	for {
-		if err := j.pollCtx(); err != nil {
-			return err
-		}
-		t, err := j.probe.Next()
-		if err != nil {
-			return err
-		}
-		if t == nil {
-			break
-		}
-		j.probeRows.Add(1)
-		if j.OnProbeTuple != nil {
-			j.OnProbeTuple(t)
-		}
-		k := JoinKeyOf(t, j.probeKeys)
-		if k.IsNull() {
-			// NULL keys never match; they are preserved only by the
-			// probe-preserving join types.
-			if j.joinType == ProbeOuterJoin || j.joinType == AntiJoin {
-				if err := j.partitionAppend(j.probeParts, j.probeSpill, j.probeBytes, 0, t, probeWidth); err != nil {
-					return err
-				}
-			}
-			continue
-		}
-		p := partitionOf(hashValue(k), j.parts)
-		if err := j.partitionAppend(j.probeParts, j.probeSpill, j.probeBytes, p, t, probeWidth); err != nil {
-			return err
-		}
-	}
-	j.traceEnd("probe", j.probeRows.Load(), 0, int64(j.spilled))
-	if j.OnProbeEnd != nil {
-		j.OnProbeEnd()
-	}
-	return j.beginJoinPhase()
-}
-
-// loadPartition builds the in-memory hash table for one partition,
-// reading spilled build tuples back from disk, and positions the probe
-// cursor (in-memory slice or spilled stream).
-func (j *HashJoin) loadPartition(p int) error {
-	if err := j.ctxErr(); err != nil {
-		return err
-	}
-	if j.tracing() {
-		j.traceBegin(fmt.Sprintf("join[%d]", p))
-		j.partProbes = j.joinedProbes.Load()
-	}
-	buildTuples := j.buildParts[p]
-	if f := j.buildSpill[p]; f != nil {
-		var err error
-		buildTuples, err = f.readAll()
-		if err != nil {
-			return err
-		}
-		j.buildSpill[p] = nil
-		if err := f.close(); err != nil {
-			return err
-		}
-	}
-	j.ht.build(buildTuples, j.buildKeys)
-	j.buildParts[p] = nil // partition consumed
-	j.probeFile = nil
-	if f := j.probeSpill[p]; f != nil {
-		if err := f.startRead(); err != nil {
-			return err
-		}
-		j.probeFile = f
-	}
-	j.curProbe = 0
-	j.matches = nil
-	j.matchPos = 0
-	return nil
-}
-
-// nextProbeInPartition advances the probe cursor within the current
-// partition, returning nil at partition end.
-func (j *HashJoin) nextProbeInPartition() (data.Tuple, error) {
-	if j.probeFile != nil {
-		return j.probeFile.next()
-	}
-	if j.curPart < j.parts && j.curProbe < len(j.probeParts[j.curPart]) {
-		t := j.probeParts[j.curPart][j.curProbe]
-		j.curProbe++
-		return t, nil
-	}
-	return nil, nil
-}
-
 // Close implements Operator. Both children are always closed and every
 // spilled run released; all errors are reported via errors.Join.
 func (j *HashJoin) Close() error {
-	j.buildParts, j.probeParts, j.matches = nil, nil, nil
-	j.ht.clear()
 	j.releaseColParts()
 	var errs []error
 	for _, f := range j.buildSpill {

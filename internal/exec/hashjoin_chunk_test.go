@@ -16,8 +16,9 @@ import (
 // Tests of the chunked probe partitions of the lane-native join and the
 // chunk kernel that joins them: how appendColRows fills them, that joins
 // whose partitions span several chunks agree with the reference in every
-// mode, that the kernel matches the tuple path row for row with the
-// progress counter it publishes, and that a join which ends early —
+// mode, that the kernel matches the grace-order reference row for row
+// with the progress counter it publishes, and that a join which ends
+// early —
 // cancelled, or failed by an injected spill fault — hands every pooled
 // batch back.
 
@@ -89,14 +90,13 @@ func expectPooledBalance(t *testing.T, before int64) {
 	}
 }
 
-// chunkedJoin is an unbudgeted columnar join whose probe partitions span
-// several chunks.
+// chunkedJoin is an unbudgeted join whose probe partitions span several
+// chunks.
 func chunkedJoin() *HashJoin {
-	j := NewHashJoinOn(
+	return NewHashJoinOn(
 		NewScan(makeTable("a", randTable("a", 2000, 40, 61)), ""),
 		NewScan(makeTable("b", randTable("b", 40*data.BatchSize(), 40, 62)), ""),
 		"a", "k", "b", "k")
-	return j.SetColumnar(true)
 }
 
 // drainColErr drains the columnar path returning only the error.
@@ -197,7 +197,7 @@ func TestCancelJoinPhaseWithoutOutput(t *testing.T) {
 		NewScan(kvTable("b", build), ""),
 		NewScan(kvTable("p", randKeys(rand.New(rand.NewSource(29)), 40*data.BatchSize(), 20, 0)), ""),
 		[]int{0}, []int{0}, AntiJoin,
-	).SetColumnar(true).SetPartitions(1)
+	).SetPartitions(1)
 	ctx := &lateCancelCtx{Context: context.Background()}
 	// Armed between the passes: the partition load's check and the fill's
 	// pass, the next one — at the end of the first probe chunk — reports
@@ -235,7 +235,7 @@ func TestSpillFaultColumnarJoinReturnsBatches(t *testing.T) {
 			NewScan(makeTable("a", a), ""),
 			NewScan(makeTable("b", b), ""),
 			"a", "k", "b", "k")
-		j.SetColumnar(true).SetMemoryBudget(16 * 1024).SetSpillFS(fs)
+		j.SetMemoryBudget(16 * 1024).SetSpillFS(fs)
 		err := drainColErr(j)
 		expectPooledBalance(t, pooled)
 		return err
@@ -275,7 +275,7 @@ func TestBatchSizeKnobStartRace(t *testing.T) {
 					NewScan(kvTable("p", randKeys(rng, 600, 37, 0.15)), ""),
 					[]int{0}, []int{0}, InnerJoin,
 				)
-				if err := drainColErr(j.SetColumnar(true)); err != nil {
+				if err := drainColErr(j); err != nil {
 					t.Error(err)
 				}
 			}
@@ -379,7 +379,7 @@ func denseKernelKeys(rng *rand.Rand) (build, probe []int64) {
 
 // kernelJoin wires the two tables of one kernel test case into a hash
 // join (keys: every column but the trailing id).
-func kernelJoin(bt, pt *storage.Table, jt JoinType, budget int64, columnar bool) *HashJoin {
+func kernelJoin(bt, pt *storage.Table, jt JoinType, budget int64) *HashJoin {
 	keys := []int{0}
 	if bt.Schema().Len() == 3 {
 		keys = []int{0, 1}
@@ -388,36 +388,23 @@ func kernelJoin(bt, pt *storage.Table, jt JoinType, budget int64, columnar bool)
 	if budget > 0 {
 		j.SetMemoryBudget(budget)
 	}
-	return j.SetColumnar(columnar)
+	return j
 }
 
-// probeVisitOrder returns each probe row's position in the order the join
-// phase starts probe rows — partition by partition, in arrival order
-// within one — and how many rows it starts. NULL-key rows are started
-// (in partition 0) only by the probe-preserving join types.
+// probeVisitOrder returns each probe row's position in graceProbeOrder,
+// keyed by its id, and how many rows the join phase starts.
 func probeVisitOrder(pt *storage.Table, keys []int, jt JoinType, parts int) (map[int64]int, int) {
-	byPart := make([][]int64, parts)
-	for _, row := range pt.Rows() {
-		p := 0
-		if k := JoinKeyOf(row, keys); !k.IsNull() {
-			p = partitionOf(hashValue(k), parts)
-		} else if jt != ProbeOuterJoin && jt != AntiJoin {
-			continue
-		}
-		byPart[p] = append(byPart[p], row[len(row)-1].I)
+	rows := graceProbeOrder(pt, keys, jt, parts)
+	pos := make(map[int64]int, len(rows))
+	for i, row := range rows {
+		pos[row[len(row)-1].I] = i
 	}
-	pos := map[int64]int{}
-	for _, ids := range byPart {
-		for _, id := range ids {
-			pos[id] = len(pos)
-		}
-	}
-	return pos, len(pos)
+	return pos, len(rows)
 }
 
-// TestChunkKernelMatchesTuplePath holds the columnar join phase — the
-// chunk kernel behind NextColBatch, and the same kernel a pair at a time
-// behind Next — to the tuple path row for row, in order, across every
+// TestChunkKernelMatchesGraceOrder holds the join phase — the chunk
+// kernel behind NextColBatch, and the same kernel a pair at a time behind
+// Next — to the grace-order reference row for row, in order, across every
 // join type, probe key shape, in-memory and spilled partitions, and batch
 // sizes 1, 7 and 1024. The inputs carry a hot key whose span is three
 // batches long (the resume cursor, across fills and, spilled, across
@@ -427,7 +414,7 @@ func probeVisitOrder(pt *storage.Table, keys []int, jt JoinType, parts int) (map
 // visiting order, or every row once a pull ends short of a full batch
 // (the join then swept to its end). The dense-pk build must take the row
 // directory exactly when the join has no memory budget.
-func TestChunkKernelMatchesTuplePath(t *testing.T) {
+func TestChunkKernelMatchesGraceOrder(t *testing.T) {
 	defer data.SetBatchSize(data.DefaultBatchSize)
 	for _, bs := range []int{1, 7, 1024} {
 		data.SetBatchSize(bs)
@@ -461,9 +448,8 @@ func checkChunkKernel(t *testing.T, name string, bt, pt *storage.Table, jt JoinT
 			t.Fatalf("%s: row directory taken = %v, want %v", label, got, wantDir)
 		}
 	}
-	want := drainMode(t, kernelJoin(bt, pt, jt, budget, false), false)
-
-	j := kernelJoin(bt, pt, jt, budget, true)
+	j := kernelJoin(bt, pt, jt, budget)
+	want := graceOrder(bt, pt, j.probeKeys, jt, j.parts)
 	pos, started := probeVisitOrder(pt, j.probeKeys, jt, j.parts)
 	probeRows := float64(pt.NumRows())
 	wantFraction := func(got []data.Tuple, full bool) float64 {
@@ -502,7 +488,7 @@ func checkChunkKernel(t *testing.T, name string, bt, pt *storage.Table, jt JoinT
 	sameRows(t, name+"/columnar", got, want)
 
 	// The row path: the same kernel a pair at a time.
-	j = kernelJoin(bt, pt, jt, budget, true)
+	j = kernelJoin(bt, pt, jt, budget)
 	if err := j.Open(); err != nil {
 		t.Fatal(err)
 	}
@@ -536,11 +522,11 @@ func checkChunkKernel(t *testing.T, name string, bt, pt *storage.Table, jt JoinT
 func sameRows(t *testing.T, label string, got, want []data.Tuple) {
 	t.Helper()
 	if len(got) != len(want) {
-		t.Fatalf("%s: %d rows, the tuple path %d", label, len(got), len(want))
+		t.Fatalf("%s: %d rows, the reference %d", label, len(got), len(want))
 	}
 	for i := range want {
 		if got[i].String() != want[i].String() {
-			t.Fatalf("%s: row %d = %v, the tuple path %v", label, i, got[i], want[i])
+			t.Fatalf("%s: row %d = %v, the reference %v", label, i, got[i], want[i])
 		}
 	}
 }

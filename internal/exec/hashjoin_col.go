@@ -8,25 +8,25 @@ import (
 	"qpi/internal/data"
 )
 
-// This file implements the lane-native columnar grace hash join: the
-// partition passes scatter input rows lane-to-lane into per-partition
-// ColBatch buffers (no row-major partition buffers, no per-row tuple
-// references), the join table indexes rows of the build partition's
-// lanes straight off its key lane, and the join (second) phase gathers
-// output lane-to-lane through (build row, probe row) pair buffers.
-// Spilled partitions write columnar frames directly from the lanes and
-// stream back as lane chunks — no FromTuples/ToTuples pivot anywhere on
-// the columnar path.
+// This file implements the passes of the grace hash join: the partition
+// passes scatter input rows lane-to-lane into per-partition ColBatch
+// buffers (no row-major partition buffers, no per-row tuple references),
+// the join table indexes rows of the build partition's lanes straight off
+// its key lane, and the join (second) phase gathers output lane-to-lane
+// through (build row, probe row) pair buffers. Spilled partitions write
+// columnar frames directly from the lanes and stream back as lane chunks —
+// no FromTuples/ToTuples pivot anywhere.
 //
 // The scatter is a radix-style pass: per input batch, one sweep over the
 // key lane groups the live row indexes by partition (colScatter.group),
 // then each partition's group moves a column at a time through one typed
 // copy (data.ColBatch.AppendRowsFrom). Partition assignment goes through
-// the same hashValue/partitionOf as the tuple pass, so the partition
-// layout — and therefore the join's partition-clustered output order — is
-// byte-identical to its. Estimator hooks (per-tuple, then span) fire on
-// the input batches before the scatter, so estimates are bit-identical
-// too.
+// hashValue/partitionOf (hashInt off a flat int lane), so a partition
+// holds its rows in arrival order and the join's output order is fixed by
+// the keys, the inputs' order and the process's hash seed: partitions in
+// index order, probe rows in arrival order within one, a probe row's
+// matches in build arrival order. The span hooks fire on the input
+// batches before the scatter.
 //
 // The join phase is one kernel, a probe chunk at a time: fillColPairs
 // sweeps the current chunk's key lane (sweepColChunk), looking each probe
@@ -42,9 +42,9 @@ import (
 //     as the cursor moves to the next chunk, spill frame or partition, and
 //     the caller gathers them before the sources are read again.
 //   - joinedProbes advances once per sweep, by the probe rows it started;
-//     a sweep starts no row once the buffer is full, so at every batch
-//     boundary the counter stands where the row-at-a-time join left it,
-//     which is what JoinedProbeFraction and the estimators read.
+//     a sweep starts no row once the buffer is full, so a full output
+//     batch leaves the counter at the probe row of its last pair, which is
+//     what JoinedProbeFraction and the estimators read.
 //
 // Cancellation is checked before every fill of an output batch and at
 // every chunk switch. The row path (Next) runs the same kernel a pair at
@@ -60,29 +60,22 @@ import (
 // one batch, and spill accounting dumps one.
 type colPart []*data.ColBatch
 
-// SetColumnar selects the columnar partition passes, lane-native
-// partitions, columnar spill frames and the lane-to-lane join phase
-// behind NextColBatch.
-func (j *HashJoin) SetColumnar(on bool) *HashJoin {
-	j.colMode = on
-	return j
-}
-
-// Columnar reports whether the columnar partition passes are selected.
-func (j *HashJoin) Columnar() bool { return j.colMode }
+// SetColumnar does nothing and returns j.
+//
+// Deprecated: every hash join runs the columnar partition passes.
+func (j *HashJoin) SetColumnar(bool) *HashJoin { return j }
 
 // colPassConfig describes one columnar partition pass (build or probe
 // side).
 type colPassConfig struct {
-	child     Operator
-	keys      []int
-	tupleHook func(data.Tuple)
-	colHook   func(cb *data.ColBatch)
-	colParts  []colPart
-	spill     []*spillFile
-	bytes     []int64
-	width     int
-	rows      *atomic.Int64
+	child    Operator
+	keys     []int
+	colHook  func(cb *data.ColBatch)
+	colParts []colPart
+	spill    []*spillFile
+	bytes    []int64
+	width    int
+	rows     *atomic.Int64
 	// keepNull routes NULL-key tuples to partition 0 instead of dropping
 	// them (probe side of the probe-preserving join types).
 	keepNull bool
@@ -91,22 +84,22 @@ type colPassConfig struct {
 	chunked bool
 }
 
-// partitionPhasesColumnar is partitionPhases driven ColBatch-at-a-time.
-func (j *HashJoin) partitionPhasesColumnar() error {
+// partitionPhases runs the build and the probe partition pass, then loads
+// the first partition of the join phase.
+func (j *HashJoin) partitionPhases() error {
 	j.initPartitions()
 	build := colPassConfig{
-		child:     j.build,
-		keys:      j.buildKeys,
-		tupleHook: j.OnBuildTuple,
-		colHook:   j.OnBuildCol,
-		colParts:  j.buildColParts,
-		spill:     j.buildSpill,
-		bytes:     j.buildBytes,
-		width:     j.build.Schema().Len(),
-		rows:      &j.buildRows,
+		child:    j.build,
+		keys:     j.buildKeys,
+		colHook:  j.OnBuildCol,
+		colParts: j.buildColParts,
+		spill:    j.buildSpill,
+		bytes:    j.buildBytes,
+		width:    j.build.Schema().Len(),
+		rows:     &j.buildRows,
 	}
 	j.traceBegin("build")
-	if err := j.partitionPassColumnar(&build); err != nil {
+	if err := j.partitionPass(&build); err != nil {
 		return err
 	}
 	j.traceEnd("build", j.buildRows.Load(), 0, int64(j.spilled))
@@ -114,33 +107,32 @@ func (j *HashJoin) partitionPhasesColumnar() error {
 		j.OnBuildEnd()
 	}
 	probe := colPassConfig{
-		child:     j.probe,
-		keys:      j.probeKeys,
-		tupleHook: j.OnProbeTuple,
-		colHook:   j.OnProbeCol,
-		colParts:  j.probeColParts,
-		spill:     j.probeSpill,
-		bytes:     j.probeBytes,
-		width:     j.probe.Schema().Len(),
-		rows:      &j.probeRows,
-		keepNull:  j.joinType == ProbeOuterJoin || j.joinType == AntiJoin,
-		chunked:   j.memBudget <= 0,
+		child:    j.probe,
+		keys:     j.probeKeys,
+		colHook:  j.OnProbeCol,
+		colParts: j.probeColParts,
+		spill:    j.probeSpill,
+		bytes:    j.probeBytes,
+		width:    j.probe.Schema().Len(),
+		rows:     &j.probeRows,
+		keepNull: j.joinType == ProbeOuterJoin || j.joinType == AntiJoin,
+		chunked:  j.memBudget <= 0,
 	}
 	j.traceBegin("probe")
-	if err := j.partitionPassColumnar(&probe); err != nil {
+	if err := j.partitionPass(&probe); err != nil {
 		return err
 	}
 	j.traceEnd("probe", j.probeRows.Load(), 0, int64(j.spilled))
 	if j.OnProbeEnd != nil {
 		j.OnProbeEnd()
 	}
-	return j.beginJoinPhase()
+	j.curPart = 0
+	return j.loadColPartition(0)
 }
 
-// partitionPassColumnar runs one partition pass over whole ColBatches.
-// Per-tuple hooks fire in row order before the span hook (the hook
-// ordering contract on HashJoin).
-func (j *HashJoin) partitionPassColumnar(cfg *colPassConfig) error {
+// partitionPass runs one partition pass over whole ColBatches, firing the
+// side's span hook on each batch before scattering it.
+func (j *HashJoin) partitionPass(cfg *colPassConfig) error {
 	in := AsColOperator(cfg.child)
 	for {
 		if err := j.ctxErr(); err != nil {
@@ -154,18 +146,6 @@ func (j *HashJoin) partitionPassColumnar(cfg *colPassConfig) error {
 			return nil
 		}
 		cfg.rows.Add(int64(cb.Live()))
-		if cfg.tupleHook != nil {
-			rows := cb.MaterializeRows()
-			if cb.Sel == nil {
-				for i := 0; i < cb.NRows; i++ {
-					cfg.tupleHook(rows[i])
-				}
-			} else {
-				for _, i := range cb.Sel {
-					cfg.tupleHook(rows[i])
-				}
-			}
-		}
 		if cfg.colHook != nil {
 			cfg.colHook(cb)
 		}
@@ -278,8 +258,7 @@ func appendColRows(part colPart, src *data.ColBatch, idx []int32, width int, chu
 
 // colPartitionAppendGroup appends src's rows idx — one batch's group for
 // partition p — to that partition of a join under a memory budget,
-// spilling the partition's lanes when they exceed their budget share: the
-// columnar mirror of partitionAppend, a group at a time.
+// spilling the partition's lanes when they exceed their budget share.
 func (j *HashJoin) colPartitionAppendGroup(cfg *colPassConfig, p int, src *data.ColBatch, idx []int32) error {
 	bytes := src.RowsBytes(idx)
 	if f := cfg.spill[p]; f != nil {
@@ -298,7 +277,6 @@ func (j *HashJoin) colPartitionAppendGroup(cfg *colPassConfig, p int, src *data.
 	if err != nil {
 		return err
 	}
-	f.setColumnar()
 	if err := f.appendColAll(dst); err != nil {
 		f.close()
 		return err
@@ -649,10 +627,10 @@ func (j *HashJoin) gatherPairs(out *data.ColBatch) {
 	j.colPairP = j.colPairP[:0]
 }
 
-// advanceColRow is the row-output driver over the columnar join phase
-// (Next in colMode, which is also what the NextColBatch row fallback
-// pulls): the same kernel one pair at a time, materialized into the row
-// arena, with the amortized per-row cancellation check.
+// advanceColRow is the row-output driver over the join phase (Next, which
+// is also what the NextColBatch row fallback pulls): the same kernel one
+// pair at a time, materialized into the row arena, with the amortized
+// per-row cancellation check.
 func (j *HashJoin) advanceColRow() (data.Tuple, error) {
 	if err := j.pollCtx(); err != nil {
 		return nil, err
@@ -718,12 +696,12 @@ func (j *HashJoin) releaseColParts() {
 
 // NextColBatch implements ColOperator: the join (second) pass gathers
 // output values directly into reused column lanes, one typed copy per
-// column per pair buffer. A join whose partitions are row-major (not
-// SetColumnar) or that carries a per-tuple output hook is served like any
-// row-major operator instead: rows pulled through Next — the hook sees
-// materialized tuples — and re-exposed columnar without copying.
+// column per pair buffer. A join that carries a per-tuple output hook is
+// served like any row-major operator instead: rows pulled through Next —
+// the hook sees materialized tuples — and re-exposed columnar without
+// copying.
 func (j *HashJoin) NextColBatch() (*data.ColBatch, error) {
-	if !j.colMode || j.OnOutput != nil {
+	if j.OnOutput != nil {
 		if j.rowOut == nil {
 			j.rowOut = &colAdapter{Operator: j}
 		}

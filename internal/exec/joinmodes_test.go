@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -12,10 +13,12 @@ import (
 )
 
 // Differential tests for the join operators themselves: every physical
-// join and every execution mode (tuple, columnar, forced spill) must
-// produce the same multiset as a naive reference join
-// written from first principles. Unlike internal/difftest this layer has
-// no plan generator and no estimators — it isolates operator semantics.
+// join, drained through Next and through NextColBatch, in memory and
+// forced to spill, must produce the same multiset as a naive reference
+// join written from first principles — and the hash join the very order
+// of the grace-order reference below. Unlike internal/difftest this layer
+// has no plan generator and no estimators — it isolates operator
+// semantics.
 
 // keyVal maps the test key encoding to a join key value: key < 0 means
 // NULL; str renders the key as a string (same equality classes, but the
@@ -164,23 +167,80 @@ func randKeys(rng *rand.Rand, n, dom int, nullFrac float64) []int64 {
 	return out
 }
 
-// checkHashJoinModes runs one (build, probe, type) input through tuple,
-// forced-spill, columnar and columnar-spill execution and compares each
-// against the reference.
-func checkHashJoinModes(t *testing.T, build, probe []int64, jt JoinType) {
-	t.Helper()
-	checkHashJoinModesKeyed(t, build, probe, jt, false)
+// graceProbeOrder lists the probe rows of pt in the order the join phase
+// of a parts-way grace hash join on keys starts them: partition by
+// partition (partitionOf of the key's hashValue), in arrival order within
+// one. NULL-key rows are kept, in partition 0, only by the
+// probe-preserving join types.
+func graceProbeOrder(pt *storage.Table, keys []int, jt JoinType, parts int) []data.Tuple {
+	byPart := make([][]data.Tuple, parts)
+	for _, row := range pt.Rows() {
+		p := 0
+		if k := JoinKeyOf(row, keys); !k.IsNull() {
+			p = partitionOf(hashValue(k), parts)
+		} else if jt != ProbeOuterJoin && jt != AntiJoin {
+			continue
+		}
+		byPart[p] = append(byPart[p], row)
+	}
+	var out []data.Tuple
+	for _, rows := range byPart {
+		out = append(out, rows...)
+	}
+	return out
 }
 
-// checkHashJoinModesKeyed is checkHashJoinModes with a selectable key
-// kind. String keys route the scatter, build table and probe off the
-// int-lane fast paths; the build input is additionally run through a
-// vectorized string filter (LIKE-prefix AND >= kernels, both
-// tautologies over the key encoding) so the columnar modes exercise the
-// sel-in/sel-out string kernels inline. The filter drops NULL build
-// keys, which the join drops anyway for every type checked here.
+// graceOrder is the ordered reference for a hash join of bt and pt on
+// keys, written from the grace join's definition rather than its code:
+// the probe rows in graceProbeOrder, each followed by its matches in
+// build arrival order. Output rows are build ⧺ probe, the build side
+// NULL-padded on an outer miss, and the probe row alone for semi and anti
+// joins.
+func graceOrder(bt, pt *storage.Table, keys []int, jt JoinType, parts int) []data.Tuple {
+	index := map[data.Value][]data.Tuple{}
+	for _, row := range bt.Rows() {
+		if k := JoinKeyOf(row, keys); !k.IsNull() {
+			index[k] = append(index[k], row)
+		}
+	}
+	pad := make(data.Tuple, bt.Schema().Len())
+	for i := range pad {
+		pad[i] = data.Null()
+	}
+	var out []data.Tuple
+	for _, p := range graceProbeOrder(pt, keys, jt, parts) {
+		var matches []data.Tuple
+		if k := JoinKeyOf(p, keys); !k.IsNull() {
+			matches = index[k]
+		}
+		switch {
+		case jt == SemiJoin || jt == AntiJoin:
+			if (len(matches) > 0) == (jt == SemiJoin) {
+				out = append(out, p)
+			}
+		case jt == ProbeOuterJoin && len(matches) == 0:
+			out = append(out, append(slices.Clone(pad), p...))
+		default:
+			for _, b := range matches {
+				out = append(out, append(slices.Clone(b), p...))
+			}
+		}
+	}
+	return out
+}
+
+// checkHashJoinModesKeyed runs one (build, probe, type) input through
+// Next and NextColBatch, in memory and forced to spill, and compares each
+// result against refJoin's multiset and, in order, against the
+// grace-order reference. String keys route the scatter, build table and
+// probe off the int-lane fast paths; the build input is additionally run
+// through a vectorized string filter (LIKE-prefix AND >= kernels, both
+// tautologies over the key encoding) so the partition pass exercises the
+// sel-in/sel-out string kernels inline. The filter drops NULL build keys,
+// which the join drops anyway for every type checked here.
 func checkHashJoinModesKeyed(t *testing.T, build, probe []int64, jt JoinType, str bool) {
 	t.Helper()
+	bt, pt := kvTableKeyed("b", build, str), kvTableKeyed("p", probe, str)
 	want := refJoinKeyed(build, probe, jt, str)
 	modes := []struct {
 		name     string
@@ -193,7 +253,7 @@ func checkHashJoinModesKeyed(t *testing.T, build, probe []int64, jt JoinType, st
 		{name: "columnar-spill", columnar: true, budget: 128},
 	}
 	for _, m := range modes {
-		var bsrc Operator = NewScan(kvTableKeyed("b", build, str), "")
+		var bsrc Operator = NewScan(bt, "")
 		if str {
 			like, err := expr.NewLike(expr.Col{Index: 0}, "key-%", false)
 			if err != nil {
@@ -204,16 +264,14 @@ func checkHashJoinModesKeyed(t *testing.T, build, probe []int64, jt JoinType, st
 				expr.Compare(expr.GE, expr.Col{Index: 0}, expr.Lit(data.Str("key-"))),
 			))
 		}
-		j := NewHashJoinMulti(
-			bsrc,
-			NewScan(kvTableKeyed("p", probe, str), ""),
-			[]int{0}, []int{0}, jt,
-		)
+		j := NewHashJoinMulti(bsrc, NewScan(pt, ""), []int{0}, []int{0}, jt)
 		if m.budget > 0 {
 			j.SetMemoryBudget(m.budget)
 		}
-		j.SetColumnar(m.columnar)
-		equalMultisets(t, jt.String()+"/"+m.name, drainMode(t, j, m.columnar), want)
+		label := jt.String() + "/" + m.name
+		got := drainMode(t, j, m.columnar)
+		equalMultisets(t, label, got, want)
+		sameRows(t, label, got, graceOrder(bt, pt, []int{0}, jt, j.parts))
 		if m.budget > 0 && j.Stats().SpillFiles.Load() == 0 {
 			t.Errorf("%s/%s: no spill files created", jt, m.name)
 		}
@@ -233,10 +291,10 @@ func TestHashJoinModesAgainstReference(t *testing.T) {
 }
 
 // FuzzJoinModes lets the fuzzer pick the key distributions; every input
-// is checked across all four join types and every execution mode. Bit 0
-// of flags switches the join keys to strings, driving the generic
-// lane-native scatter, the fallback build table and the vectorized
-// string-comparison kernels.
+// is checked, in order, against the grace-order reference under each
+// drain and budget. Bit 0 of flags switches the join keys to strings,
+// driving the generic lane-native scatter, the fallback build table and
+// the vectorized string-comparison kernels.
 func FuzzJoinModes(f *testing.F) {
 	f.Add(int64(1), 20, 30, 5, uint8(0), uint8(0))
 	f.Add(int64(9), 50, 8, 2, uint8(1), uint8(0))

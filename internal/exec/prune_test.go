@@ -162,11 +162,11 @@ func joinWidths(root Operator) []int {
 }
 
 // TestPrunedPlansMatch holds every operator shape the pass rebinds to the
-// plan as built: pruned, through Next on row-major joins and through Next
-// and NextColBatch on columnar ones, it returns the unpruned reference's
-// rows in the same order with the same counters on every operator, under
-// the same labels and root schema, reading fewer scan columns and with no
-// join wider than built.
+// plan as built: pruned, through Next and through NextColBatch, it returns
+// the unpruned reference's rows (drained through Next) in the same order
+// with the same counters on every operator, under the same labels and
+// root schema, reading fewer scan columns and with no join wider than
+// built.
 func TestPrunedPlansMatch(t *testing.T) {
 	for label, mk := range prunePlans() {
 		ref := mk()
@@ -174,8 +174,8 @@ func TestPrunedPlansMatch(t *testing.T) {
 		if len(want) == 0 {
 			t.Fatalf("%s: empty reference result", label)
 		}
-		for _, route := range []struct{ columnar, batches bool }{{false, false}, {true, false}, {true, true}} {
-			name := fmt.Sprintf("%s (columnar %v, batches %v)", label, route.columnar, route.batches)
+		for _, batches := range []bool{false, true} {
+			name := fmt.Sprintf("%s (batches %v)", label, batches)
 			op := mk()
 			width, schema, names, joins := scanWidth(op), op.Schema().String(), labels(op), joinWidths(op)
 			Prune(op)
@@ -190,10 +190,7 @@ func TestPrunedPlansMatch(t *testing.T) {
 			if op.Schema().String() != schema || !reflect.DeepEqual(labels(op), names) {
 				t.Errorf("%s: pruning moved the root schema or a label", name)
 			}
-			if route.columnar {
-				markColumnar(op)
-			}
-			requireSameRows(t, want, drainMode(t, op, route.batches), name)
+			requireSameRows(t, want, drainMode(t, op, batches), name)
 			requireSameStats(t, ref, op, name)
 			if j, ok := op.Children()[0].(*HashJoin); ok && label == "spilling join" && j.Spilled() == 0 {
 				t.Errorf("%s did not spill", name)
@@ -300,7 +297,6 @@ func TestPrunedScanCarriesNoRows(t *testing.T) {
 	sc := NewScan(tb, "")
 	agg := NewHashAgg(sc, []int{1}, []AggSpec{{Func: Sum, Col: 2}, {Func: Count, Col: 2}})
 	Prune(agg)
-	markColumnar(agg)
 	for _, row := range drainMode(t, agg, true) {
 		g := row[0].I
 		if row[1].F != float64(sums[g]) || row[2].I != counts[g] {

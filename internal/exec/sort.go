@@ -31,12 +31,11 @@ type Sort struct {
 	inputRows int64 // total input tuples read (survives spill resets)
 	spanEnded bool
 
-	// Columnar input (SetColumnar): the input pass consumes the child's
-	// ColBatches, extracts the key columns into contiguous lanes, and
-	// sorts an index vector with typed lane comparators instead of
+	// Columnar input (see columnarInput): the input pass consumes the
+	// child's ColBatches, extracts the key columns into contiguous lanes,
+	// and sorts an index vector with typed lane comparators instead of
 	// per-tuple data.Compare chains. keyVecs holds the extracted lanes,
 	// keyIdx the index scratch.
-	colMode bool
 	keyVecs []data.ColVec
 	keyIdx  []int32
 
@@ -66,25 +65,14 @@ func NewSortDirs(child Operator, keys []int, desc []bool) *Sort {
 	return s
 }
 
-// SetColumnar selects the columnar input pass: when the child serves
-// column vectors natively and no memory budget is set (the external
-// path's run spilling stays row-oriented), the sort extracts its key
-// columns into lanes and sorts an index vector over them. Output order,
-// OnInput firing order, and trace spans are identical to the row path.
-func (s *Sort) SetColumnar(on bool) *Sort {
-	s.colMode = on
-	return s
-}
-
-// Columnar reports whether the columnar input pass is selected.
-func (s *Sort) Columnar() bool { return s.colMode }
-
 // columnarInput returns the child as the input pass will pull it
-// column-at-a-time, or nil when the pass reads tuples: not selected, a
-// memory budget (run spilling is row-oriented), or a child without a
-// native columnar path.
+// column-at-a-time, or nil when the pass reads tuples: a memory budget
+// (run spilling is row-oriented) or a child without a native columnar
+// path. The columnar pass extracts the key columns into lanes and sorts
+// an index vector over them; output order, OnInput firing order and trace
+// spans are those of the tuple pass.
 func (s *Sort) columnarInput() ColOperator {
-	if !s.colMode || s.memBudget > 0 {
+	if s.memBudget > 0 {
 		return nil
 	}
 	in, _ := s.child.(ColOperator)

@@ -170,25 +170,18 @@ type spillFile struct {
 	w     *bufio.Writer
 	r     *bufio.Reader
 	ncols int
-	rows  int64
 
-	// Columnar frame mode (setColumnar): append buffers tuples and
-	// flushes them to disk as columnar frames of up to colFrameRows rows
-	// (data.EncodeColFrame); next decodes one frame at a time and serves
-	// its rows sequentially. The scratch ColBatches are pooled.
-	col     bool
-	pending data.Batch
-	enc     *data.ColBatch
-	dec     *data.ColBatch
-	decRows data.Batch
-	decPos  int
-
-	// Lane-native appends (appendColRows) buffer rows in pcol — a pooled
-	// lane batch filled by typed lane-to-lane copies, no tuple
-	// materialization — and flush it as columnar frames. win is the frame
-	// window of a whole partition dump (appendColAll).
+	// A run holds one of two formats, fixed by how it is written. An
+	// external sort's runs are tuples (append, read back with next). A
+	// join partition's runs are columnar frames of up to colFrameRows rows
+	// (data.EncodeColFrame), written lane-to-lane: appendColRows buffers
+	// rows in pcol — a pooled lane batch filled by typed copies, no tuple
+	// materialization — and appendColAll encodes a whole partition through
+	// the frame window win. They read back with nextColFrame, or with
+	// readAllCol through the pooled decode batch dec.
 	pcol *data.ColBatch
 	win  data.ColBatch
+	dec  *data.ColBatch
 }
 
 // colFrameRows is the number of tuples per columnar spill frame: large
@@ -197,43 +190,14 @@ type spillFile struct {
 // promptly.
 const colFrameRows = 256
 
-// setColumnar switches the file to the columnar frame format; must be
-// called before the first append.
-func (s *spillFile) setColumnar() { s.col = true }
-
-// append writes one tuple (columnar mode: buffers it toward the next
-// frame flush).
+// append writes one tuple (the tuple format).
 func (s *spillFile) append(t data.Tuple) error {
-	s.rows++
-	if !s.col {
-		return data.EncodeTuple(s.w, t)
-	}
-	s.pending = append(s.pending, t)
-	if len(s.pending) >= colFrameRows {
-		return s.flushFrame()
-	}
-	return nil
-}
-
-// flushFrame writes the buffered tuples as one columnar frame.
-func (s *spillFile) flushFrame() error {
-	if len(s.pending) == 0 {
-		return nil
-	}
-	if s.enc == nil {
-		s.enc = data.GetColBatch()
-	}
-	s.enc.SetRows(s.pending, s.ncols)
-	err := data.EncodeColFrame(s.w, s.enc)
-	s.pending = s.pending[:0]
-	return err
+	return data.EncodeTuple(s.w, t)
 }
 
 // appendColRows writes src's rows idx lane-to-lane toward the next frame
-// flushes, cutting at colFrameRows so frames keep their size (columnar
-// mode only).
+// flushes, cutting at colFrameRows so frames keep their size.
 func (s *spillFile) appendColRows(src *data.ColBatch, idx []int32) error {
-	s.rows += int64(len(idx))
 	if s.pcol == nil {
 		s.pcol = data.GetColBatch()
 		s.pcol.BeginBuild(s.ncols)
@@ -272,7 +236,6 @@ func (s *spillFile) appendColAll(cb *data.ColBatch) error {
 			return err
 		}
 	}
-	s.rows += int64(cb.NRows)
 	return nil
 }
 
@@ -321,16 +284,10 @@ func (s *spillFile) releaseBuffers() {
 
 // startRead flushes writes and rewinds to the run's first extent.
 func (s *spillFile) startRead() error {
-	if s.col && s.w != nil {
-		if err := s.flushFrame(); err != nil {
-			return err
-		}
-		s.pending = nil
+	if s.w != nil {
 		if err := s.flushColLanes(); err != nil {
 			return err
 		}
-	}
-	if s.w != nil {
 		err := s.w.Flush()
 		s.w.Reset(nil)
 		spillWriterPool.Put(s.w)
@@ -349,9 +306,6 @@ func (s *spillFile) startRead() error {
 
 // next returns the next tuple, or (nil, nil) at the end of the run.
 func (s *spillFile) next() (data.Tuple, error) {
-	if s.col {
-		return s.nextCol()
-	}
 	t, err := data.DecodeTuple(s.r, s.ncols)
 	if err == io.EOF {
 		return nil, nil
@@ -359,54 +313,11 @@ func (s *spillFile) next() (data.Tuple, error) {
 	return t, err
 }
 
-// nextCol serves tuples out of decoded columnar frames.
-func (s *spillFile) nextCol() (data.Tuple, error) {
-	for s.decPos >= len(s.decRows) {
-		if s.dec == nil {
-			s.dec = data.GetColBatch()
-		}
-		err := data.DecodeColFrame(s.r, s.ncols, s.dec)
-		if err == io.EOF {
-			return nil, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		s.decRows = s.dec.ToTuples(s.decRows[:0])
-		s.decPos = 0
-	}
-	t := s.decRows[s.decPos]
-	s.decPos++
-	return t, nil
-}
-
-// readAll materializes the remaining tuples.
-func (s *spillFile) readAll() ([]data.Tuple, error) {
-	if err := s.startRead(); err != nil {
-		return nil, err
-	}
-	out := make([]data.Tuple, 0, s.rows)
-	for {
-		t, err := s.next()
-		if err != nil {
-			return nil, err
-		}
-		if t == nil {
-			return out, nil
-		}
-		out = append(out, t)
-	}
-}
-
 // close releases the run's buffers and its hold on the arena, closing
 // the arena's file if it was the last open run. Idempotent.
 func (s *spillFile) close() error {
 	if s.af == nil {
 		return nil
-	}
-	if s.enc != nil {
-		data.PutColBatch(s.enc)
-		s.enc = nil
 	}
 	if s.dec != nil {
 		data.PutColBatch(s.dec)
@@ -416,7 +327,6 @@ func (s *spillFile) close() error {
 		data.PutColBatch(s.pcol)
 		s.pcol = nil
 	}
-	s.pending, s.decRows = nil, nil
 	s.releaseBuffers()
 	err := s.af.release()
 	s.af, s.ext = nil, nil

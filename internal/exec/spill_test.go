@@ -195,10 +195,10 @@ func TestBudgetedSortMergeJoinMatches(t *testing.T) {
 	}
 }
 
-// TestSpilledJoinColumnarMatchesTuple runs the same budgeted join on the
-// tuple path and the columnar path and demands identical ordered rows,
-// stats and hook counts, with both passes spilling and both barriers
-// firing on either path.
+// TestSpilledJoinColumnarMatchesTuple runs the same budgeted join drained
+// through Next (tuple) and through NextColBatch (columnar) and demands
+// identical ordered rows, stats and span-hook row counts, with both passes
+// spilling and both barriers firing on either drain.
 func TestSpilledJoinColumnarMatchesTuple(t *testing.T) {
 	a := randTable("a", 3000, 100, 31)
 	b := randTable("b", 4000, 100, 32)
@@ -214,20 +214,20 @@ func TestSpilledJoinColumnarMatchesTuple(t *testing.T) {
 			NewScan(makeTable("a", a), ""),
 			NewScan(makeTable("b", b), ""),
 			"a", "k", "b", "k")
-		j.SetMemoryBudget(16 * 1024).SetColumnar(columnar)
+		j.SetMemoryBudget(16 * 1024)
 		var r result
-		j.OnBuildTuple = func(data.Tuple) {
+		j.OnBuildCol = func(cb *data.ColBatch) {
 			if r.buildEnd > 0 {
-				t.Error("OnBuildTuple after OnBuildEnd")
+				t.Error("OnBuildCol after OnBuildEnd")
 			}
-			r.builds++
+			r.builds += cb.Live()
 		}
 		j.OnBuildEnd = func() { r.buildEnd++ }
-		j.OnProbeTuple = func(data.Tuple) {
+		j.OnProbeCol = func(cb *data.ColBatch) {
 			if r.buildEnd == 0 || r.probeEnd > 0 {
-				t.Error("OnProbeTuple outside (OnBuildEnd, OnProbeEnd)")
+				t.Error("OnProbeCol outside (OnBuildEnd, OnProbeEnd)")
 			}
-			r.probes++
+			r.probes += cb.Live()
 		}
 		j.OnProbeEnd = func() { r.probeEnd++ }
 		r.rows = drainMode(t, j, columnar)
@@ -237,7 +237,7 @@ func TestSpilledJoinColumnarMatchesTuple(t *testing.T) {
 	}
 	tup, col := run(false), run(true)
 	if col.spilled == 0 || tup.spilled == 0 {
-		t.Fatalf("expected spills on both paths (tuple %d, columnar %d)", tup.spilled, col.spilled)
+		t.Fatalf("expected spills on both drains (tuple %d, columnar %d)", tup.spilled, col.spilled)
 	}
 	requireSameRows(t, tup.rows, col.rows, "spilled join")
 	if tup.emitted != col.emitted || tup.emitted != int64(len(tup.rows)) {
@@ -245,7 +245,7 @@ func TestSpilledJoinColumnarMatchesTuple(t *testing.T) {
 	}
 	for name, r := range map[string]result{"tuple": tup, "columnar": col} {
 		if r.builds != len(a) || r.probes != len(b) {
-			t.Errorf("%s: per-tuple hooks build=%d probe=%d, inputs %d/%d", name, r.builds, r.probes, len(a), len(b))
+			t.Errorf("%s: span hooks build=%d probe=%d rows, inputs %d/%d", name, r.builds, r.probes, len(a), len(b))
 		}
 		if r.buildEnd != 1 || r.probeEnd != 1 {
 			t.Errorf("%s: barriers fired build=%d probe=%d times, want once each", name, r.buildEnd, r.probeEnd)
@@ -263,8 +263,8 @@ func TestSpilledJoinHooksStillFire(t *testing.T) {
 	j.SetMemoryBudget(4 * 1024)
 	var builds, probes int
 	end := false
-	j.OnBuildTuple = func(data.Tuple) { builds++ }
-	j.OnProbeTuple = func(data.Tuple) { probes++ }
+	j.OnBuildCol = func(cb *data.ColBatch) { builds += cb.Live() }
+	j.OnProbeCol = func(cb *data.ColBatch) { probes += cb.Live() }
 	j.OnProbeEnd = func() { end = true }
 	if _, err := Run(j); err != nil {
 		t.Fatal(err)
@@ -311,7 +311,7 @@ func TestBudgetedPassPins(t *testing.T) {
 	const budget = 1 << 20
 	a, b := pinTable("a", 3000, 41), pinTable("b", 5000, 42)
 	j := NewHashJoinOn(NewScan(a, ""), NewScan(b, ""), "a", "k", "b", "k")
-	j.SetMemoryBudget(budget).SetColumnar(true)
+	j.SetMemoryBudget(budget)
 	tr := obs.New()
 	BindTracer(j, tr)
 	share := int64(budget / (2 * j.parts))

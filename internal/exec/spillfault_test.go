@@ -182,9 +182,19 @@ func TestSpillFaultPooledBuffersIsolated(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		rows, err := f.readAll()
-		if err != nil {
+		if err := f.startRead(); err != nil {
 			t.Fatal(err)
+		}
+		var rows []data.Tuple
+		for {
+			tu, err := f.next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tu == nil {
+				break
+			}
+			rows = append(rows, tu)
 		}
 		if len(rows) != n {
 			t.Fatalf("round %d: clean file read %d rows, want %d", round, len(rows), n)
@@ -204,9 +214,9 @@ func TestSpillFaultPooledBuffersIsolated(t *testing.T) {
 }
 
 // TestSpillFaultOneFilePerOperator holds each spilling operator to one
-// temporary file however many runs it spills: the columnar and the tuple
-// pass of a budgeted join that spills partitions on both sides, and an
-// external sort of several runs. The file is closed once the operator is
+// temporary file however many runs it spills: a budgeted join that spills
+// partitions on both sides, drained through NextColBatch (columnar) and
+// through Next (tuple), and an external sort of several runs. The file is closed once the operator is
 // drained, before Close, and the rows are the unbudgeted run's.
 func TestSpillFaultOneFilePerOperator(t *testing.T) {
 	expectOneFile := func(t *testing.T, fs *vfs.FaultFS) {
@@ -223,19 +233,19 @@ func TestSpillFaultOneFilePerOperator(t *testing.T) {
 	}
 	a := randTable("a", 3000, 100, 71)
 	b := randTable("b", 4000, 100, 72)
-	join := func(budget int64, columnar bool, fs vfs.FS) *HashJoin {
+	join := func(budget int64, fs vfs.FS) *HashJoin {
 		j := NewHashJoinOn(
 			NewScan(makeTable("a", a), ""),
 			NewScan(makeTable("b", b), ""),
 			"a", "k", "b", "k")
-		return j.SetMemoryBudget(budget).SetSpillFS(fs).SetColumnar(columnar)
+		return j.SetMemoryBudget(budget).SetSpillFS(fs)
 	}
-	want := sortedStrings(drainMode(t, join(0, true, nil), true))
+	want := sortedStrings(drainMode(t, join(0, nil), true))
 	for _, pass := range []string{"columnar", "tuple"} {
 		columnar := pass == "columnar"
 		t.Run(pass, func(t *testing.T) {
 			fs := vfs.NewFaultFS(nil)
-			j := join(16*1024, columnar, fs)
+			j := join(16*1024, fs)
 			var builds, probes int
 			j.OnProbeEnd = func() {
 				for p := range j.parts {

@@ -99,13 +99,8 @@ func (t *Ticker) Install(root exec.Operator, columnar bool) {
 				o.OnTuple = t.tuple(o.OnTuple)
 			}
 		case *exec.HashJoin:
-			if o.Columnar() {
-				o.OnBuildCol = t.span(o.OnBuildCol)
-				o.OnProbeCol = t.span(o.OnProbeCol)
-			} else {
-				o.OnBuildTuple = t.tuple(o.OnBuildTuple)
-				o.OnProbeTuple = t.tuple(o.OnProbeTuple)
-			}
+			o.OnBuildCol = t.span(o.OnBuildCol)
+			o.OnProbeCol = t.span(o.OnProbeCol)
 			if !columnar {
 				// Pulled through Next, the join emits (and counts) row by
 				// row; pulled columnar, its output is counted by whoever
@@ -134,8 +129,9 @@ func (t *Ticker) Install(root exec.Operator, columnar bool) {
 
 // InstallTicker arranges for f to be called once every `every` units of
 // work on a plan drained through Next (exec.Run): NewTicker + Install.
-// Operators the plan itself pulls column-at-a-time (the inputs of a
-// columnar hash join) are still counted per span.
+// Operators the plan itself pulls column-at-a-time (the inputs of every
+// hash join, and of a sort over a columnar child) are still counted per
+// span.
 func InstallTicker(root exec.Operator, every int64, f func()) {
 	NewTicker(every, f).Install(root, false)
 }

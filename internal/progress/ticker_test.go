@@ -12,8 +12,8 @@ import (
 	"qpi/internal/plan"
 )
 
-// columnarAggPlan builds HashAgg(HashJoin(Scan a, Scan b)) with the join
-// columnar and the online estimators attached, as Engine.Compile does.
+// columnarAggPlan builds HashAgg(HashJoin(Scan a, Scan b)) with the online
+// estimators attached, as Engine.Compile does.
 func columnarAggPlan(t *testing.T, seed int64) (*exec.HashAgg, *exec.HashJoin, *Monitor) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -23,7 +23,6 @@ func columnarAggPlan(t *testing.T, seed int64) (*exec.HashAgg, *exec.HashJoin, *
 	cat.Register(ta)
 	cat.Register(tb)
 	j := exec.NewHashJoinOn(exec.NewScan(ta, ""), exec.NewScan(tb, ""), "a", "k", "b", "k")
-	j.SetColumnar(true)
 	agg := exec.NewHashAgg(j, []int{0}, []exec.AggSpec{{Func: exec.CountStar}})
 	plan.EstimateCardinalities(agg, cat)
 	att := core.Attach(agg)
@@ -47,7 +46,7 @@ func TestTickerColumnarCountsSpans(t *testing.T) {
 		lastC = rep.C
 	})
 	tk.Install(agg, true)
-	if j.OnOutput != nil || j.OnBuildTuple != nil || j.OnProbeTuple != nil || agg.OnInput != nil {
+	if j.OnOutput != nil || agg.OnInput != nil {
 		t.Fatal("a per-tuple hook was installed on a columnar operator")
 	}
 	exec.Walk(agg, func(op exec.Operator) {
@@ -107,15 +106,26 @@ func TestTickerPublishesFilteredScan(t *testing.T) {
 	}
 }
 
-// TestInstallTickerKeepsTupleBehaviour: on a tuple plan InstallTicker is
-// what it always was — one call per `every` tuples moved.
+// TestInstallTickerKeepsTupleBehaviour: on a plan that pulls tuples
+// everywhere — a merge join over two sorts whose memory budgets keep
+// their input passes on Next (and which never spill) — InstallTicker is
+// what it always was: one call per `every` units of work moved (each
+// scan's rows, each sort's input, the join's output).
 func TestInstallTickerKeepsTupleBehaviour(t *testing.T) {
-	j, _ := buildJoinQuery(t, 3, ModeOnce)
+	rng := rand.New(rand.NewSource(3))
+	ta := table("a", randCol(rng, 2000, 30))
+	tb := table("b", randCol(rng, 3000, 30))
+	mj, ls, rs := exec.NewSortMergeJoin(exec.NewScan(ta, ""), exec.NewScan(tb, ""), 0, 0)
+	ls.SetMemoryBudget(1 << 30)
+	rs.SetMemoryBudget(1 << 30)
 	ticks := 0
-	InstallTicker(j, 100, func() { ticks++ })
-	n, err := exec.Run(j)
+	InstallTicker(mj, 100, func() { ticks++ })
+	n, err := exec.Run(mj)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if runs := ls.Runs() + rs.Runs(); runs != 0 {
+		t.Fatalf("the sorts spilled %d runs", runs)
 	}
 	if want := int((2*(2000+3000) + n) / 100); ticks != want {
 		t.Errorf("%d ticks, want %d", ticks, want)

@@ -8,9 +8,9 @@
 // A table is its column lanes: one table-wide data.ColVec per column, which
 // Append extends; a block is a range of BlockSize rows. A columnar scan
 // hands out read-only windows of the lanes (Iterator.Window: no per-query
-// pivot) and ANALYZE reads them; the tuple-at-a-time reference path, the
-// oracle and the table-file writer get tuples built from them
-// (Iterator.Next, Table.Rows).
+// pivot) and ANALYZE reads them; a scan pulled through Next, the oracle
+// and the table-file writer get tuples built from them (Iterator.Next,
+// Table.Rows).
 package storage
 
 import (

@@ -27,7 +27,7 @@ type Metrics struct {
 	// specifies for the probe tuples the chain estimators have observed.
 	// It is a logical count: the columnar lane kernel gathers once per
 	// chain link and shares the lane between levels, and reports the same
-	// number the tuple-at-a-time path does.
+	// number a per-row observation does.
 	HistogramProbes int64
 	// Pipelines carries the per-pipeline C/T gauges.
 	Pipelines []PipelineStatus

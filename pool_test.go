@@ -10,8 +10,7 @@ import (
 	"qpi/internal/tpch"
 )
 
-// TestSkewedJoinsDoNotGrowTheHeap runs the same skewed columnar join ten
-// times. Under Zipf(2) one grace partition holds most of lineitem, here
+// TestSkewedJoinsDoNotGrowTheHeap runs the same skewed join ten times. Under Zipf(2) one grace partition holds most of lineitem, here
 // on the probe side. When a partition was one buffer, the ColBatch pool
 // handed the hot one to whichever partition asked next, and a pool that
 // kept every buffer at the capacity it grew to ended with all of them
@@ -43,10 +42,10 @@ func TestSkewedBuildSideDoesNotGrowTheHeap(t *testing.T) {
 		l, o, p := scan("lineitem"), scan("orders"), scan("part")
 		lo := exec.NewHashJoin(l, o,
 			l.Schema().MustResolve("lineitem", "orderkey"),
-			o.Schema().MustResolve("orders", "orderkey")).SetColumnar(true)
+			o.Schema().MustResolve("orders", "orderkey"))
 		return exec.RunCol(exec.NewHashJoin(lo, p,
 			lo.Schema().MustResolve("lineitem", "partkey"),
-			p.Schema().MustResolve("part", "partkey")).SetColumnar(true))
+			p.Schema().MustResolve("part", "partkey")))
 	})
 }
 

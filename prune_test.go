@@ -16,8 +16,7 @@ import (
 // The pruning matrix. Engine.Compile narrows every scan to the columns
 // the plan reads (exec.Prune); the hand-wired route the repository
 // benchmark times never does: planned by internal/sql or built by hand,
-// marked columnar, estimated, attached and drained, as Compile does minus
-// the pass. Every case runs both and requires the same rows, the same
+// estimated, attached and drained, as Compile does minus the pass. Every case runs both and requires the same rows, the same
 // labels and output columns, the same optimizer beliefs before the run
 // and the same final estimate on every operator, bit for bit, in the Once
 // and Robust modes.
@@ -138,9 +137,9 @@ func handRoute(t *testing.T, e *Engine, c pruneCase, opts []CompileOption) route
 		case *exec.Scan:
 			o.SampleFraction, o.Seed = cfg.sampleFraction, cfg.sampleSeed
 		case *exec.HashJoin:
-			o.SetColumnar(true).SetMemoryBudget(cfg.memBudget)
+			o.SetMemoryBudget(cfg.memBudget)
 		case *exec.Sort:
-			o.SetColumnar(true).SetMemoryBudget(cfg.memBudget)
+			o.SetMemoryBudget(cfg.memBudget)
 		}
 	})
 	plan.EstimateCardinalities(root, e.cat)

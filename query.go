@@ -244,16 +244,6 @@ func (e *Engine) Compile(n *Node, opts ...CompileOption) (*Query, error) {
 			}
 		})
 	}
-	// Every plan runs lane-native columnar; marked before Attach so the
-	// estimators install the hooks of the passes that will run.
-	exec.Walk(n.op, func(op exec.Operator) {
-		switch o := op.(type) {
-		case *exec.HashJoin:
-			o.SetColumnar(true)
-		case *exec.Sort:
-			o.SetColumnar(true)
-		}
-	})
 	// Scans emit only the columns the plan reads; estimates and estimators
 	// are then bound to the narrowed plan.
 	exec.Prune(n.op)
