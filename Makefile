@@ -59,10 +59,13 @@ serve-check:
 # modes), and the hash join's tuple-at-a-time grace passes (its per-tuple
 # partition hooks, its probe cursor, the Columnar switches of the join and
 # the sort, and the chain check that chose between per-tuple and span
-# estimator hooks) are removed; nothing anywhere in the repo may
-# reference them, so stray revivals in merges get caught here.
+# estimator hooks), and the tuple input passes of the hash aggregation and
+# the sort (the aggregation's per-row group-count hook and the sort's
+# choice between a tuple and a column-batch input pass) are removed;
+# nothing anywhere in the repo may reference them, so stray revivals in
+# merges get caught here.
 lint-deprecated:
-	@bad=$$(grep -rn --include='*.go' --exclude-dir=.bench_build -E '\.(RunContext|StartContext|NextBatch|Block|Columnar)\(|\<(storage\.Block|InSample|rowBuf|WithBatchExecution|RunBatch|AsBatch|DrainBatch|OnBuildBatch|OnProbeBatch|BatchAttached|observeProbeColFast|observeProbeColShardFast|SetMorselWorkers|SetMorselBlocks|Morseled|MorselSource|OnBuildColBatch|OnProbeColBatch|ColShardAttached|ObserveProbeColShard|FinishProbe|composeColW|ModeColMorsel|colPartitionAppend|appendColRow|BuildWidth|WithReoptimization|ReoptOptions|PlanChanges|ReoptStats|Reoptimizer|SwapSides|Relink|ReplaceProbe|ResetObservers|OnBeforePartition|PartitionStarted|ReattachChain|AttachSketches|NewReorder|ModeReopt(Columnar)?|OnBuildTuple|OnProbeTuple|nextProbeInPartition|chainColumnar)\>|\<qpi_reopt_' . || true); \
+	@bad=$$(grep -rn --include='*.go' --exclude-dir=.bench_build -E '\.(RunContext|StartContext|NextBatch|Block|Columnar)\(|\<(storage\.Block|InSample|rowBuf|WithBatchExecution|RunBatch|AsBatch|DrainBatch|OnBuildBatch|OnProbeBatch|BatchAttached|observeProbeColFast|observeProbeColShardFast|SetMorselWorkers|SetMorselBlocks|Morseled|MorselSource|OnBuildColBatch|OnProbeColBatch|ColShardAttached|ObserveProbeColShard|FinishProbe|composeColW|ModeColMorsel|colPartitionAppend|appendColRow|BuildWidth|WithReoptimization|ReoptOptions|PlanChanges|ReoptStats|Reoptimizer|SwapSides|Relink|ReplaceProbe|ResetObservers|OnBeforePartition|PartitionStarted|ReattachChain|AttachSketches|NewReorder|ModeReopt(Columnar)?|OnBuildTuple|OnProbeTuple|nextProbeInPartition|chainColumnar|OnInputGroupCount|columnarInput)\>|\<qpi_reopt_' . || true); \
 	if [ -n "$$bad" ]; then \
 		echo "removed API referenced:"; \
 		echo "$$bad"; \

@@ -66,30 +66,15 @@ func newTrackerAggEstimator(agg exec.Operator, total func() float64) *AggEstimat
 	return a
 }
 
-// ObserveGroupCount processes one input tuple's group-count transition
-// (tracker mode). |T| is refreshed before the first transition as well as
-// every 1 024th: the estimator was attached with the optimizer's guess,
-// and by the time the input pass begins the feeding operator usually
-// knows better (a join's once-estimate is exact), so Algorithm 3's bounds
-// start from the right total instead of recomputing per tuple until the
-// first refresh.
-func (a *AggEstimator) ObserveGroupCount(n int64) {
-	if a.seen == 0 {
-		a.tracker.SetTotal(a.total())
-	}
-	a.tracker.ObserveCount(n)
-	a.seen++
-	if a.seen%1024 == 0 {
-		a.tracker.SetTotal(a.total())
-		a.publish()
-	}
-}
-
-// ObserveGroupCounts processes a span of group-count transitions — the
-// span-at-a-time form of ObserveGroupCount, delivered once per columnar
-// input batch. The tracker consumes the span in order and the |T|
-// refresh / publish boundaries fall on the same absolute transition
-// indexes as the per-transition hook, so estimator state is identical.
+// ObserveGroupCounts processes a span of group-count transitions (tracker
+// mode), delivered once per input batch: n is a row's group's new
+// observation count. |T| is refreshed before the first transition as well
+// as every 1 024th, and published there: the estimator was attached with
+// the optimizer's guess, and by the time the input pass begins the feeding
+// operator usually knows better (a join's once-estimate is exact), so
+// Algorithm 3's bounds start from the right total instead of recomputing
+// per tuple until the first refresh. The refresh points fall on fixed
+// transition indexes, wherever the batch boundaries are.
 func (a *AggEstimator) ObserveGroupCounts(ns []int64) {
 	if a.seen == 0 {
 		a.tracker.SetTotal(a.total())

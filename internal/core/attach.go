@@ -77,15 +77,9 @@ func (a *Attachment) visit(op exec.Operator) {
 			a.attachMergeChain(o)
 		}
 	case *exec.HashAgg:
-		a.attachAgg(o, o.Child(), o.GroupBy(), func(f func(data.Tuple)) {
-			prev := o.OnInput
-			o.OnInput = compose(prev, f)
-		}, func(f func()) {
+		a.attachAgg(o, o.Child(), o.GroupBy(), nil, func(f func()) {
 			prev := o.OnInputEnd
 			o.OnInputEnd = compose0(prev, f)
-		}, func(f func(int64)) {
-			prev := o.OnInputGroupCount
-			o.OnInputGroupCount = compose(prev, f)
 		}, func(f func([]int64)) {
 			prev := o.OnInputGroupCounts
 			o.OnInputGroupCounts = compose(prev, f)
@@ -100,7 +94,7 @@ func (a *Attachment) visit(op exec.Operator) {
 		}, func(f func()) {
 			prev := s.OnInputEnd
 			s.OnInputEnd = compose0(prev, f)
-		}, nil, nil)
+		}, nil)
 	case *exec.NestedLoopsJoin:
 		if !a.attachSortedOuterNL(o) && !a.attachSortedOuterThetaNL(o) &&
 			!a.attachSortedOuterDisjunctNL(o) {
@@ -319,15 +313,13 @@ func joinsToOps(joins []*exec.HashJoin) []exec.Operator {
 }
 
 // attachAgg wires distinct-value estimation for one aggregation whose
-// input operator is input. setHook/setEndHook install observers on the
-// aggregation's blocking input pass; setCountHook, when non-nil, installs
-// a group-count-transition observer that shares the aggregation's own
-// hash table (HashAgg); setCountsHook additionally installs the
-// span-at-a-time form of the same observer, which a columnar input pass
-// fires once per batch in place of the per-transition hook.
+// input operator is input. setEndHook installs an observer of the end of
+// the aggregation's blocking input pass. A hash aggregation passes
+// setCountsHook, which installs an observer of the group-count spans its
+// own hash table computes; a sort aggregation passes setHook, which
+// installs a per-tuple observer on its sort's input pass.
 func (a *Attachment) attachAgg(agg exec.Operator, input exec.Operator, groupBy []int,
-	setHook func(func(data.Tuple)), setEndHook func(func()),
-	setCountHook func(func(int64)), setCountsHook func(func([]int64))) {
+	setHook func(func(data.Tuple)), setEndHook func(func()), setCountsHook func(func([]int64))) {
 
 	// Push-down opportunity: single grouping column over a join chain,
 	// grouping by an attribute that originates from the chain's bottom
@@ -357,14 +349,11 @@ func (a *Attachment) attachAgg(agg exec.Operator, input exec.Operator, groupBy [
 	}
 
 	// Tracker mode: ride the hash aggregation's own group table.
-	if setCountHook != nil {
+	if setCountsHook != nil {
 		est := newTrackerAggEstimator(agg, func() float64 {
 			return StreamSizeEstimate(input)
 		})
-		setCountHook(est.ObserveGroupCount)
-		if setCountsHook != nil {
-			setCountsHook(est.ObserveGroupCounts)
-		}
+		setCountsHook(est.ObserveGroupCounts)
 		setEndHook(est.MarkInputEnd)
 		a.Aggs[agg] = est
 		return

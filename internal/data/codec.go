@@ -9,43 +9,42 @@ import (
 	"math/bits"
 )
 
-// Tuple wire format, shared by the table-file format (internal/disk) and
-// the operator spill files (internal/exec): per value a kind byte
-// followed by the payload — int64/float64 little-endian, strings with a
-// u32 length prefix, NULL with no payload.
+// Tuple wire format, used by the table-file format (internal/disk), whose
+// blocks are runs of encoded tuples, and by composite group and join keys
+// (exec.GroupKey), which are their components' encodings concatenated:
+// per value a kind byte followed by the payload — int64/float64
+// little-endian, strings with a u32 length prefix, NULL with no payload.
+// The kind byte and the length prefix keep every encoding self-delimiting,
+// so two tuples encode alike only if they are equal value by value.
 
-// EncodeTuple appends the wire encoding of t to w.
+// AppendValue appends the wire encoding of v to dst. A value of unknown
+// kind appends nothing and reports an error.
+func AppendValue(dst []byte, v Value) ([]byte, error) {
+	switch v.Kind {
+	case KindNull:
+		return append(dst, byte(v.Kind)), nil
+	case KindInt:
+		return binary.LittleEndian.AppendUint64(append(dst, byte(v.Kind)), uint64(v.I)), nil
+	case KindFloat:
+		return binary.LittleEndian.AppendUint64(append(dst, byte(v.Kind)), math.Float64bits(v.F)), nil
+	case KindString:
+		dst = binary.LittleEndian.AppendUint32(append(dst, byte(v.Kind)), uint32(len(v.S)))
+		return append(dst, v.S...), nil
+	}
+	return dst, fmt.Errorf("data: encode: unknown kind %d", v.Kind)
+}
+
+// EncodeTuple writes the wire encoding of t to w.
 func EncodeTuple(w *bufio.Writer, t Tuple) error {
-	var b [8]byte
+	b := w.AvailableBuffer()
 	for _, v := range t {
-		if err := w.WriteByte(byte(v.Kind)); err != nil {
+		var err error
+		if b, err = AppendValue(b, v); err != nil {
 			return err
 		}
-		switch v.Kind {
-		case KindNull:
-		case KindInt:
-			binary.LittleEndian.PutUint64(b[:], uint64(v.I))
-			if _, err := w.Write(b[:]); err != nil {
-				return err
-			}
-		case KindFloat:
-			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v.F))
-			if _, err := w.Write(b[:]); err != nil {
-				return err
-			}
-		case KindString:
-			binary.LittleEndian.PutUint32(b[:4], uint32(len(v.S)))
-			if _, err := w.Write(b[:4]); err != nil {
-				return err
-			}
-			if _, err := w.WriteString(v.S); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("data: encode: unknown kind %d", v.Kind)
-		}
 	}
-	return nil
+	_, err := w.Write(b)
+	return err
 }
 
 // DecodeTuple reads one ncols-wide tuple from r. It returns io.EOF

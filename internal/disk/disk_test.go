@@ -1,6 +1,9 @@
 package disk
 
 import (
+	"encoding/binary"
+	"errors"
+	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -107,6 +110,32 @@ func TestReadBlockRandomAccess(t *testing.T) {
 	}
 	if _, err := tf.ReadBlock(tf.NumBlocks()); err == nil {
 		t.Error("out-of-range block accepted")
+	}
+}
+
+// TestReadBlockShortBlock: a block that ends before the tuples its count
+// promises is an error, not a short block.
+func TestReadBlockShortBlock(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.qpit")
+	if err := WriteTable(path, makeTable(t, 1000)); err != nil {
+		t.Fatal(err)
+	}
+	tf, err := OpenTable(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tf.Close()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tf.counts[0]++
+	binary.LittleEndian.PutUint32(b[tf.offsets[0]:], tf.counts[0])
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tf.ReadBlock(0); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("ReadBlock of a block one tuple short: %v, want io.ErrUnexpectedEOF", err)
 	}
 }
 

@@ -9,7 +9,7 @@
 //
 //	magic "QPIT" | version u16 | schema | block data... | block index | footer
 //	schema: ncols u16, then per column: alias, name (u16-len strings), kind u8
-//	block:  tupleCount u32, then tuples; per value: kind u8 + payload
+//	block:  tupleCount u32, then tuples (data.EncodeTuple); per value: kind u8 + payload
 //	        (int: i64, float: f64, string: u32-len bytes, null: none)
 //	index:  numBlocks u32, then per block: offset u64, tupleCount u32
 //	footer: rowCount u64 | index offset u64 | magic "TIPQ"
@@ -20,7 +20,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"os"
 
 	"qpi/internal/data"
@@ -44,7 +43,7 @@ func WriteTable(path string, t *storage.Table) (err error) {
 			err = cerr
 		}
 	}()
-	w := &countingWriter{w: bufio.NewWriterSize(f, 1<<16)}
+	w := newCountingWriter(f)
 
 	// Header + schema.
 	w.WriteString(magic)
@@ -63,29 +62,21 @@ func WriteTable(path string, t *storage.Table) (err error) {
 		count  uint32
 	}
 	metas := make([]blockMeta, 0, t.NumBlocks())
+	row := make(data.Tuple, len(cols))
 	for lo := 0; lo < t.NumRows(); lo += storage.BlockSize {
 		hi := min(lo+storage.BlockSize, t.NumRows())
-		metas = append(metas, blockMeta{offset: w.n, count: uint32(hi - lo)})
+		metas = append(metas, blockMeta{offset: w.offset(), count: uint32(hi - lo)})
 		w.U32(uint32(hi - lo))
 		for r := lo; r < hi; r++ {
 			for c := range cols {
-				v := t.Lane(c).ValueAt(r)
-				w.U8(uint8(v.Kind))
-				switch v.Kind {
-				case data.KindInt:
-					w.U64(uint64(v.I))
-				case data.KindFloat:
-					w.U64(math.Float64bits(v.F))
-				case data.KindString:
-					w.U32(uint32(len(v.S)))
-					w.WriteString(v.S)
-				}
+				row[c] = t.Lane(c).ValueAt(r)
 			}
+			w.Tuple(row)
 		}
 	}
 
 	// Index + footer.
-	indexOffset := w.n
+	indexOffset := w.offset()
 	w.U32(uint32(len(metas)))
 	for _, m := range metas {
 		w.U64(m.offset)
@@ -97,23 +88,48 @@ func WriteTable(path string, t *storage.Table) (err error) {
 	if w.err != nil {
 		return w.err
 	}
-	return w.w.(*bufio.Writer).Flush()
+	return w.w.Flush()
 }
 
-// countingWriter tracks the byte offset while writing.
-type countingWriter struct {
-	w   io.Writer
-	n   uint64
-	err error
+// byteCounter counts the bytes written through it.
+type byteCounter struct {
+	w io.Writer
+	n uint64
 }
 
-func (c *countingWriter) write(p []byte) {
-	if c.err != nil {
-		return
-	}
+func (c *byteCounter) Write(p []byte) (int, error) {
 	n, err := c.w.Write(p)
 	c.n += uint64(n)
-	c.err = err
+	return n, err
+}
+
+// countingWriter buffers writes to a file, tracking the byte offset and
+// the first error.
+type countingWriter struct {
+	file *byteCounter
+	w    *bufio.Writer
+	err  error
+}
+
+func newCountingWriter(f io.Writer) *countingWriter {
+	file := &byteCounter{w: f}
+	return &countingWriter{file: file, w: bufio.NewWriterSize(file, 1<<16)}
+}
+
+// offset returns the number of bytes written so far.
+func (c *countingWriter) offset() uint64 { return c.file.n + uint64(c.w.Buffered()) }
+
+func (c *countingWriter) write(p []byte) {
+	if c.err == nil {
+		_, c.err = c.w.Write(p)
+	}
+}
+
+// Tuple writes t in the tuple wire format (data.EncodeTuple).
+func (c *countingWriter) Tuple(t data.Tuple) {
+	if c.err == nil {
+		c.err = data.EncodeTuple(c.w, t)
+	}
 }
 
 func (c *countingWriter) WriteString(s string) { c.write([]byte(s)) }
@@ -273,43 +289,14 @@ func (t *TableFile) ReadBlock(i int) ([]data.Tuple, error) {
 	if count != t.counts[i] {
 		return nil, fmt.Errorf("disk: block %d count mismatch (%d vs index %d)", i, count, t.counts[i])
 	}
-	ncols := t.schema.Len()
 	out := make([]data.Tuple, count)
 	for ti := range out {
-		tu := make(data.Tuple, ncols)
-		for c := 0; c < ncols; c++ {
-			kind, err := r.ReadByte()
-			if err != nil {
-				return nil, err
-			}
-			switch data.Kind(kind) {
-			case data.KindNull:
-				tu[c] = data.Null()
-			case data.KindInt:
-				var v uint64
-				if err := binary.Read(r, binary.LittleEndian, &v); err != nil {
-					return nil, err
-				}
-				tu[c] = data.Int(int64(v))
-			case data.KindFloat:
-				var v uint64
-				if err := binary.Read(r, binary.LittleEndian, &v); err != nil {
-					return nil, err
-				}
-				tu[c] = data.Float(math.Float64frombits(v))
-			case data.KindString:
-				var n uint32
-				if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-					return nil, err
-				}
-				b := make([]byte, n)
-				if _, err := io.ReadFull(r, b); err != nil {
-					return nil, err
-				}
-				tu[c] = data.Str(string(b))
-			default:
-				return nil, fmt.Errorf("disk: block %d: unknown value kind %d", i, kind)
-			}
+		tu, err := data.DecodeTuple(r, t.schema.Len())
+		if err == io.EOF {
+			err = fmt.Errorf("disk: block %d ends after %d of its %d tuples: %w", i, ti, count, io.ErrUnexpectedEOF)
+		}
+		if err != nil {
+			return nil, err
 		}
 		out[ti] = tu
 	}

@@ -121,7 +121,7 @@ func (s *chooserState) DistinctSeen() int64 { return s.g }
 // ProfileTracker is the zero-hashing variant of the chooser: instead of
 // maintaining its own value→count map, it consumes the per-tuple group
 // count transitions that a hash aggregation already computes for free
-// (exec.HashAgg's OnInputGroupCount hook). This is the paper's actual
+// (exec.HashAgg's OnInputGroupCounts hook). This is the paper's actual
 // integration — estimation interleaved with the operator's own
 // partitioning work — and makes the per-tuple overhead a few arithmetic
 // updates.

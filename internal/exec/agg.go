@@ -115,27 +115,27 @@ func aggSchema(in *data.Schema, groupBy []int, aggs []AggSpec) *data.Schema {
 	return data.NewSchema(cols...)
 }
 
-// GroupKey builds a comparable key for a group (single-column groups use
-// the value directly; multi-column groups concatenate string renderings,
-// which is slower but correct). It is exported for the estimation
+// GroupKey builds a comparable key for a group: a single-column group's
+// value itself, or for several columns (or none) their values' tuple wire
+// encodings concatenated (data.AppendValue) — kind tags and length
+// prefixes keep the components apart, so two composite keys are equal
+// exactly when their components are. It is exported for the estimation
 // framework, which must group exactly the way the operators do.
 func GroupKey(t data.Tuple, groupBy []int) data.Value {
 	if len(groupBy) == 1 {
 		return t[groupBy[0]]
 	}
-	key := ""
-	for i, g := range groupBy {
-		if i > 0 {
-			key += "\x00"
-		}
-		key += t[g].String()
+	var key []byte
+	for _, g := range groupBy {
+		key, _ = data.AppendValue(key, t[g])
 	}
-	return data.Str(key)
+	return data.Str(string(key))
 }
 
-// HashAgg implements hash-based grouping: the input is fully read and
-// partitioned by group key (firing OnInput per tuple — where the distinct-
-// value estimators attach), then groups are computed and emitted.
+// HashAgg implements hash-based grouping: the input is fully read
+// column-at-a-time and partitioned by group key (reporting each row's
+// group count through OnInputGroupCounts — where the distinct-value
+// estimators attach), then groups are computed and emitted.
 type HashAgg struct {
 	base
 	child   Operator
@@ -143,24 +143,15 @@ type HashAgg struct {
 	aggs    []AggSpec
 	label   string // rendered at construction: Prune rebinds groupBy, not labels
 
-	// OnInput fires for every input tuple during the blocking read.
-	OnInput func(data.Tuple)
-	// OnInputGroupCount fires for every input tuple with the tuple's
-	// group's new observation count — n=1 means a new group. It rides the
-	// group lookup the aggregation performs anyway, so distinct-value
-	// estimators can update without any hashing of their own (the paper's
-	// "interleaved with the actual partitioning to keep overheads low").
-	OnInputGroupCount func(n int64)
+	// OnInputGroupCounts fires once per input batch with the new
+	// observation count of each live row's group, in row order — n=1 means
+	// a new group. It rides the group lookup the aggregation performs
+	// anyway, so distinct-value estimators can update without any hashing
+	// of their own (the paper's "interleaved with the actual partitioning
+	// to keep overheads low"; see core.AggEstimator.ObserveGroupCounts).
+	OnInputGroupCounts func(ns []int64)
 	// OnInputEnd fires when the input is exhausted.
 	OnInputEnd func()
-	// OnInputGroupCounts is the span-at-a-time form of OnInputGroupCount:
-	// during a columnar input pass the per-row counts of one batch are
-	// collected and delivered in a single call at the batch boundary,
-	// suppressing the per-row hook for those rows. Row-at-a-time passes
-	// ignore it. Consumers must process the span in order to stay
-	// state-identical with the per-row hook (see
-	// core.AggEstimator.ObserveGroupCounts).
-	OnInputGroupCounts func(ns []int64)
 
 	// Integer group keys — the dominant case — live in an open-addressing
 	// table; everything else shares a Value-keyed map. order preserves
@@ -174,13 +165,12 @@ type HashAgg struct {
 	buf       data.Batch
 	spanEnded bool
 
-	// Columnar input state: colBuf re-exposes emitted group batches,
-	// countsBuf accumulates one batch's group counts for the span hook,
-	// collectCounts suppresses the per-row count hook while a span is
-	// being collected.
-	colBuf        data.ColBatch
-	countsBuf     []int64
-	collectCounts bool
+	// colBuf re-exposes emitted group batches, countsBuf accumulates one
+	// batch's group counts for OnInputGroupCounts, keyRow is the scratch
+	// row a multi-column group key is read into off the lanes.
+	colBuf    data.ColBatch
+	countsBuf []int64
+	keyRow    data.Tuple
 }
 
 // endEmitSpan closes the emit span exactly once, when all groups are out.
@@ -193,12 +183,12 @@ func (a *HashAgg) endEmitSpan() {
 
 // groupState is one group's accumulators plus its observation count. The
 // accumulators are stored inline (one backing array per group, not one
-// allocation per aggregate). A single-column group keeps its key; only a
-// multi-column group keeps a representative row for its group columns.
+// allocation per aggregate). A single-column group keeps its key; a
+// multi-column group keeps its group values.
 type groupState struct {
 	states []aggState
 	key    data.Value
-	repr   data.Tuple
+	vals   data.Tuple
 	n      int64
 }
 
@@ -240,39 +230,10 @@ func (a *HashAgg) Next() (data.Tuple, error) {
 	return a.emit(a.groupTuple(gs))
 }
 
+// consume is the input pass: it drains the child column-at-a-time and
+// folds every batch into the groups (see observeColBatch), delivering the
+// batch's group counts to OnInputGroupCounts at the batch boundary.
 func (a *HashAgg) consume() error {
-	a.initGroups()
-	a.traceBegin("input")
-	for {
-		if err := a.pollCtx(); err != nil {
-			return err
-		}
-		t, err := a.child.Next()
-		if err != nil {
-			return err
-		}
-		if t == nil {
-			break
-		}
-		a.observe(t)
-	}
-	a.traceEnd("input", a.inputRows, 0, 0)
-	a.traceBegin("emit")
-	if a.OnInputEnd != nil {
-		a.OnInputEnd()
-	}
-	a.computed = true
-	return nil
-}
-
-// consumeColumnar is consume driven through the child's columnar path.
-// Without a per-row input hook, a scalar aggregate and a single-column
-// group run off the lanes (see observeColBatch); otherwise each live row
-// is observed exactly as in the tuple pass. Group-count observations are
-// delivered span-at-a-time through OnInputGroupCounts when set; the
-// span preserves row order so consumers stay state-identical with the
-// per-row hook.
-func (a *HashAgg) consumeColumnar() error {
 	a.initGroups()
 	a.traceBegin("input")
 	in := AsColOperator(a.child)
@@ -287,11 +248,9 @@ func (a *HashAgg) consumeColumnar() error {
 		if cb == nil {
 			break
 		}
-		a.collectCounts = a.OnInputGroupCounts != nil
 		a.countsBuf = a.countsBuf[:0]
 		a.observeColBatch(cb)
-		if a.collectCounts {
-			a.collectCounts = false
+		if a.OnInputGroupCounts != nil {
 			a.OnInputGroupCounts(a.countsBuf)
 		}
 	}
@@ -304,38 +263,25 @@ func (a *HashAgg) consumeColumnar() error {
 	return nil
 }
 
-// observeColBatch folds one columnar input batch into the groups. Without
-// a per-row input hook, a scalar aggregate and a single-column group read
-// their lanes and build no rows; everything else observes each live row
-// as the tuple pass does.
+// observeColBatch folds one input batch into the groups off its lanes: a
+// scalar aggregate and a single-column group have their own loops, a
+// multi-column group reads its key values into a scratch row. No input
+// row is built.
 func (a *HashAgg) observeColBatch(cb *data.ColBatch) {
-	if a.OnInput == nil {
-		switch len(a.groupBy) {
-		case 0:
-			a.observeScalar(cb)
-			return
-		case 1:
-			a.observeKeyVector(cb, cb.Col(a.groupBy[0]))
-			return
-		}
-	}
-	rows := cb.MaterializeRows()
-	if cb.Sel == nil {
-		for i := 0; i < cb.NRows; i++ {
-			a.observe(rows[i])
-		}
-		return
-	}
-	for _, i := range cb.Sel {
-		a.observe(rows[i])
+	switch len(a.groupBy) {
+	case 0:
+		a.observeScalar(cb)
+	case 1:
+		a.observeKeyVector(cb, cb.Col(a.groupBy[0]))
+	default:
+		a.observeGroupColumns(cb)
 	}
 }
 
 // observeKeyVector is the grouping loop over a single key column: a flat
 // int64 lane indexes the open-addressing table straight from the lane,
 // any other column goes through its values, and a new group keeps its key
-// rather than a row. State, hook order and group emission order are
-// identical to per-row observe.
+// rather than a row.
 func (a *HashAgg) observeKeyVector(cb *data.ColBatch, kv *data.ColVec) {
 	flat := kv.Homogeneous() && kv.Kind == data.KindInt
 	observeRow := func(i int) {
@@ -344,11 +290,47 @@ func (a *HashAgg) observeKeyVector(cb *data.ColBatch, kv *data.ColVec) {
 		if flat && !kv.Nulls.Get(i) {
 			p := a.intGroups.Ref(kv.Ints[i])
 			if *p == nil {
-				*p = a.newGroup(data.Int(kv.Ints[i]), nil)
+				*p = a.newGroup(data.Int(kv.Ints[i]))
 			}
 			gs = *p
 		} else {
-			gs = a.groupOf(kv.ValueAt(i), nil)
+			gs = a.groupOf(kv.ValueAt(i))
+		}
+		a.count(gs)
+		for si, spec := range a.aggs {
+			var v data.Value
+			if spec.Func != CountStar {
+				v = cb.Value(spec.Col, i)
+			}
+			gs.states[si].add(spec.Func, v)
+		}
+	}
+	if cb.Sel == nil {
+		for i := 0; i < cb.NRows; i++ {
+			observeRow(i)
+		}
+		return
+	}
+	for _, i := range cb.Sel {
+		observeRow(int(i))
+	}
+}
+
+// observeGroupColumns is the grouping loop over several key columns: each
+// row's key values are read off the lanes into the scratch row keyRow and
+// keyed with GroupKey; a new group keeps a copy of its group values.
+func (a *HashAgg) observeGroupColumns(cb *data.ColBatch) {
+	if len(a.keyRow) != cb.Width() {
+		a.keyRow = make(data.Tuple, cb.Width())
+	}
+	observeRow := func(i int) {
+		a.inputRows++
+		for _, g := range a.groupBy {
+			a.keyRow[g] = cb.Value(g, i)
+		}
+		gs := a.groupOf(GroupKey(a.keyRow, a.groupBy))
+		if gs.n == 0 {
+			gs.vals = a.keyRow.Project(a.groupBy)
 		}
 		a.count(gs)
 		for si, spec := range a.aggs {
@@ -372,14 +354,13 @@ func (a *HashAgg) observeKeyVector(cb *data.ColBatch, kv *data.ColVec) {
 
 // observeScalar folds one batch into the single group of an aggregate
 // without GROUP BY: the group counts the batch's live rows and each
-// aggregate column folds straight off its lane in row order — the per-row
-// pass's state and hook sequence, and no rows.
+// aggregate column folds straight off its lane in row order.
 func (a *HashAgg) observeScalar(cb *data.ColBatch) {
 	live := cb.Live()
 	if live == 0 {
 		return
 	}
-	gs := a.groupOf(GroupKey(nil, nil), nil)
+	gs := a.groupOf(GroupKey(nil, nil))
 	for r := 0; r < live; r++ {
 		a.inputRows++
 		a.count(gs)
@@ -408,57 +389,34 @@ func (a *HashAgg) initGroups() {
 	a.groups = map[data.Value]*groupState{}
 }
 
-// groupOf returns key k's group, creating it in first-seen order; t is the
-// row a new multi-column group takes its group columns from.
-func (a *HashAgg) groupOf(k data.Value, t data.Tuple) *groupState {
+// groupOf returns key k's group, creating it in first-seen order.
+func (a *HashAgg) groupOf(k data.Value) *groupState {
 	if k.Kind == data.KindInt {
 		p := a.intGroups.Ref(k.I)
 		if *p == nil {
-			*p = a.newGroup(k, t)
+			*p = a.newGroup(k)
 		}
 		return *p
 	}
 	gs, ok := a.groups[k]
 	if !ok {
-		gs = a.newGroup(k, t)
+		gs = a.newGroup(k)
 		a.groups[k] = gs
 	}
 	return gs
 }
 
-func (a *HashAgg) newGroup(k data.Value, t data.Tuple) *groupState {
+func (a *HashAgg) newGroup(k data.Value) *groupState {
 	gs := &groupState{states: make([]aggState, len(a.aggs)), key: k}
-	if len(a.groupBy) > 1 {
-		gs.repr = t
-	}
 	a.order = append(a.order, gs)
 	return gs
 }
 
-// count records one more row of gs and fires the group-count hook.
+// count records one more row of gs for the group-count span.
 func (a *HashAgg) count(gs *groupState) {
 	gs.n++
-	if a.collectCounts {
+	if a.OnInputGroupCounts != nil {
 		a.countsBuf = append(a.countsBuf, gs.n)
-	} else if a.OnInputGroupCount != nil {
-		a.OnInputGroupCount(gs.n)
-	}
-}
-
-// observe folds one input tuple into its group, firing the input hooks.
-func (a *HashAgg) observe(t data.Tuple) {
-	a.inputRows++
-	if a.OnInput != nil {
-		a.OnInput(t)
-	}
-	gs := a.groupOf(GroupKey(t, a.groupBy), t)
-	a.count(gs)
-	for i, spec := range a.aggs {
-		var v data.Value
-		if spec.Func != CountStar {
-			v = t[spec.Col]
-		}
-		gs.states[i].add(spec.Func, v)
 	}
 }
 
@@ -471,9 +429,7 @@ func (a *HashAgg) groupTuple(gs *groupState) data.Tuple {
 	if len(a.groupBy) == 1 {
 		out = append(out, gs.key)
 	} else {
-		for _, g := range a.groupBy {
-			out = append(out, gs.repr[g])
-		}
+		out = append(out, gs.vals...)
 	}
 	for i, spec := range a.aggs {
 		out = append(out, gs.states[i].result(spec.Func))

@@ -11,9 +11,12 @@ import (
 // Limit, HashJoin, HashAgg); everything else (Sort, MergeJoin,
 // NestedLoopsJoin, SortAgg) composes through AsColOperator, which pulls
 // the operator's Next and exposes the rows as a lazily-pivoted ColBatch.
-// Selection vectors flow through filters without copying tuples, and the
-// join's columnar output path gathers values straight into pooled lanes
-// (see hashjoin_col.go).
+// The blocking operators' input passes — the hash join's partition
+// passes, the hash aggregation's grouping pass and the sort's read — pull
+// their children through AsColOperator however they are pulled
+// themselves. Selection vectors flow through filters without copying
+// tuples, and the join's columnar output path gathers values straight
+// into pooled lanes (see hashjoin_col.go).
 
 // ColOperator is the columnar executor contract. NextColBatch returns
 // the next batch in columnar form, or nil at end of stream. The batch
@@ -73,20 +76,17 @@ func (a *colAdapter) Unwrap() Operator { return a.Operator }
 // NextColBatch, given that the root is drained through AsColOperator
 // (columnar) or through Next. An operator without a native columnar path
 // sits behind an adapter and pulls its children tuple-at-a-time; a native
-// one hands the choice down, except that a hash join's partition passes
-// always pull column batches, and a sort's input pass does whenever its
-// child has a native columnar path and it has no memory budget, however
-// the operator itself is pulled.
+// one hands the choice down, except that the input passes of a hash join,
+// a hash aggregation and a sort always pull column batches, however the
+// operator itself is pulled.
 func WalkColumnar(op Operator, columnar bool, visit func(op Operator, columnar bool)) {
 	if _, native := op.(ColOperator); !native {
 		columnar = false
 	}
 	visit(op, columnar)
-	switch o := op.(type) {
-	case *HashJoin:
+	switch op.(type) {
+	case *HashJoin, *HashAgg, *Sort:
 		columnar = true
-	case *Sort:
-		columnar = o.columnarInput() != nil
 	}
 	for _, c := range op.Children() {
 		WalkColumnar(c, columnar, visit)
@@ -237,13 +237,12 @@ func (l *Limit) NextColBatch() (*data.ColBatch, error) {
 	return l.emitColBatch(&l.colView)
 }
 
-// NextColBatch implements ColOperator for HashAgg: input is consumed
-// through the columnar path (vectorized grouping over the key column,
-// identical hook order — see consumeColumnar in agg.go), and the group
-// emission reuses the row batches exposed columnar.
+// NextColBatch implements ColOperator for HashAgg: the input pass is the
+// one Next runs (consume in agg.go), and the group emission reuses the
+// row batches exposed columnar.
 func (a *HashAgg) NextColBatch() (*data.ColBatch, error) {
 	if !a.computed {
-		if err := a.consumeColumnar(); err != nil {
+		if err := a.consume(); err != nil {
 			return nil, err
 		}
 	}

@@ -309,12 +309,11 @@ func TestFilterProjectLimitBatchEquivalence(t *testing.T) {
 
 // TestHashAggBatchEquivalence: hash aggregation over integer, string and
 // multi-column groups and with no GROUP BY (NULL keys included, fed
-// through a filter so the columnar input carries selection vectors, and
-// pruned on the columnar side, whose scan then carries no rows) emits the
-// same groups in the same first-seen order, and the OnInputGroupCounts
-// spans of the columnar pass concatenate to exactly the per-row
-// OnInputGroupCount sequence of the tuple pass, with the per-row hook
-// silent.
+// through a filter so the input batches carry selection vectors, and
+// pruned on one side, whose scan then carries no rows) emits the input's
+// groups in first-seen order with their aggregates, through Next and
+// through NextColBatch alike, and its OnInputGroupCounts spans
+// concatenate to each input row's running count of its group.
 func TestHashAggBatchEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	sch := data.NewSchema(
@@ -323,6 +322,7 @@ func TestHashAggBatchEquivalence(t *testing.T) {
 		data.Column{Table: "t", Name: "v", Kind: data.KindInt},
 	)
 	tb := storage.NewTable("t", sch)
+	var in []data.Tuple
 	for i := 0; i < 3000; i++ {
 		g, s := data.Int(int64(rng.Intn(40))), data.Str(fmt.Sprintf("s%02d", rng.Intn(25)))
 		if rng.Intn(20) == 0 {
@@ -331,12 +331,41 @@ func TestHashAggBatchEquivalence(t *testing.T) {
 		if rng.Intn(20) == 0 {
 			s = data.Null()
 		}
-		tb.MustAppend(data.Tuple{g, s, data.Int(int64(rng.Intn(100)))})
+		in = append(in, data.Tuple{g, s, data.Int(int64(rng.Intn(100)))})
+		tb.MustAppend(in[i])
 	}
 	for _, groupBy := range [][]int{{0}, {1}, {0, 1}, nil} {
 		label := fmt.Sprintf("hashagg%v", groupBy)
-		var perRow, spans []int64
-		var perRowOnColumnar int
+		// The reference, grouped by hand over the filter's rows: each
+		// row's running group count, and per group COUNT(*), SUM(v), MIN(v).
+		type group struct {
+			vals        data.Tuple
+			n, sum, min int64
+		}
+		var wantCounts []int64
+		var groups []*group
+		byKey := map[string]*group{}
+		for _, r := range in {
+			if r[2].I >= 80 {
+				continue
+			}
+			key := fmt.Sprintf("%#v", r.Project(groupBy))
+			g := byKey[key]
+			if g == nil {
+				g = &group{vals: r.Project(groupBy), min: r[2].I}
+				byKey[key] = g
+				groups = append(groups, g)
+			}
+			g.n++
+			g.sum += r[2].I
+			g.min = min(g.min, r[2].I)
+			wantCounts = append(wantCounts, g.n)
+		}
+		var want []data.Tuple
+		for _, g := range groups {
+			want = append(want, append(g.vals, data.Int(g.n), data.Float(float64(g.sum)), data.Int(g.min)))
+		}
+
 		mk := func() Operator {
 			sc := NewScan(tb, "")
 			f := NewFilter(sc, expr.Compare(expr.LT, expr.Column(sc.Schema(), "t", "v"), expr.IntLit(80)))
@@ -346,22 +375,17 @@ func TestHashAggBatchEquivalence(t *testing.T) {
 				{Func: Min, Col: 2, Name: "lo"},
 			})
 		}
-		tup, col := mk(), mk()
-		Prune(col)
-		tup.(*HashAgg).OnInputGroupCount = func(n int64) { perRow = append(perRow, n) }
-		col.(*HashAgg).OnInputGroupCount = func(int64) { perRowOnColumnar++ }
-		col.(*HashAgg).OnInputGroupCounts = func(ns []int64) { spans = append(spans, ns...) }
-		requireSameRows(t, drainMode(t, tup, false), drainMode(t, col, true), label)
-		requireSameStats(t, tup, col, label)
-		if perRowOnColumnar != 0 {
-			t.Errorf("%s: per-row count hook fired %d times beside the span hook", label, perRowOnColumnar)
-		}
-		if len(spans) != len(perRow) {
-			t.Fatalf("%s: spans carry %d counts, per-row hook saw %d", label, len(spans), len(perRow))
-		}
-		for i := range perRow {
-			if spans[i] != perRow[i] {
-				t.Fatalf("%s: group count %d is %d in the spans, %d per row", label, i, spans[i], perRow[i])
+		for _, columnar := range []bool{false, true} {
+			op := mk()
+			if columnar {
+				Prune(op)
+			}
+			var spans []int64
+			op.(*HashAgg).OnInputGroupCounts = func(ns []int64) { spans = append(spans, ns...) }
+			requireSameRows(t, want, drainMode(t, op, columnar), fmt.Sprintf("%s, columnar %v", label, columnar))
+			if !reflect.DeepEqual(spans, wantCounts) {
+				t.Errorf("%s, columnar %v: the spans carry %d group counts, not the %d running counts of the input",
+					label, columnar, len(spans), len(wantCounts))
 			}
 		}
 	}

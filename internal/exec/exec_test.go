@@ -494,13 +494,13 @@ func TestHashAggBasic(t *testing.T) {
 func TestHashAggHook(t *testing.T) {
 	sc := NewScan(makeTable("t", []int64{1, 1, 2}), "")
 	agg := NewHashAgg(sc, []int{0}, []AggSpec{{Func: CountStar}})
-	n := 0
-	end := false
-	agg.OnInput = func(data.Tuple) { n++ }
-	agg.OnInputEnd = func() { end = n == 3 }
+	var counts []int64
+	var atEnd []int64
+	agg.OnInputGroupCounts = func(ns []int64) { counts = append(counts, ns...) }
+	agg.OnInputEnd = func() { atEnd = append([]int64(nil), counts...) }
 	collect(t, agg)
-	if !end {
-		t.Errorf("OnInputEnd fired with n=%d", n)
+	if want := []int64{1, 2, 1}; !reflect.DeepEqual(atEnd, want) {
+		t.Errorf("group counts before OnInputEnd = %v, want %v", atEnd, want)
 	}
 }
 

@@ -2,17 +2,21 @@ package exec
 
 import (
 	"container/heap"
-	"sort"
+	"io"
 
 	"qpi/internal/data"
 	"qpi/internal/vfs"
 )
 
 // External sorting support for the Sort operator: when a memory budget is
-// set, the input pass accumulates runs of at most the budget, sorts each
-// and spills it, then merges the runs with a k-way heap. The OnInput hook
-// still fires for every input tuple during the (unsorted) input pass, so
-// the estimation framework behaves identically in both modes.
+// set, the input pass buffers rows until one takes them past the budget,
+// sorts their index vector over the key lanes (sortColumnar) and spills
+// them in that order as one run of column frames (the join's spill
+// format), then merges the runs with a k-way heap that compares run heads
+// on the decoded frames' key lanes. Equal keys come out in run order, so
+// the merge is as stable as the in-memory sort. The OnInput hook still
+// fires for every input tuple during the (unsorted) input pass, so the
+// estimation framework behaves identically in both modes.
 
 // SetMemoryBudget caps the bytes buffered during the sort (0 = unlimited,
 // fully in-memory). Overflowing input spills as sorted runs merged on
@@ -32,34 +36,20 @@ func (s *Sort) SetSpillFS(fs vfs.FS) *Sort {
 	return s
 }
 
-// less orders two tuples by the sort keys and directions.
-func (s *Sort) less(a, b data.Tuple) bool {
-	for ki, k := range s.keys {
-		if c := data.Compare(a[k], b[k]); c != 0 {
-			if s.desc != nil && s.desc[ki] {
-				return c > 0
-			}
-			return c < 0
-		}
-	}
-	return false
-}
-
-// spillRun sorts and writes the current buffer as one run.
+// spillRun sorts the buffered rows and writes them as one run.
 func (s *Sort) spillRun() error {
 	if len(s.rows) == 0 {
 		return nil
 	}
-	sort.SliceStable(s.rows, func(i, j int) bool { return s.less(s.rows[i], s.rows[j]) })
+	idx := s.sortColumnar()
 	f, err := s.arena.newRun(s.schema.Len())
 	if err != nil {
 		return err
 	}
-	for _, t := range s.rows {
-		if err := f.append(t); err != nil {
-			f.close()
-			return err
-		}
+	s.runView.SetRows(s.rows, s.schema.Len())
+	if err := f.appendColRows(&s.runView, idx); err != nil {
+		f.close()
+		return err
 	}
 	s.runs = append(s.runs, f)
 	s.stats.SpillFiles.Add(1)
@@ -70,17 +60,50 @@ func (s *Sort) spillRun() error {
 	return nil
 }
 
-// mergeState is the k-way merge cursor set.
+// mergeRun is one run's merge cursor: the frame it is in, decoded into
+// the run's pooled batch, that frame's rows, and the head row's position.
+type mergeRun struct {
+	f    *spillFile
+	rows []data.Tuple
+	pos  int
+}
+
+// advance moves to the run's next row, decoding the next frame when the
+// current one is used up; false at the end of the run.
+func (r *mergeRun) advance() (bool, error) {
+	r.pos++
+	for r.pos >= len(r.rows) {
+		if err := r.f.nextColFrame(r.f.dec); err == io.EOF {
+			return false, nil
+		} else if err != nil {
+			return false, err
+		}
+		r.rows = r.f.dec.ToTuples(r.rows[:0])
+		r.pos = 0
+	}
+	return true, nil
+}
+
+// mergeState is the k-way merge: a heap of indexes into runs, which are
+// in spill order.
 type mergeState struct {
-	s       *Sort
-	heads   []data.Tuple
-	sources []*spillFile
-	order   []int // heap of source indexes
+	s     *Sort
+	runs  []mergeRun
+	order []int
 }
 
 func (m *mergeState) Len() int { return len(m.order) }
+
+// Less orders run heads by the sort keys on the frames' lanes, and equal
+// heads by run.
 func (m *mergeState) Less(i, j int) bool {
-	return m.s.less(m.heads[m.order[i]], m.heads[m.order[j]])
+	a, b := &m.runs[m.order[i]], &m.runs[m.order[j]]
+	for ki, k := range m.s.keys {
+		if c := colVecCompare(a.f.dec.Col(k), a.pos, b.f.dec.Col(k), b.pos); c != 0 {
+			return m.s.keyOrder(ki, c) < 0
+		}
+	}
+	return m.order[i] < m.order[j]
 }
 func (m *mergeState) Swap(i, j int) { m.order[i], m.order[j] = m.order[j], m.order[i] }
 func (m *mergeState) Push(x any)    { m.order = append(m.order, x.(int)) }
@@ -90,26 +113,27 @@ func (m *mergeState) Pop() any {
 	return x
 }
 
-// startMerge opens all runs and primes the heap.
+// startMerge opens all runs at their first row and primes the heap.
 func (s *Sort) startMerge() error {
 	m := &mergeState{s: s}
 	for _, f := range s.runs {
 		if err := f.startRead(); err != nil {
 			return err
 		}
-		t, err := f.next()
+		f.dec = data.GetColBatch()
+		r := mergeRun{f: f, pos: -1}
+		ok, err := r.advance()
 		if err != nil {
 			return err
 		}
-		if t == nil {
+		if !ok {
 			if err := f.close(); err != nil {
 				return err
 			}
 			continue
 		}
-		m.sources = append(m.sources, f)
-		m.heads = append(m.heads, t)
-		m.order = append(m.order, len(m.sources)-1)
+		m.runs = append(m.runs, r)
+		m.order = append(m.order, len(m.runs)-1)
 	}
 	heap.Init(m)
 	s.merge = m
@@ -122,21 +146,20 @@ func (s *Sort) mergeNext() (data.Tuple, error) {
 	if m.Len() == 0 {
 		return nil, nil
 	}
-	src := m.order[0]
-	out := m.heads[src]
-	t, err := m.sources[src].next()
+	r := &m.runs[m.order[0]]
+	out := r.rows[r.pos]
+	ok, err := r.advance()
 	if err != nil {
 		return nil, err
 	}
-	if t == nil {
-		err := m.sources[src].close()
-		heap.Pop(m)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		m.heads[src] = t
+	if ok {
 		heap.Fix(m, 0)
+		return out, nil
+	}
+	err = r.f.close()
+	heap.Pop(m)
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -309,7 +309,7 @@ func TestPrunedScanCarriesNoRows(t *testing.T) {
 		agg := NewHashAgg(sc, nil, []AggSpec{{Func: Sum, Col: 2}, {Func: Count, Col: 2}, {Func: CountStar}})
 		Prune(agg)
 		if hooked {
-			agg.OnInput = func(data.Tuple) {}
+			agg.OnInputGroupCounts = func([]int64) {}
 		}
 		rows := drainMode(t, agg, true)
 		if len(rows) != 1 || rows[0][0].F != float64(total) || rows[0][1].I != nonNull || rows[0][2].I != n {

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"sort"
@@ -9,10 +10,10 @@ import (
 )
 
 // Sort is a blocking operator that materializes and sorts its input by one
-// or more key columns (ascending). The input pass fires OnInput for every
-// tuple, which is where the online estimation framework builds histograms
-// for sort-merge joins (§4.1.2: "every tuple of R is seen at least once
-// before any output is produced").
+// or more key columns. The input pass reads the child column-at-a-time and
+// fires OnInput for every tuple, which is where the online estimation
+// framework builds histograms for sort-merge joins (§4.1.2: "every tuple of
+// R is seen at least once before any output is produced").
 type Sort struct {
 	base
 	child Operator
@@ -31,19 +32,18 @@ type Sort struct {
 	inputRows int64 // total input tuples read (survives spill resets)
 	spanEnded bool
 
-	// Columnar input (see columnarInput): the input pass consumes the
-	// child's ColBatches, extracts the key columns into contiguous lanes,
-	// and sorts an index vector with typed lane comparators instead of
-	// per-tuple data.Compare chains. keyVecs holds the extracted lanes,
-	// keyIdx the index scratch.
+	// The input pass extracts the key columns into contiguous lanes
+	// (keyVecs, row i of each lane is rows[i]) and sorts an index vector
+	// (keyIdx) over them with typed lane comparators.
 	keyVecs []data.ColVec
 	keyIdx  []int32
 
 	// External sorting (see extsort.go).
 	memBudget int64
 	bufBytes  int64
-	arena     spillArena // the spilled runs' temporary file
-	runs      []*spillFile
+	arena     spillArena    // the spilled runs' temporary file
+	runs      []*spillFile  // sorted runs of column frames
+	runView   data.ColBatch // rows pivoted to lanes as a run is written
 	merge     *mergeState
 }
 
@@ -65,20 +65,6 @@ func NewSortDirs(child Operator, keys []int, desc []bool) *Sort {
 	return s
 }
 
-// columnarInput returns the child as the input pass will pull it
-// column-at-a-time, or nil when the pass reads tuples: a memory budget
-// (run spilling is row-oriented) or a child without a native columnar
-// path. The columnar pass extracts the key columns into lanes and sorts
-// an index vector over them; output order, OnInput firing order and trace
-// spans are those of the tuple pass.
-func (s *Sort) columnarInput() ColOperator {
-	if s.memBudget > 0 {
-		return nil
-	}
-	in, _ := s.child.(ColOperator)
-	return in
-}
-
 // Name implements Operator.
 func (s *Sort) Name() string { return s.label }
 
@@ -95,44 +81,14 @@ func (s *Sort) Next() (data.Tuple, error) {
 	}
 	if !s.sorted {
 		s.traceBegin("input")
-		colIn := s.columnarInput()
-		if colIn != nil {
-			if err := s.readInputColumnar(colIn); err != nil {
-				return nil, err
-			}
-		} else {
-			for {
-				if err := s.pollCtx(); err != nil {
-					return nil, err
-				}
-				t, err := s.child.Next()
-				if err != nil {
-					return nil, err
-				}
-				if t == nil {
-					break
-				}
-				if s.OnInput != nil {
-					s.OnInput(t)
-				}
-				s.inputRows++
-				s.rows = append(s.rows, t)
-				if s.memBudget > 0 {
-					s.bufBytes += int64(t.Size())
-					if s.bufBytes > s.memBudget {
-						if err := s.spillRun(); err != nil {
-							return nil, err
-						}
-					}
-				}
-			}
+		if err := s.readInput(); err != nil {
+			return nil, err
 		}
 		s.traceEnd("input", s.inputRows, 0, int64(len(s.runs)))
 		if s.OnInputEnd != nil {
 			s.OnInputEnd()
 		}
-		switch {
-		case len(s.runs) > 0:
+		if len(s.runs) > 0 {
 			// External path: flush the tail as the final run and merge.
 			if err := s.spillRun(); err != nil {
 				return nil, err
@@ -141,11 +97,13 @@ func (s *Sort) Next() (data.Tuple, error) {
 			if err := s.startMerge(); err != nil {
 				return nil, err
 			}
-		case colIn != nil:
-			s.sortColumnar()
-			s.traceMark("sort", int64(len(s.rows)), 0)
-		default:
-			sort.SliceStable(s.rows, func(i, j int) bool { return s.less(s.rows[i], s.rows[j]) })
+		} else {
+			idx := s.sortColumnar()
+			sorted := make([]data.Tuple, len(idx))
+			for out, i := range idx {
+				sorted[out] = s.rows[i]
+			}
+			s.rows = sorted
 			s.traceMark("sort", int64(len(s.rows)), 0)
 		}
 		s.sorted = true
@@ -172,20 +130,23 @@ func (s *Sort) Next() (data.Tuple, error) {
 	return s.emit(t)
 }
 
-// readInputColumnar drains the child batch-at-a-time: rows materialize
-// once per batch (OnInput fires per tuple in row order, as the row pass
-// would), and the key columns are extracted lane-to-lane into contiguous
-// key lanes indexed alongside s.rows.
-func (s *Sort) readInputColumnar(in ColOperator) error {
+// readInput drains the child batch-at-a-time: rows materialize once per
+// batch (OnInput fires per tuple in row order), and the key columns are
+// extracted lane-to-lane into contiguous key lanes indexed alongside
+// s.rows. Under a memory budget, the row that takes the buffered rows past
+// it closes a sorted run, which spills.
+func (s *Sort) readInput() error {
 	if s.keyVecs == nil {
 		s.keyVecs = make([]data.ColVec, len(s.keys))
 	}
 	for k := range s.keyVecs {
 		s.keyVecs[k].Reset()
 	}
+	in := AsColOperator(s.child)
+	var batch []data.Tuple
 	var idx []int32
 	for {
-		if err := s.pollCtx(); err != nil {
+		if err := s.ctxErr(); err != nil {
 			return err
 		}
 		cb, err := in.NextColBatch()
@@ -195,15 +156,13 @@ func (s *Sort) readInputColumnar(in ColOperator) error {
 		if cb == nil {
 			return nil
 		}
-		base := len(s.rows)
-		s.rows = cb.ToTuples(s.rows)
-		added := len(s.rows) - base
+		batch = cb.ToTuples(batch[:0])
 		if s.OnInput != nil {
-			for _, t := range s.rows[base:] {
+			for _, t := range batch {
 				s.OnInput(t)
 			}
 		}
-		s.inputRows += int64(added)
+		s.inputRows += int64(len(batch))
 		idx = idx[:0]
 		if cb.Sel == nil {
 			for i := 0; i < cb.NRows; i++ {
@@ -212,20 +171,46 @@ func (s *Sort) readInputColumnar(in ColOperator) error {
 		} else {
 			idx = append(idx, cb.Sel...)
 		}
-		for k, key := range s.keys {
-			s.keyVecs[k].GatherFrom(cb.Col(key), idx, base)
+		for rows, live := batch, idx; len(rows) > 0; {
+			n := len(rows)
+			if s.memBudget > 0 {
+				n = s.budgetCut(rows)
+			}
+			base := len(s.rows)
+			s.rows = append(s.rows, rows[:n]...)
+			for k, key := range s.keys {
+				s.keyVecs[k].GatherFrom(cb.Col(key), live[:n], base)
+			}
+			rows, live = rows[n:], live[n:]
+			if s.memBudget > 0 && s.bufBytes > s.memBudget {
+				if err := s.spillRun(); err != nil {
+					return err
+				}
+			}
 		}
 	}
 }
 
-// colVecCompare mirrors data.Compare over one extracted key lane: NULLs
-// first, typed same-kind comparisons off the lane, mixed lanes through
-// ValueAt + data.Compare.
-func colVecCompare(v *data.ColVec, a, b int) int {
-	if !v.Homogeneous() {
-		return data.Compare(v.ValueAt(a), v.ValueAt(b))
+// budgetCut adds rows to the buffered bytes up to and including the first
+// that takes them past the memory budget, and returns how many it added.
+func (s *Sort) budgetCut(rows []data.Tuple) int {
+	for i, t := range rows {
+		s.bufBytes += int64(t.Size())
+		if s.bufBytes > s.memBudget {
+			return i + 1
+		}
 	}
-	na, nb := v.Nulls.Get(a), v.Nulls.Get(b)
+	return len(rows)
+}
+
+// colVecCompare mirrors data.Compare between row a of lane va and row b of
+// lane vb: NULLs first, typed comparisons when both lanes hold one and the
+// same kind, ValueAt + data.Compare otherwise.
+func colVecCompare(va *data.ColVec, a int, vb *data.ColVec, b int) int {
+	if !va.Homogeneous() || !vb.Homogeneous() || va.Kind != vb.Kind {
+		return data.Compare(va.ValueAt(a), vb.ValueAt(b))
+	}
+	na, nb := va.Nulls.Get(a), vb.Nulls.Get(b)
 	if na || nb {
 		switch {
 		case na && nb:
@@ -236,17 +221,11 @@ func colVecCompare(v *data.ColVec, a, b int) int {
 			return 1
 		}
 	}
-	switch v.Kind {
+	switch va.Kind {
 	case data.KindInt:
-		x, y := v.Ints[a], v.Ints[b]
-		switch {
-		case x < y:
-			return -1
-		case x > y:
-			return 1
-		}
+		return cmp.Compare(va.Ints[a], vb.Ints[b])
 	case data.KindFloat:
-		x, y := v.Floats[a], v.Floats[b]
+		x, y := va.Floats[a], vb.Floats[b]
 		switch {
 		case x < y:
 			return -1
@@ -254,48 +233,43 @@ func colVecCompare(v *data.ColVec, a, b int) int {
 			return 1
 		}
 	case data.KindString:
-		x, y := v.Strs[a], v.Strs[b]
-		switch {
-		case x < y:
-			return -1
-		case x > y:
-			return 1
-		}
+		return cmp.Compare(va.Strs[a], vb.Strs[b])
 	}
 	return 0
 }
 
-// sortColumnar stable-sorts an index vector over the extracted key lanes
-// and permutes the row buffer into that order — the same ordering the
-// row path's tuple comparator produces, with the key loads hitting
-// contiguous lanes instead of scattered tuple headers.
-func (s *Sort) sortColumnar() {
-	n := len(s.rows)
+// keyOrder turns the comparison c of sort key ki into the key's direction.
+func (s *Sort) keyOrder(ki, c int) int {
+	if s.desc != nil && s.desc[ki] {
+		return -c
+	}
+	return c
+}
+
+// sortColumnar stable-sorts an index vector of the buffered rows over the
+// key lanes and clears the lanes for the next run: in key order the rows
+// are s.rows[idx[0]], s.rows[idx[1]], … The key loads hit contiguous
+// lanes instead of scattered tuple headers.
+func (s *Sort) sortColumnar() []int32 {
 	idx := s.keyIdx[:0]
-	for i := 0; i < n; i++ {
+	for i := range s.rows {
 		idx = append(idx, int32(i))
 	}
 	sort.SliceStable(idx, func(i, j int) bool {
 		a, b := int(idx[i]), int(idx[j])
 		for ki := range s.keyVecs {
-			if c := colVecCompare(&s.keyVecs[ki], a, b); c != 0 {
-				if s.desc != nil && s.desc[ki] {
-					return c > 0
-				}
-				return c < 0
+			v := &s.keyVecs[ki]
+			if c := colVecCompare(v, a, v, b); c != 0 {
+				return s.keyOrder(ki, c) < 0
 			}
 		}
 		return false
 	})
-	sorted := make([]data.Tuple, n)
-	for out, i := range idx {
-		sorted[out] = s.rows[i]
-	}
-	s.rows = sorted
 	s.keyIdx = idx
 	for k := range s.keyVecs {
 		s.keyVecs[k].Reset()
 	}
+	return idx
 }
 
 // Close implements Operator. The child is always closed and every run

@@ -52,7 +52,7 @@ type arenaFile struct {
 // extent is a byte range of the arena's file.
 type extent struct{ off, n int64 }
 
-// newRun starts a spilled run of ncols-wide tuples in the arena, creating
+// newRun starts a spilled run of ncols-wide rows in the arena, creating
 // the file if no run holds it open.
 func (a *spillArena) newRun(ncols int) (*spillFile, error) {
 	if a.cur == nil || a.cur.runs == 0 {
@@ -158,10 +158,18 @@ func (r runReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// spillFile is a run of tuples spilled by a memory-budgeted operator (a
+// spillFile is a run of rows spilled by a memory-budgeted operator (a
 // grace hash join partition, an external sort run), stored as extents of
 // the operator's spillArena. Write everything first, then iterate; the
 // run's bytes are freed with the arena's file.
+//
+// A run is a sequence of columnar frames of up to colFrameRows rows
+// (data.EncodeColFrame), written lane-to-lane: appendColRows buffers rows
+// in pcol — a pooled lane batch filled by typed copies, no tuple
+// materialization — and appendColAll encodes a whole lane batch through
+// the frame window win. A run reads back a frame at a time with
+// nextColFrame (an external sort's merge decodes into dec), or whole with
+// readAllCol through dec.
 type spillFile struct {
 	af    *arenaFile // nil once closed
 	ext   []extent
@@ -170,30 +178,16 @@ type spillFile struct {
 	w     *bufio.Writer
 	r     *bufio.Reader
 	ncols int
-
-	// A run holds one of two formats, fixed by how it is written. An
-	// external sort's runs are tuples (append, read back with next). A
-	// join partition's runs are columnar frames of up to colFrameRows rows
-	// (data.EncodeColFrame), written lane-to-lane: appendColRows buffers
-	// rows in pcol — a pooled lane batch filled by typed copies, no tuple
-	// materialization — and appendColAll encodes a whole partition through
-	// the frame window win. They read back with nextColFrame, or with
-	// readAllCol through the pooled decode batch dec.
-	pcol *data.ColBatch
-	win  data.ColBatch
-	dec  *data.ColBatch
+	pcol  *data.ColBatch
+	win   data.ColBatch
+	dec   *data.ColBatch
 }
 
-// colFrameRows is the number of tuples per columnar spill frame: large
+// colFrameRows is the number of rows per columnar spill frame: large
 // enough to amortize the frame header and give the typed spans some
 // length, small enough that a partially filled partition flushes
 // promptly.
 const colFrameRows = 256
-
-// append writes one tuple (the tuple format).
-func (s *spillFile) append(t data.Tuple) error {
-	return data.EncodeTuple(s.w, t)
-}
 
 // appendColRows writes src's rows idx lane-to-lane toward the next frame
 // flushes, cutting at colFrameRows so frames keep their size.
@@ -302,15 +296,6 @@ func (s *spillFile) startRead() error {
 	}
 	s.r.Reset(runReader{s})
 	return nil
-}
-
-// next returns the next tuple, or (nil, nil) at the end of the run.
-func (s *spillFile) next() (data.Tuple, error) {
-	t, err := data.DecodeTuple(s.r, s.ncols)
-	if err == io.EOF {
-		return nil, nil
-	}
-	return t, err
 }
 
 // close releases the run's buffers and its hold on the arena, closing

@@ -1,13 +1,12 @@
 package exec
 
 import (
-	"bufio"
 	"bytes"
+	"fmt"
 	"hash/fnv"
 	"io"
 	"math/rand"
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
 
@@ -24,39 +23,6 @@ func randTable(name string, n, domain int, seed int64) []int64 {
 		out[i] = int64(rng.Intn(domain))
 	}
 	return out
-}
-
-func TestCodecRoundTrip(t *testing.T) {
-	tuples := []data.Tuple{
-		{data.Int(-7), data.Float(2.5), data.Str("hello"), data.Null()},
-		{data.Int(1 << 62), data.Float(-0.0), data.Str(""), data.Int(0)},
-	}
-	var buf bytes.Buffer
-	w := bufio.NewWriter(&buf)
-	for _, tu := range tuples {
-		if err := data.EncodeTuple(w, tu); err != nil {
-			t.Fatal(err)
-		}
-	}
-	w.Flush()
-	r := bufio.NewReader(&buf)
-	for i, want := range tuples {
-		got, err := data.DecodeTuple(r, len(want))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for c := range want {
-			if got[c] != want[c] {
-				t.Fatalf("tuple %d col %d: %v vs %v", i, c, got[c], want[c])
-			}
-		}
-	}
-	if tu, err := data.DecodeTuple(r, 4); tu != nil || err == nil {
-		// clean EOF expected
-		if err.Error() != "EOF" {
-			t.Fatalf("expected EOF, got %v, %v", tu, err)
-		}
-	}
 }
 
 func TestSpilledHashJoinMatchesInMemory(t *testing.T) {
@@ -111,45 +77,75 @@ func TestSpilledTypedJoins(t *testing.T) {
 	}
 }
 
+// TestExternalSortMatchesInMemory: under a memory budget that spills
+// dozens of runs, a sort emits exactly the rows of the unbudgeted sort in
+// exactly its order — rows with equal keys included, which keep their
+// input order — for an ascending int key, a descending one, string keys
+// with NULLs, two keys, and a child pulled through the row adapter (a
+// merge join). Every pooled batch is back when the sort is closed.
 func TestExternalSortMatchesInMemory(t *testing.T) {
-	vals := randTable("t", 5000, 100000, 5)
-	run := func(budget int64) ([]int64, int) {
-		s := NewSort(NewScan(makeTable("t", vals), ""), 0)
-		if budget > 0 {
+	rng := rand.New(rand.NewSource(5))
+	tb := storage.NewTable("t", data.NewSchema(
+		data.Column{Table: "t", Name: "k", Kind: data.KindInt},
+		data.Column{Table: "t", Name: "s", Kind: data.KindString},
+		data.Column{Table: "t", Name: "id", Kind: data.KindInt},
+	))
+	for i := 0; i < 6000; i++ {
+		k, s := data.Int(int64(rng.Intn(13))), data.Str(fmt.Sprintf("s%d", rng.Intn(13)))
+		if i%17 == 0 {
+			k = data.Null()
+		}
+		if i%19 == 0 {
+			s = data.Null()
+		}
+		tb.MustAppend(data.Tuple{k, s, data.Int(int64(i))})
+	}
+	dim := storage.NewTable("d", data.NewSchema(data.Column{Table: "d", Name: "k", Kind: data.KindInt}))
+	for k := int64(0); k < 13; k++ {
+		dim.MustAppend(data.Tuple{data.Int(k)})
+	}
+	scan := func() Operator { return NewScan(tb, "") }
+	mergeJoin := func() Operator { return NewMergeJoin(NewSort(NewScan(tb, ""), 0), NewScan(dim, ""), 0, 0) }
+	for _, c := range []struct {
+		name  string
+		keys  []int
+		desc  []bool
+		child func() Operator
+	}{
+		{"int", []int{0}, []bool{false}, scan},
+		{"int descending", []int{0}, []bool{true}, scan},
+		{"string", []int{1}, []bool{false}, scan},
+		{"string descending, int", []int{1, 0}, []bool{true, false}, scan},
+		{"merge join child", []int{1}, []bool{true}, mergeJoin},
+	} {
+		run := func(budget int64) ([]data.Tuple, int) {
+			s := NewSortDirs(c.child(), c.keys, c.desc)
 			s.SetMemoryBudget(budget)
+			if err := s.Open(); err != nil {
+				t.Fatal(err)
+			}
+			rows, err := Drain(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs := s.Runs()
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			return rows, runs
 		}
-		if err := s.Open(); err != nil {
-			t.Fatal(err)
+		out := data.ColBatchesOut()
+		mem, memRuns := run(0)
+		if memRuns != 0 {
+			t.Fatalf("%s: in-memory sort produced %d runs", c.name, memRuns)
 		}
-		rows, err := Drain(s)
-		if err != nil {
-			t.Fatal(err)
+		ext, extRuns := run(16 * 1024)
+		if extRuns < 10 {
+			t.Fatalf("%s: external sort produced only %d runs", c.name, extRuns)
 		}
-		runs := s.Runs()
-		s.Close()
-		out := make([]int64, len(rows))
-		for i, r := range rows {
-			out[i] = r[0].I
-		}
-		return out, runs
-	}
-	mem, memRuns := run(0)
-	if memRuns != 0 {
-		t.Fatalf("in-memory sort produced %d runs", memRuns)
-	}
-	ext, extRuns := run(8 * 1024)
-	if extRuns < 2 {
-		t.Fatalf("external sort produced only %d runs", extRuns)
-	}
-	if len(mem) != len(ext) {
-		t.Fatalf("lengths differ: %d vs %d", len(mem), len(ext))
-	}
-	if !sort.SliceIsSorted(ext, func(i, j int) bool { return ext[i] < ext[j] }) {
-		t.Fatal("external sort output not sorted")
-	}
-	for i := range mem {
-		if mem[i] != ext[i] {
-			t.Fatalf("row %d: %d vs %d", i, mem[i], ext[i])
+		requireSameRows(t, mem, ext, c.name)
+		if n := data.ColBatchesOut(); n != out {
+			t.Errorf("%s: %d pooled batches out after the sorts, %d before", c.name, n, out)
 		}
 	}
 }

@@ -87,6 +87,22 @@ func TestSpillFaultExternalSort(t *testing.T) {
 	})
 }
 
+// TestSpillFaultExternalSortReturnsBatches runs the external sort's fault
+// matrix holding each case, and the clean run, to the pooled-batch
+// balance: a run's frame buffer and its merge decode buffer are handed
+// back however the sort ended.
+func TestSpillFaultExternalSortReturnsBatches(t *testing.T) {
+	vals := randTable("t", 5000, 100000, 31)
+	spillFaultMatrix(t, func(t *testing.T, fs *vfs.FaultFS) error {
+		pooled := data.ColBatchesOut()
+		s := NewSort(NewScan(makeTable("t", vals), ""), 0)
+		s.SetMemoryBudget(8 * 1024).SetSpillFS(fs)
+		_, err := Run(s)
+		expectPooledBalance(t, pooled)
+		return err
+	})
+}
+
 // TestSpillFaultLateClose injects a close failure that only fires during
 // the join's final Close (after a clean drain), proving spill cleanup
 // errors are not swallowed.
@@ -134,14 +150,28 @@ func TestSpillFaultCleanRunLeaksNothing(t *testing.T) {
 }
 
 // TestSpillFaultPooledBuffersIsolated churns spill files through the
-// shared bufio pools with faults interleaved: a buffer recycled from a
-// faulted (or abandoned-before-read) file must serve the next file
-// correctly — no stale bytes, no retained descriptor, no poisoned error
-// state. Each iteration alternates a victim file that dies at a different
-// op with a clean file whose round-trip is verified byte-exactly.
+// shared bufio and lane-batch pools with faults interleaved: a buffer
+// recycled from a faulted (or abandoned-before-read) file must serve the
+// next file correctly — no stale bytes, no retained descriptor, no
+// poisoned error state, no pooled batch left out. Each iteration
+// alternates a victim file that dies at a different op with a clean file
+// whose frame round-trip is verified row by row.
 func TestSpillFaultPooledBuffersIsolated(t *testing.T) {
-	mkTuple := func(i int64) data.Tuple { return data.Tuple{data.Int(i), data.Str("row")} }
+	lanes := func(n int) (*data.ColBatch, []int32) {
+		rows := make([]data.Tuple, n)
+		idx := make([]int32, n)
+		for i := range rows {
+			rows[i] = data.Tuple{data.Int(int64(i)), data.Str("row")}
+			idx[i] = int32(i)
+		}
+		cb := new(data.ColBatch)
+		cb.FromTuples(rows, 2)
+		return cb, idx
+	}
+	big, bigIdx := lanes(6000) // >64 KiB of frames: forces mid-write flushes
+	small, smallIdx := lanes(500)
 	ops := []vfs.Op{vfs.OpWrite, vfs.OpRead, vfs.OpSeek, vfs.OpClose}
+	out := data.ColBatchesOut()
 	for round := 0; round < 8; round++ {
 		// Victim: fault at the round's op, then close (idempotent, returns
 		// its buffers to the pools regardless of where the fault hit).
@@ -151,18 +181,9 @@ func TestSpillFaultPooledBuffersIsolated(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := int64(0); i < 2000; i++ { // >64 KiB: forces mid-write flushes
-			if err := victim.append(mkTuple(i)); err != nil {
-				break
-			}
-		}
-		if err := victim.startRead(); err == nil {
-			for {
-				tu, err := victim.next()
-				if tu == nil || err != nil {
-					break
-				}
-			}
+		if victim.appendColRows(big, bigIdx) == nil {
+			var frame data.ColBatch
+			victim.readAllCol(&frame)
 		}
 		victim.close()
 		if open := fs.OpenFiles(); open != 0 {
@@ -176,28 +197,16 @@ func TestSpillFaultPooledBuffersIsolated(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		const n = 500
-		for i := int64(0); i < n; i++ {
-			if err := f.append(mkTuple(i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := f.startRead(); err != nil {
+		if err := f.appendColRows(small, smallIdx); err != nil {
 			t.Fatal(err)
 		}
-		var rows []data.Tuple
-		for {
-			tu, err := f.next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if tu == nil {
-				break
-			}
-			rows = append(rows, tu)
+		var got data.ColBatch
+		if err := f.readAllCol(&got); err != nil {
+			t.Fatal(err)
 		}
-		if len(rows) != n {
-			t.Fatalf("round %d: clean file read %d rows, want %d", round, len(rows), n)
+		rows := got.ToTuples(nil)
+		if len(rows) != len(smallIdx) {
+			t.Fatalf("round %d: clean file read %d rows, want %d", round, len(rows), len(smallIdx))
 		}
 		for i, tu := range rows {
 			if tu[0].I != int64(i) || tu[1].S != "row" {
@@ -209,6 +218,9 @@ func TestSpillFaultPooledBuffersIsolated(t *testing.T) {
 		}
 		if open := cleanFS.OpenFiles(); open != 0 {
 			t.Fatalf("round %d: %d descriptors open after clean round-trip", round, open)
+		}
+		if n := data.ColBatchesOut(); n != out {
+			t.Fatalf("round %d: %d pooled batches out, %d before", round, n, out)
 		}
 	}
 }

@@ -170,10 +170,10 @@ func timeAgg(cfg Config, cat *catalog.Catalog, estimator string) (time.Duration,
 	case "gee":
 		tr := distinct.NewProfileTracker(total, -1) // τ=-1: always GEE
 		tr.DisableMLERecompute()
-		agg.OnInputGroupCount = tr.ObserveCount
+		agg.OnInputGroupCounts = tr.ObserveCounts
 	case "mle":
 		tr := distinct.NewProfileTracker(total, 1e18) // τ huge: always MLE
-		agg.OnInputGroupCount = tr.ObserveCount
+		agg.OnInputGroupCounts = tr.ObserveCounts
 	}
 	start := time.Now()
 	if _, err := exec.Run(agg); err != nil {

@@ -112,16 +112,12 @@ func (t *Ticker) Install(root exec.Operator, columnar bool) {
 		case *exec.Sort:
 			o.OnInput = t.tuple(o.OnInput)
 		case *exec.HashAgg:
-			if columnar {
-				prev := o.OnInputGroupCounts
-				o.OnInputGroupCounts = func(ns []int64) {
-					if prev != nil {
-						prev(ns)
-					}
-					t.Add(int64(len(ns)))
+			prev := o.OnInputGroupCounts
+			o.OnInputGroupCounts = func(ns []int64) {
+				if prev != nil {
+					prev(ns)
 				}
-			} else {
-				o.OnInput = t.tuple(o.OnInput)
+				t.Add(int64(len(ns)))
 			}
 		}
 	})
@@ -129,9 +125,9 @@ func (t *Ticker) Install(root exec.Operator, columnar bool) {
 
 // InstallTicker arranges for f to be called once every `every` units of
 // work on a plan drained through Next (exec.Run): NewTicker + Install.
-// Operators the plan itself pulls column-at-a-time (the inputs of every
-// hash join, and of a sort over a columnar child) are still counted per
-// span.
+// What the plan itself pulls column-at-a-time — the inputs of every hash
+// join, hash aggregation and sort — and a hash aggregation's input pass
+// are still counted per span.
 func InstallTicker(root exec.Operator, every int64, f func()) {
 	NewTicker(every, f).Install(root, false)
 }

@@ -141,3 +141,54 @@ func TestMustQueryPanics(t *testing.T) {
 	}()
 	sqlEngine(t).MustQuery("not sql")
 }
+
+// TestSQLCompositeGroupKeysKeepValuesApart: a multi-column GROUP BY keeps
+// a NULL component apart from the string 'NULL', which renders alike.
+func TestSQLCompositeGroupKeysKeepValuesApart(t *testing.T) {
+	e := New()
+	tab, err := e.CreateTable("t", ColumnDef{Name: "a", Type: "int"}, ColumnDef{Name: "b", Type: "string"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []any{nil, "NULL", "NULL"} {
+		if err := tab.Insert(1, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rows, err := e.MustQuery("SELECT t.a, t.b, COUNT(*) c FROM t GROUP BY t.a, t.b").Rows()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[any]int64{}
+	for _, r := range rows {
+		got[r[1]] = r[2].(int64)
+	}
+	if len(rows) != 2 || got[nil] != 1 || got["NULL"] != 2 {
+		t.Errorf("groups %v, want (1, NULL) once and (1, 'NULL') twice", rows)
+	}
+}
+
+// TestSQLCompositeJoinKeysDoNotCollide: a two-column equi-join matches
+// rows only when both columns are equal, whatever bytes the strings hold.
+func TestSQLCompositeJoinKeysDoNotCollide(t *testing.T) {
+	e := New()
+	for _, side := range []struct {
+		name string
+		a, b string
+	}{{"l", "x\x00y", "z"}, {"r", "x", "y\x00z"}} {
+		tab, err := e.CreateTable(side.name, ColumnDef{Name: "a", Type: "string"}, ColumnDef{Name: "b", Type: "string"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tab.Insert(side.a, side.b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rows, err := e.MustQuery("SELECT l.a, r.a FROM l JOIN r ON l.a = r.a AND l.b = r.b").Rows()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 0 {
+		t.Errorf("join matched %q: the keys differ in both columns", rows)
+	}
+}
