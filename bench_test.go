@@ -396,7 +396,8 @@ func BenchmarkExtDiskJoinOverhead(b *testing.B) { runExperiment(b, "ext-disk") }
 // (spilling) mode, drained through Next. Spill I/O goes through a
 // counting vfs.FaultFS over the real filesystem: creates/op is the
 // temporary files the join created, 1 while its spilled partitions share
-// one file.
+// one file; writes/op and reads/op are its buffer flushes and refills,
+// one positional call each.
 func BenchmarkSpilledJoin(b *testing.B) {
 	b.ReportAllocs()
 	fs := vfs.NewFaultFS(nil)
@@ -412,7 +413,18 @@ func BenchmarkSpilledJoin(b *testing.B) {
 			b.Fatal("expected spills")
 		}
 	}
-	b.ReportMetric(float64(fs.Count(vfs.OpCreate))/float64(b.N), "creates/op")
+	reportSpillOps(b, fs)
+}
+
+// reportSpillOps reports the spill file operations fs counted per
+// iteration.
+func reportSpillOps(b *testing.B, fs *vfs.FaultFS) {
+	for _, m := range []struct {
+		op   vfs.Op
+		unit string
+	}{{vfs.OpCreate, "creates/op"}, {vfs.OpWrite, "writes/op"}, {vfs.OpRead, "reads/op"}} {
+		b.ReportMetric(float64(fs.Count(m.op))/float64(b.N), m.unit)
+	}
 }
 
 // BenchmarkBudgetedScatter is BenchmarkSpilledJoin drained through
@@ -434,7 +446,7 @@ func BenchmarkBudgetedScatter(b *testing.B) {
 			b.Fatal("expected spills")
 		}
 	}
-	b.ReportMetric(float64(fs.Count(vfs.OpCreate))/float64(b.N), "creates/op")
+	reportSpillOps(b, fs)
 }
 
 // BenchmarkScanColLanes drains lineitem through the columnar scan and

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"math/bits"
+	"strings"
 )
 
 // Tuple wire format, used by the table-file format (internal/disk), whose
@@ -99,6 +100,13 @@ func DecodeTuple(r *bufio.Reader, ncols int) (Tuple, error) {
 // cumulative end-offsets followed by the concatenated bytes (the
 // dictionary/offsets layout). Mixed columns fall back to n per-row kind
 // tags with per-row payloads.
+//
+// Both directions move lanes, not values: the encoder fills the
+// bufio.Writer's free space with a run of a lane at a time, and the
+// decoder reads fixed-width spans (lanes, end-offsets, tags, bitmap
+// bytes) straight out of the bufio.Reader's buffer a buffered chunk at a
+// time. A string column's bytes are read as one string per frame column,
+// which every row of the column is a substring of.
 
 // colFrameMagic marks the start of a columnar frame.
 const colFrameMagic = 0xCF
@@ -113,12 +121,8 @@ const (
 // compacted away) to w.
 func EncodeColFrame(w *bufio.Writer, cb *ColBatch) error {
 	n := cb.Live()
-	if err := w.WriteByte(colFrameMagic); err != nil {
-		return err
-	}
-	var b [8]byte
-	binary.LittleEndian.PutUint32(b[:4], uint32(n))
-	if _, err := w.Write(b[:4]); err != nil {
+	hdr := binary.LittleEndian.AppendUint32(append(w.AvailableBuffer(), colFrameMagic), uint32(n))
+	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
 	for c := 0; c < cb.Width(); c++ {
@@ -247,7 +251,8 @@ func encodeColumn(w *bufio.Writer, cb *ColBatch, c, n int) error {
 // encodeLane writes the first n rows of a built single-kind vector
 // straight from its lane and bitmap — the bytes encodeColumn's per-value
 // walk produces, without building a Value per cell. NULL rows encode the
-// zero value whatever the lane holds under them.
+// zero value whatever the lane holds under them; a lane without NULL
+// rows is copied without looking at its bitmap.
 func encodeLane(w *bufio.Writer, v *ColVec, n int) error {
 	nulls := 0
 	for i, x := range v.Nulls {
@@ -270,36 +275,55 @@ func encodeLane(w *bufio.Writer, v *ColVec, n int) error {
 		return err
 	}
 	if nulls > 0 {
-		for k := 0; k < n; k += 8 {
-			var x uint64
-			if k>>6 < len(v.Nulls) {
-				x = v.Nulls[k>>6] >> uint(k&63)
+		err := writeChunks(w, (n+7)/8, 1, func(b []byte, k int) {
+			for i := range b {
+				row := 8 * (k + i)
+				var x uint64
+				if row>>6 < len(v.Nulls) {
+					x = v.Nulls[row>>6] >> uint(row&63)
+				}
+				if rest := n - row; rest < 8 {
+					x &= 1<<uint(rest) - 1
+				}
+				b[i] = byte(x)
 			}
-			if rest := n - k; rest < 8 {
-				x &= 1<<uint(rest) - 1
-			}
-			if err := w.WriteByte(byte(x)); err != nil {
-				return err
-			}
+		})
+		if err != nil {
+			return err
 		}
 	}
+	hasNulls := nulls > 0
 	switch kind {
 	case KindInt:
-		return writeLane(w, v.Ints[:n], v.Nulls, func(b []byte, x int64) []byte {
-			return binary.LittleEndian.AppendUint64(b, uint64(x))
+		return writeChunks(w, n, 8, func(b []byte, k int) {
+			for i, x := range v.Ints[k : k+len(b)/8] {
+				if hasNulls && v.Nulls.Get(k+i) {
+					x = 0
+				}
+				binary.LittleEndian.PutUint64(b[8*i:], uint64(x))
+			}
 		})
 	case KindFloat:
-		return writeLane(w, v.Floats[:n], v.Nulls, func(b []byte, x float64) []byte {
-			return binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+		return writeChunks(w, n, 8, func(b []byte, k int) {
+			for i, x := range v.Floats[k : k+len(b)/8] {
+				if hasNulls && v.Nulls.Get(k+i) {
+					x = 0
+				}
+				binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
+			}
 		})
 	case KindString:
 		off := uint32(0)
-		err := writeLane(w, v.Strs[:n], v.Nulls, func(b []byte, s string) []byte {
-			off += uint32(len(s))
-			return binary.LittleEndian.AppendUint32(b, off)
+		err := writeChunks(w, n, 4, func(b []byte, k int) {
+			for i, s := range v.Strs[k : k+len(b)/4] {
+				if !hasNulls || !v.Nulls.Get(k+i) {
+					off += uint32(len(s))
+				}
+				binary.LittleEndian.PutUint32(b[4*i:], off)
+			}
 		})
 		for k := 0; err == nil && k < n; k++ {
-			if !v.Nulls.Get(k) {
+			if !hasNulls || !v.Nulls.Get(k) {
 				_, err = w.WriteString(v.Strs[k])
 			}
 		}
@@ -308,22 +332,23 @@ func encodeLane(w *bufio.Writer, v *ColVec, n int) error {
 	return nil
 }
 
-// writeLane appends put(x) for every x of lane to w, filling w's free
-// buffer space in place; rows set in nulls put the zero value.
-func writeLane[T any](w *bufio.Writer, lane []T, nulls Bitmap, put func([]byte, T) []byte) error {
-	var zero T
-	for k := 0; k < len(lane); {
-		buf := w.AvailableBuffer()
-		for room := max(cap(buf)/8, 1); room > 0 && k < len(lane); room, k = room-1, k+1 {
-			if nulls.Get(k) {
-				buf = put(buf, zero)
-			} else {
-				buf = put(buf, lane[k])
+// writeChunks writes n values of size bytes each to w straight into its
+// free buffer space: fill(b, k) encodes values k, k+1, … into the whole
+// of b, as many as fit before w must flush.
+func writeChunks(w *bufio.Writer, n, size int, fill func(b []byte, k int)) error {
+	for k := 0; k < n; {
+		if w.Available() < size {
+			if err := w.Flush(); err != nil {
+				return err
 			}
 		}
-		if _, err := w.Write(buf); err != nil {
+		m := min(n-k, w.Available()/size)
+		b := w.AvailableBuffer()[:m*size]
+		fill(b, k)
+		if _, err := w.Write(b); err != nil {
 			return err
 		}
+		k += m
 	}
 	return nil
 }
@@ -362,11 +387,11 @@ func DecodeColFrame(r *bufio.Reader, ncols int, cb *ColBatch) error {
 	if magic != colFrameMagic {
 		return fmt.Errorf("data: decode frame: bad magic 0x%x", magic)
 	}
-	var b [8]byte
-	if _, err := io.ReadFull(r, b[:4]); err != nil {
+	hdr, err := next(r, 4)
+	if err != nil {
 		return fmt.Errorf("data: decode frame header: %w", err)
 	}
-	n := int(binary.LittleEndian.Uint32(b[:4]))
+	n := int(binary.LittleEndian.Uint32(hdr))
 	cb.ensureWidth(ncols)
 	cb.NRows = n
 	cb.Sel = nil
@@ -382,67 +407,17 @@ func DecodeColFrame(r *bufio.Reader, ncols int, cb *ColBatch) error {
 func decodeColumn(r *bufio.Reader, v *ColVec, n int) error {
 	flags, err := r.ReadByte()
 	if err != nil {
-		return err
+		return short(err)
 	}
 	v.reset()
 	kind := Kind(flags & 0x0f)
-	var b [8]byte
 	if flags&colFlagMixed != 0 {
-		tags := make([]Kind, n)
-		for k := 0; k < n; k++ {
-			tb, err := r.ReadByte()
-			if err != nil {
-				return err
-			}
-			tags[k] = Kind(tb)
-		}
-		v.Kind = kind
-		v.Tags = tags
-		v.Ints = growLane(v.Ints, n)
-		v.Floats = growLane(v.Floats, n)
-		v.Strs = growLane(v.Strs, n)
-		for k := 0; k < n; k++ {
-			v.Ints[k], v.Floats[k], v.Strs[k] = 0, 0, ""
-			switch tags[k] {
-			case KindInt:
-				if _, err := io.ReadFull(r, b[:]); err != nil {
-					return err
-				}
-				v.Ints[k] = int64(binary.LittleEndian.Uint64(b[:]))
-			case KindFloat:
-				if _, err := io.ReadFull(r, b[:]); err != nil {
-					return err
-				}
-				v.Floats[k] = math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
-			case KindString:
-				if _, err := io.ReadFull(r, b[:4]); err != nil {
-					return err
-				}
-				s := make([]byte, binary.LittleEndian.Uint32(b[:4]))
-				if _, err := io.ReadFull(r, s); err != nil {
-					return err
-				}
-				v.Strs[k] = string(s)
-			case KindNull:
-			default:
-				return fmt.Errorf("bad tag %d", tags[k])
-			}
-		}
-		return nil
+		return decodeMixed(r, v, kind, n)
 	}
 	v.Kind = kind
 	if flags&colFlagNulls != 0 {
-		nb := (n + 7) / 8
-		for i := 0; i < nb; i++ {
-			bb, err := r.ReadByte()
-			if err != nil {
-				return err
-			}
-			for j := 0; j < 8; j++ {
-				if bb&(1<<uint(j)) != 0 {
-					v.Nulls.Set(i*8 + j)
-				}
-			}
+		if err := readNulls(r, &v.Nulls, n); err != nil {
+			return err
 		}
 	}
 	switch kind {
@@ -451,48 +426,158 @@ func decodeColumn(r *bufio.Reader, v *ColVec, n int) error {
 			v.Nulls.Set(k)
 		}
 	case KindInt:
-		v.Ints = growLane(v.Ints, n)
-		for k := 0; k < n; k++ {
-			if _, err := io.ReadFull(r, b[:]); err != nil {
-				return err
+		lane := growLane(v.Ints, n)
+		v.Ints = lane
+		return readChunks(r, n, 8, func(b []byte, k int) {
+			for i := range lane[k : k+len(b)/8] {
+				lane[k+i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
 			}
-			v.Ints[k] = int64(binary.LittleEndian.Uint64(b[:]))
-		}
+		})
 	case KindFloat:
-		v.Floats = growLane(v.Floats, n)
-		for k := 0; k < n; k++ {
-			if _, err := io.ReadFull(r, b[:]); err != nil {
-				return err
+		lane := growLane(v.Floats, n)
+		v.Floats = lane
+		return readChunks(r, n, 8, func(b []byte, k int) {
+			for i := range lane[k : k+len(b)/8] {
+				lane[k+i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 			}
-			v.Floats[k] = math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
-		}
+		})
 	case KindString:
 		offs := make([]uint32, n)
-		for k := 0; k < n; k++ {
-			if _, err := io.ReadFull(r, b[:4]); err != nil {
-				return err
+		err := readChunks(r, n, 4, func(b []byte, k int) {
+			for i := range offs[k : k+len(b)/4] {
+				offs[k+i] = binary.LittleEndian.Uint32(b[4*i:])
 			}
-			offs[k] = binary.LittleEndian.Uint32(b[:4])
+		})
+		if err != nil {
+			return err
 		}
-		total := uint32(0)
-		if n > 0 {
-			total = offs[n-1]
+		prev := uint32(0)
+		for _, off := range offs {
+			if off < prev {
+				return fmt.Errorf("bad string offset %d", off)
+			}
+			prev = off
 		}
-		blob := make([]byte, total)
-		if _, err := io.ReadFull(r, blob); err != nil {
+		// One string holds the column's bytes and every row is a
+		// substring of it, so a row kept past the frame keeps that
+		// column's bytes alive and nothing else.
+		blob, err := readString(r, int(prev))
+		if err != nil {
 			return err
 		}
 		v.Strs = growLane(v.Strs, n)
-		prev := uint32(0)
-		for k := 0; k < n; k++ {
-			if offs[k] < prev || offs[k] > total {
-				return fmt.Errorf("bad string offset %d", offs[k])
-			}
-			v.Strs[k] = string(blob[prev:offs[k]])
-			prev = offs[k]
+		prev = 0
+		for k, off := range offs {
+			v.Strs[k], prev = blob[prev:off], off
 		}
 	default:
 		return fmt.Errorf("bad kind %d", kind)
 	}
 	return nil
+}
+
+// decodeMixed decodes an n-row mixed frame column into the reset vector
+// v: per-row tags, then each row's payload into its kind's lane.
+func decodeMixed(r *bufio.Reader, v *ColVec, kind Kind, n int) error {
+	tags := make([]Kind, n)
+	err := readChunks(r, n, 1, func(b []byte, k int) {
+		for i, x := range b {
+			tags[k+i] = Kind(x)
+		}
+	})
+	if err != nil {
+		return err
+	}
+	v.Kind = kind
+	v.Tags = tags
+	v.Ints = growLane(v.Ints, n)
+	v.Floats = growLane(v.Floats, n)
+	v.Strs = growLane(v.Strs, n)
+	for k, tag := range tags {
+		v.Ints[k], v.Floats[k], v.Strs[k] = 0, 0, ""
+		var b []byte
+		switch tag {
+		case KindInt, KindFloat:
+			if b, err = next(r, 8); err != nil {
+				return err
+			}
+			if tag == KindInt {
+				v.Ints[k] = int64(binary.LittleEndian.Uint64(b))
+			} else {
+				v.Floats[k] = math.Float64frombits(binary.LittleEndian.Uint64(b))
+			}
+		case KindString:
+			if b, err = next(r, 4); err != nil {
+				return err
+			}
+			if v.Strs[k], err = readString(r, int(binary.LittleEndian.Uint32(b))); err != nil {
+				return err
+			}
+		case KindNull:
+		default:
+			return fmt.Errorf("bad tag %d", tag)
+		}
+	}
+	return nil
+}
+
+// readNulls reads the packed NULL bits of an n-row frame column into the
+// cleared bitmap bm a byte at a time; bits past the last row are dropped.
+func readNulls(r *bufio.Reader, bm *Bitmap, n int) error {
+	for len(*bm) < (n+63)>>6 {
+		*bm = append(*bm, 0)
+	}
+	return readChunks(r, (n+7)/8, 1, func(b []byte, k int) {
+		for i, x := range b {
+			row := 8 * (k + i)
+			bits := uint64(x)
+			if rest := n - row; rest < 8 {
+				bits &= 1<<uint(rest) - 1
+			}
+			(*bm)[row>>6] |= bits << uint(row&63)
+		}
+	})
+}
+
+// readChunks decodes n values of size bytes each straight out of r's
+// buffer: fill(b, k) gets values k, k+1, … — all that r holds buffered,
+// or one value after a refill.
+func readChunks(r *bufio.Reader, n, size int, fill func(b []byte, k int)) error {
+	for k := 0; k < n; {
+		m := min(n-k, max(r.Buffered()/size, 1))
+		b, err := next(r, m*size)
+		if err != nil {
+			return err
+		}
+		fill(b, k)
+		k += m
+	}
+	return nil
+}
+
+// readString reads r's next n bytes as one newly allocated string.
+func readString(r *bufio.Reader, n int) (string, error) {
+	var sb strings.Builder
+	sb.Grow(n)
+	err := readChunks(r, n, 1, func(b []byte, _ int) { sb.Write(b) })
+	return sb.String(), err
+}
+
+// next consumes r's next n bytes (n ≤ r.Size()) and returns them from r's
+// buffer, valid until the next read from r.
+func next(r *bufio.Reader, n int) ([]byte, error) {
+	b, err := r.Peek(n)
+	if len(b) < n {
+		return nil, short(err)
+	}
+	_, _ = r.Discard(n) // cannot fail: Peek buffered the n bytes
+	return b, nil
+}
+
+// short is the error of a frame that ends early.
+func short(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }

@@ -3,10 +3,13 @@ package data
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestCodecPropertyRoundTrip(t *testing.T) {
@@ -236,6 +239,138 @@ func BenchmarkEncodeColFrame(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := EncodeColFrame(w, &cb); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestDecodeColFrameTruncated: every strict prefix of a frame fails to
+// decode — as the first frame of a stream and after a whole frame — and
+// none reads as the clean end of the stream, which only the empty stream
+// is. The reader's 16-byte buffer makes every lane, bitmap and
+// string blob cross refills.
+func TestDecodeColFrameTruncated(t *testing.T) {
+	for _, n := range []int{1, 9, 64, 200, 256} {
+		rows := make([]Tuple, n)
+		for i := range rows {
+			rows[i] = frameShapes(i)
+		}
+		w := len(rows[0])
+		var src ColBatch
+		src.FromTuples(rows, w)
+		full := encodeFrame(t, &src)
+		var dec ColBatch
+		for cut := 1; cut < len(full); cut++ {
+			r := bufio.NewReaderSize(bytes.NewReader(full[:cut]), 16)
+			if err := DecodeColFrame(r, w, &dec); err == nil || err == io.EOF {
+				t.Fatalf("%d rows: prefix of %d of %d bytes decoded: %v", n, cut, len(full), err)
+			}
+			if n > 64 {
+				continue // the tail check costs the square of the frame's size; small frames cover its cases
+			}
+			run := append(append([]byte(nil), full...), full[:cut]...)
+			r = bufio.NewReaderSize(bytes.NewReader(run), 16)
+			if err := DecodeColFrame(r, w, &dec); err != nil {
+				t.Fatalf("%d rows: the whole first frame: %v", n, err)
+			}
+			if err := DecodeColFrame(r, w, &dec); err == nil || err == io.EOF {
+				t.Fatalf("%d rows: a stream ending in a prefix of %d bytes ended cleanly: %v", n, cut, err)
+			}
+		}
+		r := bufio.NewReaderSize(bytes.NewReader(full), 16)
+		if err := DecodeColFrame(r, w, &dec); err != nil {
+			t.Fatalf("%d rows: %v", n, err)
+		}
+		for i, got := range dec.ToTuples(nil) {
+			for c := range got {
+				if got[c] != rows[i][c] {
+					t.Fatalf("%d rows: decoded row %d col %d = %v, want %v", n, i, c, got[c], rows[i][c])
+				}
+			}
+		}
+		if err := DecodeColFrame(r, w, &dec); err != io.EOF {
+			t.Fatalf("%d rows: after the frame: %v, want io.EOF", n, err)
+		}
+	}
+	if err := DecodeColFrame(bufio.NewReader(bytes.NewReader(nil)), 3, new(ColBatch)); err != io.EOF {
+		t.Fatalf("empty stream: %v, want io.EOF", err)
+	}
+}
+
+// TestDecodeColFrameStringsOwnTheirColumn: a string decoded from a frame
+// keeps its value when later frames are decoded into the same batch and
+// when the batch is released, and what it keeps alive is its own frame
+// column's bytes: every row of a column lies in one block exactly the
+// column's size, apart from the other string columns' blocks.
+func TestDecodeColFrameStringsOwnTheirColumn(t *testing.T) {
+	frame := func(tag string) []byte {
+		rows := make([]Tuple, 100)
+		for i := range rows {
+			rows[i] = Tuple{Str(fmt.Sprintf("%s-a%d", tag, i)), Int(int64(i)), Str(fmt.Sprintf("%s-b%d", tag, i%7))}
+		}
+		var cb ColBatch
+		cb.FromTuples(rows, 3)
+		return encodeFrame(t, &cb)
+	}
+	r := bufio.NewReaderSize(bytes.NewReader(append(frame("one"), frame("two")...)), 16)
+	var dec ColBatch
+	if err := DecodeColFrame(r, 3, &dec); err != nil {
+		t.Fatal(err)
+	}
+	kept := dec.ToTuples(nil)
+	for _, c := range []int{0, 2} {
+		lo, hi, size := uintptr(math.MaxUint), uintptr(0), 0
+		for _, s := range dec.Cols[c].Strs[:dec.NRows] {
+			p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+			lo, hi, size = min(lo, p), max(hi, p+uintptr(len(s))), size+len(s)
+		}
+		if int(hi-lo) != size {
+			t.Errorf("col %d: rows span %d bytes, want the column's %d", c, hi-lo, size)
+		}
+		other := dec.Cols[2-c].Strs[0]
+		if p := uintptr(unsafe.Pointer(unsafe.StringData(other))); p >= lo && p < hi {
+			t.Errorf("col %d's block holds col %d's bytes", c, 2-c)
+		}
+	}
+	if err := DecodeColFrame(r, 3, &dec); err != nil {
+		t.Fatal(err)
+	}
+	dec.Release()
+	for i, row := range kept {
+		if a, b := fmt.Sprintf("one-a%d", i), fmt.Sprintf("one-b%d", i%7); row[0] != Str(a) || row[2] != Str(b) {
+			t.Fatalf("kept row %d = %v after the next frame and Release, want %s, %s", i, row, a, b)
+		}
+	}
+}
+
+// BenchmarkDecodeColFrame decodes BenchmarkEncodeColFrame's frame into a
+// reused batch.
+func BenchmarkDecodeColFrame(b *testing.B) {
+	rows := make([]Tuple, 256)
+	for i := range rows {
+		rows[i] = Tuple{Int(int64(i)), Int(int64(i % 7)), Float(float64(i) / 3), Str("payload-string")}
+		if i%9 == 0 {
+			rows[i][1] = Null()
+		}
+	}
+	var cb ColBatch
+	cb.FromTuples(rows, 4)
+	var buf bytes.Buffer
+	w := bufio.NewWriter(&buf)
+	if err := EncodeColFrame(w, &cb); err != nil {
+		b.Fatal(err)
+	}
+	w.Flush()
+	frame := buf.Bytes()
+	var src bytes.Reader
+	r := bufio.NewReaderSize(nil, 1<<16)
+	var dec ColBatch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		src.Reset(frame)
+		r.Reset(&src)
+		if err := DecodeColFrame(r, 4, &dec); err != nil {
 			b.Fatal(err)
 		}
 	}

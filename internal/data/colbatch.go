@@ -701,6 +701,24 @@ func (cb *ColBatch) AppendFrom(src *ColBatch, i int) {
 	cb.NRows++
 }
 
+// ReserveLike grows each column's lane of the kind like's column holds
+// to n rows, so appending up to n rows of batches shaped like like
+// (AppendBatchFrom) reallocates no lane — how the spill reader sizes a
+// build partition once from its run's row count.
+func (cb *ColBatch) ReserveLike(like *ColBatch, n int) {
+	for c := range cb.Cols {
+		v := &cb.Cols[c]
+		switch like.Col(c).Kind {
+		case KindInt:
+			v.Ints = reserveLane(v.Ints, n)
+		case KindFloat:
+			v.Floats = reserveLane(v.Floats, n)
+		case KindString:
+			v.Strs = reserveLane(v.Strs, n)
+		}
+	}
+}
+
 // AppendBatchFrom appends every live row of src to cb in selection
 // order — how the spill reader reassembles a build partition from its
 // frames and a sample-order scan a batch from its storage runs.

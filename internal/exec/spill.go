@@ -31,11 +31,15 @@ var (
 // many runs it spills. The file is created on the first run and unlinked
 // at once — it lives until the descriptor closes, and crashes can't leak
 // it — and closed when its last open run closes; a later spill creates a
-// fresh one. All I/O goes through an injectable vfs.FS so tests can force
-// failures at every phase and count descriptors. An arena belongs to one
-// operator and is used from its executor goroutine only. The operator
-// holds only the FS and a pointer; the file's state is allocated with the
-// file, only when the operator spills.
+// fresh one. A run's bytes are written and read by position (WriteAt at
+// the file's end, ReadAt at the extent being read), so runs whose I/O
+// interleaves cost one syscall per buffer flush or refill and the file
+// has no offset to keep. All I/O goes through an injectable vfs.FS so
+// tests can force failures at every phase and count descriptors and
+// operations. An arena belongs to one operator and is used from its
+// executor goroutine only. The operator holds only the FS and a pointer;
+// the file's state is allocated with the file, only when the operator
+// spills.
 type spillArena struct {
 	fs  vfs.FS     // nil = the real filesystem
 	cur *arenaFile // the file of the open runs; nil or closed when none is open
@@ -45,7 +49,6 @@ type spillArena struct {
 type arenaFile struct {
 	f    vfs.File
 	end  int64 // append point: bytes written to f
-	pos  int64 // f's offset; -1 when unknown after a failed op
 	runs int   // runs created and not yet closed
 }
 
@@ -75,19 +78,6 @@ func (a *spillArena) newRun(ncols int) (*spillFile, error) {
 	return s, nil
 }
 
-// seek moves the file offset to off unless it is already there.
-func (af *arenaFile) seek(off int64) error {
-	if af.pos == off {
-		return nil
-	}
-	if _, err := af.f.Seek(off, io.SeekStart); err != nil {
-		af.pos = -1
-		return err
-	}
-	af.pos = off
-	return nil
-}
-
 // release closes one run; the last one closes the file.
 func (af *arenaFile) release() error {
 	af.runs--
@@ -105,10 +95,7 @@ type runWriter struct{ s *spillFile }
 
 func (w runWriter) Write(p []byte) (int, error) {
 	s, a := w.s, w.s.af
-	if err := a.seek(a.end); err != nil {
-		return 0, err
-	}
-	n, err := a.f.Write(p)
+	n, err := a.f.WriteAt(p, a.end)
 	if n > 0 {
 		if k := len(s.ext) - 1; k >= 0 && s.ext[k].off+s.ext[k].n == a.end {
 			s.ext[k].n += int64(n)
@@ -116,16 +103,12 @@ func (w runWriter) Write(p []byte) (int, error) {
 			s.ext = append(s.ext, extent{a.end, int64(n)})
 		}
 		a.end += int64(n)
-		a.pos += int64(n)
-	}
-	if err != nil {
-		a.pos = -1
 	}
 	return n, err
 }
 
-// runReader serves a run's extents in order, seeking only when another
-// run's I/O moved the offset; io.EOF at the run's end.
+// runReader serves a run's extents in order, each read at its position in
+// the file; io.EOF at the run's end.
 type runReader struct{ s *spillFile }
 
 func (r runReader) Read(p []byte) (int, error) {
@@ -137,23 +120,17 @@ func (r runReader) Read(p []byte) (int, error) {
 		return 0, io.EOF
 	}
 	e := s.ext[s.rext]
-	if err := a.seek(e.off + s.roff); err != nil {
-		return 0, err
-	}
 	if rest := e.n - s.roff; int64(len(p)) > rest {
 		p = p[:rest]
 	}
-	n, err := a.f.Read(p)
+	n, err := a.f.ReadAt(p, e.off+s.roff)
 	s.roff += int64(n)
-	a.pos += int64(n)
-	switch {
-	case err == io.EOF && n > 0:
-		err = nil
-	case err == io.EOF:
-		err = io.ErrUnexpectedEOF // the file is shorter than the run
-	}
-	if err != nil {
-		a.pos = -1
+	if err == io.EOF {
+		if n == len(p) {
+			err = nil // the extent ends where the file does
+		} else {
+			err = io.ErrUnexpectedEOF // the file is shorter than the run
+		}
 	}
 	return n, err
 }
@@ -167,9 +144,10 @@ func (r runReader) Read(p []byte) (int, error) {
 // (data.EncodeColFrame), written lane-to-lane: appendColRows buffers rows
 // in pcol — a pooled lane batch filled by typed copies, no tuple
 // materialization — and appendColAll encodes a whole lane batch through
-// the frame window win. A run reads back a frame at a time with
-// nextColFrame (an external sort's merge decodes into dec), or whole with
-// readAllCol through dec.
+// the frame window win. The run counts the rows written to it. It reads
+// back a frame at a time with nextColFrame (an external sort's merge
+// decodes into dec), or whole with readAllCol through dec, onto lanes
+// reserved once for the run's rows.
 type spillFile struct {
 	af    *arenaFile // nil once closed
 	ext   []extent
@@ -178,6 +156,7 @@ type spillFile struct {
 	w     *bufio.Writer
 	r     *bufio.Reader
 	ncols int
+	rows  int // rows written to the run
 	pcol  *data.ColBatch
 	win   data.ColBatch
 	dec   *data.ColBatch
@@ -196,6 +175,7 @@ func (s *spillFile) appendColRows(src *data.ColBatch, idx []int32) error {
 		s.pcol = data.GetColBatch()
 		s.pcol.BeginBuild(s.ncols)
 	}
+	s.rows += len(idx)
 	for len(idx) > 0 {
 		take := min(len(idx), colFrameRows-s.pcol.NRows)
 		s.pcol.AppendRowsFrom(src, idx[:take])
@@ -224,6 +204,7 @@ func (s *spillFile) flushColLanes() error {
 // batches are dense (built by the scatter's appends), so each frame is
 // encoded from a window of the lanes, not a copy.
 func (s *spillFile) appendColAll(cb *data.ColBatch) error {
+	s.rows += cb.NRows
 	for start := 0; start < cb.NRows; start += colFrameRows {
 		s.win.SetWindow(cb.Cols, start, min(start+colFrameRows, cb.NRows))
 		if err := data.EncodeColFrame(s.w, &s.win); err != nil {
@@ -239,7 +220,8 @@ func (s *spillFile) nextColFrame(dst *data.ColBatch) error {
 	return data.DecodeColFrame(s.r, s.ncols, dst)
 }
 
-// readAllCol reads every remaining frame back into dst's lanes.
+// readAllCol reads every remaining frame back into dst's lanes, which
+// the first frame's kinds and the run's row count size once.
 func (s *spillFile) readAllCol(dst *data.ColBatch) error {
 	if err := s.startRead(); err != nil {
 		return err
@@ -255,6 +237,9 @@ func (s *spillFile) readAllCol(dst *data.ColBatch) error {
 		}
 		if err != nil {
 			return err
+		}
+		if dst.NRows == 0 {
+			dst.ReserveLike(s.dec, s.rows)
 		}
 		dst.AppendBatchFrom(s.dec)
 	}

@@ -77,6 +77,58 @@ func TestSpilledTypedJoins(t *testing.T) {
 	}
 }
 
+// TestSpilledStringsGroupBy: a string column read back from a spilled
+// build partition feeds a GROUP BY that keeps its values past the frames
+// they were decoded from — as group keys and as MIN/MAX state — and the
+// groups equal the unbudgeted join's.
+func TestSpilledStringsGroupBy(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	build := storage.NewTable("b", data.NewSchema(
+		data.Column{Table: "b", Name: "k", Kind: data.KindInt},
+		data.Column{Table: "b", Name: "s", Kind: data.KindString},
+	))
+	for i := 0; i < 3000; i++ {
+		s := data.Str(fmt.Sprintf("g%d-%s", rng.Intn(50), strings.Repeat("x", rng.Intn(40))))
+		if i%23 == 0 {
+			s = data.Null()
+		}
+		build.MustAppend(data.Tuple{data.Int(int64(rng.Intn(200))), s})
+	}
+	probe := makeTable("a", randTable("a", 2000, 200, 8))
+	run := func(budget int64) ([]string, int) {
+		j := NewHashJoin(NewScan(build, ""), NewScan(probe, ""), 0, 0)
+		j.SetMemoryBudget(budget)
+		agg := NewHashAgg(j, []int{1}, []AggSpec{{Func: CountStar, Name: "n"}, {Func: Min, Col: 1, Name: "lo"}, {Func: Max, Col: 1, Name: "hi"}})
+		if err := agg.Open(); err != nil {
+			t.Fatal(err)
+		}
+		rows, err := Drain(agg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := agg.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return sortedStrings(rows), j.Spilled()
+	}
+	want, spills := run(0)
+	if spills != 0 {
+		t.Fatalf("unbudgeted join spilled %d partitions", spills)
+	}
+	got, spills := run(16 * 1024)
+	if spills == 0 {
+		t.Fatal("budgeted join did not spill")
+	}
+	if len(got) != len(want) {
+		t.Fatalf("spilled join grouped into %d groups, in-memory %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("group %d: spilled %s, in-memory %s", i, got[i], want[i])
+		}
+	}
+}
+
 // TestExternalSortMatchesInMemory: under a memory budget that spills
 // dozens of runs, a sort emits exactly the rows of the unbudgeted sort in
 // exactly its order — rows with equal keys included, which keep their
@@ -429,8 +481,8 @@ func TestSpillArenaRoundTrip(t *testing.T) {
 	if total != arena.cur.end {
 		t.Errorf("extents cover %d bytes, the file holds %d", total, arena.cur.end)
 	}
-	if n := fs.Count(vfs.OpSeek); n != 0 {
-		t.Errorf("appends issued %d seeks; nothing moved the offset from the end", n)
+	if n := fs.Count(vfs.OpWrite); n != len(appends) {
+		t.Errorf("%d appends issued %d writes, want one per flush", len(appends), n)
 	}
 
 	for i, f := range runs {
@@ -495,5 +547,58 @@ func TestSpillArenaRoundTrip(t *testing.T) {
 	}
 	if n := fs.Count(vfs.OpCreate); n != 2 {
 		t.Errorf("%d files created, want 2: one for the runs, a fresh one after the last closed", n)
+	}
+
+	// Runs of up to one buffer, appended to in turns, each flushed just
+	// before it is read and read a part at a time in turns with the
+	// others: every flush is one write and every refill one read, however
+	// the runs' I/O interleaves.
+	fs = vfs.NewFaultFS(nil)
+	arena = &spillArena{fs: fs}
+	sizes := []int{1, 4096, 1<<16 - 1, 1 << 16, 30000}
+	runs = runs[:0]
+	want = want[:0]
+	for range sizes {
+		f, err := arena.newRun(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs = append(runs, f)
+		want = append(want, nil)
+	}
+	for half := 0; half < 2; half++ {
+		for i, f := range runs {
+			chunk := make([]byte, sizes[i]/2+half*(sizes[i]&1))
+			rng.Read(chunk)
+			if _, err := f.w.Write(chunk); err != nil {
+				t.Fatal(err)
+			}
+			want[i] = append(want[i], chunk...)
+		}
+	}
+	got = make([][]byte, len(runs))
+	for i, f := range runs {
+		if err := f.startRead(); err != nil {
+			t.Fatal(err)
+		}
+		got[i] = make([]byte, len(want[i])/2)
+		if _, err := io.ReadFull(f.r, got[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, f := range runs {
+		rest, err := io.ReadAll(f.r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[i] = append(got[i], rest...); !bytes.Equal(got[i], want[i]) {
+			t.Errorf("run of %d bytes read back %d bytes, or contents differ", sizes[i], len(got[i]))
+		}
+		if err := f.close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if w, r := fs.Count(vfs.OpWrite), fs.Count(vfs.OpRead); w != len(runs) || r != len(runs) {
+		t.Errorf("%d runs of at most 64 KiB issued %d writes and %d reads, want one of each per run", len(runs), w, r)
 	}
 }

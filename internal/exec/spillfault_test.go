@@ -16,7 +16,7 @@ import (
 // are released. (An operator's spill file is unlinked at creation, so "no
 // leftover temp files" is exactly "no open descriptors".)
 
-var spillOps = []vfs.Op{vfs.OpCreate, vfs.OpWrite, vfs.OpRead, vfs.OpSeek, vfs.OpClose}
+var spillOps = []vfs.Op{vfs.OpCreate, vfs.OpWrite, vfs.OpRead, vfs.OpClose}
 
 func expectInjectedIO(t *testing.T, fs *vfs.FaultFS, err error) {
 	t.Helper()
@@ -170,7 +170,7 @@ func TestSpillFaultPooledBuffersIsolated(t *testing.T) {
 	}
 	big, bigIdx := lanes(6000) // >64 KiB of frames: forces mid-write flushes
 	small, smallIdx := lanes(500)
-	ops := []vfs.Op{vfs.OpWrite, vfs.OpRead, vfs.OpSeek, vfs.OpClose}
+	ops := []vfs.Op{vfs.OpWrite, vfs.OpRead, vfs.OpClose}
 	out := data.ColBatchesOut()
 	for round := 0; round < 8; round++ {
 		// Victim: fault at the round's op, then close (idempotent, returns

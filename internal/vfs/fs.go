@@ -11,15 +11,16 @@ import (
 // This file is the injectable filesystem seam for the engine's temporary
 // spill I/O (grace hash-join partitions, external sort runs). Production
 // code uses OS; tests wrap it in a FaultFS to force create/write/read/
-// seek/close failures at any point of a spilling operator's lifecycle and
-// to assert descriptor-clean shutdown.
+// close failures at any point of a spilling operator's lifecycle, to
+// count the operations issued and to assert descriptor-clean shutdown.
 
-// File is the I/O surface the spill paths need from a temporary file.
-// *os.File satisfies it.
+// File is the I/O surface the spill paths need from a temporary file:
+// positional reads and writes (the spill paths keep every offset
+// themselves, so a file has no offset to move), Close, and the Name it
+// is unlinked by. *os.File satisfies it.
 type File interface {
-	io.Reader
-	io.Writer
-	io.Seeker
+	io.ReaderAt
+	io.WriterAt
 	io.Closer
 	Name() string
 }
@@ -51,7 +52,6 @@ const (
 	OpCreate Op = iota
 	OpWrite
 	OpRead
-	OpSeek
 	OpClose
 	numOps
 )
@@ -64,8 +64,6 @@ func (o Op) String() string {
 		return "write"
 	case OpRead:
 		return "read"
-	case OpSeek:
-		return "seek"
 	default:
 		return "close"
 	}
@@ -176,25 +174,18 @@ type faultFile struct {
 
 func (ff *faultFile) Name() string { return ff.file.Name() }
 
-func (ff *faultFile) Write(p []byte) (int, error) {
+func (ff *faultFile) WriteAt(p []byte, off int64) (int, error) {
 	if err := ff.fs.trip(OpWrite); err != nil {
 		return 0, err
 	}
-	return ff.file.Write(p)
+	return ff.file.WriteAt(p, off)
 }
 
-func (ff *faultFile) Read(p []byte) (int, error) {
+func (ff *faultFile) ReadAt(p []byte, off int64) (int, error) {
 	if err := ff.fs.trip(OpRead); err != nil {
 		return 0, err
 	}
-	return ff.file.Read(p)
-}
-
-func (ff *faultFile) Seek(offset int64, whence int) (int64, error) {
-	if err := ff.fs.trip(OpSeek); err != nil {
-		return 0, err
-	}
-	return ff.file.Seek(offset, whence)
+	return ff.file.ReadAt(p, off)
 }
 
 func (ff *faultFile) Close() error {

@@ -14,15 +14,18 @@ func TestOSCreateTempRoundTrip(t *testing.T) {
 	}
 	name := f.Name()
 	defer OS{}.Remove(name)
-	if _, err := f.Write([]byte("hello")); err != nil {
+	if _, err := f.WriteAt([]byte("hello"), 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
+	if _, err := f.WriteAt([]byte(", world"), 5); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 5)
-	if _, err := io.ReadFull(f, buf); err != nil || string(buf) != "hello" {
+	if _, err := f.ReadAt(buf, 7); err != nil || string(buf) != "world" {
 		t.Fatalf("read back %q, %v", buf, err)
+	}
+	if n, err := f.ReadAt(buf, 10); n != 2 || err != io.EOF {
+		t.Fatalf("read across the end: %d bytes, %v; want 2, io.EOF", n, err)
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
@@ -35,25 +38,39 @@ func TestOSCreateTempRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFaultFSFailsNthOp: WriteAt counts as OpWrite and ReadAt as OpRead;
+// only the configured occurrence of each fails, and a failed op touches
+// nothing.
 func TestFaultFSFailsNthOp(t *testing.T) {
-	fs := NewFaultFS(nil).FailAt(OpWrite, 2)
+	fs := NewFaultFS(nil).FailAt(OpWrite, 2).FailAt(OpRead, 2)
 	f, err := fs.CreateTemp("qpi-vfs-test-*")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fs.Remove(f.Name())
-	if _, err := f.Write([]byte("a")); err != nil {
+	if _, err := f.WriteAt([]byte("a"), 0); err != nil {
 		t.Fatalf("first write: %v", err)
 	}
-	if _, err := f.Write([]byte("b")); !errors.Is(err, ErrInjected) {
+	if _, err := f.WriteAt([]byte("b"), 1); !errors.Is(err, ErrInjected) {
 		t.Fatalf("second write: want ErrInjected, got %v", err)
 	}
 	// The trigger is one-shot: only the exact n-th op fails.
-	if _, err := f.Write([]byte("c")); err != nil {
+	if _, err := f.WriteAt([]byte("c"), 1); err != nil {
 		t.Fatalf("third write: %v", err)
 	}
-	if fs.Count(OpWrite) != 3 {
-		t.Fatalf("write count = %d, want 3", fs.Count(OpWrite))
+	buf := make([]byte, 2)
+	for i, want := range []error{nil, ErrInjected, nil} {
+		buf[0], buf[1] = 0, 0
+		_, err := f.ReadAt(buf, 0)
+		if want == nil && (err != nil || string(buf) != "ac") {
+			t.Fatalf("read %d: %q, %v; want \"ac\"", i+1, buf, err)
+		}
+		if want != nil && (!errors.Is(err, want) || buf[0] != 0) {
+			t.Fatalf("read %d: %q, %v; want ErrInjected and nothing read", i+1, buf, err)
+		}
+	}
+	if fs.Count(OpWrite) != 3 || fs.Count(OpRead) != 3 {
+		t.Fatalf("write count = %d, read count = %d, want 3 and 3", fs.Count(OpWrite), fs.Count(OpRead))
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)

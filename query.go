@@ -112,7 +112,9 @@ func WithMemoryBudget(bytes int64) CompileOption {
 // partitions, external-sort runs) create their temporary files on. The
 // zero value of the seam is the real filesystem; tests and servers
 // inject instrumented implementations (fault injection, open-descriptor
-// accounting) through WithSpillFS.
+// accounting) through WithSpillFS. A file it creates needs ReadAt,
+// WriteAt, Close and Name only: spill I/O is positional, so an *os.File
+// serves as is.
 type SpillFS = vfs.FS
 
 // WithSpillFS routes every spilling operator's temporary-file I/O
