@@ -57,21 +57,12 @@ func (p *PipelineEstimator) installColHooks() {
 				}
 			}
 			rows := cb.MaterializeRows()
-			observe := func(i int) {
+			cb.EachLive(func(i int) {
 				key := exec.JoinKeyOf(rows[i], buildKeys)
 				for _, u := range updates {
 					p.hists[u.level][j].AddN(key, p.buildWeight(rows[i], j, u.level))
 				}
-			}
-			if cb.Sel == nil {
-				for i := 0; i < cb.NRows; i++ {
-					observe(i)
-				}
-			} else {
-				for _, i := range cb.Sel {
-					observe(int(i))
-				}
-			}
+			})
 		})
 	}
 }

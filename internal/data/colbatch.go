@@ -24,13 +24,15 @@ import (
 // batch is released; Release (and PutColBatch) clears them so a pooled
 // batch never pins string or tuple backing memory.
 //
-// Table-resident lanes (SetWindow — what a table scan hands out): every
-// column lane is a window of the stored table itself, not of a buffer the
-// producer owns, and the batch carries no Rows. The lanes are read-only
-// for everyone, the producer included; they stay valid for the whole query
-// (a table is append-only and a window never sees the appended rows), so
-// the until-the-next-call rule above only binds the struct and its NULL
-// bitmaps, which the producer does reuse. A window's capacity ends where
+// Table-resident lanes (SetWindow — what a table scan hands out, and a
+// hash aggregation over its finished group lanes): every column lane is a
+// window of the stored table itself (or of lanes the producer no longer
+// writes), not of a buffer the producer refills, and the batch carries no
+// Rows. The lanes are read-only for everyone, the producer included; they
+// stay valid for the whole query (a table is append-only and a window
+// never sees the appended rows), so the until-the-next-call rule above
+// only binds the struct and its NULL bitmaps, which the producer does
+// reuse. A window's capacity ends where
 // the window does, so a stray append reallocates instead of writing into
 // the table — but reset, BeginBuild, Release and PutColBatch would
 // truncate or clear the table's own memory (release clears Strs across
@@ -345,6 +347,19 @@ func (cb *ColBatch) Live() int {
 	return cb.NRows
 }
 
+// EachLive calls f with every live row's index in row order.
+func (cb *ColBatch) EachLive(f func(i int)) {
+	if cb.Sel == nil {
+		for i := 0; i < cb.NRows; i++ {
+			f(i)
+		}
+		return
+	}
+	for _, i := range cb.Sel {
+		f(int(i))
+	}
+}
+
 // ensureWidth sizes Cols to w columns, retaining existing vector buffers.
 func (cb *ColBatch) ensureWidth(w int) {
 	if cap(cb.Cols) >= w {
@@ -387,10 +402,10 @@ func (cb *ColBatch) SetRows(rows []Tuple, width int) {
 }
 
 // SetWindow makes the batch a read-only view of rows [lo, hi) of a stored
-// table's column vectors lanes (dense: one row per table row, as AppendVal
-// and the batch appends build them). Nothing is copied but the NULL bits,
-// which are re-based into bitmaps the batch owns and reuses (lo need not
-// be word-aligned). See the table-resident clause of the ownership
+// table's column vectors, or of other finished lanes (dense: one entry per
+// row, as AppendVal and the batch appends build them). Nothing is copied
+// but the NULL bits, which are re-based into bitmaps the batch owns and
+// reuses (lo need not be word-aligned). See the table-resident clause of the ownership
 // contract above.
 func (cb *ColBatch) SetWindow(lanes []ColVec, lo, hi int) {
 	cb.ensureWidth(len(lanes))
@@ -552,23 +567,14 @@ func (cb *ColBatch) ToTuples(buf Batch) Batch {
 	w := len(cb.Cols)
 	live := cb.Live()
 	arena := make([]Value, live*w)
-	emitRow := func(i int) {
+	cb.EachLive(func(i int) {
 		row := arena[:w:w]
 		arena = arena[w:]
 		for c := range cb.Cols {
 			row[c] = cb.Cols[c].ValueAt(i)
 		}
 		buf = append(buf, Tuple(row))
-	}
-	if cb.Sel == nil {
-		for i := 0; i < cb.NRows; i++ {
-			emitRow(i)
-		}
-	} else {
-		for _, i := range cb.Sel {
-			emitRow(int(i))
-		}
-	}
+	})
 	return buf
 }
 
@@ -582,23 +588,14 @@ func (cb *ColBatch) MaterializeRows() []Tuple {
 	w := len(cb.Cols)
 	rows := make([]Tuple, cb.NRows)
 	arena := make([]Value, cb.Live()*w)
-	fill := func(i int) {
+	cb.EachLive(func(i int) {
 		row := arena[:w:w]
 		arena = arena[w:]
 		for c := range cb.Cols {
 			row[c] = cb.Cols[c].ValueAt(i)
 		}
 		rows[i] = Tuple(row)
-	}
-	if cb.Sel == nil {
-		for i := 0; i < cb.NRows; i++ {
-			fill(i)
-		}
-	} else {
-		for _, i := range cb.Sel {
-			fill(int(i))
-		}
-	}
+	})
 	cb.Rows = rows
 	return rows
 }

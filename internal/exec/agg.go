@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"sort"
 
 	"qpi/internal/data"
 	"qpi/internal/hashtab"
@@ -93,6 +92,17 @@ func (s *aggState) result(f AggFunc) data.Value {
 	}
 }
 
+// grown returns s one zero entry longer. A full s doubles its capacity:
+// append grows a long slice by only a quarter, re-copying the per-group
+// slices several times more.
+func grown[T any](s []T) []T {
+	if len(s) == cap(s) {
+		s = append(make([]T, 0, max(2*cap(s), 16)), s...)
+	}
+	var zero T
+	return append(s, zero)
+}
+
 // aggSchema builds the output schema of a grouping operator.
 func aggSchema(in *data.Schema, groupBy []int, aggs []AggSpec) *data.Schema {
 	cols := make([]data.Column, 0, len(groupBy)+len(aggs))
@@ -136,6 +146,12 @@ func GroupKey(t data.Tuple, groupBy []int) data.Value {
 // column-at-a-time and partitioned by group key (reporting each row's
 // group count through OnInputGroupCounts — where the distinct-value
 // estimators attach), then groups are computed and emitted.
+//
+// A group is a row index into lanes the operator owns: the first
+// len(groupBy) lanes hold the group values, gathered off each input batch
+// from the rows that opened a group, and one lane per aggregate follows,
+// written when the input ends. The groups leave in first-seen order as
+// windows of those lanes.
 type HashAgg struct {
 	base
 	child   Operator
@@ -153,24 +169,27 @@ type HashAgg struct {
 	// OnInputEnd fires when the input is exhausted.
 	OnInputEnd func()
 
-	// Integer group keys — the dominant case — live in an open-addressing
-	// table; everything else shares a Value-keyed map. order preserves
-	// first-seen emission order across both.
-	intGroups hashtab.I64Map[*groupState]
-	groups    map[data.Value]*groupState
-	order     []*groupState
+	// Integer group keys — the dominant case — index an open-addressing
+	// table (holding group index + 1, so 0 is absent); everything else
+	// shares a Value-keyed map. ns holds each group's row count, which is
+	// COUNT(*); states each other aggregate's accumulators by group.
+	intGroups hashtab.I64Map[int32]
+	groups    map[data.Value]int32
+	ns        []int64
+	states    [][]aggState
+	lanes     []data.ColVec
 	pos       int
 	computed  bool
 	inputRows int64
-	buf       data.Batch
 	spanEnded bool
 
-	// colBuf re-exposes emitted group batches, countsBuf accumulates one
-	// batch's group counts for OnInputGroupCounts, keyRow is the scratch
-	// row a multi-column group key is read into off the lanes.
+	// colBuf is the emitted window, countsBuf accumulates one batch's group
+	// counts for OnInputGroupCounts, opened the batch's rows that opened a
+	// group, keyBuf a composite group key's encoding.
 	colBuf    data.ColBatch
 	countsBuf []int64
-	keyRow    data.Tuple
+	opened    []int32
+	keyBuf    []byte
 }
 
 // endEmitSpan closes the emit span exactly once, when all groups are out.
@@ -179,17 +198,6 @@ func (a *HashAgg) endEmitSpan() {
 		a.spanEnded = true
 		a.traceEnd("emit", a.stats.Emitted.Load(), 0, 0)
 	}
-}
-
-// groupState is one group's accumulators plus its observation count. The
-// accumulators are stored inline (one backing array per group, not one
-// allocation per aggregate). A single-column group keeps its key; a
-// multi-column group keeps its group values.
-type groupState struct {
-	states []aggState
-	key    data.Value
-	vals   data.Tuple
-	n      int64
 }
 
 // NewHashAgg groups child by the groupBy column indexes and computes aggs.
@@ -214,25 +222,29 @@ func (a *HashAgg) Child() Operator { return a.child }
 // Open implements Operator.
 func (a *HashAgg) Open() error { return a.child.Open() }
 
-// Next implements Operator.
+// Next implements Operator: a row driver over the group lanes.
 func (a *HashAgg) Next() (data.Tuple, error) {
 	if !a.computed {
 		if err := a.consume(); err != nil {
 			return nil, err
 		}
 	}
-	if a.pos >= len(a.order) {
+	if a.pos >= len(a.ns) {
 		a.endEmitSpan()
 		return a.finish()
 	}
-	gs := a.order[a.pos]
+	t := make(data.Tuple, len(a.lanes))
+	for c := range a.lanes {
+		t[c] = a.lanes[c].ValueAt(a.pos)
+	}
 	a.pos++
-	return a.emit(a.groupTuple(gs))
+	return a.emit(t)
 }
 
 // consume is the input pass: it drains the child column-at-a-time and
 // folds every batch into the groups (see observeColBatch), delivering the
-// batch's group counts to OnInputGroupCounts at the batch boundary.
+// batch's group counts to OnInputGroupCounts at the batch boundary, then
+// writes the aggregate lanes.
 func (a *HashAgg) consume() error {
 	a.initGroups()
 	a.traceBegin("input")
@@ -248,10 +260,19 @@ func (a *HashAgg) consume() error {
 		if cb == nil {
 			break
 		}
-		a.countsBuf = a.countsBuf[:0]
 		a.observeColBatch(cb)
 		if a.OnInputGroupCounts != nil {
 			a.OnInputGroupCounts(a.countsBuf)
+		}
+	}
+	for k, spec := range a.aggs {
+		lane := &a.lanes[len(a.groupBy)+k]
+		if spec.Func == CountStar {
+			*lane = data.ColVec{Kind: data.KindInt, Ints: a.ns}
+			continue
+		}
+		for g := range a.states[k] {
+			lane.AppendVal(g, a.states[k][g].result(spec.Func))
 		}
 	}
 	a.traceEnd("input", a.inputRows, 0, 0)
@@ -263,187 +284,144 @@ func (a *HashAgg) consume() error {
 	return nil
 }
 
+// initGroups sets up the group store. An aggregate without GROUP BY has
+// its one group from the start: SQL gives it a row even over no input.
+func (a *HashAgg) initGroups() {
+	a.groups = map[data.Value]int32{}
+	a.states = make([][]aggState, len(a.aggs))
+	a.lanes = make([]data.ColVec, len(a.groupBy)+len(a.aggs))
+	if len(a.groupBy) == 0 {
+		a.open(0)
+	}
+}
+
 // observeColBatch folds one input batch into the groups off its lanes: a
 // scalar aggregate and a single-column group have their own loops, a
-// multi-column group reads its key values into a scratch row. No input
-// row is built.
+// multi-column group encodes its key values. The key values of the groups
+// the batch opened are then gathered into the group lanes, one gather per
+// key column. No row is built.
 func (a *HashAgg) observeColBatch(cb *data.ColBatch) {
+	a.countsBuf, a.opened = a.countsBuf[:0], a.opened[:0]
+	a.inputRows += int64(cb.Live())
+	base := len(a.ns)
 	switch len(a.groupBy) {
 	case 0:
 		a.observeScalar(cb)
+		return
 	case 1:
 		a.observeKeyVector(cb, cb.Col(a.groupBy[0]))
 	default:
 		a.observeGroupColumns(cb)
 	}
+	for k, c := range a.groupBy {
+		a.lanes[k].GatherFrom(cb.Col(c), a.opened, base)
+	}
 }
 
 // observeKeyVector is the grouping loop over a single key column: a flat
 // int64 lane indexes the open-addressing table straight from the lane,
-// any other column goes through its values, and a new group keeps its key
-// rather than a row.
+// any other column goes through its values.
 func (a *HashAgg) observeKeyVector(cb *data.ColBatch, kv *data.ColVec) {
 	flat := kv.Homogeneous() && kv.Kind == data.KindInt
-	observeRow := func(i int) {
-		a.inputRows++
-		var gs *groupState
+	cb.EachLive(func(i int) {
 		if flat && !kv.Nulls.Get(i) {
-			p := a.intGroups.Ref(kv.Ints[i])
-			if *p == nil {
-				*p = a.newGroup(data.Int(kv.Ints[i]))
-			}
-			gs = *p
+			a.add(cb, a.intGroup(kv.Ints[i], i), i)
 		} else {
-			gs = a.groupOf(kv.ValueAt(i))
+			a.add(cb, a.groupOf(kv.ValueAt(i), i), i)
 		}
-		a.count(gs)
-		for si, spec := range a.aggs {
-			var v data.Value
-			if spec.Func != CountStar {
-				v = cb.Value(spec.Col, i)
-			}
-			gs.states[si].add(spec.Func, v)
-		}
-	}
-	if cb.Sel == nil {
-		for i := 0; i < cb.NRows; i++ {
-			observeRow(i)
-		}
-		return
-	}
-	for _, i := range cb.Sel {
-		observeRow(int(i))
-	}
+	})
 }
 
 // observeGroupColumns is the grouping loop over several key columns: each
-// row's key values are read off the lanes into the scratch row keyRow and
-// keyed with GroupKey; a new group keeps a copy of its group values.
+// row's key is its key values' GroupKey encoding, built into keyBuf.
 func (a *HashAgg) observeGroupColumns(cb *data.ColBatch) {
-	if len(a.keyRow) != cb.Width() {
-		a.keyRow = make(data.Tuple, cb.Width())
-	}
-	observeRow := func(i int) {
-		a.inputRows++
-		for _, g := range a.groupBy {
-			a.keyRow[g] = cb.Value(g, i)
+	cb.EachLive(func(i int) {
+		a.keyBuf = a.keyBuf[:0]
+		for _, c := range a.groupBy {
+			a.keyBuf, _ = data.AppendValue(a.keyBuf, cb.Value(c, i))
 		}
-		gs := a.groupOf(GroupKey(a.keyRow, a.groupBy))
-		if gs.n == 0 {
-			gs.vals = a.keyRow.Project(a.groupBy)
-		}
-		a.count(gs)
-		for si, spec := range a.aggs {
-			var v data.Value
-			if spec.Func != CountStar {
-				v = cb.Value(spec.Col, i)
-			}
-			gs.states[si].add(spec.Func, v)
-		}
-	}
-	if cb.Sel == nil {
-		for i := 0; i < cb.NRows; i++ {
-			observeRow(i)
-		}
-		return
-	}
-	for _, i := range cb.Sel {
-		observeRow(int(i))
-	}
+		a.add(cb, a.groupOf(data.Str(string(a.keyBuf)), i), i)
+	})
 }
 
 // observeScalar folds one batch into the single group of an aggregate
 // without GROUP BY: the group counts the batch's live rows and each
 // aggregate column folds straight off its lane in row order.
 func (a *HashAgg) observeScalar(cb *data.ColBatch) {
-	live := cb.Live()
-	if live == 0 {
-		return
-	}
-	gs := a.groupOf(GroupKey(nil, nil))
-	for r := 0; r < live; r++ {
-		a.inputRows++
-		a.count(gs)
-	}
-	for si, spec := range a.aggs {
-		st := &gs.states[si]
-		if spec.Func == CountStar {
-			st.count += int64(live)
-			continue
-		}
-		v := cb.Col(spec.Col)
-		if cb.Sel == nil {
-			for i := 0; i < cb.NRows; i++ {
-				st.add(spec.Func, v.ValueAt(i))
-			}
-			continue
-		}
-		for _, i := range cb.Sel {
-			st.add(spec.Func, v.ValueAt(int(i)))
-		}
-	}
-}
-
-func (a *HashAgg) initGroups() {
-	a.intGroups.Reset()
-	a.groups = map[data.Value]*groupState{}
-}
-
-// groupOf returns key k's group, creating it in first-seen order.
-func (a *HashAgg) groupOf(k data.Value) *groupState {
-	if k.Kind == data.KindInt {
-		p := a.intGroups.Ref(k.I)
-		if *p == nil {
-			*p = a.newGroup(k)
-		}
-		return *p
-	}
-	gs, ok := a.groups[k]
-	if !ok {
-		gs = a.newGroup(k)
-		a.groups[k] = gs
-	}
-	return gs
-}
-
-func (a *HashAgg) newGroup(k data.Value) *groupState {
-	gs := &groupState{states: make([]aggState, len(a.aggs)), key: k}
-	a.order = append(a.order, gs)
-	return gs
-}
-
-// count records one more row of gs for the group-count span.
-func (a *HashAgg) count(gs *groupState) {
-	gs.n++
+	live := int64(cb.Live())
 	if a.OnInputGroupCounts != nil {
-		a.countsBuf = append(a.countsBuf, gs.n)
+		for n := a.ns[0] + 1; n <= a.ns[0]+live; n++ {
+			a.countsBuf = append(a.countsBuf, n)
+		}
 	}
+	a.ns[0] += live
+	for k, spec := range a.aggs {
+		if spec.Func != CountStar {
+			st, v := &a.states[k][0], cb.Col(spec.Col)
+			cb.EachLive(func(i int) { st.add(spec.Func, v.ValueAt(i)) })
+		}
+	}
+}
+
+// add folds input row i into group g.
+func (a *HashAgg) add(cb *data.ColBatch, g int32, i int) {
+	a.ns[g]++
+	if a.OnInputGroupCounts != nil {
+		a.countsBuf = append(a.countsBuf, a.ns[g])
+	}
+	for k, spec := range a.aggs {
+		if spec.Func != CountStar {
+			a.states[k][g].add(spec.Func, cb.Value(spec.Col, i))
+		}
+	}
+}
+
+// intGroup returns integer key k's group, opening it at row i if new.
+func (a *HashAgg) intGroup(k int64, i int) int32 {
+	p := a.intGroups.Ref(k)
+	if *p == 0 {
+		*p = a.open(i) + 1
+	}
+	return *p - 1
+}
+
+// groupOf returns key k's group, opening it at row i if new.
+func (a *HashAgg) groupOf(k data.Value, i int) int32 {
+	if k.Kind == data.KindInt {
+		return a.intGroup(k.I, i)
+	}
+	g, ok := a.groups[k]
+	if !ok {
+		g = a.open(i)
+		a.groups[k] = g
+	}
+	return g
+}
+
+// open starts a group at row i of the current batch and returns its index.
+func (a *HashAgg) open(i int) int32 {
+	g := int32(len(a.ns))
+	a.ns = grown(a.ns)
+	for k, spec := range a.aggs {
+		if spec.Func != CountStar {
+			a.states[k] = grown(a.states[k])
+		}
+	}
+	a.opened = append(a.opened, int32(i))
+	return g
 }
 
 // GroupsSeen returns the number of distinct groups observed so far during
 // the input pass.
-func (a *HashAgg) GroupsSeen() int64 { return int64(a.intGroups.Len() + len(a.groups)) }
-
-func (a *HashAgg) groupTuple(gs *groupState) data.Tuple {
-	out := make(data.Tuple, 0, len(a.groupBy)+len(a.aggs))
-	if len(a.groupBy) == 1 {
-		out = append(out, gs.key)
-	} else {
-		out = append(out, gs.vals...)
-	}
-	for i, spec := range a.aggs {
-		out = append(out, gs.states[i].result(spec.Func))
-	}
-	return out
-}
+func (a *HashAgg) GroupsSeen() int64 { return int64(len(a.ns)) }
 
 // InputRows returns the number of input tuples consumed.
 func (a *HashAgg) InputRows() int64 { return a.inputRows }
 
 // Close implements Operator.
 func (a *HashAgg) Close() error {
-	a.intGroups = hashtab.I64Map[*groupState]{}
-	a.groups, a.order = nil, nil
+	a.intGroups = hashtab.I64Map[int32]{}
+	a.groups, a.ns, a.states, a.lanes = nil, nil, nil, nil
 	return a.child.Close()
 }
 
@@ -506,7 +484,8 @@ func (a *SortAgg) Next() (data.Tuple, error) {
 		a.cur = t
 		a.started = true
 	}
-	if a.cur == nil {
+	// A scalar aggregate has one row even over no input.
+	if a.cur == nil && (len(a.groupBy) > 0 || a.stats.Emitted.Load() > 0) {
 		a.done = true
 		a.traceEnd("aggregate", a.stats.Emitted.Load(), 0, 0)
 		return a.finish()
@@ -540,16 +519,3 @@ func (a *SortAgg) Next() (data.Tuple, error) {
 
 // Close implements Operator.
 func (a *SortAgg) Close() error { return a.sorter.Close() }
-
-// SortTuplesByKey sorts tuples in place by the given key columns; shared
-// helper for tests.
-func SortTuplesByKey(rows []data.Tuple, keys ...int) {
-	sort.SliceStable(rows, func(i, j int) bool {
-		for _, k := range keys {
-			if c := data.Compare(rows[i][k], rows[j][k]); c != 0 {
-				return c < 0
-			}
-		}
-		return false
-	})
-}

@@ -15,8 +15,9 @@ import (
 // passes, the hash aggregation's grouping pass and the sort's read — pull
 // their children through AsColOperator however they are pulled
 // themselves. Selection vectors flow through filters without copying
-// tuples, and the join's columnar output path gathers values straight
-// into pooled lanes (see hashjoin_col.go).
+// tuples, the join's columnar output path gathers values straight into
+// pooled lanes (see hashjoin_col.go), and the hash aggregation emits
+// windows of the group lanes it owns (see agg.go), building no row.
 
 // ColOperator is the columnar executor contract. NextColBatch returns
 // the next batch in columnar form, or nil at end of stream. The batch
@@ -238,28 +239,21 @@ func (l *Limit) NextColBatch() (*data.ColBatch, error) {
 }
 
 // NextColBatch implements ColOperator for HashAgg: the input pass is the
-// one Next runs (consume in agg.go), and the group emission reuses the
-// row batches exposed columnar.
+// one Next runs (consume in agg.go), and the groups leave a batch at a
+// time as windows of the operator's group lanes — nothing is copied.
 func (a *HashAgg) NextColBatch() (*data.ColBatch, error) {
 	if !a.computed {
 		if err := a.consume(); err != nil {
 			return nil, err
 		}
 	}
-	if a.buf == nil {
-		a.buf = make(data.Batch, 0, data.BatchSize())
-	}
-	out := a.buf[:0]
-	for len(out) < cap(out) && a.pos < len(a.order) {
-		out = append(out, a.groupTuple(a.order[a.pos]))
-		a.pos++
-	}
-	a.buf = out
-	bt, err := a.emitBatch(out)
-	if bt == nil || err != nil {
+	if a.pos >= len(a.ns) {
+		a.stats.MarkDone()
 		a.endEmitSpan()
-		return nil, err
+		return nil, nil
 	}
-	a.colBuf.SetRows(bt, a.schema.Len())
-	return &a.colBuf, nil
+	hi := min(a.pos+data.BatchSize(), len(a.ns))
+	a.colBuf.SetWindow(a.lanes, a.pos, hi)
+	a.pos = hi
+	return a.emitColBatch(&a.colBuf)
 }

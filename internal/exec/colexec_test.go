@@ -308,22 +308,27 @@ func TestFilterProjectLimitBatchEquivalence(t *testing.T) {
 }
 
 // TestHashAggBatchEquivalence: hash aggregation over integer, string and
-// multi-column groups and with no GROUP BY (NULL keys included, fed
+// multi-column groups, over more than two batches' worth of groups and
+// with no GROUP BY (NULL keys and NULL aggregate inputs included, fed
 // through a filter so the input batches carry selection vectors, and
 // pruned on one side, whose scan then carries no rows) emits the input's
 // groups in first-seen order with their aggregates, through Next and
 // through NextColBatch alike, and its OnInputGroupCounts spans
-// concatenate to each input row's running count of its group.
+// concatenate to each input row's running count of its group. Over no
+// input, a grouped aggregation emits nothing and a scalar one one row.
 func TestHashAggBatchEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
+	bs := data.BatchSize()
 	sch := data.NewSchema(
 		data.Column{Table: "t", Name: "g", Kind: data.KindInt},
 		data.Column{Table: "t", Name: "s", Kind: data.KindString},
 		data.Column{Table: "t", Name: "v", Kind: data.KindInt},
+		data.Column{Table: "t", Name: "u", Kind: data.KindInt},
+		data.Column{Table: "t", Name: "w", Kind: data.KindInt},
 	)
 	tb := storage.NewTable("t", sch)
 	var in []data.Tuple
-	for i := 0; i < 3000; i++ {
+	for i := 0; i < 4*bs; i++ {
 		g, s := data.Int(int64(rng.Intn(40))), data.Str(fmt.Sprintf("s%02d", rng.Intn(25)))
 		if rng.Intn(20) == 0 {
 			g = data.Null()
@@ -331,61 +336,92 @@ func TestHashAggBatchEquivalence(t *testing.T) {
 		if rng.Intn(20) == 0 {
 			s = data.Null()
 		}
-		in = append(in, data.Tuple{g, s, data.Int(int64(rng.Intn(100)))})
+		u := data.Int(int64(rng.Intn(1000)))
+		if rng.Intn(4) == 0 {
+			u = data.Null()
+		}
+		in = append(in, data.Tuple{g, s, data.Int(int64(rng.Intn(100))), u, data.Int(int64(i * 7 % (3 * bs)))})
 		tb.MustAppend(in[i])
 	}
-	for _, groupBy := range [][]int{{0}, {1}, {0, 1}, nil} {
-		label := fmt.Sprintf("hashagg%v", groupBy)
-		// The reference, grouped by hand over the filter's rows: each
-		// row's running group count, and per group COUNT(*), SUM(v), MIN(v).
-		type group struct {
-			vals        data.Tuple
-			n, sum, min int64
-		}
-		var wantCounts []int64
-		var groups []*group
-		byKey := map[string]*group{}
-		for _, r := range in {
-			if r[2].I >= 80 {
-				continue
+	for _, cut := range []int64{80, 0} { // v < 0 passes no row
+		for _, groupBy := range [][]int{{0}, {1}, {0, 1}, {4}, nil} {
+			label := fmt.Sprintf("hashagg%v, v < %d", groupBy, cut)
+			// The reference, grouped by hand over the filter's rows: each
+			// row's running group count, and per group COUNT(*), SUM(v),
+			// MIN(v), MAX(u) and AVG(u).
+			type group struct {
+				vals        data.Tuple
+				n, sum, min int64
+				umax        data.Value
+				usum, un    int64
 			}
-			key := fmt.Sprintf("%#v", r.Project(groupBy))
-			g := byKey[key]
-			if g == nil {
-				g = &group{vals: r.Project(groupBy), min: r[2].I}
-				byKey[key] = g
-				groups = append(groups, g)
+			var wantCounts []int64
+			var groups []*group
+			byKey := map[string]*group{}
+			for _, r := range in {
+				if r[2].I >= cut {
+					continue
+				}
+				key := fmt.Sprintf("%#v", r.Project(groupBy))
+				g := byKey[key]
+				if g == nil {
+					g = &group{vals: r.Project(groupBy), min: r[2].I}
+					byKey[key] = g
+					groups = append(groups, g)
+				}
+				g.n++
+				g.sum += r[2].I
+				g.min = min(g.min, r[2].I)
+				if u := r[3]; !u.IsNull() {
+					if g.umax.IsNull() || u.I > g.umax.I {
+						g.umax = u
+					}
+					g.usum += u.I
+					g.un++
+				}
+				wantCounts = append(wantCounts, g.n)
 			}
-			g.n++
-			g.sum += r[2].I
-			g.min = min(g.min, r[2].I)
-			wantCounts = append(wantCounts, g.n)
-		}
-		var want []data.Tuple
-		for _, g := range groups {
-			want = append(want, append(g.vals, data.Int(g.n), data.Float(float64(g.sum)), data.Int(g.min)))
-		}
+			if groupBy == nil && len(groups) == 0 {
+				groups = append(groups, &group{})
+			}
+			if slices.Equal(groupBy, []int{4}) && cut > 0 && len(groups) <= 2*bs {
+				t.Fatalf("%s: %d groups leave in fewer than three batches", label, len(groups))
+			}
+			var want []data.Tuple
+			for _, g := range groups {
+				row := append(g.vals, data.Int(g.n), data.Null(), data.Null(), g.umax, data.Null())
+				if g.n > 0 {
+					row[len(g.vals)+1], row[len(g.vals)+2] = data.Float(float64(g.sum)), data.Int(g.min)
+				}
+				if g.un > 0 {
+					row[len(g.vals)+4] = data.Float(float64(g.usum) / float64(g.un))
+				}
+				want = append(want, row)
+			}
 
-		mk := func() Operator {
-			sc := NewScan(tb, "")
-			f := NewFilter(sc, expr.Compare(expr.LT, expr.Column(sc.Schema(), "t", "v"), expr.IntLit(80)))
-			return NewHashAgg(f, groupBy, []AggSpec{
-				{Func: CountStar, Name: "c"},
-				{Func: Sum, Col: 2, Name: "sum"},
-				{Func: Min, Col: 2, Name: "lo"},
-			})
-		}
-		for _, columnar := range []bool{false, true} {
-			op := mk()
-			if columnar {
-				Prune(op)
+			mk := func() Operator {
+				sc := NewScan(tb, "")
+				f := NewFilter(sc, expr.Compare(expr.LT, expr.Column(sc.Schema(), "t", "v"), expr.IntLit(cut)))
+				return NewHashAgg(f, groupBy, []AggSpec{
+					{Func: CountStar, Name: "c"},
+					{Func: Sum, Col: 2, Name: "sum"},
+					{Func: Min, Col: 2, Name: "lo"},
+					{Func: Max, Col: 3, Name: "hi"},
+					{Func: Avg, Col: 3, Name: "avg"},
+				})
 			}
-			var spans []int64
-			op.(*HashAgg).OnInputGroupCounts = func(ns []int64) { spans = append(spans, ns...) }
-			requireSameRows(t, want, drainMode(t, op, columnar), fmt.Sprintf("%s, columnar %v", label, columnar))
-			if !reflect.DeepEqual(spans, wantCounts) {
-				t.Errorf("%s, columnar %v: the spans carry %d group counts, not the %d running counts of the input",
-					label, columnar, len(spans), len(wantCounts))
+			for _, columnar := range []bool{false, true} {
+				op := mk()
+				if columnar {
+					Prune(op)
+				}
+				var spans []int64
+				op.(*HashAgg).OnInputGroupCounts = func(ns []int64) { spans = append(spans, ns...) }
+				requireSameRows(t, want, drainMode(t, op, columnar), fmt.Sprintf("%s, columnar %v", label, columnar))
+				if !slices.Equal(spans, wantCounts) {
+					t.Errorf("%s, columnar %v: the spans carry %d group counts, not the %d running counts of the input",
+						label, columnar, len(spans), len(wantCounts))
+				}
 			}
 		}
 	}

@@ -504,6 +504,31 @@ func TestHashAggHook(t *testing.T) {
 	}
 }
 
+// TestHashAggAllocatesLessThanOncePerGroup: a COUNT(*) aggregation drained
+// through NextColBatch keeps its groups in lanes and emits windows of
+// them, so it allocates far less than once per group — a struct or an
+// output row per group would be one allocation each.
+func TestHashAggAllocatesLessThanOncePerGroup(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime adds allocations of its own")
+	}
+	const groups = 4000
+	keys := make([]int64, 4*groups)
+	for i := range keys {
+		keys[i] = int64(i*7919) % groups
+	}
+	tb := makeTable("t", keys)
+	allocs := testing.AllocsPerRun(5, func() {
+		n, err := RunCol(NewHashAgg(NewScan(tb, ""), []int{0}, []AggSpec{{Func: CountStar}}))
+		if err != nil || n != groups {
+			t.Fatalf("RunCol = %d, %v; want %d groups", n, err, groups)
+		}
+	})
+	if allocs >= groups {
+		t.Errorf("%.0f allocations for %d groups, want fewer than one per group", allocs, groups)
+	}
+}
+
 func TestSortAggMatchesHashAgg(t *testing.T) {
 	var rows [][2]int64
 	for i := int64(0); i < 200; i++ {
@@ -526,6 +551,14 @@ func TestSortAggMatchesHashAgg(t *testing.T) {
 	for i := range hr {
 		if hr[i][0].I != sr[i][0].I || hr[i][1].I != sr[i][1].I || hr[i][2].F != sr[i][2].F {
 			t.Fatalf("group %d: hash %v vs sort %v", i, hr[i], sr[i])
+		}
+	}
+	// Over no input, both give a scalar aggregate its one row.
+	empty := makeTable2("e", nil)
+	specs := []AggSpec{{Func: CountStar, Name: "cnt"}, {Func: Sum, Col: 1, Name: "s"}}
+	for _, op := range []Operator{NewHashAgg(NewScan(empty, ""), nil, specs), NewSortAgg(NewScan(empty, ""), nil, specs)} {
+		if rows := collect(t, op); len(rows) != 1 || rows[0][0] != data.Int(0) || !rows[0][1].IsNull() {
+			t.Errorf("%s over no input = %v, want [[0 NULL]]", op.Name(), rows)
 		}
 	}
 }
@@ -706,16 +739,6 @@ func TestOperatorNamesAndAccessors(t *testing.T) {
 	}
 	if mj.LeftKey() != 0 || mj.RightKey() != 0 || mj.Left() != Operator(ls) {
 		t.Error("merge accessors")
-	}
-}
-
-func TestSortTuplesByKey(t *testing.T) {
-	rows := []data.Tuple{
-		{data.Int(3)}, {data.Int(1)}, {data.Int(2)},
-	}
-	SortTuplesByKey(rows, 0)
-	if rows[0][0].I != 1 || rows[2][0].I != 3 {
-		t.Errorf("rows = %v", rows)
 	}
 }
 

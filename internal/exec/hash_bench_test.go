@@ -336,3 +336,22 @@ func testPartitionHashIndependentOfTableHash(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkHashAggGroups times a COUNT(*) GROUP BY over 50 000 integer
+// rows in 4 300 groups — the shape of the service benchmark's row-returning
+// query — drained through NextColBatch.
+func BenchmarkHashAggGroups(b *testing.B) {
+	const rows, groups = 50000, 4300
+	rng := rand.New(rand.NewSource(1))
+	keys := make([]int64, rows)
+	for i := range keys {
+		keys[i] = int64(rng.Intn(groups))
+	}
+	tb := makeTable("t", keys)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := RunCol(NewHashAgg(NewScan(tb, ""), []int{0}, []AggSpec{{Func: CountStar}})); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -195,24 +195,15 @@ func (s *colScatter) group(cb *data.ColBatch, keys []int, keepNull bool, parts i
 		}
 		return
 	}
-	place := func(i int32) {
+	cb.EachLive(func(i int) {
 		p := 0
-		if k := colJoinKeyAt(cb, keys, int(i), &s.key); !k.IsNull() {
+		if k := colJoinKeyAt(cb, keys, i, &s.key); !k.IsNull() {
 			p = partitionOf(hashValue(k), parts)
 		} else if !keepNull {
 			return
 		}
-		rows[p] = append(rows[p], i)
-	}
-	if cb.Sel == nil {
-		for i := 0; i < cb.NRows; i++ {
-			place(int32(i))
-		}
-		return
-	}
-	for _, i := range cb.Sel {
-		place(i)
-	}
+		rows[p] = append(rows[p], int32(i))
+	})
 }
 
 // scatterColBatch partitions one batch's live rows into the side's

@@ -296,18 +296,6 @@ func (b *base) emit(t data.Tuple) (data.Tuple, error) {
 	return t, nil
 }
 
-// emitBatch counts an emitted row batch and returns it; empty batches
-// mark the operator done (HashAgg's group emission).
-func (b *base) emitBatch(bt data.Batch) (data.Batch, error) {
-	if len(bt) == 0 {
-		b.stats.MarkDone()
-		return nil, nil
-	}
-	b.stats.Emitted.Add(int64(len(bt)))
-	b.stats.Batches.Add(1)
-	return bt, nil
-}
-
 // finish marks the operator done.
 func (b *base) finish() (data.Tuple, error) {
 	b.stats.MarkDone()

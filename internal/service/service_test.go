@@ -34,7 +34,8 @@ const quickSQL = "SELECT COUNT(*) c FROM r WHERE r.k < 50"
 const joinSQL = "SELECT r.k FROM r JOIN s ON r.k = s.k"
 
 // slowJoinRows sizes testEngine for the tests that need joinSQL to still
-// be running when a 15-20 ms deadline or forced shutdown hits: its output
+// be running when a 15-20 ms deadline, a forced shutdown or a Cancel
+// issued as soon as the session shows up in Sessions hits: its output
 // grows with the square of the rows (14 M rows here), so it outlives them
 // several times over however fast the join phase gets.
 const slowJoinRows = 100000
@@ -168,7 +169,7 @@ func TestDeadlineExpiresQuery(t *testing.T) {
 }
 
 func TestCancelRunningSession(t *testing.T) {
-	svc := newService(t, Config{Engine: testEngine(t, 60000)})
+	svc := newService(t, Config{Engine: testEngine(t, slowJoinRows)})
 	type outcome struct {
 		res *ExecResult
 		err error

@@ -71,6 +71,32 @@ func TestSQLAggregates(t *testing.T) {
 	}
 }
 
+// TestSQLScalarAggregateOverNoRows: an aggregate without GROUP BY gives
+// one row even when no input row qualifies — COUNT 0, the others NULL —
+// while a grouped one gives none.
+func TestSQLScalarAggregateOverNoRows(t *testing.T) {
+	e := sqlEngine(t)
+	rows, err := e.MustQuery(`SELECT COUNT(*) c, COUNT(extendedprice) n, SUM(extendedprice) s,
+		AVG(extendedprice) a, MIN(extendedprice) lo, MAX(extendedprice) hi
+		FROM lineitem WHERE lineitem.orderkey < -5`).Rows()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 1 {
+		t.Fatalf("rows = %v, want one row", rows)
+	}
+	if r := rows[0]; r[0] != int64(0) || r[1] != int64(0) || r[2] != nil || r[3] != nil || r[4] != nil || r[5] != nil {
+		t.Errorf("row = %v, want [0 0 <nil> <nil> <nil> <nil>]", r)
+	}
+	rows, err = e.MustQuery("SELECT orderkey, COUNT(*) c FROM lineitem WHERE lineitem.orderkey < -5 GROUP BY orderkey").Rows()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 0 {
+		t.Errorf("grouped rows = %v, want none", rows)
+	}
+}
+
 func TestSQLGroupByEstimation(t *testing.T) {
 	e := sqlEngine(t)
 	q := e.MustQuery("SELECT custkey, COUNT(*) c FROM orders GROUP BY custkey")
