@@ -113,12 +113,18 @@ cover:
 # hot halves (the lane scan, the budgeted partition pass), of the one
 # pricing the compile-time pruning pass, of the one reporting a generated
 # catalog's live heap, of the skewed Q8 pipeline with estimators on and
-# off, of the pkfk_join query with estimators on and off, and of the join
-# kernel's probe shapes in internal/exec, so none can rot unbuilt.
+# off, of the pkfk_join query with estimators on and off, of the spilled
+# join's file and I/O counts, of the join kernel's probe shapes and the
+# hash aggregation's group store in internal/exec, of the spill frame
+# codec, of the distinct-value profile estimator and of the estimator's
+# probe-chain lane hook, so none can rot unbuilt.
 bench-smoke:
 	cd benchmark && $(GO) test -timeout 300s ./...
-	$(GO) test -run '^$$' -bench 'ScanColLanes|BudgetedScatter|CompileQ8|CatalogLiveBytes|Q8Pipeline|PKFKPipeline' -benchtime 1x -timeout 120s .
-	$(GO) test -run '^$$' -bench 'ColumnarJoin' -benchtime 1x -timeout 120s ./internal/exec
+	$(GO) test -run '^$$' -bench 'ScanColLanes|BudgetedScatter|CompileQ8|CatalogLiveBytes|Q8Pipeline|PKFKPipeline|^BenchmarkSpilledJoin$$' -benchtime 1x -timeout 120s .
+	$(GO) test -run '^$$' -bench 'ColumnarJoin|HashAggGroups' -benchtime 1x -timeout 120s ./internal/exec
+	$(GO) test -run '^$$' -bench 'EncodeColFrame|DecodeColFrame' -benchtime 1x -timeout 120s ./internal/data
+	$(GO) test -run '^$$' -bench 'ProfileMLE' -benchtime 1x -timeout 120s ./internal/distinct
+	$(GO) test -run '^$$' -bench 'ObserveProbeColChain' -benchtime 1x -timeout 120s ./internal/core
 
 # Interleaved parent/change pairs of the repository benchmark, the only
 # comparison this drifting box supports (ROADMAP): medians and win counts

@@ -163,21 +163,27 @@ func runColumnarJoinRows(bt, pt *storage.Table) (int64, error) {
 // BenchmarkColumnarJoin measures the lane-native columnar grace join
 // end-to-end (partition scatter + build + probe + gather) with
 // allocation reporting — the pooled partition buffers are what keeps
-// allocs/op flat as row counts grow — on the probe shapes the join
-// kernel treats differently:
+// allocs/op flat as row counts grow — and the time per probe row
+// (ns/probe), on the probe shapes the join kernel treats differently.
+// The directory kernel (sweepDirectory) runs:
 //
-//   - uniform: skewed random int keys, a few NULLs (the bit-checked lane);
 //   - fk-clustered: a PK build side and a lineitem-like probe of one to
-//     seven rows per key, in key order (equal-key runs, one-row spans);
-//   - sparse-pk: fk-clustered with every key times seven, so the key
-//     span is about 7n;
-//   - overrun: a key whose span is three batches long (the resume cursor);
-//   - semi, anti: the uniform inputs, one probe-only pair per hit or miss;
-//   - rows: the uniform inner join drained through Next, one pair a call.
+//     seven rows per key, in key order;
+//   - fk-outer, fk-semi, fk-anti: fk-clustered's inputs under the other
+//     three join types (every probe row hits, so fk-anti emits nothing).
 //
-// Only fk-clustered's dense primary key takes the row directory; the
-// other builds repeat keys (uniform, overrun, semi, anti, rows) or span
-// too wide a range (sparse-pk), so they keep the hash-table path.
+// The general sweep (sweepRows) over the per-partition hash tables runs
+// the builds that repeat keys or span too wide a range for the row
+// directory:
+//
+//   - uniform: skewed random int keys, a few NULLs (dropped by the
+//     scatter, so the probe lanes are NULL-free);
+//   - sparse-pk: fk-clustered with every key times seven, so the key
+//     span is about 7n (equal-key runs, one-row spans);
+//   - overrun: a key whose span is three batches long (the resume cursor);
+//   - semi, anti: the uniform inputs, one probe-only pair per hit or miss
+//     (anti keeps the NULL keys, so its partition 0 lanes test the bitmap);
+//   - rows: the uniform inner join drained through Next, one pair a call.
 func BenchmarkColumnarJoin(b *testing.B) {
 	bt, pt := benchJoinTables()
 	var pk, fk, sparsePK, sparseFK, hot, few []int64
@@ -195,13 +201,17 @@ func BenchmarkColumnarJoin(b *testing.B) {
 	for k := int64(0); k < 2048; k++ {
 		few = append(few, k%64)
 	}
+	pkt, fkt := kvTable("b", pk), kvTable("p", fk)
 	cases := []struct {
 		name   string
 		bt, pt *storage.Table
 		jt     JoinType
 	}{
 		{"uniform", bt, pt, InnerJoin},
-		{"fk-clustered", kvTable("b", pk), kvTable("p", fk), InnerJoin},
+		{"fk-clustered", pkt, fkt, InnerJoin},
+		{"fk-outer", pkt, fkt, ProbeOuterJoin},
+		{"fk-semi", pkt, fkt, SemiJoin},
+		{"fk-anti", pkt, fkt, AntiJoin},
 		{"sparse-pk", kvTable("b", sparsePK), kvTable("p", sparseFK), InnerJoin},
 		{"overrun", kvTable("b", hot), kvTable("p", few), InnerJoin},
 		{"semi", bt, pt, SemiJoin},
@@ -215,6 +225,7 @@ func BenchmarkColumnarJoin(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			reportPerProbe(b, c.pt)
 		})
 	}
 	b.Run("rows", func(b *testing.B) {
@@ -224,7 +235,13 @@ func BenchmarkColumnarJoin(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+		reportPerProbe(b, pt)
 	})
+}
+
+// reportPerProbe reports a join benchmark's time per probe row read.
+func reportPerProbe(b *testing.B, pt *storage.Table) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(pt.NumRows()), "ns/probe")
 }
 
 // TestColumnarJoinAllocsPooled asserts the pooling contract of the

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/maphash"
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"qpi/internal/data"
@@ -110,6 +111,9 @@ type HashJoin struct {
 	// executor-private field.
 	buildRows atomic.Int64
 	probeRows atomic.Int64
+	// probeKept counts the probe rows the probe pass kept: all of them
+	// but the NULL keys an inner or semi join drops, which never join.
+	probeKept atomic.Int64
 	done      atomic.Bool
 
 	// Memory-budgeted (spilling) mode: when memBudget > 0, partitions
@@ -203,11 +207,12 @@ type tupleSpan struct {
 // capacity).
 //
 // A dense primary-key build skips the per-partition tables: the whole
-// build is indexed once by a flat row directory (buildDirectory), and
-// lookupInt reads it. The directory is taken only by a join without a
-// memory budget (memBudget <= 0), where every build partition is
-// resident: its 4·span bytes are not charged to a governor's grant, so a
-// budgeted join keeps the per-partition tables its budget accounts for.
+// build is indexed once by a flat row directory (buildDirectory), which
+// the directory kernel (sweepDirectory) and lookupInt read. The directory
+// is taken only by a join without a memory budget (memBudget <= 0), where
+// every build partition is resident: its 4·span bytes are not charged to
+// a governor's grant, so a budgeted join keeps the per-partition tables
+// its budget accounts for.
 type colJoinTable struct {
 	ints hashtab.I64Map[tupleSpan]
 	flat []int32
@@ -368,9 +373,11 @@ func resizeRows(s []int32, n int) []int32 {
 	return s[:n]
 }
 
-// lookupInt returns the build row indexes matching an int key — the hot
-// probe path, fed straight from the probe partition's key lane. With the
-// row directory it is an unsigned bounds check and one load.
+// lookupInt returns the build row indexes matching an int key, fed
+// straight from the probe partition's key lane by the general sweep. With
+// the row directory it is an unsigned bounds check and one load, but a
+// NULL-free lane over the directory never calls it: the directory kernel
+// (sweepDirectory) does the same per row in place.
 func (jt *colJoinTable) lookupInt(k int64) []int32 {
 	if jt.rowOf != nil {
 		d := uint64(k) - uint64(jt.lo)
@@ -384,6 +391,65 @@ func (jt *colJoinTable) lookupInt(k int64) []int32 {
 		return nil
 	}
 	return jt.flat[sp.off : sp.off+sp.n]
+}
+
+// sweepDirectory is the join kernel over the row directory, probed by a
+// NULL-free int key lane: from row i of keys it appends each row's pair
+// by join type and returns the pair buffers and the first row it did not
+// start. A primary-key build gives a row at most one pair, so it sweeps
+// min(rows left, max-len(pb)) rows at a time with no buffer test per row
+// — a full buffer is reached only on a step's last row, the row at which
+// the per-row test would stop — and a lookup is an unsigned k-lo bounds
+// check and one load. No span is built and no run of equal keys is
+// cached: the load is the lookup.
+func (jt *colJoinTable) sweepDirectory(join JoinType, keys []int64, i int, pb, pp []int32, max int) ([]int32, []int32, int) {
+	for i < len(keys) && len(pb) < max {
+		n := min(len(keys)-i, max-len(pb))
+		o := len(pb)
+		pb, pp = slices.Grow(pb, n)[:o+n], slices.Grow(pp, n)[:o+n]
+		w := jt.directoryPairs(join, keys[i:i+n], int32(i), pb[o:], pp[o:])
+		pb, pp = pb[:o+w], pp[:o+w]
+		i += n
+	}
+	return pb, pp, i
+}
+
+// directoryPairs writes the pairs of probe rows r0, r0+1, … keyed by keys
+// into pb and pp (room for one pair per key) and returns how many it
+// wrote.
+func (jt *colJoinTable) directoryPairs(join JoinType, keys []int64, r0 int32, pb, pp []int32) int {
+	rowOf, lo := jt.rowOf, uint64(jt.lo)
+	w := 0
+	switch join {
+	case InnerJoin:
+		for x, k := range keys {
+			if d := uint64(k) - lo; d < uint64(len(rowOf)) {
+				if b := rowOf[d]; b >= 0 {
+					pb[w], pp[w] = b, r0+int32(x)
+					w++
+				}
+			}
+		}
+	case ProbeOuterJoin:
+		for x, k := range keys {
+			b := colPairNullBuild
+			if d := uint64(k) - lo; d < uint64(len(rowOf)) && rowOf[d] >= 0 {
+				b = rowOf[d]
+			}
+			pb[x], pp[x] = b, r0+int32(x)
+		}
+		w = len(keys)
+	case SemiJoin, AntiJoin:
+		semi := join == SemiJoin
+		for x, k := range keys {
+			d := uint64(k) - lo
+			if hit := d < uint64(len(rowOf)) && rowOf[d] >= 0; hit == semi {
+				pb[w], pp[w] = colPairProbeOnly, r0+int32(x)
+				w++
+			}
+		}
+	}
+	return w
 }
 
 func (jt *colJoinTable) lookup(k data.Value) []int32 {
@@ -721,14 +787,16 @@ func (j *HashJoin) ProbeRows() int64 { return j.probeRows.Load() }
 
 // JoinedProbeFraction returns the fraction of the probe input consumed by
 // the join (second) pass — the x-axis of the paper's Figure 4 and the
-// driver progress the dne/byte estimators observe for hash joins.
+// driver progress the dne/byte estimators observe for hash joins. Its
+// denominator is the probe rows the probe pass kept, so a finished join
+// reads 1 even when its scatter dropped NULL keys.
 func (j *HashJoin) JoinedProbeFraction() float64 {
-	probed := j.probeRows.Load()
-	if probed == 0 {
+	kept := j.probeKept.Load()
+	if kept == 0 {
 		if j.done.Load() {
 			return 1
 		}
 		return 0
 	}
-	return float64(j.joinedProbes.Load()) / float64(probed)
+	return float64(j.joinedProbes.Load()) / float64(kept)
 }

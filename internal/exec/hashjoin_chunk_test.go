@@ -3,8 +3,10 @@ package exec
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -287,32 +289,56 @@ func TestBatchSizeKnobStartRace(t *testing.T) {
 }
 
 // kernelKeyShapes are the probe key lanes the chunk kernel tells apart:
-// a NULL-free int lane (the fast loop), an int lane with NULLs (bitmap
-// checked per row), and two generic shapes extracted per row; and the
+// a NULL-free int lane, an int lane with NULLs (bitmap checked per row),
+// two generic shapes extracted per row, and a NULL-free int lane whose
+// keys include both ends of the int64 domain (int-extremes: hashtab's
+// math.MinInt64 sentinel and math.MaxInt64, matched and missed); and the
 // build shape that takes the row directory instead of the hash tables, a
-// dense primary key (dense-pk, probed by an int lane with NULLs).
-var kernelKeyShapes = []string{"int", "int-nulls", "string", "two-column", "dense-pk"}
+// dense primary key, probed by an int lane with NULLs (dense-pk) and by
+// a NULL-free one (dense-pk-nonull, the directory kernel in every chunk).
+var kernelKeyShapes = []string{"int", "int-nulls", "string", "two-column", "int-extremes", "dense-pk", "dense-pk-nonull"}
+
+// extremeKeys maps four keys of the test encoding onto the ends of the
+// int64 domain: two the build side holds (0, 1) and two only the probe
+// side draws (41, 42).
+var extremeKeys = map[int64]int64{
+	0: math.MinInt64, 1: math.MaxInt64,
+	41: math.MinInt64 + 1, 42: math.MaxInt64 - 1,
+}
 
 // kernelTable builds a table keyed by shape from the test key encoding
 // (key < 0 is NULL) with the row position as its last column, "id".
 // two-column splits each key into an int and a string column, equal
-// exactly when the keys are.
+// exactly when the keys are; the int shapes key by intKey.
 func kernelTable(name string, keys []int64, shape string) *storage.Table {
-	if shape != "two-column" {
-		return kvTableKeyed(name, keys, shape == "string")
-	}
-	s := data.NewSchema(
-		data.Column{Table: name, Name: "k1", Kind: data.KindInt},
-		data.Column{Table: name, Name: "k2", Kind: data.KindString},
-		data.Column{Table: name, Name: "id", Kind: data.KindInt},
-	)
-	t := storage.NewTable(name, s)
-	for i, k := range keys {
-		k1, k2 := data.Null(), data.Str(fmt.Sprintf("s%d", k/5))
-		if k >= 0 {
-			k1 = data.Int(k % 5)
+	switch shape {
+	case "string":
+		return kvTableKeyed(name, keys, true)
+	case "two-column":
+		t := storage.NewTable(name, data.NewSchema(
+			data.Column{Table: name, Name: "k1", Kind: data.KindInt},
+			data.Column{Table: name, Name: "k2", Kind: data.KindString},
+			data.Column{Table: name, Name: "id", Kind: data.KindInt},
+		))
+		for i, k := range keys {
+			k1, k2 := data.Null(), data.Str(fmt.Sprintf("s%d", k/5))
+			if k >= 0 {
+				k1 = data.Int(k % 5)
+			}
+			t.MustAppend(data.Tuple{k1, k2, data.Int(int64(i))})
 		}
-		t.MustAppend(data.Tuple{k1, k2, data.Int(int64(i))})
+		return t
+	}
+	t := storage.NewTable(name, data.NewSchema(
+		data.Column{Table: name, Name: "k", Kind: data.KindInt},
+		data.Column{Table: name, Name: "id", Kind: data.KindInt},
+	))
+	for i, k := range keys {
+		v := data.Null()
+		if k >= 0 {
+			v = data.Int(intKey(k, shape))
+		}
+		t.MustAppend(data.Tuple{v, data.Int(int64(i))})
 	}
 	return t
 }
@@ -353,13 +379,33 @@ func kernelKeys(rng *rand.Rand, nulls bool) (build, probe []int64) {
 	return build, probe
 }
 
-// denseKernelKeys draws the inputs of the dense-pk shape: a build side of
-// 300 distinct keys over a span of 360 (within the directory's 5n/4) plus
-// two NULLs the scatter drops, and a probe side of runs of one to seven
-// equal keys drawn from 20 below the span to 20 past it (misses in its
-// holes and outside it), one run in eight NULL.
-func denseKernelKeys(rng *rand.Rand) (build, probe []int64) {
-	const lo, span = 1000, 360
+// intKey is the value of key k (≥ 0) of an int shape: int-extremes moves
+// the keys of extremeKeys, and the dense shapes shift theirs down by
+// denseLo, so the directory's span starts at 0 — the lane value under a
+// NULL slot, which a kernel that read the lane past its NULL bitmap would
+// find there.
+func intKey(k int64, shape string) int64 {
+	switch {
+	case strings.HasPrefix(shape, "dense-pk"):
+		return k - denseLo
+	case shape == "int-extremes":
+		if e, ok := extremeKeys[k]; ok {
+			return e
+		}
+	}
+	return k
+}
+
+// denseLo is the dense shapes' lowest build key in the test encoding.
+const denseLo = 1000
+
+// denseKernelKeys draws the inputs of the dense-pk shapes: a build side
+// of 300 distinct keys over a span of 360 (within the directory's 5n/4)
+// plus two NULLs the scatter drops, and a probe side of runs of one to
+// seven equal keys drawn from 20 below the span to 20 past it (misses in
+// its holes and outside it), under nulls one run in eight NULL.
+func denseKernelKeys(rng *rand.Rand, nulls bool) (build, probe []int64) {
+	const lo, span = denseLo, 360
 	build = []int64{lo, lo + span - 1, -1, -1}
 	for _, d := range rng.Perm(span - 2)[:296] {
 		build = append(build, lo+1+int64(d))
@@ -367,7 +413,7 @@ func denseKernelKeys(rng *rand.Rand) (build, probe []int64) {
 	rng.Shuffle(len(build), func(a, b int) { build[a], build[b] = build[b], build[a] })
 	for len(probe) < 600 {
 		k := lo - 20 + int64(rng.Intn(span+40))
-		if rng.Intn(8) == 0 {
+		if nulls && rng.Intn(8) == 0 {
 			k = -1
 		}
 		for r := rng.Intn(7); r >= 0; r-- {
@@ -412,7 +458,7 @@ func probeVisitOrder(pt *storage.Table, keys []int, jt JoinType, parts int) (map
 // every emitted batch JoinedProbeFraction must count exactly the probe
 // rows started so far: those up to the last emitted row's probe row in
 // visiting order, or every row once a pull ends short of a full batch
-// (the join then swept to its end). The dense-pk build must take the row
+// (the join then swept to its end). The dense-pk builds must take the row
 // directory exactly when the join has no memory budget.
 func TestChunkKernelMatchesGraceOrder(t *testing.T) {
 	defer data.SetBatchSize(data.DefaultBatchSize)
@@ -421,16 +467,17 @@ func TestChunkKernelMatchesGraceOrder(t *testing.T) {
 		for si, shape := range kernelKeyShapes {
 			rng := rand.New(rand.NewSource(int64(100*bs + si)))
 			var build, probe []int64
-			if shape == "dense-pk" {
-				build, probe = denseKernelKeys(rng)
+			dense := strings.HasPrefix(shape, "dense-pk")
+			if dense {
+				build, probe = denseKernelKeys(rng, shape == "dense-pk")
 			} else {
-				build, probe = kernelKeys(rng, shape != "int")
+				build, probe = kernelKeys(rng, shape != "int" && shape != "int-extremes")
 			}
 			bt, pt := kernelTable("b", build, shape), kernelTable("p", probe, shape)
 			for _, jt := range []JoinType{InnerJoin, ProbeOuterJoin, SemiJoin, AntiJoin} {
 				for _, budget := range []int64{0, 256} {
 					name := fmt.Sprintf("bs=%d/%s/%s/budget=%d", bs, shape, jt, budget)
-					checkChunkKernel(t, name, bt, pt, jt, budget, shape == "dense-pk" && budget == 0)
+					checkChunkKernel(t, name, bt, pt, jt, budget, dense && budget == 0)
 				}
 			}
 		}
@@ -450,14 +497,16 @@ func checkChunkKernel(t *testing.T, name string, bt, pt *storage.Table, jt JoinT
 	}
 	j := kernelJoin(bt, pt, jt, budget)
 	want := graceOrder(bt, pt, j.probeKeys, jt, j.parts)
+	// The fraction's denominator is the probe rows the join phase starts
+	// (the NULL keys an inner or semi join drops never count), so a join
+	// swept to its end reads exactly 1.
 	pos, started := probeVisitOrder(pt, j.probeKeys, jt, j.parts)
-	probeRows := float64(pt.NumRows())
 	wantFraction := func(got []data.Tuple, full bool) float64 {
 		if !full || len(got) == 0 {
-			return float64(started) / probeRows
+			return 1
 		}
 		last := got[len(got)-1]
-		return float64(pos[last[len(last)-1].I]+1) / probeRows
+		return float64(pos[last[len(last)-1].I]+1) / float64(started)
 	}
 	if err := j.Open(); err != nil {
 		t.Fatal(err)

@@ -28,11 +28,14 @@ import (
 // matches in build arrival order. The span hooks fire on the input
 // batches before the scatter.
 //
-// The join phase is one kernel, a probe chunk at a time: fillColPairs
-// sweeps the current chunk's key lane (sweepColChunk), looking each probe
-// row's span up — once per run of equal int keys — and appending its
-// pairs by join type until the buffer is full or the chunk ends. Three
-// rules keep it exact:
+// The join phase runs a probe chunk at a time: fillColPairs sweeps the
+// current chunk (sweepColChunk), appending each probe row's pairs by join
+// type until the buffer is full or the chunk ends, with one loop per
+// probe shape. A NULL-free int key lane over the row directory takes the
+// directory kernel (colJoinTable.sweepDirectory: a bounds check and one
+// load per row); every other shape takes the general sweep (sweepRows),
+// which looks each row's span up — once per run of equal int keys. Both
+// start and stop at the same rows, and three rules keep them exact:
 //
 //   - Resume cursor. A span that overruns the buffer leaves its rest and
 //     its probe row (colSpanRest, colSpanRow); the next fill emits them
@@ -76,6 +79,8 @@ type colPassConfig struct {
 	bytes    []int64
 	width    int
 	rows     *atomic.Int64
+	// kept counts the rows the scatter keeps (nil: not counted).
+	kept *atomic.Int64
 	// keepNull routes NULL-key tuples to partition 0 instead of dropping
 	// them (probe side of the probe-preserving join types).
 	keepNull bool
@@ -115,6 +120,7 @@ func (j *HashJoin) partitionPhases() error {
 		bytes:    j.probeBytes,
 		width:    j.probe.Schema().Len(),
 		rows:     &j.probeRows,
+		kept:     &j.probeKept,
 		keepNull: j.joinType == ProbeOuterJoin || j.joinType == AntiJoin,
 		chunked:  j.memBudget <= 0,
 	}
@@ -212,7 +218,9 @@ func (s *colScatter) group(cb *data.ColBatch, keys []int, keepNull bool, parts i
 // checks the partition's budget share after every group.
 func (j *HashJoin) scatterColBatch(cfg *colPassConfig, cb *data.ColBatch) error {
 	j.colScat.group(cb, cfg.keys, cfg.keepNull, j.parts)
+	kept := 0
 	for p, idx := range j.colScat.rows {
+		kept += len(idx)
 		if j.memBudget <= 0 {
 			cfg.colParts[p] = appendColRows(cfg.colParts[p], cb, idx, cfg.width, cfg.chunked)
 		} else if len(idx) > 0 {
@@ -220,6 +228,9 @@ func (j *HashJoin) scatterColBatch(cfg *colPassConfig, cb *data.ColBatch) error 
 				return err
 			}
 		}
+	}
+	if cfg.kept != nil {
+		cfg.kept.Add(int64(kept))
 	}
 	return nil
 }
@@ -509,14 +520,17 @@ func (j *HashJoin) fillColPairs(max int) (int, error) {
 
 // sweepColChunk is the join kernel. It first drains the resume cursor (a
 // span an earlier fill could not take whole), then starts colProbe's rows
-// in order: each row's span is looked up — once per run of equal keys on
-// an int key lane — and its pairs appended by join type (inner: every
-// match; outer: colPairNullBuild on a miss; semi: colPairProbeOnly on a
-// hit; anti: colPairProbeOnly on a miss). It stops before starting a row
-// once the buffer holds max pairs, and inside a span that overruns the
+// in order, each row's pairs appended by join type (inner: every match;
+// outer: colPairNullBuild on a miss; semi: colPairProbeOnly on a hit;
+// anti: colPairProbeOnly on a miss). It stops before starting a row once
+// the buffer holds max pairs, and inside a span that overruns the
 // buffer, leaving the rest as the resume cursor. joinedProbes advances
 // once, by the rows started. Reports whether the buffer is full; if not,
 // the chunk is exhausted.
+//
+// The rows are swept by one loop per probe shape: sweepDirectory when the
+// build took the row directory and the chunk's key is a NULL-free int
+// lane, sweepRows otherwise. Both start and stop at the same rows.
 func (j *HashJoin) sweepColChunk(max int) bool {
 	pb, pp := j.colPairB, j.colPairP
 	if rest := j.colSpanRest; len(rest) > 0 {
@@ -528,6 +542,25 @@ func (j *HashJoin) sweepColChunk(max int) bool {
 			return true
 		}
 	}
+	start, i := j.colProbeRow, j.colProbeRow
+	if kv := j.colProbeKey; kv != nil && j.colProbeNulls == nil && j.colTab.rowOf != nil {
+		pb, pp, i = j.colTab.sweepDirectory(j.joinType, kv.Ints[:j.colProbe.NRows], i, pb, pp, max)
+	} else {
+		pb, pp, i = j.sweepRows(i, pb, pp, max)
+	}
+	if i > start {
+		j.joinedProbes.Add(int64(i - start))
+	}
+	j.colProbeRow = i
+	j.colPairB, j.colPairP = pb, pp
+	return len(pb) >= max
+}
+
+// sweepRows is the general sweep: from row i of colProbe, each row's span
+// is looked up — once per run of equal keys on an int key lane, its NULL
+// bitmap tested per row — and appended by join type. It returns the pair
+// buffers and the first row it did not start.
+func (j *HashJoin) sweepRows(i int, pb, pp []int32, max int) ([]int32, []int32, int) {
 	cb, jt := j.colProbe, j.joinType
 	// Key shape: a flat int lane (its NULL bitmap nil when it has none)
 	// or, with ints nil, generic keys extracted per row.
@@ -539,7 +572,6 @@ func (j *HashJoin) sweepColChunk(max int) bool {
 	var prevKey int64
 	var prevSpan []int32
 	havePrev := false
-	start, i := j.colProbeRow, j.colProbeRow
 	for ; i < cb.NRows && len(pb) < max; i++ {
 		var span []int32
 		if ints != nil {
@@ -575,12 +607,7 @@ func (j *HashJoin) sweepColChunk(max int) bool {
 			j.colSpanRest, j.colSpanRow = span[take:], r
 		}
 	}
-	if i > start {
-		j.joinedProbes.Add(int64(i - start))
-	}
-	j.colProbeRow = i
-	j.colPairB, j.colPairP = pb, pp
-	return len(pb) >= max
+	return pb, pp, i
 }
 
 // appendSpan appends one pair per build row of span, all with probe row r.

@@ -135,3 +135,35 @@ func TestSemiJoinSchemaIsProbeOnly(t *testing.T) {
 		t.Errorf("schema = %v", j.Schema())
 	}
 }
+
+// TestJoinedProbeFractionEndsAtOne: a finished join has consumed all of
+// its probe input, whatever its join type and however many NULL probe
+// keys its scatter dropped (inner and semi joins drop them; outer and
+// anti joins keep them), through NextColBatch and through Next alike.
+// ProbeRows still counts every probe row read.
+func TestJoinedProbeFractionEndsAtOne(t *testing.T) {
+	probe := []int64{1, -1, 2, -1, 3, 9}
+	for _, jt := range []JoinType{InnerJoin, ProbeOuterJoin, SemiJoin, AntiJoin} {
+		for _, rows := range []bool{false, true} {
+			j := NewHashJoinMulti(
+				NewScan(kvTable("b", []int64{1, 2, 3}), ""),
+				NewScan(kvTable("p", probe), ""),
+				[]int{0}, []int{0}, jt)
+			var err error
+			if rows {
+				_, err = Run(j)
+			} else {
+				_, err = RunCol(j)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if f := j.JoinedProbeFraction(); f != 1 {
+				t.Errorf("%s (rows=%v): finished join's JoinedProbeFraction = %v, want 1", jt, rows, f)
+			}
+			if n := j.ProbeRows(); n != int64(len(probe)) {
+				t.Errorf("%s (rows=%v): ProbeRows = %d, want %d", jt, rows, n, len(probe))
+			}
+		}
+	}
+}
