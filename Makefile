@@ -64,12 +64,14 @@ serve-check:
 # choice between a tuple and a column-batch input pass), and the spill
 # files' seek operation (replaced by positional I/O), and the hash
 # aggregation's row-backed emission (its per-group tuples, the row-batch
-# emit helper) and the tuple sort helper only its self-test called are
-# removed;
+# emit helper) and the tuple sort helper only its self-test called, and
+# the tuple pull contract (every operator's Next method, the hash join's
+# row driver, the column adapter over Next, the two-contract plan walk and
+# drain, difftest's tuple modes) are removed;
 # nothing anywhere in the repo may reference them, so stray revivals in
 # merges get caught here.
 lint-deprecated:
-	@bad=$$(grep -rn --include='*.go' --exclude-dir=.bench_build -E '\.(RunContext|StartContext|NextBatch|Block|Columnar)\(|\<(storage\.Block|InSample|rowBuf|WithBatchExecution|RunBatch|AsBatch|DrainBatch|OnBuildBatch|OnProbeBatch|BatchAttached|observeProbeColFast|observeProbeColShardFast|SetMorselWorkers|SetMorselBlocks|Morseled|MorselSource|OnBuildColBatch|OnProbeColBatch|ColShardAttached|ObserveProbeColShard|FinishProbe|composeColW|ModeColMorsel|colPartitionAppend|appendColRow|BuildWidth|WithReoptimization|ReoptOptions|PlanChanges|ReoptStats|Reoptimizer|SwapSides|Relink|ReplaceProbe|ResetObservers|OnBeforePartition|PartitionStarted|ReattachChain|AttachSketches|NewReorder|ModeReopt(Columnar)?|OnBuildTuple|OnProbeTuple|nextProbeInPartition|chainColumnar|OnInputGroupCount|columnarInput|OpSeek|groupTuple|emitBatch|SortTuplesByKey)\>|\<qpi_reopt_' . || true); \
+	@bad=$$(grep -rn --include='*.go' --exclude-dir=.bench_build -E '\.(RunContext|StartContext|NextBatch|Block|Columnar)\(|\) Next\(\) \(data\.Tuple, error\)|\<(storage\.Block|InSample|rowBuf|WithBatchExecution|RunBatch|AsBatch|DrainBatch|OnBuildBatch|OnProbeBatch|BatchAttached|observeProbeColFast|observeProbeColShardFast|SetMorselWorkers|SetMorselBlocks|Morseled|MorselSource|OnBuildColBatch|OnProbeColBatch|ColShardAttached|ObserveProbeColShard|FinishProbe|composeColW|ModeColMorsel|colPartitionAppend|appendColRow|BuildWidth|WithReoptimization|ReoptOptions|PlanChanges|ReoptStats|Reoptimizer|SwapSides|Relink|ReplaceProbe|ResetObservers|OnBeforePartition|PartitionStarted|ReattachChain|AttachSketches|NewReorder|ModeReopt(Columnar)?|OnBuildTuple|OnProbeTuple|nextProbeInPartition|chainColumnar|OnInputGroupCount|columnarInput|OpSeek|groupTuple|emitBatch|SortTuplesByKey|advanceColRow|materializeColRow|colAdapter|AsColOperator|ColOperator|WalkColumnar|DrainCol|ModeTuple)\>|\<qpi_reopt_' . || true); \
 	if [ -n "$$bad" ]; then \
 		echo "removed API referenced:"; \
 		echo "$$bad"; \

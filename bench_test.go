@@ -439,7 +439,7 @@ func BenchmarkBudgetedScatter(b *testing.B) {
 		j := buildJoin(b)
 		j.SetMemoryBudget(256 * 1024).SetSpillFS(fs)
 		b.StartTimer()
-		if _, err := exec.RunCol(j); err != nil {
+		if _, err := exec.Run(j); err != nil {
 			b.Fatal(err)
 		}
 		if j.Spilled() == 0 {

@@ -94,14 +94,13 @@ func chain3Plan(seed int64) *exec.HashJoin {
 	return exec.NewHashJoin(exec.NewScan(a, ""), mid, 0, mid.Schema().MustResolve("d", "x"))
 }
 
-// drainColPlan drains a plan through NextColBatch and returns the row
-// count.
+// drainColPlan drains a plan and returns the row count.
 func drainColPlan(t *testing.T, top exec.Operator) int64 {
 	t.Helper()
 	if err := top.Open(); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := exec.DrainCol(exec.AsColOperator(top))
+	rows, err := exec.Drain(top)
 	if err != nil {
 		t.Fatal(err)
 	}

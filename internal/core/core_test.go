@@ -580,18 +580,19 @@ func TestDNEAndByteLifecycle(t *testing.T) {
 	if err := j.Open(); err != nil {
 		t.Fatal(err)
 	}
-	// Drain half the output.
+	// Drain the output, checking both baselines at the batch boundary
+	// that takes it past 1000 rows.
 	var n int64
 	for {
-		tu, err := j.Next()
+		cb, err := j.NextColBatch()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tu == nil {
+		if cb == nil {
 			break
 		}
-		n++
-		if n == 1000 {
+		n += int64(cb.Live())
+		if n >= 1000 && n-int64(cb.Live()) < 1000 {
 			dne := DNEEstimate(j, opt)
 			byte_ := ByteEstimate(j, opt)
 			f := j.JoinedProbeFraction()
@@ -619,11 +620,13 @@ func TestDNEAndByteLifecycle(t *testing.T) {
 
 func TestDriverFractionScan(t *testing.T) {
 	a := table("a", []string{"k"}, []int64{1, 2, 3, 4})
+	defer data.SetBatchSize(0)
+	data.SetBatchSize(1)
 	sc := exec.NewScan(a, "")
 	if err := sc.Open(); err != nil {
 		t.Fatal(err)
 	}
-	sc.Next()
+	sc.NextColBatch()
 	if got := DriverFraction(sc); got != 0.25 {
 		t.Errorf("scan fraction = %g", got)
 	}
@@ -763,12 +766,12 @@ func TestStreamSizeEstimateFilterRefines(t *testing.T) {
 	if got := StreamSizeEstimate(f); got != 2 {
 		t.Errorf("before start = %g, want optimizer 2", got)
 	}
+	defer data.SetBatchSize(0)
+	data.SetBatchSize(4)
 	if err := f.Open(); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 4; i++ {
-		f.Next()
-	}
+	f.NextColBatch()
 	// 4 emitted at scan fraction 4/8 → dne = 8.
 	if got := StreamSizeEstimate(f); got != 8 {
 		t.Errorf("midway = %g, want 8", got)
@@ -882,7 +885,7 @@ func TestBuildKeysHintPresizesHistogram(t *testing.T) {
 		pe := Attach(j).ChainOf[j]
 		h := pe.Histogram(0, 0).(*FreqHistogram)
 		before := h.MemoryAllocated()
-		if _, err := exec.RunCol(j); err != nil {
+		if _, err := exec.Run(j); err != nil {
 			t.Fatal(err)
 		}
 		if after := h.MemoryAllocated(); hint > 0 && after != before {

@@ -62,12 +62,14 @@ func TestDriverFractionVariants(t *testing.T) {
 	}
 
 	// Project passes through to its child's driver.
+	defer data.SetBatchSize(0)
+	data.SetBatchSize(1)
 	sc2 := exec.NewScan(table("e", []string{"k"}, randCol(rng, 10, 5)), "")
 	pr := exec.ProjectColumns(sc2, [2]string{"e", "k"})
 	if err := pr.Open(); err != nil {
 		t.Fatal(err)
 	}
-	pr.Next()
+	pr.NextColBatch()
 	if f := DriverFraction(pr); f != 0.1 {
 		t.Errorf("project driver fraction = %g", f)
 	}

@@ -5,7 +5,7 @@ import "sync/atomic"
 // DefaultBatchSize is the number of rows moved per NextColBatch call.
 // 1024 keeps a batch of slice headers around 24 KiB — small enough to
 // stay cache-resident, large enough to amortize the per-call interface
-// dispatch the tuple-at-a-time path pays per row. SetBatchSize overrides
+// dispatch a pull per row would pay. SetBatchSize overrides
 // it for sweeps.
 const DefaultBatchSize = 1024
 

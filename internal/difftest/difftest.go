@@ -1,7 +1,7 @@
 // Package difftest is the randomized differential-testing harness: it
 // runs every qgen-generated plan through all execution modes of the real
-// engine (drained through Next or through NextColBatch, each in memory
-// and forced to spill, and mid-query cancel/re-run) and checks each run
+// engine (in memory, forced to spill, and mid-query cancel/re-run) and
+// checks each run
 // against the exact oracle and the paper's estimator invariants:
 //
 //   - result-set equivalence: the run's output multiset equals the
@@ -41,57 +41,38 @@ type Mode int
 
 // Execution modes.
 const (
-	// ModeTuple drains the plan through Next.
-	ModeTuple Mode = iota
-	// ModeSpill is ModeTuple under a tiny budget, forcing grace-join and
-	// sort spills.
-	ModeSpill
-	// ModeCancelRerun cancels the context after the first bottom-stream
-	// tuple, verifies the terminal state, then re-runs a fresh build to
-	// completion with full checks.
-	ModeCancelRerun
-	// ModeColumnar drains the plan through NextColBatch: hash joins gather
-	// output straight into column lanes.
-	ModeColumnar
+	// ModeColumnar drains the plan in memory.
+	ModeColumnar Mode = iota
 	// ModeColumnarSpill is ModeColumnar under a tiny budget, forcing
 	// grace-join and sort spills.
 	ModeColumnarSpill
+	// ModeCancelRerun cancels the context after the first bottom-stream
+	// batch, verifies the terminal state, then re-runs a fresh build to
+	// completion with full checks.
+	ModeCancelRerun
 )
 
 // AllModes is every execution mode, in suite order.
-var AllModes = []Mode{ModeTuple, ModeSpill, ModeColumnar, ModeColumnarSpill, ModeCancelRerun}
-
-// columnar reports whether the mode drains the plan through
-// NextColBatch.
-func (m Mode) columnar() bool {
-	switch m {
-	case ModeColumnar, ModeColumnarSpill:
-		return true
-	}
-	return false
-}
+var AllModes = []Mode{ModeColumnar, ModeColumnarSpill, ModeCancelRerun}
 
 func (m Mode) String() string {
 	switch m {
-	case ModeSpill:
-		return "spill"
-	case ModeCancelRerun:
-		return "cancel-rerun"
-	case ModeColumnar:
-		return "columnar"
 	case ModeColumnarSpill:
 		return "columnar-spill"
+	case ModeCancelRerun:
+		return "cancel-rerun"
 	default:
-		return "tuple"
+		return "columnar"
 	}
 }
 
-// spillBudget is the per-operator memory budget (bytes) of ModeSpill —
-// small enough that even 8-row partitions overflow.
+// spillBudget is the per-operator memory budget (bytes) of
+// ModeColumnarSpill — small enough that even 8-row partitions overflow.
 const spillBudget = 128
 
-// ciSampleAt is the probe-tuple count at which ModeTuple snapshots each
-// chain's confidence intervals for the suite-wide coverage statistic.
+// ciSampleAt is the probe-row count at which ModeColumnar snapshots each
+// chain's confidence intervals for the suite-wide coverage statistic (the
+// lane kernel fires OnProbeObserved per probe row).
 const ciSampleAt = 8
 
 // SuiteStats aggregates cross-case statistics; the suite test asserts
@@ -105,7 +86,7 @@ type SuiteStats struct {
 	CISamples     int
 	CICovered     int
 	Cancelled     int   // runs that observed a real mid-query cancellation
-	SpillFiles    int64 // spilled runs across ModeSpill runs
+	SpillFiles    int64 // spilled runs across ModeColumnarSpill runs
 }
 
 // CheckCase generates the case for (seed, opts), evaluates the oracle and
@@ -141,19 +122,18 @@ func runMode(c *qgen.Case, want *oracle.Result, m Mode, st *SuiteStats) error {
 	if err != nil {
 		return err
 	}
-	if m == ModeSpill || m == ModeColumnarSpill {
+	if m == ModeColumnarSpill {
 		setBudget(b.Root, spillBudget)
 	}
 	att := core.Attach(b.Root)
 	mon := progress.NewMonitorWith(b.Root, progress.ModeOnce, att)
 	st.Runs++
 
-	// gnm invariants, sampled at work-based ticks on the execution path
-	// (span-granular where the mode drains columnar, so those modes run
-	// the lane-native output paths a per-tuple hook would switch off).
+	// gnm invariants, sampled at work-based ticks on the execution path,
+	// a span at a time.
 	var lastC float64
 	var progErr error
-	progress.NewTicker(5, func() {
+	tk := progress.NewTicker(5, func() {
 		if progErr != nil {
 			return
 		}
@@ -165,11 +145,12 @@ func runMode(c *qgen.Case, want *oracle.Result, m Mode, st *SuiteStats) error {
 		if rep.Progress < -1e-9 || rep.Progress > 1+1e-6 {
 			progErr = fmt.Errorf("gnm progress %g outside [0,1]", rep.Progress)
 		}
-	}).Install(b.Root, m.columnar())
+	})
+	tk.Install(b.Root)
 
 	// Mid-probe CI snapshots.
 	cis := map[*core.PipelineEstimator][]ciSnapshot{}
-	if m == ModeTuple {
+	if m == ModeColumnar {
 		for _, pe := range att.Chains {
 			pe := pe
 			snaps := make([]ciSnapshot, pe.Levels())
@@ -194,11 +175,11 @@ func runMode(c *qgen.Case, want *oracle.Result, m Mode, st *SuiteStats) error {
 		cctx, cancel := context.WithCancel(ctx)
 		defer cancel()
 		ctx = cctx
-		prev := b.Bottom.OnTuple
+		prev := b.Bottom.OnBatch
 		fired := false
-		b.Bottom.OnTuple = func(t data.Tuple) {
+		b.Bottom.OnBatch = func(rows int) {
 			if prev != nil {
-				prev(t)
+				prev(rows)
 			}
 			if !fired {
 				fired = true
@@ -207,7 +188,7 @@ func runMode(c *qgen.Case, want *oracle.Result, m Mode, st *SuiteStats) error {
 		}
 	}
 	exec.Bind(b.Root, ctx)
-	rows, runErr := drain(b.Root, m)
+	rows, runErr := drain(b.Root, tk)
 	mon.Finish(runErr)
 
 	if progErr != nil {
@@ -227,7 +208,7 @@ func runMode(c *qgen.Case, want *oracle.Result, m Mode, st *SuiteStats) error {
 			return fmt.Errorf("cancelled run progress %g outside [0,1]", rep.Progress)
 		}
 		st.Cancelled++
-		return runMode(c, want, ModeTuple, st)
+		return runMode(c, want, ModeColumnar, st)
 	}
 	if runErr != nil {
 		return fmt.Errorf("run failed: %w", runErr)
@@ -242,7 +223,7 @@ func runMode(c *qgen.Case, want *oracle.Result, m Mode, st *SuiteStats) error {
 		if got := j.Stats().Emitted.Load(); got != want.JoinCards[i] {
 			return fmt.Errorf("join %d (%s) emitted %d, oracle says %d", i, j.Name(), got, want.JoinCards[i])
 		}
-		if m == ModeSpill || m == ModeColumnarSpill {
+		if m == ModeColumnarSpill {
 			st.SpillFiles += j.Stats().SpillFiles.Load()
 		}
 	}
@@ -353,16 +334,21 @@ func checkAgg(b *qgen.Built, att *core.Attachment, want *oracle.Result, st *Suit
 	return nil
 }
 
-func drain(root exec.Operator, m Mode) ([]data.Tuple, error) {
+// drain opens, drains and closes the plan the way Query.drain does,
+// reporting each root batch to the ticker.
+func drain(root exec.Operator, tk *progress.Ticker) ([]data.Tuple, error) {
 	if err := root.Open(); err != nil {
 		return nil, err
 	}
 	var rows []data.Tuple
 	var err error
-	if m.columnar() {
-		rows, err = exec.DrainCol(exec.AsColOperator(root))
-	} else {
-		rows, err = exec.Drain(root)
+	for {
+		var cb *data.ColBatch
+		if cb, err = root.NextColBatch(); err != nil || cb == nil {
+			break
+		}
+		rows = cb.ToTuples(rows)
+		tk.Add(int64(cb.Live()))
 	}
 	if cerr := root.Close(); err == nil {
 		err = cerr

@@ -28,7 +28,7 @@ func FuzzDifferential(f *testing.F) {
 			AltJoins: altJoins,
 			NonInner: nonInner,
 		}
-		if err := CheckCase(seed, opts, nil, ModeTuple, ModeColumnar); err != nil {
+		if err := CheckCase(seed, opts, nil, ModeColumnar); err != nil {
 			t.Fatalf("%v\nreplay: %s", err, ReplayCommand(seed, opts))
 		}
 	})

@@ -162,14 +162,14 @@ func TestDiskScanStreamsAll(t *testing.T) {
 	}
 	n := 0
 	for {
-		tu, err := sc.Next()
+		cb, err := sc.NextColBatch()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tu == nil {
+		if cb == nil {
 			break
 		}
-		n++
+		n += cb.Live()
 	}
 	if n != 700 || !sc.Stats().IsDone() || sc.Stats().Emitted.Load() != 700 {
 		t.Fatalf("emitted %d, stats %+v", n, sc.Stats())
@@ -184,22 +184,23 @@ func TestDiskScanSamplePunctuation(t *testing.T) {
 	sc.SampleFraction = 0.3
 	sc.Seed = 7
 	fired := -1
-	seen := 0
-	sc.OnTuple = func(data.Tuple) { seen++ }
-	sc.OnSampleEnd = func() { fired = seen }
+	sc.OnSampleEnd = func() { fired = int(sc.Stats().Emitted.Load()) }
 	if err := sc.Open(); err != nil {
 		t.Fatal(err)
 	}
 	total := 0
 	for {
-		tu, err := sc.Next()
+		cb, err := sc.NextColBatch()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tu == nil {
+		if cb == nil {
 			break
 		}
-		total++
+		if total < 3*128 && total+cb.Live() > 3*128 {
+			t.Errorf("a batch of %d rows straddles the sample's end after %d rows", cb.Live(), total)
+		}
+		total += cb.Live()
 	}
 	if total != 1280 {
 		t.Fatalf("total = %d", total)

@@ -9,9 +9,10 @@ import (
 )
 
 // Scan streams tuples from an on-disk table file, implementing
-// exec.Operator. Like the in-memory scan it can deliver a block-level
-// random sample first (the paper's precomputed disk samples) and fires
-// the same hooks, so the whole estimation framework attaches unchanged.
+// exec.Operator with row-backed batches of decoded blocks. Like the
+// in-memory scan it can deliver a block-level random sample first (the
+// paper's precomputed disk samples) and punctuates it with OnSampleEnd, so
+// the whole estimation framework attaches unchanged.
 type Scan struct {
 	file  *TableFile
 	alias string
@@ -22,9 +23,8 @@ type Scan struct {
 	// Seed makes the block sample reproducible.
 	Seed int64
 
-	// OnTuple fires for every emitted tuple.
-	OnTuple func(data.Tuple)
-	// OnSampleEnd fires once, after the last tuple of the random sample.
+	// OnSampleEnd fires once, after the batch that ends the random sample
+	// is counted: a batch never straddles the sample's end.
 	OnSampleEnd func()
 
 	stats  exec.Stats
@@ -36,6 +36,8 @@ type Scan struct {
 	blockPos   int
 	sampleLeft int64
 	punctuated bool
+	rows       data.Batch
+	batch      data.ColBatch
 }
 
 // NewScan opens a scan over an on-disk table. alias renames the output
@@ -100,44 +102,52 @@ func (s *Scan) Open() error {
 	return nil
 }
 
-// Next implements exec.Operator.
-func (s *Scan) Next() (data.Tuple, error) {
-	for {
-		if s.blockPos < len(s.block) {
-			t := s.block[s.blockPos]
-			s.blockPos++
-			if s.OnTuple != nil {
-				s.OnTuple(t)
-			}
-			if !s.punctuated {
-				s.sampleLeft--
-				if s.sampleLeft == 0 {
-					s.punctuated = true
-					if s.OnSampleEnd != nil {
-						s.OnSampleEnd()
-					}
-				}
-			}
-			s.stats.Emitted.Add(1)
-			return t, nil
-		}
-		if s.orderPos >= len(s.order) {
-			s.stats.MarkDone()
-			return nil, nil
-		}
-		blk, err := s.file.ReadBlock(s.order[s.orderPos])
-		if err != nil {
-			return nil, err
-		}
-		s.orderPos++
-		s.block = blk
-		s.blockPos = 0
+// NextColBatch implements exec.Operator: up to a batch of the decoded
+// blocks' rows, cut at the end of the random sample.
+func (s *Scan) NextColBatch() (*data.ColBatch, error) {
+	rows, want := s.rows[:0], data.BatchSize()
+	if !s.punctuated {
+		want = int(min(int64(want), s.sampleLeft))
 	}
+	for len(rows) < want {
+		if s.blockPos == len(s.block) {
+			if s.orderPos == len(s.order) {
+				break
+			}
+			blk, err := s.file.ReadBlock(s.order[s.orderPos])
+			if err != nil {
+				return nil, err
+			}
+			s.orderPos++
+			s.block, s.blockPos = blk, 0
+			continue
+		}
+		n := min(want-len(rows), len(s.block)-s.blockPos)
+		rows = append(rows, s.block[s.blockPos:s.blockPos+n]...)
+		s.blockPos += n
+	}
+	s.rows = rows
+	if len(rows) == 0 {
+		s.stats.MarkDone()
+		return nil, nil
+	}
+	s.stats.Emitted.Add(int64(len(rows)))
+	s.stats.Batches.Add(1)
+	if !s.punctuated {
+		if s.sampleLeft -= int64(len(rows)); s.sampleLeft == 0 {
+			s.punctuated = true
+			if s.OnSampleEnd != nil {
+				s.OnSampleEnd()
+			}
+		}
+	}
+	s.batch.SetRows(rows, s.schema.Len())
+	return &s.batch, nil
 }
 
 // Close implements exec.Operator.
 func (s *Scan) Close() error {
-	s.block = nil
+	s.block, s.rows = nil, nil
 	return nil
 }
 

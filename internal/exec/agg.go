@@ -222,23 +222,24 @@ func (a *HashAgg) Child() Operator { return a.child }
 // Open implements Operator.
 func (a *HashAgg) Open() error { return a.child.Open() }
 
-// Next implements Operator: a row driver over the group lanes.
-func (a *HashAgg) Next() (data.Tuple, error) {
+// NextColBatch implements Operator: after the input pass (consume), the
+// groups leave a batch at a time as windows of the operator's group lanes
+// — nothing is copied.
+func (a *HashAgg) NextColBatch() (*data.ColBatch, error) {
 	if !a.computed {
 		if err := a.consume(); err != nil {
 			return nil, err
 		}
 	}
 	if a.pos >= len(a.ns) {
+		a.stats.MarkDone()
 		a.endEmitSpan()
-		return a.finish()
+		return nil, nil
 	}
-	t := make(data.Tuple, len(a.lanes))
-	for c := range a.lanes {
-		t[c] = a.lanes[c].ValueAt(a.pos)
-	}
-	a.pos++
-	return a.emit(t)
+	hi := min(a.pos+data.BatchSize(), len(a.ns))
+	a.colBuf.SetWindow(a.lanes, a.pos, hi)
+	a.pos = hi
+	return a.emitColBatch(&a.colBuf)
 }
 
 // consume is the input pass: it drains the child column-at-a-time and
@@ -248,12 +249,11 @@ func (a *HashAgg) Next() (data.Tuple, error) {
 func (a *HashAgg) consume() error {
 	a.initGroups()
 	a.traceBegin("input")
-	in := AsColOperator(a.child)
 	for {
 		if err := a.ctxErr(); err != nil {
 			return err
 		}
-		cb, err := in.NextColBatch()
+		cb, err := a.child.NextColBatch()
 		if err != nil {
 			return err
 		}
@@ -427,7 +427,7 @@ func (a *HashAgg) Close() error {
 
 // SortAgg implements sort-based grouping: the input is sorted on the group
 // key (a blocking pass firing OnInput per tuple), then adjacent runs are
-// aggregated.
+// aggregated. It is a row operator (see rowops.go).
 type SortAgg struct {
 	base
 	child   Operator
@@ -436,6 +436,8 @@ type SortAgg struct {
 	aggs    []AggSpec
 	label   string
 
+	in      rowReader
+	out     rowBatches
 	cur     data.Tuple // first tuple of the pending group
 	started bool
 	done    bool
@@ -468,16 +470,24 @@ func (a *SortAgg) Name() string { return a.label }
 func (a *SortAgg) Children() []Operator { return []Operator{a.sorter} }
 
 // Open implements Operator.
-func (a *SortAgg) Open() error { return a.sorter.Open() }
+func (a *SortAgg) Open() error {
+	a.in = rowReader{child: a.sorter}
+	return a.sorter.Open()
+}
 
-// Next implements Operator.
-func (a *SortAgg) Next() (data.Tuple, error) {
+// NextColBatch implements Operator.
+func (a *SortAgg) NextColBatch() (*data.ColBatch, error) {
+	return a.out.next(a.nextRow, a.schema.Len())
+}
+
+// nextRow is the row step: one group's aggregate row per call.
+func (a *SortAgg) nextRow() (data.Tuple, error) {
 	if a.done {
 		return a.finish()
 	}
 	if !a.started {
 		a.traceBegin("aggregate")
-		t, err := a.sorter.Next()
+		t, err := a.in.next()
 		if err != nil {
 			return nil, err
 		}
@@ -501,7 +511,7 @@ func (a *SortAgg) Next() (data.Tuple, error) {
 			}
 			states[i].add(spec.Func, v)
 		}
-		t, err := a.sorter.Next()
+		t, err := a.in.next()
 		if err != nil {
 			return nil, err
 		}

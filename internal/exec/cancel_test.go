@@ -42,20 +42,20 @@ func TestCancelMidScan(t *testing.T) {
 	sc := NewScan(makeTable("t", vals), "")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	const cancelAt = 500
+	const cancelAt = 5000
 	n := 0
-	sc.OnTuple = func(data.Tuple) {
-		if n++; n == cancelAt {
+	sc.OnBatch = func(rows int) {
+		if n += rows; n >= cancelAt && n-rows < cancelAt {
 			cancel()
 		}
 	}
 	Bind(sc, ctx)
 	_, err := Run(sc)
 	expectCanceled(t, err)
-	// "Within one batch of work": the amortized poll checks every 128th
-	// call, far under the 1024-tuple batch bound.
-	if emitted := sc.Stats().Emitted.Load(); emitted > cancelAt+128 {
-		t.Errorf("scan emitted %d tuples after cancel at %d", emitted, cancelAt)
+	// "Within one batch of work": no batch leaves the scan after the one
+	// whose hook cancelled.
+	if emitted := sc.Stats().Emitted.Load(); emitted != int64(n) || n >= cancelAt+data.BatchSize() {
+		t.Errorf("scan emitted %d rows (%d through its hook) after cancel at %d", emitted, n, cancelAt)
 	}
 }
 
@@ -79,11 +79,13 @@ func TestCancelDeadlineExceeded(t *testing.T) {
 	}
 }
 
-// cancelJoin runs a hash join (spilling when budget > 0) drained through
-// Next or through NextColBatch, with its ctx cancelled by the hook arm
-// installs, and asserts the cancellation surfaces with every spill
-// descriptor closed, no goroutine left and every pooled batch returned.
-func cancelJoin(t *testing.T, budget int64, columnar bool, arm func(j *HashJoin, cancel func())) {
+// cancelJoin runs a hash join (spilling when budget > 0), drained
+// directly or — rowParent — read a tuple at a time by a row operator
+// (underRowOperator), with its ctx cancelled by the
+// hook arm installs, and asserts the cancellation surfaces with every
+// spill descriptor closed, no goroutine left and every pooled batch
+// returned.
+func cancelJoin(t *testing.T, budget int64, rowParent bool, arm func(j *HashJoin, nl *NestedLoopsJoin, cancel func())) {
 	t.Helper()
 	goroutines, pooled := runtime.NumGoroutine(), data.ColBatchesOut()
 	a := randTable("a", 3000, 100, 14)
@@ -96,14 +98,15 @@ func cancelJoin(t *testing.T, budget int64, columnar bool, arm func(j *HashJoin,
 	j.SetMemoryBudget(budget).SetSpillFS(fs)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	arm(j, cancel)
-	Bind(j, ctx)
-	var err error
-	if columnar {
-		_, err = RunCol(j)
-	} else {
-		_, err = Run(j)
+	var root Operator = j
+	var nl *NestedLoopsJoin
+	if rowParent {
+		nl = underRowOperator(j)
+		root = nl
 	}
+	arm(j, nl, cancel)
+	Bind(root, ctx)
+	_, err := Run(root)
 	expectCanceled(t, err)
 	if open := fs.OpenFiles(); open != 0 {
 		t.Errorf("%d spill files still open after cancelled run", open)
@@ -113,15 +116,15 @@ func cancelJoin(t *testing.T, budget int64, columnar bool, arm func(j *HashJoin,
 }
 
 // cancelInPass cancels a join `at` rows into its build or probe partition
-// pass, armed through the span hook's row counts, with the join drained
-// through Next (tuple) and through NextColBatch (columnar).
+// pass, armed through the span hook's row counts, with the join read by a
+// row operator (tuple) and drained directly (columnar).
 func cancelInPass(t *testing.T, budget int64, build bool, at int) {
 	for _, m := range []struct {
-		name     string
-		columnar bool
-	}{{name: "tuple"}, {name: "columnar", columnar: true}} {
+		name      string
+		rowParent bool
+	}{{name: "tuple", rowParent: true}, {name: "columnar"}} {
 		t.Run(m.name, func(t *testing.T) {
-			cancelJoin(t, budget, m.columnar, func(j *HashJoin, cancel func()) {
+			cancelJoin(t, budget, m.rowParent, func(j *HashJoin, _ *NestedLoopsJoin, cancel func()) {
 				n := 0
 				hook := func(cb *data.ColBatch) {
 					if n < at && n+cb.Live() >= at {
@@ -144,20 +147,18 @@ func TestCancelMidProbe(t *testing.T)      { cancelInPass(t, 0, false, 700) }
 func TestCancelMidSpillBuild(t *testing.T) { cancelInPass(t, 16*1024, true, 2500) }
 func TestCancelMidSpillProbe(t *testing.T) { cancelInPass(t, 16*1024, false, 2000) }
 
-// TestCancelMidOutput cancels from the output hook, which on the columnar
-// path sends emission through the row fallback; TestCancelColumnarJoin-
-// ReturnsChunks cancels the lane-to-lane join phase.
+// TestCancelMidOutput cancels a spilling join's join phase from the row
+// operator reading its output, 1000 tuples in; TestCancelColumnarJoin-
+// ReturnsChunks cancels the lane-to-lane join phase drained directly.
 func TestCancelMidOutput(t *testing.T) {
-	for _, columnar := range []bool{false, true} {
-		cancelJoin(t, 16*1024, columnar, func(j *HashJoin, cancel func()) {
-			n := 0
-			j.OnOutput = func(data.Tuple) {
-				if n++; n == 1000 {
-					cancel()
-				}
+	cancelJoin(t, 16*1024, true, func(_ *HashJoin, nl *NestedLoopsJoin, cancel func()) {
+		n := 0
+		nl.OnOuterTuple = func(data.Tuple) {
+			if n++; n == 1000 {
+				cancel()
 			}
-		})
-	}
+		}
+	})
 }
 
 func TestCancelMidSortInput(t *testing.T) {
@@ -186,8 +187,8 @@ func TestCancelMidSortInput(t *testing.T) {
 	}
 }
 
-// TestCancelMidSortMerge cancels after output has started, i.e. during
-// the k-way merge of spilled runs.
+// TestCancelMidSortMerge cancels after the first output batch, i.e.
+// during the k-way merge of spilled runs.
 func TestCancelMidSortMerge(t *testing.T) {
 	vals := randTable("t", 5000, 100000, 17)
 	fs := vfs.NewFaultFS(nil)
@@ -200,17 +201,12 @@ func TestCancelMidSortMerge(t *testing.T) {
 	if err := s.Open(); err != nil {
 		t.Fatal(err)
 	}
-	var err error
-	for i := 0; ; i++ {
-		var tu data.Tuple
-		tu, err = s.Next()
-		if err != nil || tu == nil {
-			break
-		}
-		if i == 100 {
-			cancel()
-		}
+	_, err := s.NextColBatch()
+	if err != nil {
+		t.Fatal(err)
 	}
+	cancel()
+	_, err = Drain(s)
 	expectCanceled(t, err)
 	if s.Runs() == 0 {
 		t.Fatal("sort never spilled; merge phase not exercised")
@@ -238,8 +234,16 @@ func TestCancelMergeJoin(t *testing.T) {
 		}
 	}
 	Bind(mj, ctx)
-	_, err := Run(mj)
+	rows, err := Run(mj)
 	expectCanceled(t, err)
+	// The batch the cancel interrupts never leaves, but every tuple the
+	// merge produced fired its hook and was counted, and the merge stopped
+	// at its next amortized poll, where the tuple-at-a-time path that
+	// preceded the batch contract stopped too (621 tuples).
+	if rows != 0 || mj.Stats().Emitted.Load() != int64(n) || n != 621 {
+		t.Errorf("cancel at output 500: %d rows left, %d emitted, OnOutput fired %d times, want 0, 621, 621",
+			rows, mj.Stats().Emitted.Load(), n)
+	}
 }
 
 func TestCancelNLJoin(t *testing.T) {
@@ -250,21 +254,17 @@ func TestCancelNLJoin(t *testing.T) {
 		NewScan(makeTable("b", b), ""), 0, 0)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	n := 0
+	j.OnOuterTuple = func(data.Tuple) {
+		if n++; n == 100 {
+			cancel()
+		}
+	}
 	Bind(j, ctx)
 	if err := j.Open(); err != nil {
 		t.Fatal(err)
 	}
-	var err error
-	for i := 0; ; i++ {
-		var tu data.Tuple
-		tu, err = j.Next()
-		if err != nil || tu == nil {
-			break
-		}
-		if i == 300 {
-			cancel()
-		}
-	}
+	_, err := Drain(j)
 	expectCanceled(t, err)
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
@@ -278,8 +278,8 @@ func TestCancelHashAgg(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	n := 0
-	sc.OnTuple = func(data.Tuple) {
-		if n++; n == 10000 {
+	sc.OnBatch = func(rows int) {
+		if n += rows; n >= 10000 {
 			cancel()
 		}
 	}

@@ -12,13 +12,12 @@ import (
 	"qpi/internal/storage"
 )
 
-// Equivalence of the two pull contracts, operator by operator: the same
-// plan drained through NextColBatch and through Next must produce the
-// same rows in the same order, leave the same counters on every operator
-// and fire the same hooks. internal/difftest checks whole generated plans
-// against an oracle; these tests pin the cases a generator reaches only
-// by luck — punctuation mid-batch, a limit cutting a selection vector,
-// row-major operators behind the adapter, a join under a tuple parent.
+// The lane operators at the edges of their batches, operator by
+// operator, each checked against rows built without the operator under
+// test: internal/difftest checks whole generated plans against an
+// oracle; these tests pin the cases a generator reaches only by luck —
+// punctuation mid-batch, a limit cutting a selection vector, row
+// operators under a hash join, a hash join under a row operator.
 
 // fingerprints renders rows into comparable strings.
 func fingerprints(rows []data.Tuple) []string {
@@ -64,90 +63,68 @@ func requireSameStats(t *testing.T, a, b Operator, label string) {
 	}
 }
 
-// requireColumnarMatchesTuple builds the plan twice, drains one copy
-// through Next and the other through NextColBatch, and requires the same
-// ordered rows and the same counters on every operator.
-func requireColumnarMatchesTuple(t *testing.T, label string, mk func() Operator) {
-	t.Helper()
-	tup, col := mk(), mk()
-	requireSameRows(t, drainMode(t, tup, false), drainMode(t, col, true), label)
-	requireSameStats(t, tup, col, label)
-}
-
-// TestScanBatchEquivalence holds the lane scan to Next over batch sizes
-// that divide a block, straddle blocks and leave the NULL-bit windows
-// unaligned, sequentially and in sample order, full-width and pruned to
-// three of the six columns: the same rows in the same order with the same
-// counters, every batch full but the last, and OnSampleEnd fired exactly
-// once, after the SampleBoundary()-th OnTuple — which for most of these
-// sizes is the middle of a batch. A pruned scan's rows are the table's
-// rows cut to its columns.
+// TestScanBatchEquivalence holds the lane scan to the table's own walk
+// (storage.Iterator) over batch sizes that divide a block, straddle blocks
+// and leave the NULL-bit windows unaligned, sequentially and in sample
+// order, full-width and pruned to three of the six columns: the same rows
+// in the same order, every batch full but the last, the counters exact,
+// and OnSampleEnd fired exactly once, in the batch that reads the
+// SampleBoundary()-th row — for most of these sizes the middle of a
+// batch. A pruned scan's rows are the table's rows cut to its columns.
 func TestScanBatchEquivalence(t *testing.T) {
 	defer data.SetBatchSize(0)
 	const n = 23*storage.BlockSize + 17 // partial last batch + partial block
 	tb := laneTable("t", n)
-	type run struct {
-		sc         *Scan
-		rows       []data.Tuple
-		seen       int
-		sampleEnds []int // tuples seen at each OnSampleEnd
-	}
 	pruned := []bool{false, false, true, false, true, true} // s, mixed, allnull
 	for _, bs := range []int{1, 7, 100, 128, 1000, 1024} {
 		for _, frac := range []float64{0, 0.1, 0.5, 1} {
-			var full []data.Tuple // the full-width scan's rows, in this order
+			it := tb.SequentialOrder()
+			if frac > 0 {
+				it = tb.SampleOrder(frac, 7)
+			}
+			boundary := it.SampleBoundary()
+			var full []data.Tuple // the table's rows in the walk's order
+			for tu := it.Next(); tu != nil; tu = it.Next() {
+				full = append(full, tu)
+			}
 			for _, narrow := range []bool{false, true} {
 				data.SetBatchSize(bs)
 				label := fmt.Sprintf("scan, batches of %d, sample %g, pruned %v", bs, frac, narrow)
-				drain := func(columnar bool) *run {
-					r := &run{sc: NewScan(tb, "")}
-					if narrow {
-						r.sc.narrow(slices.Clone(pruned))
+				sc := NewScan(tb, "")
+				if narrow {
+					sc.narrow(slices.Clone(pruned))
+				}
+				sc.SampleFraction = frac
+				sc.Seed = 7
+				seen := 0
+				var sampleEnds []int // rows of earlier batches at each OnSampleEnd
+				sc.OnSampleEnd = func() { sampleEnds = append(sampleEnds, seen) }
+				sc.OnBatch = func(rows int) {
+					if want := min(bs, n-seen); rows != want {
+						t.Fatalf("%s: batch of %d rows with %d left", label, rows, n-seen)
 					}
-					r.sc.SampleFraction = frac
-					r.sc.Seed = 7
-					r.sc.OnTuple = func(data.Tuple) { r.seen++ }
-					r.sc.OnSampleEnd = func() { r.sampleEnds = append(r.sampleEnds, r.seen) }
-					if columnar {
-						left := n
-						r.sc.OnBatch = func(rows int) {
-							if want := min(bs, left); rows != want {
-								t.Fatalf("%s: batch of %d rows with %d left", label, rows, left)
-							}
-							left -= rows
-						}
+					seen += rows
+				}
+				want := full
+				if narrow {
+					want = nil
+					for _, row := range full {
+						want = append(want, data.Tuple{row[2], row[4], row[5]})
 					}
-					r.rows = drainMode(t, r.sc, columnar)
-					return r
 				}
-				tup, col := drain(false), drain(true)
-				requireSameRows(t, tup.rows, col.rows, label)
-				if len(col.rows) != n {
-					t.Fatalf("%s: %d of %d rows", label, len(col.rows), n)
+				requireSameRows(t, want, collect(t, sc), label)
+				if st := sc.Stats(); st.Emitted.Load() != n || !st.IsDone() {
+					t.Errorf("%s: emitted %d done=%v, want %d done", label, st.Emitted.Load(), st.IsDone(), n)
 				}
-				if a, b := tup.sc.Stats(), col.sc.Stats(); a.Emitted.Load() != b.Emitted.Load() || !a.IsDone() || !b.IsDone() {
-					t.Errorf("%s: tuple path emitted %d done=%v, lane scan %d done=%v", label, a.Emitted.Load(), a.IsDone(), b.Emitted.Load(), b.IsDone())
-				}
-				if got, want := col.sc.Stats().Batches.Load(), int64((n+bs-1)/bs); got != want {
+				if got, want := sc.Stats().Batches.Load(), int64((n+bs-1)/bs); got != want {
 					t.Errorf("%s: %d batches, want %d", label, got, want)
 				}
-				var want []int // an unsampled scan has no sample to end
+				var wantEnds []int // an unsampled scan has no sample to end
 				if frac > 0 {
-					want = []int{tb.SampleOrder(frac, 7).SampleBoundary()}
+					wantEnds = []int{(boundary - 1) / bs * bs}
 				}
-				for _, r := range []*run{tup, col} {
-					if !slices.Equal(r.sampleEnds, want) {
-						t.Fatalf("%s: OnSampleEnd after tuples %v, want %v", label, r.sampleEnds, want)
-					}
-				}
-				if !narrow {
-					full = tup.rows
-					continue
-				}
-				for i, row := range full {
-					if cut := (data.Tuple{row[2], row[4], row[5]}); tup.rows[i].String() != cut.String() {
-						t.Fatalf("%s: row %d is %s, the full-width row cut to the scan's columns %s", label, i, tup.rows[i], cut)
-					}
+				if !slices.Equal(sampleEnds, wantEnds) {
+					t.Fatalf("%s: OnSampleEnd after %v rows of earlier batches, want %v (boundary %d)", label, sampleEnds, wantEnds, boundary)
 				}
 			}
 		}
@@ -202,16 +179,19 @@ func snapshotLanes(tb *storage.Table) []data.ColVec {
 // — filter, computed and shared projections, limit, GROUP BY, a join and a
 // join that spills both sides — over one table twice, so the second run
 // draws the batches the first one returned to the pool, and requires the
-// table's lanes to be what they were and both runs to agree with
-// the tuple-at-a-time reference. The scan's batches are windows of the
-// table: anything that resets, releases or pools one, or appends to one in
-// place, shows here.
+// table's lanes to be what they were and every run to agree with the
+// same plan over fresh copies of the tables. The scan's batches are
+// windows of the table: anything that resets, releases or pools one, or
+// appends to one in place, shows here.
 func TestScanLanesNeverMutateTheTable(t *testing.T) {
-	a, b := laneTable("a", 2*data.BatchSize()+300), laneTable("b", data.BatchSize()+77)
+	tables := func() (a, b *storage.Table) {
+		return laneTable("a", 2*data.BatchSize()+300), laneTable("b", data.BatchSize()+77)
+	}
+	a, b := tables()
 	before := [][]data.ColVec{snapshotLanes(a), snapshotLanes(b)}
 	col := func(op Operator, table, name string) expr.Expr { return expr.Column(op.Schema(), table, name) }
-	plans := map[string]func() Operator{
-		"filter/project/limit": func() Operator {
+	plans := map[string]func(a, b *storage.Table) Operator{
+		"filter/project/limit": func(a, b *storage.Table) Operator {
 			sc := NewScan(a, "")
 			f := NewFilter(sc, expr.Compare(expr.LT, col(sc, "a", "knull"), expr.IntLit(9)))
 			p := NewProject(f, []expr.Expr{
@@ -221,7 +201,7 @@ func TestScanLanesNeverMutateTheTable(t *testing.T) {
 			}, []string{"s", "mixed", "allnull", "kk", "ff"})
 			return NewLimit(p, 1500)
 		},
-		"group by": func() Operator {
+		"group by": func(a, b *storage.Table) Operator {
 			sc := NewScan(a, "")
 			return NewHashAgg(sc, []int{sc.Schema().MustResolve("a", "s")}, []AggSpec{
 				{Func: CountStar, Name: "c"},
@@ -229,29 +209,29 @@ func TestScanLanesNeverMutateTheTable(t *testing.T) {
 				{Func: Min, Col: sc.Schema().MustResolve("a", "f"), Name: "lo"},
 			})
 		},
-		"join": func() Operator {
+		"join": func(a, b *storage.Table) Operator {
 			sc := NewScan(a, "")
 			f := NewFilter(sc, expr.Compare(expr.LT, col(sc, "a", "k"), expr.IntLit(400)))
 			return NewHashJoinOn(NewScan(b, ""), f, "b", "mixed", "a", "mixed")
 		},
-		"spilling join": func() Operator {
+		"spilling join": func(a, b *storage.Table) Operator {
 			return NewHashJoinMulti(NewScan(b, ""), NewScan(a, ""), []int{0}, []int{0}, ProbeOuterJoin).
 				SetMemoryBudget(64 << 10)
 		},
 	}
 	for label, mk := range plans {
-		want := drainMode(t, mk(), false)
+		want := collect(t, mk(tables()))
 		if len(want) == 0 {
 			t.Fatalf("%s: empty reference result", label)
 		}
 		// Passes 3 and 4 run the plan pruned: its scans hand out windows of
 		// fewer lanes.
 		for pass := 1; pass <= 4; pass++ {
-			op := mk()
+			op := mk(a, b)
 			if pass > 2 {
 				Prune(op)
 			}
-			requireSameRows(t, want, drainMode(t, op, true), fmt.Sprintf("%s, pass %d", label, pass))
+			requireSameRows(t, want, collect(t, op), fmt.Sprintf("%s, pass %d", label, pass))
 			if j, ok := op.(*HashJoin); ok && label == "spilling join" && j.Spilled() == 0 {
 				t.Fatalf("%s did not spill", label)
 			}
@@ -270,40 +250,44 @@ func TestScanLanesNeverMutateTheTable(t *testing.T) {
 // TestFilterProjectLimitBatchEquivalence: a filter that empties whole
 // batches and narrows the others to selection vectors, a projection that
 // shares and computes columns, and a limit that lands inside a selection
-// vector. Operators under the limit see whole batches on the columnar
-// path, so only the limit's own counters are comparable there; the
-// pipeline without the limit is compared operator by operator.
+// vector, against the rows computed by hand, with every operator's
+// counters exact.
 func TestFilterProjectLimitBatchEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	bs := data.BatchSize()
 	rows := make([][2]int64, 6*bs)
+	var want []data.Tuple // y, x+1 of the rows with x < 20
 	for i := range rows {
 		x := int64(rng.Intn(50))
 		if batch := i / bs; batch == 1 || batch == 4 {
 			x += 100 // the filter drops these batches whole
 		}
 		rows[i] = [2]int64{x, int64(rng.Intn(1000))}
+		if x < 20 {
+			want = append(want, data.Tuple{data.Int(rows[i][1]), data.Int(x + 1)})
+		}
 	}
-	pipeline := func() Operator {
-		sc := NewScan(makeTable2("t", rows), "")
+	tb := makeTable2("t", rows)
+	const limit = 700 // about 0.4 of a batch survives the filter: mid-vector in the second live batch
+	for _, n := range []int64{-1, limit} {
+		sc := NewScan(tb, "")
 		f := NewFilter(sc, expr.Compare(expr.LT, expr.Column(sc.Schema(), "t", "x"), expr.IntLit(20)))
-		return NewProject(f, []expr.Expr{
+		var top Operator = NewProject(f, []expr.Expr{
 			expr.Column(f.Schema(), "t", "y"),
 			expr.Arith{Op: expr.Add, L: expr.Column(f.Schema(), "t", "x"), R: expr.IntLit(1)},
 		}, []string{"y", "x1"})
-	}
-	requireColumnarMatchesTuple(t, "filter/project", pipeline)
-
-	const limit = 700 // about 0.4 of a batch survives the filter: mid-vector in the second live batch
-	tup, col := NewLimit(pipeline(), limit), NewLimit(pipeline(), limit)
-	got := drainMode(t, col, true)
-	requireSameRows(t, drainMode(t, tup, false), got, "filter/project/limit")
-	if len(got) != limit {
-		t.Fatalf("limit %d returned %d rows", limit, len(got))
-	}
-	if a, b := tup.Stats(), col.Stats(); a.Emitted.Load() != b.Emitted.Load() || !a.IsDone() || !b.IsDone() {
-		t.Errorf("limit counters: tuple %d done=%v, columnar %d done=%v",
-			a.Emitted.Load(), a.IsDone(), b.Emitted.Load(), b.IsDone())
+		label, wantRows := "filter/project", want
+		if n >= 0 {
+			top, label, wantRows = NewLimit(top, n), "filter/project/limit", want[:n]
+		}
+		requireSameRows(t, wantRows, collect(t, top), label)
+		if st := top.Stats(); st.Emitted.Load() != int64(len(wantRows)) || !st.IsDone() {
+			t.Errorf("%s: emitted %d done=%v, want %d", label, st.Emitted.Load(), st.IsDone(), len(wantRows))
+		}
+		if n < 0 && (f.Stats().Emitted.Load() != int64(len(want)) || sc.Stats().Emitted.Load() != int64(len(rows))) {
+			t.Errorf("%s: filter emitted %d of %d, scan %d of %d", label,
+				f.Stats().Emitted.Load(), len(want), sc.Stats().Emitted.Load(), len(rows))
+		}
 	}
 }
 
@@ -311,9 +295,9 @@ func TestFilterProjectLimitBatchEquivalence(t *testing.T) {
 // multi-column groups, over more than two batches' worth of groups and
 // with no GROUP BY (NULL keys and NULL aggregate inputs included, fed
 // through a filter so the input batches carry selection vectors, and
-// pruned on one side, whose scan then carries no rows) emits the input's
-// groups in first-seen order with their aggregates, through Next and
-// through NextColBatch alike, and its OnInputGroupCounts spans
+// pruned or not, a pruned scan carrying no rows) emits the input's
+// groups in first-seen order with their aggregates, and its
+// OnInputGroupCounts spans
 // concatenate to each input row's running count of its group. Over no
 // input, a grouped aggregation emits nothing and a scalar one one row.
 func TestHashAggBatchEquivalence(t *testing.T) {
@@ -410,27 +394,26 @@ func TestHashAggBatchEquivalence(t *testing.T) {
 					{Func: Avg, Col: 3, Name: "avg"},
 				})
 			}
-			for _, columnar := range []bool{false, true} {
+			for _, pruned := range []bool{false, true} {
 				op := mk()
-				if columnar {
+				if pruned {
 					Prune(op)
 				}
 				var spans []int64
 				op.(*HashAgg).OnInputGroupCounts = func(ns []int64) { spans = append(spans, ns...) }
-				requireSameRows(t, want, drainMode(t, op, columnar), fmt.Sprintf("%s, columnar %v", label, columnar))
+				requireSameRows(t, want, collect(t, op), fmt.Sprintf("%s, pruned %v", label, pruned))
 				if !slices.Equal(spans, wantCounts) {
-					t.Errorf("%s, columnar %v: the spans carry %d group counts, not the %d running counts of the input",
-						label, columnar, len(spans), len(wantCounts))
+					t.Errorf("%s, pruned %v: the spans carry %d group counts, not the %d running counts of the input",
+						label, pruned, len(spans), len(wantCounts))
 				}
 			}
 		}
 	}
 }
 
-// TestHashJoinBatchEquivalence: for every join type the join drained
-// through NextColBatch emits the rows Next emits, in the same
-// partition-clustered order, with the same counters on the join and both
-// scans.
+// TestHashJoinBatchEquivalence: for every join type the join emits the
+// grace-order reference rows, in its partition-clustered order, with
+// exact counters.
 func TestHashJoinBatchEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	build := make([]int64, 2500)
@@ -441,67 +424,43 @@ func TestHashJoinBatchEquivalence(t *testing.T) {
 	for i := range probe {
 		probe[i] = int64(rng.Intn(80))
 	}
+	bt, pt := makeTable("a", build), makeTable("b", probe)
 	for _, jt := range []JoinType{InnerJoin, ProbeOuterJoin, SemiJoin, AntiJoin} {
-		mk := func() *HashJoin {
-			return NewHashJoinMulti(
-				NewScan(makeTable("a", build), ""),
-				NewScan(makeTable("b", probe), ""),
-				[]int{0}, []int{0}, jt)
-		}
-		base := mk()
-		want := drainMode(t, base, false)
+		j := NewHashJoinMulti(NewScan(bt, ""), NewScan(pt, ""), []int{0}, []int{0}, jt)
 		label := fmt.Sprintf("%v join", jt)
-		j := mk()
-		requireSameRows(t, want, drainMode(t, j, true), label)
-		requireSameStats(t, base, j, label)
-		if j.BuildRows() != base.BuildRows() || j.ProbeRows() != base.ProbeRows() {
-			t.Errorf("%s: rows build=%d/%d probe=%d/%d", label,
-				j.BuildRows(), base.BuildRows(), j.ProbeRows(), base.ProbeRows())
+		rows := collect(t, j)
+		requireSameRows(t, graceOrder(bt, pt, []int{0}, jt, j.parts), rows, label)
+		if st := j.Stats(); st.Emitted.Load() != int64(len(rows)) || !st.IsDone() ||
+			j.BuildRows() != int64(len(build)) || j.ProbeRows() != int64(len(probe)) {
+			t.Errorf("%s: emitted %d done=%v for %d rows; rows build=%d/%d probe=%d/%d", label, st.Emitted.Load(),
+				st.IsDone(), len(rows), j.BuildRows(), len(build), j.ProbeRows(), len(probe))
 		}
 	}
 }
 
-// TestHashJoinNullKeysBatched checks the NULL-key rules on both drains:
-// build NULLs never join, probe NULLs are preserved only by the
-// probe-preserving join types.
+// TestHashJoinNullKeysBatched checks the NULL-key rules: build NULLs
+// never join, probe NULLs are preserved only by the probe-preserving join
+// types.
 func TestHashJoinNullKeysBatched(t *testing.T) {
-	mkSide := func(name string, vals []int64, nulls int) *storage.Table {
-		sch := data.NewSchema(data.Column{Table: name, Name: "k", Kind: data.KindInt})
-		tb := storage.NewTable(name, sch)
-		for _, v := range vals {
-			tb.MustAppend(data.Tuple{data.Int(v)})
-		}
-		for i := 0; i < nulls; i++ {
-			tb.MustAppend(data.Tuple{data.Null()})
-		}
-		return tb
-	}
+	bt, pt := kvTable("a", []int64{1, 2, 2, 3, -1, -1}), kvTable("b", []int64{2, 3, 3, 4, -1, -1, -1})
 	wantRows := map[JoinType]int{InnerJoin: 4, ProbeOuterJoin: 8, SemiJoin: 3, AntiJoin: 4}
 	for _, jt := range []JoinType{InnerJoin, ProbeOuterJoin, SemiJoin, AntiJoin} {
-		mk := func() *HashJoin {
-			return NewHashJoinMulti(
-				NewScan(mkSide("a", []int64{1, 2, 2, 3}, 2), ""),
-				NewScan(mkSide("b", []int64{2, 3, 3, 4}, 3), ""),
-				[]int{0}, []int{0}, jt)
-		}
-		base := mk()
-		want := drainMode(t, base, false)
-		if len(want) != wantRows[jt] {
-			t.Fatalf("%v join: Next returned %d rows, want %d", jt, len(want), wantRows[jt])
-		}
+		j := NewHashJoinMulti(NewScan(bt, ""), NewScan(pt, ""), []int{0}, []int{0}, jt)
 		label := fmt.Sprintf("%v join nulls", jt)
-		j := mk()
-		requireSameRows(t, want, drainMode(t, j, true), label)
-		requireSameStats(t, base, j, label)
+		rows := collect(t, j)
+		if len(rows) != wantRows[jt] || j.Stats().Emitted.Load() != int64(len(rows)) {
+			t.Fatalf("%s: %d rows, %d emitted, want %d", label, len(rows), j.Stats().Emitted.Load(), wantRows[jt])
+		}
+		requireSameRows(t, graceOrder(bt, pt, []int{0}, jt, j.parts), rows, label)
 	}
 }
 
 // TestHashJoinBatchHooks checks the hook ordering contract documented on
-// HashJoin, drained through Next (tuple) and through NextColBatch
-// (columnar): the span hooks cover every input row; OnBuildEnd fires once
+// HashJoin, with the join drained directly (columnar) and read a tuple at
+// a time by a row operator, the outer input of a nested-loops join
+// (tuple): the span hooks cover every input row; OnBuildEnd fires once
 // between the passes and OnProbeEnd once after the probe pass; all of it
-// before any output. Only the tuple drain carries OnOutput, which would
-// send the columnar drain through the row fallback.
+// before any output, which the row operator sees only in the join phase.
 func TestHashJoinBatchHooks(t *testing.T) {
 	a := randTable("a", 2000, 50, 21)
 	b := randTable("b", 2400, 50, 22)
@@ -533,108 +492,213 @@ func TestHashJoinBatchHooks(t *testing.T) {
 			}
 			j.OnBuildCol = spanHook("OnBuildCol", 0, &buildSpanned)
 			j.OnProbeCol = spanHook("OnProbeCol", 1, &probeSpanned)
+			var top Operator = j
 			if !m.columnar {
-				j.OnOutput = func(data.Tuple) {
-					inPhase("OnOutput", 2)
+				nl := underRowOperator(j)
+				nl.OnOuterTuple = func(data.Tuple) {
+					inPhase("OnOuterTuple", 2)
 					outputs++
 				}
+				top = nl
 			}
 
-			rows := drainMode(t, j, m.columnar)
+			rows := collect(t, top)
 			if buildSpanned != len(a) || probeSpanned != len(b) {
 				t.Errorf("span hooks build=%d probe=%d, inputs %d/%d", buildSpanned, probeSpanned, len(a), len(b))
 			}
 			if buildEnds != 1 || probeEnds != 1 {
 				t.Errorf("barriers fired build=%d probe=%d times, want once each", buildEnds, probeEnds)
 			}
-			if len(rows) == 0 || !m.columnar && outputs != len(rows) {
-				t.Errorf("OnOutput fired %d times for %d rows", outputs, len(rows))
+			if len(rows) == 0 || int64(len(rows)) != j.Stats().Emitted.Load() || !m.columnar && outputs != len(rows) {
+				t.Errorf("the row operator read %d of the join's %d rows; %d emitted", outputs, j.Stats().Emitted.Load(), len(rows))
 			}
-			if got := j.Stats().Batches.Load(); (got > 0) != m.columnar {
-				t.Errorf("%d output batches from the %s drain", got, m.name)
+			if got, want := j.Stats().Batches.Load(), (len(rows)+data.BatchSize()-1)/data.BatchSize(); got < int64(want) {
+				t.Errorf("%d output batches for %d rows", got, len(rows))
 			}
 		})
 	}
 }
 
-// TestAdaptersCompose puts the row-major operators — a Sort and a
-// MergeJoin over two more Sorts — under a hash join: its
-// partition passes reach them through the adapter over Next, and the
-// plan must agree with its all-tuple twin.
+// underRowOperator returns op read a tuple at a time by a row operator: a
+// cross nested-loops join with a one-row inner, whose rows are op's rows
+// with that row's one column appended (see dropLast).
+func underRowOperator(op Operator) *NestedLoopsJoin {
+	return NewNestedLoopsJoin(op, NewScan(makeTable("one", []int64{1}), ""), nil)
+}
+
+// dropLast cuts the column underRowOperator appends off every row.
+func dropLast(rows []data.Tuple) []data.Tuple {
+	out := make([]data.Tuple, len(rows))
+	for i, r := range rows {
+		out[i] = r[:len(r)-1]
+	}
+	return out
+}
+
+// refEquiJoin is the naive equijoin of two row sets on columns lk and
+// rk: l ⧺ r for every matching pair, NULL keys never matching.
+func refEquiJoin(left, right []data.Tuple, lk, rk int) []data.Tuple {
+	var out []data.Tuple
+	for _, l := range left {
+		for _, r := range right {
+			if !l[lk].IsNull() && data.Equal(l[lk], r[rk]) {
+				out = append(out, l.Concat(r))
+			}
+		}
+	}
+	return out
+}
+
+// intRows renders a key column as single-column rows.
+func intRows(vals []int64) []data.Tuple {
+	out := make([]data.Tuple, len(vals))
+	for i, v := range vals {
+		out[i] = data.Tuple{data.Int(v)}
+	}
+	return out
+}
+
+// TestAdaptersCompose puts the row operators on the batch boundary under
+// a hash join: a sort spilling runs, a sort-based aggregation and a merge
+// join over two sorts each feed a build and a probe side through their
+// row-backed batches. The rows must be the reference's, every operator
+// must have emitted (Emitted) exactly the rows its parent read, and each
+// hook fire as many times as the same plan fires it drained through the
+// tuple-at-a-time path that preceded the batch contract (the counts below
+// were recorded there): once per input tuple of a sort, once per output
+// tuple of a merge join, once per input batch of a partition pass.
 func TestAdaptersCompose(t *testing.T) {
 	a := randTable("a", 1500, 300, 23)
 	b := randTable("b", 1200, 300, 24)
-	c := randTable("c", 900, 300, 25)
-	mk := func() Operator {
-		mj, _, _ := NewSortMergeJoin(
-			NewScan(makeTable("b", b), ""),
-			NewScan(makeTable("c", c), ""), 0, 0)
-		return NewHashJoin(NewSort(NewScan(makeTable("a", a), ""), 0), mj, 0, 0)
+	cs := randTable("c", 900, 300, 25)
+	aggRows := func(vals []int64) (out []data.Tuple) { // SELECT k, COUNT(*) GROUP BY k
+		counts := map[int64]int64{}
+		for _, v := range vals {
+			counts[v]++
+		}
+		for k, n := range counts {
+			out = append(out, data.Tuple{data.Int(k), data.Int(n)})
+		}
+		return out
 	}
-	for _, op := range []Operator{NewSort(NewScan(makeTable("a", a), ""), 0), mk().Children()[1]} {
-		if _, native := op.(ColOperator); native {
-			t.Fatalf("%s implements ColOperator; the test needs row-major operators", op.Name())
+	type hooks struct{ sortInputs, mergeOutputs, buildSpans, probeSpans int }
+	for _, c := range []struct {
+		name         string
+		build, probe func() Operator
+		want         []data.Tuple
+		fired        hooks
+	}{
+		{
+			"sort, merge join",
+			func() Operator { return NewSort(NewScan(makeTable("a", a), ""), 0) },
+			func() Operator {
+				mj, _, _ := NewSortMergeJoin(NewScan(makeTable("b", b), ""), NewScan(makeTable("c", cs), ""), 0, 0)
+				return mj
+			},
+			refEquiJoin(intRows(a), refEquiJoin(intRows(b), intRows(cs), 0, 0), 0, 0),
+			hooks{3600, 3719, 2, 4},
+		},
+		{
+			"spilling sort, sort aggregation",
+			func() Operator { return NewSort(NewScan(makeTable("a", a), ""), 0).SetMemoryBudget(4 << 10) },
+			func() Operator {
+				return NewSortAgg(NewScan(makeTable("b", b), ""), []int{0}, []AggSpec{{Func: CountStar}})
+			},
+			refEquiJoin(intRows(a), aggRows(b), 0, 0),
+			hooks{2700, 0, 2, 1},
+		},
+		{
+			"sort aggregation, spilling sort",
+			func() Operator {
+				return NewSortAgg(NewScan(makeTable("b", b), ""), []int{0}, []AggSpec{{Func: CountStar}})
+			},
+			func() Operator { return NewSort(NewScan(makeTable("a", a), ""), 0).SetMemoryBudget(4 << 10) },
+			refEquiJoin(aggRows(b), intRows(a), 0, 0),
+			hooks{2700, 0, 1, 2},
+		},
+	} {
+		j := NewHashJoin(c.build(), c.probe(), 0, 0)
+		var fired hooks
+		Walk(j, func(op Operator) {
+			switch o := op.(type) {
+			case *Sort:
+				o.OnInput = func(data.Tuple) { fired.sortInputs++ }
+			case *MergeJoin:
+				o.OnOutput = func(data.Tuple) { fired.mergeOutputs++ }
+			}
+		})
+		j.OnBuildCol = func(*data.ColBatch) { fired.buildSpans++ }
+		j.OnProbeCol = func(*data.ColBatch) { fired.probeSpans++ }
+		rows := collect(t, j)
+		if g, w := sortedStrings(rows), sortedStrings(c.want); !slices.Equal(g, w) {
+			t.Fatalf("%s: %d rows, the reference %d", c.name, len(g), len(w))
+		}
+		if j.Stats().Emitted.Load() != int64(len(rows)) || j.BuildRows() != j.Build().Stats().Emitted.Load() ||
+			j.ProbeRows() != j.Probe().Stats().Emitted.Load() {
+			t.Errorf("%s: the join or its inputs emitted rows nobody read", c.name)
+		}
+		if fired != c.fired {
+			t.Errorf("%s: hooks fired %+v, want %+v", c.name, fired, c.fired)
+		}
+		for _, op := range j.Children() {
+			if s, ok := op.(*Sort); ok && s.memBudget > 0 && s.Stats().SpillFiles.Load() == 0 {
+				t.Errorf("%s: the budgeted sort did not spill", c.name)
+			}
 		}
 	}
-	requireColumnarMatchesTuple(t, "sort and merge join under a hash join", mk)
 }
 
-// TestMixedModePlan pulls a hash join through Next from a parent drained
-// tuple-at-a-time: the join's lane-native partitions must serve rows one
-// at a time, and agree with the same plan drained through NextColBatch.
+// TestMixedModePlan reads a hash join a tuple at a time from a row
+// operator — the outer input of a nested-loops join, under a filter — and
+// the join's lane-native output must reach it whole.
 func TestMixedModePlan(t *testing.T) {
 	a := randTable("a", 1200, 60, 24)
 	b := randTable("b", 1500, 60, 25)
-	requireColumnarMatchesTuple(t, "join pulled by Next", func() Operator {
-		j := NewHashJoinOn(
-			NewScan(makeTable("a", a), ""),
-			NewScan(makeTable("b", b), ""),
-			"a", "k", "b", "k")
-		return NewFilter(j, expr.Compare(expr.LT, expr.Column(j.Schema(), "b", "k"), expr.IntLit(45)))
-	})
+	j := NewHashJoinOn(NewScan(makeTable("a", a), ""), NewScan(makeTable("b", b), ""), "a", "k", "b", "k")
+	nl := NewIndexedNLJoin(j, NewScan(makeTable("c", []int64{3, 44, 44}), ""), 1, 0)
+	f := NewFilter(nl, expr.Compare(expr.LT, expr.Column(nl.Schema(), "b", "k"), expr.IntLit(45)))
+	ab := refEquiJoin(intRows(a), intRows(b), 0, 0)
+	var want []data.Tuple
+	for _, r := range refEquiJoin(ab, intRows([]int64{3, 44, 44}), 1, 0) {
+		if r[1].I < 45 {
+			want = append(want, r)
+		}
+	}
+	read := 0
+	nl.OnOuterTuple = func(data.Tuple) { read++ }
+	got := collect(t, f)
+	if g, w := sortedStrings(got), sortedStrings(want); !slices.Equal(g, w) || len(w) == 0 {
+		t.Fatalf("join read by a row operator: %d rows, the reference %d", len(g), len(w))
+	}
+	if n := j.Stats().Emitted.Load(); n != int64(read) || n != int64(len(ab)) || !j.Stats().IsDone() {
+		t.Errorf("the join emitted %d rows, the row operator read %d, done=%v", n, read, j.Stats().IsDone())
+	}
 }
 
 // TestScanDoesNotSeeLaterInserts: rows appended to the table after a scan
-// has opened are not returned by that scan, on either pull contract, and
-// the rows it does return are the ones that were there.
+// has opened are not returned by that scan, and the rows it does return
+// are the ones that were there.
 func TestScanDoesNotSeeLaterInserts(t *testing.T) {
-	for _, columnar := range []bool{false, true} {
-		n := 2*data.BatchSize() + 50
-		tb := laneTable("t", n)
-		sc := NewScan(tb, "")
-		if err := sc.Open(); err != nil {
-			t.Fatal(err)
-		}
-		var rows []data.Tuple
-		if columnar {
-			cb, err := sc.NextColBatch()
-			if err != nil {
-				t.Fatal(err)
-			}
-			rows = cb.ToTuples(rows)
-		} else {
-			tu, err := sc.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			rows = append(rows, tu)
-		}
-		for _, r := range laneTable("more", 3*n).Rows() {
-			tb.MustAppend(data.Tuple{data.Int(-1), r[1], r[2], r[3], data.Float(1), r[5]})
-		}
-		var rest []data.Tuple
-		var err error
-		if columnar {
-			rest, err = DrainCol(sc)
-		} else {
-			rest, err = Drain(sc)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSameRows(t, laneTable("t", n).Rows(), append(rows, rest...), fmt.Sprintf("scan opened before the inserts (columnar %v)", columnar))
-		if err := sc.Close(); err != nil {
-			t.Fatal(err)
-		}
+	n := 2*data.BatchSize() + 50
+	tb := laneTable("t", n)
+	sc := NewScan(tb, "")
+	if err := sc.Open(); err != nil {
+		t.Fatal(err)
+	}
+	cb, err := sc.NextColBatch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := cb.ToTuples(nil)
+	for _, r := range laneTable("more", 3*n).Rows() {
+		tb.MustAppend(data.Tuple{data.Int(-1), r[1], r[2], r[3], data.Float(1), r[5]})
+	}
+	rest, err := Drain(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameRows(t, laneTable("t", n).Rows(), append(rows, rest...), "scan opened before the inserts")
+	if err := sc.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -91,20 +91,22 @@ func TestScanSamplePunctuation(t *testing.T) {
 	for i := range vals {
 		vals[i] = int64(i)
 	}
+	defer data.SetBatchSize(0)
+	data.SetBatchSize(storage.BlockSize)
 	sc := NewScan(makeTable("t", vals), "")
 	sc.SampleFraction = 0.3
 	sc.Seed = 7
 	fired := -1
 	seen := 0
-	sc.OnTuple = func(data.Tuple) { seen++ }
+	sc.OnBatch = func(rows int) { seen += rows }
 	sc.OnSampleEnd = func() { fired = seen }
 	rows := collect(t, sc)
 	if len(rows) != len(vals) {
 		t.Fatalf("emitted %d rows, want %d", len(rows), len(vals))
 	}
-	want := 3 * storage.BlockSize
-	if fired != want {
-		t.Errorf("OnSampleEnd after %d tuples, want %d", fired, want)
+	// The sample is three blocks: it ends with the third batch of a block.
+	if want := 2 * storage.BlockSize; fired != want {
+		t.Errorf("OnSampleEnd after %d rows of earlier batches, want %d", fired, want)
 	}
 }
 
@@ -129,12 +131,13 @@ func TestScanInvalidFraction(t *testing.T) {
 }
 
 func TestScanFraction(t *testing.T) {
+	defer data.SetBatchSize(0)
+	data.SetBatchSize(2)
 	sc := NewScan(makeTable("t", []int64{1, 2, 3, 4}), "")
 	if err := sc.Open(); err != nil {
 		t.Fatal(err)
 	}
-	sc.Next()
-	sc.Next()
+	sc.NextColBatch()
 	if f := sc.Fraction(); f != 0.5 {
 		t.Errorf("Fraction = %g, want 0.5", f)
 	}
@@ -280,9 +283,9 @@ func TestHashJoinHookOrdering(t *testing.T) {
 	if err := j.Open(); err != nil {
 		t.Fatal(err)
 	}
-	tu, err := j.Next()
-	if err != nil || tu == nil {
-		t.Fatalf("first Next = %v, %v", tu, err)
+	cb, err := j.NextColBatch()
+	if err != nil || cb == nil {
+		t.Fatalf("first NextColBatch = %v, %v", cb, err)
 	}
 	want := []string{"b2", "build-end", "p3", "end"}
 	if !reflect.DeepEqual(events, want) {
@@ -519,9 +522,9 @@ func TestHashAggAllocatesLessThanOncePerGroup(t *testing.T) {
 	}
 	tb := makeTable("t", keys)
 	allocs := testing.AllocsPerRun(5, func() {
-		n, err := RunCol(NewHashAgg(NewScan(tb, ""), []int{0}, []AggSpec{{Func: CountStar}}))
+		n, err := Run(NewHashAgg(NewScan(tb, ""), []int{0}, []AggSpec{{Func: CountStar}}))
 		if err != nil || n != groups {
-			t.Fatalf("RunCol = %d, %v; want %d groups", n, err, groups)
+			t.Fatalf("Run = %d, %v; want %d groups", n, err, groups)
 		}
 	})
 	if allocs >= groups {
@@ -612,25 +615,11 @@ func TestRunAndWalk(t *testing.T) {
 }
 
 func TestEmittedCountsEqualGetnextCalls(t *testing.T) {
-	// gnm invariant: an operator's Emitted equals the number of non-nil
-	// Next() results its parent observed.
+	// gnm invariant: an operator's Emitted equals the number of live rows
+	// of the batches its parent observed.
 	sc := NewScan(makeTable("t", []int64{1, 2, 3}), "")
 	f := NewFilter(sc, expr.Compare(expr.GE, expr.Col{Index: 0}, expr.IntLit(2)))
-	if err := f.Open(); err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for {
-		tu, err := f.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tu == nil {
-			break
-		}
-		n++
-	}
-	if int64(n) != f.Stats().Emitted.Load() {
+	if n := len(collect(t, f)); int64(n) != f.Stats().Emitted.Load() {
 		t.Errorf("parent saw %d, Emitted = %d", n, f.Stats().Emitted.Load())
 	}
 	if sc.Stats().Emitted.Load() != 3 {

@@ -7,12 +7,13 @@ import (
 	"qpi/internal/data"
 )
 
-// faultOp emits good tuples then fails, exercising error propagation
-// through every composite operator.
+// faultOp emits a batch of good tuples then fails, exercising error
+// propagation through every composite operator.
 type faultOp struct {
 	base
 	good    int
-	emitted int
+	emitted bool
+	batch   data.ColBatch
 }
 
 var errInjected = errors.New("injected failure")
@@ -27,12 +28,17 @@ func (f *faultOp) Name() string         { return "Fault" }
 func (f *faultOp) Children() []Operator { return nil }
 func (f *faultOp) Open() error          { return nil }
 func (f *faultOp) Close() error         { return nil }
-func (f *faultOp) Next() (data.Tuple, error) {
-	if f.emitted >= f.good {
+func (f *faultOp) NextColBatch() (*data.ColBatch, error) {
+	if f.emitted {
 		return nil, errInjected
 	}
-	f.emitted++
-	return data.Tuple{data.Int(int64(f.emitted))}, nil
+	f.emitted = true
+	rows := make([]data.Tuple, f.good)
+	for i := range rows {
+		rows[i] = data.Tuple{data.Int(int64(i + 1))}
+	}
+	f.batch.SetRows(rows, 1)
+	return &f.batch, nil
 }
 
 // openFaultOp fails at Open.
@@ -41,7 +47,7 @@ type openFaultOp struct{ faultOp }
 func (o *openFaultOp) Open() error { return errInjected }
 
 // expectInjected drains op until the injected error surfaces, at Open or
-// at a Next, then closes it: Close must hand back every pooled batch the
+// at a NextColBatch, then closes it: Close must hand back every pooled batch the
 // failed run took, so the error path is a leak witness too.
 func expectInjected(t *testing.T, op Operator) {
 	t.Helper()
@@ -59,14 +65,14 @@ func expectInjected(t *testing.T, op Operator) {
 		return
 	}
 	for {
-		tu, err := op.Next()
+		cb, err := op.NextColBatch()
 		if err != nil {
 			if !errors.Is(err, errInjected) {
 				t.Fatalf("unexpected error: %v", err)
 			}
 			return
 		}
-		if tu == nil {
+		if cb == nil {
 			t.Fatal("stream ended without the injected error")
 		}
 	}

@@ -13,7 +13,6 @@ type Filter struct {
 	child Operator
 	pred  expr.Expr
 
-	cchild  ColOperator
 	selBuf  []int32
 	colView data.ColBatch
 }
@@ -37,19 +36,29 @@ func (f *Filter) Children() []Operator { return []Operator{f.child} }
 // Open implements Operator.
 func (f *Filter) Open() error { return f.child.Open() }
 
-// Next implements Operator.
-func (f *Filter) Next() (data.Tuple, error) {
+// NextColBatch implements Operator: the predicate evaluates over whole
+// column spans into a selection vector — no tuples are copied, the output
+// is a shallow view of the child's batch with a narrowed selection. Fully
+// filtered batches are skipped without returning.
+func (f *Filter) NextColBatch() (*data.ColBatch, error) {
 	for {
-		t, err := f.child.Next()
+		if err := f.ctxErr(); err != nil {
+			return nil, err
+		}
+		in, err := f.child.NextColBatch()
 		if err != nil {
 			return nil, err
 		}
-		if t == nil {
-			return f.finish()
+		if in == nil {
+			return f.emitColBatch(nil)
 		}
-		if f.pred.Eval(t).IsTrue() {
-			return f.emit(t)
+		f.selBuf = expr.EvalSel(f.pred, in, in.Sel, f.selBuf[:0])
+		if len(f.selBuf) == 0 {
+			continue
 		}
+		f.colView = *in
+		f.colView.Sel = f.selBuf
+		return f.emitColBatch(&f.colView)
 	}
 }
 
@@ -62,7 +71,6 @@ type Project struct {
 	child Operator
 	exprs []expr.Expr
 
-	cchild ColOperator
 	colOut data.ColBatch
 }
 
@@ -106,20 +114,31 @@ func (p *Project) Children() []Operator { return []Operator{p.child} }
 // Open implements Operator.
 func (p *Project) Open() error { return p.child.Open() }
 
-// Next implements Operator.
-func (p *Project) Next() (data.Tuple, error) {
-	t, err := p.child.Next()
+// NextColBatch implements Operator: pass-through columns (bare column
+// references) share the child's vectors without copying; computed columns
+// are evaluated vector-at-a-time into reused lanes. The output keeps the
+// child's selection geometry.
+func (p *Project) NextColBatch() (*data.ColBatch, error) {
+	in, err := p.child.NextColBatch()
 	if err != nil {
 		return nil, err
 	}
-	if t == nil {
-		return p.finish()
+	if in == nil {
+		return p.emitColBatch(nil)
 	}
-	out := make(data.Tuple, len(p.exprs))
+	out := &p.colOut
+	out.EnsureWidth(len(p.exprs))
+	out.NRows = in.NRows
+	out.Sel = in.Sel
+	out.Rows = nil
 	for i, e := range p.exprs {
-		out[i] = e.Eval(t)
+		if c, ok := e.(expr.Col); ok {
+			out.ShareCol(i, in.Col(c.Index))
+			continue
+		}
+		expr.EvalVec(e, in, out.OwnCol(i))
 	}
-	return p.emit(out)
+	return p.emitColBatch(out)
 }
 
 // Close implements Operator.
@@ -131,7 +150,6 @@ type Limit struct {
 	child Operator
 	n     int64
 
-	cchild  ColOperator
 	selBuf  []int32
 	colView data.ColBatch
 }
@@ -152,19 +170,34 @@ func (l *Limit) Children() []Operator { return []Operator{l.child} }
 // Open implements Operator.
 func (l *Limit) Open() error { return l.child.Open() }
 
-// Next implements Operator.
-func (l *Limit) Next() (data.Tuple, error) {
-	if l.stats.Emitted.Load() >= l.n {
-		return l.finish()
+// NextColBatch implements Operator, truncating the final batch's
+// selection at the limit.
+func (l *Limit) NextColBatch() (*data.ColBatch, error) {
+	rem := l.n - l.stats.Emitted.Load()
+	if rem <= 0 {
+		return l.emitColBatch(nil)
 	}
-	t, err := l.child.Next()
+	in, err := l.child.NextColBatch()
 	if err != nil {
 		return nil, err
 	}
-	if t == nil {
-		return l.finish()
+	if in == nil {
+		return l.emitColBatch(nil)
 	}
-	return l.emit(t)
+	if int64(in.Live()) <= rem {
+		return l.emitColBatch(in)
+	}
+	l.colView = *in
+	if in.Sel != nil {
+		l.colView.Sel = in.Sel[:rem]
+	} else {
+		l.selBuf = l.selBuf[:0]
+		for i := int64(0); i < rem; i++ {
+			l.selBuf = append(l.selBuf, int32(i))
+		}
+		l.colView.Sel = l.selBuf
+	}
+	return l.emitColBatch(&l.colView)
 }
 
 // Close implements Operator.

@@ -151,7 +151,7 @@ func benchJoinTables() (*storage.Table, *storage.Table) {
 }
 
 func runColumnarJoinOf(bt, pt *storage.Table, jt JoinType) (int64, error) {
-	return RunCol(NewHashJoinMulti(NewScan(bt, ""), NewScan(pt, ""), []int{0}, []int{0}, jt))
+	return Run(NewHashJoinMulti(NewScan(bt, ""), NewScan(pt, ""), []int{0}, []int{0}, jt))
 }
 
 // runColumnarJoinRows drains the join through Next, a pair per call (the
@@ -367,7 +367,7 @@ func BenchmarkHashAggGroups(b *testing.B) {
 	tb := makeTable("t", keys)
 	b.ReportAllocs()
 	for b.Loop() {
-		if _, err := RunCol(NewHashAgg(NewScan(tb, ""), []int{0}, []AggSpec{{Func: CountStar}})); err != nil {
+		if _, err := Run(NewHashAgg(NewScan(tb, ""), []int{0}, []AggSpec{{Func: CountStar}})); err != nil {
 			b.Fatal(err)
 		}
 	}

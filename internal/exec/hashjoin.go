@@ -60,8 +60,7 @@ func partitionOf(h uint64, parts int) int {
 // fully partitions the probe input, then joins partition by partition.
 // Both partition passes pull column batches and scatter them lane-to-lane
 // into per-partition lane buffers; the join phase gathers its output
-// lane-to-lane (see hashjoin_col.go). Next serves the same join phase a
-// row at a time.
+// lane-to-lane (see hashjoin_col.go).
 //
 // The explicit probe partition pass matters for two reasons. First, the
 // online estimator attaches there (OnProbeCol) and converges to the
@@ -99,10 +98,6 @@ type HashJoin struct {
 	OnProbeCol func(cb *data.ColBatch)
 	OnBuildEnd func()
 	OnProbeEnd func()
-	// OnOutput fires for every emitted join tuple (the second pass),
-	// letting progress monitors sample during long emission phases. A join
-	// that carries it emits through materialized rows.
-	OnOutput func(data.Tuple)
 
 	state hjState
 	// buildRows/probeRows and done are read by monitor goroutines
@@ -156,17 +151,13 @@ type HashJoin struct {
 	colPairP      []int32
 	colGatherB    *data.ColBatch // gather sources of the buffered pairs, set when
 	colGatherP    *data.ColBatch // the first pair of a fill appends
-	colRowArena   []data.Value
 	// joinedProbes counts probe tuples consumed in the join (second)
 	// pass. Atomic: monitor goroutines read it through
 	// JoinedProbeFraction while the executor advances.
 	joinedProbes atomic.Int64
 	partProbes   int64 // joinedProbes at the current partition's start (trace counters)
 
-	// Columnar output state: colOut is the reused output ColBatch, rowOut
-	// the adapter over the join's own Next that NextColBatch falls back to.
-	colOut data.ColBatch
-	rowOut *colAdapter
+	colOut data.ColBatch // the reused output batch
 
 	joinType JoinType
 }
@@ -714,25 +705,6 @@ func (j *HashJoin) Open() error {
 	return j.probe.Open()
 }
 
-// Next implements Operator: the join phase one pair at a time
-// (advanceColRow), after the same partition passes NextColBatch runs.
-func (j *HashJoin) Next() (data.Tuple, error) {
-	if err := j.ensurePartitioned(); err != nil {
-		return nil, err
-	}
-	t, err := j.advanceColRow()
-	if err != nil {
-		return nil, err
-	}
-	if t == nil {
-		return j.finish()
-	}
-	if j.OnOutput != nil {
-		j.OnOutput(t)
-	}
-	return j.emit(t)
-}
-
 // ensurePartitioned runs the partition phases once.
 func (j *HashJoin) ensurePartitioned() error {
 	if j.state != hjInit {
@@ -778,8 +750,8 @@ func (j *HashJoin) Close() error {
 	return errors.Join(errs...)
 }
 
-// BuildRows returns the number of build tuples read (available after the
-// first Next call).
+// BuildRows returns the number of build rows read (complete once the
+// first NextColBatch call has run the partition passes).
 func (j *HashJoin) BuildRows() int64 { return j.buildRows.Load() }
 
 // ProbeRows returns the number of probe tuples read.

@@ -101,18 +101,6 @@ func chunkedJoin() *HashJoin {
 		"a", "k", "b", "k")
 }
 
-// drainColErr drains the columnar path returning only the error.
-func drainColErr(j *HashJoin) error {
-	if err := j.Open(); err != nil {
-		return err
-	}
-	_, err := DrainCol(AsColOperator(j))
-	if cerr := j.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
 // TestCancelColumnarJoinReturnsChunks cancels a chunked columnar join in
 // the probe partition pass and part-way through the join phase, with
 // chunks served, being served and still waiting; each time the join must
@@ -238,7 +226,7 @@ func TestSpillFaultColumnarJoinReturnsBatches(t *testing.T) {
 			NewScan(makeTable("b", b), ""),
 			"a", "k", "b", "k")
 		j.SetMemoryBudget(16 * 1024).SetSpillFS(fs)
-		err := drainColErr(j)
+		_, err := Run(j)
 		expectPooledBalance(t, pooled)
 		return err
 	})
@@ -277,7 +265,7 @@ func TestBatchSizeKnobStartRace(t *testing.T) {
 					NewScan(kvTable("p", randKeys(rng, 600, 37, 0.15)), ""),
 					[]int{0}, []int{0}, InnerJoin,
 				)
-				if err := drainColErr(j); err != nil {
+				if _, err := Run(j); err != nil {
 					t.Error(err)
 				}
 			}
@@ -449,8 +437,8 @@ func probeVisitOrder(pt *storage.Table, keys []int, jt JoinType, parts int) (map
 }
 
 // TestChunkKernelMatchesGraceOrder holds the join phase — the chunk
-// kernel behind NextColBatch, and the same kernel a pair at a time behind
-// Next — to the grace-order reference row for row, in order, across every
+// kernel behind NextColBatch, a pair at a time at batch size 1 — to the
+// grace-order reference row for row, in order, across every
 // join type, probe key shape, in-memory and spilled partitions, and batch
 // sizes 1, 7 and 1024. The inputs carry a hot key whose span is three
 // batches long (the resume cursor, across fills and, spilled, across
@@ -458,7 +446,7 @@ func probeVisitOrder(pt *storage.Table, keys []int, jt JoinType, parts int) (map
 // every emitted batch JoinedProbeFraction must count exactly the probe
 // rows started so far: those up to the last emitted row's probe row in
 // visiting order, or every row once a pull ends short of a full batch
-// (the join then swept to its end). The dense-pk builds must take the row
+// (the join then swept to its end), and 1 at the end. The dense-pk builds must take the row
 // directory exactly when the join has no memory budget.
 func TestChunkKernelMatchesGraceOrder(t *testing.T) {
 	defer data.SetBatchSize(data.DefaultBatchSize)
@@ -484,8 +472,7 @@ func TestChunkKernelMatchesGraceOrder(t *testing.T) {
 	}
 }
 
-// checkChunkKernel runs one kernel test case through NextColBatch and
-// Next; wantDir says whether the join must index its build with the row
+// checkChunkKernel runs one kernel test case; wantDir says whether the join must index its build with the row
 // directory.
 func checkChunkKernel(t *testing.T, name string, bt, pt *storage.Table, jt JoinType, budget int64, wantDir bool) {
 	t.Helper()
@@ -534,48 +521,8 @@ func checkChunkKernel(t *testing.T, name string, bt, pt *storage.Table, jt JoinT
 	if budget > 0 && j.Stats().SpillFiles.Load() == 0 {
 		t.Fatalf("%s: no partition spilled", name)
 	}
-	sameRows(t, name+"/columnar", got, want)
-
-	// The row path: the same kernel a pair at a time.
-	j = kernelJoin(bt, pt, jt, budget)
-	if err := j.Open(); err != nil {
-		t.Fatal(err)
-	}
-	got = got[:0]
-	for {
-		row, err := j.Next()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if row == nil {
-			break
-		}
-		if len(got) == 0 {
-			sawDir(j, name+"/rows")
-		}
-		got = append(got, row.Clone())
-		if f, w := j.JoinedProbeFraction(), wantFraction(got, true); f != w {
-			t.Fatalf("%s/rows: after %d rows JoinedProbeFraction = %v, want %v", name, len(got), f, w)
-		}
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
 	if f, w := j.JoinedProbeFraction(), wantFraction(got, false); f != w {
-		t.Fatalf("%s/rows: at the end JoinedProbeFraction = %v, want %v", name, f, w)
+		t.Fatalf("%s: at the end JoinedProbeFraction = %v, want %v", name, f, w)
 	}
-	sameRows(t, name+"/rows", got, want)
-}
-
-// sameRows requires two row sequences to be equal, in order.
-func sameRows(t *testing.T, label string, got, want []data.Tuple) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d rows, the reference %d", label, len(got), len(want))
-	}
-	for i := range want {
-		if got[i].String() != want[i].String() {
-			t.Fatalf("%s: row %d = %v, the reference %v", label, i, got[i], want[i])
-		}
-	}
+	requireSameRows(t, want, got, name)
 }

@@ -50,8 +50,7 @@ import (
 //     what JoinedProbeFraction and the estimators read.
 //
 // Cancellation is checked before every fill of an output batch and at
-// every chunk switch. The row path (Next) runs the same kernel a pair at
-// a time, checking cancellation every 128th pair (pollCtx).
+// every chunk switch.
 
 // colPart is one side of one grace partition in memory: pooled lane
 // batches holding the partition's rows in arrival order. The probe side
@@ -139,12 +138,11 @@ func (j *HashJoin) partitionPhases() error {
 // partitionPass runs one partition pass over whole ColBatches, firing the
 // side's span hook on each batch before scattering it.
 func (j *HashJoin) partitionPass(cfg *colPassConfig) error {
-	in := AsColOperator(cfg.child)
 	for {
 		if err := j.ctxErr(); err != nil {
 			return err
 		}
-		cb, err := in.NextColBatch()
+		cb, err := cfg.child.NextColBatch()
 		if err != nil {
 			return err
 		}
@@ -537,7 +535,7 @@ func (j *HashJoin) sweepColChunk(max int) bool {
 		take := min(len(rest), max-len(pb))
 		pb, pp = appendSpan(pb, pp, rest[:take], j.colSpanRow)
 		j.colSpanRest = rest[take:]
-		if len(pb) >= max { // the row path's usual fill inside a long span
+		if len(pb) >= max {
 			j.colPairB, j.colPairP = pb, pp
 			return true
 		}
@@ -645,49 +643,6 @@ func (j *HashJoin) gatherPairs(out *data.ColBatch) {
 	j.colPairP = j.colPairP[:0]
 }
 
-// advanceColRow is the row-output driver over the join phase (Next, which
-// is also what the NextColBatch row fallback pulls): the same kernel one
-// pair at a time, materialized into the row arena, with the amortized
-// per-row cancellation check.
-func (j *HashJoin) advanceColRow() (data.Tuple, error) {
-	if err := j.pollCtx(); err != nil {
-		return nil, err
-	}
-	if n, err := j.fillColPairs(1); n == 0 || err != nil {
-		return nil, err
-	}
-	return j.materializeColRow(j.colPairB[0], j.colPairP[0]), nil
-}
-
-// materializeColRow builds the output tuple for one pair out of the
-// gather sources through the output map, bump-allocated from the row
-// arena.
-func (j *HashJoin) materializeColRow(br, pr int32) data.Tuple {
-	w := len(j.out.Build)
-	out := j.colRowAlloc(w + len(j.out.Probe))
-	for i, c := range j.out.Build {
-		if br < 0 {
-			out[i] = data.Value{} // an outer join's NULL-padded build side
-		} else {
-			out[i] = j.colGatherB.Value(c, int(br))
-		}
-	}
-	for i, c := range j.out.Probe {
-		out[w+i] = j.colGatherP.Value(c, int(pr))
-	}
-	return out
-}
-
-// colRowAlloc carves one output tuple from the columnar row arena.
-func (j *HashJoin) colRowAlloc(n int) data.Tuple {
-	if len(j.colRowArena) < n {
-		j.colRowArena = make([]data.Value, n*data.BatchSize())
-	}
-	out := j.colRowArena[:n:n]
-	j.colRowArena = j.colRowArena[n:]
-	return data.Tuple(out)
-}
-
 // releaseColParts returns every columnar partition buffer and decode
 // buffer to the pool (Close path; also safe mid-join).
 func (j *HashJoin) releaseColParts() {
@@ -712,19 +667,10 @@ func (j *HashJoin) releaseColParts() {
 	j.colSpanRest = nil
 }
 
-// NextColBatch implements ColOperator: the join (second) pass gathers
-// output values directly into reused column lanes, one typed copy per
-// column per pair buffer. A join that carries a per-tuple output hook is
-// served like any row-major operator instead: rows pulled through Next —
-// the hook sees materialized tuples — and re-exposed columnar without
-// copying.
+// NextColBatch implements Operator: the first call runs the partition
+// passes, and the join (second) pass gathers output values directly into
+// reused column lanes, one typed copy per column per pair buffer.
 func (j *HashJoin) NextColBatch() (*data.ColBatch, error) {
-	if j.OnOutput != nil {
-		if j.rowOut == nil {
-			j.rowOut = &colAdapter{Operator: j}
-		}
-		return j.rowOut.NextColBatch()
-	}
 	if err := j.ensurePartitioned(); err != nil {
 		return nil, err
 	}

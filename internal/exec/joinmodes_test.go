@@ -13,10 +13,9 @@ import (
 )
 
 // Differential tests for the join operators themselves: every physical
-// join, drained through Next and through NextColBatch, in memory and
-// forced to spill, must produce the same multiset as a naive reference
-// join written from first principles — and the hash join the very order
-// of the grace-order reference below. Unlike internal/difftest this layer
+// join, in memory and forced to spill, must produce the same multiset as
+// a naive reference join written from first principles — and the hash
+// join the very order of the grace-order reference below. Unlike internal/difftest this layer
 // has no plan generator and no estimators — it isolates operator
 // semantics.
 
@@ -117,29 +116,6 @@ func sortedStrings(rows []data.Tuple) []string {
 	return out
 }
 
-// drainMode runs an operator through one of the two pull contracts and
-// returns its rows.
-func drainMode(t *testing.T, op Operator, columnar bool) []data.Tuple {
-	t.Helper()
-	if err := op.Open(); err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	var rows []data.Tuple
-	var err error
-	if columnar {
-		rows, err = DrainCol(AsColOperator(op))
-	} else {
-		rows, err = Drain(op)
-	}
-	if err != nil {
-		t.Fatalf("drain: %v", err)
-	}
-	if err := op.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	return rows
-}
-
 func equalMultisets(t *testing.T, label string, got []data.Tuple, want []string) {
 	t.Helper()
 	g := sortedStrings(got)
@@ -229,9 +205,8 @@ func graceOrder(bt, pt *storage.Table, keys []int, jt JoinType, parts int) []dat
 	return out
 }
 
-// checkHashJoinModesKeyed runs one (build, probe, type) input through
-// Next and NextColBatch, in memory and forced to spill, and compares each
-// result against refJoin's multiset and, in order, against the
+// checkHashJoinModesKeyed runs one (build, probe, type) input in memory
+// and forced to spill, and compares each result against refJoin's multiset and, in order, against the
 // grace-order reference. String keys route the scatter, build table and
 // probe off the int-lane fast paths; the build input is additionally run
 // through a vectorized string filter (LIKE-prefix AND >= kernels, both
@@ -243,14 +218,11 @@ func checkHashJoinModesKeyed(t *testing.T, build, probe []int64, jt JoinType, st
 	bt, pt := kvTableKeyed("b", build, str), kvTableKeyed("p", probe, str)
 	want := refJoinKeyed(build, probe, jt, str)
 	modes := []struct {
-		name     string
-		columnar bool
-		budget   int64
+		name   string
+		budget int64
 	}{
-		{name: "tuple"},
+		{name: "in-memory"},
 		{name: "spill", budget: 128},
-		{name: "columnar", columnar: true},
-		{name: "columnar-spill", columnar: true, budget: 128},
 	}
 	for _, m := range modes {
 		var bsrc Operator = NewScan(bt, "")
@@ -269,9 +241,9 @@ func checkHashJoinModesKeyed(t *testing.T, build, probe []int64, jt JoinType, st
 			j.SetMemoryBudget(m.budget)
 		}
 		label := jt.String() + "/" + m.name
-		got := drainMode(t, j, m.columnar)
+		got := collect(t, j)
 		equalMultisets(t, label, got, want)
-		sameRows(t, label, got, graceOrder(bt, pt, []int{0}, jt, j.parts))
+		requireSameRows(t, graceOrder(bt, pt, []int{0}, jt, j.parts), got, label)
 		if m.budget > 0 && j.Stats().SpillFiles.Load() == 0 {
 			t.Errorf("%s/%s: no spill files created", jt, m.name)
 		}
@@ -291,8 +263,8 @@ func TestHashJoinModesAgainstReference(t *testing.T) {
 }
 
 // FuzzJoinModes lets the fuzzer pick the key distributions; every input
-// is checked, in order, against the grace-order reference under each
-// drain and budget. Bit 0 of flags switches the join keys to strings,
+// is checked, in order, against the grace-order reference in memory and
+// forced to spill. Bit 0 of flags switches the join keys to strings,
 // driving the generic lane-native scatter, the fallback build table and
 // the vectorized string-comparison kernels.
 func FuzzJoinModes(f *testing.F) {
@@ -322,49 +294,29 @@ func FuzzJoinModes(f *testing.F) {
 	})
 }
 
-// TestMergeJoinTupleBatchEquivalence: the sort-merge join must agree with
-// the reference inner join and with itself whether pulled tuple-at-a-time
-// or as column batches through the adapter.
-func TestMergeJoinTupleBatchEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 8; trial++ {
-		left := randKeys(rng, 15+rng.Intn(50), 1+rng.Intn(10), 0)
-		right := randKeys(rng, 15+rng.Intn(50), 1+rng.Intn(10), 0)
-		want := refJoin(left, right, InnerJoin)
-		for _, columnar := range []bool{false, true} {
-			mj, _, _ := NewSortMergeJoin(
-				NewScan(kvTable("l", left), ""),
-				NewScan(kvTable("r", right), ""),
-				0, 0,
-			)
-			label := "merge/tuple"
-			if columnar {
-				label = "merge/columnar"
+// TestRowJoinsAgainstReference: the sort-merge join and the indexed
+// nested-loops join — row operators behind row-backed batches — must
+// emit the reference inner join, the latter with NULL keys on both sides
+// (skipped by the index), and count every row they emit.
+func TestRowJoinsAgainstReference(t *testing.T) {
+	for _, c := range []struct {
+		seed     int64
+		nullFrac float64
+		join     func(l, r Operator) Operator
+	}{
+		{11, 0, func(l, r Operator) Operator { mj, _, _ := NewSortMergeJoin(l, r, 0, 0); return mj }},
+		{13, 0.2, func(l, r Operator) Operator { return NewIndexedNLJoin(l, r, 0, 0) }},
+	} {
+		rng := rand.New(rand.NewSource(c.seed))
+		for trial := 0; trial < 8; trial++ {
+			left := randKeys(rng, 15+rng.Intn(50), 1+rng.Intn(10), c.nullFrac)
+			right := randKeys(rng, 15+rng.Intn(50), 1+rng.Intn(10), c.nullFrac)
+			j := c.join(NewScan(kvTable("l", left), ""), NewScan(kvTable("r", right), ""))
+			rows := collect(t, j)
+			equalMultisets(t, j.Name(), rows, refJoin(left, right, InnerJoin))
+			if n := j.Stats().Emitted.Load(); n != int64(len(rows)) || !j.Stats().IsDone() {
+				t.Errorf("%s: Emitted %d done=%v for %d rows", j.Name(), n, j.Stats().IsDone(), len(rows))
 			}
-			equalMultisets(t, label, drainMode(t, mj, columnar), want)
-		}
-	}
-}
-
-// TestNLJoinTupleBatchEquivalence: same for the indexed nested-loops
-// join, including NULL keys on both sides (skipped by the index).
-func TestNLJoinTupleBatchEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 8; trial++ {
-		outer := randKeys(rng, 15+rng.Intn(50), 1+rng.Intn(10), 0.2)
-		inner := randKeys(rng, 15+rng.Intn(50), 1+rng.Intn(10), 0.2)
-		want := refJoin(outer, inner, InnerJoin)
-		for _, columnar := range []bool{false, true} {
-			nl := NewIndexedNLJoin(
-				NewScan(kvTable("o", outer), ""),
-				NewScan(kvTable("i", inner), ""),
-				0, 0,
-			)
-			label := "nl/tuple"
-			if columnar {
-				label = "nl/columnar"
-			}
-			equalMultisets(t, label, drainMode(t, nl, columnar), want)
 		}
 	}
 }

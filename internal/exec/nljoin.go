@@ -17,7 +17,7 @@ import (
 // built during materialization (the common engine optimization the paper
 // notes); the join predicate is then an equijoin on the key columns.
 // Otherwise an arbitrary predicate over the concatenated tuple is
-// supported (theta joins).
+// supported (theta joins). It is a row operator (see rowops.go).
 type NestedLoopsJoin struct {
 	base
 	outer, inner Operator
@@ -35,6 +35,9 @@ type NestedLoopsJoin struct {
 	// OnInnerTuple fires for every inner tuple during materialization.
 	OnInnerTuple func(data.Tuple)
 
+	outerIn   rowReader
+	innerIn   rowReader
+	out       rowBatches
 	innerRows []data.Tuple
 	index     map[data.Value][]data.Tuple
 	loaded    bool
@@ -96,14 +99,21 @@ func (j *NestedLoopsJoin) InnerKey() int { return j.innerKey }
 
 // Open implements Operator.
 func (j *NestedLoopsJoin) Open() error {
+	j.outerIn, j.innerIn = rowReader{child: j.outer}, rowReader{child: j.inner}
 	if err := j.outer.Open(); err != nil {
 		return err
 	}
 	return j.inner.Open()
 }
 
-// Next implements Operator.
-func (j *NestedLoopsJoin) Next() (data.Tuple, error) {
+// NextColBatch implements Operator.
+func (j *NestedLoopsJoin) NextColBatch() (*data.ColBatch, error) {
+	return j.out.next(j.nextRow, j.schema.Len())
+}
+
+// nextRow is the row step: the inner input's materialization on the first
+// call, one joined tuple per call.
+func (j *NestedLoopsJoin) nextRow() (data.Tuple, error) {
 	if !j.loaded {
 		if err := j.loadInner(); err != nil {
 			return nil, err
@@ -118,7 +128,7 @@ func (j *NestedLoopsJoin) Next() (data.Tuple, error) {
 			j.matchPos++
 			return j.emit(j.outerTup.Concat(m))
 		}
-		t, err := j.outer.Next()
+		t, err := j.outerIn.next()
 		if err != nil {
 			return nil, err
 		}
@@ -162,7 +172,7 @@ func (j *NestedLoopsJoin) loadInner() error {
 		if err := j.pollCtx(); err != nil {
 			return err
 		}
-		t, err := j.inner.Next()
+		t, err := j.innerIn.next()
 		if err != nil {
 			return err
 		}

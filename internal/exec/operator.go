@@ -1,13 +1,14 @@
-// Package exec implements a Volcano-style (Open/Next/Close iterator)
-// query executor: table scans with block-level sampling, filters,
-// projections, grace hash joins, sorts, sort-merge joins, nested-loops
-// joins and hash/sort aggregation.
+// Package exec implements a pull-based (Open/NextColBatch/Close) query
+// executor over column batches: table scans with block-level sampling,
+// filters, projections, grace hash joins, sorts, sort-merge joins,
+// nested-loops joins and hash/sort aggregation.
 //
 // Every operator counts the getnext() calls it has satisfied (paper §3's
-// gnm work model) in its Stats, and the join/sort/aggregation operators
-// expose per-phase hooks (build tuple, probe tuple, input tuple, sample
-// end) that the online estimation framework in internal/core attaches to.
-// The executor itself knows nothing about estimation.
+// gnm work model) in its Stats — a batch of n live rows is n of them —
+// and the join/sort/aggregation operators expose per-phase hooks (build
+// and probe spans, group-count spans, sort input tuples, sample end) that
+// the online estimation framework in internal/core attaches to. The
+// executor itself knows nothing about estimation.
 package exec
 
 import (
@@ -19,13 +20,17 @@ import (
 	"qpi/internal/obs"
 )
 
-// Operator is the Volcano iterator contract. Next returns a nil tuple when
-// the stream is exhausted. Operators are single-use: Open, drain, Close.
+// Operator is the executor's one pull contract. NextColBatch returns the
+// next batch of output rows, or nil when the stream is exhausted; the
+// batch (struct, vectors, selection) is valid until the next NextColBatch
+// call on the same operator — see the ColBatch ownership contract in
+// internal/data/batch.go. Operators are single-use: Open, drain, Close.
 type Operator interface {
 	// Open prepares the operator (recursively opening children).
 	Open() error
-	// Next returns the next output tuple, or nil at end of stream.
-	Next() (data.Tuple, error)
+	// NextColBatch returns the next batch of output rows, or nil at end
+	// of stream. A returned batch has at least one live row.
+	NextColBatch() (*data.ColBatch, error)
 	// Close releases resources (recursively closing children).
 	Close() error
 	// Schema describes the output tuples.
@@ -53,7 +58,7 @@ type Stats struct {
 
 	// Observability counters, incremented on amortized slow paths
 	// (per batch, per spill switchover) so tracing them is ~free.
-	Batches atomic.Int64 // batches emitted (columnar pull)
+	Batches atomic.Int64 // batches emitted (a row operator counts none)
 	// SpillFiles counts spilled runs (grace partitions and sort runs); an
 	// operator's runs share one temporary file.
 	SpillFiles atomic.Int64
@@ -173,8 +178,8 @@ type base struct {
 
 	// ctx is the plan's cancellation token, installed by Bind before
 	// execution (nil = never cancelled). Operators poll it in their
-	// Next/NextColBatch loops so a cancelled or expired context unwinds the
-	// whole plan within a bounded amount of work.
+	// NextColBatch loops and row steps so a cancelled or expired context
+	// unwinds the whole plan within a bounded amount of work.
 	ctx     context.Context
 	ctxTick uint32
 
@@ -275,7 +280,7 @@ type ContextBinder interface {
 
 // Bind installs ctx as the cancellation token of every operator in the
 // plan. Once bound, a cancelled (or deadline-expired) context makes
-// Next/NextColBatch return ctx.Err() within a bounded amount of work; the
+// NextColBatch return ctx.Err() within a bounded amount of work; the
 // caller then unwinds via Close as with any other execution error, which
 // releases spill files and buffered state. Bind must be called before
 // Open; a nil ctx is a no-op.
@@ -290,54 +295,73 @@ func Bind(root Operator, ctx context.Context) {
 	})
 }
 
-// emit counts an emitted tuple and returns it, keeping Next bodies terse.
+// emit counts a tuple a row operator's row step produced and returns it.
 func (b *base) emit(t data.Tuple) (data.Tuple, error) {
 	b.stats.Emitted.Add(1)
 	return t, nil
 }
 
-// finish marks the operator done.
+// finish marks a row operator done at the end of its row step.
 func (b *base) finish() (data.Tuple, error) {
 	b.stats.MarkDone()
 	return nil, nil
 }
 
-// Drain runs an opened operator to exhaustion, returning the tuples.
-// It is a convenience for tests, examples and materializing consumers.
+// emitColBatch counts a lane operator's emission; nil or empty-selection
+// batches mark the operator done.
+func (b *base) emitColBatch(cb *data.ColBatch) (*data.ColBatch, error) {
+	if cb == nil || cb.Live() == 0 {
+		b.stats.MarkDone()
+		return nil, nil
+	}
+	b.stats.Emitted.Add(int64(cb.Live()))
+	b.stats.Batches.Add(1)
+	return cb, nil
+}
+
+// Drain runs an opened operator to exhaustion, returning all live rows as
+// tuples (copied out of the reused batches, safe to retain). It is a
+// convenience for tests, examples and materializing consumers.
 func Drain(op Operator) ([]data.Tuple, error) {
 	var out []data.Tuple
 	for {
-		t, err := op.Next()
+		cb, err := op.NextColBatch()
 		if err != nil {
 			return out, err
 		}
-		if t == nil {
+		if cb == nil {
 			return out, nil
 		}
-		out = append(out, t)
+		out = cb.ToTuples(out)
 	}
 }
 
-// Run opens, drains and closes an operator, returning the row count. It is
-// the cheapest way to execute a query whose output is not needed.
+// Run opens, drains and closes an operator, returning the live row count.
+// It is the cheapest way to execute a query whose output is not needed:
+// no tuples are materialized at the root.
 func Run(op Operator) (int64, error) {
 	if err := op.Open(); err != nil {
 		return 0, err
 	}
 	var n int64
 	for {
-		t, err := op.Next()
+		cb, err := op.NextColBatch()
 		if err != nil {
 			op.Close()
 			return n, err
 		}
-		if t == nil {
+		if cb == nil {
 			break
 		}
-		n++
+		n += int64(cb.Live())
 	}
 	return n, op.Close()
 }
+
+// RunCol is Run.
+//
+// Deprecated: every operator is drained batch by batch; use Run.
+func RunCol(op Operator) (int64, error) { return Run(op) }
 
 // Walk visits op and all descendants in pre-order.
 func Walk(op Operator, visit func(Operator)) {

@@ -162,39 +162,35 @@ func joinWidths(root Operator) []int {
 }
 
 // TestPrunedPlansMatch holds every operator shape the pass rebinds to the
-// plan as built: pruned, through Next and through NextColBatch, it returns
-// the unpruned reference's rows (drained through Next) in the same order
-// with the same counters on every operator, under the same labels and
+// plan as built: pruned, it returns the unpruned reference's rows in the
+// same order with the same counters on every operator, under the same labels and
 // root schema, reading fewer scan columns and with no join wider than
 // built.
 func TestPrunedPlansMatch(t *testing.T) {
 	for label, mk := range prunePlans() {
 		ref := mk()
-		want := drainMode(t, ref, false)
+		want := collect(t, ref)
 		if len(want) == 0 {
 			t.Fatalf("%s: empty reference result", label)
 		}
-		for _, batches := range []bool{false, true} {
-			name := fmt.Sprintf("%s (batches %v)", label, batches)
-			op := mk()
-			width, schema, names, joins := scanWidth(op), op.Schema().String(), labels(op), joinWidths(op)
-			Prune(op)
-			if got := scanWidth(op); got >= width {
-				t.Errorf("%s: scans emit %d columns pruned, %d as built", name, got, width)
+		op := mk()
+		width, schema, names, joins := scanWidth(op), op.Schema().String(), labels(op), joinWidths(op)
+		Prune(op)
+		if got := scanWidth(op); got >= width {
+			t.Errorf("%s: scans emit %d columns pruned, %d as built", label, got, width)
+		}
+		for i, w := range joinWidths(op) {
+			if w > joins[i] {
+				t.Errorf("%s: join %d emits %d columns pruned, %d as built", label, i, w, joins[i])
 			}
-			for i, w := range joinWidths(op) {
-				if w > joins[i] {
-					t.Errorf("%s: join %d emits %d columns pruned, %d as built", name, i, w, joins[i])
-				}
-			}
-			if op.Schema().String() != schema || !reflect.DeepEqual(labels(op), names) {
-				t.Errorf("%s: pruning moved the root schema or a label", name)
-			}
-			requireSameRows(t, want, drainMode(t, op, batches), name)
-			requireSameStats(t, ref, op, name)
-			if j, ok := op.Children()[0].(*HashJoin); ok && label == "spilling join" && j.Spilled() == 0 {
-				t.Errorf("%s did not spill", name)
-			}
+		}
+		if op.Schema().String() != schema || !reflect.DeepEqual(labels(op), names) {
+			t.Errorf("%s: pruning moved the root schema or a label", label)
+		}
+		requireSameRows(t, want, collect(t, op), label)
+		requireSameStats(t, ref, op, label)
+		if j, ok := op.Children()[0].(*HashJoin); ok && label == "spilling join" && j.Spilled() == 0 {
+			t.Errorf("%s did not spill", label)
 		}
 	}
 	if out := data.ColBatchesOut(); out != 0 {
@@ -297,7 +293,7 @@ func TestPrunedScanCarriesNoRows(t *testing.T) {
 	sc := NewScan(tb, "")
 	agg := NewHashAgg(sc, []int{1}, []AggSpec{{Func: Sum, Col: 2}, {Func: Count, Col: 2}})
 	Prune(agg)
-	for _, row := range drainMode(t, agg, true) {
+	for _, row := range collect(t, agg) {
 		g := row[0].I
 		if row[1].F != float64(sums[g]) || row[2].I != counts[g] {
 			t.Errorf("group %d: SUM(v) %v COUNT(v) %v, want %d and %d", g, row[1], row[2], sums[g], counts[g])
@@ -311,14 +307,14 @@ func TestPrunedScanCarriesNoRows(t *testing.T) {
 		if hooked {
 			agg.OnInputGroupCounts = func([]int64) {}
 		}
-		rows := drainMode(t, agg, true)
+		rows := collect(t, agg)
 		if len(rows) != 1 || rows[0][0].F != float64(total) || rows[0][1].I != nonNull || rows[0][2].I != n {
 			t.Errorf("scalar aggregate (input hook %v): %v, want [%d %d %d]", hooked, rows, total, nonNull, n)
 		}
 	}
 
-	// And the scan itself: no batch carries rows, and batches and Next
-	// hold the same rows, the table's in the walk's order.
+	// And the scan itself: no batch carries rows, and the batches hold the
+	// table's rows in the walk's order.
 	for _, cols := range [][]int{{0, 1, 2}, {1, 2}} {
 		for _, frac := range []float64{0, 0.1, 0.5, 1} {
 			label := fmt.Sprintf("columns %v, sample %g", cols, frac)
@@ -339,7 +335,6 @@ func TestPrunedScanCarriesNoRows(t *testing.T) {
 				sc.SampleFraction, sc.Seed = frac, 5
 				return sc
 			}
-			requireSameRows(t, want, drainMode(t, mk(), false), label+", Next")
 			sc := mk()
 			if err := sc.Open(); err != nil {
 				t.Fatal(err)
@@ -389,7 +384,7 @@ func TestPruneKeepsTableOrder(t *testing.T) {
 	if got := idle.TableColumns(); !reflect.DeepEqual(got, []int{0}) {
 		t.Errorf("a scan nothing reads emits %v, want [0]", got)
 	}
-	got := drainMode(t, p, false)
+	got := collect(t, p)
 	for i, r := range tb.Rows() {
 		if want := (data.Tuple{r[4], r[1]}).String(); got[i].String() != want {
 			t.Fatalf("row %d: %s, want %s", i, got[i], want)

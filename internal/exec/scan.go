@@ -27,14 +27,12 @@ type Scan struct {
 	// Seed makes the block sample reproducible.
 	Seed int64
 
-	// OnTuple fires for every emitted tuple, before it is returned.
-	OnTuple func(data.Tuple)
-	// OnBatch fires once per batch on the columnar path, after the batch's
-	// rows are counted in Stats: a span boundary, where no operator of the
-	// plan is midway through a batch. The tuple path (Next) never fires
-	// it.
+	// OnBatch fires once per batch, after the batch's rows are counted in
+	// Stats: a span boundary, where no operator of the plan is midway
+	// through a batch.
 	OnBatch func(rows int)
-	// OnSampleEnd fires once, after the last tuple of the random sample.
+	// OnSampleEnd fires once, in the NextColBatch call that reads the last
+	// row of the random sample.
 	OnSampleEnd func()
 
 	it         *storage.Iterator
@@ -134,63 +132,22 @@ func (s *Scan) endSpan() {
 	}
 }
 
-// observe fires the per-tuple hook for t and the sample punctuation when t
-// is the sample's last tuple, so estimators see the same stream on either
-// pull contract.
-func (s *Scan) observe(t data.Tuple) {
-	if s.OnTuple != nil {
-		s.OnTuple(t)
-	}
+// countSample counts n rows read off the sample and fires the punctuation
+// once the sample is exhausted.
+func (s *Scan) countSample(n int) {
 	if !s.punctuated {
-		s.sampleLeft--
-		if s.sampleLeft == 0 {
+		if s.sampleLeft -= n; s.sampleLeft <= 0 {
 			s.punctuate()
 		}
 	}
 }
 
-// Next implements Operator.
-func (s *Scan) Next() (data.Tuple, error) {
-	if err := s.pollCtx(); err != nil {
-		return nil, err
-	}
-	t := s.it.Next()
-	if t == nil {
-		if !s.punctuated {
-			s.punctuate()
-		}
-		s.endSpan()
-		return s.finish()
-	}
-	s.observe(t)
-	return s.emit(t)
-}
-
-// observeRun fires OnTuple for table rows [lo, hi), built as Next builds
-// them, and the sample punctuation where it falls; without a hook, only
-// the sample boundary is counted.
-func (s *Scan) observeRun(lo, hi int) {
-	if s.OnTuple == nil {
-		if !s.punctuated {
-			if s.sampleLeft -= hi - lo; s.sampleLeft <= 0 {
-				s.punctuate()
-			}
-		}
-		return
-	}
-	for r := lo; r < hi; r++ {
-		s.observe(s.it.Tuple(r))
-	}
-}
-
-// NextColBatch implements ColOperator: up to a batch of rows per call,
+// NextColBatch implements Operator: up to a batch of rows per call,
 // straight from the lanes of the table's columns the scan emits. A
 // sequential scan hands out read-only windows of the table (nothing is
 // pivoted or copied); a sample-order scan, whose batches cross jumps in
 // the block order, assembles batches of the same size from the windows of
-// its storage runs by typed copy. No batch carries Rows. OnTuple fires per
-// tuple and the sample punctuation mid-batch at exactly the sample
-// boundary, as on Next.
+// its storage runs by typed copy. No batch carries Rows.
 func (s *Scan) NextColBatch() (*data.ColBatch, error) {
 	if err := s.ctxErr(); err != nil {
 		return nil, err
@@ -212,7 +169,7 @@ func (s *Scan) NextColBatch() (*data.ColBatch, error) {
 			break
 		}
 		s.it.Window(run, lo, hi)
-		s.observeRun(lo, hi)
+		s.countSample(hi - lo)
 		if copied {
 			cb.AppendBatchFrom(run)
 		}

@@ -10,10 +10,12 @@ import (
 )
 
 // Sort is a blocking operator that materializes and sorts its input by one
-// or more key columns. The input pass reads the child column-at-a-time and
-// fires OnInput for every tuple, which is where the online estimation
-// framework builds histograms for sort-merge joins (§4.1.2: "every tuple of
-// R is seen at least once before any output is produced").
+// or more key columns. The input pass reads the child batch by batch,
+// materializes each batch's rows and fires OnInput for every tuple, which
+// is where the online estimation framework builds histograms for
+// sort-merge joins (§4.1.2: "every tuple of R is seen at least once before
+// any output is produced"). Its output is a row operator's (see
+// rowops.go).
 type Sort struct {
 	base
 	child Operator
@@ -26,6 +28,7 @@ type Sort struct {
 	// OnInputEnd fires when the input is exhausted, before output starts.
 	OnInputEnd func()
 
+	out       rowBatches
 	rows      []data.Tuple
 	pos       int
 	sorted    bool
@@ -74,8 +77,14 @@ func (s *Sort) Children() []Operator { return []Operator{s.child} }
 // Open implements Operator.
 func (s *Sort) Open() error { return s.child.Open() }
 
-// Next implements Operator.
-func (s *Sort) Next() (data.Tuple, error) {
+// NextColBatch implements Operator.
+func (s *Sort) NextColBatch() (*data.ColBatch, error) {
+	return s.out.next(s.nextRow, s.schema.Len())
+}
+
+// nextRow is the row step: the input pass and the sort (or the spill and
+// merge set-up) on the first call, one sorted tuple per call.
+func (s *Sort) nextRow() (data.Tuple, error) {
 	if err := s.pollCtx(); err != nil {
 		return nil, err
 	}
@@ -130,7 +139,7 @@ func (s *Sort) Next() (data.Tuple, error) {
 	return s.emit(t)
 }
 
-// readInput drains the child batch-at-a-time: rows materialize once per
+// readInput drains the child batch by batch: rows materialize once per
 // batch (OnInput fires per tuple in row order), and the key columns are
 // extracted lane-to-lane into contiguous key lanes indexed alongside
 // s.rows. Under a memory budget, the row that takes the buffered rows past
@@ -142,14 +151,13 @@ func (s *Sort) readInput() error {
 	for k := range s.keyVecs {
 		s.keyVecs[k].Reset()
 	}
-	in := AsColOperator(s.child)
 	var batch []data.Tuple
 	var idx []int32
 	for {
 		if err := s.ctxErr(); err != nil {
 			return err
 		}
-		cb, err := in.NextColBatch()
+		cb, err := s.child.NextColBatch()
 		if err != nil {
 			return err
 		}
@@ -289,7 +297,7 @@ func (s *Sort) Close() error {
 // the cross product of each matching key group. Compose it over Sort
 // operators (see NewSortMergeJoin) unless the inputs are already sorted —
 // the case where the paper's framework cannot push estimation down and
-// falls back to dne (§4.1.2 end).
+// falls back to dne (§4.1.2 end). It is a row operator (see rowops.go).
 type MergeJoin struct {
 	base
 	left, right       Operator
@@ -298,6 +306,9 @@ type MergeJoin struct {
 	// OnOutput fires for every emitted join tuple.
 	OnOutput func(data.Tuple)
 
+	leftIn    rowReader
+	rightIn   rowReader
+	out       rowBatches
 	leftTup   data.Tuple
 	rightTup  data.Tuple
 	group     []data.Tuple // right tuples matching current left key
@@ -349,6 +360,7 @@ func (j *MergeJoin) Children() []Operator { return []Operator{j.left, j.right} }
 
 // Open implements Operator.
 func (j *MergeJoin) Open() error {
+	j.leftIn, j.rightIn = rowReader{child: j.left}, rowReader{child: j.right}
 	if err := j.left.Open(); err != nil {
 		return err
 	}
@@ -369,7 +381,7 @@ func (j *MergeJoin) Right() Operator { return j.right }
 
 // nextLeft advances the left cursor, counting consumed tuples.
 func (j *MergeJoin) nextLeft() error {
-	t, err := j.left.Next()
+	t, err := j.leftIn.next()
 	if err != nil {
 		return err
 	}
@@ -382,7 +394,7 @@ func (j *MergeJoin) nextLeft() error {
 
 // nextRight advances the right cursor, counting consumed tuples.
 func (j *MergeJoin) nextRight() error {
-	t, err := j.right.Next()
+	t, err := j.rightIn.next()
 	if err != nil {
 		return err
 	}
@@ -393,8 +405,13 @@ func (j *MergeJoin) nextRight() error {
 	return nil
 }
 
-// Next implements Operator.
-func (j *MergeJoin) Next() (data.Tuple, error) {
+// NextColBatch implements Operator.
+func (j *MergeJoin) NextColBatch() (*data.ColBatch, error) {
+	return j.out.next(j.nextRow, j.schema.Len())
+}
+
+// nextRow is the row step: one joined tuple per call.
+func (j *MergeJoin) nextRow() (data.Tuple, error) {
 	if j.done {
 		return j.finish()
 	}

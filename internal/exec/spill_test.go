@@ -244,9 +244,9 @@ func TestBudgetedSortMergeJoinMatches(t *testing.T) {
 }
 
 // TestSpilledJoinColumnarMatchesTuple runs the same budgeted join drained
-// through Next (tuple) and through NextColBatch (columnar) and demands
-// identical ordered rows, stats and span-hook row counts, with both passes
-// spilling and both barriers firing on either drain.
+// directly (columnar) and read a tuple at a time by a row operator
+// (tuple) and demands identical ordered rows, stats and span-hook row
+// counts, with both passes spilling and both barriers firing either way.
 func TestSpilledJoinColumnarMatchesTuple(t *testing.T) {
 	a := randTable("a", 3000, 100, 31)
 	b := randTable("b", 4000, 100, 32)
@@ -257,7 +257,7 @@ func TestSpilledJoinColumnarMatchesTuple(t *testing.T) {
 		builds, probes     int
 		buildEnd, probeEnd int
 	}
-	run := func(columnar bool) result {
+	run := func(rowParent bool) result {
 		j := NewHashJoinOn(
 			NewScan(makeTable("a", a), ""),
 			NewScan(makeTable("b", b), ""),
@@ -278,12 +278,16 @@ func TestSpilledJoinColumnarMatchesTuple(t *testing.T) {
 			r.probes += cb.Live()
 		}
 		j.OnProbeEnd = func() { r.probeEnd++ }
-		r.rows = drainMode(t, j, columnar)
+		if rowParent {
+			r.rows = dropLast(collect(t, underRowOperator(j)))
+		} else {
+			r.rows = collect(t, j)
+		}
 		r.emitted = j.Stats().Emitted.Load()
 		r.spilled = j.Spilled()
 		return r
 	}
-	tup, col := run(false), run(true)
+	tup, col := run(true), run(false)
 	if col.spilled == 0 || tup.spilled == 0 {
 		t.Fatalf("expected spills on both drains (tuple %d, columnar %d)", tup.spilled, col.spilled)
 	}
@@ -395,7 +399,7 @@ func TestBudgetedPassPins(t *testing.T) {
 			}
 		}
 	}
-	rows := drainMode(t, j, true)
+	rows := collect(t, j)
 	order := fnv.New64a()
 	for _, r := range rows {
 		order.Write([]byte(r.String()))

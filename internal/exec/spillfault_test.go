@@ -227,8 +227,9 @@ func TestSpillFaultPooledBuffersIsolated(t *testing.T) {
 
 // TestSpillFaultOneFilePerOperator holds each spilling operator to one
 // temporary file however many runs it spills: a budgeted join that spills
-// partitions on both sides, drained through NextColBatch (columnar) and
-// through Next (tuple), and an external sort of several runs. The file is closed once the operator is
+// partitions on both sides, drained directly (columnar) and read a tuple
+// at a time by a row operator (tuple), and an external sort of several
+// runs. The file is closed once the operator is
 // drained, before Close, and the rows are the unbudgeted run's.
 func TestSpillFaultOneFilePerOperator(t *testing.T) {
 	expectOneFile := func(t *testing.T, fs *vfs.FaultFS) {
@@ -252,9 +253,9 @@ func TestSpillFaultOneFilePerOperator(t *testing.T) {
 			"a", "k", "b", "k")
 		return j.SetMemoryBudget(budget).SetSpillFS(fs)
 	}
-	want := sortedStrings(drainMode(t, join(0, nil), true))
+	want := sortedStrings(collect(t, join(0, nil)))
 	for _, pass := range []string{"columnar", "tuple"} {
-		columnar := pass == "columnar"
+		rowParent := pass == "tuple"
 		t.Run(pass, func(t *testing.T) {
 			fs := vfs.NewFaultFS(nil)
 			j := join(16*1024, fs)
@@ -269,18 +270,19 @@ func TestSpillFaultOneFilePerOperator(t *testing.T) {
 					}
 				}
 			}
-			if err := j.Open(); err != nil {
+			var root Operator = j
+			if rowParent {
+				root = underRowOperator(j)
+			}
+			if err := root.Open(); err != nil {
 				t.Fatal(err)
 			}
-			var rows []data.Tuple
-			var err error
-			if columnar {
-				rows, err = DrainCol(AsColOperator(j))
-			} else {
-				rows, err = Drain(j)
-			}
+			rows, err := Drain(root)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if rowParent {
+				rows = dropLast(rows)
 			}
 			if builds < 2 || probes < 2 {
 				t.Fatalf("%d build and %d probe partitions spilled, want at least 2 each", builds, probes)
@@ -289,7 +291,7 @@ func TestSpillFaultOneFilePerOperator(t *testing.T) {
 				t.Errorf("SpillFiles = %d, want one per spilled run, %d", got, builds+probes)
 			}
 			expectOneFile(t, fs)
-			if err := j.Close(); err != nil {
+			if err := root.Close(); err != nil {
 				t.Fatal(err)
 			}
 			if got := sortedStrings(rows); !reflect.DeepEqual(got, want) {

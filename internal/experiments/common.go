@@ -111,9 +111,9 @@ func customer(name string, rows, domain int, z float64, seed, permSeed int64) *s
 //
 // The once series is sampled during the probe partition pass (x =
 // fraction of probe input seen); the dne and byte series are sampled
-// during the join pass (x = fraction of probe input joined), which is
-// where those estimators actually observe output — the reordering effect
-// of §5.1.2.
+// during the join pass (x = fraction of probe input joined), once per
+// output batch, which is where those estimators actually observe output —
+// the reordering effect of §5.1.2.
 func binaryJoinTrajectories(cat *catalog.Catalog, build, probe *storage.Table,
 	buildCol, probeCol string, samples int, buildFilterKey string, buildFilterBelow int64) (once, dne, byteS Series, truth int64, optEst float64, err error) {
 
@@ -156,25 +156,24 @@ func binaryJoinTrajectories(cat *catalog.Catalog, build, probe *storage.Table,
 	if err = j.Open(); err != nil {
 		return
 	}
-	var n int64
-	var lastSampled int64 = -1
-	sampleEveryOut := int64(1)
+	// One sample per output batch — the granularity progress is reported
+	// at — thinned by a growing stride to keep roughly `samples` points.
+	var n, batches int64
+	stride := int64(1)
 	for {
-		tup, e := j.Next()
+		cb, e := j.NextColBatch()
 		if e != nil {
 			err = e
 			return
 		}
-		if tup == nil {
+		if cb == nil {
 			break
 		}
-		n++
-		if n-lastSampled >= sampleEveryOut {
+		n += int64(cb.Live())
+		if batches++; batches%stride == 0 {
 			sampleJoin()
-			lastSampled = n
-			// Keep roughly `samples` points by growing the stride.
 			if int64(len(dne.Points)) > int64(samples) {
-				sampleEveryOut *= 2
+				stride *= 2
 			}
 		}
 	}

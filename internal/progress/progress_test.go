@@ -66,8 +66,7 @@ func TestProgressStartsAtZeroEndsAtOne(t *testing.T) {
 func TestProgressMonotoneUnderOnce(t *testing.T) {
 	j, m := buildJoinQuery(t, 2, ModeOnce)
 	var samples []float64
-	InstallTicker(j, 100, func() { samples = append(samples, m.Progress()) })
-	if _, err := exec.Run(j); err != nil {
+	if _, err := runTicked(j, 100, func() { samples = append(samples, m.Progress()) }); err != nil {
 		t.Fatal(err)
 	}
 	if len(samples) < 20 {
@@ -94,7 +93,7 @@ func TestOnceProgressBeatsDNEOnSkew(t *testing.T) {
 	// Under skewed data with a bad optimizer estimate, the mean absolute
 	// deviation between estimated and actual progress should be smaller
 	// for the once monitor than for dne (Figure 8's qualitative claim).
-	build := func(mode Mode) (exec.Operator, *Monitor, func() []float64) {
+	run := func(mode Mode) []float64 {
 		rng := rand.New(rand.NewSource(7))
 		// Zipf-ish skew via squaring.
 		mk := func(n int) []int64 {
@@ -119,20 +118,15 @@ func TestOnceProgressBeatsDNEOnSkew(t *testing.T) {
 			core.Attach(j)
 		}
 		m := NewMonitor(j, mode)
-		var est, act []float64
-		InstallTicker(j, 200, func() {
-			est = append(est, m.Progress())
-			act = append(act, 0) // placeholder, filled below
-		})
-		return j, m, func() []float64 { return est }
+		var est []float64
+		if _, err := runTicked(j, 200, func() { est = append(est, m.Progress()) }); err != nil {
+			t.Fatal(err)
+		}
+		return est
 	}
 
 	mad := func(mode Mode) float64 {
-		j, _, getEst := build(mode)
-		if _, err := exec.Run(j); err != nil {
-			t.Fatal(err)
-		}
-		est := getEst()
+		est := run(mode)
 		n := len(est)
 		sum := 0.0
 		for i, e := range est {
@@ -186,28 +180,30 @@ func TestTickerComposesExistingHooks(t *testing.T) {
 	ta := table("a", randCol(rng, 500, 10))
 	sc := exec.NewScan(ta, "")
 	var hookCalls int
-	sc.OnTuple = func(data.Tuple) { hookCalls++ }
+	sc.OnBatch = func(int) { hookCalls++ }
 	ticks := 0
+	defer data.SetBatchSize(0)
+	data.SetBatchSize(100)
 	InstallTicker(sc, 100, func() { ticks++ })
 	if _, err := exec.Run(sc); err != nil {
 		t.Fatal(err)
 	}
-	if hookCalls != 500 {
-		t.Errorf("existing hook fired %d times, want 500", hookCalls)
+	if hookCalls != 5 {
+		t.Errorf("existing hook fired %d times, want 5", hookCalls)
 	}
-	if ticks != 5 {
-		t.Errorf("ticks = %d, want 5", ticks)
+	// Every batch but the last publishes the one before it.
+	if ticks != 4 {
+		t.Errorf("ticks = %d, want 4", ticks)
 	}
 }
 
 func TestProgressNeverExceedsOne(t *testing.T) {
 	j, m := buildJoinQuery(t, 5, ModeDNE)
-	InstallTicker(j, 50, func() {
+	runTicked(j, 50, func() {
 		if p := m.Progress(); p < 0 || p > 1 {
 			t.Fatalf("progress out of range: %g", p)
 		}
 	})
-	exec.Run(j)
 }
 
 func TestFuturePipelineUsesOptimizerEstimate(t *testing.T) {
@@ -246,14 +242,13 @@ func TestMonitorAccessors(t *testing.T) {
 func TestByteModeProgress(t *testing.T) {
 	j, m := buildJoinQuery(t, 61, ModeByte)
 	var last float64
-	InstallTicker(j, 200, func() {
+	if _, err := runTicked(j, 200, func() {
 		p := m.Progress()
 		if p < 0 || p > 1 {
 			t.Fatalf("byte progress out of range: %g", p)
 		}
 		last = p
-	})
-	if _, err := exec.Run(j); err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if m.Progress() != 1 {

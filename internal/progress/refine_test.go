@@ -25,7 +25,7 @@ func TestProgressIntervalBracketsEstimate(t *testing.T) {
 	m := NewMonitorWith(j, ModeOnce, att)
 
 	var checked int
-	InstallTicker(j, 300, func() {
+	if _, err := runTicked(j, 300, func() {
 		p := m.Progress()
 		lo, hi := m.ProgressInterval(0.95)
 		if lo > p+1e-9 || hi < p-1e-9 {
@@ -35,8 +35,7 @@ func TestProgressIntervalBracketsEstimate(t *testing.T) {
 			t.Fatalf("interval out of range: [%g, %g]", lo, hi)
 		}
 		checked++
-	})
-	if _, err := exec.Run(j); err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if checked == 0 {
@@ -81,13 +80,13 @@ func TestRefineFutureScalesWithRefinedInputs(t *testing.T) {
 
 	m := NewMonitor(j, ModeOnce)
 	// Drive the filter halfway: dne sees selectivity ~1.0.
+	defer data.SetBatchSize(0)
+	data.SetBatchSize(500)
 	if err := f.Open(); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 500; i++ {
-		if _, err := f.Next(); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := f.NextColBatch(); err != nil {
+		t.Fatal(err)
 	}
 	refined := m.refineFuture(j)
 	if refined <= origJoinEst {

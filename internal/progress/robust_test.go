@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"qpi/internal/core"
-	"qpi/internal/exec"
 )
 
 // Tests for the robust blended estimator mode.
@@ -21,8 +20,7 @@ func TestRobustModeLifecycle(t *testing.T) {
 		t.Errorf("initial progress = %g", got)
 	}
 	var samples []float64
-	InstallTicker(j, 100, func() { samples = append(samples, m.Progress()) })
-	if _, err := exec.Run(j); err != nil {
+	if _, err := runTicked(j, 100, func() { samples = append(samples, m.Progress()) }); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.Progress(); math.Abs(got-1) > 1e-9 {
@@ -50,7 +48,7 @@ func TestRobustBlendTracksOnce(t *testing.T) {
 	robust := NewMonitor(j, ModeRobust)
 
 	checked := 0
-	InstallTicker(j, 500, func() {
+	if _, err := runTicked(j, 500, func() {
 		_, tOnce := once.Totals()
 		_, tDNE := dne.Totals()
 		_, tByte := byt.Totals()
@@ -63,8 +61,7 @@ func TestRobustBlendTracksOnce(t *testing.T) {
 			t.Errorf("robust total %g outside component envelope [%g, %g]", tRobust, lo, hi)
 		}
 		checked++
-	})
-	if _, err := exec.Run(j); err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if checked == 0 {

@@ -5,24 +5,21 @@ import (
 	"qpi/internal/exec"
 )
 
-// Ticker calls a function about once every `every` units of work: tuples
+// Ticker calls a function about once every `every` units of work: rows
 // flowing through scans, join phases and blocking input passes. Progress
 // consumers use it to sample the monitor at evenly spaced points of
 // actual work, on the execution goroutine, without a second one.
 //
-// Work is counted where the plan already hands it over. An operator
-// pulled tuple-at-a-time is counted, and may publish, at every tuple: its
-// counters move one tuple at a time, so every tuple is a consistent point.
-// An operator pulled column-at-a-time is counted a span at a time, through
-// the scan's batch hook, the hash join's OnBuildCol/OnProbeCol, the hash
-// aggregation's group-count spans and the caller's drain loop (Add). Those
-// are the points where no operator is midway through a batch — Emitted,
-// probe rows read and probe rows joined all describe the same instant — so
-// a snapshot taken there never sees a join that has consumed probe rows it
-// has not yet emitted for. No per-tuple hook goes on such an operator: one
-// would send it back to materializing rows. A batch is published at most
-// once on its way up the plan; only a sort's input pass, which builds its
-// rows anyway, still counts them one by one.
+// Work is counted where the plan already hands it over, a span at a time:
+// through the scan's batch hook, the hash join's OnBuildCol/OnProbeCol,
+// the hash aggregation's group-count spans and the caller's drain loop
+// (Add, once per root batch). Those are the points where no operator is
+// midway through a batch — Emitted, probe rows read and probe rows joined
+// all describe the same instant — so a snapshot taken there never sees a
+// join that has consumed probe rows it has not yet emitted for. A batch
+// is published at most once on its way up the plan. Only the row
+// operators' tuple hooks — a sort's input pass and a merge join's output,
+// which build their rows anyway — still count one tuple at a time.
 type Ticker struct {
 	every int64
 	f     func()
@@ -40,8 +37,8 @@ func NewTicker(every int64, f func()) *Ticker {
 }
 
 // Add counts n units of work and publishes if a multiple of the interval
-// was crossed. Whoever drains a columnar root calls it once per output
-// batch; the installed hooks call it for everything below.
+// was crossed. Whoever drains the root calls it once per output batch;
+// the installed hooks call it for everything below.
 func (t *Ticker) Add(n int64) {
 	t.work += n
 	t.publish()
@@ -54,7 +51,7 @@ func (t *Ticker) publish() {
 	}
 }
 
-// scanBatch counts one batch leaving a columnar scan. The operator that
+// scanBatch counts one batch leaving a scan. The operator that
 // consumes the batch publishes it an instant later, so the scan publishes
 // only what the previous batch left behind — which is the whole of it when
 // a filter dropped every row and no consumer ever saw it.
@@ -86,27 +83,16 @@ func (t *Ticker) span(prev func(*data.ColBatch)) func(*data.ColBatch) {
 	}
 }
 
-// Install hooks the ticker into every operator of the plan. columnar says
-// how the root will be drained: through exec.AsColOperator (the caller
-// then reports each output batch with Add) or through Next.
-func (t *Ticker) Install(root exec.Operator, columnar bool) {
-	exec.WalkColumnar(root, columnar, func(op exec.Operator, columnar bool) {
+// Install hooks the ticker into every operator of the plan. Whoever
+// drains the root reports each of its batches with Add.
+func (t *Ticker) Install(root exec.Operator) {
+	exec.Walk(root, func(op exec.Operator) {
 		switch o := op.(type) {
 		case *exec.Scan:
-			if columnar {
-				o.OnBatch = t.scanBatch(o.OnBatch)
-			} else {
-				o.OnTuple = t.tuple(o.OnTuple)
-			}
+			o.OnBatch = t.scanBatch(o.OnBatch)
 		case *exec.HashJoin:
 			o.OnBuildCol = t.span(o.OnBuildCol)
 			o.OnProbeCol = t.span(o.OnProbeCol)
-			if !columnar {
-				// Pulled through Next, the join emits (and counts) row by
-				// row; pulled columnar, its output is counted by whoever
-				// consumes the batch.
-				o.OnOutput = t.tuple(o.OnOutput)
-			}
 		case *exec.MergeJoin:
 			o.OnOutput = t.tuple(o.OnOutput)
 		case *exec.Sort:
@@ -124,10 +110,8 @@ func (t *Ticker) Install(root exec.Operator, columnar bool) {
 }
 
 // InstallTicker arranges for f to be called once every `every` units of
-// work on a plan drained through Next (exec.Run): NewTicker + Install.
-// What the plan itself pulls column-at-a-time — the inputs of every hash
-// join, hash aggregation and sort — and a hash aggregation's input pass
-// are still counted per span.
+// work of the plan below its root: NewTicker + Install, for a plan drained
+// by exec.Run, which reports no root batch.
 func InstallTicker(root exec.Operator, every int64, f func()) {
-	NewTicker(every, f).Install(root, false)
+	NewTicker(every, f).Install(root)
 }

@@ -30,10 +30,37 @@ func columnarAggPlan(t *testing.T, seed int64) (*exec.HashAgg, *exec.HashJoin, *
 	return agg, j, NewMonitorWith(agg, ModeOnce, att)
 }
 
-// TestTickerColumnarCountsSpans: on a plan drained column-at-a-time the
-// ticker installs no per-tuple hook (one would send the join's output and
-// the aggregation's input back to rows), counts every unit of work the
-// tuple ticker counts, and publishes at most once per batch.
+// runTicked drains root the way Query.drain does, with a ticker calling f
+// every `every` units of work installed on the plan and one Add per root
+// batch, and returns the row count.
+func runTicked(root exec.Operator, every int64, f func()) (int64, error) {
+	return drainTicked(root, NewTicker(every, f))
+}
+
+// drainTicked is runTicked with the ticker given.
+func drainTicked(root exec.Operator, tk *Ticker) (int64, error) {
+	tk.Install(root)
+	if err := root.Open(); err != nil {
+		return 0, err
+	}
+	var n int64
+	for {
+		cb, err := root.NextColBatch()
+		if err != nil {
+			root.Close()
+			return n, err
+		}
+		if cb == nil {
+			return n, root.Close()
+		}
+		n += int64(cb.Live())
+		tk.Add(int64(cb.Live()))
+	}
+}
+
+// TestTickerColumnarCountsSpans: the ticker counts every unit of work —
+// scan rows, both partition passes, the aggregation's input and the
+// root's output — a span at a time, and publishes at most once per batch.
 func TestTickerColumnarCountsSpans(t *testing.T) {
 	agg, j, m := columnarAggPlan(t, 1)
 	var lastC float64
@@ -46,32 +73,8 @@ func TestTickerColumnarCountsSpans(t *testing.T) {
 		}
 		lastC = rep.C
 	})
-	tk.Install(agg, true)
-	if j.OnOutput != nil {
-		t.Fatal("a per-tuple hook was installed on the join, pulled column-at-a-time")
-	}
-	exec.Walk(agg, func(op exec.Operator) {
-		if sc, ok := op.(*exec.Scan); ok && sc.OnTuple != nil {
-			t.Fatalf("%s: per-tuple hook on a scan pulled column-at-a-time", sc.Name())
-		}
-	})
-	root := exec.AsColOperator(agg)
-	if err := root.Open(); err != nil {
-		t.Fatal(err)
-	}
-	var out int64
-	for {
-		cb, err := root.NextColBatch()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cb == nil {
-			break
-		}
-		out += int64(cb.Live())
-		tk.Add(int64(cb.Live()))
-	}
-	if err := root.Close(); err != nil {
+	out, err := drainTicked(agg, tk)
+	if err != nil {
 		t.Fatal(err)
 	}
 	joined := j.Stats().Emitted.Load()
@@ -96,10 +99,10 @@ func TestTickerPublishesFilteredScan(t *testing.T) {
 	f := exec.NewFilter(exec.NewScan(ta, ""), none)
 	ticks := 0
 	tk := NewTicker(100, func() { ticks++ })
-	tk.Install(f, true)
-	n, err := exec.RunCol(exec.AsColOperator(f))
+	tk.Install(f)
+	n, err := exec.Run(f)
 	if err != nil || n != 0 {
-		t.Fatalf("RunCol = %d, %v", n, err)
+		t.Fatalf("Run = %d, %v", n, err)
 	}
 	// Every scan batch but the last publishes the one before it.
 	if ticks != 9 {
@@ -107,11 +110,13 @@ func TestTickerPublishesFilteredScan(t *testing.T) {
 	}
 }
 
-// TestInstallTickerKeepsTupleBehaviour: on a plan that pulls tuples
-// everywhere — a merge join over two scans of pre-sorted tables —
-// InstallTicker is what it always was: one call per `every` units of work
-// moved (each scan's rows, the join's output).
+// TestInstallTickerKeepsTupleBehaviour: on a plan of one-row batches
+// under a row operator — a merge join over two scans of pre-sorted tables
+// — InstallTicker is what the tuple-at-a-time ticker was: one call per
+// `every` units of work moved (each scan's rows, the join's output).
 func TestInstallTickerKeepsTupleBehaviour(t *testing.T) {
+	defer data.SetBatchSize(0)
+	data.SetBatchSize(1)
 	rng := rand.New(rand.NewSource(3))
 	a, b := randCol(rng, 2000, 30), randCol(rng, 3000, 30)
 	slices.Sort(a)

@@ -8,9 +8,8 @@
 // A table is its column lanes: one table-wide data.ColVec per column, which
 // Append extends; a block is a range of BlockSize rows. A columnar scan
 // hands out read-only windows of the lanes (Iterator.Window: no per-query
-// pivot) and ANALYZE reads them; a scan pulled through Next, the oracle
-// and the table-file writer get tuples built from them (Iterator.Next,
-// Table.Rows).
+// pivot) and ANALYZE reads them; the oracle and the table-file writer get
+// tuples built from them (Iterator.Next, Table.Rows).
 package storage
 
 import (
@@ -106,7 +105,7 @@ type Iterator struct {
 	blockIdx       int
 	pos, end       int // the next row, and where block order[blockIdx] ends; equal once exhausted
 	sampleBoundary int
-	arena          []data.Value // what Tuple carves its tuples from
+	arena          []data.Value // what Next carves its tuples from
 }
 
 // iterator snapshots the table for a walk in the given block order.
@@ -170,24 +169,14 @@ func (t *Table) SampleOrder(fraction float64, seed int64) *Iterator {
 	return it
 }
 
-// Next returns the next tuple (see Tuple), or nil when the iterator is
-// exhausted.
+// Next returns the next tuple, built from the iterator's lanes — the
+// columns Narrow chose, or all of them — as a fresh tuple carved from the
+// iterator's arena, or nil when the iterator is exhausted. The arena is
+// never reused, so callers may keep the tuple.
 func (it *Iterator) Next() data.Tuple {
 	if it.pos == it.end {
 		return nil
 	}
-	tu := it.Tuple(it.pos)
-	if it.pos++; it.pos == it.end {
-		it.blockIdx++
-		it.enter()
-	}
-	return tu
-}
-
-// Tuple builds table row row from the iterator's lanes — the columns
-// Narrow chose, or all of them — as a fresh tuple carved from the
-// iterator's arena. The arena is never reused, so callers may keep it.
-func (it *Iterator) Tuple(row int) data.Tuple {
 	w := len(it.lanes)
 	if len(it.arena) < w {
 		it.arena = make([]data.Value, w*data.BatchSize())
@@ -195,7 +184,11 @@ func (it *Iterator) Tuple(row int) data.Tuple {
 	tu := it.arena[:w:w]
 	it.arena = it.arena[w:]
 	for c := range tu {
-		tu[c] = it.lanes[c].ValueAt(row)
+		tu[c] = it.lanes[c].ValueAt(it.pos)
+	}
+	if it.pos++; it.pos == it.end {
+		it.blockIdx++
+		it.enter()
 	}
 	return tu
 }

@@ -11,8 +11,8 @@ type Metrics struct {
 	Status
 	// Tuples is Σ K_i: getnext() calls satisfied across all operators.
 	Tuples int64
-	// Batches counts the batches operators emitted (an operator behind a
-	// tuple-at-a-time adapter, such as a merge join, emits none).
+	// Batches counts the batches operators emitted (a row operator, such
+	// as a merge join, counts none).
 	Batches int64
 	// SpillFiles counts spilled runs (grace partitions and sort runs);
 	// an operator's runs share one temporary file. SpillBytes counts the

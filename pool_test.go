@@ -43,7 +43,7 @@ func TestSkewedBuildSideDoesNotGrowTheHeap(t *testing.T) {
 		lo := exec.NewHashJoin(l, o,
 			l.Schema().MustResolve("lineitem", "orderkey"),
 			o.Schema().MustResolve("orders", "orderkey"))
-		return exec.RunCol(exec.NewHashJoin(lo, p,
+		return exec.Run(exec.NewHashJoin(lo, p,
 			lo.Schema().MustResolve("lineitem", "partkey"),
 			p.Schema().MustResolve("part", "partkey")))
 	})

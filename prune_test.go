@@ -152,7 +152,7 @@ func handRoute(t *testing.T, e *Engine, c pruneCase, opts []CompileOption) route
 	if err := root.Open(); err != nil {
 		t.Fatal(err)
 	}
-	tuples, err := exec.DrainCol(exec.AsColOperator(root))
+	tuples, err := exec.Drain(root)
 	if err == nil {
 		err = root.Close()
 	}

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"qpi/internal/data"
 	"qpi/internal/exec"
 )
 
@@ -128,8 +127,9 @@ func TestStartCancelMidFlight(t *testing.T) {
 	}
 }
 
-// parkFirstScan makes the plan's first scan block at its n-th tuple until
-// resume is called; parked is closed when the scan reaches the gate.
+// parkFirstScan makes the plan's first scan block after the batch that
+// takes it to n rows until resume is called; parked is closed when the
+// scan reaches the gate.
 func parkFirstScan(q *Query, n int) (parked chan struct{}, resume func()) {
 	parked = make(chan struct{})
 	gate := make(chan struct{})
@@ -141,12 +141,12 @@ func parkFirstScan(q *Query, n int) (parked chan struct{}, resume func()) {
 			return
 		}
 		installed = true
-		prev := sc.OnTuple
-		sc.OnTuple = func(tu data.Tuple) {
+		prev := sc.OnBatch
+		sc.OnBatch = func(rows int) {
 			if prev != nil {
-				prev(tu)
+				prev(rows)
 			}
-			if count++; count == n {
+			if count += rows; count >= n && count-rows < n {
 				close(parked)
 				<-gate
 			}

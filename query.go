@@ -174,24 +174,23 @@ func execRun(ctx context.Context, q *Query) (int64, error) {
 	return n, err
 }
 
-// drain opens the plan, pulls it to exhaustion column-at-a-time and
+// drain opens the plan, pulls it to exhaustion batch by batch and
 // closes it, returning the live row count. Each batch is handed to sink
 // (nil discards it) and then reported to the ticker: the end of a root
 // batch is a span boundary like any other.
 func (q *Query) drain(sink func(*data.ColBatch)) (int64, error) {
-	root := exec.AsColOperator(q.root)
-	if err := root.Open(); err != nil {
+	if err := q.root.Open(); err != nil {
 		return 0, err
 	}
 	var n int64
 	for {
-		cb, err := root.NextColBatch()
+		cb, err := q.root.NextColBatch()
 		if err != nil {
-			root.Close()
+			q.root.Close()
 			return n, err
 		}
 		if cb == nil {
-			return n, root.Close()
+			return n, q.root.Close()
 		}
 		live := int64(cb.Live())
 		n += live
@@ -389,7 +388,7 @@ func (q *Query) installObservability(cfg *runCfg) {
 		return
 	}
 	q.ticker = progress.NewTicker(cfg.every, func() { q.publishTick(cfg) })
-	q.ticker.Install(q.root, true)
+	q.ticker.Install(q.root)
 }
 
 // publishTick runs on the execution goroutine at ticker boundaries.

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"qpi/internal/data"
+	"qpi/internal/exec"
 	"qpi/internal/vfs"
 )
 
@@ -36,24 +37,23 @@ func referenceRow(t data.Tuple) []any {
 	return row
 }
 
-// referenceRows drains q tuple-at-a-time, as Rows did before.
+// referenceRows drains q's tuples and converts them one at a time, as
+// Rows did before.
 func referenceRows(t *testing.T, q *Query) [][]any {
 	t.Helper()
 	if err := q.root.Open(); err != nil {
 		t.Fatal(err)
 	}
 	defer q.root.Close()
+	tuples, err := exec.Drain(q.root)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var out [][]any
-	for {
-		tu, err := q.root.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tu == nil {
-			return out
-		}
+	for _, tu := range tuples {
 		out = append(out, referenceRow(tu))
 	}
+	return out
 }
 
 // randomValue draws a value of column kind k: mostly that kind, sometimes

@@ -1,9 +1,15 @@
 package qpi
 
 import (
+	"cmp"
 	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
+
+	"qpi/internal/data"
+	"qpi/internal/exec"
 )
 
 func sqlEngine(t *testing.T) *Engine {
@@ -25,6 +31,32 @@ func TestSQLQueryBasics(t *testing.T) {
 	}
 	if len(rows) != 3 || rows[0][0].(int64) != 1 {
 		t.Fatalf("rows = %v", rows)
+	}
+
+	// ORDER BY … LIMIT: a limit reading a sort's row-backed batches. The
+	// rows are the table's, sorted here; the limit counts exactly its
+	// rows and the sort read and emitted every row.
+	all, err := e.MustQuery("SELECT custkey, nationkey FROM customer").Rows()
+	if err != nil {
+		t.Fatal(err)
+	}
+	slices.SortStableFunc(all, func(a, b []any) int {
+		return cmp.Or(cmp.Compare(b[1].(int64), a[1].(int64)), cmp.Compare(a[0].(int64), b[0].(int64)))
+	})
+	q = e.MustQuery("SELECT custkey, nationkey FROM customer ORDER BY nationkey DESC, custkey LIMIT 25")
+	var sorter *exec.Sort
+	exec.Walk(q.root, func(op exec.Operator) {
+		if s, ok := op.(*exec.Sort); ok {
+			sorter = s
+		}
+	})
+	limit, inputs := q.root.(*exec.Limit), 0
+	sorter.OnInput = func(data.Tuple) { inputs++ }
+	if rows, err = q.Rows(); err != nil || !reflect.DeepEqual(rows, all[:25]) {
+		t.Errorf("ORDER BY … LIMIT 25 = %v, %v; want %v", rows, err, all[:25])
+	}
+	if n := limit.Stats().Emitted.Load(); n != 25 || inputs != len(all) || sorter.Stats().Emitted.Load() != int64(len(all)) {
+		t.Errorf("limit emitted %d, sort read %d and emitted %d of %d rows", n, inputs, sorter.Stats().Emitted.Load(), len(all))
 	}
 }
 
