@@ -294,29 +294,39 @@ func FuzzJoinModes(f *testing.F) {
 	})
 }
 
-// TestRowJoinsAgainstReference: the sort-merge join and the indexed
-// nested-loops join — row operators behind row-backed batches — must
-// emit the reference inner join, the latter with NULL keys on both sides
-// (skipped by the index), and count every row they emit.
-func TestRowJoinsAgainstReference(t *testing.T) {
-	for _, c := range []struct {
-		seed     int64
-		nullFrac float64
-		join     func(l, r Operator) Operator
-	}{
-		{11, 0, func(l, r Operator) Operator { mj, _, _ := NewSortMergeJoin(l, r, 0, 0); return mj }},
-		{13, 0.2, func(l, r Operator) Operator { return NewIndexedNLJoin(l, r, 0, 0) }},
-	} {
-		rng := rand.New(rand.NewSource(c.seed))
-		for trial := 0; trial < 8; trial++ {
-			left := randKeys(rng, 15+rng.Intn(50), 1+rng.Intn(10), c.nullFrac)
-			right := randKeys(rng, 15+rng.Intn(50), 1+rng.Intn(10), c.nullFrac)
-			j := c.join(NewScan(kvTable("l", left), ""), NewScan(kvTable("r", right), ""))
-			rows := collect(t, j)
-			equalMultisets(t, j.Name(), rows, refJoin(left, right, InnerJoin))
-			if n := j.Stats().Emitted.Load(); n != int64(len(rows)) || !j.Stats().IsDone() {
-				t.Errorf("%s: Emitted %d done=%v for %d rows", j.Name(), n, j.Stats().IsDone(), len(rows))
-			}
+// TestMergeJoinTupleBatchEquivalence: the sort-merge join — a row
+// operator behind row-backed batches — must emit the reference inner join
+// and count every row it emits. (The name is kept from when the join was
+// also pulled tuple-at-a-time; the batch path is the only one left.)
+func TestMergeJoinTupleBatchEquivalence(t *testing.T) {
+	checkRowJoinAgainstReference(t, 11, 0, func(l, r Operator) Operator {
+		mj, _, _ := NewSortMergeJoin(l, r, 0, 0)
+		return mj
+	})
+}
+
+// TestNLJoinTupleBatchEquivalence: same for the indexed nested-loops
+// join, including NULL keys on both sides (skipped by the index).
+func TestNLJoinTupleBatchEquivalence(t *testing.T) {
+	checkRowJoinAgainstReference(t, 13, 0.2, func(l, r Operator) Operator {
+		return NewIndexedNLJoin(l, r, 0, 0)
+	})
+}
+
+// checkRowJoinAgainstReference runs 8 random trials of join over key
+// tables drawn from seed (nullFrac of the keys NULL) against refJoin,
+// and checks Emitted equals the rows delivered once the join is done.
+func checkRowJoinAgainstReference(t *testing.T, seed int64, nullFrac float64, join func(l, r Operator) Operator) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	for trial := 0; trial < 8; trial++ {
+		left := randKeys(rng, 15+rng.Intn(50), 1+rng.Intn(10), nullFrac)
+		right := randKeys(rng, 15+rng.Intn(50), 1+rng.Intn(10), nullFrac)
+		j := join(NewScan(kvTable("l", left), ""), NewScan(kvTable("r", right), ""))
+		rows := collect(t, j)
+		equalMultisets(t, j.Name(), rows, refJoin(left, right, InnerJoin))
+		if n := j.Stats().Emitted.Load(); n != int64(len(rows)) || !j.Stats().IsDone() {
+			t.Errorf("%s: Emitted %d done=%v for %d rows", j.Name(), n, j.Stats().IsDone(), len(rows))
 		}
 	}
 }
