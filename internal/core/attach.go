@@ -447,18 +447,28 @@ func (a *Attachment) Recomputes() int64 {
 	}
 	for _, ae := range a.Aggs {
 		n += ae.Recomputes()
-		if c := ae.Chooser(); c != nil {
-			n += c.Recomputes()
-		}
-		if t := ae.Tracker(); t != nil {
-			n += t.Recomputes()
-		}
 	}
 	for _, e := range a.Ineq {
 		n += e.Recomputes()
 	}
 	for _, e := range a.Disjunct {
 		n += e.Recomputes()
+	}
+	return n + a.MLERecomputes()
+}
+
+// MLERecomputes totals the distinct-value MLE recomputations (Algorithm
+// 3) of the aggregation estimators' choosers and trackers: the share of
+// Recomputes the GROUP BY estimation spends in the MLE.
+func (a *Attachment) MLERecomputes() int64 {
+	var n int64
+	for _, ae := range a.Aggs {
+		if c := ae.Chooser(); c != nil {
+			n += c.Recomputes()
+		}
+		if t := ae.Tracker(); t != nil {
+			n += t.Recomputes()
+		}
 	}
 	return n
 }

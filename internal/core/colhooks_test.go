@@ -165,8 +165,10 @@ func TestColChainsExactOnPaperShapes(t *testing.T) {
 // leaves it in: the same estimate for every level at every publish (the
 // tracer's refinement events), the same estimates, confidence intervals
 // and published Stats after every probe batch, and the same final state.
-// The reference run drains through Next, so a hash aggregation's tracker
-// must also read the same from group-count spans as from per-row counts.
+// The reference run replaces the span hook with a row-by-row
+// ObserveProbe replay of each probe batch. Both runs drain batches (no
+// operator has a per-row pull), so the hash aggregation on top reads the
+// same group-count spans in both, and its estimate must match as well.
 func TestColumnarBitIdenticalToTuple(t *testing.T) {
 	shapes := []func() *exec.HashJoin{
 		func() *exec.HashJoin { return fig3Plan(70) },

@@ -155,6 +155,48 @@ func TestFilter(t *testing.T) {
 	}
 }
 
+// TestFilterAndAllocatesNothingWarm: a Filter over a two-term And —
+// two columns, and the BETWEEN shape on one — narrows through its own
+// selection buffer, so once warm a batch costs no allocation.
+func TestFilterAndAllocatesNothingWarm(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime adds allocations of its own")
+	}
+	rows := make([][2]int64, 64*data.BatchSize())
+	for i := range rows {
+		rows[i] = [2]int64{int64(i*7919) % 100, int64(i) % 13}
+	}
+	tb := makeTable2("t", rows)
+	for _, pred := range []func(s *data.Schema) expr.Expr{
+		func(s *data.Schema) expr.Expr {
+			return expr.AndOf(expr.Compare(expr.LT, expr.Column(s, "t", "x"), expr.IntLit(50)),
+				expr.Compare(expr.GT, expr.Column(s, "t", "y"), expr.IntLit(3)))
+		},
+		func(s *data.Schema) expr.Expr {
+			x := expr.Column(s, "t", "x")
+			return expr.AndOf(expr.Compare(expr.GE, x, expr.IntLit(25)), expr.Compare(expr.LE, x, expr.IntLit(74)))
+		},
+	} {
+		sc := NewScan(tb, "")
+		f := NewFilter(sc, pred(sc.Schema()))
+		if err := f.Open(); err != nil {
+			t.Fatal(err)
+		}
+		next := func() {
+			if cb, err := f.NextColBatch(); err != nil || cb == nil || cb.Live() == 0 {
+				t.Fatalf("%s: NextColBatch = %v, %v", f.Name(), cb, err)
+			}
+		}
+		next()
+		if allocs := testing.AllocsPerRun(32, next); allocs != 0 {
+			t.Errorf("%s: %.1f allocations per batch once warm, want 0", f.Name(), allocs)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestProject(t *testing.T) {
 	sc := NewScan(makeTable2("t", [][2]int64{{1, 10}, {2, 20}}), "")
 	p := NewProject(sc,

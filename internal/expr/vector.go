@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"math"
 	"strings"
 
 	"qpi/internal/data"
@@ -9,16 +10,22 @@ import (
 // This file is the columnar evaluation path. EvalSel filters a whole
 // column span into a selection vector in one call; EvalVec computes one
 // output vector per expression for projections. Both must agree exactly
-// with the per-tuple Eval semantics — the fast paths below are
-// specialized only where the scalar semantics are reproduced bit for
-// bit, and everything else routes through evalValue, a per-row
-// interpreter that reads column vectors instead of tuples (falling back
-// to Expr.Eval over a materialized row for expression types this
-// package does not know).
+// with the per-tuple Eval semantics. EvalSel's comparisons over typed
+// lanes — a column against a constant on either side, two columns of one
+// kind, and an And's lower and upper bound on one int column fused into
+// a range — run the branch-free selection kernels of selkernel.go, and
+// LIKE over a string lane runs its own lane pass. Every other shape
+// (mixed-kind lanes, arithmetic operands, Or, Not, IS NULL) routes
+// through evalValue, a per-row interpreter that reads column vectors
+// instead of tuples (falling back to Expr.Eval over a materialized row
+// for expression types this package does not know); it is also the
+// reference the kernels are tested against.
 
-// EvalSel appends to out the row indexes in sel (nil = all cb.NRows
-// rows) for which e evaluates true, and returns out. The result is a
-// valid selection vector for cb.
+// EvalSel writes to out the row indexes in sel (nil = all cb.NRows rows)
+// for which e evaluates true, and returns them: a valid selection vector
+// for cb, never nil. out's backing array is reused when large enough. out may be
+// sel's own buffer (out[:0] over sel): every pass writes out[w] only once
+// it has read sel[w], so the selection narrows in place.
 func EvalSel(e Expr, cb *data.ColBatch, sel []int32, out []int32) []int32 {
 	switch x := e.(type) {
 	case Cmp:
@@ -30,23 +37,10 @@ func EvalSel(e Expr, cb *data.ColBatch, sel []int32, out []int32) []int32 {
 			return res
 		}
 	case And:
-		// Narrow the selection through each term; intermediate
-		// selections are scratch-allocated, the last lands in out.
-		cur := sel
-		for i, term := range x.Terms {
-			if i == len(x.Terms)-1 {
-				return EvalSel(term, cb, cur, out)
-			}
-			cur = EvalSel(term, cb, cur, nil)
-			if len(cur) == 0 {
-				return out[:0]
-			}
-		}
-		// Empty conjunction: everything passes.
-		return appendAll(cb, sel, out)
+		return evalSelAnd(x.Terms, cb, sel, out)
 	}
 	// Generic per-row path.
-	out = out[:0]
+	out = sized(out, 0)
 	forEachRow(cb, sel, func(i int) {
 		if evalValue(e, cb, i).IsTrue() {
 			out = append(out, int32(i))
@@ -55,9 +49,109 @@ func EvalSel(e Expr, cb *data.ColBatch, sel []int32, out []int32) []int32 {
 	return out
 }
 
-// appendAll appends every row of sel (or all rows) to out.
+// evalSelAnd narrows the selection through each term in turn: the first
+// term reads sel and writes out, every later one narrows out in place, so
+// a conjunction allocates nothing of its own. The bounds on one int column
+// by int constants (BETWEEN, a range rewrite) intersect into one range
+// and run as one pass in the place of the first of them.
+func evalSelAnd(terms []Expr, cb *data.ColBatch, sel, out []int32) []int32 {
+	if len(terms) == 0 {
+		// Empty conjunction: everything passes.
+		return appendAll(cb, sel, out)
+	}
+	var fused uint64 // bit j: term j already ran inside a range (j < 64)
+	for i, t := range terms {
+		if fused&(1<<i) != 0 {
+			continue
+		}
+		var res []int32
+		ok := false
+		if col, lo, hi, with := columnRange(terms, i); with != 0 {
+			if res, ok = evalSelRange(cb, col, lo, hi, sel, out); ok {
+				fused |= with
+			}
+		}
+		if !ok {
+			res = EvalSel(t, cb, sel, out)
+		}
+		if len(res) == 0 {
+			return res
+		}
+		sel, out = res, res
+	}
+	return out
+}
+
+// columnRange intersects the int bound terms[i] with every later one
+// (among the first 64) on the same column, and returns the range [lo, hi]
+// they admit together (lo > hi when none) and the later terms it took as
+// a bit set, empty when there are none. Every bound on a column is taken
+// at its first, so none of them has run yet.
+func columnRange(terms []Expr, i int) (col int, lo, hi int64, with uint64) {
+	col, lo, hi, ok := intRange(terms[i])
+	if !ok {
+		return 0, 0, 0, 0
+	}
+	for j := i + 1; j < min(len(terms), 64); j++ {
+		if c, l, h, ok := intRange(terms[j]); ok && c == col {
+			lo, hi, with = max(lo, l), min(hi, h), with|1<<j
+		}
+	}
+	return col, lo, hi, with
+}
+
+// intRange reads e as a bound (<, <=, >, >=) on a column by an int
+// constant and returns the range [lo, hi] of int64 values it admits
+// (lo > hi when a strict bound admits none).
+func intRange(e Expr) (col int, lo, hi int64, ok bool) {
+	c, isCmp := e.(Cmp)
+	if !isCmp {
+		return 0, 0, 0, false
+	}
+	col, op, k, ok := colConst(c)
+	if !ok || k.Kind != data.KindInt {
+		return 0, 0, 0, false
+	}
+	lo, hi = math.MinInt64, math.MaxInt64
+	switch op {
+	case GE:
+		lo = k.I
+	case GT:
+		if k.I == math.MaxInt64 {
+			return col, 1, 0, true
+		}
+		lo = k.I + 1
+	case LE:
+		hi = k.I
+	case LT:
+		if k.I == math.MinInt64 {
+			return col, 1, 0, true
+		}
+		hi = k.I - 1
+	default:
+		return 0, 0, 0, false
+	}
+	return col, lo, hi, true
+}
+
+// evalSelRange selects the rows of column col within [lo, hi]; ok=false
+// when the column is not an int lane.
+func evalSelRange(cb *data.ColBatch, col int, lo, hi int64, sel, out []int32) ([]int32, bool) {
+	v := cb.Col(col)
+	n := cb.NRows
+	if !v.Homogeneous() || v.Kind != data.KindInt {
+		return nil, false
+	}
+	if lo > hi {
+		return sized(out, 0), true
+	}
+	sel, out = dropNulls(v.Nulls, n, sel, out)
+	return selRange(v.Ints[:n], lo, hi, sel, out), true
+}
+
+// appendAll writes every row of sel (or all rows) to out.
 func appendAll(cb *data.ColBatch, sel []int32, out []int32) []int32 {
-	out = out[:0]
+	out = sized(out, 0)
 	if sel != nil {
 		return append(out, sel...)
 	}
@@ -80,50 +174,79 @@ func forEachRow(cb *data.ColBatch, sel []int32, f func(i int)) {
 	}
 }
 
-// evalSelCmp handles the hot Cmp shapes over homogeneous typed lanes:
-// Col-vs-Const and Col-vs-Col. Returns ok=false when no fast path
-// applies (mixed columns, cross-category comparisons, other operand
-// shapes).
-func evalSelCmp(c Cmp, cb *data.ColBatch, sel []int32, out []int32) ([]int32, bool) {
-	lc, lok := c.L.(Col)
-	if !lok {
-		return nil, false
-	}
-	switch r := c.R.(type) {
-	case Const:
-		return evalSelColConst(c.Op, cb, lc.Index, r.V, sel, out)
+// mirrored[op] holds with the operands swapped: k < x is x > k.
+var mirrored = [...]CmpOp{EQ: EQ, NE: NE, LT: GT, LE: GE, GT: LT, GE: LE}
+
+// colConst reads c as column op constant, a constant on the left moving
+// right under the mirrored operator.
+func colConst(c Cmp) (col int, op CmpOp, k data.Value, ok bool) {
+	switch l := c.L.(type) {
 	case Col:
-		lv, rv := cb.Col(lc.Index), cb.Col(r.Index)
-		if !lv.Homogeneous() || !rv.Homogeneous() {
-			return nil, false
+		if r, isConst := c.R.(Const); isConst {
+			return l.Index, c.Op, r.V, true
 		}
-		if lv.Kind == data.KindInt && rv.Kind == data.KindInt {
-			out = out[:0]
-			forEachRow(cb, sel, func(i int) {
-				if lv.Nulls.Get(i) || rv.Nulls.Get(i) {
-					return
-				}
-				if cmpHolds(c.Op, compareI64(lv.Ints[i], rv.Ints[i])) {
-					out = append(out, int32(i))
-				}
-			})
-			return out, true
+	case Const:
+		if r, isCol := c.R.(Col); isCol {
+			return r.Index, mirrored[c.Op], l.V, true
 		}
-		if lv.Kind == data.KindString && rv.Kind == data.KindString {
-			out = out[:0]
-			forEachRow(cb, sel, func(i int) {
-				if lv.Nulls.Get(i) || rv.Nulls.Get(i) {
-					return
-				}
-				if cmpHolds(c.Op, compareStr(lv.Strs[i], rv.Strs[i])) {
-					out = append(out, int32(i))
-				}
-			})
-			return out, true
-		}
+	}
+	return 0, 0, data.Value{}, false
+}
+
+// evalSelCmp runs the comparison kernels over homogeneous typed lanes:
+// column against constant (either side) and column against column of one
+// kind. Returns ok=false when none applies (mixed lanes, cross-category
+// comparisons, other operand shapes).
+func evalSelCmp(c Cmp, cb *data.ColBatch, sel []int32, out []int32) ([]int32, bool) {
+	if col, op, k, ok := colConst(c); ok {
+		return evalSelColConst(op, cb, col, k, sel, out)
+	}
+	lc, lok := c.L.(Col)
+	rc, rok := c.R.(Col)
+	if !lok || !rok {
 		return nil, false
 	}
-	return nil, false
+	lv, rv := cb.Col(lc.Index), cb.Col(rc.Index)
+	if !lv.Homogeneous() || !rv.Homogeneous() || lv.Kind != rv.Kind || lv.Kind == data.KindNull {
+		return nil, false
+	}
+	n := cb.NRows
+	sel, out = dropNulls(lv.Nulls, n, sel, out)
+	sel, out = dropNulls(rv.Nulls, n, sel, out)
+	switch lv.Kind {
+	case data.KindInt:
+		return selCols(c.Op, lv.Ints[:n], rv.Ints[:n], sel, out), true
+	case data.KindFloat:
+		return selCols(c.Op, lv.Floats[:n], rv.Floats[:n], sel, out), true
+	default:
+		return selCols(c.Op, lv.Strs[:n], rv.Strs[:n], sel, out), true
+	}
+}
+
+// evalSelColConst filters column col against a constant.
+func evalSelColConst(op CmpOp, cb *data.ColBatch, col int, k data.Value, sel []int32, out []int32) ([]int32, bool) {
+	v := cb.Col(col)
+	if k.IsNull() || (v.Homogeneous() && v.Kind == data.KindNull) {
+		// A NULL on either side: Cmp.Eval is false for every row.
+		return sized(out, 0), true
+	}
+	n := cb.NRows
+	if !v.Homogeneous() || (v.Kind == data.KindString) != (k.Kind == data.KindString) {
+		// Strings against numbers compare by category: evalValue.
+		return nil, false
+	}
+	sel, out = dropNulls(v.Nulls, n, sel, out)
+	switch {
+	case v.Kind == data.KindInt && k.Kind == data.KindInt:
+		return selConst(op, v.Ints[:n], k.I, sel, out), true
+	case v.Kind == data.KindInt:
+		// data.Compare compares int-vs-float as floats.
+		return selIntFloat(op, v.Ints[:n], k.F, sel, out), true
+	case v.Kind == data.KindFloat:
+		return selConst(op, v.Floats[:n], k.AsFloat(), sel, out), true
+	default:
+		return selConst(op, v.Strs[:n], k.S, sel, out), true
+	}
 }
 
 // evalSelLike handles LIKE over a homogeneous string lane. Literal
@@ -151,7 +274,7 @@ func evalSelLike(l Like, cb *data.ColBatch, sel []int32, out []int32) ([]int32, 
 	default:
 		match = l.re.MatchString
 	}
-	out = out[:0]
+	out = sized(out, 0)
 	forEachRow(cb, sel, func(i int) {
 		if v.Nulls.Get(i) {
 			return
@@ -161,103 +284,6 @@ func evalSelLike(l Like, cb *data.ColBatch, sel []int32, out []int32) ([]int32, 
 		}
 	})
 	return out, true
-}
-
-// evalSelColConst filters column col against a constant.
-func evalSelColConst(op CmpOp, cb *data.ColBatch, col int, k data.Value, sel []int32, out []int32) ([]int32, bool) {
-	if k.IsNull() {
-		// NULL comparand: Cmp.Eval is false for every row.
-		return out[:0], true
-	}
-	v := cb.Col(col)
-	if !v.Homogeneous() {
-		return nil, false
-	}
-	switch {
-	case v.Kind == data.KindInt && k.Kind == data.KindInt:
-		kv := k.I
-		out = out[:0]
-		forEachRow(cb, sel, func(i int) {
-			if v.Nulls.Get(i) {
-				return
-			}
-			if cmpHolds(op, compareI64(v.Ints[i], kv)) {
-				out = append(out, int32(i))
-			}
-		})
-		return out, true
-	case v.Kind == data.KindInt && k.Kind == data.KindFloat:
-		// data.Compare compares int-vs-float as floats.
-		kf := k.F
-		out = out[:0]
-		forEachRow(cb, sel, func(i int) {
-			if v.Nulls.Get(i) {
-				return
-			}
-			if cmpHolds(op, compareF64(float64(v.Ints[i]), kf)) {
-				out = append(out, int32(i))
-			}
-		})
-		return out, true
-	case v.Kind == data.KindFloat && (k.Kind == data.KindFloat || k.Kind == data.KindInt):
-		kf := k.AsFloat()
-		out = out[:0]
-		forEachRow(cb, sel, func(i int) {
-			if v.Nulls.Get(i) {
-				return
-			}
-			if cmpHolds(op, compareF64(v.Floats[i], kf)) {
-				out = append(out, int32(i))
-			}
-		})
-		return out, true
-	case v.Kind == data.KindString && k.Kind == data.KindString:
-		ks := k.S
-		out = out[:0]
-		forEachRow(cb, sel, func(i int) {
-			if v.Nulls.Get(i) {
-				return
-			}
-			if cmpHolds(op, compareStr(v.Strs[i], ks)) {
-				out = append(out, int32(i))
-			}
-		})
-		return out, true
-	}
-	return nil, false
-}
-
-func compareI64(a, b int64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
-}
-
-func compareF64(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
-}
-
-func compareStr(a, b string) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
 }
 
 func cmpHolds(op CmpOp, cmp int) bool {

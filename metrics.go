@@ -23,6 +23,10 @@ type Metrics struct {
 	// chain republishes (Algorithm 1), aggregate-chooser publishes and
 	// MLE recomputations (Algorithm 3), and theta/disjunctive refreshes.
 	EstimatorRecomputes int64
+	// MLERecomputes is the part of EstimatorRecomputes that the GROUP BY
+	// estimators' distinct-value choosers and trackers spent recomputing
+	// the MLE (Algorithm 3); a query with no GROUP BY reads 0.
+	MLERecomputes int64
 	// HistogramProbes counts the join-histogram lookups Algorithm 1
 	// specifies for the probe tuples the chain estimators have observed.
 	// It is a logical count: the columnar lane kernel gathers once per
@@ -46,6 +50,9 @@ func (q *Query) Metrics() Metrics {
 		m.SpillBytes += st.SpillBytes.Load()
 	})
 	if q.att != nil {
+		// The MLE share first: the total, read after, cannot be below it
+		// on a running query.
+		m.MLERecomputes = q.att.MLERecomputes()
 		m.EstimatorRecomputes = q.att.Recomputes()
 		m.HistogramProbes = q.att.HistogramProbes()
 	}

@@ -210,6 +210,46 @@ func TestMetricsSnapshot(t *testing.T) {
 	}
 }
 
+// TestMLERecomputesSplit: Metrics.MLERecomputes counts the GROUP BY
+// estimator's MLE recomputations — exactly its chooser's or tracker's
+// own count, inside EstimatorRecomputes — and reads 0 on a join with no
+// GROUP BY, whose recomputes are all the chain's.
+func TestMLERecomputesSplit(t *testing.T) {
+	e := obsEngine(t, 6000)
+	q := e.MustQuery("SELECT r.g, COUNT(*) c FROM r JOIN s ON r.k = s.k GROUP BY r.g")
+	var m Metrics
+	if _, err := q.Run(nil, WithMetrics(&m)); err != nil {
+		t.Fatal(err)
+	}
+	if len(q.att.Aggs) != 1 {
+		t.Fatalf("%d aggregation estimators attached, want 1", len(q.att.Aggs))
+	}
+	var own int64
+	for _, ae := range q.att.Aggs {
+		if c := ae.Chooser(); c != nil {
+			own += c.Recomputes()
+		}
+		if tr := ae.Tracker(); tr != nil {
+			own += tr.Recomputes()
+		}
+	}
+	if m.MLERecomputes == 0 || m.MLERecomputes != own {
+		t.Errorf("MLERecomputes = %d, want the estimator's own %d (> 0)", m.MLERecomputes, own)
+	}
+	if m.EstimatorRecomputes <= m.MLERecomputes {
+		t.Errorf("EstimatorRecomputes = %d, want more than its MLE share %d", m.EstimatorRecomputes, m.MLERecomputes)
+	}
+
+	j := e.MustQuery("SELECT r.k FROM r JOIN s ON r.k = s.k")
+	if _, err := j.Run(nil, WithMetrics(&m)); err != nil {
+		t.Fatal(err)
+	}
+	if m.MLERecomputes != 0 || m.EstimatorRecomputes == 0 {
+		t.Errorf("join only: MLERecomputes = %d, EstimatorRecomputes = %d; want 0 and > 0",
+			m.MLERecomputes, m.EstimatorRecomputes)
+	}
+}
+
 func TestEstimateOfLabels(t *testing.T) {
 	e := obsEngine(t, 3000)
 	q := e.MustQuery("SELECT r.g, COUNT(*) c FROM r JOIN s ON r.k = s.k GROUP BY r.g")
@@ -358,6 +398,7 @@ func TestServeEndpoints(t *testing.T) {
 		`qpi_query_progress{query="join-query"} 1`,
 		`qpi_query_tuples_total{query="join-query"}`,
 		`qpi_query_estimator_recomputes_total{query="join-query"}`,
+		`qpi_query_mle_recomputes_total{query="join-query"}`,
 		`qpi_pipeline_work_done{query="join-query",pipeline="0"}`,
 		"qpi_overall_progress 1",
 		"# TYPE qpi_query_spill_bytes_total counter",

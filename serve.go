@@ -133,6 +133,8 @@ var promMetrics = []promMetric{
 		func(m Metrics) float64 { return float64(m.SpillBytes) }},
 	{"qpi_query_estimator_recomputes_total", "Online-estimator publish boundaries.", "counter",
 		func(m Metrics) float64 { return float64(m.EstimatorRecomputes) }},
+	{"qpi_query_mle_recomputes_total", "Distinct-value MLE recomputations (Algorithm 3) by the GROUP BY estimators, included in the estimator recomputes.", "counter",
+		func(m Metrics) float64 { return float64(m.MLERecomputes) }},
 	{"qpi_query_histogram_probes_total", "Join-histogram probes by the chain estimators.", "counter",
 		func(m Metrics) float64 { return float64(m.HistogramProbes) }},
 }
