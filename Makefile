@@ -67,11 +67,15 @@ serve-check:
 # emit helper) and the tuple sort helper only its self-test called, and
 # the tuple pull contract (every operator's Next method, the hash join's
 # row driver, the column adapter over Next, the two-contract plan walk and
-# drain, difftest's tuple modes) are removed;
+# drain, difftest's tuple modes), and the per-tuple observation hooks the
+# column-batch hooks replaced (the nested-loops join's inner and outer
+# tuple hooks, the chain link's per-tuple build setter and the check that
+# chose it, the row cache a read wrote into a lane batch, and any
+# operator hook field that takes a data.Tuple) are removed;
 # nothing anywhere in the repo may reference them, so stray revivals in
 # merges get caught here.
 lint-deprecated:
-	@bad=$$(grep -rn --include='*.go' --exclude-dir=.bench_build -E '\.(RunContext|StartContext|NextBatch|Block|Columnar)\(|\) Next\(\) \(data\.Tuple, error\)|\<(storage\.Block|InSample|rowBuf|WithBatchExecution|RunBatch|AsBatch|DrainBatch|OnBuildBatch|OnProbeBatch|BatchAttached|observeProbeColFast|observeProbeColShardFast|SetMorselWorkers|SetMorselBlocks|Morseled|MorselSource|OnBuildColBatch|OnProbeColBatch|ColShardAttached|ObserveProbeColShard|FinishProbe|composeColW|ModeColMorsel|colPartitionAppend|appendColRow|BuildWidth|WithReoptimization|ReoptOptions|PlanChanges|ReoptStats|Reoptimizer|SwapSides|Relink|ReplaceProbe|ResetObservers|OnBeforePartition|PartitionStarted|ReattachChain|AttachSketches|NewReorder|ModeReopt(Columnar)?|OnBuildTuple|OnProbeTuple|nextProbeInPartition|chainColumnar|OnInputGroupCount|columnarInput|OpSeek|groupTuple|emitBatch|SortTuplesByKey|advanceColRow|materializeColRow|colAdapter|AsColOperator|ColOperator|WalkColumnar|DrainCol|ModeTuple)\>|\<qpi_reopt_' . || true); \
+	@bad=$$(grep -rn --include='*.go' --exclude-dir=.bench_build -E '\.(RunContext|StartContext|NextBatch|Block|Columnar)\(|\) Next\(\) \(data\.Tuple, error\)|\<(storage\.Block|InSample|rowBuf|WithBatchExecution|RunBatch|AsBatch|DrainBatch|OnBuildBatch|OnProbeBatch|BatchAttached|observeProbeColFast|observeProbeColShardFast|SetMorselWorkers|SetMorselBlocks|Morseled|MorselSource|OnBuildColBatch|OnProbeColBatch|ColShardAttached|ObserveProbeColShard|FinishProbe|composeColW|ModeColMorsel|colPartitionAppend|appendColRow|BuildWidth|WithReoptimization|ReoptOptions|PlanChanges|ReoptStats|Reoptimizer|SwapSides|Relink|ReplaceProbe|ResetObservers|OnBeforePartition|PartitionStarted|ReattachChain|AttachSketches|NewReorder|ModeReopt(Columnar)?|OnBuildTuple|OnProbeTuple|nextProbeInPartition|chainColumnar|OnInputGroupCount|columnarInput|OpSeek|groupTuple|emitBatch|SortTuplesByKey|advanceColRow|materializeColRow|colAdapter|AsColOperator|ColOperator|WalkColumnar|DrainCol|ModeTuple|OnInnerTuple|OnOuterTuple|SetBuildHook|ColAttached|MaterializeRows)\>|\<qpi_reopt_|\<On[A-Z][A-Za-z]* +func\(data\.Tuple\)' . || true); \
 	if [ -n "$$bad" ]; then \
 		echo "removed API referenced:"; \
 		echo "$$bad"; \

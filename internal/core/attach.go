@@ -31,9 +31,11 @@ type Attachment struct {
 //     treatment, with histograms built during the sort passes (§4.1.2);
 //     chains of merge joins on the same attribute (no intermediate sort)
 //     are chained like hash joins (§4.1.4.3);
-//   - aggregations get GEE/MLE chooser estimation over their input pass,
-//     or push-down estimation over the join output distribution when they
-//     sit on a join chain and group by a bottom-stream attribute (§4.2);
+//   - aggregations with GROUP BY get GEE/MLE chooser estimation over
+//     their input pass, or push-down estimation over the join output
+//     distribution when they sit on a join chain and group by a
+//     bottom-stream attribute (§4.2); a scalar aggregate's one row needs
+//     no estimator;
 //   - nested-loops joins, selections and pre-sorted merge joins fall back
 //     to the dne estimator (§4.1.3, §4.3), recorded in Fallbacks.
 //
@@ -77,24 +79,20 @@ func (a *Attachment) visit(op exec.Operator) {
 			a.attachMergeChain(o)
 		}
 	case *exec.HashAgg:
-		a.attachAgg(o, o.Child(), o.GroupBy(), nil, func(f func()) {
-			prev := o.OnInputEnd
-			o.OnInputEnd = compose0(prev, f)
+		a.attachAgg(o, o.Child(), o.GroupBy(), func(f func()) {
+			o.OnInputEnd = compose0(o.OnInputEnd, f)
 		}, func(f func([]int64)) {
-			prev := o.OnInputGroupCounts
-			o.OnInputGroupCounts = compose(prev, f)
-		})
+			o.OnInputGroupCounts = compose(o.OnInputGroupCounts, f)
+		}, nil)
 	case *exec.SortAgg:
 		// Observe the *sorter's input* (randomly ordered), not the sorted
 		// output.
 		s := o.Sorter()
-		a.attachAgg(o, s.Children()[0], o.GroupBy(), func(f func(data.Tuple)) {
-			prev := s.OnInput
-			s.OnInput = compose(prev, f)
-		}, func(f func()) {
-			prev := s.OnInputEnd
-			s.OnInputEnd = compose0(prev, f)
-		}, nil)
+		a.attachAgg(o, s.Children()[0], o.GroupBy(), func(f func()) {
+			s.OnInputEnd = compose0(s.OnInputEnd, f)
+		}, nil, func(f func(*data.ColBatch)) {
+			s.OnInputCol = compose(s.OnInputCol, f)
+		})
 	case *exec.NestedLoopsJoin:
 		if !a.attachSortedOuterNL(o) && !a.attachSortedOuterThetaNL(o) &&
 			!a.attachSortedOuterDisjunctNL(o) {
@@ -163,6 +161,14 @@ func hashLinkHooks(l *ChainLink, j *exec.HashJoin) {
 	}
 }
 
+// sortInputHooks feeds a sort's input pass — the bottom stream of a
+// sort-merge or sorted-outer nested-loops chain — to the estimator, a span
+// at a time, and marks it converged at the pass's end.
+func sortInputHooks(pe *PipelineEstimator, s *exec.Sort) {
+	s.OnInputCol = compose(s.OnInputCol, pe.ObserveProbeCol)
+	s.OnInputEnd = compose0(s.OnInputEnd, pe.MarkConverged)
+}
+
 // wireHashProbe feeds the bottom join's probe pass to the estimator, a
 // span at a time, and marks it converged at the pass's end.
 func wireHashProbe(pe *PipelineEstimator, bottom *exec.HashJoin) {
@@ -225,8 +231,8 @@ func (a *Attachment) attachMergeChain(top *exec.MergeJoin) {
 			Out:       exec.FullOutMap(j.Left().Schema().Len(), j.Right().Schema().Len()),
 			BuildKeys: []int{j.LeftKey()},
 			ProbeKeys: []int{j.RightKey()},
-			SetBuildHook: func(f func(data.Tuple)) {
-				ls.OnInput = compose(ls.OnInput, f)
+			SetBuildColHook: func(f func(*data.ColBatch)) {
+				ls.OnInputCol = compose(ls.OnInputCol, f)
 			},
 		}
 	}
@@ -237,8 +243,7 @@ func (a *Attachment) attachMergeChain(top *exec.MergeJoin) {
 	if err != nil {
 		return
 	}
-	bottomSort.OnInput = compose(bottomSort.OnInput, pe.ObserveProbe)
-	bottomSort.OnInputEnd = compose0(bottomSort.OnInputEnd, pe.MarkConverged)
+	sortInputHooks(pe, bottomSort)
 	ops := make([]exec.Operator, len(joins))
 	for i, j := range joins {
 		ops[i] = j
@@ -273,8 +278,8 @@ func (a *Attachment) attachSortedOuterNL(j *exec.NestedLoopsJoin) bool {
 		Out:       exec.FullOutMap(j.Inner().Schema().Len(), j.Outer().Schema().Len()),
 		BuildKeys: []int{j.InnerKey()},
 		ProbeKeys: []int{j.OuterKey()},
-		SetBuildHook: func(f func(data.Tuple)) {
-			j.OnInnerTuple = compose(j.OnInnerTuple, f)
+		SetBuildColHook: func(f func(*data.ColBatch)) {
+			j.OnInnerCol = compose(j.OnInnerCol, f)
 		},
 	}}
 	bottomStream := outerSort.Children()[0]
@@ -284,8 +289,7 @@ func (a *Attachment) attachSortedOuterNL(j *exec.NestedLoopsJoin) bool {
 	if err != nil {
 		return false
 	}
-	outerSort.OnInput = compose(outerSort.OnInput, pe.ObserveProbe)
-	outerSort.OnInputEnd = compose0(outerSort.OnInputEnd, pe.MarkConverged)
+	sortInputHooks(pe, outerSort)
 	a.record(pe, []exec.Operator{j})
 	return true
 }
@@ -316,10 +320,15 @@ func joinsToOps(joins []*exec.HashJoin) []exec.Operator {
 // input operator is input. setEndHook installs an observer of the end of
 // the aggregation's blocking input pass. A hash aggregation passes
 // setCountsHook, which installs an observer of the group-count spans its
-// own hash table computes; a sort aggregation passes setHook, which
-// installs a per-tuple observer on its sort's input pass.
+// own hash table computes; a sort aggregation passes setSpanHook, which
+// installs an observer of its sort's input batches. An aggregation
+// without GROUP BY has one group by definition (the optimizer's estimate
+// is exact) and gets no estimator.
 func (a *Attachment) attachAgg(agg exec.Operator, input exec.Operator, groupBy []int,
-	setHook func(func(data.Tuple)), setEndHook func(func()), setCountsHook func(func([]int64))) {
+	setEndHook func(func()), setCountsHook func(func([]int64)), setSpanHook func(func(*data.ColBatch))) {
+	if len(groupBy) == 0 {
+		return
+	}
 
 	// Push-down opportunity: single grouping column over a join chain,
 	// grouping by an attribute that originates from the chain's bottom
@@ -363,9 +372,11 @@ func (a *Attachment) attachAgg(agg exec.Operator, input exec.Operator, groupBy [
 	est := newStreamAggEstimator(agg, func() float64 {
 		return StreamSizeEstimate(input)
 	})
-	gb := groupBy
-	setHook(func(t data.Tuple) {
-		est.ObserveInput(exec.GroupKey(t, gb))
+	var key []byte
+	setSpanHook(func(cb *data.ColBatch) {
+		cb.EachLive(func(i int) {
+			est.ObserveInput(exec.GroupKeyAt(cb, groupBy, i, &key))
+		})
 	})
 	setEndHook(est.MarkInputEnd)
 	a.Aggs[agg] = est

@@ -5,32 +5,28 @@ import (
 	"qpi/internal/exec"
 )
 
-// This file implements span-at-a-time estimator observation for hash-join
-// chains: instead of one callback per tuple, the build and probe
-// partition passes deliver whole ColBatches at batch boundaries and the
-// estimator walks the key lanes directly. The build hooks update the
-// histograms in place (integer counts: any order gives the same state);
-// the probe side runs Algorithm 1's push-down as a lane kernel
-// (observeLanes), with a per-row fallback for chains it cannot take.
-// Either way every float accumulation happens in exactly the order a
-// per-row ObserveProbe over the same batches would produce, so estimator
-// state stays bit-identical to it (a property
+// This file implements span-at-a-time estimator observation for every
+// chain — hash joins, sort-merge joins and sorted-outer indexed
+// nested-loops joins alike: the preprocessing passes deliver whole
+// ColBatches at batch boundaries and the estimator walks the key lanes
+// directly. The build hooks update the histograms in place (integer
+// counts: any order gives the same state); the probe side runs Algorithm
+// 1's push-down as a lane kernel (observeLanes), with a per-row loop over
+// the lanes for chains it cannot take. Either way every float
+// accumulation happens in exactly the order a per-tuple observer over the
+// same batches would produce, so estimator state stays bit-identical to
+// it (the reference lives in reference_test.go; a property
 // TestColumnarBitIdenticalToTuple asserts).
 
-// ColAttached reports whether the estimator observes its chain through
-// the span-at-a-time columnar hooks.
-func (p *PipelineEstimator) ColAttached() bool { return p.colInstalled }
-
-// installColHooks attaches the span-at-a-time build observers for a
-// hash-join chain: one callback per build-input ColBatch. The dominant
-// single-integer-key, fold-free case updates the frequency histograms
-// straight off the flat int64 key lane (FreqHistogram.ObserveColumn);
-// relations with folds, composite keys, or non-integer key columns fall
-// back to a per-row loop in row order — histogram state is identical to
-// per-row observation either way, because integer count increments
-// commute and the fallback preserves the exact row order.
+// installColHooks attaches the span-at-a-time build observers: one
+// callback per build-input ColBatch. The dominant single-integer-key,
+// fold-free case updates the frequency histograms straight off the flat
+// int64 key lane (FreqHistogram.ObserveColumn); relations with folds,
+// composite keys, or non-integer key columns take a per-row loop in row
+// order that reads each key off the lanes (exec.JoinKeyAt) — histogram
+// state is identical to per-row observation either way, because integer
+// count increments commute and the loop preserves the exact row order.
 func (p *PipelineEstimator) installColHooks() {
-	p.colInstalled = true
 	for j := 0; j < p.m; j++ {
 		j := j
 		updates := p.updateTargets(j)
@@ -56,32 +52,67 @@ func (p *PipelineEstimator) installColHooks() {
 					return
 				}
 			}
-			rows := cb.MaterializeRows()
 			cb.EachLive(func(i int) {
-				key := exec.JoinKeyOf(rows[i], buildKeys)
+				key := exec.JoinKeyAt(cb, buildKeys, i, &p.keyRow)
 				for _, u := range updates {
-					p.hists[u.level][j].AddN(key, p.buildWeight(rows[i], j, u.level))
+					p.hists[u.level][j].AddN(key, p.buildWeightAt(cb, i, j, u.level))
 				}
 			})
 		})
 	}
 }
 
-// ObserveProbeCol processes one bottom-stream ColBatch — the
-// span-at-a-time form of ObserveProbe, invoked once per batch by the
-// bottom join's probe partition pass. Publish cadence,
-// output-distribution accumulation and the OnProbeObserved callback are
-// per-row ObserveProbe's exactly. Chains whose probe keys are all single
-// integer columns of the bottom stream run the lane kernel; any other
-// chain (or batch) is observed row by row.
+// ObserveProbeCol processes one bottom-stream ColBatch, refreshing every
+// join's estimate, and stores the estimates into the joins' Stats with
+// source "once" every publish interval. It is invoked once per batch by
+// the bottom join's probe partition pass or the bottom sort's input
+// pass. Publishing, output-distribution accumulation and the
+// OnProbeObserved callback happen per row, exactly where a per-tuple
+// observer would do them. Chains whose probe keys are all single integer
+// columns of the bottom stream run the lane kernel; any other chain (or
+// batch) is observed row by row.
 func (p *PipelineEstimator) ObserveProbeCol(cb *data.ColBatch) {
 	if p.observeLanes(cb) {
 		return
 	}
-	rows := cb.MaterializeRows()
-	for r, live := 0, cb.Live(); r < live; r++ {
-		p.ObserveProbe(rows[liveRow(cb, r)])
+	cb.EachLive(func(i int) { p.observeRow(cb, i) })
+}
+
+// observeRow is Algorithm 1's probe-side update for row i of cb: out_k(c)
+// for every level k, folded into the level's running moments.
+func (p *PipelineEstimator) observeRow(cb *data.ColBatch, i int) {
+	p.t++
+	for k := 0; k < p.m; k++ {
+		delta := p.probeDeltaAt(cb, i, k)
+		p.sums[k] += delta
+		p.sumSqs[k] += delta * delta
+		if k == 0 && p.outDistHist != nil {
+			p.outDistHist.AddN(cb.Value(p.outDistCol, i), int64(delta))
+		}
 	}
+	if p.t%p.publishEvery == 0 {
+		p.publish()
+	}
+	if p.OnProbeObserved != nil {
+		p.OnProbeObserved(p.t)
+	}
+}
+
+// probeDeltaAt computes out_k(c) for row i of cb: the contribution of one
+// bottom-stream tuple to join level k's estimate.
+func (p *PipelineEstimator) probeDeltaAt(cb *data.ColBatch, i, k int) float64 {
+	delta := 1.0
+	for j := k; j < p.m; j++ {
+		if p.srcs[j].fromBottom {
+			n := p.hists[k][j].Count(exec.JoinKeyAt(cb, p.srcs[j].cols, i, &p.keyRow))
+			if m := p.links[j].Mult; m != nil {
+				delta *= m(n)
+			} else {
+				delta *= float64(n)
+			}
+		}
+	}
+	return delta
 }
 
 // laneChunk is how many live rows the lane kernel takes at a time: its
@@ -170,12 +201,12 @@ func (l *laneLink) gather(cb *data.ColBatch, lo, hi int, out []float64, keys, co
 
 // observeLanes is Algorithm 1's probe-side update a span at a time: per
 // chunk of live rows one CountInts gather per link into a counts lane,
-// then per level k the lanes multiply in probeDelta's j-ascending order
+// then per level k the lanes multiply in probeDeltaAt's j-ascending order
 // into a delta lane, which folds into sums[k]/sumSqs[k] row by row. A
-// level's moments depend on no other level's, so these are per-row
-// ObserveProbe's float operations in its order. A span ends wherever
-// ObserveProbe would publish or fire OnProbeObserved, so both see the
-// state they would have. It reports false, having changed nothing, when the
+// level's moments depend on no other level's, so these are observeRow's
+// float operations in its order. A span ends wherever observeRow would
+// publish or fire OnProbeObserved, so both see the state they would
+// have. It reports false, having changed nothing, when the
 // chain or this batch's key columns are not lane-eligible.
 func (p *PipelineEstimator) observeLanes(cb *data.ColBatch) bool {
 	if p.laneLinks == nil {

@@ -495,8 +495,8 @@ func TestProvenanceThroughNarrowedJoins(t *testing.T) {
 func TestPipelineHistogramSharing(t *testing.T) {
 	// Case 1: no folds — all levels share one histogram per relation.
 	links := []ChainLink{
-		{Join: dummyJoin(), Out: linkOut(1), BuildKeys: []int{0}, ProbeKeys: []int{1}, SetBuildHook: func(func(data.Tuple)) {}},
-		{Join: dummyJoin(), Out: linkOut(1), BuildKeys: []int{0}, ProbeKeys: []int{0}, SetBuildHook: func(func(data.Tuple)) {}},
+		{Join: dummyJoin(), Out: linkOut(1), BuildKeys: []int{0}, ProbeKeys: []int{1}, SetBuildColHook: func(func(*data.ColBatch)) {}},
+		{Join: dummyJoin(), Out: linkOut(1), BuildKeys: []int{0}, ProbeKeys: []int{0}, SetBuildColHook: func(func(*data.ColBatch)) {}},
 	}
 	pe, err := NewPipelineEstimator(links, func() float64 { return 100 })
 	if err != nil {
@@ -509,8 +509,8 @@ func TestPipelineHistogramSharing(t *testing.T) {
 	// emits two build columns, and the upper probe key 1 is the second of
 	// them → fold).
 	links2 := []ChainLink{
-		{Join: dummyJoin(), Out: linkOut(1), BuildKeys: []int{0}, ProbeKeys: []int{1}, SetBuildHook: func(func(data.Tuple)) {}},
-		{Join: dummyJoin(), Out: linkOut(2), BuildKeys: []int{0}, ProbeKeys: []int{0}, SetBuildHook: func(func(data.Tuple)) {}},
+		{Join: dummyJoin(), Out: linkOut(1), BuildKeys: []int{0}, ProbeKeys: []int{1}, SetBuildColHook: func(func(*data.ColBatch)) {}},
+		{Join: dummyJoin(), Out: linkOut(2), BuildKeys: []int{0}, ProbeKeys: []int{0}, SetBuildColHook: func(func(*data.ColBatch)) {}},
 	}
 	pe2, err := NewPipelineEstimator(links2, func() float64 { return 100 })
 	if err != nil {

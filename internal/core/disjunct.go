@@ -26,16 +26,16 @@ import (
 // the estimate converges before the join emits.
 type DisjunctiveEstimator struct {
 	join exec.Operator
-	k    int
 
-	// subsets[i] is a bitmask over the k terms; hists[i] counts inner
-	// tuples by the composite key of that subset's inner columns.
-	subsets []uint
-	signs   []float64
-	hists   []*FreqHistogram
-	// innerCols/outerCols are the per-term column indexes.
-	innerCols []int
-	outerCols []int
+	// Subset i of the k terms (bitmask i+1) has sign signs[i] and
+	// histogram hists[i], which counts inner tuples by the composite key
+	// of the subset's inner columns innerKeys[i]; outerKeys[i] are its
+	// outer columns.
+	signs     []float64
+	hists     []*FreqHistogram
+	innerKeys [][]int
+	outerKeys [][]int
+	keyRow    data.Tuple // composite key staging for exec.JoinKeyAt
 
 	outerTotal func() float64
 	t          int64
@@ -60,19 +60,17 @@ func NewDisjunctiveEstimator(join exec.Operator, outerCols, innerCols []int, out
 	k := len(outerCols)
 	e := &DisjunctiveEstimator{
 		join:       join,
-		k:          k,
-		innerCols:  innerCols,
-		outerCols:  outerCols,
 		outerTotal: outerTotal,
 	}
 	for s := uint(1); s < (1 << k); s++ {
-		e.subsets = append(e.subsets, s)
 		sign := -1.0
 		if popcount(s)%2 == 1 {
 			sign = 1.0
 		}
 		e.signs = append(e.signs, sign)
 		e.hists = append(e.hists, NewFreqHistogram())
+		e.innerKeys = append(e.innerKeys, subsetCols(s, innerCols))
+		e.outerKeys = append(e.outerKeys, subsetCols(s, outerCols))
 	}
 	return e
 }
@@ -85,36 +83,42 @@ func popcount(x uint) int {
 	return n
 }
 
-// subsetKey builds the composite key of the subset's columns from a tuple
-// (cols selects inner or outer column indexes).
-func (e *DisjunctiveEstimator) subsetKey(t data.Tuple, s uint, cols []int) data.Value {
+// subsetCols selects the columns of the terms in subset s from the
+// per-term column indexes cols.
+func subsetCols(s uint, cols []int) []int {
 	var sel []int
-	for i := 0; i < e.k; i++ {
+	for i := range cols {
 		if s&(1<<uint(i)) != 0 {
 			sel = append(sel, cols[i])
 		}
 	}
-	return exec.JoinKeyOf(t, sel)
+	return sel
 }
 
-// ObserveInner records one inner tuple across all subset histograms.
-func (e *DisjunctiveEstimator) ObserveInner(t data.Tuple) {
-	for i, s := range e.subsets {
-		e.hists[i].Add(e.subsetKey(t, s, e.innerCols))
-	}
+// ObserveInner records every live inner row of cb across all subset
+// histograms.
+func (e *DisjunctiveEstimator) ObserveInner(cb *data.ColBatch) {
+	cb.EachLive(func(r int) {
+		for i, h := range e.hists {
+			h.Add(exec.JoinKeyAt(cb, e.innerKeys[i], r, &e.keyRow))
+		}
+	})
 }
 
-// ObserveOuter processes one outer tuple during the sort input pass.
-func (e *DisjunctiveEstimator) ObserveOuter(t data.Tuple) {
-	count := 0.0
-	for i, s := range e.subsets {
-		count += e.signs[i] * float64(e.hists[i].Count(e.subsetKey(t, s, e.outerCols)))
-	}
-	e.t++
-	e.sum += count
-	if e.t%64 == 0 {
-		e.publish()
-	}
+// ObserveOuter processes every live outer row of cb, in row order, during
+// the sort input pass.
+func (e *DisjunctiveEstimator) ObserveOuter(cb *data.ColBatch) {
+	cb.EachLive(func(r int) {
+		count := 0.0
+		for i, h := range e.hists {
+			count += e.signs[i] * float64(h.Count(exec.JoinKeyAt(cb, e.outerKeys[i], r, &e.keyRow)))
+		}
+		e.t++
+		e.sum += count
+		if e.t%64 == 0 {
+			e.publish()
+		}
+	})
 }
 
 // MarkConverged freezes the estimator at the end of the outer input.
@@ -189,8 +193,8 @@ func (a *Attachment) attachSortedOuterDisjunctNL(j *exec.NestedLoopsJoin) bool {
 	est := NewDisjunctiveEstimator(j, outerCols, innerCols, func() float64 {
 		return StreamSizeEstimate(outerSort.Children()[0])
 	})
-	j.OnInnerTuple = compose(j.OnInnerTuple, est.ObserveInner)
-	outerSort.OnInput = compose(outerSort.OnInput, est.ObserveOuter)
+	j.OnInnerCol = compose(j.OnInnerCol, est.ObserveInner)
+	outerSort.OnInputCol = compose(outerSort.OnInputCol, est.ObserveOuter)
 	outerSort.OnInputEnd = compose0(outerSort.OnInputEnd, est.MarkConverged)
 	a.Disjunct = append(a.Disjunct, est)
 	return true

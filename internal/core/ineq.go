@@ -169,11 +169,11 @@ func (a *Attachment) attachSortedOuterThetaNL(j *exec.NestedLoopsJoin) bool {
 	est := NewInequalityEstimator(j, op, func() float64 {
 		return StreamSizeEstimate(outerSort.Children()[0])
 	})
-	j.OnInnerTuple = compose(j.OnInnerTuple, func(t data.Tuple) {
-		est.ObserveInner(t[innerIdx])
+	j.OnInnerCol = compose(j.OnInnerCol, func(cb *data.ColBatch) {
+		cb.EachLive(func(i int) { est.ObserveInner(cb.Value(innerIdx, i)) })
 	})
-	outerSort.OnInput = compose(outerSort.OnInput, func(t data.Tuple) {
-		est.ObserveOuter(t[outerIdx])
+	outerSort.OnInputCol = compose(outerSort.OnInputCol, func(cb *data.ColBatch) {
+		cb.EachLive(func(i int) { est.ObserveOuter(cb.Value(outerIdx, i)) })
 	})
 	outerSort.OnInputEnd = compose0(outerSort.OnInputEnd, est.MarkConverged)
 	a.Ineq = append(a.Ineq, est)

@@ -13,9 +13,9 @@ import (
 
 // Tests for the probe-side lane kernel (observeLanes): a hand-wired chain
 // is fed the same build relations and the same bottom stream two ways —
-// per tuple (ObserveProbe, the reference) and per ColBatch
-// (ObserveProbeCol) — and every float the estimator holds or publishes
-// must come out == on both.
+// per tuple (observeBuild and ObserveProbe, the reference) and per
+// ColBatch (the build span hooks and ObserveProbeCol) — and every float
+// the estimator holds or publishes must come out == on both.
 
 // laneCase is one chain over a four-column bottom stream: three integer
 // key columns (NULLs sprinkled in) and a string column.
@@ -97,7 +97,6 @@ func runLaneCase(t *testing.T, lc laneCase, route laneRoute, publishEvery int64,
 	rng := rand.New(rand.NewSource(99))
 	m := len(lc.cols)
 	links := make([]ChainLink, m)
-	tupleHooks := make([]func(data.Tuple), m)
 	colHooks := make([]func(*data.ColBatch), m)
 	for k := range links {
 		k := k
@@ -110,18 +109,11 @@ func runLaneCase(t *testing.T, lc laneCase, route laneRoute, publishEvery int64,
 		if lc.mults != nil {
 			links[k].Mult = lc.mults[k]
 		}
-		if route == routeTuple {
-			links[k].SetBuildHook = func(f func(data.Tuple)) { tupleHooks[k] = f }
-		} else {
-			links[k].SetBuildColHook = func(f func(*data.ColBatch)) { colHooks[k] = f }
-		}
+		links[k].SetBuildColHook = func(f func(*data.ColBatch)) { colHooks[k] = f }
 	}
 	pe, err := NewPipelineEstimator(links, func() float64 { return 5000 })
 	if err != nil {
 		t.Fatal(err)
-	}
-	if pe.ColAttached() != (route == routeCol) {
-		t.Fatalf("route %d attached col=%v", route, pe.ColAttached())
 	}
 	if pe.laneLinks == nil {
 		t.Fatal("a chain keyed on single bottom-stream columns must plan lanes")
@@ -164,7 +156,7 @@ func runLaneCase(t *testing.T, lc laneCase, route laneRoute, publishEvery int64,
 		switch route {
 		case routeTuple:
 			for _, r := range rows {
-				tupleHooks[k](r)
+				pe.observeBuild(k, r)
 			}
 		case routeCol:
 			colHooks[k](batch(rows, 1, nil))
@@ -244,10 +236,10 @@ func TestLaneKernelBitIdenticalToTuple(t *testing.T) {
 // TestLanePlanEligibility: Case 2 keys, composite keys and approximate
 // histograms keep the row fallback.
 func TestLanePlanEligibility(t *testing.T) {
-	noHook := func(func(data.Tuple)) {}
+	noHook := func(func(*data.ColBatch)) {}
 	link := func(buildWidth int, probeKeys ...int) ChainLink {
 		return ChainLink{Join: dummyJoin(), Out: linkOut(buildWidth), BuildKeys: make([]int, len(probeKeys)),
-			ProbeKeys: probeKeys, SetBuildHook: noHook}
+			ProbeKeys: probeKeys, SetBuildColHook: noHook}
 	}
 	total := func() float64 { return 100 }
 	for _, tc := range []struct {

@@ -41,8 +41,11 @@ import (
 // histogram per relation.
 
 // ChainLink describes one join of a pipeline chain to the estimator,
-// abstracting over the physical join (hash join build pass, or the sort
-// pass of a sort-merge join on the same attribute).
+// abstracting over the physical join's preprocessing pass over its build
+// input: a hash join's build partition pass, the input pass of a
+// sort-merge join's build-side sort, or an indexed nested-loops join's
+// inner materialization. Every one of them hands the pass over a column
+// batch at a time.
 type ChainLink struct {
 	// Join is the join operator whose Stats receive the estimates.
 	Join exec.Operator
@@ -56,15 +59,9 @@ type ChainLink struct {
 	BuildKeys []int
 	// ProbeKeys are the join column indexes in the probe input's schema.
 	ProbeKeys []int
-	// SetBuildHook installs f to run for every build-input tuple during
-	// the join's preprocessing pass (a sort-merge or nested-loops join).
-	SetBuildHook func(f func(data.Tuple))
 	// SetBuildColHook installs f to run once per build-input ColBatch
-	// during a columnar preprocessing pass (a hash join's build partition
-	// pass), at batch boundaries. A link sets exactly one of the two
-	// setters; when every link of a chain sets this one, the estimator
-	// observes spans (see colhooks.go) instead of installing per-tuple
-	// hooks.
+	// during the join's preprocessing pass, at batch boundaries (see
+	// colhooks.go).
 	SetBuildColHook func(f func(cb *data.ColBatch))
 	// Mult transforms the matched build count N into the number of output
 	// tuples per probe tuple (§4.1.1's note on semijoins and outerjoins):
@@ -121,10 +118,11 @@ type PipelineEstimator struct {
 	sumSqs  []float64
 	lanes   [][]float64 // lane kernel scratch, allocated on first use
 	keyLane []int64     // the gather's key and count scratch, likewise
+	keyRow  data.Tuple  // composite key staging for exec.JoinKeyAt
 	frozen  bool
 
 	// laneLinks is set when the probe side can be observed a span at a
-	// time over key lanes (see colhooks.go); nil keeps the row fallback.
+	// time over key lanes (see colhooks.go); nil keeps the per-row loop.
 	laneLinks []laneLink
 
 	// publishEvery controls how often (in probe tuples) the estimates are
@@ -143,11 +141,6 @@ type PipelineEstimator struct {
 	// distribution of the top join's output on that column.
 	outDistCol  int
 	outDistHist *FreqHistogram
-
-	// colInstalled reports that build observation runs through
-	// span-at-a-time ColBatch hooks and probe observation through
-	// ObserveProbeCol — see colhooks.go.
-	colInstalled bool
 
 	// Observability (see internal/obs): the tracer receives one
 	// EstimateRefined event per level at every publish boundary plus
@@ -182,9 +175,9 @@ type foldRef struct {
 // the current best estimate of the bottom probe stream size |C| (exact
 // for scans, dne-refined for filtered streams).
 //
-// Callers must additionally feed the bottom probe stream to ObserveProbe
-// (from the bottom join's probe partition pass or the bottom sort's input
-// pass) and call MarkConverged when that stream ends.
+// Callers must additionally feed the bottom probe stream to
+// ObserveProbeCol (from the bottom join's probe partition pass or the
+// bottom sort's input pass) and call MarkConverged when that stream ends.
 func NewPipelineEstimator(links []ChainLink, probeTotal func() float64) (*PipelineEstimator, error) {
 	m := len(links)
 	if m == 0 {
@@ -216,7 +209,7 @@ func NewPipelineEstimatorHist(links []ChainLink, probeTotal func() float64, fact
 	}
 	p.planHistograms()
 	p.planLanes()
-	p.installHooks()
+	p.installColHooks()
 	for k := 0; k < m; k++ {
 		for j := k; j < m; j++ {
 			if p.srcs[j].fromBottom {
@@ -363,14 +356,15 @@ func (p *PipelineEstimator) updateTargets(j int) []histUpdate {
 	return updates
 }
 
-// buildWeight computes the fold weight of one build tuple of relation j
-// for the histogram at the given level: the product over all folded-in
-// joins at or above that level of their (Mult-transformed) match counts.
-func (p *PipelineEstimator) buildWeight(tu data.Tuple, j, level int) int64 {
+// buildWeightAt computes the fold weight of build row i of relation j's
+// batch cb for the histogram at the given level: the product over all
+// folded-in joins at or above that level of their (Mult-transformed)
+// match counts.
+func (p *PipelineEstimator) buildWeightAt(cb *data.ColBatch, i, j, level int) int64 {
 	w := int64(1)
 	for _, f := range p.folds[j] {
 		if f.join >= level {
-			n := p.hists[level][f.join].Count(exec.JoinKeyOf(tu, f.cols))
+			n := p.hists[level][f.join].Count(exec.JoinKeyAt(cb, f.cols, i, &p.keyRow))
 			if m := p.links[f.join].Mult; m != nil {
 				w *= int64(m(n))
 			} else {
@@ -379,76 +373,6 @@ func (p *PipelineEstimator) buildWeight(tu data.Tuple, j, level int) int64 {
 		}
 	}
 	return w
-}
-
-// installHooks attaches the build-pass observers: span-at-a-time
-// columnar hooks (colhooks.go) when every link has a columnar build pass,
-// per-tuple hooks otherwise.
-func (p *PipelineEstimator) installHooks() {
-	if p.spanLinks() {
-		p.installColHooks()
-		return
-	}
-	for j := 0; j < p.m; j++ {
-		j := j
-		updates := p.updateTargets(j)
-		buildKeys := p.links[j].BuildKeys
-		p.links[j].SetBuildHook(func(tu data.Tuple) {
-			key := exec.JoinKeyOf(tu, buildKeys)
-			for _, u := range updates {
-				p.hists[u.level][j].AddN(key, p.buildWeight(tu, j, u.level))
-			}
-		})
-	}
-}
-
-// spanLinks reports whether every link of the chain has a columnar
-// preprocessing pass (and therefore supports span observation).
-func (p *PipelineEstimator) spanLinks() bool {
-	for _, l := range p.links {
-		if l.SetBuildColHook == nil {
-			return false
-		}
-	}
-	return true
-}
-
-// ObserveProbe processes one bottom-stream tuple, refreshing every join's
-// estimate, and stores the estimates into the joins' Stats with source
-// "once".
-func (p *PipelineEstimator) ObserveProbe(c data.Tuple) {
-	p.t++
-	for k := 0; k < p.m; k++ {
-		delta := p.probeDelta(c, k)
-		p.sums[k] += delta
-		p.sumSqs[k] += delta * delta
-		if k == 0 && p.outDistHist != nil {
-			p.outDistHist.AddN(c[p.outDistCol], int64(delta))
-		}
-	}
-	if p.t%p.publishEvery == 0 {
-		p.publish()
-	}
-	if p.OnProbeObserved != nil {
-		p.OnProbeObserved(p.t)
-	}
-}
-
-// probeDelta computes out_k(c): the contribution of one bottom-stream
-// tuple to join level k's estimate.
-func (p *PipelineEstimator) probeDelta(c data.Tuple, k int) float64 {
-	delta := 1.0
-	for j := k; j < p.m; j++ {
-		if p.srcs[j].fromBottom {
-			n := p.hists[k][j].Count(exec.JoinKeyOf(c, p.srcs[j].cols))
-			if m := p.links[j].Mult; m != nil {
-				delta *= m(n)
-			} else {
-				delta *= float64(n)
-			}
-		}
-	}
-	return delta
 }
 
 // SetPublishInterval overrides how often (in probe tuples) estimates are

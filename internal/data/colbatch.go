@@ -578,28 +578,6 @@ func (cb *ColBatch) ToTuples(buf Batch) Batch {
 	return buf
 }
 
-// MaterializeRows builds and caches the row-major form of a columnar
-// batch. Only live rows are filled; dead row slots stay nil. The cache
-// is stored on the batch, so repeated calls are free.
-func (cb *ColBatch) MaterializeRows() []Tuple {
-	if cb.Rows != nil {
-		return cb.Rows
-	}
-	w := len(cb.Cols)
-	rows := make([]Tuple, cb.NRows)
-	arena := make([]Value, cb.Live()*w)
-	cb.EachLive(func(i int) {
-		row := arena[:w:w]
-		arena = arena[w:]
-		for c := range cb.Cols {
-			row[c] = cb.Cols[c].ValueAt(i)
-		}
-		rows[i] = Tuple(row)
-	})
-	cb.Rows = rows
-	return rows
-}
-
 // BeginBuild prepares the batch for row-at-a-time appending via
 // AppendRow/AppendRow2: width columns, all built, no selection, no row
 // cache. Lane backing arrays are retained across calls; stale string

@@ -142,6 +142,20 @@ func GroupKey(t data.Tuple, groupBy []int) data.Value {
 	return data.Str(string(key))
 }
 
+// GroupKeyAt is GroupKey evaluated for row i of cb; buf is scratch the
+// composite encoding is built in.
+func GroupKeyAt(cb *data.ColBatch, groupBy []int, i int, buf *[]byte) data.Value {
+	if len(groupBy) == 1 {
+		return cb.Value(groupBy[0], i)
+	}
+	key := (*buf)[:0]
+	for _, g := range groupBy {
+		key, _ = data.AppendValue(key, cb.Value(g, i))
+	}
+	*buf = key
+	return data.Str(string(key))
+}
+
 // HashAgg implements hash-based grouping: the input is fully read
 // column-at-a-time and partitioned by group key (reporting each row's
 // group count through OnInputGroupCounts — where the distinct-value
@@ -336,11 +350,7 @@ func (a *HashAgg) observeKeyVector(cb *data.ColBatch, kv *data.ColVec) {
 // row's key is its key values' GroupKey encoding, built into keyBuf.
 func (a *HashAgg) observeGroupColumns(cb *data.ColBatch) {
 	cb.EachLive(func(i int) {
-		a.keyBuf = a.keyBuf[:0]
-		for _, c := range a.groupBy {
-			a.keyBuf, _ = data.AppendValue(a.keyBuf, cb.Value(c, i))
-		}
-		a.add(cb, a.groupOf(data.Str(string(a.keyBuf)), i), i)
+		a.add(cb, a.groupOf(GroupKeyAt(cb, a.groupBy, i, &a.keyBuf), i), i)
 	})
 }
 
@@ -426,8 +436,8 @@ func (a *HashAgg) Close() error {
 }
 
 // SortAgg implements sort-based grouping: the input is sorted on the group
-// key (a blocking pass firing OnInput per tuple), then adjacent runs are
-// aggregated. It is a row operator (see rowops.go).
+// key (a blocking pass whose batches the sorter's OnInputCol sees), then
+// adjacent runs are aggregated. It is a row operator (see rowops.go).
 type SortAgg struct {
 	base
 	child   Operator

@@ -85,7 +85,7 @@ func TestCancelDeadlineExceeded(t *testing.T) {
 // hook arm installs, and asserts the cancellation surfaces with every
 // spill descriptor closed, no goroutine left and every pooled batch
 // returned.
-func cancelJoin(t *testing.T, budget int64, rowParent bool, arm func(j *HashJoin, nl *NestedLoopsJoin, cancel func())) {
+func cancelJoin(t *testing.T, budget int64, rowParent bool, arm func(j *HashJoin, out *tap, cancel func())) {
 	t.Helper()
 	goroutines, pooled := runtime.NumGoroutine(), data.ColBatchesOut()
 	a := randTable("a", 3000, 100, 14)
@@ -99,12 +99,12 @@ func cancelJoin(t *testing.T, budget int64, rowParent bool, arm func(j *HashJoin
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var root Operator = j
-	var nl *NestedLoopsJoin
+	var out *tap
 	if rowParent {
-		nl = underRowOperator(j)
-		root = nl
+		out = &tap{Operator: j}
+		root = underRowOperator(out)
 	}
-	arm(j, nl, cancel)
+	arm(j, out, cancel)
 	Bind(root, ctx)
 	_, err := Run(root)
 	expectCanceled(t, err)
@@ -124,7 +124,7 @@ func cancelInPass(t *testing.T, budget int64, build bool, at int) {
 		rowParent bool
 	}{{name: "tuple", rowParent: true}, {name: "columnar"}} {
 		t.Run(m.name, func(t *testing.T) {
-			cancelJoin(t, budget, m.rowParent, func(j *HashJoin, _ *NestedLoopsJoin, cancel func()) {
+			cancelJoin(t, budget, m.rowParent, func(j *HashJoin, _ *tap, cancel func()) {
 				n := 0
 				hook := func(cb *data.ColBatch) {
 					if n < at && n+cb.Live() >= at {
@@ -148,13 +148,14 @@ func TestCancelMidSpillBuild(t *testing.T) { cancelInPass(t, 16*1024, true, 2500
 func TestCancelMidSpillProbe(t *testing.T) { cancelInPass(t, 16*1024, false, 2000) }
 
 // TestCancelMidOutput cancels a spilling join's join phase from the row
-// operator reading its output, 1000 tuples in; TestCancelColumnarJoin-
-// ReturnsChunks cancels the lane-to-lane join phase drained directly.
+// operator reading its output, at the batch that takes it 1000 tuples in;
+// TestCancelColumnarJoinReturnsChunks cancels the lane-to-lane join phase
+// drained directly.
 func TestCancelMidOutput(t *testing.T) {
-	cancelJoin(t, 16*1024, true, func(_ *HashJoin, nl *NestedLoopsJoin, cancel func()) {
+	cancelJoin(t, 16*1024, true, func(_ *HashJoin, out *tap, cancel func()) {
 		n := 0
-		nl.OnOuterTuple = func(data.Tuple) {
-			if n++; n == 1000 {
+		out.f = func(cb *data.ColBatch) {
+			if n += cb.Live(); n >= 1000 {
 				cancel()
 			}
 		}
@@ -171,10 +172,11 @@ func TestCancelMidSortInput(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	n := 0
-	s.OnInput = func(data.Tuple) {
-		if n++; n == 3000 {
+	s.OnInputCol = func(cb *data.ColBatch) {
+		if n < 3000 && n+cb.Live() >= 3000 {
 			cancel()
 		}
+		n += cb.Live()
 	}
 	Bind(s, ctx)
 	_, err := Run(s)
@@ -219,7 +221,11 @@ func TestCancelMidSortMerge(t *testing.T) {
 	}
 }
 
+// TestCancelMergeJoin cancels a merge join from its first output batch,
+// sized to 500 tuples.
 func TestCancelMergeJoin(t *testing.T) {
+	defer data.SetBatchSize(data.DefaultBatchSize)
+	data.SetBatchSize(500)
 	a := randTable("a", 2000, 60, 18)
 	b := randTable("b", 2500, 60, 19)
 	mj, _, _ := NewSortMergeJoin(
@@ -228,35 +234,34 @@ func TestCancelMergeJoin(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	n := 0
-	mj.OnOutput = func(data.Tuple) {
-		if n++; n == 500 {
-			cancel()
-		}
+	mj.OnOutputCol = func(cb *data.ColBatch) {
+		n += cb.Live()
+		cancel()
 	}
 	Bind(mj, ctx)
 	rows, err := Run(mj)
 	expectCanceled(t, err)
-	// The batch the cancel interrupts never leaves, but every tuple the
-	// merge produced fired its hook and was counted, and the merge stopped
+	// The first batch leaves; the batch the cancel interrupts never does,
+	// but every tuple the merge produced was counted, and the merge stopped
 	// at its next amortized poll, where the tuple-at-a-time path that
-	// preceded the batch contract stopped too (621 tuples).
-	if rows != 0 || mj.Stats().Emitted.Load() != int64(n) || n != 621 {
-		t.Errorf("cancel at output 500: %d rows left, %d emitted, OnOutput fired %d times, want 0, 621, 621",
-			rows, mj.Stats().Emitted.Load(), n)
+	// preceded the batch contract stopped after a cancel at output 500 too
+	// (621 tuples).
+	if rows != 500 || n != 500 || mj.Stats().Emitted.Load() != 621 {
+		t.Errorf("cancel at output 500: %d rows left, OnOutputCol saw %d, %d emitted, want 500, 500, 621",
+			rows, n, mj.Stats().Emitted.Load())
 	}
 }
 
 func TestCancelNLJoin(t *testing.T) {
 	a := randTable("a", 500, 60, 20)
 	b := randTable("b", 500, 60, 21)
-	j := NewIndexedNLJoin(
-		NewScan(makeTable("a", a), ""),
-		NewScan(makeTable("b", b), ""), 0, 0)
+	outer := NewScan(makeTable("a", a), "")
+	j := NewIndexedNLJoin(outer, NewScan(makeTable("b", b), ""), 0, 0)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	n := 0
-	j.OnOuterTuple = func(data.Tuple) {
-		if n++; n == 100 {
+	outer.OnBatch = func(rows int) {
+		if n += rows; n >= 100 {
 			cancel()
 		}
 	}

@@ -494,12 +494,10 @@ func TestHashJoinBatchHooks(t *testing.T) {
 			j.OnProbeCol = spanHook("OnProbeCol", 1, &probeSpanned)
 			var top Operator = j
 			if !m.columnar {
-				nl := underRowOperator(j)
-				nl.OnOuterTuple = func(data.Tuple) {
-					inPhase("OnOuterTuple", 2)
-					outputs++
-				}
-				top = nl
+				top = underRowOperator(&tap{Operator: j, f: func(cb *data.ColBatch) {
+					inPhase("output batch", 2)
+					outputs += cb.Live()
+				}})
 			}
 
 			rows := collect(t, top)
@@ -524,6 +522,26 @@ func TestHashJoinBatchHooks(t *testing.T) {
 // with that row's one column appended (see dropLast).
 func underRowOperator(op Operator) *NestedLoopsJoin {
 	return NewNestedLoopsJoin(op, NewScan(makeTable("one", []int64{1}), ""), nil)
+}
+
+// tap passes its child's batches through unchanged, calling f with each
+// on its way up: what a test reads of the batches a parent pulls.
+type tap struct {
+	Operator
+	f func(*data.ColBatch)
+}
+
+// Children makes the child itself part of the plan, so Bind and Walk
+// reach it.
+func (t *tap) Children() []Operator { return []Operator{t.Operator} }
+
+// NextColBatch implements Operator.
+func (t *tap) NextColBatch() (*data.ColBatch, error) {
+	cb, err := t.Operator.NextColBatch()
+	if cb != nil && t.f != nil {
+		t.f(cb)
+	}
+	return cb, err
 }
 
 // dropLast cuts the column underRowOperator appends off every row.
@@ -562,11 +580,11 @@ func intRows(vals []int64) []data.Tuple {
 // a hash join: a sort spilling runs, a sort-based aggregation and a merge
 // join over two sorts each feed a build and a probe side through their
 // row-backed batches. The rows must be the reference's, every operator
-// must have emitted (Emitted) exactly the rows its parent read, and each
-// hook fire as many times as the same plan fires it drained through the
-// tuple-at-a-time path that preceded the batch contract (the counts below
-// were recorded there): once per input tuple of a sort, once per output
-// tuple of a merge join, once per input batch of a partition pass.
+// must have emitted (Emitted) exactly the rows its parent read, and the
+// span hooks must cover as many rows as the per-tuple hooks that preceded
+// them fired (the counts below were recorded there): a sort's input
+// batches add up to its input tuples and a merge join's output batches to
+// its output tuples, while a partition pass counts its input batches.
 func TestAdaptersCompose(t *testing.T) {
 	a := randTable("a", 1500, 300, 23)
 	b := randTable("b", 1200, 300, 24)
@@ -622,9 +640,9 @@ func TestAdaptersCompose(t *testing.T) {
 		Walk(j, func(op Operator) {
 			switch o := op.(type) {
 			case *Sort:
-				o.OnInput = func(data.Tuple) { fired.sortInputs++ }
+				o.OnInputCol = func(cb *data.ColBatch) { fired.sortInputs += cb.Live() }
 			case *MergeJoin:
-				o.OnOutput = func(data.Tuple) { fired.mergeOutputs++ }
+				o.OnOutputCol = func(cb *data.ColBatch) { fired.mergeOutputs += cb.Live() }
 			}
 		})
 		j.OnBuildCol = func(*data.ColBatch) { fired.buildSpans++ }
@@ -655,7 +673,9 @@ func TestMixedModePlan(t *testing.T) {
 	a := randTable("a", 1200, 60, 24)
 	b := randTable("b", 1500, 60, 25)
 	j := NewHashJoinOn(NewScan(makeTable("a", a), ""), NewScan(makeTable("b", b), ""), "a", "k", "b", "k")
-	nl := NewIndexedNLJoin(j, NewScan(makeTable("c", []int64{3, 44, 44}), ""), 1, 0)
+	read := 0
+	nl := NewIndexedNLJoin(&tap{Operator: j, f: func(cb *data.ColBatch) { read += cb.Live() }},
+		NewScan(makeTable("c", []int64{3, 44, 44}), ""), 1, 0)
 	f := NewFilter(nl, expr.Compare(expr.LT, expr.Column(nl.Schema(), "b", "k"), expr.IntLit(45)))
 	ab := refEquiJoin(intRows(a), intRows(b), 0, 0)
 	var want []data.Tuple
@@ -664,8 +684,6 @@ func TestMixedModePlan(t *testing.T) {
 			want = append(want, r)
 		}
 	}
-	read := 0
-	nl.OnOuterTuple = func(data.Tuple) { read++ }
 	got := collect(t, f)
 	if g, w := sortedStrings(got), sortedStrings(want); !slices.Equal(g, w) || len(w) == 0 {
 		t.Fatalf("join read by a row operator: %d rows, the reference %d", len(g), len(w))

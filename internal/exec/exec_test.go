@@ -385,7 +385,9 @@ func TestSortOrdersAndHooks(t *testing.T) {
 	s := NewSort(sc, 0)
 	var seen []int64
 	endFired := false
-	s.OnInput = func(tu data.Tuple) { seen = append(seen, tu[0].I) }
+	s.OnInputCol = func(cb *data.ColBatch) {
+		cb.EachLive(func(i int) { seen = append(seen, cb.Value(0, i).I) })
+	}
 	s.OnInputEnd = func() { endFired = len(seen) == 3 }
 	rows := collect(t, s)
 	if got := firstInts(rows, 0); got[0] != 1 || got[1] != 2 || got[2] != 3 {
@@ -492,13 +494,11 @@ func TestCrossNLJoin(t *testing.T) {
 }
 
 func TestNLJoinHooks(t *testing.T) {
-	j := NewIndexedNLJoin(
-		NewScan(makeTable("a", []int64{1, 2}), ""),
-		NewScan(makeTable("b", []int64{1}), ""),
-		0, 0)
+	outerScan := NewScan(makeTable("a", []int64{1, 2}), "")
+	j := NewIndexedNLJoin(outerScan, NewScan(makeTable("b", []int64{1}), ""), 0, 0)
 	var outer, inner int
-	j.OnOuterTuple = func(data.Tuple) { outer++ }
-	j.OnInnerTuple = func(data.Tuple) { inner++ }
+	outerScan.OnBatch = func(rows int) { outer += rows }
+	j.OnInnerCol = func(cb *data.ColBatch) { inner += cb.Live() }
 	collect(t, j)
 	if outer != 2 || inner != 1 {
 		t.Errorf("hooks outer=%d inner=%d", outer, inner)

@@ -14,8 +14,8 @@ import (
 // them in that order as one run of column frames (the join's spill
 // format), then merges the runs with a k-way heap that compares run heads
 // on the decoded frames' key lanes. Equal keys come out in run order, so
-// the merge is as stable as the in-memory sort. The OnInput hook still
-// fires for every input tuple during the (unsorted) input pass, so the
+// the merge is as stable as the in-memory sort. The OnInputCol hook still
+// fires for every input batch during the (unsorted) input pass, so the
 // estimation framework behaves identically in both modes.
 
 // SetMemoryBudget caps the bytes buffered during the sort (0 = unlimited,

@@ -250,7 +250,7 @@ func (jt *colJoinTable) build(cb *data.ColBatch, keys []int, scratch *data.Tuple
 		nInt = n
 	} else {
 		for i := 0; i < n; i++ {
-			k := colJoinKeyAt(cb, keys, i, scratch)
+			k := JoinKeyAt(cb, keys, i, scratch)
 			switch {
 			case k.Kind == data.KindInt:
 				jt.ints.Ref(k.I).n++
@@ -290,7 +290,7 @@ func (jt *colJoinTable) build(cb *data.ColBatch, keys []int, scratch *data.Tuple
 		return
 	}
 	for i := 0; i < n; i++ {
-		k := colJoinKeyAt(cb, keys, i, scratch)
+		k := JoinKeyAt(cb, keys, i, scratch)
 		if k.Kind == data.KindInt {
 			sp := jt.ints.Ref(k.I)
 			jt.flat[sp.off+sp.n] = int32(i)
@@ -472,11 +472,12 @@ func intKeyLane(cb *data.ColBatch, keys []int) *data.ColVec {
 	return nil
 }
 
-// colJoinKeyAt is JoinKeyOf evaluated off column lanes: the single key
-// column's value, or the composite GroupKey for multi-column keys (any
-// NULL component yields NULL). scratch is a reusable tuple the key
-// columns are staged into for GroupKey.
-func colJoinKeyAt(cb *data.ColBatch, keys []int, i int, scratch *data.Tuple) data.Value {
+// JoinKeyAt is JoinKeyOf evaluated off column lanes for row i of cb: the
+// single key column's value, or the composite GroupKey for multi-column
+// keys (any NULL component yields NULL). scratch is a reusable tuple the
+// key columns are staged into for GroupKey. The estimators read keys
+// with it wherever their lane kernels do not apply.
+func JoinKeyAt(cb *data.ColBatch, keys []int, i int, scratch *data.Tuple) data.Value {
 	if len(keys) == 1 {
 		return cb.Col(keys[0]).ValueAt(i)
 	}

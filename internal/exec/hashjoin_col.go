@@ -163,7 +163,7 @@ func (j *HashJoin) partitionPass(cfg *colPassConfig) error {
 // batch.
 type colScatter struct {
 	rows [][]int32  // rows[p]: the current batch's live row indexes bound for partition p, ascending
-	key  data.Tuple // multi-column key staging for colJoinKeyAt
+	key  data.Tuple // multi-column key staging for JoinKeyAt
 }
 
 // group sorts cb's live row indexes into s.rows by partition. A NULL-free
@@ -201,7 +201,7 @@ func (s *colScatter) group(cb *data.ColBatch, keys []int, keepNull bool, parts i
 	}
 	cb.EachLive(func(i int) {
 		p := 0
-		if k := colJoinKeyAt(cb, keys, i, &s.key); !k.IsNull() {
+		if k := JoinKeyAt(cb, keys, i, &s.key); !k.IsNull() {
 			p = partitionOf(hashValue(k), parts)
 		} else if !keepNull {
 			return
@@ -579,7 +579,7 @@ func (j *HashJoin) sweepRows(i int, pb, pp []int32, max int) ([]int32, []int32, 
 				}
 				span = prevSpan
 			}
-		} else if k := colJoinKeyAt(cb, j.probeKeys, i, &j.colScat.key); !k.IsNull() {
+		} else if k := JoinKeyAt(cb, j.probeKeys, i, &j.colScat.key); !k.IsNull() {
 			span = j.colTab.lookup(k)
 		}
 		r := int32(i)

@@ -8,10 +8,11 @@ import (
 	"qpi/internal/expr"
 )
 
-// NestedLoopsJoin materializes the inner input once, then joins each outer
-// tuple against it as the outer is read (no preprocessing pass over the
-// outer — which is why the paper's framework cannot do better than the
-// dne estimator here, §4.1.3).
+// NestedLoopsJoin materializes the inner input once, batch by batch
+// (OnInnerCol sees each batch), then joins each outer tuple against it as
+// the outer is read (no preprocessing pass over the outer — which is why
+// the paper's framework cannot do better than the dne estimator here,
+// §4.1.3, unless the outer is a Sort whose input pass it can ride).
 //
 // When Indexed is set, a temporary hash index on the inner join column is
 // built during materialization (the common engine optimization the paper
@@ -30,13 +31,10 @@ type NestedLoopsJoin struct {
 	// Indexed selects the temporary-index variant.
 	Indexed bool
 
-	// OnOuterTuple fires for every outer tuple as it is read.
-	OnOuterTuple func(data.Tuple)
-	// OnInnerTuple fires for every inner tuple during materialization.
-	OnInnerTuple func(data.Tuple)
+	// OnInnerCol fires once per inner batch during materialization.
+	OnInnerCol func(*data.ColBatch)
 
 	outerIn   rowReader
-	innerIn   rowReader
 	out       rowBatches
 	innerRows []data.Tuple
 	index     map[data.Value][]data.Tuple
@@ -99,7 +97,7 @@ func (j *NestedLoopsJoin) InnerKey() int { return j.innerKey }
 
 // Open implements Operator.
 func (j *NestedLoopsJoin) Open() error {
-	j.outerIn, j.innerIn = rowReader{child: j.outer}, rowReader{child: j.inner}
+	j.outerIn = rowReader{child: j.outer}
 	if err := j.outer.Open(); err != nil {
 		return err
 	}
@@ -139,9 +137,6 @@ func (j *NestedLoopsJoin) nextRow() (data.Tuple, error) {
 			}
 			return j.finish()
 		}
-		if j.OnOuterTuple != nil {
-			j.OnOuterTuple(t)
-		}
 		j.outerTup = t
 		j.matchPos = 0
 		if j.Indexed {
@@ -163,34 +158,38 @@ func (j *NestedLoopsJoin) nextRow() (data.Tuple, error) {
 	}
 }
 
+// loadInner materializes the inner input from its batches: the rows
+// (ToTuples) are retained in the index or the row list.
 func (j *NestedLoopsJoin) loadInner() error {
 	j.traceBegin("inner-build")
 	if j.Indexed {
 		j.index = map[data.Value][]data.Tuple{}
 	}
+	var rows data.Batch
 	for {
-		if err := j.pollCtx(); err != nil {
+		if err := j.ctxErr(); err != nil {
 			return err
 		}
-		t, err := j.innerIn.next()
+		cb, err := j.inner.NextColBatch()
 		if err != nil {
 			return err
 		}
-		if t == nil {
+		if cb == nil {
 			break
 		}
-		j.innerRead++
-		if j.OnInnerTuple != nil {
-			j.OnInnerTuple(t)
+		if j.OnInnerCol != nil {
+			j.OnInnerCol(cb)
 		}
-		if j.Indexed {
-			k := t[j.innerKey]
-			if k.IsNull() {
-				continue
+		rows = cb.ToTuples(rows[:0])
+		j.innerRead += int64(len(rows))
+		if !j.Indexed {
+			j.innerRows = append(j.innerRows, rows...)
+			continue
+		}
+		for _, t := range rows {
+			if k := t[j.innerKey]; !k.IsNull() {
+				j.index[k] = append(j.index[k], t)
 			}
-			j.index[k] = append(j.index[k], t)
-		} else {
-			j.innerRows = append(j.innerRows, t)
 		}
 	}
 	j.loaded = true

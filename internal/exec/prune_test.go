@@ -256,14 +256,14 @@ func TestPruneIsIdempotent(t *testing.T) {
 }
 
 // TestPrunedScanCarriesNoRows is the row-cache trap. cb.Value and
-// MaterializeRows prefer a batch's row cache, so a narrowed batch that
-// carried full-width rows would hand its consumers the wrong columns. The
-// read columns here are not the table's first, so a GROUP BY (which reads
-// its aggregate column through cb.Value) and a scalar aggregate with a
-// per-row input hook (which materializes rows) would both fold another
-// column than the one they name. No scan batch carries rows at all,
-// full-width or narrowed, sequential or sampled, and Next returns the
-// table's rows, cut to the scan's columns, in the batches' order.
+// ToTuples prefer a batch's row cache, so a narrowed batch that carried
+// full-width rows would hand its consumers the wrong columns. The read
+// columns here are not the table's first, so a GROUP BY (which reads its
+// aggregate column through cb.Value) and a scalar aggregate with an input
+// hook would both fold another column than the one they name. No scan
+// batch carries rows at all, full-width or narrowed, sequential or
+// sampled, and the batches hold the table's rows, cut to the scan's
+// columns, in the walk's order.
 func TestPrunedScanCarriesNoRows(t *testing.T) {
 	const n = 3000
 	sch := data.NewSchema(

@@ -4,11 +4,13 @@ import "qpi/internal/data"
 
 // The row operators — Sort, MergeJoin, NestedLoopsJoin and SortAgg — keep
 // their logic in an unexported row step that produces one tuple per call
-// and counts it in Emitted, so the hooks estimators attach to them see
-// the same tuple stream whatever the batch size. Two small helpers put
-// them on the batch contract: rowBatches fills a row-backed batch from
-// the row step for NextColBatch, and rowReader hands a child's batches to
-// a row step one tuple at a time. Every other operator produces lanes.
+// and counts it in Emitted. Their hooks, like every other operator's,
+// observe column batches: the batches a sort's input pass and a
+// nested-loops join's inner materialization read, and the batches a merge
+// join fills. Two small helpers put them on the batch contract:
+// rowBatches fills a row-backed batch from the row step for NextColBatch,
+// and rowReader hands a child's batches to a row step one tuple at a
+// time. Every other operator produces lanes.
 
 // rowBatches is a row operator's NextColBatch: up to a batch of its row
 // step's tuples behind a row-backed ColBatch, whose columns pivot on

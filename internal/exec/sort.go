@@ -10,12 +10,11 @@ import (
 )
 
 // Sort is a blocking operator that materializes and sorts its input by one
-// or more key columns. The input pass reads the child batch by batch,
-// materializes each batch's rows and fires OnInput for every tuple, which
-// is where the online estimation framework builds histograms for
-// sort-merge joins (§4.1.2: "every tuple of R is seen at least once before
-// any output is produced"). Its output is a row operator's (see
-// rowops.go).
+// or more key columns. The input pass reads the child batch by batch and
+// fires OnInputCol for every batch before buffering its rows, which is
+// where the online estimation framework builds histograms for sort-merge
+// joins (§4.1.2: "every tuple of R is seen at least once before any
+// output is produced"). Its output is a row operator's (see rowops.go).
 type Sort struct {
 	base
 	child Operator
@@ -23,8 +22,9 @@ type Sort struct {
 	desc  []bool // per-key descending flags (nil = all ascending)
 	label string // rendered at construction: Prune rebinds keys, not labels
 
-	// OnInput fires for every input tuple during the (blocking) sort read.
-	OnInput func(data.Tuple)
+	// OnInputCol fires once per input batch during the (blocking) sort
+	// read, before the batch's rows are buffered.
+	OnInputCol func(*data.ColBatch)
 	// OnInputEnd fires when the input is exhausted, before output starts.
 	OnInputEnd func()
 
@@ -140,7 +140,7 @@ func (s *Sort) nextRow() (data.Tuple, error) {
 }
 
 // readInput drains the child batch by batch: rows materialize once per
-// batch (OnInput fires per tuple in row order), and the key columns are
+// batch (after OnInputCol has seen it), and the key columns are
 // extracted lane-to-lane into contiguous key lanes indexed alongside
 // s.rows. Under a memory budget, the row that takes the buffered rows past
 // it closes a sorted run, which spills.
@@ -164,12 +164,10 @@ func (s *Sort) readInput() error {
 		if cb == nil {
 			return nil
 		}
-		batch = cb.ToTuples(batch[:0])
-		if s.OnInput != nil {
-			for _, t := range batch {
-				s.OnInput(t)
-			}
+		if s.OnInputCol != nil {
+			s.OnInputCol(cb)
 		}
+		batch = cb.ToTuples(batch[:0])
 		s.inputRows += int64(len(batch))
 		idx = idx[:0]
 		if cb.Sel == nil {
@@ -297,14 +295,16 @@ func (s *Sort) Close() error {
 // the cross product of each matching key group. Compose it over Sort
 // operators (see NewSortMergeJoin) unless the inputs are already sorted —
 // the case where the paper's framework cannot push estimation down and
-// falls back to dne (§4.1.2 end). It is a row operator (see rowops.go).
+// falls back to dne (§4.1.2 end). It is a row operator (see rowops.go);
+// OnOutputCol sees each of its output batches as it leaves.
 type MergeJoin struct {
 	base
 	left, right       Operator
 	leftKey, rightKey int
 
-	// OnOutput fires for every emitted join tuple.
-	OnOutput func(data.Tuple)
+	// OnOutputCol fires once per filled output batch, before it is
+	// returned.
+	OnOutputCol func(*data.ColBatch)
 
 	leftIn    rowReader
 	rightIn   rowReader
@@ -407,7 +407,11 @@ func (j *MergeJoin) nextRight() error {
 
 // NextColBatch implements Operator.
 func (j *MergeJoin) NextColBatch() (*data.ColBatch, error) {
-	return j.out.next(j.nextRow, j.schema.Len())
+	cb, err := j.out.next(j.nextRow, j.schema.Len())
+	if cb != nil && j.OnOutputCol != nil {
+		j.OnOutputCol(cb)
+	}
+	return cb, err
 }
 
 // nextRow is the row step: one joined tuple per call.
@@ -433,9 +437,6 @@ func (j *MergeJoin) nextRow() (data.Tuple, error) {
 		if j.groupPos < len(j.group) {
 			out := j.leftTup.Concat(j.group[j.groupPos])
 			j.groupPos++
-			if j.OnOutput != nil {
-				j.OnOutput(out)
-			}
 			return j.emit(out)
 		}
 		// Current left tuple's group exhausted: advance left; if the key

@@ -305,7 +305,7 @@ func cmpHolds(op CmpOp, cmp int) bool {
 
 // evalValue evaluates e over row i of cb without materializing the row,
 // reproducing Expr.Eval exactly. Unknown expression types fall back to
-// Eval over the batch's (cached or materialized) row.
+// Eval over the row built from the batch's values.
 func evalValue(e Expr, cb *data.ColBatch, i int) data.Value {
 	switch x := e.(type) {
 	case Col:
@@ -353,7 +353,11 @@ func evalValue(e Expr, cb *data.ColBatch, i int) data.Value {
 	case Arith:
 		return Arith{Op: x.Op, L: constOf(evalValue(x.L, cb, i)), R: constOf(evalValue(x.R, cb, i))}.Eval(nil)
 	default:
-		return e.Eval(cb.MaterializeRows()[i])
+		row := make(data.Tuple, cb.Width())
+		for c := range row {
+			row[c] = cb.Value(c, i)
+		}
+		return e.Eval(row)
 	}
 }
 

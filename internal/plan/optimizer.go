@@ -121,17 +121,9 @@ func estimate(op exec.Operator, cat *catalog.Catalog) nodeEstimate {
 		op.Stats().SetEstimate(ne.rows, "optimizer")
 		return ne
 	case *exec.HashAgg:
-		child := estimate(op.Children()[0], cat)
-		ne, hint := estimateGroupBy(child, o.GroupBy())
-		op.Stats().SetEstimate(ne.rows, "optimizer")
-		op.Stats().GroupsHint = hint
-		return ne
+		return estimateAgg(op, o.GroupBy(), cat)
 	case *exec.SortAgg:
-		child := estimate(op.Children()[0], cat)
-		ne, hint := estimateGroupBy(child, o.GroupBy())
-		op.Stats().SetEstimate(ne.rows, "optimizer")
-		op.Stats().GroupsHint = hint
-		return ne
+		return estimateAgg(op, o.GroupBy(), cat)
 	default:
 		if len(op.Children()) == 0 {
 			// Generic leaf (e.g. a disk scan): trust its own declared
@@ -330,24 +322,31 @@ func concatColumnStats(l, r, ne nodeEstimate, out exec.OutMap) nodeEstimate {
 	return ne
 }
 
-// estimateGroupBy returns the capped group-count estimate plus the
-// uncapped distinct-product belief (the GroupsHint).
-func estimateGroupBy(child nodeEstimate, groupBy []int) (nodeEstimate, float64) {
-	groups := 1.0
-	for _, g := range groupBy {
-		if d, ok := child.distinct[g]; ok && d > 0 {
-			groups *= d
-		} else {
-			groups *= capAt(child.rows*0.1, child.rows)
+// estimateAgg estimates an aggregation's group count over its child's
+// estimate: the distinct-value product capped at the input rows, and at
+// least one group over any input. The uncapped product is the GroupsHint.
+// A scalar aggregate (no GROUP BY) emits exactly one row whatever its
+// input, so its estimate is 1 with source "exact".
+func estimateAgg(op exec.Operator, groupBy []int, cat *catalog.Catalog) nodeEstimate {
+	child := estimate(op.Children()[0], cat)
+	groups, hint, src := 1.0, 1.0, "exact"
+	if len(groupBy) > 0 {
+		for _, g := range groupBy {
+			if d, ok := child.distinct[g]; ok && d > 0 {
+				hint *= d
+			} else {
+				hint *= capAt(child.rows*0.1, child.rows)
+			}
+		}
+		groups, src = capAt(hint, child.rows), "optimizer"
+		if groups < 1 && child.rows >= 1 {
+			groups = 1
 		}
 	}
-	hint := groups
-	groups = capAt(groups, child.rows)
-	if groups < 1 && child.rows >= 1 {
-		groups = 1
-	}
+	op.Stats().SetEstimate(groups, src)
+	op.Stats().GroupsHint = hint
 	return nodeEstimate{rows: groups, distinct: map[int]float64{},
-		mins: map[int]float64{}, maxs: map[int]float64{}}, hint
+		mins: map[int]float64{}, maxs: map[int]float64{}}
 }
 
 func capAt(v, cap float64) float64 {

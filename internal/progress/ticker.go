@@ -12,14 +12,13 @@ import (
 //
 // Work is counted where the plan already hands it over, a span at a time:
 // through the scan's batch hook, the hash join's OnBuildCol/OnProbeCol,
-// the hash aggregation's group-count spans and the caller's drain loop
-// (Add, once per root batch). Those are the points where no operator is
-// midway through a batch — Emitted, probe rows read and probe rows joined
-// all describe the same instant — so a snapshot taken there never sees a
+// a sort's input batches, a merge join's output batches, the hash
+// aggregation's group-count spans and the caller's drain loop (Add, once
+// per root batch). Those are the points where no operator is midway
+// through a batch — Emitted, probe rows read and probe rows joined all
+// describe the same instant — so a snapshot taken there never sees a
 // join that has consumed probe rows it has not yet emitted for. A batch
-// is published at most once on its way up the plan. Only the row
-// operators' tuple hooks — a sort's input pass and a merge join's output,
-// which build their rows anyway — still count one tuple at a time.
+// is published at most once on its way up the plan.
 type Ticker struct {
 	every int64
 	f     func()
@@ -65,15 +64,6 @@ func (t *Ticker) scanBatch(prev func(int)) func(int) {
 	}
 }
 
-func (t *Ticker) tuple(prev func(data.Tuple)) func(data.Tuple) {
-	return func(tu data.Tuple) {
-		if prev != nil {
-			prev(tu)
-		}
-		t.Add(1)
-	}
-}
-
 func (t *Ticker) span(prev func(*data.ColBatch)) func(*data.ColBatch) {
 	return func(cb *data.ColBatch) {
 		if prev != nil {
@@ -94,9 +84,9 @@ func (t *Ticker) Install(root exec.Operator) {
 			o.OnBuildCol = t.span(o.OnBuildCol)
 			o.OnProbeCol = t.span(o.OnProbeCol)
 		case *exec.MergeJoin:
-			o.OnOutput = t.tuple(o.OnOutput)
+			o.OnOutputCol = t.span(o.OnOutputCol)
 		case *exec.Sort:
-			o.OnInput = t.tuple(o.OnInput)
+			o.OnInputCol = t.span(o.OnInputCol)
 		case *exec.HashAgg:
 			prev := o.OnInputGroupCounts
 			o.OnInputGroupCounts = func(ns []int64) {

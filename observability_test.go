@@ -250,6 +250,43 @@ func TestMLERecomputesSplit(t *testing.T) {
 	}
 }
 
+// TestScalarAggregateGetsNoEstimator: an aggregate without GROUP BY emits
+// one row by definition, so the optimizer's estimate is exactly 1 and no
+// distinct-value estimator rides its input pass — also when the optimizer
+// puts that input below one row.
+func TestScalarAggregateGetsNoEstimator(t *testing.T) {
+	e := obsEngine(t, 6000)
+	for _, sql := range []string{
+		"SELECT COUNT(*) c FROM r WHERE r.k < 50",
+		"SELECT COUNT(*) c FROM r WHERE r.k < -5",
+	} {
+		q := e.MustQuery(sql)
+		var agg *exec.HashAgg
+		exec.Walk(q.root, func(op exec.Operator) {
+			if a, ok := op.(*exec.HashAgg); ok {
+				agg = a
+			}
+		})
+		if agg == nil {
+			t.Fatalf("%s: no hash aggregation in the plan", sql)
+		}
+		check := func(when string) {
+			if st := agg.Stats(); st.Estimate() != 1 || st.Source() != "exact" {
+				t.Errorf("%s: %s the estimate is %g (%s), want 1 (exact)", sql, when, st.Estimate(), st.Source())
+			}
+		}
+		check("before Run")
+		var m Metrics
+		if _, err := q.Run(nil, WithMetrics(&m)); err != nil {
+			t.Fatal(err)
+		}
+		check("after Run")
+		if len(q.att.Aggs) != 0 || m.MLERecomputes != 0 {
+			t.Errorf("%s: %d aggregation estimators attached, %d MLE recomputes; want none", sql, len(q.att.Aggs), m.MLERecomputes)
+		}
+	}
+}
+
 func TestEstimateOfLabels(t *testing.T) {
 	e := obsEngine(t, 3000)
 	q := e.MustQuery("SELECT r.g, COUNT(*) c FROM r JOIN s ON r.k = s.k GROUP BY r.g")

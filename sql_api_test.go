@@ -51,7 +51,7 @@ func TestSQLQueryBasics(t *testing.T) {
 		}
 	})
 	limit, inputs := q.root.(*exec.Limit), 0
-	sorter.OnInput = func(data.Tuple) { inputs++ }
+	sorter.OnInputCol = func(cb *data.ColBatch) { inputs += cb.Live() }
 	if rows, err = q.Rows(); err != nil || !reflect.DeepEqual(rows, all[:25]) {
 		t.Errorf("ORDER BY … LIMIT 25 = %v, %v; want %v", rows, err, all[:25])
 	}
