@@ -94,6 +94,7 @@ fuzz:
 	$(GO) test -fuzz '^FuzzOnceExact$$'    -fuzztime $(FUZZTIME) -timeout 120s ./internal/core/
 	$(GO) test -fuzz '^FuzzDifferential$$' -fuzztime $(FUZZTIME) -timeout 180s ./internal/difftest/
 	$(GO) test -fuzz '^FuzzQueryModes$$'   -fuzztime $(FUZZTIME) -timeout 120s .
+	$(GO) test -fuzz '^FuzzRowsJSON$$'     -fuzztime $(FUZZTIME) -timeout 120s .
 	$(GO) test -fuzz '^FuzzEvalSel$$'      -fuzztime $(FUZZTIME) -timeout 120s ./internal/expr/
 
 # Statement-coverage floors on the estimator packages (measured ~88% and
@@ -121,14 +122,15 @@ cover:
 # pricing the compile-time pruning pass, of the one reporting a generated
 # catalog's live heap, of the skewed Q8 pipeline with estimators on and
 # off, of the pkfk_join query with estimators on and off, of the spilled
-# join's file and I/O counts, of the join kernel's probe shapes and the
+# join's file and I/O counts, of the HTTP result encoder against boxing
+# plus encoding/json, of the join kernel's probe shapes and the
 # hash aggregation's group store in internal/exec, of the filter's
 # selection kernels in internal/expr, of the spill frame codec, of the
 # distinct-value profile estimator and of the estimator's probe-chain
 # lane hook, so none can rot unbuilt.
 bench-smoke:
 	cd benchmark && $(GO) test -timeout 300s ./...
-	$(GO) test -run '^$$' -bench 'ScanColLanes|BudgetedScatter|CompileQ8|CatalogLiveBytes|Q8Pipeline|PKFKPipeline|^BenchmarkSpilledJoin$$' -benchtime 1x -timeout 120s .
+	$(GO) test -run '^$$' -bench 'ScanColLanes|BudgetedScatter|CompileQ8|CatalogLiveBytes|Q8Pipeline|PKFKPipeline|^BenchmarkSpilledJoin$$|RowsJSON' -benchtime 1x -timeout 120s .
 	$(GO) test -run '^$$' -bench 'ColumnarJoin|HashAggGroups' -benchtime 1x -timeout 120s ./internal/exec
 	$(GO) test -run '^$$' -bench 'EvalSel' -benchtime 1x -timeout 120s ./internal/expr
 	$(GO) test -run '^$$' -bench 'EncodeColFrame|DecodeColFrame' -benchtime 1x -timeout 120s ./internal/data

@@ -52,18 +52,16 @@ func (q *Query) Start(ctx context.Context, opts ...RunOption) (*Running, error) 
 		cancel:  cancel,
 	}
 	cfg := newRunCfg(opts)
-	q.installObservability(&cfg)
 	go func() {
 		defer close(r.done)
 		defer cancel() // release the derived context's resources
-		rows, err := execRun(ctx, q)
+		// execRun publishes the terminal snapshot to the subscription (and
+		// any other subscribers) before done closes, so Wait-then-Report
+		// always sees the terminal state.
+		rows, err := q.execRun(ctx, &cfg, nil)
 		r.mu.Lock()
 		r.rows, r.err = rows, err
 		r.mu.Unlock()
-		// Terminal snapshot: published to the subscription (and any other
-		// subscribers) before done closes, so Wait-then-Report always sees
-		// the terminal state.
-		q.finishRun(&cfg)
 	}()
 	return r, nil
 }

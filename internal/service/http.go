@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"expvar"
@@ -8,6 +9,8 @@ import (
 	"io"
 	"net/http"
 	"time"
+
+	"qpi"
 )
 
 // HTTP wire types. Durations travel as milliseconds so non-Go clients
@@ -23,6 +26,23 @@ type queryRequest struct {
 	DeadlineMs  int64  `json:"deadline_ms,omitempty"`
 	BudgetBytes int64  `json:"budget_bytes,omitempty"`
 	WantRows    bool   `json:"want_rows,omitempty"`
+}
+
+// queryResponse is ExecResult as POST /v1/query writes it: the same
+// fields under the same tags in the same order, but with the rows
+// already encoded, by Query.RowsJSON, to the bytes encoding/json writes
+// for ExecResult.Data.
+type queryResponse struct {
+	Session   string          `json:"session"`
+	State     string          `json:"state"`
+	Error     string          `json:"error,omitempty"`
+	Rows      int64           `json:"rows"`
+	Columns   []string        `json:"columns,omitempty"`
+	Data      json.RawMessage `json:"data,omitempty"`
+	CacheHit  bool            `json:"cache_hit"`
+	Budget    int64           `json:"budget_bytes"`
+	QueuedMs  float64         `json:"queued_ms"`
+	ElapsedMs float64         `json:"elapsed_ms"`
 }
 
 type cancelRequest struct {
@@ -67,11 +87,14 @@ func (s *Service) Mount(mux *http.ServeMux) {
 
 // writeError maps service errors onto HTTP status codes: admission
 // pressure is 429 (retryable), an unsatisfiable budget or bad statement
-// is 400, shutdown is 503, unknown sessions are 404.
+// is 400, shutdown is 503, unknown sessions are 404, and a result JSON
+// cannot represent (a NaN or an infinity) is 500.
 func writeError(w http.ResponseWriter, err error) {
 	code := http.StatusBadRequest
 	kind := "invalid"
 	switch {
+	case unencodable(err):
+		code, kind = http.StatusInternalServerError, "unencodable_result"
 	case errors.Is(err, ErrQueueFull):
 		code, kind = http.StatusTooManyRequests, "queue_full"
 	case errors.Is(err, ErrQueueTimeout):
@@ -91,9 +114,24 @@ func writeError(w http.ResponseWriter, err error) {
 	_ = json.NewEncoder(w).Encode(errorResponse{Error: err.Error(), Kind: kind})
 }
 
+// writeJSON answers with v as encoding/json encodes it. A value it
+// refuses is answered through writeError: Encode marshals the whole
+// value before it writes, so nothing has been sent yet. A failed write
+// means the client is gone and is dropped.
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(v)
+	if err := json.NewEncoder(w).Encode(v); unencodable(err) {
+		writeError(w, err)
+	}
+}
+
+// unencodable reports whether err is encoding/json refusing a value, as
+// opposed to failing to write it.
+func unencodable(err error) bool {
+	var value *json.UnsupportedValueError
+	var typ *json.UnsupportedTypeError
+	var marshaler *json.MarshalerError
+	return errors.As(err, &value) || errors.As(err, &typ) || errors.As(err, &marshaler)
 }
 
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
@@ -125,18 +163,43 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	res, err := s.Execute(r.Context(), ExecRequest{
+	// The rows are encoded from the lanes while the query runs and held
+	// until it ends, so a query that fails after its first batch still
+	// answers with its state, count, partial rows and error.
+	var data []byte
+	var rowsErr error
+	res, err := s.execute(r.Context(), ExecRequest{
 		SQL:      req.SQL,
 		Label:    req.Label,
 		Deadline: time.Duration(req.DeadlineMs) * time.Millisecond,
 		Budget:   req.BudgetBytes,
 		WantRows: req.WantRows,
+	}, func(ctx context.Context, q *qpi.Query) (n int64, err error) {
+		data, n, rowsErr = q.RowsJSON(ctx)
+		return n, rowsErr
 	})
+	if err == nil && unencodable(rowsErr) {
+		err = rowsErr
+	}
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, res)
+	resp := queryResponse{
+		Session:   res.Session,
+		State:     res.State,
+		Error:     res.Error,
+		Rows:      res.Rows,
+		Columns:   res.Columns,
+		CacheHit:  res.CacheHit,
+		Budget:    res.Budget,
+		QueuedMs:  res.QueuedMs,
+		ElapsedMs: res.ElapsedMs,
+	}
+	if res.Rows > 0 {
+		resp.Data = data
+	}
+	writeJSON(w, resp)
 }
 
 func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {

@@ -213,6 +213,24 @@ type ExecResult struct {
 // compile with the granted spill budget, execution under the session
 // deadline, terminal state via the progress registry.
 func (s *Service) Execute(ctx context.Context, req ExecRequest) (*ExecResult, error) {
+	var data [][]any
+	res, err := s.execute(ctx, req, func(ctx context.Context, q *qpi.Query) (n int64, err error) {
+		data, err = q.RowsContext(ctx)
+		return int64(len(data)), err
+	})
+	if res != nil {
+		res.Data = data
+	}
+	return res, err
+}
+
+// execute is the one execute path behind Execute and POST /v1/query. A
+// request that wants rows runs its query through rows, which drains it
+// under ctx into the caller's form of the result (boxed rows in process,
+// JSON text over HTTP) and returns the row count and the execution
+// error; the result's Data is left to the caller. Any other request only
+// counts the rows.
+func (s *Service) execute(ctx context.Context, req ExecRequest, rows func(context.Context, *qpi.Query) (int64, error)) (*ExecResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -286,21 +304,19 @@ func (s *Service) Execute(ctx context.Context, req ExecRequest) (*ExecResult, er
 	s.admitSession(sess)
 	defer s.finishSession(sess)
 
-	var rows int64
-	var data [][]any
+	var n int64
 	var execErr error
 	if req.WantRows {
-		data, execErr = q.RowsContext(qctx)
-		rows = int64(len(data))
+		n, execErr = rows(qctx, q)
 	} else {
-		rows, execErr = q.Run(qctx)
+		n, execErr = q.Run(qctx)
 	}
 	elapsed := time.Since(sess.started)
 
 	res := &ExecResult{
 		Session:   sess.id,
 		State:     q.Report().State,
-		Rows:      rows,
+		Rows:      n,
 		CacheHit:  hit,
 		Budget:    grant,
 		Queued:    queued,
@@ -310,12 +326,11 @@ func (s *Service) Execute(ctx context.Context, req ExecRequest) (*ExecResult, er
 	}
 	if req.WantRows {
 		res.Columns = q.Columns()
-		res.Data = data
 	}
 	if execErr != nil {
 		res.Error = execErr.Error()
 	}
-	s.rowsOut.Add(rows)
+	s.rowsOut.Add(n)
 	return res, nil
 }
 

@@ -156,35 +156,44 @@ func (q *Query) claim() error {
 	return nil
 }
 
-// execRun drives a query's plan to completion (shared by Run and Start),
-// column-at-a-time. The context is bound to every operator before Open, so
-// cancellation or deadline expiry unwinds the plan within one batch of
-// work; the monitor is left in the matching terminal state.
-func execRun(ctx context.Context, q *Query) (int64, error) {
+// execRun is the one drive path: Run, Start, RowsContext and RowsJSON
+// all execute through it, so each installs the same observability and
+// finishes the same way. The context is bound to every operator before
+// Open, so cancellation or deadline expiry unwinds the plan within one
+// batch of work; an already-cancelled ctx never opens the plan. sink
+// (nil discards) receives each root batch; its error ends the run like
+// an operator's. The monitor is left in the matching terminal state and
+// every consumer gets the terminal snapshot.
+func (q *Query) execRun(ctx context.Context, cfg *runCfg, sink func(*data.ColBatch) error) (int64, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	q.installObservability(cfg)
 	exec.Bind(q.root, ctx)
 	var n int64
 	err := ctx.Err()
 	if err == nil {
-		n, err = q.drain(nil)
+		n, err = q.drain(sink)
 	}
 	q.monitor.Finish(err)
+	q.finishRun(cfg)
 	return n, err
 }
 
 // drain opens the plan, pulls it to exhaustion batch by batch and
-// closes it, returning the live row count. Each batch is handed to sink
-// (nil discards it) and then reported to the ticker: the end of a root
-// batch is a span boundary like any other.
-func (q *Query) drain(sink func(*data.ColBatch)) (int64, error) {
+// closes it, returning the live row count of the batches sink accepted.
+// Each batch is handed to sink and then reported to the ticker: the end
+// of a root batch is a span boundary like any other.
+func (q *Query) drain(sink func(*data.ColBatch) error) (int64, error) {
 	if err := q.root.Open(); err != nil {
 		return 0, err
 	}
 	var n int64
 	for {
 		cb, err := q.root.NextColBatch()
+		if err == nil && cb != nil && sink != nil {
+			err = sink(cb)
+		}
 		if err != nil {
 			q.root.Close()
 			return n, err
@@ -194,9 +203,6 @@ func (q *Query) drain(sink func(*data.ColBatch)) (int64, error) {
 		}
 		live := int64(cb.Live())
 		n += live
-		if sink != nil {
-			sink(cb)
-		}
 		if q.ticker != nil {
 			q.ticker.Add(live)
 		}
@@ -363,16 +369,14 @@ func (q *Query) Run(ctx context.Context, opts ...RunOption) (int64, error) {
 		return 0, err
 	}
 	cfg := newRunCfg(opts)
-	q.installObservability(&cfg)
-	n, err := execRun(ctx, q)
-	q.finishRun(&cfg)
-	return n, err
+	return q.execRun(ctx, &cfg, nil)
 }
 
 // installObservability wires the run options and subscribers into the
 // plan: tracer binding across executor, estimators and monitor, plus a
 // work-based ticker feeding the progress callback, Subscribe channels
-// and the metrics destination. Called once, before execution.
+// and the metrics destination. Called once, by execRun, before the plan
+// opens.
 func (q *Query) installObservability(cfg *runCfg) {
 	if cfg.tracer != nil {
 		exec.BindTracer(q.root, cfg.tracer)
@@ -422,27 +426,19 @@ func (q *Query) Rows() ([][]any, error) {
 	return q.RowsContext(context.Background())
 }
 
-// RowsContext is Rows bound to ctx; cancellation and deadline behaviour
-// match Run.
+// RowsContext is Rows bound to ctx; cancellation and deadline behaviour,
+// progress delivery to Subscribe channels included, match Run. On an
+// error the rows of the batches drained before it are returned with it.
 func (q *Query) RowsContext(ctx context.Context) ([][]any, error) {
 	if err := q.claim(); err != nil {
 		return nil, err
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	exec.Bind(q.root, ctx)
-	out, err := q.collectRows()
-	q.monitor.Finish(err)
-	q.closeSubscribers(q.Report())
-	return out, err
-}
-
-// collectRows drains the plan column-at-a-time and converts each batch
-// to rows at the client boundary (see rows.go).
-func (q *Query) collectRows() ([][]any, error) {
 	var out [][]any
-	_, err := q.drain(func(cb *data.ColBatch) { out = appendRows(out, cb) })
+	cfg := newRunCfg(nil)
+	_, err := q.execRun(ctx, &cfg, func(cb *data.ColBatch) error {
+		out = appendRows(out, cb)
+		return nil
+	})
 	return out, err
 }
 
